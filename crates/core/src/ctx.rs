@@ -45,6 +45,11 @@ pub struct CompressCtx {
     pub quantizers: QuantizerBank,
     /// Entropy-stage / nested-stream output scratch.
     pub stream: Vec<u8>,
+    /// Row-tile `f64` scratch of the chunked kernels (accumulator and
+    /// prediction of the tile in flight).
+    pub tile_f64: Vec<f64>,
+    /// Row-tile quantization-index scratch of the chunked kernels.
+    pub tile_idx: Vec<i32>,
 }
 
 impl CompressCtx {

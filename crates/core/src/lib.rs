@@ -38,7 +38,7 @@ pub use capability::{ProgressiveDecompress, RegionDecompress};
 pub use compressor::{try_with_capacity, try_zeroed_vec, CompressError, Compressor};
 pub use ctx::CompressCtx;
 pub use header::StreamHeader;
-pub use qp::{Condition, Neighbors, PredMode, QpConfig, QpEngine};
+pub use qp::{Condition, Neighbors, PredMode, QpConfig, QpEngine, QpTaps};
 
 /// Re-export of the reserved unpredictable-data label.
 pub use qip_quant::UNPRED;

@@ -224,6 +224,131 @@ fn val(v: i32) -> i64 {
     }
 }
 
+/// The gate and the compensation — the one definition every QP loop in the
+/// workspace evaluates. `v` holds the involved neighbors in the mode's
+/// canonical order: `[n]` for the 1-D modes, `[left, top, diag]` for 2-D
+/// Lorenzo, `[left, top, back, diag, left_back, top_back, diag_back]` for
+/// 3-D Lorenzo; `C` is the [`Condition::tag`]. Returns `(open, c)` with
+/// `c = 0` when the gate is closed, so `q ∓ c` is the transform either way.
+///
+/// Both parameters are compile-time so a row loop is straight-line code:
+/// non-short-circuit `|`/`&` and a masked `c` throughout, because the
+/// operands are data (index signs flip point to point) and branches on them
+/// would mispredict. The sum runs in `i64` and truncates once, like the
+/// scalar `quant_pred` always did: seven `i32` terms cannot overflow `i64`,
+/// so operand order is free and the truncated result is bit-identical.
+#[inline(always)]
+fn gate<const N: usize, const C: u8>(v: [i32; N]) -> (bool, i32) {
+    let any_unpred = v.iter().fold(false, |acc, &n| acc | (n == UNPRED));
+    let open = match C {
+        CASE_I => true,
+        CASE_II => !any_unpred,
+        // Strict same-sign check on the plane neighbors (left/top), or on
+        // the single neighbor for the 1-D modes.
+        CASE_III => {
+            let (a, b) = (v[0], v[N.min(2) - 1]);
+            !any_unpred & (((a > 0) & (b > 0)) | ((a < 0) & (b < 0)))
+        }
+        _ => {
+            let all_pos = v.iter().fold(true, |acc, &n| acc & (n > 0));
+            let all_neg = v.iter().fold(true, |acc, &n| acc & (n < 0));
+            !any_unpred & (all_pos | all_neg)
+        }
+    };
+    // Only Case I can reach the sum with a sentinel among the operands (the
+    // other cases mask `c` away), so only it pays for the substitution.
+    let val = |n: i32| if C == CASE_I { val(n) } else { n as i64 };
+    let c: i64 = match v.as_slice() {
+        [n] => val(*n),
+        [l, t, d] => lorenzo2(val(*l), val(*t), val(*d)),
+        [l, t, b, d, lb, tb, db] => {
+            lorenzo3(val(*l), val(*t), val(*b), val(*d), val(*lb), val(*tb), val(*db))
+        }
+        _ => unreachable!("QP modes involve 1, 3 or 7 neighbors"),
+    };
+    (open, c as i32 & -(open as i32))
+}
+
+const CASE_I: u8 = 0;
+const CASE_II: u8 = 1;
+const CASE_III: u8 = 2;
+const CASE_IV: u8 = 3;
+
+/// Run `$body` with `$gate` bound to [`gate`] for `$n` neighbors under the
+/// runtime `$cond`: the one place a [`Condition`] becomes a const parameter.
+macro_rules! with_gate {
+    ($cond:expr, $n:literal, |$gate:ident| $body:expr) => {
+        match $cond {
+            Condition::CaseI => {
+                let $gate = gate::<$n, CASE_I>;
+                $body
+            }
+            Condition::CaseII => {
+                let $gate = gate::<$n, CASE_II>;
+                $body
+            }
+            Condition::CaseIII => {
+                let $gate = gate::<$n, CASE_III>;
+                $body
+            }
+            Condition::CaseIV => {
+                let $gate = gate::<$n, CASE_IV>;
+                $body
+            }
+        }
+    };
+}
+
+/// [`with_gate!`] for a resolved row: the neighbor count comes from the taps.
+macro_rules! with_row_gate {
+    ($taps:expr, $cond:expr, |$gate:ident| $body:expr) => {
+        match $taps.n {
+            1 => with_gate!($cond, 1, |$gate| $body),
+            3 => with_gate!($cond, 3, |$gate| $body),
+            _ => with_gate!($cond, 7, |$gate| $body),
+        }
+    };
+}
+
+/// The involved neighbors of one lattice row, resolved once per row by
+/// [`QpEngine::row_taps`]: their flat offsets *below* the point's own flat
+/// index, in the canonical order [`gate`] expects. Everything the point API
+/// re-derives per point — which mode, which axes exist, whether the row sits
+/// on the lattice's first line — is constant along a row and lives here, so
+/// the per-point work is plain `i32` loads from the index store.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct QpTaps {
+    offs: [usize; 7],
+    /// Involved-neighbor count (1, 3 or 7), or 0 when an involved neighbor
+    /// cannot exist anywhere on the row: the gate is provably closed.
+    n: usize,
+    /// Position in `offs` of the tap one step back along the row, when an
+    /// involved axis runs along it. The row's first point then has no such
+    /// neighbor (closed there, resolvable from the second point on), and for
+    /// every later point it is the index the inverse recovered just before.
+    row_tap: Option<usize>,
+}
+
+impl QpTaps {
+    /// Taps of a row on which the transform is the identity.
+    pub const CLOSED: QpTaps = QpTaps { offs: [0; 7], n: 0, row_tap: None };
+
+    /// How many leading points of a run pass through untransformed: the
+    /// row's first point when a tap runs along the row, all `len` of them
+    /// when the row is closed.
+    fn skip(&self, first: bool, len: usize) -> usize {
+        match self.n {
+            0 => len,
+            _ => ((first && self.row_tap.is_some()) as usize).min(len),
+        }
+    }
+
+    #[inline(always)]
+    fn load<const N: usize>(&self, qstore: &[i32], flat: usize) -> [i32; N] {
+        std::array::from_fn(|k| qstore[flat - self.offs[k]])
+    }
+}
+
 impl QpEngine {
     /// Engine for a fixed configuration.
     pub fn new(config: QpConfig) -> Self {
@@ -235,36 +360,6 @@ impl QpEngine {
         &self.config
     }
 
-    /// Neighbors involved in the configured mode, or `None` when QP is off.
-    fn involved(&self, nb: &Neighbors) -> Option<[Option<i32>; 7]> {
-        Some(match self.config.mode {
-            PredMode::Off => return None,
-            PredMode::Back1 => [nb.back, None, None, None, None, None, None],
-            PredMode::Top1 => [nb.top, None, None, None, None, None, None],
-            PredMode::Left1 => [nb.left, None, None, None, None, None, None],
-            PredMode::Lorenzo2d => [nb.left, nb.top, nb.diag, None, None, None, None],
-            PredMode::Lorenzo3d => [
-                nb.left,
-                nb.top,
-                nb.back,
-                nb.diag,
-                nb.left_back,
-                nb.top_back,
-                nb.diag_back,
-            ],
-        })
-    }
-
-    /// Number of neighbor slots the configured mode reads.
-    fn involved_len(&self) -> usize {
-        match self.config.mode {
-            PredMode::Off => 0,
-            PredMode::Back1 | PredMode::Top1 | PredMode::Left1 => 1,
-            PredMode::Lorenzo2d => 3,
-            PredMode::Lorenzo3d => 7,
-        }
-    }
-
     /// Whether the gating condition admits a prediction at this point (paper
     /// Fig. 8): QP enabled, level within range, every involved neighbor
     /// present, and the configured [`Condition`] satisfied. This is the
@@ -274,75 +369,33 @@ impl QpEngine {
         self.gated_predict(level, nb).is_some()
     }
 
-    /// Fused gate check + compensation in one neighbor scan: `Some(c)` when
-    /// the gate is open (where `c` is what [`QpEngine::predict`] returns),
-    /// `None` when it is closed. [`QpEngine::gate_open`] and
-    /// [`QpEngine::predict`] are thin wrappers; the chunked pipeline drivers
-    /// call this directly so the hot loop scans the neighbor set once
-    /// instead of once for the gate and again for the prediction.
+    /// Fused gate check + compensation: `Some(c)` when the gate is open
+    /// (where `c` is what [`QpEngine::predict`] returns), `None` when it is
+    /// closed. This is the point API of the scalar reference pipeline, the
+    /// forensic decoders and the doc-tests; it evaluates the same [`gate`]
+    /// the row kernels run on direct `qstore` loads.
     pub fn gated_predict(&self, level: usize, nb: &Neighbors) -> Option<i32> {
         if !self.config.is_enabled() || level > self.config.max_level {
             return None;
         }
-        let involved = self.involved(nb)?;
-        let involved = &involved[..self.involved_len()];
-        if involved.iter().any(|n| n.is_none()) {
-            return None;
-        }
-
-        let any_unpred = involved.iter().any(|n| n.unwrap() == UNPRED);
-        let open = match self.config.condition {
-            Condition::CaseI => true,
-            Condition::CaseII => !any_unpred,
-            Condition::CaseIII => {
-                if any_unpred {
-                    return None;
-                }
-                // Strict same-sign check on the plane neighbors (or the
-                // single neighbor for 1-D modes).
-                let (a, b) = match self.config.mode {
-                    PredMode::Lorenzo2d | PredMode::Lorenzo3d => {
-                        (nb.left.unwrap(), nb.top.unwrap())
-                    }
-                    PredMode::Back1 => (nb.back.unwrap(), nb.back.unwrap()),
-                    PredMode::Top1 => (nb.top.unwrap(), nb.top.unwrap()),
-                    PredMode::Left1 => (nb.left.unwrap(), nb.left.unwrap()),
-                    PredMode::Off => unreachable!(),
-                };
-                (a > 0 && b > 0) || (a < 0 && b < 0)
-            }
-            Condition::CaseIV => {
-                if any_unpred {
-                    return None;
-                }
-                let all_pos = involved.iter().all(|n| n.unwrap() > 0);
-                let all_neg = involved.iter().all(|n| n.unwrap() < 0);
-                all_pos || all_neg
-            }
+        let cond = self.config.condition;
+        let (open, c) = match self.config.mode {
+            PredMode::Off => return None,
+            PredMode::Back1 => with_gate!(cond, 1, |g| g([nb.back?])),
+            PredMode::Top1 => with_gate!(cond, 1, |g| g([nb.top?])),
+            PredMode::Left1 => with_gate!(cond, 1, |g| g([nb.left?])),
+            PredMode::Lorenzo2d => with_gate!(cond, 3, |g| g([nb.left?, nb.top?, nb.diag?])),
+            PredMode::Lorenzo3d => with_gate!(cond, 7, |g| g([
+                nb.left?,
+                nb.top?,
+                nb.back?,
+                nb.diag?,
+                nb.left_back?,
+                nb.top_back?,
+                nb.diag_back?,
+            ])),
         };
-        if !open {
-            return None;
-        }
-
-        // Case I may involve the sentinel; substitute zero there.
-        let get = |n: Option<i32>| val(n.unwrap());
-        let c: i64 = match self.config.mode {
-            PredMode::Off => 0,
-            PredMode::Back1 => get(nb.back),
-            PredMode::Top1 => get(nb.top),
-            PredMode::Left1 => get(nb.left),
-            PredMode::Lorenzo2d => lorenzo2(get(nb.left), get(nb.top), get(nb.diag)),
-            PredMode::Lorenzo3d => lorenzo3(
-                get(nb.left),
-                get(nb.top),
-                get(nb.back),
-                get(nb.diag),
-                get(nb.left_back),
-                get(nb.top_back),
-                get(nb.diag_back),
-            ),
-        };
-        Some(c as i32)
+        open.then_some(c)
     }
 
     /// The `quant_pred` subroutine (paper Algorithm 2, generalized to every
@@ -375,6 +428,187 @@ impl QpEngine {
         } else {
             q_prime.wrapping_add(self.predict(level, nb))
         }
+    }
+}
+
+/// Row kernels: the production form of the transform. A *row* is a run of
+/// same-pass lattice points `flat0, flat0 + stp, …` along the innermost axis;
+/// `first` says the run starts at the row's first point. Both directions keep
+/// the index store current (`qstore[flat] = Q`) because later rows of the
+/// pass read this one as their top/back neighbors.
+impl QpEngine {
+    /// Resolve the involved neighbors for one row of a pass on `level`.
+    ///
+    /// `offs` holds the flat offset of the −step lattice neighbor along the
+    /// (left, top, back) axes — `None` when the axis does not exist or the
+    /// row lies on the lattice's first line along it; `along_row` marks the
+    /// axis the row itself runs along (its neighbor exists from the second
+    /// point on). Diagonal offsets are sums of their components, so the
+    /// three axes decide the whole involved set.
+    pub fn row_taps(
+        &self,
+        level: usize,
+        offs: [Option<usize>; 3],
+        along_row: [bool; 3],
+    ) -> QpTaps {
+        if !self.config.is_enabled() || level > self.config.max_level {
+            return QpTaps::CLOSED;
+        }
+        let one = |axis: usize| match offs[axis] {
+            Some(o) => QpTaps {
+                offs: [o, 0, 0, 0, 0, 0, 0],
+                n: 1,
+                row_tap: along_row[axis].then_some(0),
+            },
+            None => QpTaps::CLOSED,
+        };
+        match (self.config.mode, offs) {
+            (PredMode::Back1, _) => one(2),
+            (PredMode::Top1, _) => one(1),
+            (PredMode::Left1, _) => one(0),
+            (PredMode::Lorenzo2d, [Some(l), Some(t), _]) => QpTaps {
+                offs: [l, t, l + t, 0, 0, 0, 0],
+                n: 3,
+                row_tap: along_row[..2].iter().position(|&r| r),
+            },
+            (PredMode::Lorenzo3d, [Some(l), Some(t), Some(b)]) => QpTaps {
+                offs: [l, t, b, l + t, l + b, t + b, l + t + b],
+                n: 7,
+                row_tap: along_row.iter().position(|&r| r),
+            },
+            _ => QpTaps::CLOSED,
+        }
+    }
+
+    /// Gate + compensation for the single point at `flat` (`first`: it is its
+    /// row's first point): `(open, c)` with `c = 0` when closed — what
+    /// [`QpEngine::gated_predict`] returns on the equivalent [`Neighbors`].
+    /// The forensic decoders use it to recover per-point decisions.
+    pub fn gate_at(&self, taps: &QpTaps, first: bool, qstore: &[i32], flat: usize) -> (bool, i32) {
+        if taps.skip(first, 1) == 1 {
+            return (false, 0);
+        }
+        with_row_gate!(taps, self.config.condition, |g| g(taps.load(qstore, flat)))
+    }
+
+    /// Compression side over one row run: `qprime[k] = q[k] − quant_pred`
+    /// ([`UNPRED`] passes through), `qstore` updated; returns how many gates
+    /// were open. All of `Q` is known up front, so nothing here is serial.
+    #[allow(clippy::too_many_arguments)] // one run = five slices/strides
+    pub fn forward_row(
+        &self,
+        taps: &QpTaps,
+        first: bool,
+        q: &[i32],
+        qprime: &mut [i32],
+        qstore: &mut [i32],
+        flat0: usize,
+        stp: usize,
+    ) -> usize {
+        assert_eq!(q.len(), qprime.len());
+        for (k, &v) in q.iter().enumerate() {
+            qstore[flat0 + k * stp] = v;
+        }
+        let skip = taps.skip(first, q.len());
+        if taps.n == 0 {
+            let closed = |_: [i32; 0]| (false, 0);
+            return forward_run(taps, skip, q, qprime, qstore, flat0, stp, closed);
+        }
+        with_row_gate!(taps, self.config.condition, |g| forward_run(
+            taps, skip, q, qprime, qstore, flat0, stp, g
+        ))
+    }
+
+    /// Decompression side over one row run: `q[k] = qprime[k] + quant_pred`
+    /// ([`UNPRED`] passes through), `qstore` updated. The only serial
+    /// dependency is a tap along the row (the point just recovered).
+    #[allow(clippy::too_many_arguments)]
+    pub fn inverse_row(
+        &self,
+        taps: &QpTaps,
+        first: bool,
+        qprime: &[i32],
+        q: &mut [i32],
+        qstore: &mut [i32],
+        flat0: usize,
+        stp: usize,
+    ) {
+        assert_eq!(q.len(), qprime.len());
+        let skip = taps.skip(first, q.len());
+        if taps.n == 0 {
+            let closed = |_: [i32; 0]| (false, 0);
+            return inverse_run(taps, skip, qprime, q, qstore, flat0, stp, closed);
+        }
+        with_row_gate!(taps, self.config.condition, |g| inverse_run(
+            taps, skip, qprime, q, qstore, flat0, stp, g
+        ))
+    }
+}
+
+/// [`QpEngine::forward_row`] for one (neighbor count, condition) pair: the
+/// first `skip` points pass through, the rest go through `gate`.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn forward_run<const N: usize>(
+    taps: &QpTaps,
+    skip: usize,
+    q: &[i32],
+    qprime: &mut [i32],
+    qstore: &[i32],
+    flat0: usize,
+    stp: usize,
+    gate: impl Fn([i32; N]) -> (bool, i32),
+) -> usize {
+    qprime[..skip].copy_from_slice(&q[..skip]);
+    let mut accepted = 0usize;
+    for k in skip..q.len() {
+        let (open, c) = gate(taps.load(qstore, flat0 + k * stp));
+        accepted += open as usize;
+        // Wrapping keeps forward/inverse exact inverses over all of i32, so
+        // a corrupted index array cannot overflow on the decode side.
+        qprime[k] = if q[k] == UNPRED { UNPRED } else { q[k].wrapping_sub(c) };
+    }
+    accepted
+}
+
+/// [`QpEngine::inverse_row`] for one (neighbor count, condition) pair (a
+/// closed row passes everything through: `skip = len`).
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn inverse_run<const N: usize>(
+    taps: &QpTaps,
+    skip: usize,
+    qprime: &[i32],
+    q: &mut [i32],
+    qstore: &mut [i32],
+    flat0: usize,
+    stp: usize,
+    gate: impl Fn([i32; N]) -> (bool, i32),
+) {
+    for k in 0..skip {
+        q[k] = qprime[k];
+        qstore[flat0 + k * stp] = qprime[k];
+    }
+    // The tap along the row is the value stored one iteration ago: carry it
+    // in a register instead of waiting on the store to forward to its load.
+    let mut prev = match taps.row_tap {
+        Some(r) if skip < q.len() => {
+            assert_eq!(taps.offs[r], stp, "run geometry differs from the taps'");
+            qstore[flat0 + skip * stp - stp]
+        }
+        _ => 0,
+    };
+    for k in skip..q.len() {
+        let flat = flat0 + k * stp;
+        let nb: [i32; N] = std::array::from_fn(|i| match taps.row_tap {
+            Some(r) if r == i => prev,
+            _ => qstore[flat - taps.offs[i]],
+        });
+        let (_, c) = gate(nb);
+        let v = if qprime[k] == UNPRED { UNPRED } else { qprime[k].wrapping_add(c) };
+        q[k] = v;
+        qstore[flat] = v;
+        prev = v;
     }
 }
 

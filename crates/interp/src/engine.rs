@@ -6,6 +6,7 @@
 //! transform's reversibility depends on — symmetric by construction.
 
 use crate::config::{order_from_tag, order_tag, EngineConfig, LevelParams, PassStructure};
+use crate::kernels::Scratch;
 use crate::lattice::{build_passes, for_each_point, num_levels, Pass};
 use crate::select::choose_level_params;
 use qip_codec::{encode_indices, encode_indices_into, ByteReader, ByteWriter};
@@ -220,10 +221,6 @@ pub(crate) trait PointSink<T: Scalar> {
         level: usize,
         nb: &Neighbors,
     ) -> Result<(T, i32, i32), CompressError>;
-
-    /// The sink's QP prediction mode (the chunked driver hoists the
-    /// per-row neighbor availability decision on it).
-    fn qp_mode(&self) -> qip_core::PredMode;
 
     /// [`PointSink::handle`] plus the point's flat index. The scalar
     /// reference driver calls this variant so position-aware sinks (the
@@ -612,25 +609,21 @@ impl<T: Scalar> PointSink<T> for CompressSink<'_> {
             }
         }
     }
-
-    fn qp_mode(&self) -> qip_core::PredMode {
-        self.qp.config().mode
-    }
 }
 
 /// Decompression-side sink: read-only views over the decoded channels, so the
 /// allocating and buffer-reusing paths share one implementation.
-struct DecompressSink<'a, T: Scalar> {
-    qp: QpEngine,
+pub(crate) struct DecompressSink<'a, T: Scalar> {
+    pub(crate) qp: QpEngine,
     level_tags: &'a [(u8, u8, u8)],
     level_cursor: usize,
     anchors: &'a [T],
     anchor_cursor: usize,
-    unpred: &'a [T],
-    unpred_cursor: usize,
-    qprime: &'a [i32],
-    q_cursor: usize,
-    quantizers: &'a [LinearQuantizer],
+    pub(crate) unpred: &'a [T],
+    pub(crate) unpred_cursor: usize,
+    pub(crate) qprime: &'a [i32],
+    pub(crate) q_cursor: usize,
+    pub(crate) quantizers: &'a [LinearQuantizer],
 }
 
 impl<T: Scalar> PointSink<T> for DecompressSink<'_, T> {
@@ -687,10 +680,6 @@ impl<T: Scalar> PointSink<T> for DecompressSink<'_, T> {
             let quant = &self.quantizers[level.min(self.quantizers.len() - 1)];
             Ok((quant.recover::<T>(pred, q), q, q_prime))
         }
-    }
-
-    fn qp_mode(&self) -> qip_core::PredMode {
-        self.qp.config().mode
     }
 }
 
@@ -840,10 +829,6 @@ impl<T: Scalar> PointSink<T> for InspectSink<'_, T> {
         self.accepted[flat] = if open { 2 } else { 1 };
         Ok((value, q, q_prime))
     }
-
-    fn qp_mode(&self) -> qip_core::PredMode {
-        self.inner.qp_mode()
-    }
 }
 
 impl<T: Scalar> Compressor<T> for InterpEngine {
@@ -962,9 +947,11 @@ impl InterpEngine {
             let _t = qip_trace::span("quantize");
             match crate::kernels::kernel_mode() {
                 crate::kernels::KernelMode::Chunked => {
-                    let mut qstore = Vec::new();
+                    let (mut qstore, mut f64s, mut idx) = (Vec::new(), Vec::new(), Vec::new());
+                    let scratch =
+                        Scratch { qstore: &mut qstore, f64s: &mut f64s, idx: &mut idx };
                     crate::kernels::run_compress_vec(
-                        cfg, &dims, &strides, &mut buf, &mut sink, &mut qstore, capture,
+                        cfg, &dims, &strides, &mut buf, &mut sink, scratch, capture,
                     )?;
                 }
                 crate::kernels::KernelMode::ScalarRef => {
@@ -1052,7 +1039,11 @@ impl InterpEngine {
                         field.shape().strides(),
                         &mut buf,
                         &mut sink,
-                        &mut ctx.qstore,
+                        Scratch {
+                            qstore: &mut ctx.qstore,
+                            f64s: &mut ctx.tile_f64,
+                            idx: &mut ctx.tile_idx,
+                        },
                         None,
                     )?;
                 }
@@ -1209,9 +1200,11 @@ impl InterpEngine {
             let _t = qip_trace::span("reconstruct");
             match crate::kernels::kernel_mode() {
                 crate::kernels::KernelMode::Chunked => {
-                    let mut qstore = Vec::new();
-                    crate::kernels::run_sink_vec(
-                        &p.eff, &dims, &strides, &mut buf, &mut sink, &mut qstore,
+                    let (mut qstore, mut f64s, mut idx) = (Vec::new(), Vec::new(), Vec::new());
+                    let scratch =
+                        Scratch { qstore: &mut qstore, f64s: &mut f64s, idx: &mut idx };
+                    crate::kernels::run_decompress_vec(
+                        &p.eff, &dims, &strides, &mut buf, &mut sink, scratch,
                     )?;
                 }
                 crate::kernels::KernelMode::ScalarRef => {
@@ -1265,13 +1258,17 @@ impl InterpEngine {
             let _t = qip_trace::span("reconstruct");
             match crate::kernels::kernel_mode() {
                 crate::kernels::KernelMode::Chunked => {
-                    crate::kernels::run_sink_vec(
+                    crate::kernels::run_decompress_vec(
                         &p.eff,
                         p.shape.dims(),
                         p.shape.strides(),
                         &mut buf,
                         &mut sink,
-                        &mut ctx.qstore,
+                        Scratch {
+                            qstore: &mut ctx.qstore,
+                            f64s: &mut ctx.tile_f64,
+                            idx: &mut ctx.tile_idx,
+                        },
                     )?;
                 }
                 crate::kernels::KernelMode::ScalarRef => {

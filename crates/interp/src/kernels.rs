@@ -18,9 +18,12 @@
 //!   side-channel patch-up consumes afterwards;
 //! * level/QP gating hoisted out of the inner loop: QP-inactive levels skip
 //!   neighbor resolution and index-store writes entirely;
-//! * the QP transform fused into the same L1-resident tile, so the
-//!   orthogonal-plane neighbor reads hit lines the tile just touched
-//!   (the cache-blocked plane sweep of docs/kernels.md).
+//! * the QP transform run per tile through the row kernels of
+//!   [`qip_core::QpEngine`] — the involved neighbors resolved once per row
+//!   into flat `qstore` offsets ([`qip_core::QpTaps`]), in both directions —
+//!   inside the same L1-resident tile, so the orthogonal-plane neighbor reads
+//!   hit lines the tile just touched (the cache-blocked plane sweep of
+//!   docs/kernels.md).
 //!
 //! Byte identity with the scalar reference is a hard invariant: every f64
 //! operation happens in the same order with the same operands (axis-major
@@ -30,9 +33,9 @@
 //! conformance golden vectors pin both against committed streams.
 
 use crate::config::EngineConfig;
-use crate::engine::{CompressSink, PointSink, QuantCapture};
-use crate::lattice::{build_passes, for_each_point, num_levels, Pass};
-use qip_core::{CompressError, Neighbors, PredMode};
+use crate::engine::{CompressSink, DecompressSink, PointSink, QuantCapture};
+use crate::lattice::{build_passes, for_each_point, for_each_row, num_levels, Pass};
+use qip_core::{CompressError, QpTaps};
 use qip_predict::{cubic_interior, linear_edge2, linear_mid, quad_begin, quad_end, InterpKind};
 use qip_quant::UNPRED;
 use qip_tensor::Scalar;
@@ -144,8 +147,8 @@ fn classify(kind: InterpKind, m3: bool, p1: bool, p3: bool) -> Tap {
 /// have `start = s`, `step = 2s`, so `coord(j) = s + 2sj`: the `m3` tap exists
 /// from `j ≥ 1` and the forward taps vanish monotonically at `jb1`/`jb3` —
 /// at most four contiguous segments, shared by every row of the pass.
-fn inner_segs(kind: InterpKind, d: usize, s: usize, m: usize) -> Vec<(usize, usize, Tap)> {
-    let mut segs = Vec::with_capacity(4);
+fn inner_segs(kind: InterpKind, d: usize, s: usize, m: usize) -> Segs {
+    let mut segs = Segs::EMPTY;
     if m == 0 {
         return segs;
     }
@@ -165,6 +168,26 @@ fn inner_segs(kind: InterpKind, d: usize, s: usize, m: usize) -> Vec<(usize, usi
         segs.push((c1, m, classify(kind, true, false, false)));
     }
     segs
+}
+
+/// The (at most four) `[j0, j1)` case runs of [`inner_segs`], inline.
+#[derive(Clone, Copy)]
+struct Segs {
+    runs: [(usize, usize, Tap); 4],
+    len: usize,
+}
+
+impl Segs {
+    const EMPTY: Segs = Segs { runs: [(0, 0, Tap::Copy); 4], len: 0 };
+
+    fn push(&mut self, run: (usize, usize, Tap)) {
+        self.runs[self.len] = run;
+        self.len += 1;
+    }
+
+    fn as_slice(&self) -> &[(usize, usize, Tap)] {
+        &self.runs[..self.len]
+    }
 }
 
 /// Add one axis's 1-D spline contribution for points `j ∈ [j0, j1)` of a row
@@ -276,45 +299,6 @@ fn predict_tile<T: Scalar>(
     }
 }
 
-/// Visit each row of a pass in the reference row-major order, calling
-/// `f(coords, flat0)` with the row's fixed outer coordinates (`coords[inner]`
-/// holds the inner start) and the flat index of its first point.
-fn for_each_row(
-    pass: &Pass,
-    dims: &[usize],
-    strides: &[usize],
-    mut f: impl FnMut(&[usize; 4], usize) -> Result<(), CompressError>,
-) -> Result<(), CompressError> {
-    let ndim = dims.len();
-    let counts = pass.counts(dims);
-    if counts.contains(&0) {
-        return Ok(());
-    }
-    let inner = ndim - 1;
-    let mut coords = [0usize; 4];
-    coords[..ndim].copy_from_slice(&pass.start);
-    let mut idx = [0usize; 4];
-    loop {
-        let flat0: usize = (0..ndim).map(|a| coords[a] * strides[a]).sum();
-        f(&coords, flat0)?;
-        // Row-major odometer over the outer axes (last outer axis fastest).
-        let mut axis = inner;
-        loop {
-            if axis == 0 {
-                return Ok(());
-            }
-            axis -= 1;
-            idx[axis] += 1;
-            if idx[axis] < counts[axis] {
-                coords[axis] += pass.step[axis];
-                break;
-            }
-            idx[axis] = 0;
-            coords[axis] = pass.start[axis];
-        }
-    }
-}
-
 /// Shared prologue for both drivers: resolve the level schedule and feed the
 /// anchor grid through the sink. Returns `None` when there are no levels.
 fn run_anchors<T: Scalar, S: PointSink<T>>(
@@ -349,354 +333,299 @@ fn run_anchors<T: Scalar, S: PointSink<T>>(
     Ok((levels > 0).then_some(start_level))
 }
 
-/// Resolve the active interpolation axes for a pass (axis-mask filter with
-/// the scalar path's fall-back-to-all rule) into `active`.
-fn resolve_active(pass: &Pass, axis_mask: u8, active: &mut Vec<usize>) {
-    active.clear();
-    for &a in &pass.interp_axes {
-        if axis_mask & (1 << a) != 0 {
-            active.push(a);
-        }
+
+/// Tile scratch of the drivers, borrowed from a [`qip_core::CompressCtx`]
+/// on the buffer-reusing paths so a warm context allocates nothing here.
+pub(crate) struct Scratch<'a> {
+    /// Reconstructed quantization-index plane (QP-active levels only).
+    pub(crate) qstore: &'a mut Vec<i32>,
+    /// Per-tile accumulator (`[..TILE]`) and prediction (`[TILE..]`).
+    pub(crate) f64s: &'a mut Vec<f64>,
+    /// Per-tile quantization indices.
+    pub(crate) idx: &'a mut Vec<i32>,
+}
+
+/// One row tile as the shared walk hands it to a driver's body: points
+/// `j0 .. j0 + pred.len()` of the row starting at `row_coords`/`flat0`.
+struct Tile<'a> {
+    level: usize,
+    /// Whether QP transforms anything on this level (else no `qstore` I/O).
+    qp_active: bool,
+    pass: &'a Pass,
+    row_coords: &'a [usize; 4],
+    flat0: usize,
+    /// Flat step between consecutive row points.
+    stp: usize,
+    j0: usize,
+    pred: &'a [f64],
+}
+
+impl Tile<'_> {
+    /// Flat index of the tile's first point.
+    fn flat(&self) -> usize {
+        self.flat0 + self.j0 * self.stp
     }
-    if active.is_empty() {
-        active.extend_from_slice(&pass.interp_axes);
+
+    /// The row's QP taps (constant along the row; resolved per tile, i.e.
+    /// once per ≤ `TILE` points).
+    fn taps(&self, qp: &qip_core::QpEngine, strides: &[usize]) -> QpTaps {
+        let (offs, along_row) = self.pass.qp_row_offsets(self.row_coords, strides);
+        qp.row_taps(self.level, offs, along_row)
     }
 }
 
-/// Inner-axis point count of a pass (the reference `counts` formula).
-fn inner_count(pass: &Pass, dims: &[usize]) -> usize {
-    let inner = dims.len() - 1;
-    let (d, st, sp) = (dims[inner], pass.start[inner], pass.step[inner]);
-    if st < d {
-        1 + (d - 1 - st) / sp
-    } else {
-        0
-    }
-}
+/// The walk both drivers share: anchors, then levels → passes → rows → tiles
+/// in the reference visit order, with the tile's spline prediction computed
+/// before `body` runs. `body` gets the sink and the working buffer back
+/// (the walk needs both between tiles) and owns everything asymmetric.
+fn walk_tiles<T: Scalar, S: PointSink<T>>(
+    cfg: &EngineConfig,
+    dims: &[usize],
+    strides: &[usize],
+    buf: &mut [T],
+    sink: &mut S,
+    f64s: &mut Vec<f64>,
+    mut body: impl FnMut(&mut S, &mut [T], &Tile<'_>) -> Result<(), CompressError>,
+) -> Result<(), CompressError> {
+    let Some(start_level) = run_anchors(cfg, dims, strides, buf, sink)? else {
+        return Ok(());
+    };
+    let ndim = dims.len();
+    let inner = ndim - 1;
+    f64s.clear();
+    f64s.resize(2 * TILE, 0.0);
+    let (acc, pred) = f64s.split_at_mut(TILE);
 
-/// Per-row QP neighbor-offset templates. The `qp_neighbors` availability
-/// check (`coords[a] >= start[a] + step[a]`) and flat offset
-/// (`step[a] * strides[a]`) are constant along a row for every axis except
-/// the inner one, whose −step neighbor exists exactly from the second row
-/// point on (`coords[inner] = start + j·step ⇒ available ⇔ j ≥ 1`). Hoisting
-/// them here turns the per-point neighbor resolution into a template select
-/// plus direct `qstore` loads.
-///
-/// Index 0 = the row's first point (`j = 0`), index 1 = all later points.
-struct QpRowOffsets {
-    l: [Option<usize>; 2],
-    t: [Option<usize>; 2],
-    b: [Option<usize>; 2],
-    /// Whether the configured mode's involved neighbors can all be present
-    /// (per template). When false the gate is closed for every point the
-    /// template covers, so the transform is the identity and neighbor loads
-    /// can be skipped entirely.
-    possible: [bool; 2],
-}
-
-impl QpRowOffsets {
-    fn for_row(
-        pass: &Pass,
-        row_coords: &[usize],
-        inner: usize,
-        strides: &[usize],
-        mode: PredMode,
-    ) -> Self {
-        let mk = |a: Option<usize>| -> [Option<usize>; 2] {
-            let Some(a) = a else { return [None, None] };
-            let off = pass.step[a] * strides[a];
-            if a == inner {
-                [None, Some(off)]
-            } else {
-                let have = row_coords[a] >= pass.start[a] + pass.step[a];
-                [have.then_some(off); 2]
+    for level in (1..=start_level).rev() {
+        let _lvl = qip_trace::span_with(|| format!("level_{level}"));
+        let params = sink.params_for_level(level, &*buf, dims, strides)?;
+        let passes = build_passes(ndim, level, &params.order, cfg.passes);
+        let qp_active = cfg.qp.is_enabled() && level <= cfg.qp.max_level;
+        for pass in &passes {
+            if pass.is_empty(dims) {
+                continue;
             }
-        };
-        let (la, ta, ba) = pass.qp_axes;
-        let (l, t, b) = (mk(la), mk(ta), mk(ba));
-        // The diagonal/back combinations exist iff their components do, so
-        // presence of the axis offsets decides the whole involved set.
-        let possible = std::array::from_fn(|s| match mode {
-            PredMode::Off => false,
-            PredMode::Back1 => b[s].is_some(),
-            PredMode::Top1 => t[s].is_some(),
-            PredMode::Left1 => l[s].is_some(),
-            PredMode::Lorenzo2d => l[s].is_some() && t[s].is_some(),
-            PredMode::Lorenzo3d => l[s].is_some() && t[s].is_some() && b[s].is_some(),
-        });
-        QpRowOffsets { l, t, b, possible }
-    }
-
-    /// Materialize the neighbor set for one point — identical to
-    /// `qp_neighbors` with the availability checks pre-resolved.
-    fn neighbors(&self, qstore: &[i32], sel: usize, flat: usize) -> Neighbors {
-        let (l, t, b) = (self.l[sel], self.t[sel], self.b[sel]);
-        let get = |off: Option<usize>| off.map(|o| qstore[flat - o]);
-        let combine = |x: Option<usize>, y: Option<usize>| match (x, y) {
-            (Some(a), Some(b)) => Some(a + b),
-            _ => None,
-        };
-        Neighbors {
-            left: get(l),
-            top: get(t),
-            diag: get(combine(l, t)),
-            back: get(b),
-            left_back: get(combine(l, b)),
-            top_back: get(combine(t, b)),
-            diag_back: get(combine(combine(l, t), b)),
+            // Axis-mask filter with the scalar path's fall-back-to-all rule.
+            let mut active = [0usize; 4];
+            let mut n_active = 0;
+            for all in [false, true] {
+                for &a in &pass.interp_axes {
+                    if all || params.axis_mask & (1 << a) != 0 {
+                        active[n_active] = a;
+                        n_active += 1;
+                    }
+                }
+                if n_active > 0 {
+                    break;
+                }
+            }
+            let active = &active[..n_active];
+            let used = n_active as f64;
+            let m = pass.row_len(dims);
+            let segs = if active.contains(&inner) {
+                inner_segs(params.kind, dims[inner], pass.stride, m)
+            } else {
+                Segs::EMPTY
+            };
+            let stp = pass.step[inner] * strides[inner];
+            for_each_row(pass, dims, strides, |row_coords, flat0| {
+                let mut j0 = 0usize;
+                while j0 < m {
+                    let t = TILE.min(m - j0);
+                    predict_tile(
+                        buf,
+                        dims,
+                        strides,
+                        pass,
+                        params.kind,
+                        active,
+                        segs.as_slice(),
+                        row_coords,
+                        flat0,
+                        j0,
+                        t,
+                        acc,
+                    );
+                    for (p, &a) in pred[..t].iter_mut().zip(&acc[..t]) {
+                        *p = a / used;
+                    }
+                    let tile = Tile {
+                        level,
+                        qp_active,
+                        pass,
+                        row_coords,
+                        flat0,
+                        stp,
+                        j0,
+                        pred: &pred[..t],
+                    };
+                    body(sink, buf, &tile)?;
+                    j0 += t;
+                }
+                Ok(())
+            })?;
         }
     }
+    Ok(())
 }
 
 /// Vectorized compression driver: batched row prediction, branchless
-/// 64-lane quantization with an unpredictable-point bitmap, and a fused
-/// sequential QP/emission stage — byte-identical to `run_pipeline` feeding a
-/// [`CompressSink`].
+/// 64-lane quantization with an unpredictable-point bitmap, the forward QP
+/// row kernel, and emission in reference visit order — byte-identical to
+/// `run_pipeline` feeding a [`CompressSink`].
 pub(crate) fn run_compress_vec<T: Scalar>(
     cfg: &EngineConfig,
     dims: &[usize],
     strides: &[usize],
     buf: &mut [T],
     sink: &mut CompressSink<'_>,
-    qstore: &mut Vec<i32>,
+    scratch: Scratch<'_>,
     mut capture: Option<&mut QuantCapture>,
 ) -> Result<(), CompressError> {
-    let Some(start_level) = run_anchors(cfg, dims, strides, buf, sink)? else {
-        return Ok(());
-    };
+    let Scratch { qstore, f64s, idx } = scratch;
     qstore.clear();
     qstore.resize(buf.len(), 0);
-
-    let ndim = dims.len();
-    let inner = ndim - 1;
-    let mut acc = vec![0f64; TILE];
-    let mut pred = vec![0f64; TILE];
+    idx.clear();
+    idx.resize(TILE, 0);
     let mut cur = [T::ZERO; TILE];
-    let mut idx = vec![0i32; TILE];
     let mut rec = [T::ZERO; TILE];
-    let mut active: Vec<usize> = Vec::new();
 
-    for level in (1..=start_level).rev() {
-        let _lvl = qip_trace::span_with(|| format!("level_{level}"));
-        let params = sink.params_for_level(level, &*buf, dims, strides)?;
-        let passes = build_passes(ndim, level, &params.order, cfg.passes);
-        let qp_active = cfg.qp.is_enabled() && level <= cfg.qp.max_level;
+    walk_tiles(cfg, dims, strides, buf, sink, f64s, |sink, buf, tile| {
+        let t = tile.pred.len();
+        let (level, stp, flat) = (tile.level, tile.stp, tile.flat());
         let quant = sink.quantizers[level.min(sink.quantizers.len() - 1)];
-        for pass in &passes {
-            if pass.is_empty(dims) {
-                continue;
-            }
-            resolve_active(pass, params.axis_mask, &mut active);
-            let used = active.len() as f64;
-            let m = inner_count(pass, dims);
-            let segs = if active.contains(&inner) {
-                inner_segs(params.kind, dims[inner], pass.stride, m)
-            } else {
-                Vec::new()
-            };
-            let stp = pass.step[inner] * strides[inner];
-            let mode = sink.qp.config().mode;
-            for_each_row(pass, dims, strides, |row_coords, flat0| {
-                let qp_row = qp_active
-                    .then(|| QpRowOffsets::for_row(pass, row_coords, inner, strides, mode));
-                let mut j0 = 0usize;
-                while j0 < m {
-                    let t = TILE.min(m - j0);
-                    predict_tile(
-                        buf,
-                        dims,
-                        strides,
-                        pass,
-                        params.kind,
-                        &active,
-                        &segs,
-                        row_coords,
-                        flat0,
-                        j0,
-                        t,
-                        &mut acc,
-                    );
-                    for k in 0..t {
-                        pred[k] = acc[k] / used;
-                    }
-                    for k in 0..t {
-                        cur[k] = buf[flat0 + (j0 + k) * stp];
-                    }
-                    // Branchless quantization, 64 lanes per bitmap word.
-                    let mut masks = [0u64; TILE / 64];
-                    let mut k = 0usize;
-                    while k < t {
-                        let l = 64.min(t - k);
-                        masks[k / 64] = quant.quantize_lanes(
-                            &cur[k..k + l],
-                            &pred[k..k + l],
-                            &mut idx[k..k + l],
-                            &mut rec[k..k + l],
-                        );
-                        k += l;
-                    }
-                    // Sequential QP + emission in reference visit order. The
-                    // gate + compensation fuse into one neighbor scan
-                    // (`gated_predict`); rows/points whose involved
-                    // neighbors cannot all exist skip the scan outright
-                    // (gate provably closed ⇒ identity transform).
-                    for k in 0..t {
-                        let j = j0 + k;
-                        let flat = flat0 + j * stp;
-                        let comp = match &qp_row {
-                            Some(o) if o.possible[(j >= 1) as usize] => {
-                                let sel = (j >= 1) as usize;
-                                let nb = o.neighbors(qstore, sel, flat);
-                                sink.qp.gated_predict(level, &nb)
-                            }
-                            _ => None,
-                        };
-                        if let Some(st) = sink.stats.as_mut() {
-                            if let Some(ls) = st.levels.get_mut(level) {
-                                ls.points += 1;
-                                if comp.is_some() {
-                                    ls.accept += 1;
-                                }
-                            }
-                        }
-                        if masks[k / 64] >> (k % 64) & 1 == 0 {
-                            let index = idx[k];
-                            let qpv = match comp {
-                                Some(c) if index != UNPRED => index.wrapping_sub(c),
-                                _ => index,
-                            };
-                            sink.qprime.push(qpv);
-                            if let Some(st) = sink.stats.as_mut() {
-                                st.predictable += 1;
-                                if qpv != index {
-                                    if let Some(ls) = st.levels.get_mut(level) {
-                                        ls.fired += 1;
-                                    }
-                                }
-                            }
-                            buf[flat] = rec[k];
-                            if qp_active {
-                                qstore[flat] = index;
-                            }
-                            if let Some(cap) = capture.as_deref_mut() {
-                                cap.q[flat] = index;
-                                cap.q_prime[flat] = qpv;
-                                cap.level[flat] = level as u8;
-                            }
-                        } else {
-                            sink.qprime.push(UNPRED);
-                            if let Some(st) = sink.stats.as_mut() {
-                                st.unpredictable += 1;
-                            }
-                            cur[k].write_le(sink.unpred);
-                            if qp_active {
-                                qstore[flat] = UNPRED;
-                            }
-                            if let Some(cap) = capture.as_deref_mut() {
-                                cap.q[flat] = UNPRED;
-                                cap.q_prime[flat] = UNPRED;
-                                cap.level[flat] = level as u8;
-                            }
-                        }
-                    }
-                    j0 += t;
-                }
-                Ok(())
-            })?;
+        for (k, c) in cur[..t].iter_mut().enumerate() {
+            *c = buf[flat + k * stp];
         }
-    }
-    Ok(())
+        // Branchless quantization, 64 lanes per bitmap word; unpredictable
+        // lanes get their label patched in afterwards (rare).
+        let mut masks = [0u64; TILE / 64];
+        let mut n_unpred = 0u64;
+        for (w, k) in (0..t).step_by(64).enumerate() {
+            let l = 64.min(t - k);
+            masks[w] = quant.quantize_lanes(
+                &cur[k..k + l],
+                &tile.pred[k..k + l],
+                &mut idx[k..k + l],
+                &mut rec[k..k + l],
+            );
+            n_unpred += masks[w].count_ones() as u64;
+        }
+        for (w, &mask) in masks.iter().enumerate() {
+            let mut bits = mask;
+            while bits != 0 {
+                let k = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                idx[k] = UNPRED;
+                rec[k] = cur[k];
+                // Serialized inline, in emission order.
+                cur[k].write_le(sink.unpred);
+            }
+        }
+        // Q → Q' for the whole tile. QP-inactive levels skip the kernel and
+        // the index store altogether.
+        let base = sink.qprime.len();
+        let accepted = if tile.qp_active {
+            sink.qprime.resize(base + t, 0);
+            sink.qp.forward_row(
+                &tile.taps(&sink.qp, strides),
+                tile.j0 == 0,
+                &idx[..t],
+                &mut sink.qprime[base..],
+                qstore,
+                flat,
+                stp,
+            )
+        } else {
+            sink.qprime.extend_from_slice(&idx[..t]);
+            0
+        };
+        for (k, &r) in rec[..t].iter().enumerate() {
+            buf[flat + k * stp] = r;
+        }
+        if let Some(st) = sink.stats.as_mut() {
+            st.predictable += t as u64 - n_unpred;
+            st.unpredictable += n_unpred;
+            if let Some(ls) = st.levels.get_mut(level) {
+                ls.points += t as u64;
+                ls.accept += accepted as u64;
+                let fired = idx[..t].iter().zip(&sink.qprime[base..]).filter(|(q, p)| q != p);
+                ls.fired += fired.count() as u64;
+            }
+        }
+        if let Some(cap) = capture.as_deref_mut() {
+            for (k, (&q, &qp)) in idx[..t].iter().zip(&sink.qprime[base..]).enumerate() {
+                let at = flat + k * stp;
+                cap.q[at] = q;
+                cap.q_prime[at] = qp;
+                cap.level[at] = level as u8;
+            }
+        }
+        Ok(())
+    })
 }
 
-/// Vectorized sink driver (used for decompression): batched row prediction
-/// feeding the sink's per-point `handle`, with the same row-tile structure
-/// and QP gating hoist as the compression driver. Byte/value-identical to
-/// `run_pipeline` over the same sink.
-pub(crate) fn run_sink_vec<T: Scalar, S: PointSink<T>>(
+/// Vectorized decompression driver: batched row prediction, the tile's `Q'`
+/// slice taken once, then one of two straight-line bodies — QP-inactive
+/// levels dequantize straight from `Q'` with no `qstore` traffic; QP-active
+/// levels run the inverse row kernel first — and the unpredictable-channel
+/// patch-up in emission order. Value-identical to `run_pipeline` over the
+/// same sink, including which error a short channel produces.
+pub(crate) fn run_decompress_vec<T: Scalar>(
     cfg: &EngineConfig,
     dims: &[usize],
     strides: &[usize],
     buf: &mut [T],
-    sink: &mut S,
-    qstore: &mut Vec<i32>,
+    sink: &mut DecompressSink<'_, T>,
+    scratch: Scratch<'_>,
 ) -> Result<(), CompressError> {
-    let Some(start_level) = run_anchors(cfg, dims, strides, buf, sink)? else {
-        return Ok(());
-    };
+    let Scratch { qstore, f64s, idx } = scratch;
     qstore.clear();
     qstore.resize(buf.len(), 0);
+    idx.clear();
+    idx.resize(TILE, 0);
 
-    let ndim = dims.len();
-    let inner = ndim - 1;
-    let mut acc = vec![0f64; TILE];
-    let mut pred = vec![0f64; TILE];
-    let mut active: Vec<usize> = Vec::new();
-
-    for level in (1..=start_level).rev() {
-        let _lvl = qip_trace::span_with(|| format!("level_{level}"));
-        let params = sink.params_for_level(level, &*buf, dims, strides)?;
-        let passes = build_passes(ndim, level, &params.order, cfg.passes);
-        let qp_active = cfg.qp.is_enabled() && level <= cfg.qp.max_level;
-        for pass in &passes {
-            if pass.is_empty(dims) {
-                continue;
-            }
-            resolve_active(pass, params.axis_mask, &mut active);
-            let used = active.len() as f64;
-            let m = inner_count(pass, dims);
-            let segs = if active.contains(&inner) {
-                inner_segs(params.kind, dims[inner], pass.stride, m)
-            } else {
-                Vec::new()
-            };
-            let stp = pass.step[inner] * strides[inner];
-            let mode = sink.qp_mode();
-            for_each_row(pass, dims, strides, |row_coords, flat0| {
-                let qp_row = qp_active
-                    .then(|| QpRowOffsets::for_row(pass, row_coords, inner, strides, mode));
-                let mut j0 = 0usize;
-                while j0 < m {
-                    let t = TILE.min(m - j0);
-                    predict_tile(
-                        buf,
-                        dims,
-                        strides,
-                        pass,
-                        params.kind,
-                        &active,
-                        &segs,
-                        row_coords,
-                        flat0,
-                        j0,
-                        t,
-                        &mut acc,
-                    );
-                    for (p, &a) in pred[..t].iter_mut().zip(&acc[..t]) {
-                        *p = a / used;
-                    }
-                    for (k, &pk) in pred.iter().enumerate().take(t) {
-                        let j = j0 + k;
-                        let flat = flat0 + j * stp;
-                        // Rows/points whose involved neighbors cannot all
-                        // exist get the default (empty) neighbor set — the
-                        // gate is provably closed either way.
-                        let nb = match &qp_row {
-                            Some(o) if o.possible[(j >= 1) as usize] => {
-                                o.neighbors(qstore, (j >= 1) as usize, flat)
-                            }
-                            _ => Neighbors::default(),
-                        };
-                        let (value, q, _q_prime) = sink.handle(buf[flat], pk, level, &nb)?;
-                        buf[flat] = value;
-                        if qp_active {
-                            qstore[flat] = q;
-                        }
-                    }
-                    j0 += t;
-                }
-                Ok(())
-            })?;
+    walk_tiles(cfg, dims, strides, buf, sink, f64s, |sink, buf, tile| {
+        let (level, stp, flat) = (tile.level, tile.stp, tile.flat());
+        let quant = sink.quantizers[level.min(sink.quantizers.len() - 1)];
+        // A short index stream still decodes its prefix first, so whichever
+        // channel runs dry first in visit order names the error — exactly
+        // what the point-by-point reference reports.
+        let qprime: &[i32] = sink.qprime;
+        let rest = &qprime[sink.q_cursor..];
+        let take = tile.pred.len().min(rest.len());
+        sink.q_cursor += take;
+        let q: &[i32] = if tile.qp_active {
+            sink.qp.inverse_row(
+                &tile.taps(&sink.qp, strides),
+                tile.j0 == 0,
+                &rest[..take],
+                &mut idx[..take],
+                qstore,
+                flat,
+                stp,
+            );
+            &idx[..take]
+        } else {
+            &rest[..take]
+        };
+        let mut any_unpred = false;
+        for (k, (&qk, &pk)) in q.iter().zip(tile.pred).enumerate() {
+            any_unpred |= qk == UNPRED;
+            buf[flat + k * stp] = quant.recover(pk, qk);
         }
-    }
-    Ok(())
+        if any_unpred {
+            for (k, _) in q.iter().enumerate().filter(|(_, &qk)| qk == UNPRED) {
+                buf[flat + k * stp] = *sink
+                    .unpred
+                    .get(sink.unpred_cursor)
+                    .ok_or(CompressError::WrongFormat("unpredictable channel exhausted"))?;
+                sink.unpred_cursor += 1;
+            }
+        }
+        if take < tile.pred.len() {
+            return Err(CompressError::WrongFormat("quantization index stream exhausted"));
+        }
+        Ok(())
+    })
 }

@@ -8,6 +8,7 @@
 //! same-pass neighbors (paper Algorithm 2's strides `s₁`, `s₂`).
 
 use crate::config::PassStructure;
+use qip_core::CompressError;
 
 /// One interpolation pass: a parity class of the level's new points.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -31,10 +32,22 @@ pub struct Pass {
 impl Pass {
     /// Number of lattice points along each axis within `dims`.
     pub fn counts(&self, dims: &[usize]) -> Vec<usize> {
-        dims.iter()
-            .zip(self.start.iter().zip(&self.step))
-            .map(|(&d, (&st, &sp))| if st < d { 1 + (d - 1 - st) / sp } else { 0 })
-            .collect()
+        (0..dims.len()).map(|a| self.count_along(dims, a)).collect()
+    }
+
+    /// Number of lattice points along axis `a` within `dims`.
+    fn count_along(&self, dims: &[usize], a: usize) -> usize {
+        let (d, st, sp) = (dims[a], self.start[a], self.step[a]);
+        if st < d {
+            1 + (d - 1 - st) / sp
+        } else {
+            0
+        }
+    }
+
+    /// Point count of every row of the pass (its extent along the last axis).
+    pub fn row_len(&self, dims: &[usize]) -> usize {
+        self.count_along(dims, dims.len() - 1)
     }
 
     /// Total number of points this pass visits within `dims`.
@@ -45,6 +58,29 @@ impl Pass {
     /// True if the pass visits nothing within `dims`.
     pub fn is_empty(&self, dims: &[usize]) -> bool {
         self.len(dims) == 0
+    }
+
+    /// QP neighbor geometry of the row whose first point is `row_coords`
+    /// (rows run along the last axis), in the form `QpEngine::row_taps`
+    /// resolves: the flat offset of the −step lattice neighbor along the
+    /// (left, top, back) axes — `None` when the axis does not exist or the
+    /// row lies on the lattice's first line along it — and which of the
+    /// three is the row axis itself, whose neighbor exists exactly from the
+    /// row's second point on.
+    pub fn qp_row_offsets(
+        &self,
+        row_coords: &[usize],
+        strides: &[usize],
+    ) -> ([Option<usize>; 3], [bool; 3]) {
+        let inner = strides.len() - 1;
+        let (la, ta, ba) = self.qp_axes;
+        let axes = [la, ta, ba];
+        let offs = axes.map(|a| {
+            let a = a?;
+            (a == inner || row_coords[a] >= self.start[a] + self.step[a])
+                .then(|| self.step[a] * strides[a])
+        });
+        (offs, axes.map(|a| a == Some(inner)))
     }
 
     /// A coarser copy of this pass that keeps every `m`-th lattice point per
@@ -94,6 +130,47 @@ pub fn for_each_point(
             flat -= idx[axis].saturating_sub(1) * pass.step[axis] * strides[axis];
             coords[axis] = pass.start[axis];
             idx[axis] = 0;
+        }
+    }
+}
+
+/// Visit each row of a pass (a run of lattice points along the last axis) in
+/// the row-major order [`for_each_point`] visits their points, calling
+/// `f(coords, flat0)` with the coordinates and flat index of the row's first
+/// point; the first error `f` returns ends the walk. Supports up to four
+/// dimensions.
+pub fn for_each_row(
+    pass: &Pass,
+    dims: &[usize],
+    strides: &[usize],
+    mut f: impl FnMut(&[usize; 4], usize) -> Result<(), CompressError>,
+) -> Result<(), CompressError> {
+    let ndim = dims.len();
+    let counts = pass.counts(dims);
+    if counts.contains(&0) {
+        return Ok(());
+    }
+    let inner = ndim - 1;
+    let mut coords = [0usize; 4];
+    coords[..ndim].copy_from_slice(&pass.start);
+    let mut idx = [0usize; 4];
+    loop {
+        let flat0: usize = (0..ndim).map(|a| coords[a] * strides[a]).sum();
+        f(&coords, flat0)?;
+        // Row-major odometer over the outer axes (last outer axis fastest).
+        let mut axis = inner;
+        loop {
+            if axis == 0 {
+                return Ok(());
+            }
+            axis -= 1;
+            idx[axis] += 1;
+            if idx[axis] < counts[axis] {
+                coords[axis] += pass.step[axis];
+                break;
+            }
+            idx[axis] = 0;
+            coords[axis] = pass.start[axis];
         }
     }
 }

@@ -9,9 +9,14 @@
 //! chunk-boundary ±1 sizes (63/64/65 around the 64-lane quantizer word,
 //! 511/512/513 around the row tile), f32 + f64, all three engine presets,
 //! and QP off vs. best-fit — with NaN/∞ injections to exercise the
-//! unpredictable bitmap patch-up.
+//! unpredictable bitmap patch-up. On top of that every QP mode × condition ×
+//! start level runs through both directions, and streams with a short index
+//! or unpredictable channel must fail with the *same* error on both paths.
 
-use qip_core::{CompressCtx, Compressor, ErrorBound, QpConfig};
+use qip_codec::{ByteReader, ByteWriter};
+use qip_core::{
+    CompressCtx, CompressError, Compressor, Condition, ErrorBound, PredMode, QpConfig,
+};
 use qip_interp::{set_kernel_mode, EngineConfig, InterpEngine, KernelMode};
 use qip_tensor::{Field, Scalar, Shape};
 use std::sync::{Mutex, MutexGuard};
@@ -121,7 +126,7 @@ fn diff_case<T: Scalar>(dims: &[usize], cfg: EngineConfig, qp: QpConfig, eb: f64
     let field = field_for::<T>(dims, seed);
     let chunked = run_mode(KernelMode::Chunked, &eng, &field, eb);
     let scalar = run_mode(KernelMode::ScalarRef, &eng, &field, eb);
-    let tag = format!("dims={dims:?} magic=0x{:02x} qp={:?} eb={eb}", cfg.magic, qp.mode);
+    let tag = format!("dims={dims:?} magic=0x{:02x} qp={qp:?} eb={eb}", cfg.magic);
     assert_eq!(chunked.bytes, scalar.bytes, "{tag}: compressed stream diverged");
     assert_eq!(chunked.ctx_bytes, scalar.ctx_bytes, "{tag}: ctx stream diverged");
     assert_eq!(chunked.bytes, chunked.ctx_bytes, "{tag}: ctx vs plain diverged");
@@ -196,6 +201,122 @@ fn four_d_small() {
         for qp in [QpConfig::off(), QpConfig::best_fit()] {
             diff_case::<f32>(&[3, 3, 3, 3], cfg, qp, 1e-3, 0xE5);
             diff_case::<f32>(&[5, 2, 4, 3], cfg, qp, 1e-3, 0xE6);
+        }
+    }
+}
+
+#[test]
+fn every_qp_mode_condition_and_start_level() {
+    let _g = lock_modes();
+    let modes = [
+        PredMode::Back1,
+        PredMode::Top1,
+        PredMode::Left1,
+        PredMode::Lorenzo2d,
+        PredMode::Lorenzo3d,
+    ];
+    let conditions =
+        [Condition::CaseI, Condition::CaseII, Condition::CaseIII, Condition::CaseIV];
+    // Rows of length 1 (inner extent 1–2), rows that end on / one short of /
+    // one past the 512-point tile (inner extents 511–513 and 1023–1026: the
+    // level-1 pass along the inner axis visits every other point), plus a
+    // 3-D and a 4-D shape so the back taps and 3-D Lorenzo have neighbors.
+    let shapes: [&[usize]; 9] = [
+        &[7, 1],
+        &[5, 2],
+        &[3, 511],
+        &[2, 512],
+        &[3, 513],
+        &[2, 1023],
+        &[2, 1026],
+        &[6, 5, 9],
+        &[3, 4, 3, 5],
+    ];
+    for mode in modes {
+        for condition in conditions {
+            for max_level in [1usize, 2, 9] {
+                let qp = QpConfig { mode, condition, max_level };
+                for (i, dims) in shapes.iter().enumerate() {
+                    // Rotate the presets over the shapes: every configuration
+                    // meets all three pass structures.
+                    let cfg = engines()[(i + max_level) % 3];
+                    diff_case::<f32>(dims, cfg, qp, 1e-3, 0xF7 + i as u64);
+                }
+                diff_case::<f64>(&[5, 6, 7], engines()[max_level % 3], qp, 1e-6, 0xF8);
+            }
+        }
+    }
+}
+
+/// Rebuild an engine stream with its index channel cut to `keep` symbols and
+/// its unpredictable channel `unpred_short` values short.
+fn truncate_channels(
+    fx: &qip_interp::EngineForensics<f32>,
+    bytes: &[u8],
+    keep: usize,
+    unpred_short: usize,
+) -> Vec<u8> {
+    let prefix =
+        (fx.layout.header_bytes + fx.layout.config_bytes + fx.layout.level_tag_bytes) as usize;
+    let mut r = ByteReader::new(&bytes[prefix..]);
+    let (anchors, unpred) = (r.get_block().unwrap(), r.get_block().unwrap());
+    let mut w = ByteWriter::new();
+    w.put_bytes(&bytes[..prefix]);
+    w.put_block(anchors);
+    w.put_block(&unpred[..unpred.len() - 4 * unpred_short]);
+    w.put_block(&qip_codec::encode_indices(&fx.qprime[..keep]));
+    w.finish()
+}
+
+#[test]
+fn short_channels_fail_identically_on_both_paths() {
+    let _g = lock_modes();
+    let decode_errors = |eng: &InterpEngine, bytes: &[u8]| -> [CompressError; 2] {
+        let plain = Compressor::<f32>::decompress(eng, bytes).map(|_| ());
+        let ctx = eng.decompress_with::<f32>(bytes, &mut CompressCtx::new()).map(|_| ());
+        [plain.unwrap_err(), ctx.unwrap_err()]
+    };
+    for (dims, qp) in [
+        (vec![2usize, 1300], QpConfig::off()),
+        (vec![2, 1300], QpConfig::best_fit()),
+        (
+            vec![4, 5, 260],
+            QpConfig { mode: PredMode::Lorenzo3d, condition: Condition::CaseI, max_level: 9 },
+        ),
+    ] {
+        for mut cfg in engines() {
+            cfg.qp = qp;
+            let eng = InterpEngine::new(cfg);
+            let field = field_for::<f32>(&dims, 0x7C);
+            set_kernel_mode(KernelMode::Chunked);
+            let bytes = eng.compress(&field, ErrorBound::Abs(1e-3)).unwrap();
+            let fx = eng.decompress_forensic::<f32>(&bytes).unwrap();
+            let (n, escaped) = (fx.qprime.len(), fx.unpredictable as usize);
+            assert!(escaped >= 2, "the field must exercise the side channel");
+
+            // Every tile boundary of the index stream ±1, both ends, and the
+            // full stream with only the side channel short.
+            let mut cuts: Vec<(usize, usize)> = vec![(n, 1), (n - 1, 1), (0, 0), (1, 0)];
+            for edge in (512..n).step_by(512) {
+                cuts.extend([(edge - 1, 0), (edge, 0), (edge + 1, 0), (edge, 1)]);
+            }
+            cuts.push((n - 1, 0));
+            let mut messages = std::collections::BTreeSet::new();
+            for (keep, unpred_short) in cuts {
+                let cut = truncate_channels(&fx, &bytes, keep, unpred_short);
+                set_kernel_mode(KernelMode::Chunked);
+                let chunked = decode_errors(&eng, &cut);
+                set_kernel_mode(KernelMode::ScalarRef);
+                let scalar = decode_errors(&eng, &cut);
+                assert_eq!(
+                    chunked, scalar,
+                    "dims={dims:?} magic=0x{:02x} qp={qp:?} keep={keep}/{n} short={unpred_short}",
+                    cfg.magic
+                );
+                messages.insert(chunked[0].to_string());
+            }
+            // Both channels were seen running dry.
+            assert_eq!(messages.len(), 2, "{messages:?}");
         }
     }
 }

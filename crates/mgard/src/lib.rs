@@ -29,10 +29,9 @@
 
 use qip_codec::{encode_indices_into, ByteReader, ByteWriter};
 use qip_core::{
-    CompressCtx, CompressError, Compressor, ErrorBound, Neighbors, QpConfig, QpEngine,
-    StreamHeader,
+    CompressCtx, CompressError, Compressor, ErrorBound, QpConfig, QpEngine, QpTaps, StreamHeader,
 };
-use qip_interp::lattice::{build_passes, for_each_point, num_levels, Pass};
+use qip_interp::lattice::{build_passes, for_each_point, for_each_row, num_levels, Pass};
 use qip_interp::{EngineLayout, LevelForensics, PassStructure, QuantCapture};
 use qip_quant::UNPRED;
 use qip_tensor::{Field, Scalar};
@@ -438,51 +437,73 @@ impl Mgard {
         let qprime = &mut ctx.qprime;
         ctx.unpred.clear();
         let unpred = &mut ctx.unpred;
+        let row_q = &mut ctx.tile_idx;
         let (mut n_pred, mut n_unpred) = (0u64, 0u64);
         for level in (1..=levels).rev() {
             let _lvl = qip_trace::span_with(|| format!("level_{level}"));
             let b = Self::budget(abs_eb, level);
             let level_start = qprime.len();
+            let qp_active = self.qp.is_enabled() && level <= self.qp.max_level;
             let (mut lvl_points, mut lvl_accept, mut lvl_fired) = (0u64, 0u64, 0u64);
             for pass in build_passes(dims.len(), level, &order, PassStructure::MultiDim) {
                 if pass.is_empty(&dims) {
                     continue;
                 }
-                for_each_point(&pass, &dims, &strides, |coords, flat| {
-                    let detail = buf[flat];
-                    let qf = (detail / (2.0 * b)).round();
-                    let nb = qp_neighbors(qstore, &pass, coords, flat, &strides);
-                    if stats_on {
-                        lvl_points += 1;
-                        lvl_accept += qp.gate_open(level, &nb) as u64;
+                let m = pass.row_len(&dims);
+                let stp = pass.step[dims.len() - 1] * strides[dims.len() - 1];
+                row_q.clear();
+                row_q.resize(m, 0);
+                for_each_row(&pass, &dims, &strides, |row_coords, flat0| {
+                    // Quantize the row's details, then Q → Q' in one kernel
+                    // call; levels QP does not reach skip it and the store.
+                    for (k, q) in row_q.iter_mut().enumerate() {
+                        let flat = flat0 + k * stp;
+                        let detail = buf[flat];
+                        let qf = (detail / (2.0 * b)).round();
+                        if !qf.is_finite() || qf.abs() >= RADIUS as f64 {
+                            *q = UNPRED;
+                            unpred.extend_from_slice(&detail.to_le_bytes());
+                        } else {
+                            *q = qf as i32;
+                            buf[flat] = 2.0 * *q as f64 * b;
+                        }
                     }
-                    if !qf.is_finite() || qf.abs() >= RADIUS as f64 {
-                        n_unpred += stats_on as u64;
-                        qprime.push(UNPRED);
-                        qstore[flat] = UNPRED;
-                        unpred.extend_from_slice(&detail.to_le_bytes());
-                        if let Some(cap) = capture.as_deref_mut() {
-                            cap.q[flat] = UNPRED;
-                            cap.q_prime[flat] = UNPRED;
-                            cap.level[flat] = level as u8;
-                        }
+                    let base = qprime.len();
+                    let accepted = if qp_active {
+                        let (offs, along_row) = pass.qp_row_offsets(row_coords, &strides);
+                        qprime.resize(base + m, 0);
+                        qp.forward_row(
+                            &qp.row_taps(level, offs, along_row),
+                            true,
+                            row_q,
+                            &mut qprime[base..],
+                            qstore,
+                            flat0,
+                            stp,
+                        )
                     } else {
-                        let q = qf as i32;
-                        let qpv = qp.transform(q, level, &nb);
-                        if stats_on {
-                            n_pred += 1;
-                            lvl_fired += (qpv != q) as u64;
-                        }
-                        qprime.push(qpv);
-                        qstore[flat] = q;
-                        buf[flat] = 2.0 * q as f64 * b;
-                        if let Some(cap) = capture.as_deref_mut() {
+                        qprime.extend_from_slice(row_q);
+                        0
+                    };
+                    if stats_on {
+                        let escaped = row_q.iter().filter(|&&q| q == UNPRED).count() as u64;
+                        lvl_points += m as u64;
+                        lvl_accept += accepted as u64;
+                        n_unpred += escaped;
+                        n_pred += m as u64 - escaped;
+                        let fired = row_q.iter().zip(&qprime[base..]).filter(|(q, p)| q != p);
+                        lvl_fired += fired.count() as u64;
+                    }
+                    if let Some(cap) = capture.as_deref_mut() {
+                        for (k, (&q, &qpv)) in row_q.iter().zip(&qprime[base..]).enumerate() {
+                            let flat = flat0 + k * stp;
                             cap.q[flat] = q;
                             cap.q_prime[flat] = qpv;
                             cap.level[flat] = level as u8;
                         }
                     }
-                });
+                    Ok(())
+                })?;
             }
             if stats_on && lvl_points > 0 {
                 let rate = lvl_accept as f64 / lvl_points as f64;
@@ -655,62 +676,65 @@ impl Mgard {
         ctx.qstore.resize(n, 0);
         let qstore = &mut ctx.qstore;
         let qprime = &ctx.qprime;
+        let row_q = &mut ctx.tile_idx;
         let mut q_cursor = 0usize;
         let mut u_cursor = 0usize;
-        let mut fail: Option<CompressError> = None;
         for level in (1..=levels).rev() {
             let b = Mgard::budget(header.abs_eb, level);
             let level_q_start = q_cursor;
+            let qp_active = qp_cfg.is_enabled() && level <= qp_cfg.max_level;
             let (mut lvl_points, mut lvl_accept, mut lvl_fired) = (0u64, 0u64, 0u64);
             for pass in build_passes(dims.len(), level, &order, PassStructure::MultiDim) {
                 if pass.is_empty(&dims) {
                     continue;
                 }
-                for_each_point(&pass, &dims, &strides, |coords, flat| {
-                    if fail.is_some() {
-                        return;
-                    }
-                    let Some(&qp_val) = qprime.get(q_cursor) else {
-                        fail = Some(CompressError::WrongFormat("index stream exhausted"));
-                        return;
-                    };
-                    q_cursor += 1;
-                    let nb = qp_neighbors(qstore, &pass, coords, flat, &strides);
-                    let q = qp.recover(qp_val, level, &nb);
-                    qstore[flat] = q;
-                    if let Some(pr) = probe.as_deref_mut() {
-                        let open = qp.gate_open(level, &nb);
-                        lvl_points += 1;
-                        if open {
-                            lvl_accept += 1;
-                        }
-                        if q != qp_val {
-                            lvl_fired += 1;
-                        }
-                        if q == UNPRED {
-                            pr.unpredictable += 1;
-                        }
-                        pr.capture.q[flat] = q;
-                        pr.capture.q_prime[flat] = qp_val;
-                        pr.capture.level[flat] = level as u8;
-                        pr.accepted[flat] = if open { 2 } else { 1 };
-                    }
-                    if q == UNPRED {
-                        match unpred.get(u_cursor) {
-                            Some(&d) => {
-                                u_cursor += 1;
-                                buf[flat] = d;
-                            }
-                            None => {
-                                fail = Some(CompressError::WrongFormat(
-                                    "unpredictable channel exhausted",
-                                ))
-                            }
-                        }
+                let m = pass.row_len(&dims);
+                let stp = pass.step[dims.len() - 1] * strides[dims.len() - 1];
+                row_q.clear();
+                row_q.resize(m, 0);
+                for_each_row(&pass, &dims, &strides, |row_coords, flat0| {
+                    // A short index stream still decodes its prefix, so the
+                    // channel that runs dry first in visit order is reported.
+                    let rest = &qprime[q_cursor..];
+                    let take = m.min(rest.len());
+                    q_cursor += take;
+                    let mut taps = QpTaps::CLOSED;
+                    let q: &[i32] = if qp_active {
+                        let (offs, along_row) = pass.qp_row_offsets(row_coords, &strides);
+                        taps = qp.row_taps(level, offs, along_row);
+                        let row_q = &mut row_q[..take];
+                        qp.inverse_row(&taps, true, &rest[..take], row_q, qstore, flat0, stp);
+                        row_q
                     } else {
-                        buf[flat] = 2.0 * q as f64 * b;
+                        &rest[..take]
+                    };
+                    for (k, &qk) in q.iter().enumerate() {
+                        let flat = flat0 + k * stp;
+                        if let Some(pr) = probe.as_deref_mut() {
+                            let (open, _) = qp.gate_at(&taps, k == 0, qstore, flat);
+                            lvl_points += 1;
+                            lvl_accept += open as u64;
+                            lvl_fired += (qk != rest[k]) as u64;
+                            pr.unpredictable += (qk == UNPRED) as u64;
+                            pr.capture.q[flat] = qk;
+                            pr.capture.q_prime[flat] = rest[k];
+                            pr.capture.level[flat] = level as u8;
+                            pr.accepted[flat] = if open { 2 } else { 1 };
+                        }
+                        buf[flat] = if qk == UNPRED {
+                            u_cursor += 1;
+                            *unpred.get(u_cursor - 1).ok_or(CompressError::WrongFormat(
+                                "unpredictable channel exhausted",
+                            ))?
+                        } else {
+                            2.0 * qk as f64 * b
+                        };
                     }
-                });
+                    if take < m {
+                        return Err(CompressError::WrongFormat("index stream exhausted"));
+                    }
+                    Ok(())
+                })?;
             }
             if let Some(pr) = probe.as_deref_mut() {
                 if lvl_points > 0 {
@@ -724,9 +748,6 @@ impl Mgard {
                     });
                 }
             }
-        }
-        if let Some(e) = fail {
-            return Err(e);
         }
         drop(dequant_span);
 
@@ -757,39 +778,6 @@ impl Mgard {
         ctx.pools.release(unpred);
         let data: Vec<T> = buf.into_iter().map(T::from_f64).collect();
         Ok(Field::from_vec(header.shape, data)?)
-    }
-}
-
-/// QP neighbor lookup on a parity-class pass lattice (mirrors the engine's).
-#[inline]
-fn qp_neighbors(
-    qstore: &[i32],
-    pass: &Pass,
-    coords: &[usize],
-    flat: usize,
-    strides: &[usize],
-) -> Neighbors {
-    let (la, ta, ba) = pass.qp_axes;
-    let avail = |a: Option<usize>| -> Option<usize> {
-        let a = a?;
-        (coords[a] >= pass.start[a] + pass.step[a]).then(|| pass.step[a] * strides[a])
-    };
-    let l = avail(la);
-    let t = avail(ta);
-    let b = avail(ba);
-    let get = |off: Option<usize>| off.map(|o| qstore[flat - o]);
-    let combine = |x: Option<usize>, y: Option<usize>| match (x, y) {
-        (Some(a), Some(b)) => Some(a + b),
-        _ => None,
-    };
-    Neighbors {
-        left: get(l),
-        top: get(t),
-        diag: get(combine(l, t)),
-        back: get(b),
-        left_back: get(combine(l, b)),
-        top_back: get(combine(t, b)),
-        diag_back: get(combine(combine(l, t), b)),
     }
 }
 
@@ -857,6 +845,91 @@ mod tests {
         let b: Field<f32> =
             qp.decompress(&qp.compress(&f, ErrorBound::Abs(1e-4)).unwrap()).unwrap();
         assert_eq!(a.as_slice(), b.as_slice());
+    }
+
+    /// Point-API oracle for the row kernels on MGARD's parity-class lattice:
+    /// `Q'` recomputed per point from the captured `Q` with
+    /// `QpEngine::transform` on explicit [`qip_core::Neighbors`].
+    fn oracle_q_prime(
+        cap: &QuantCapture,
+        dims: &[usize],
+        strides: &[usize],
+        qp: QpConfig,
+    ) -> Vec<i32> {
+        let eng = QpEngine::new(qp);
+        let order: Vec<usize> = (0..dims.len()).rev().collect();
+        let mut want = vec![0i32; cap.q.len()];
+        for level in 1..=num_levels(*dims.iter().max().unwrap()) {
+            for pass in build_passes(dims.len(), level, &order, PassStructure::MultiDim) {
+                for_each_point(&pass, dims, strides, |coords, flat| {
+                    let (la, ta, ba) = pass.qp_axes;
+                    let off = |a: Option<usize>| {
+                        let a = a?;
+                        (coords[a] >= pass.start[a] + pass.step[a])
+                            .then(|| pass.step[a] * strides[a])
+                    };
+                    let (l, t, b) = (off(la), off(ta), off(ba));
+                    let get = |o: Option<usize>| o.map(|o| cap.q[flat - o]);
+                    let add = |x: Option<usize>, y: Option<usize>| Some(x? + y?);
+                    let nb = qip_core::Neighbors {
+                        left: get(l),
+                        top: get(t),
+                        diag: get(add(l, t)),
+                        back: get(b),
+                        left_back: get(add(l, b)),
+                        top_back: get(add(t, b)),
+                        diag_back: get(add(add(l, t), b)),
+                    };
+                    want[flat] = eng.transform(cap.q[flat], level, &nb);
+                });
+            }
+        }
+        want
+    }
+
+    #[test]
+    fn every_qp_configuration_matches_the_point_api_and_roundtrips() {
+        use qip_core::{Condition, PredMode};
+        // Huge and non-finite samples escape the quantizer, so the sentinel
+        // lands among the neighbors (Case I must substitute zero there).
+        let mut f = smooth(&[13, 10, 12]);
+        for (i, v) in [(77usize, 3.0e9f32), (400, f32::NAN), (401, -2.5e9), (900, f32::INFINITY)] {
+            f.as_mut_slice()[i] = v;
+        }
+        let (dims, strides) = (f.shape().dims().to_vec(), f.shape().strides().to_vec());
+        let plain: Field<f32> = {
+            let m = Mgard::new();
+            m.decompress(&m.compress(&f, ErrorBound::Abs(1e-3)).unwrap()).unwrap()
+        };
+        let bits = |f: &Field<f32>| f.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for mode in [
+            PredMode::Back1,
+            PredMode::Top1,
+            PredMode::Left1,
+            PredMode::Lorenzo2d,
+            PredMode::Lorenzo3d,
+        ] {
+            for condition in
+                [Condition::CaseI, Condition::CaseII, Condition::CaseIII, Condition::CaseIV]
+            {
+                for max_level in [1usize, 9] {
+                    let qp = QpConfig { mode, condition, max_level };
+                    let m = Mgard::new().with_qp(qp);
+                    let (bytes, cap) = m.compress_capturing(&f, ErrorBound::Abs(1e-3)).unwrap();
+                    assert!(cap.q.contains(&UNPRED), "field must exercise the sentinel");
+                    assert_eq!(
+                        cap.q_prime,
+                        oracle_q_prime(&cap, &dims, &strides, qp),
+                        "{qp:?}: Q' diverged from the point API"
+                    );
+                    let out: Field<f32> = m.decompress(&bytes).unwrap();
+                    assert_eq!(bits(&out), bits(&plain), "{qp:?}: QP changed the decoded data");
+                    let fx = m.decompress_forensic::<f32>(&bytes).unwrap();
+                    assert_eq!(fx.capture.q, cap.q, "{qp:?}: forensic Q");
+                    assert_eq!(fx.capture.q_prime, cap.q_prime, "{qp:?}: forensic Q'");
+                }
+            }
+        }
     }
 
     #[test]

@@ -17,7 +17,7 @@ use qip_fault::XorShift64;
 use std::collections::HashSet;
 use std::io::Write;
 use std::net::{Shutdown, SocketAddr, TcpStream};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// The ways a frame gets mangled. One is picked per case, round-robin, so a
 /// 500-case run covers every kind ~100 times (slow-loris is rate-limited —
@@ -362,6 +362,63 @@ fn noisy_payload(rng: &mut XorShift64, points: usize) -> Vec<u8> {
     (0..points).flat_map(|_| (((rng.next_u64() & 0xFFFF) as f32) * 0.118).to_le_bytes()).collect()
 }
 
+/// A tiny request still unanswered after this long is queued behind the
+/// blocker: an idle worker answers it in well under a millisecond.
+const STUCK: Duration = Duration::from_millis(60);
+
+/// How many times longer than [`STUCK`] the blocker must run, so it is still
+/// running when the overload burst that follows the detection lands.
+const BLOCKER_MARGIN: u32 = 10;
+
+/// A noisy SZ3 compress of `planes × 64 × 64` points, to keep a worker busy.
+fn blocker_op(rng: &mut XorShift64, planes: u32) -> Op {
+    Op::Compress {
+        compressor: "SZ3".into(),
+        dtype_bits: 32,
+        dims: vec![planes, 64, 64],
+        bound: WireBound::Abs(1e-3),
+        payload: noisy_payload(rng, planes as usize * 64 * 64),
+    }
+}
+
+/// Size the overload phase's blocker for *this* server and build: time one
+/// serial blocker call and grow it until it lasts [`BLOCKER_MARGIN`] ×
+/// [`STUCK`] (or its payload reaches half of `max_frame`). A fixed size silently stops blocking once the compressor
+/// gets fast enough, which turns every speed-up into a red suite.
+fn calibrate_blocker(
+    addr: SocketAddr,
+    cfg: &ChaosConfig,
+    rng: &mut XorShift64,
+    report: &mut TraceEchoReport,
+) -> u32 {
+    let target = STUCK * BLOCKER_MARGIN;
+    let max_planes = (cfg.max_frame / 2 / (64 * 64 * 4)).clamp(1, 1 << 16) as u32;
+    let mut planes = 64.min(max_planes);
+    loop {
+        let Ok(mut client) = Client::connect(addr, cfg.patience, cfg.max_frame) else {
+            report.transport_errors += 1;
+            return planes;
+        };
+        let expected = rng_trace(rng);
+        client.set_trace_id(expected);
+        let started = Instant::now();
+        match client.call(0, blocker_op(rng, planes)) {
+            Ok(resp) => report.check(expected, &resp),
+            Err(_) => {
+                report.transport_errors += 1;
+                return planes;
+            }
+        }
+        let took = started.elapsed();
+        if took >= target || planes == max_planes {
+            return planes;
+        }
+        // Cost is linear in points; overshoot a little so one step suffices.
+        let grow = target.as_secs_f64() / took.as_secs_f64().max(1e-4) * 1.25;
+        planes = ((planes as f64 * grow).ceil() as u32).clamp(planes + 1, max_planes);
+    }
+}
+
 /// One framed request with an explicit trace ID, written raw (no response
 /// read), so several can be in flight at once on separate connections.
 fn send_raw(
@@ -378,6 +435,21 @@ fn send_raw(
     let body = wire::encode_request(&Request { id: 1, deadline_ms, op, trace_id });
     wire::write_frame(&mut stream, &body)?;
     Ok(stream)
+}
+
+/// Whether a response (or a close) shows up on a raw stream within `wait`,
+/// without consuming it. A failed send counts as answered: there is nothing
+/// to wait for, and `recv_checked` books the transport error.
+fn answered_within(
+    stream: &std::io::Result<TcpStream>,
+    wait: Duration,
+    patience: Duration,
+) -> bool {
+    let Ok(stream) = stream else { return true };
+    let _ = stream.set_read_timeout(Some(wait));
+    let answered = stream.peek(&mut [0u8; 1]).is_ok();
+    let _ = stream.set_read_timeout(Some(patience));
+    answered
 }
 
 /// Read the one response off a raw stream and check its echo.
@@ -408,10 +480,14 @@ fn recv_checked(
 /// nonzero and unique across the run.
 ///
 /// The shed/deadline phase assumes the target server runs with one worker
-/// and a small queue (the chaos suite configures `workers: 1,
-/// queue_depth: 2`): two large noisy compresses occupy the worker and the
-/// first queue slot, a 1 ms-deadline request waits behind them until its
-/// deadline is long gone, and further requests overflow the queue and shed.
+/// and a queue of two (the chaos suite configures `workers: 1,
+/// queue_depth: 2`) and sequences itself on what the server does, not on
+/// sleeps: a noisy compress sized by [`calibrate_blocker`] occupies the
+/// worker; tiny requests are sent until one stops coming straight back —
+/// that one is queued behind the running blocker; then a 1 ms-deadline
+/// request and three more go out pipelined on one connection, which the
+/// server reads in order, so the first fills the queue (and expires there)
+/// and the rest overflow it and shed.
 pub fn run_trace_echo(addr: SocketAddr, cfg: &ChaosConfig) -> TraceEchoReport {
     let mut report = TraceEchoReport::default();
     let mut rng = XorShift64::new(cfg.seed ^ 0x7_1ACE);
@@ -482,13 +558,6 @@ pub fn run_trace_echo(addr: SocketAddr, cfg: &ChaosConfig) -> TraceEchoReport {
     }
 
     // Phase 3: overload. Raw streams so requests pile up concurrently.
-    let blocker_op = |rng: &mut XorShift64| Op::Compress {
-        compressor: "SZ3".into(),
-        dtype_bits: 32,
-        dims: vec![64, 64, 64],
-        bound: WireBound::Abs(1e-3),
-        payload: noisy_payload(rng, 64 * 64 * 64),
-    };
     let tiny_op = || Op::Compress {
         compressor: "SZ3".into(),
         dtype_bits: 32,
@@ -496,33 +565,52 @@ pub fn run_trace_echo(addr: SocketAddr, cfg: &ChaosConfig) -> TraceEchoReport {
         bound: WireBound::Abs(1e-3),
         payload: (0..64u32).flat_map(|v| (v as f32).to_le_bytes()).collect(),
     };
+    let planes = calibrate_blocker(addr, cfg, &mut rng, &mut report);
 
-    // B0 occupies the worker; B1 takes a queue slot.
+    // B0 occupies the worker. Until it gets there tiny requests are answered
+    // at once; the first one that is not has taken a queue slot: that is B1.
     let t_b0 = rng_trace(&mut rng);
-    let op = blocker_op(&mut rng);
-    let s_b0 = send_raw(addr, cfg, 0, op, t_b0);
-    std::thread::sleep(Duration::from_millis(50)); // let B0 reach the worker
-    let t_b1 = rng_trace(&mut rng);
-    let op = blocker_op(&mut rng);
-    let s_b1 = send_raw(addr, cfg, 0, op, t_b1);
-    std::thread::sleep(Duration::from_millis(20));
-    // D1 queues behind B1 with a 1 ms deadline: expired by dequeue time.
-    let t_d1 = rng_trace(&mut rng);
-    let s_d1 = send_raw(addr, cfg, 1, tiny_op(), t_d1);
-    std::thread::sleep(Duration::from_millis(20));
-    // The queue (depth 2) is now full: these shed with SERVER_BUSY.
-    let shed: Vec<(std::io::Result<TcpStream>, TraceId)> = (0..3)
-        .map(|_| {
-            let t = rng_trace(&mut rng);
-            (send_raw(addr, cfg, 0, tiny_op(), t), t)
-        })
-        .collect();
-
-    // Shed responses come back immediately; the rest drain in queue order.
-    for (stream, t) in shed {
-        recv_checked(stream, t, cfg, &mut report);
+    let s_b0 = send_raw(addr, cfg, 0, blocker_op(&mut rng, planes), t_b0);
+    let give_up = Instant::now() + cfg.patience;
+    let (s_b1, t_b1) = loop {
+        let t = rng_trace(&mut rng);
+        let s = send_raw(addr, cfg, 0, tiny_op(), t);
+        if Instant::now() < give_up && answered_within(&s, STUCK, cfg.patience) {
+            recv_checked(s, t, cfg, &mut report);
+        } else {
+            break (s, t);
+        }
+    };
+    // One connection, read in order: D1 (1 ms deadline) takes the last queue
+    // slot behind B1 and has expired by dequeue time; the queue is then full,
+    // so the three behind it shed with SERVER_BUSY.
+    let burst: Vec<TraceId> = (0..4).map(|_| rng_trace(&mut rng)).collect();
+    let mut s_burst = TcpStream::connect_timeout(&addr, cfg.patience);
+    for (i, &t) in burst.iter().enumerate() {
+        let deadline_ms = (i == 0) as u32;
+        s_burst = s_burst.and_then(|mut s| {
+            let req = Request { id: i as u64, deadline_ms, op: tiny_op(), trace_id: t };
+            wire::write_frame(&mut s, &wire::encode_request(&req)).map(|()| s)
+        });
     }
-    recv_checked(s_d1, t_d1, cfg, &mut report);
+    // Shed responses come back immediately, the expired one once B0 and B1
+    // are done; each names its request by id.
+    match s_burst.and_then(|s| s.set_read_timeout(Some(cfg.patience)).map(|()| s)) {
+        Ok(mut s) => {
+            for _ in 0..burst.len() {
+                match wire::read_frame(&mut s, cfg.max_frame)
+                    .ok()
+                    .and_then(|b| wire::decode_response(&b, cfg.max_frame).ok())
+                {
+                    Some(resp) if (resp.id as usize) < burst.len() => {
+                        report.check(burst[resp.id as usize], &resp)
+                    }
+                    _ => report.transport_errors += 1,
+                }
+            }
+        }
+        Err(_) => report.transport_errors += burst.len(),
+    }
     recv_checked(s_b1, t_b1, cfg, &mut report);
     recv_checked(s_b0, t_b0, cfg, &mut report);
 

@@ -86,26 +86,20 @@ pub fn compress<T: Scalar>(
 
     if blockwise {
         // --- SZ2-style block pipeline: choose Lorenzo vs regression per 6³ ---
-        let origins: Vec<Vec<usize>> = field.shape().blocks(REG_BLOCK).collect();
-        let mut choices = Vec::with_capacity(origins.len());
+        let flat_of = |gc: &[usize; 3]| flat3(gc, &strides);
+        let mut choices = Vec::new();
         let mut coeffs: Vec<u8> = Vec::new();
-        for origin in &origins {
-            let ext: Vec<usize> =
-                (0..3).map(|a| REG_BLOCK.min(dims[a] - origin[a])).collect();
-            let fit = PlaneFit::fit(&ext, |local| {
-                let gc: Vec<usize> =
-                    origin.iter().zip(local).map(|(&o, &l)| o + l).collect();
-                field.get(&gc)
-            })
-            .rounded();
+        for (origin, ext) in blocks(&dims) {
+            let fit =
+                PlaneFit::fit(&ext, |local| field.as_slice()[flat_of(&global(&origin, local))])
+                    .rounded();
             // Estimate both predictors on the original samples.
             let (mut e_reg, mut e_lor) = (0.0f64, 0.0f64);
-            for_block(&ext, |local| {
-                let gc: Vec<usize> =
-                    origin.iter().zip(local).map(|(&o, &l)| o + l).collect();
-                let d = field.get(&gc).to_f64();
-                e_reg += (d - fit.predict(&ext, local)).abs();
-                let flat: usize = gc.iter().zip(&strides).map(|(&c, &s)| c * s).sum();
+            for_block(ext, |local| {
+                let gc = global(&origin, &local);
+                let flat = flat_of(&gc);
+                let d = field.as_slice()[flat].to_f64();
+                e_reg += (d - fit.predict(&ext, &local)).abs();
                 e_lor += (d - predict(field.as_slice(), &dims, &strides, &gc, flat)).abs();
             });
             let use_reg = e_reg < e_lor;
@@ -126,22 +120,19 @@ pub fn compress<T: Scalar>(
 
         // Compression sweep in block order with quantizer feedback.
         let mut coeff_cursor = 0usize;
-        for (bi, origin) in origins.iter().enumerate() {
-            let ext: Vec<usize> =
-                (0..3).map(|a| REG_BLOCK.min(dims[a] - origin[a])).collect();
-            let fit = if choices[bi] {
+        for ((origin, ext), &use_reg) in blocks(&dims).zip(&choices) {
+            let fit = if use_reg {
                 let f = PlaneFit::read(&coeffs[coeff_cursor..]).expect("own coeffs");
                 coeff_cursor += 16;
                 Some(f)
             } else {
                 None
             };
-            for_block(&ext, |local| {
-                let gc: Vec<usize> =
-                    origin.iter().zip(local).map(|(&o, &l)| o + l).collect();
-                let flat: usize = gc.iter().zip(&strides).map(|(&c, &s)| c * s).sum();
+            for_block(ext, |local| {
+                let gc = global(&origin, &local);
+                let flat = flat_of(&gc);
                 let pred = match &fit {
-                    Some(f) => f.predict(&ext, local),
+                    Some(f) => f.predict(&ext, &local),
                     None => predict(&buf, &dims, &strides, &gc, flat),
                 };
                 match quant.quantize(buf[flat], pred) {
@@ -177,21 +168,41 @@ pub fn compress<T: Scalar>(
     Ok(w.finish())
 }
 
-/// Row-major iteration over block-local coordinates.
-fn for_block(ext: &[usize], mut f: impl FnMut(&[usize])) {
-    let ndim = ext.len();
-    let total: usize = ext.iter().product();
-    let mut local = vec![0usize; ndim];
-    for _ in 0..total {
-        f(&local);
-        for a in (0..ndim).rev() {
-            local[a] += 1;
-            if local[a] < ext[a] {
-                break;
+/// Row-major iteration over the local coordinates of a 3-D block.
+fn for_block(ext: [usize; 3], mut f: impl FnMut([usize; 3])) {
+    for x in 0..ext[0] {
+        for y in 0..ext[1] {
+            for z in 0..ext[2] {
+                f([x, y, z]);
             }
-            local[a] = 0;
         }
     }
+}
+
+/// Field coordinates of a block-local point.
+fn global(origin: &[usize; 3], local: &[usize]) -> [usize; 3] {
+    std::array::from_fn(|a| origin[a] + local[a])
+}
+
+/// Flat index of 3-D field coordinates.
+fn flat3(gc: &[usize; 3], strides: &[usize]) -> usize {
+    gc[0] * strides[0] + gc[1] * strides[1] + gc[2] * strides[2]
+}
+
+/// `(origin, clipped extent)` of every [`REG_BLOCK`]³ block of a 3-D field,
+/// in the row-major block order the stream's choice bits follow (the order
+/// of `Shape::blocks`, without a heap-allocated origin per block).
+fn blocks(dims: &[usize]) -> impl Iterator<Item = ([usize; 3], [usize; 3])> {
+    let d: [usize; 3] = std::array::from_fn(|a| dims[a]);
+    let along = move |a: usize| (0..d[a]).step_by(REG_BLOCK);
+    along(0).flat_map(move |x| {
+        along(1).flat_map(move |y| {
+            along(2).map(move |z| {
+                let origin = [x, y, z];
+                (origin, std::array::from_fn(|a| REG_BLOCK.min(d[a] - origin[a])))
+            })
+        })
+    })
 }
 
 /// Decompress a stream produced by [`compress`].
@@ -212,7 +223,7 @@ pub fn decompress<T: Scalar>(bytes: &[u8], magic: u8) -> Result<Field<T>, Compre
         if dims.len() != 3 {
             return Err(CompressError::WrongFormat("blockwise mode requires 3-D"));
         }
-        let n_blocks = header.shape.blocks(REG_BLOCK).count();
+        let n_blocks = blocks(&dims).count();
         let bits = r.get_block()?;
         if bits.len() != n_blocks.div_ceil(8) {
             return Err(CompressError::WrongFormat("choice bitmap size mismatch"));
@@ -252,25 +263,21 @@ pub fn decompress<T: Scalar>(bytes: &[u8], magic: u8) -> Result<Field<T>, Compre
     let mut fail: Option<CompressError> = None;
 
     if blockwise {
-        let origins: Vec<Vec<usize>> = header.shape.blocks(REG_BLOCK).collect();
         let mut reg_cursor = 0usize;
-        for (bi, origin) in origins.iter().enumerate() {
-            let ext: Vec<usize> =
-                (0..3).map(|a| REG_BLOCK.min(dims[a] - origin[a])).collect();
-            let fit = if choices[bi] {
+        for ((origin, ext), &use_reg) in blocks(&dims).zip(&choices) {
+            let fit = if use_reg {
                 let f = coeffs[reg_cursor];
                 reg_cursor += 1;
                 Some(f)
             } else {
                 None
             };
-            for_block(&ext, |local| {
+            for_block(ext, |local| {
                 if fail.is_some() {
                     return;
                 }
-                let gc: Vec<usize> =
-                    origin.iter().zip(local).map(|(&o, &l)| o + l).collect();
-                let flat: usize = gc.iter().zip(&strides).map(|(&c, &s)| c * s).sum();
+                let gc = global(&origin, &local);
+                let flat = flat3(&gc, &strides);
                 let idx = q[cursor];
                 cursor += 1;
                 if idx == UNPRED {
@@ -287,7 +294,7 @@ pub fn decompress<T: Scalar>(bytes: &[u8], magic: u8) -> Result<Field<T>, Compre
                     }
                 } else {
                     let pred = match &fit {
-                        Some(f) => f.predict(&ext, local),
+                        Some(f) => f.predict(&ext, &local),
                         None => predict(&buf, &dims, &strides, &gc, flat),
                     };
                     buf[flat] = quant.recover(pred, idx);
@@ -328,9 +335,10 @@ pub fn decompress<T: Scalar>(bytes: &[u8], magic: u8) -> Result<Field<T>, Compre
 fn scan(dims: &[usize], _strides: &[usize], mut f: impl FnMut(usize, &[usize])) {
     let ndim = dims.len();
     let total: usize = dims.iter().product();
-    let mut coords = vec![0usize; ndim];
+    let mut coords = [0usize; 3];
+    let coords = &mut coords[..ndim];
     for flat in 0..total {
-        f(flat, &coords);
+        f(flat, coords);
         for a in (0..ndim).rev() {
             coords[a] += 1;
             if coords[a] < dims[a] {

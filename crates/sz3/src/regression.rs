@@ -29,13 +29,16 @@ impl PlaneFit {
         let ndim = ext.len();
         let n: usize = ext.iter().product();
         debug_assert!(n > 0);
-        let center: Vec<f64> = ext.iter().map(|&e| (e as f64 - 1.0) / 2.0).collect();
+        debug_assert!(ndim <= 3);
+        let center: [f64; 3] =
+            std::array::from_fn(|a| ext.get(a).map_or(0.0, |&e| (e as f64 - 1.0) / 2.0));
         let mut sum = 0.0f64;
         let mut sxy = [0.0f64; 3]; // Σ f·x'_a
         let mut sxx = [0.0f64; 3]; // Σ x'_a²
-        let mut coords = vec![0usize; ndim];
+        let mut coords = [0usize; 3];
+        let coords = &mut coords[..ndim];
         for _ in 0..n {
-            let f = at(&coords).to_f64();
+            let f = at(coords).to_f64();
             sum += f;
             for a in 0..ndim {
                 let xc = coords[a] as f64 - center[a];
