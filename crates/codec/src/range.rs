@@ -18,79 +18,155 @@ const BOTTOM: u32 = 1 << 16;
 /// non-degenerate and adapts to drift).
 const MAX_TOTAL: u32 = 1 << 15;
 
-/// Fenwick (binary indexed) tree over symbol frequencies.
-struct Fenwick {
+/// Adaptive frequency model: the plain frequency array and its running total
+/// beside a Fenwick (binary indexed) tree of the same frequencies, so `freq`
+/// and `total` are loads and only cumulative sums walk the tree.
+///
+/// Invariants after every method: `tree` is the Fenwick tree of `freq`, and
+/// `total == freq.iter().sum()`. The coder's arithmetic sees only
+/// `(cum, freq, total)` triples, so any bookkeeping that keeps these
+/// invariants produces the same bytes.
+struct Model {
+    freq: Vec<u32>,
+    /// 1-based Fenwick tree: `tree[i]` sums `freq[i - lowbit(i)..i]`.
     tree: Vec<u32>,
-    n: usize,
+    total: u32,
 }
 
-impl Fenwick {
+impl Model {
+    /// Every symbol starts with frequency 1.
     fn new(n: usize) -> Self {
-        let mut f = Fenwick { tree: vec![0; n + 1], n };
-        for i in 0..n {
-            f.add(i, 1); // every symbol starts with frequency 1
-        }
-        f
+        let mut m = Model { freq: vec![1; n], tree: vec![0; n + 1], total: n as u32 };
+        m.rebuild();
+        m
     }
 
-    fn add(&mut self, mut i: usize, delta: i64) {
-        i += 1;
-        while i <= self.n {
-            self.tree[i] = (self.tree[i] as i64 + delta) as u32;
-            i += i & i.wrapping_neg();
+    /// Rebuild the tree from `freq` in one linear sweep: each node, complete
+    /// once reached, is pushed into its parent.
+    fn rebuild(&mut self) {
+        let n = self.freq.len();
+        self.tree[1..].copy_from_slice(&self.freq);
+        for i in 1..=n {
+            let parent = i + (i & i.wrapping_neg());
+            if parent <= n {
+                self.tree[parent] += self.tree[i];
+            }
         }
     }
 
     /// Sum of frequencies of symbols `0..i`.
+    #[inline]
     fn prefix(&self, mut i: usize) -> u32 {
         let mut s = 0u32;
         while i > 0 {
             s += self.tree[i];
-            i -= i & i.wrapping_neg();
+            i &= i - 1;
         }
         s
     }
 
-    fn total(&self) -> u32 {
-        self.prefix(self.n)
-    }
-
-    /// Frequency of symbol `i`.
-    fn freq(&self, i: usize) -> u32 {
-        self.prefix(i + 1) - self.prefix(i)
-    }
-
-    /// Largest symbol index whose prefix sum is ≤ `target` (decode search).
-    fn find(&self, target: u32) -> usize {
+    /// The symbol whose cumulative interval holds `target`, with its `cum`:
+    /// `cum = prefix(i) <= target < prefix(i + 1)` (decode search).
+    #[inline]
+    fn find(&self, target: u32) -> (usize, u32) {
+        let n = self.freq.len();
         let mut pos = 0usize;
         let mut rem = target;
-        let mut step = self.n.next_power_of_two();
+        let mut step = n.next_power_of_two();
         while step > 0 {
             let next = pos + step;
-            if next <= self.n && self.tree[next] <= rem {
+            if next <= n && self.tree[next] <= rem {
                 rem -= self.tree[next];
                 pos = next;
             }
             step >>= 1;
         }
-        pos // symbol index (0-based): prefix(pos) <= target < prefix(pos+1)
+        (pos, target - rem)
     }
 
     /// Halve all frequencies (keeping them ≥ 1) to adapt to drift.
     fn rescale(&mut self) {
-        let freqs: Vec<u32> = (0..self.n).map(|i| self.freq(i)).collect();
-        self.tree.iter_mut().for_each(|v| *v = 0);
-        for (i, f) in freqs.into_iter().enumerate() {
-            self.add(i, f.div_ceil(2).max(1) as i64);
+        let mut total = 0u32;
+        for f in &mut self.freq {
+            *f = f.div_ceil(2).max(1);
+            total += *f;
         }
+        self.total = total;
+        self.rebuild();
     }
 
+    #[inline]
     fn bump(&mut self, i: usize, inc: u32) {
-        self.add(i, inc as i64);
-        if self.total() >= MAX_TOTAL {
+        self.freq[i] += inc;
+        self.total += inc;
+        let n = self.freq.len();
+        let mut j = i + 1;
+        while j <= n {
+            self.tree[j] += inc;
+            j += j & j.wrapping_neg();
+        }
+        if self.total >= MAX_TOTAL {
             self.rescale();
         }
     }
+}
+
+/// Symbol → model index. Quantization-index alphabets are dense around zero
+/// plus the far-away unpredictable sentinel at `i32::MIN`, so the sorted
+/// alphabet and the lookup both come from one table over the non-sentinel
+/// value span; the sentinel sorts first and is handled beside the span.
+/// Alphabets too sparse to tabulate, and streams too long for `u16` indices
+/// (the entropy stage never range-codes more than 2¹⁶ symbols), sort the
+/// stream and binary-search.
+enum SymbolIndex {
+    Dense { min: i32, table: Vec<u16> },
+    Search,
+}
+
+const SENTINEL: i32 = i32::MIN;
+
+/// The sorted, de-duplicated alphabet of `symbols` and the lookup into it.
+fn alphabet_of(symbols: &[i32]) -> (Vec<i32>, SymbolIndex) {
+    let (mut lo, mut hi) = (i32::MAX, i32::MIN);
+    let mut sentinel = false;
+    for &s in symbols {
+        if s == SENTINEL {
+            sentinel = true;
+        } else {
+            lo = lo.min(s);
+            hi = hi.max(s);
+        }
+    }
+    if lo > hi {
+        return (vec![SENTINEL], SymbolIndex::Search);
+    }
+    let span = (hi as i64 - lo as i64) as u64 + 1;
+    if symbols.len() > 1 << 16 || span > 2 * symbols.len() as u64 + 1024 {
+        let mut alphabet = symbols.to_vec();
+        alphabet.sort_unstable();
+        alphabet.dedup();
+        return (alphabet, SymbolIndex::Search);
+    }
+    // Mark the values present, then number them in ascending order; slots
+    // of absent values are never looked up.
+    let mut table = vec![0u16; span as usize];
+    for &s in symbols {
+        if s != SENTINEL {
+            table[(s as i64 - lo as i64) as usize] = 1;
+        }
+    }
+    let mut alphabet = Vec::new();
+    if sentinel {
+        alphabet.push(SENTINEL);
+    }
+    for (k, slot) in table.iter_mut().enumerate() {
+        if *slot != 0 {
+            // At most 2¹⁶ symbols, so at most 2¹⁶ distinct: indices fit.
+            *slot = alphabet.len() as u16;
+            alphabet.push((lo as i64 + k as i64) as i32);
+        }
+    }
+    (alphabet, SymbolIndex::Dense { min: lo, table })
 }
 
 /// Carry-less range encoder state.
@@ -162,15 +238,16 @@ impl<'a> RangeDecoder<'a> {
         b as u64
     }
 
-    fn decode_target(&self, total: u32) -> u32 {
-        let r = self.range / total;
+    /// The cumulative-frequency target of the next symbol, with the range
+    /// step `r` that [`RangeDecoder::decode_update`] must be given back.
+    fn decode_target(&self, total: u32) -> (u32, u32) {
+        let r = (self.range / total).max(1);
         // Wrapping: corrupted input can break the low ≤ code invariant; the
         // decoder must then produce garbage, never panic.
-        ((self.code.wrapping_sub(self.low) / (r as u64).max(1)) as u32).min(total - 1)
+        (((self.code.wrapping_sub(self.low) / r as u64) as u32).min(total - 1), r)
     }
 
-    fn decode_update(&mut self, cum: u32, freq: u32, total: u32) {
-        let r = (self.range / total).max(1);
+    fn decode_update(&mut self, cum: u32, freq: u32, r: u32) {
         self.low = self.low.wrapping_add((r * cum) as u64);
         self.range = r * freq;
         while (self.low ^ (self.low.wrapping_add(self.range as u64))) < TOP as u64
@@ -194,10 +271,7 @@ pub fn encode(symbols: &[i32]) -> Vec<u8> {
     if symbols.is_empty() {
         return w.finish();
     }
-    // Dense alphabet, like the Huffman header.
-    let mut alphabet: Vec<i32> = symbols.to_vec();
-    alphabet.sort_unstable();
-    alphabet.dedup();
+    let (alphabet, index) = alphabet_of(symbols);
     w.put_uvarint(alphabet.len() as u64);
     let mut prev = 0i64;
     for &s in &alphabet {
@@ -207,17 +281,25 @@ pub fn encode(symbols: &[i32]) -> Vec<u8> {
     if alphabet.len() == 1 {
         return w.finish();
     }
-    let index = |s: i32| alphabet.binary_search(&s).expect("symbol in alphabet");
 
-    let mut model = Fenwick::new(alphabet.len());
+    let mut model = Model::new(alphabet.len());
     let mut enc = RangeEncoder::new();
-    for &s in symbols {
-        let i = index(s);
-        let cum = model.prefix(i);
-        let freq = model.freq(i);
-        let total = model.total();
-        enc.encode(cum, freq, total);
+    let mut code = |i: usize| {
+        enc.encode(model.prefix(i), model.freq[i], model.total);
         model.bump(i, 32);
+    };
+    match &index {
+        SymbolIndex::Dense { min, table } => {
+            for &s in symbols {
+                // The sentinel sorts first, so when present its index is 0.
+                code(if s == SENTINEL { 0 } else { table[(s as i64 - *min as i64) as usize] as usize });
+            }
+        }
+        SymbolIndex::Search => {
+            for &s in symbols {
+                code(alphabet.binary_search(&s).expect("symbol in alphabet"));
+            }
+        }
     }
     w.put_block(&enc.finish());
     w.finish()
@@ -247,6 +329,10 @@ pub fn decode_capped(bytes: &[u8], max_count: usize) -> Result<Vec<i32>, CodecEr
     if n_sym > r.remaining() {
         return Err(CodecError::Corrupt("range: alphabet exceeds stream"));
     }
+    // The encoder's alphabet is the de-duplicated symbol set.
+    if n_sym > count {
+        return Err(CodecError::Corrupt("range: alphabet exceeds symbol count"));
+    }
     let mut alphabet = Vec::with_capacity(n_sym);
     let mut prev = 0i64;
     for _ in 0..n_sym {
@@ -274,16 +360,13 @@ pub fn decode_capped(bytes: &[u8], max_count: usize) -> Result<Vec<i32>, CodecEr
         return Err(CodecError::Corrupt("range: count exceeds payload capacity"));
     }
 
-    let mut model = Fenwick::new(n_sym);
+    let mut model = Model::new(n_sym);
     let mut dec = RangeDecoder::new(payload);
     let mut out = Vec::with_capacity(count.min(1 << 24));
     for _ in 0..count {
-        let total = model.total();
-        let target = dec.decode_target(total);
-        let i = model.find(target);
-        let cum = model.prefix(i);
-        let freq = model.freq(i);
-        dec.decode_update(cum, freq, total);
+        let (target, r) = dec.decode_target(model.total);
+        let (i, cum) = model.find(target);
+        dec.decode_update(cum, model.freq[i], r);
         out.push(alphabet[i]);
         model.bump(i, 32);
     }
@@ -364,27 +447,48 @@ mod tests {
     }
 
     #[test]
-    fn fenwick_consistency() {
-        let mut f = Fenwick::new(10);
-        assert_eq!(f.total(), 10);
-        f.add(3, 5);
-        assert_eq!(f.freq(3), 6);
-        assert_eq!(f.prefix(3), 3);
-        assert_eq!(f.prefix(4), 9);
+    fn model_consistency() {
+        let mut m = Model::new(10);
+        assert_eq!(m.total, 10);
+        m.bump(3, 5);
+        assert_eq!(m.freq[3], 6);
+        assert_eq!(m.total, 15);
+        assert_eq!(m.prefix(3), 3);
+        assert_eq!(m.prefix(4), 9);
         // find: target below prefix(3)=3 lands before symbol 3.
-        assert_eq!(f.find(2), 2);
-        assert_eq!(f.find(3), 3);
-        assert_eq!(f.find(8), 3);
-        assert_eq!(f.find(9), 4);
+        assert_eq!(m.find(2), (2, 2));
+        assert_eq!(m.find(3), (3, 3));
+        assert_eq!(m.find(8), (3, 3));
+        assert_eq!(m.find(9), (4, 9));
     }
 
     #[test]
-    fn fenwick_rescale_preserves_order() {
-        let mut f = Fenwick::new(4);
-        f.add(0, 1000);
-        f.add(2, 100);
-        f.rescale();
-        assert!(f.freq(0) > f.freq(2));
-        assert!(f.freq(2) > 0 && f.freq(1) > 0);
+    fn rescale_preserves_order_and_invariants() {
+        let mut m = Model::new(4);
+        m.bump(0, 1000);
+        m.bump(2, 100);
+        m.rescale();
+        assert!(m.freq[0] > m.freq[2]);
+        assert!(m.freq[2] > 0 && m.freq[1] > 0);
+        assert_eq!(m.total, m.freq.iter().sum::<u32>());
+        for i in 0..=4 {
+            assert_eq!(m.prefix(i), m.freq[..i].iter().sum::<u32>(), "prefix({i})");
+        }
+    }
+
+    #[test]
+    fn alphabet_larger_than_count_is_rejected() {
+        // Hand-built header: 2 symbols, 3-entry alphabet {0, 1, 2}.
+        let mut w = ByteWriter::with_capacity(32);
+        w.put_uvarint(2);
+        w.put_uvarint(3);
+        for delta in [0i64, 1, 1] {
+            w.put_ivarint(delta);
+        }
+        w.put_block(&[0u8; 16]);
+        assert!(matches!(
+            decode(&w.finish()),
+            Err(CodecError::Corrupt("range: alphabet exceeds symbol count"))
+        ));
     }
 }

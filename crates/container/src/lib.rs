@@ -30,12 +30,13 @@ mod format;
 pub use format::{assemble, ContainerInfo, TileEntry, FMT_VERSION, MAGIC_TILED};
 
 use qip_core::{
-    CompressError, Compressor, ErrorBound, ProgressiveDecompress, RegionDecompress,
+    CompressCtx, CompressError, Compressor, ErrorBound, ProgressiveDecompress, RegionDecompress,
 };
 use qip_parallel::{TileGrid, MIN_BLOCK};
 use qip_registry::AnyCompressor;
 use qip_tensor::{Field, Region, Scalar, Shape};
 use rayon::prelude::*;
+use std::sync::Mutex;
 
 /// Smallest accepted tile edge (shared with `BlockParallel`).
 pub const MIN_TILE: usize = MIN_BLOCK;
@@ -99,31 +100,75 @@ impl<T: Scalar> Compressor<T> for TiledCompressor {
         let grid = TileGrid::new(&dims, self.tile)?;
         let origins: Vec<Vec<usize>> = grid.origins().collect();
         let extent = vec![self.tile; dims.len()];
-        let streams: Vec<Result<Vec<u8>, CompressError>> = origins
-            .par_iter()
-            .map(|origin| {
-                let tile = field.subregion(origin, &extent);
-                self.inner.compress(&tile, ErrorBound::Abs(abs))
+        let runs: Vec<Result<TileEncoder, CompressError>> = origins
+            .par_chunks(run_len(origins.len()))
+            .map(|run| {
+                let mut enc = TileEncoder::default();
+                for origin in run {
+                    enc.push(&self.inner, &field.subregion(origin, &extent), abs)?;
+                }
+                Ok(enc)
             })
             .collect();
 
-        let mut payload = Vec::new();
-        let mut tiles = Vec::with_capacity(streams.len());
-        for s in streams {
-            let s = s?;
-            tiles.push(TileEntry {
-                offset: payload.len(),
-                len: s.len(),
-                crc32: qip_core::integrity::crc32(&s),
-            });
-            payload.extend_from_slice(&s);
+        let mut all = TileEncoder::default();
+        for run in runs {
+            all.append(run?);
         }
-        qip_telemetry::counter_add("qip.container.tile_encodes", &[], tiles.len() as u64);
-        Ok(format::assemble(T::BITS, &dims, self.tile, abs, &name, &tiles, &payload))
+        qip_telemetry::counter_add("qip.container.tile_encodes", &[], all.tiles.len() as u64);
+        Ok(format::assemble(T::BITS, &dims, self.tile, abs, &name, &all.tiles, &all.payload))
     }
 
     fn decompress(&self, bytes: &[u8]) -> Result<Field<T>, CompressError> {
         decompress_full(bytes)
+    }
+}
+
+/// Tiles per worker. Workers take contiguous runs of tiles so that each keeps
+/// one warm [`CompressCtx`] for the lifetime of the call.
+fn run_len(n_tiles: usize) -> usize {
+    n_tiles.div_ceil(rayon::current_num_threads()).max(1)
+}
+
+/// One worker's share of a container under construction: a warm context, the
+/// tile-stream scratch, and the payload and index entries of the tiles
+/// compressed so far.
+#[derive(Debug, Default)]
+struct TileEncoder {
+    ctx: CompressCtx,
+    stream: Vec<u8>,
+    payload: Vec<u8>,
+    tiles: Vec<TileEntry>,
+}
+
+impl TileEncoder {
+    /// Compress `tile` at the absolute bound and append its stream.
+    fn push<T: Scalar>(
+        &mut self,
+        inner: &AnyCompressor,
+        tile: &Field<T>,
+        abs: f64,
+    ) -> Result<(), CompressError> {
+        inner.compress_into(tile, ErrorBound::Abs(abs), &mut self.ctx, &mut self.stream)?;
+        self.tiles.push(TileEntry {
+            offset: self.payload.len(),
+            len: self.stream.len(),
+            crc32: qip_core::integrity::crc32(&self.stream),
+        });
+        self.payload.extend_from_slice(&self.stream);
+        Ok(())
+    }
+
+    /// Append the tiles of the run that follows this one in grid order.
+    fn append(&mut self, next: TileEncoder) {
+        if self.payload.is_empty() {
+            self.payload = next.payload;
+            self.tiles = next.tiles;
+            return;
+        }
+        let base = self.payload.len();
+        self.tiles.extend(next.tiles.into_iter().map(|t| TileEntry { offset: base + t.offset, ..t }));
+        self.payload.extend_from_slice(&next.payload);
     }
 }
 
@@ -141,15 +186,13 @@ pub fn decompress_full<T: Scalar>(bytes: &[u8]) -> Result<Field<T>, CompressErro
     }
     let grid = info.grid();
     let work: Vec<(usize, Vec<usize>)> = grid.origins().enumerate().collect();
-    let decoded: Vec<Result<Field<T>, CompressError>> = work
-        .par_iter()
-        .map(|(idx, origin)| decode_tile(&inner, &info, payload, *idx, origin, &grid))
-        .collect();
-    let mut out = Field::from_vec(shape.clone(), qip_core::try_zeroed_vec(shape.len())?)?;
-    for ((_, origin), tile) in work.iter().zip(decoded) {
-        out.write_subregion(origin, &tile?);
-    }
-    Ok(out)
+    let out = Mutex::new(Field::from_vec(shape.clone(), qip_core::try_zeroed_vec(shape.len())?)?);
+    for_each_tile(&info, payload, &work, |ctx, origin, stream| {
+        let tile = decode_tile(&inner, stream, &grid.clipped_extent(origin), ctx)?;
+        lock(&out).write_subregion(origin, &tile);
+        Ok(())
+    })?;
+    Ok(out.into_inner().expect(POISONED))
 }
 
 impl<T: Scalar> RegionDecompress<T> for TiledCompressor {
@@ -181,17 +224,20 @@ fn check_bits<T: Scalar>(info: &ContainerInfo) -> Result<(), CompressError> {
     Ok(())
 }
 
-/// CRC-gate and decode one tile; every decoded tile passes through here, so
-/// the [`TILE_DECODES_COUNTER`] telemetry counter is exact across all read
-/// paths.
-fn decode_tile<T: Scalar>(
-    inner: &AnyCompressor,
+const POISONED: &str = "a worker panicked while writing its tile";
+
+fn lock<T>(out: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    out.lock().expect(POISONED)
+}
+
+/// CRC-gate tile `idx` and return its stream; every decoded tile passes
+/// through here, so the [`TILE_DECODES_COUNTER`] telemetry counter is exact
+/// across all read paths.
+fn tile_stream<'a>(
     info: &ContainerInfo,
-    payload: &[u8],
+    payload: &'a [u8],
     idx: usize,
-    origin: &[usize],
-    grid: &TileGrid,
-) -> Result<Field<T>, CompressError> {
+) -> Result<&'a [u8], CompressError> {
     let entry = &info.tiles[idx];
     let stream = payload
         .get(entry.offset..entry.offset + entry.len)
@@ -201,8 +247,37 @@ fn decode_tile<T: Scalar>(
     }
     qip_telemetry::counter_add(TILE_DECODES_COUNTER, &[], 1);
     qip_trace::counter("container.tile_decodes", 1);
-    let tile: Field<T> = inner.decompress(stream)?;
-    if tile.shape().dims() != grid.clipped_extent(origin).as_slice() {
+    Ok(stream)
+}
+
+/// Hand the CRC-gated stream of every `(index, origin)` tile in `work` to
+/// `decode`, in parallel over contiguous runs of tiles; each run shares one
+/// context. `decode` places its tile into the caller's output itself, so no
+/// decoded tile outlives its own iteration.
+fn for_each_tile(
+    info: &ContainerInfo,
+    payload: &[u8],
+    work: &[(usize, Vec<usize>)],
+    decode: impl Fn(&mut CompressCtx, &[usize], &[u8]) -> Result<(), CompressError> + Sync,
+) -> Result<(), CompressError> {
+    work.par_chunks(run_len(work.len()))
+        .map(|run| {
+            let mut ctx = CompressCtx::new();
+            run.iter()
+                .try_for_each(|(idx, origin)| decode(&mut ctx, origin, tile_stream(info, payload, *idx)?))
+        })
+        .collect()
+}
+
+/// Decode one tile stream and check it has the shape the grid gives it.
+fn decode_tile<T: Scalar>(
+    inner: &AnyCompressor,
+    stream: &[u8],
+    extent: &[usize],
+    ctx: &mut CompressCtx,
+) -> Result<Field<T>, CompressError> {
+    let tile: Field<T> = inner.decompress_into(stream, ctx)?;
+    if tile.shape().dims() != extent {
         return Err(CompressError::Corrupt("tile shape disagrees with the grid"));
     }
     Ok(tile)
@@ -226,35 +301,27 @@ pub fn read_region<T: Scalar>(bytes: &[u8], region: &Region) -> Result<Field<T>,
         .collect();
     qip_telemetry::counter_add("qip.container.region_reads", &[], 1);
 
-    let decoded: Vec<Result<Field<T>, CompressError>> = touched
-        .par_iter()
-        .map(|(idx, origin)| decode_tile(&inner, &info, payload, *idx, origin, &grid))
-        .collect();
-
     let out_shape = Shape::new(region.extent());
-    let mut out = Field::from_vec(out_shape.clone(), qip_core::try_zeroed_vec(out_shape.len())?)?;
-    for ((_, origin), tile) in touched.iter().zip(decoded) {
-        let tile = tile?;
+    let out =
+        Mutex::new(Field::from_vec(out_shape.clone(), qip_core::try_zeroed_vec(out_shape.len())?)?);
+    for_each_tile(&info, payload, &touched, |ctx, origin, stream| {
+        let extent = grid.clipped_extent(origin);
+        let tile: Field<T> = decode_tile(&inner, stream, &extent, ctx)?;
         // Overlap of this tile with the region, in global coordinates.
-        let start: Vec<usize> = origin
-            .iter()
-            .zip(region.origin())
-            .map(|(&o, &ro)| o.max(ro))
+        let start: Vec<usize> =
+            origin.iter().zip(region.origin()).map(|(&o, &ro)| o.max(ro)).collect();
+        let span: Vec<usize> = (0..start.len())
+            .map(|a| {
+                (origin[a] + extent[a]).min(region.origin()[a] + region.extent()[a]) - start[a]
+            })
             .collect();
-        let end: Vec<usize> = origin
-            .iter()
-            .zip(tile.shape().dims())
-            .zip(region.origin().iter().zip(region.extent()))
-            .map(|((&o, &e), (&ro, &re))| (o + e).min(ro + re))
-            .collect();
-        let span: Vec<usize> = start.iter().zip(&end).map(|(&s, &e)| e - s).collect();
-        let in_tile: Vec<usize> =
-            start.iter().zip(origin.iter()).map(|(&s, &o)| s - o).collect();
+        let in_tile: Vec<usize> = start.iter().zip(origin).map(|(&s, &o)| s - o).collect();
         let in_out: Vec<usize> =
             start.iter().zip(region.origin()).map(|(&s, &ro)| s - ro).collect();
-        out.write_subregion(&in_out, &tile.subregion(&in_tile, &span));
-    }
-    Ok(out)
+        lock(&out).copy_box_from(&in_out, &tile, &in_tile, &span);
+        Ok(())
+    })?;
+    Ok(out.into_inner().expect(POISONED))
 }
 
 /// Random-access one tile: returns its grid origin and decoded samples.
@@ -271,7 +338,9 @@ pub fn decompress_tile<T: Scalar>(
         .origins()
         .nth(index)
         .ok_or(CompressError::Unsupported("tile index out of range"))?;
-    let tile = decode_tile(&inner, &info, payload, index, &origin, &grid)?;
+    let stream = tile_stream(&info, payload, index)?;
+    let tile =
+        decode_tile(&inner, stream, &grid.clipped_extent(&origin), &mut CompressCtx::new())?;
     Ok((origin, tile))
 }
 
@@ -307,39 +376,28 @@ pub fn decompress_reduced<T: Scalar>(
         return Ok(Field::zeros(shape));
     }
     let grid = info.grid();
+    let progressive = || {
+        inner.as_progressive::<T>().ok_or(CompressError::Unsupported(
+            "tile compressor has no progressive decode path",
+        ))
+    };
+    progressive()?;
     let work: Vec<(usize, Vec<usize>)> = grid.origins().enumerate().collect();
-    let decoded: Vec<Result<Field<T>, CompressError>> = work
-        .par_iter()
-        .map(|(idx, origin)| {
-            let prog = inner.as_progressive::<T>().ok_or(CompressError::Unsupported(
-                "tile compressor has no progressive decode path",
-            ))?;
-            let entry = &info.tiles[*idx];
-            let stream = payload
-                .get(entry.offset..entry.offset + entry.len)
-                .ok_or(CompressError::Corrupt("tile entry points past the payload"))?;
-            if qip_core::integrity::crc32(stream) != entry.crc32 {
-                return Err(CompressError::Corrupt("tile payload failed its CRC"));
-            }
-            qip_telemetry::counter_add(TILE_DECODES_COUNTER, &[], 1);
-            qip_trace::counter("container.tile_decodes", 1);
-            let tile = prog.decompress_reduced(stream, stop_level)?;
-            let expect: Vec<usize> =
-                grid.clipped_extent(origin).iter().map(|&e| e.div_ceil(step)).collect();
-            if tile.shape().dims() != expect.as_slice() {
-                return Err(CompressError::Corrupt("coarse tile shape disagrees with the grid"));
-            }
-            Ok(tile)
-        })
-        .collect();
-    let mut out = Field::from_vec(shape.clone(), qip_core::try_zeroed_vec(shape.len())?)?;
-    for ((_, origin), tile) in work.iter().zip(decoded) {
+    let out = Mutex::new(Field::from_vec(shape.clone(), qip_core::try_zeroed_vec(shape.len())?)?);
+    for_each_tile(&info, payload, &work, |_ctx, origin, stream| {
+        let tile = progressive()?.decompress_reduced(stream, stop_level)?;
+        let expect: Vec<usize> =
+            grid.clipped_extent(origin).iter().map(|&e| e.div_ceil(step)).collect();
+        if tile.shape().dims() != expect.as_slice() {
+            return Err(CompressError::Corrupt("coarse tile shape disagrees with the grid"));
+        }
         // Tile origins are multiples of the (step-divisible) edge, so they
         // map exactly onto the coarse lattice.
         let coarse_origin: Vec<usize> = origin.iter().map(|&o| o / step).collect();
-        out.write_subregion(&coarse_origin, &tile?);
-    }
-    Ok(out)
+        lock(&out).write_subregion(&coarse_origin, &tile);
+        Ok(())
+    })?;
+    Ok(out.into_inner().expect(POISONED))
 }
 
 /// Out-of-core container builder: feed tiles one at a time in grid-origin
@@ -356,8 +414,7 @@ pub struct TiledWriter<T: Scalar> {
     abs_bound: f64,
     origins: Vec<Vec<usize>>,
     next: usize,
-    payload: Vec<u8>,
-    tiles: Vec<TileEntry>,
+    enc: TileEncoder,
     _scalar: std::marker::PhantomData<T>,
 }
 
@@ -388,8 +445,7 @@ impl<T: Scalar> TiledWriter<T> {
             abs_bound,
             origins,
             next: 0,
-            payload: Vec::new(),
-            tiles: Vec::new(),
+            enc: TileEncoder::default(),
             _scalar: std::marker::PhantomData,
         })
     }
@@ -419,13 +475,7 @@ impl<T: Scalar> TiledWriter<T> {
         if tile.shape().dims() != extent.as_slice() {
             return Err(CompressError::Unsupported("tile shape disagrees with the grid"));
         }
-        let stream = self.inner.compress(tile, ErrorBound::Abs(self.abs_bound))?;
-        self.tiles.push(TileEntry {
-            offset: self.payload.len(),
-            len: stream.len(),
-            crc32: qip_core::integrity::crc32(&stream),
-        });
-        self.payload.extend_from_slice(&stream);
+        self.enc.push(&self.inner, tile, self.abs_bound)?;
         self.next += 1;
         qip_telemetry::counter_add("qip.container.tile_encodes", &[], 1);
         Ok(())
@@ -443,8 +493,8 @@ impl<T: Scalar> TiledWriter<T> {
             self.grid.edge(),
             self.abs_bound,
             &self.name,
-            &self.tiles,
-            &self.payload,
+            &self.enc.tiles,
+            &self.enc.payload,
         ))
     }
 }
@@ -640,6 +690,66 @@ mod tests {
             let got = w.finish().unwrap();
             assert_eq!(got, want, "{name}: writer and parallel paths diverged");
         }
+    }
+
+    #[test]
+    fn one_context_across_shapes_and_dtypes_leaks_nothing() {
+        // A worker's encoder meets tiles of several shapes (clipped edges)
+        // and, across containers, both scalar widths; each stream must equal
+        // the one a fresh context produces.
+        let codec = AnyCompressor::by_name("SZ3+QP").unwrap();
+        let big = field(&[32, 32, 32]);
+        let small = big.subregion(&[0, 0, 0], &[32, 9, 17]);
+        let wide: Field<f64> = qip_data::Dataset::SegSalt.generate_f64(5, &[20, 18, 16]);
+        let mut enc = TileEncoder::default();
+        let mut want = Vec::new();
+        for round in 0..2 {
+            enc.push(&codec, &big, 1e-3).unwrap();
+            enc.push(&codec, &wide, 1e-5).unwrap();
+            enc.push(&codec, &small, 1e-3).unwrap();
+            want.push(codec.compress(&big, ErrorBound::Abs(1e-3)).unwrap());
+            want.push(codec.compress(&wide, ErrorBound::Abs(1e-5)).unwrap());
+            want.push(codec.compress(&small, ErrorBound::Abs(1e-3)).unwrap());
+            assert_eq!(enc.tiles.len(), 3 * (round + 1));
+        }
+        for (entry, want) in enc.tiles.iter().zip(&want) {
+            assert!(&enc.payload[entry.offset..entry.offset + entry.len] == want.as_slice());
+            assert_eq!(entry.crc32, qip_core::integrity::crc32(want));
+        }
+        assert_eq!(enc.payload.len(), want.iter().map(Vec::len).sum::<usize>());
+
+        // The decode side: one context over the same mix.
+        let mut ctx = CompressCtx::new();
+        for _ in 0..2 {
+            let a: Field<f32> = decode_tile(&codec, &want[0], &[32, 32, 32], &mut ctx).unwrap();
+            let b: Field<f64> = decode_tile(&codec, &want[1], &[20, 18, 16], &mut ctx).unwrap();
+            let c: Field<f32> = decode_tile(&codec, &want[2], &[32, 9, 17], &mut ctx).unwrap();
+            assert!(a == codec.decompress(&want[0]).unwrap());
+            assert!(b == codec.decompress(&want[1]).unwrap());
+            assert!(c == codec.decompress(&want[2]).unwrap());
+        }
+        assert!(matches!(
+            decode_tile::<f32>(&codec, &want[2], &[32, 9, 16], &mut ctx),
+            Err(CompressError::Corrupt("tile shape disagrees with the grid"))
+        ));
+    }
+
+    #[test]
+    fn encoder_runs_stitch_in_grid_order() {
+        let codec = AnyCompressor::by_name("SZ3").unwrap();
+        let f = field(&[16, 16]);
+        let mut whole = TileEncoder::default();
+        let (mut first, mut second) = (TileEncoder::default(), TileEncoder::default());
+        for (k, origin) in [[0usize, 0], [0, 8], [8, 0], [8, 8]].iter().enumerate() {
+            let tile = f.subregion(origin, &[8, 8]);
+            whole.push(&codec, &tile, 1e-3).unwrap();
+            if k < 3 { &mut first } else { &mut second }.push(&codec, &tile, 1e-3).unwrap();
+        }
+        let mut stitched = TileEncoder::default();
+        stitched.append(first);
+        stitched.append(second);
+        assert_eq!(stitched.payload, whole.payload);
+        assert_eq!(stitched.tiles, whole.tiles);
     }
 
     #[test]

@@ -256,14 +256,7 @@ fn run_pipeline<T: Scalar, S: PointSink<T>>(
 
     // Anchor grid: the known lattice before the first processed level.
     let anchor_step = 1usize << start_level;
-    let anchor_pass = Pass {
-        level: start_level.max(1),
-        stride: anchor_step,
-        start: vec![0; dims.len()],
-        step: vec![anchor_step; dims.len()],
-        interp_axes: vec![],
-        qp_axes: (None, None, None),
-    };
+    let anchor_pass = Pass::uniform(dims.len(), start_level.max(1), anchor_step, anchor_step);
     let mut anchor_flats = Vec::new();
     for_each_point(&anchor_pass, dims, strides, |_c, flat| anchor_flats.push(flat));
     for flat in anchor_flats {
@@ -356,14 +349,7 @@ fn run_pipeline_ctx<T: Scalar, S: PointSink<T>>(
     };
 
     let anchor_step = 1usize << start_level;
-    let anchor_pass = Pass {
-        level: start_level.max(1),
-        stride: anchor_step,
-        start: vec![0; dims.len()],
-        step: vec![anchor_step; dims.len()],
-        interp_axes: vec![],
-        qp_axes: (None, None, None),
-    };
+    let anchor_pass = Pass::uniform(dims.len(), start_level.max(1), anchor_step, anchor_step);
     points.clear();
     for_each_point(&anchor_pass, dims, strides, |_c, flat| points.push(([0; 4], flat)));
     for &(_, flat) in points.iter() {

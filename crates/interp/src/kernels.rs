@@ -315,14 +315,7 @@ fn run_anchors<T: Scalar, S: PointSink<T>>(
         None => levels,
     };
     let anchor_step = 1usize << start_level;
-    let anchor_pass = Pass {
-        level: start_level.max(1),
-        stride: anchor_step,
-        start: vec![0; dims.len()],
-        step: vec![anchor_step; dims.len()],
-        interp_axes: vec![],
-        qp_axes: (None, None, None),
-    };
+    let anchor_pass = Pass::uniform(dims.len(), start_level.max(1), anchor_step, anchor_step);
     let mut err: Result<(), CompressError> = Ok(());
     for_each_point(&anchor_pass, dims, strides, |_c, flat| {
         if err.is_ok() {

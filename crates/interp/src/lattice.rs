@@ -10,6 +10,55 @@
 use crate::config::PassStructure;
 use qip_core::CompressError;
 
+/// Up to four per-axis values or axis indices, stored inline. Pass geometry
+/// is rebuilt for every level and every tuning candidate, so it must not
+/// allocate. Orders like the slice it dereferences to, shorter first.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
+pub struct AxisVec {
+    len: usize,
+    vals: [usize; 4],
+}
+
+impl AxisVec {
+    /// `n` copies of `v`.
+    pub fn splat(v: usize, n: usize) -> Self {
+        std::iter::repeat_n(v, n).collect()
+    }
+}
+
+impl std::ops::Deref for AxisVec {
+    type Target = [usize];
+    fn deref(&self) -> &[usize] {
+        &self.vals[..self.len]
+    }
+}
+
+impl std::ops::DerefMut for AxisVec {
+    fn deref_mut(&mut self) -> &mut [usize] {
+        &mut self.vals[..self.len]
+    }
+}
+
+impl FromIterator<usize> for AxisVec {
+    /// Panics beyond four entries (the workspace's maximum rank).
+    fn from_iter<I: IntoIterator<Item = usize>>(iter: I) -> Self {
+        let mut v = AxisVec::default();
+        for x in iter {
+            v.vals[v.len] = x;
+            v.len += 1;
+        }
+        v
+    }
+}
+
+impl<'a> IntoIterator for &'a AxisVec {
+    type Item = &'a usize;
+    type IntoIter = std::slice::Iter<'a, usize>;
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
 /// One interpolation pass: a parity class of the level's new points.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Pass {
@@ -18,20 +67,33 @@ pub struct Pass {
     /// Level stride `s`.
     pub stride: usize,
     /// First coordinate of the pass lattice, per axis.
-    pub start: Vec<usize>,
+    pub start: AxisVec,
     /// Spacing of the pass lattice, per axis.
-    pub step: Vec<usize>,
+    pub step: AxisVec,
     /// Axes along which the point is interpolated (one for directional
     /// passes; the odd-parity axes for multi-dimensional passes).
-    pub interp_axes: Vec<usize>,
+    pub interp_axes: AxisVec,
     /// QP neighbor axes: (left, top, back). Offsets are the pass lattice
     /// `step` along each axis. `None` when the field has too few dimensions.
     pub qp_axes: (Option<usize>, Option<usize>, Option<usize>),
 }
 
 impl Pass {
+    /// The lattice of every `step`-th point from the origin on all `ndim`
+    /// axes, with nothing to interpolate: the anchor and coarse grids.
+    pub fn uniform(ndim: usize, level: usize, stride: usize, step: usize) -> Pass {
+        Pass {
+            level,
+            stride,
+            start: AxisVec::splat(0, ndim),
+            step: AxisVec::splat(step, ndim),
+            interp_axes: AxisVec::default(),
+            qp_axes: (None, None, None),
+        }
+    }
+
     /// Number of lattice points along each axis within `dims`.
-    pub fn counts(&self, dims: &[usize]) -> Vec<usize> {
+    pub fn counts(&self, dims: &[usize]) -> AxisVec {
         (0..dims.len()).map(|a| self.count_along(dims, a)).collect()
     }
 
@@ -87,7 +149,7 @@ impl Pass {
     /// axis (used by the per-level parameter selection sampling).
     pub fn subsampled(&self, m: usize) -> Pass {
         let mut p = self.clone();
-        for sp in &mut p.step {
+        for sp in p.step.iter_mut() {
             *sp *= m.max(1);
         }
         p
@@ -108,9 +170,9 @@ pub fn for_each_point(
         return;
     }
     let ndim = dims.len();
-    let mut coords: Vec<usize> = pass.start.clone();
+    let mut coords = pass.start;
     let mut flat: usize = coords.iter().zip(strides).map(|(&c, &s)| c * s).sum();
-    let mut idx = vec![0usize; ndim];
+    let mut idx = [0usize; 4];
     loop {
         f(&coords, flat);
         // Row-major odometer with incremental flat index maintenance.
@@ -212,22 +274,20 @@ pub fn build_passes(
     match structure {
         PassStructure::Directional => {
             for (k, &axis) in order.iter().enumerate() {
-                let mut start = vec![0usize; ndim];
-                let mut step = vec![two_s; ndim];
+                let mut start = AxisVec::splat(0, ndim);
+                let mut step = AxisVec::splat(two_s, ndim);
                 start[axis] = s;
-                step[axis] = two_s;
                 for &done in &order[..k] {
                     step[done] = s;
                 }
-                let orth: Vec<usize> = (0..ndim).filter(|&a| a != axis).collect();
-                let qp_axes =
-                    (orth.first().copied(), orth.get(1).copied(), Some(axis));
+                let mut orth = (0..ndim).filter(|&a| a != axis);
+                let qp_axes = (orth.next(), orth.next(), Some(axis));
                 passes.push(Pass {
                     level,
                     stride: s,
                     start,
                     step,
-                    interp_axes: vec![axis],
+                    interp_axes: AxisVec::splat(axis, 1),
                     qp_axes,
                 });
             }
@@ -235,18 +295,12 @@ pub fn build_passes(
         PassStructure::MultiDim => {
             // Subsets ordered by cardinality, then lexicographically in
             // `order` positions.
-            let mut subsets: Vec<Vec<usize>> = Vec::new();
-            for mask in 1u32..(1 << ndim) {
-                let subset: Vec<usize> = (0..ndim)
-                    .filter(|&k| mask & (1 << k) != 0)
-                    .map(|k| order[k])
-                    .collect();
-                subsets.push(subset);
-            }
-            subsets.sort_by_key(|s| (s.len(), s.clone()));
+            let mut subsets: Vec<AxisVec> = (1u32..(1 << ndim))
+                .map(|mask| (0..ndim).filter(|&k| mask & (1 << k) != 0).map(|k| order[k]).collect())
+                .collect();
+            subsets.sort_unstable();
             for odd in subsets {
-                let mut start = vec![0usize; ndim];
-                let step = vec![two_s; ndim];
+                let mut start = AxisVec::splat(0, ndim);
                 for &a in &odd {
                     start[a] = s;
                 }
@@ -257,7 +311,14 @@ pub fn build_passes(
                     2 => (Some(0), Some(1), None),
                     _ => (Some(0), Some(1), Some(2)),
                 };
-                passes.push(Pass { level, stride: s, start, step, interp_axes: odd, qp_axes });
+                passes.push(Pass {
+                    level,
+                    stride: s,
+                    start,
+                    step: AxisVec::splat(two_s, ndim),
+                    interp_axes: odd,
+                    qp_axes,
+                });
             }
         }
     }
@@ -376,12 +437,12 @@ mod tests {
         // pass 0 (along axis 2): new points stride 2×2 in the xy plane,
         // pass 1 (along axis 1): 1×2, pass 2 (along axis 0): 1×1.
         let passes = build_passes(3, 1, &[2, 1, 0], PassStructure::Directional);
-        assert_eq!(passes[0].step, vec![2, 2, 2]);
-        assert_eq!(passes[0].start, vec![0, 0, 1]);
-        assert_eq!(passes[1].step, vec![2, 2, 1]);
-        assert_eq!(passes[1].start, vec![0, 1, 0]);
-        assert_eq!(passes[2].step, vec![2, 1, 1]);
-        assert_eq!(passes[2].start, vec![1, 0, 0]);
+        assert_eq!(*passes[0].step, [2, 2, 2]);
+        assert_eq!(*passes[0].start, [0, 0, 1]);
+        assert_eq!(*passes[1].step, [2, 2, 1]);
+        assert_eq!(*passes[1].start, [0, 1, 0]);
+        assert_eq!(*passes[2].step, [2, 1, 1]);
+        assert_eq!(*passes[2].start, [1, 0, 0]);
     }
 
     #[test]

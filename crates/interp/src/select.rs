@@ -9,30 +9,26 @@
 
 use crate::config::{default_order, EngineConfig, LevelParams, PassStructure, ORDERS_2D, ORDERS_3D};
 use crate::engine::predict_point;
-use crate::lattice::{build_passes, for_each_point};
+use crate::lattice::{build_passes, for_each_point, Pass};
 use qip_predict::InterpKind;
 use qip_tensor::Scalar;
 
 /// Target number of sampled points per pass during selection.
 const SAMPLE_TARGET: usize = 384;
 
-/// Mean absolute prediction error of a (kind, order) candidate on a sample of
-/// the level's pass points.
-#[allow(clippy::too_many_arguments)]
+/// Mean absolute prediction error of a (kind, axis-mask) candidate on a
+/// sample of the points of `passes` (one level's passes under one order).
 fn sampled_error<T: Scalar>(
-    cfg: &EngineConfig,
+    passes: &[Pass],
     dims: &[usize],
     strides: &[usize],
     buf: &[T],
-    level: usize,
     kind: InterpKind,
-    order: &[usize],
     axis_mask: u8,
 ) -> f64 {
-    let passes = build_passes(dims.len(), level, order, cfg.passes);
     let mut err = 0.0f64;
     let mut count = 0usize;
-    for pass in &passes {
+    for pass in passes {
         let total = pass.len(dims);
         if total == 0 {
             continue;
@@ -80,6 +76,10 @@ pub fn choose_level_params<T: Scalar>(
         } else {
             vec![default_order(dims.len())]
         };
+    // The level's passes depend on the order alone: build them once, not
+    // once per (kind, mask) candidate.
+    let passes_by_order: Vec<Vec<Pass>> =
+        orders.iter().map(|o| build_passes(dims.len(), level, o, cfg.passes)).collect();
 
     // HPEZ-style dynamic dimension freezing: for multi-dimensional passes,
     // also search which axes may contribute to the prediction.
@@ -89,22 +89,20 @@ pub fn choose_level_params<T: Scalar>(
         vec![0xFF]
     };
 
-    let mut best: Option<(f64, LevelParams)> = None;
+    // First strict minimum in (kind, order, mask) iteration order.
+    let mut best: Option<(f64, InterpKind, usize, u8)> = None;
     for &kind in kinds {
-        for order in &orders {
+        for (o, passes) in passes_by_order.iter().enumerate() {
             for &axis_mask in &masks {
-                let e = sampled_error(cfg, dims, strides, buf, level, kind, order, axis_mask);
-                let better = match &best {
-                    Some((be, _)) => e < *be,
-                    None => true,
-                };
-                if better {
-                    best = Some((e, LevelParams { kind, order: order.clone(), axis_mask }));
+                let e = sampled_error(passes, dims, strides, buf, kind, axis_mask);
+                if best.is_none_or(|(be, ..)| e < be) {
+                    best = Some((e, kind, o, axis_mask));
                 }
             }
         }
     }
-    best.expect("at least one candidate").1
+    let (_, kind, o, axis_mask) = best.expect("at least one candidate");
+    LevelParams { kind, order: orders[o].clone(), axis_mask }
 }
 
 #[cfg(test)]

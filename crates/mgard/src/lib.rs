@@ -277,14 +277,7 @@ fn l2_update(
     let two_s = s << 1;
     let ndim = dims.len();
     // Even lattice of this level: all coordinates multiples of 2s.
-    let even = Pass {
-        level,
-        stride: s,
-        start: vec![0; ndim],
-        step: vec![two_s; ndim],
-        interp_axes: vec![],
-        qp_axes: (None, None, None),
-    };
+    let even = Pass::uniform(ndim, level, s, two_s);
     // For each axis: even node absorbs (detail_left + detail_right) / 4,
     // where the details live at ±s along that axis (odd parity on the axis,
     // even on all others — i.e. the axis' edge-midpoint class).
@@ -410,14 +403,7 @@ impl Mgard {
 
         // ---- Coarse approximation nodes: stored raw ----
         let coarse_step = 1usize << levels;
-        let coarse = Pass {
-            level: levels.max(1),
-            stride: coarse_step,
-            start: vec![0; dims.len()],
-            step: vec![coarse_step; dims.len()],
-            interp_axes: vec![],
-            qp_axes: (None, None, None),
-        };
+        let coarse = Pass::uniform(dims.len(), levels.max(1), coarse_step, coarse_step);
         ctx.anchors.clear();
         let coarse_bytes = &mut ctx.anchors;
         for_each_point(&coarse, &dims, &strides, |_c, flat| {
@@ -645,14 +631,7 @@ impl Mgard {
 
         // Coarse nodes.
         let coarse_step = 1usize << levels;
-        let coarse = Pass {
-            level: levels.max(1),
-            stride: coarse_step,
-            start: vec![0; dims.len()],
-            step: vec![coarse_step; dims.len()],
-            interp_axes: vec![],
-            qp_axes: (None, None, None),
-        };
+        let coarse = Pass::uniform(dims.len(), levels.max(1), coarse_step, coarse_step);
         {
             let mut cursor = 0usize;
             let mut fail = false;

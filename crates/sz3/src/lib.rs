@@ -46,13 +46,20 @@ const MAGIC_SZ3_INTERP: u8 = 0x21;
 /// Magic for the nested Lorenzo stream.
 const MAGIC_SZ3_LORENZO: u8 = 0x22;
 
-/// Predictor pipeline selected for a stream.
+/// Predictor pipeline selected for a stream; the discriminant is the
+/// stream's pipeline tag.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Pipeline {
     /// Multilevel interpolation (the common case).
-    Interpolation,
+    Interpolation = 0,
     /// Multidimensional Lorenzo scan (small-error-bound fallback).
-    Lorenzo,
+    Lorenzo = 1,
+}
+
+/// Reset `out` to the SZ3 wrapper: magic plus a pipeline tag to be filled in.
+fn begin_stream(out: &mut Vec<u8>) {
+    out.clear();
+    out.extend_from_slice(&[MAGIC_SZ3, 0]);
 }
 
 /// The SZ3 compressor.
@@ -106,25 +113,23 @@ impl Sz3 {
 
     /// Decide the pipeline by trial-compressing a central sample block with
     /// both predictors and keeping the smaller stream (mirrors SZ3's
-    /// sampling-based predictor selection). Caller-provided scratch lets the
-    /// trial compression reuse the context instead of allocating per-point
-    /// scratch of its own; the trial stream is byte-identical either way, so
-    /// every entry point picks the same pipeline.
+    /// sampling-based predictor selection). The trial reuses the caller's
+    /// context and writes its streams behind the two wrapper bytes `out`
+    /// holds on entry.
+    ///
+    /// A field of at most 32 per axis *is* its own sample block: it is
+    /// borrowed, not copied, and the trial stream of the chosen pipeline is
+    /// the stream the real run would produce unless that run applies QP (the
+    /// trial is QP-blind). Returns the choice and whether `out` now holds
+    /// the finished, unsealed stream; otherwise `out` is back to the wrapper
+    /// bytes.
     fn choose_pipeline_with<T: Scalar>(
         &self,
         field: &Field<T>,
         bound: ErrorBound,
         ctx: &mut CompressCtx,
-        scratch: &mut Vec<u8>,
-    ) -> Pipeline {
-        if let Some(p) = self.force {
-            return p;
-        }
-        let dims = field.shape().dims();
-        // Small fields: interpolation, no trial needed.
-        if field.len() < 4096 {
-            return Pipeline::Interpolation;
-        }
+        out: &mut Vec<u8>,
+    ) -> (Pipeline, bool) {
         // The trial compressions run capture-paused: the tuning *cost* stays
         // visible as this span, but trial-stream stats never pollute the
         // counters of the pipeline actually chosen.
@@ -132,34 +137,47 @@ impl Sz3 {
         let _p = qip_trace::pause();
         let _pt = qip_telemetry::pause();
         // Central block of up to 32 per axis.
-        let origin: Vec<usize> =
-            dims.iter().map(|&d| d.saturating_sub(d.min(32)) / 2).collect();
-        let extent: Vec<usize> = dims.iter().map(|&d| d.min(32)).collect();
-        let block = field.subregion(&origin, &extent);
+        let dims = field.shape().dims();
+        let whole = dims.iter().all(|&d| d <= 32);
+        let sampled;
+        let block = if whole {
+            field
+        } else {
+            let origin: Vec<usize> = dims.iter().map(|&d| d.saturating_sub(32) / 2).collect();
+            let extent: Vec<usize> = dims.iter().map(|&d| d.min(32)).collect();
+            sampled = field.subregion(&origin, &extent);
+            &sampled
+        };
         // Resolve the bound against the *full* field so both trials and the
         // real run quantize identically. The trial runs QP-blind (paper
         // Algorithm 1 intercepts the pipeline after predictor selection), so
         // enabling QP never changes which pipeline — and hence which
         // decompressed bytes — a stream produces.
         let abs = bound.resolve(field).as_abs();
-        let mut trial = Sz3::new();
-        trial.force = self.force;
-        scratch.clear();
-        let interp_len = match trial.engine().compress_append(&block, abs, ctx, scratch) {
-            Ok(()) => scratch.len(),
-            Err(_) => usize::MAX,
-        };
-        let lorenzo_len = lorenzo::compress(&block, abs, MAGIC_SZ3_LORENZO)
-            .map(|b| b.len())
-            .unwrap_or(usize::MAX);
+        let wrapper = out.len();
+        let interp = Sz3::new().engine().compress_append(block, abs, ctx, out);
+        if interp.is_err() {
+            // A failed engine run leaves `out` unspecified.
+            begin_stream(out);
+        }
+        let interp_end = out.len();
+        let interp_len = interp.map_or(usize::MAX, |()| interp_end - wrapper);
+        let lorenzo_len = lorenzo::compress_append(block, abs, MAGIC_SZ3_LORENZO, ctx, out)
+            .map_or(usize::MAX, |()| out.len() - interp_end);
         // Mild preference for interpolation (SZ3's default algorithm): the
         // small-block trial systematically understates interpolation, which
         // has fewer levels and proportionally larger header overhead there.
-        if (lorenzo_len as f64) < interp_len as f64 * 0.92 {
-            Pipeline::Lorenzo
+        let (pipeline, finished) = if (lorenzo_len as f64) < interp_len as f64 * 0.92 {
+            (Pipeline::Lorenzo, whole)
         } else {
-            Pipeline::Interpolation
+            (Pipeline::Interpolation, whole && interp_len != usize::MAX && self.qp == QpConfig::off())
+        };
+        match (finished, pipeline) {
+            (false, _) => out.truncate(wrapper),
+            (true, Pipeline::Interpolation) => out.truncate(interp_end),
+            (true, Pipeline::Lorenzo) => drop(out.drain(wrapper..interp_end)),
         }
+        (pipeline, finished)
     }
 
     /// Which pipeline a stream used (for experiment reporting).
@@ -237,21 +255,21 @@ impl<T: Scalar> Compressor<T> for Sz3 {
         ctx: &mut CompressCtx,
         out: &mut Vec<u8>,
     ) -> Result<(), CompressError> {
-        // `out` doubles as the trial-stream scratch; it is rebuilt below.
-        let pipeline = self.choose_pipeline_with(field, bound, ctx, out);
+        begin_stream(out);
+        let (pipeline, finished) = match self.force {
+            Some(p) => (p, false),
+            // Small fields: interpolation, no trial needed.
+            None if field.len() < 4096 => (Pipeline::Interpolation, false),
+            None => self.choose_pipeline_with(field, bound, ctx, out),
+        };
         trace_pipeline_choice(pipeline);
-        out.clear();
-        out.push(MAGIC_SZ3);
-        match pipeline {
-            Pipeline::Interpolation => {
-                out.push(0);
-                self.engine().compress_append(field, bound, ctx, out)?;
-            }
-            Pipeline::Lorenzo => {
-                // The Lorenzo fallback is the rare small-bound path; it keeps
-                // the allocating implementation.
-                out.push(1);
-                out.extend_from_slice(&lorenzo::compress(field, bound, MAGIC_SZ3_LORENZO)?);
+        out[1] = pipeline as u8;
+        if !finished {
+            match pipeline {
+                Pipeline::Interpolation => self.engine().compress_append(field, bound, ctx, out)?,
+                Pipeline::Lorenzo => {
+                    lorenzo::compress_append(field, bound, MAGIC_SZ3_LORENZO, ctx, out)?
+                }
             }
         }
         let _t = qip_trace::span("seal");

@@ -12,9 +12,9 @@
 //! Lorenzo residuals lack the clustering effect (paper Sec. VI-B) — so this
 //! pipeline has no QP hook.
 
-use crate::regression::PlaneFit;
-use qip_codec::{encode_indices, ByteReader, ByteWriter};
-use qip_core::{CompressError, ErrorBound, StreamHeader};
+use crate::regression::{FitSums, PlaneFit};
+use qip_codec::{encode_indices_into, ByteReader, ByteWriter};
+use qip_core::{CompressCtx, CompressError, ErrorBound, StreamHeader};
 use qip_predict::{lorenzo2, lorenzo3};
 use qip_quant::{LinearQuantizer, Quantized, UNPRED};
 use qip_tensor::{Field, Scalar};
@@ -30,25 +30,14 @@ pub fn quant_indices<T: Scalar>(
     field: &Field<T>,
     bound: ErrorBound,
 ) -> Result<Vec<i32>, CompressError> {
-    let dims = field.shape().dims().to_vec();
+    let dims = field.shape().dims();
     if dims.len() > 3 {
         return Err(CompressError::Unsupported("Lorenzo pipeline supports 1-3 dimensions"));
     }
-    let abs_eb = bound.resolve(field).abs;
-    let quant = LinearQuantizer::new(abs_eb);
-    let strides = field.shape().strides().to_vec();
+    let quant = LinearQuantizer::new(bound.resolve(field).abs);
     let mut buf = field.as_slice().to_vec();
     let mut q = Vec::with_capacity(buf.len());
-    scan(&dims, &strides, |flat, coords| {
-        let pred = predict(&buf, &dims, &strides, coords, flat);
-        match quant.quantize(buf[flat], pred) {
-            Quantized::Pred { index, recon } => {
-                q.push(index);
-                buf[flat] = recon;
-            }
-            Quantized::Unpred => q.push(UNPRED),
-        }
-    });
+    scan_quantize(&quant, dims, field.shape().strides(), &mut buf, &mut q, &mut Vec::new());
     Ok(q)
 }
 
@@ -58,12 +47,27 @@ pub fn compress<T: Scalar>(
     bound: ErrorBound,
     magic: u8,
 ) -> Result<Vec<u8>, CompressError> {
-    let dims = field.shape().dims().to_vec();
+    let mut out = Vec::new();
+    compress_append(field, bound, magic, &mut CompressCtx::new(), &mut out)?;
+    Ok(out)
+}
+
+/// [`compress`] appending to `out`, with the working copy, index plane,
+/// unpredictable channel and entropy-stage scratch taken from `ctx`. On
+/// error nothing has been appended.
+pub fn compress_append<T: Scalar>(
+    field: &Field<T>,
+    bound: ErrorBound,
+    magic: u8,
+    ctx: &mut CompressCtx,
+    out: &mut Vec<u8>,
+) -> Result<(), CompressError> {
+    let dims = field.shape().dims();
     if dims.len() > 3 {
         return Err(CompressError::Unsupported("Lorenzo pipeline supports 1-3 dimensions"));
     }
     let abs_eb = bound.resolve(field).abs;
-    let mut w = ByteWriter::with_capacity(field.len() / 4 + 64);
+    let mut w = ByteWriter::from_vec(std::mem::take(out));
     StreamHeader {
         magic,
         scalar_bits: T::BITS as u8,
@@ -72,121 +76,149 @@ pub fn compress<T: Scalar>(
     }
     .write(&mut w);
     if field.is_empty() {
-        return Ok(w.finish());
+        *out = w.finish();
+        return Ok(());
     }
 
     let blockwise = dims.len() == 3 && dims.iter().all(|&d| d >= 2 * REG_BLOCK);
     w.put_u8(blockwise as u8);
 
     let quant = LinearQuantizer::new(abs_eb);
-    let strides = field.shape().strides().to_vec();
-    let mut buf = field.as_slice().to_vec();
-    let mut q = Vec::with_capacity(buf.len());
-    let mut unpred: Vec<u8> = Vec::new();
+    let strides = field.shape().strides();
+    let mut buf: Vec<T> = ctx.pools.acquire();
+    buf.extend_from_slice(field.as_slice());
+    ctx.qprime.clear();
+    // One index per point; amortized growth from a near-fit capacity would
+    // double the plane.
+    ctx.qprime.reserve_exact(field.len());
+    ctx.unpred.clear();
+    let (q, unpred) = (&mut ctx.qprime, &mut ctx.unpred);
 
     if blockwise {
         // --- SZ2-style block pipeline: choose Lorenzo vs regression per 6³ ---
-        let flat_of = |gc: &[usize; 3]| flat3(gc, &strides);
-        let mut choices = Vec::new();
-        let mut coeffs: Vec<u8> = Vec::new();
-        for (origin, ext) in blocks(&dims) {
-            let fit =
-                PlaneFit::fit(&ext, |local| field.as_slice()[flat_of(&global(&origin, local))])
-                    .rounded();
-            // Estimate both predictors on the original samples.
-            let (mut e_reg, mut e_lor) = (0.0f64, 0.0f64);
-            for_block(ext, |local| {
-                let gc = global(&origin, &local);
-                let flat = flat_of(&gc);
-                let d = field.as_slice()[flat].to_f64();
-                e_reg += (d - fit.predict(&ext, &local)).abs();
-                e_lor += (d - predict(field.as_slice(), &dims, &strides, &gc, flat)).abs();
+        let src = field.as_slice();
+        let mut bits = vec![0u8; blocks(dims).count().div_ceil(8)];
+        ctx.anchors.clear();
+        let coeffs = &mut ctx.anchors;
+        for (i, (origin, ext)) in blocks(dims).enumerate() {
+            // One walk over the original samples gathers the plane-fit
+            // moments and the Lorenzo estimate and caches the block, so the
+            // regression estimate below never returns to the field. Every
+            // sum accumulates in row-major block order.
+            let mut vals = [0.0f64; REG_BLOCK * REG_BLOCK * REG_BLOCK];
+            let mut n = 0usize;
+            let mut sums = FitSums::new(&ext);
+            let mut e_lor = 0.0f64;
+            for_block(&origin, &ext, strides, |local, flat| {
+                let d = src[flat].to_f64();
+                sums.add(&local, d);
+                e_lor += (d - predict(src, strides, &global(&origin, &local), flat)).abs();
+                vals[n] = d;
+                n += 1;
             });
-            let use_reg = e_reg < e_lor;
-            choices.push(use_reg);
-            if use_reg {
-                fit.write(&mut coeffs);
-            }
-        }
-        // Pack choice bits.
-        let mut bits = vec![0u8; choices.len().div_ceil(8)];
-        for (i, &c) in choices.iter().enumerate() {
-            if c {
+            let fit = sums.finish().rounded();
+            let mut e_reg = 0.0f64;
+            n = 0;
+            for_block(&origin, &ext, strides, |local, _| {
+                e_reg += (vals[n] - fit.predict(&ext, &local)).abs();
+                n += 1;
+            });
+            if e_reg < e_lor {
                 bits[i / 8] |= 1 << (i % 8);
+                fit.write(coeffs);
             }
         }
         w.put_block(&bits);
-        w.put_block(&coeffs);
+        w.put_block(coeffs);
 
         // Compression sweep in block order with quantizer feedback.
         let mut coeff_cursor = 0usize;
-        for ((origin, ext), &use_reg) in blocks(&dims).zip(&choices) {
-            let fit = if use_reg {
-                let f = PlaneFit::read(&coeffs[coeff_cursor..]).expect("own coeffs");
+        for (i, (origin, ext)) in blocks(dims).enumerate() {
+            let fit = (bits[i / 8] & (1 << (i % 8)) != 0).then(|| {
                 coeff_cursor += 16;
-                Some(f)
-            } else {
-                None
-            };
-            for_block(ext, |local| {
-                let gc = global(&origin, &local);
-                let flat = flat_of(&gc);
+                PlaneFit::read(&coeffs[coeff_cursor - 16..]).expect("own coeffs")
+            });
+            for_block(&origin, &ext, strides, |local, flat| {
                 let pred = match &fit {
                     Some(f) => f.predict(&ext, &local),
-                    None => predict(&buf, &dims, &strides, &gc, flat),
+                    None => predict(&buf, strides, &global(&origin, &local), flat),
                 };
-                match quant.quantize(buf[flat], pred) {
-                    Quantized::Pred { index, recon } => {
-                        q.push(index);
-                        buf[flat] = recon;
-                    }
-                    Quantized::Unpred => {
-                        q.push(UNPRED);
-                        buf[flat].write_le(&mut unpred);
-                    }
-                }
+                quantize_at(&quant, &mut buf, flat, pred, q, unpred);
             });
         }
     } else {
-        scan(&dims, &strides, |flat, coords| {
-            let pred = predict(&buf, &dims, &strides, coords, flat);
-            match quant.quantize(buf[flat], pred) {
-                Quantized::Pred { index, recon } => {
-                    q.push(index);
-                    buf[flat] = recon;
-                }
-                Quantized::Unpred => {
-                    q.push(UNPRED);
-                    buf[flat].write_le(&mut unpred);
-                }
-            }
-        });
+        scan_quantize(&quant, dims, strides, &mut buf, q, unpred);
     }
 
-    w.put_block(&unpred);
-    w.put_block(&encode_indices(&q));
-    Ok(w.finish())
+    w.put_block(unpred);
+    encode_indices_into(q, &mut ctx.stream);
+    w.put_block(&ctx.stream);
+    ctx.pools.release(buf);
+    *out = w.finish();
+    Ok(())
 }
 
-/// Row-major iteration over the local coordinates of a 3-D block.
-fn for_block(ext: [usize; 3], mut f: impl FnMut([usize; 3])) {
+/// Quantize `buf[flat]` against `pred`, emit its index (and, when
+/// unpredictable, its bytes) and leave the reconstruction in `buf`.
+#[inline]
+fn quantize_at<T: Scalar>(
+    quant: &LinearQuantizer,
+    buf: &mut [T],
+    flat: usize,
+    pred: f64,
+    q: &mut Vec<i32>,
+    unpred: &mut Vec<u8>,
+) {
+    match quant.quantize(buf[flat], pred) {
+        Quantized::Pred { index, recon } => {
+            q.push(index);
+            buf[flat] = recon;
+        }
+        Quantized::Unpred => {
+            q.push(UNPRED);
+            buf[flat].write_le(unpred);
+        }
+    }
+}
+
+/// The plain row-major Lorenzo scan with quantizer feedback.
+fn scan_quantize<T: Scalar>(
+    quant: &LinearQuantizer,
+    dims: &[usize],
+    strides: &[usize],
+    buf: &mut [T],
+    q: &mut Vec<i32>,
+    unpred: &mut Vec<u8>,
+) {
+    scan(dims, |flat, coords| {
+        let pred = predict(buf, strides, coords, flat);
+        quantize_at(quant, buf, flat, pred, q, unpred);
+    });
+}
+
+/// Row-major walk of a 3-D block: `f(local coordinates, flat field index)`.
+#[inline]
+fn for_block(
+    origin: &[usize; 3],
+    ext: &[usize; 3],
+    strides: &[usize],
+    mut f: impl FnMut([usize; 3], usize),
+) {
     for x in 0..ext[0] {
         for y in 0..ext[1] {
+            let row =
+                (origin[0] + x) * strides[0] + (origin[1] + y) * strides[1] + origin[2] * strides[2];
             for z in 0..ext[2] {
-                f([x, y, z]);
+                f([x, y, z], row + z * strides[2]);
             }
         }
     }
 }
 
 /// Field coordinates of a block-local point.
-fn global(origin: &[usize; 3], local: &[usize]) -> [usize; 3] {
+#[inline]
+fn global(origin: &[usize; 3], local: &[usize; 3]) -> [usize; 3] {
     std::array::from_fn(|a| origin[a] + local[a])
-}
-
-/// Flat index of 3-D field coordinates.
-fn flat3(gc: &[usize; 3], strides: &[usize]) -> usize {
-    gc[0] * strides[0] + gc[1] * strides[1] + gc[2] * strides[2]
 }
 
 /// `(origin, clipped extent)` of every [`REG_BLOCK`]³ block of a 3-D field,
@@ -272,12 +304,10 @@ pub fn decompress<T: Scalar>(bytes: &[u8], magic: u8) -> Result<Field<T>, Compre
             } else {
                 None
             };
-            for_block(ext, |local| {
+            for_block(&origin, &ext, &strides, |local, flat| {
                 if fail.is_some() {
                     return;
                 }
-                let gc = global(&origin, &local);
-                let flat = flat3(&gc, &strides);
                 let idx = q[cursor];
                 cursor += 1;
                 if idx == UNPRED {
@@ -295,14 +325,14 @@ pub fn decompress<T: Scalar>(bytes: &[u8], magic: u8) -> Result<Field<T>, Compre
                 } else {
                     let pred = match &fit {
                         Some(f) => f.predict(&ext, &local),
-                        None => predict(&buf, &dims, &strides, &gc, flat),
+                        None => predict(&buf, &strides, &global(&origin, &local), flat),
                     };
                     buf[flat] = quant.recover(pred, idx);
                 }
             });
         }
     } else {
-        scan(&dims, &strides, |flat, coords| {
+        scan(&dims, |flat, coords| {
             if fail.is_some() {
                 return;
             }
@@ -320,7 +350,7 @@ pub fn decompress<T: Scalar>(bytes: &[u8], magic: u8) -> Result<Field<T>, Compre
                     }
                 }
             } else {
-                let pred = predict(&buf, &dims, &strides, coords, flat);
+                let pred = predict(&buf, &strides, coords, flat);
                 buf[flat] = quant.recover(pred, idx);
             }
         });
@@ -332,7 +362,7 @@ pub fn decompress<T: Scalar>(bytes: &[u8], magic: u8) -> Result<Field<T>, Compre
 }
 
 /// Row-major scan calling `f(flat, coords)`.
-fn scan(dims: &[usize], _strides: &[usize], mut f: impl FnMut(usize, &[usize])) {
+fn scan(dims: &[usize], mut f: impl FnMut(usize, &[usize])) {
     let ndim = dims.len();
     let total: usize = dims.iter().product();
     let mut coords = [0usize; 3];
@@ -349,15 +379,26 @@ fn scan(dims: &[usize], _strides: &[usize], mut f: impl FnMut(usize, &[usize])) 
     }
 }
 
-/// N-D Lorenzo prediction with zero-padding outside the field.
+/// N-D Lorenzo prediction (N = `coords.len()` ≤ 3) with zero-padding outside
+/// the field.
 #[inline]
-fn predict<T: Scalar>(
-    buf: &[T],
-    dims: &[usize],
-    strides: &[usize],
-    coords: &[usize],
-    flat: usize,
-) -> f64 {
+fn predict<T: Scalar>(buf: &[T], strides: &[usize], coords: &[usize], flat: usize) -> f64 {
+    // Interior 3-D points — all but the three low faces — take the seven
+    // taps unconditionally.
+    if let (&[x, y, z], &[s0, s1, s2]) = (coords, strides) {
+        if x.min(y).min(z) > 0 {
+            let at = |back: usize| buf[flat - back].to_f64();
+            return lorenzo3(
+                at(s0),
+                at(s1),
+                at(s2),
+                at(s0 + s1),
+                at(s0 + s2),
+                at(s1 + s2),
+                at(s0 + s1 + s2),
+            );
+        }
+    }
     let at = |mask: &[usize]| -> f64 {
         // mask[i] = 1 means step back along axis i.
         let mut idx = flat;
@@ -371,7 +412,7 @@ fn predict<T: Scalar>(
         }
         buf[idx].to_f64()
     };
-    match dims.len() {
+    match coords.len() {
         1 => at(&[1]),
         2 => lorenzo2(at(&[1, 0]), at(&[0, 1]), at(&[1, 1])),
         _ => lorenzo3(

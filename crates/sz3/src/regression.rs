@@ -22,29 +22,69 @@ pub struct PlaneFit {
     pub slopes: [f64; 3],
 }
 
+/// Moment sums of a least-squares plane fit, accumulated one sample at a time
+/// in row-major block order so the caller can share the walk (the Lorenzo
+/// pipeline estimates its other predictor on the same pass).
+#[derive(Debug, Clone, Copy)]
+pub struct FitSums {
+    center: [f64; 3],
+    n: usize,
+    sum: f64,
+    sxy: [f64; 3], // Σ f·x'_a
+    sxx: [f64; 3], // Σ x'_a²
+}
+
+impl FitSums {
+    /// Empty sums for a block of extents `ext` (≤ 3 axes).
+    pub fn new(ext: &[usize]) -> Self {
+        debug_assert!(ext.len() <= 3);
+        FitSums {
+            center: std::array::from_fn(|a| ext.get(a).map_or(0.0, |&e| center_of(e))),
+            n: 0,
+            sum: 0.0,
+            sxy: [0.0; 3],
+            sxx: [0.0; 3],
+        }
+    }
+
+    /// Add the sample `f` at block-local `coords`.
+    #[inline]
+    pub fn add(&mut self, coords: &[usize], f: f64) {
+        self.n += 1;
+        self.sum += f;
+        for (a, &c) in coords.iter().enumerate() {
+            let xc = c as f64 - self.center[a];
+            self.sxy[a] += f * xc;
+            self.sxx[a] += xc * xc;
+        }
+    }
+
+    /// The fitted plane; axes never seen (or of extent 1) get slope 0.
+    pub fn finish(&self) -> PlaneFit {
+        debug_assert!(self.n > 0);
+        let slopes =
+            std::array::from_fn(|a| if self.sxx[a] > 0.0 { self.sxy[a] / self.sxx[a] } else { 0.0 });
+        PlaneFit { b0: self.sum / self.n as f64, slopes }
+    }
+}
+
+/// Centre coordinate of an axis of extent `e`.
+#[inline]
+fn center_of(e: usize) -> f64 {
+    (e as f64 - 1.0) / 2.0
+}
+
 impl PlaneFit {
     /// Fit a block of extents `ext` (≤ 3 axes; missing axes get slope 0).
     /// `at(coords)` returns the sample at block-local coordinates.
     pub fn fit<T: Scalar>(ext: &[usize], at: impl Fn(&[usize]) -> T) -> PlaneFit {
         let ndim = ext.len();
         let n: usize = ext.iter().product();
-        debug_assert!(n > 0);
-        debug_assert!(ndim <= 3);
-        let center: [f64; 3] =
-            std::array::from_fn(|a| ext.get(a).map_or(0.0, |&e| (e as f64 - 1.0) / 2.0));
-        let mut sum = 0.0f64;
-        let mut sxy = [0.0f64; 3]; // Σ f·x'_a
-        let mut sxx = [0.0f64; 3]; // Σ x'_a²
+        let mut sums = FitSums::new(ext);
         let mut coords = [0usize; 3];
         let coords = &mut coords[..ndim];
         for _ in 0..n {
-            let f = at(coords).to_f64();
-            sum += f;
-            for a in 0..ndim {
-                let xc = coords[a] as f64 - center[a];
-                sxy[a] += f * xc;
-                sxx[a] += xc * xc;
-            }
+            sums.add(coords, at(coords).to_f64());
             for a in (0..ndim).rev() {
                 coords[a] += 1;
                 if coords[a] < ext[a] {
@@ -53,13 +93,7 @@ impl PlaneFit {
                 coords[a] = 0;
             }
         }
-        let mut slopes = [0.0f64; 3];
-        for a in 0..ndim {
-            if sxx[a] > 0.0 {
-                slopes[a] = sxy[a] / sxx[a];
-            }
-        }
-        PlaneFit { b0: sum / n as f64, slopes }
+        sums.finish()
     }
 
     /// Predict the sample at block-local `coords` for a block of extents `ext`.
@@ -67,8 +101,7 @@ impl PlaneFit {
     pub fn predict(&self, ext: &[usize], coords: &[usize]) -> f64 {
         let mut v = self.b0;
         for (a, &c) in coords.iter().enumerate() {
-            let xc = c as f64 - (ext[a] as f64 - 1.0) / 2.0;
-            v += self.slopes[a] * xc;
+            v += self.slopes[a] * (c as f64 - center_of(ext[a]));
         }
         v
     }

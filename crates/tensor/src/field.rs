@@ -1,6 +1,59 @@
 //! Owned field of scalar samples on a regular grid.
 
+use crate::shape::MAX_NDIM;
 use crate::{Scalar, Shape, TensorError};
+
+/// Flat offset of the first element of every innermost (contiguous) row of
+/// the `extent` box at `origin`, in row-major order. Empty boxes yield
+/// nothing.
+struct BoxRows {
+    outer: usize,
+    strides: [usize; MAX_NDIM],
+    extent: [usize; MAX_NDIM],
+    idx: [usize; MAX_NDIM],
+    flat: usize,
+    remaining: usize,
+}
+
+impl BoxRows {
+    fn new(strides: &[usize], origin: &[usize], extent: &[usize]) -> Self {
+        let outer = extent.len() - 1;
+        let mut rows = BoxRows {
+            outer,
+            strides: [0; MAX_NDIM],
+            extent: [0; MAX_NDIM],
+            idx: [0; MAX_NDIM],
+            flat: origin.iter().zip(strides).map(|(&o, &s)| o * s).sum(),
+            remaining: if extent.contains(&0) { 0 } else { extent[..outer].iter().product() },
+        };
+        rows.strides[..outer].copy_from_slice(&strides[..outer]);
+        rows.extent[..outer].copy_from_slice(&extent[..outer]);
+        rows
+    }
+}
+
+impl Iterator for BoxRows {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        if self.remaining == 0 {
+            return None;
+        }
+        self.remaining -= 1;
+        let start = self.flat;
+        // Odometer over the outer axes, last outer axis fastest.
+        for a in (0..self.outer).rev() {
+            self.idx[a] += 1;
+            self.flat += self.strides[a];
+            if self.idx[a] < self.extent[a] {
+                break;
+            }
+            self.flat -= self.extent[a] * self.strides[a];
+            self.idx[a] = 0;
+        }
+        Some(start)
+    }
+}
 
 /// An owned, row-major N-d array of samples.
 ///
@@ -158,18 +211,10 @@ impl<T: Scalar> Field<T> {
             .map(|((&o, &e), &d)| e.min(d.saturating_sub(o)))
             .collect();
         let out_shape = Shape::new(&clipped);
-        let mut coords = origin.to_vec();
         let mut out = Vec::with_capacity(out_shape.len());
-        let ndim = self.shape.ndim();
-        for _ in 0..out_shape.len() {
-            out.push(self.data[self.shape.flat(&coords)]);
-            for axis in (0..ndim).rev() {
-                coords[axis] += 1;
-                if coords[axis] < origin[axis] + clipped[axis] {
-                    break;
-                }
-                coords[axis] = origin[axis];
-            }
+        let row = clipped[clipped.len() - 1];
+        for start in BoxRows::new(self.shape.strides(), origin, &clipped) {
+            out.extend_from_slice(&self.data[start..start + row]);
         }
         Field { shape: out_shape, data: out }
     }
@@ -177,29 +222,43 @@ impl<T: Scalar> Field<T> {
     /// Write `block` into this field at `origin` (the inverse of
     /// [`Field::subregion`]); the block must fit entirely inside the field.
     pub fn write_subregion(&mut self, origin: &[usize], block: &Field<T>) {
-        assert_eq!(origin.len(), self.shape.ndim());
-        assert_eq!(block.shape().ndim(), self.shape.ndim());
+        let zero = [0usize; MAX_NDIM];
+        let ndim = block.shape().ndim();
+        self.copy_box_from(origin, block, &zero[..ndim], block.shape().dims());
+    }
+
+    /// Copy the `extent` box at `src_origin` of `src` to `origin` of this
+    /// field, one innermost contiguous run at a time. The box must fit
+    /// entirely inside both fields.
+    pub fn copy_box_from(
+        &mut self,
+        origin: &[usize],
+        src: &Field<T>,
+        src_origin: &[usize],
+        extent: &[usize],
+    ) {
         let ndim = self.shape.ndim();
-        for (a, (&o, &e)) in origin.iter().zip(block.shape().dims()).enumerate() {
+        assert_eq!(origin.len(), ndim);
+        assert_eq!(src.shape().ndim(), ndim);
+        assert_eq!(src_origin.len(), ndim);
+        assert_eq!(extent.len(), ndim);
+        for (a, &e) in extent.iter().enumerate() {
+            let (o, so) = (origin[a], src_origin[a]);
             assert!(
                 o + e <= self.shape.dim(a),
                 "block exceeds field along axis {a}: {o}+{e} > {}",
                 self.shape.dim(a)
             );
+            assert!(
+                so + e <= src.shape().dim(a),
+                "box exceeds source along axis {a}: {so}+{e} > {}",
+                src.shape().dim(a)
+            );
         }
-        let mut coords = origin.to_vec();
-        let extents = block.shape().dims().to_vec();
-        for (i, &v) in block.as_slice().iter().enumerate() {
-            let _ = i;
-            let flat = self.shape.flat(&coords);
-            self.data[flat] = v;
-            for axis in (0..ndim).rev() {
-                coords[axis] += 1;
-                if coords[axis] < origin[axis] + extents[axis] {
-                    break;
-                }
-                coords[axis] = origin[axis];
-            }
+        let row = extent[ndim - 1];
+        let from = BoxRows::new(src.shape().strides(), src_origin, extent);
+        for (to, from) in BoxRows::new(self.shape.strides(), origin, extent).zip(from) {
+            self.data[to..to + row].copy_from_slice(&src.data[from..from + row]);
         }
     }
 
@@ -358,6 +417,88 @@ mod tests {
         let mut g = Field::<f32>::zeros(Shape::d2(4, 4));
         let block = Field::<f32>::zeros(Shape::d2(3, 3));
         g.write_subregion(&[2, 2], &block);
+    }
+
+    /// Element-by-element odometer, the definition the row copies must match.
+    fn odometer(origin: &[usize], extent: &[usize], mut f: impl FnMut(&[usize])) {
+        if extent.contains(&0) {
+            return;
+        }
+        let mut coords = origin.to_vec();
+        loop {
+            f(&coords);
+            let mut axis = coords.len();
+            loop {
+                if axis == 0 {
+                    return;
+                }
+                axis -= 1;
+                coords[axis] += 1;
+                if coords[axis] < origin[axis] + extent[axis] {
+                    break;
+                }
+                coords[axis] = origin[axis];
+            }
+        }
+    }
+
+    #[test]
+    fn row_copies_match_the_odometer_on_every_rank() {
+        // (dims, origin, extent): interior, clipped, single-element,
+        // whole-field and fully-outside boxes on 1-D … 4-D fields.
+        let cases: &[(&[usize], &[usize], &[usize])] = &[
+            (&[17], &[3], &[9]),
+            (&[17], &[16], &[5]),
+            (&[17], &[17], &[2]),
+            (&[6, 7], &[0, 0], &[6, 7]),
+            (&[6, 7], &[5, 6], &[1, 1]),
+            (&[6, 7], &[2, 3], &[9, 2]),
+            (&[5, 6, 7], &[1, 2, 3], &[3, 3, 3]),
+            (&[5, 6, 7], &[4, 0, 6], &[8, 6, 8]),
+            (&[5, 6, 7], &[0, 6, 0], &[5, 1, 7]),
+            (&[3, 4, 5, 6], &[1, 1, 1, 1], &[2, 2, 3, 4]),
+            (&[3, 4, 5, 6], &[2, 3, 4, 5], &[1, 1, 1, 1]),
+            (&[3, 4, 5, 6], &[0, 2, 0, 3], &[3, 9, 5, 9]),
+        ];
+        for &(dims, origin, extent) in cases {
+            let f = seq_field(Shape::new(dims));
+            let clipped: Vec<usize> = (0..dims.len())
+                .map(|a| extent[a].min(dims[a].saturating_sub(origin[a])))
+                .collect();
+            let mut want = Vec::new();
+            odometer(origin, &clipped, |c| want.push(f.get(c)));
+            let block = f.subregion(origin, extent);
+            assert_eq!(block.shape().dims(), clipped.as_slice(), "{dims:?} {origin:?}");
+            assert_eq!(block.as_slice(), want.as_slice(), "{dims:?} {origin:?} {extent:?}");
+
+            if block.is_empty() {
+                continue;
+            }
+            let mut got = Field::<f32>::from_vec(Shape::new(dims), vec![-1.0; f.len()]).unwrap();
+            got.write_subregion(origin, &block);
+            let mut expect = vec![-1.0f32; f.len()];
+            odometer(origin, &clipped, |c| expect[f.shape().flat(c)] = f.get(c));
+            assert_eq!(got.as_slice(), expect.as_slice(), "{dims:?} {origin:?} {extent:?}");
+        }
+    }
+
+    #[test]
+    fn copy_box_moves_an_interior_box_between_offsets() {
+        let src = seq_field(Shape::d3(4, 5, 6));
+        let mut dst = Field::<f32>::zeros(Shape::d3(3, 3, 8));
+        dst.copy_box_from(&[1, 0, 5], &src, &[2, 3, 1], &[2, 2, 3]);
+        let mut expect = Field::<f32>::zeros(Shape::d3(3, 3, 8));
+        odometer(&[0, 0, 0], &[2, 2, 3], |c| {
+            expect.set(&[1 + c[0], c[1], 5 + c[2]], src.get(&[2 + c[0], 3 + c[1], 1 + c[2]]));
+        });
+        assert_eq!(dst, expect);
+    }
+
+    #[test]
+    #[should_panic(expected = "box exceeds source")]
+    fn copy_box_rejects_a_box_outside_the_source() {
+        let src = Field::<f32>::zeros(Shape::d2(3, 3));
+        Field::<f32>::zeros(Shape::d2(8, 8)).copy_box_from(&[0, 0], &src, &[2, 0], &[2, 2]);
     }
 
     #[test]

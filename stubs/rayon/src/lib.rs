@@ -1,14 +1,51 @@
 //! Offline stand-in for `rayon` (see `stubs/README.md`).
 //!
-//! Provides the `par_iter().map(f).collect()` shape the workspace uses,
-//! executed on real OS threads via `std::thread::scope` with an
-//! order-preserving collect. Work is split into one contiguous chunk per
-//! available core; each thread maps its chunk, and the results are stitched
-//! back together in input order.
+//! Provides the `par_iter().map(f).collect()` and
+//! `par_chunks(n).map(f).collect()` shapes the workspace uses, executed on
+//! real OS threads via `std::thread::scope` with an order-preserving collect.
+//! Work is split into one contiguous chunk per available core; each thread
+//! maps its chunk, and the results are stitched back together in input order.
 
 /// The parallel iterator prelude, mirroring `rayon::prelude`.
 pub mod prelude {
-    pub use crate::{IntoParallelRefIterator, ParallelSliceIter};
+    pub use crate::{IntoParallelRefIterator, ParallelSlice, ParallelSliceIter};
+}
+
+/// Worker count of a parallel call, like `rayon::current_num_threads`:
+/// `RAYON_NUM_THREADS` (read at call time rather than once at pool
+/// construction — this stub has no global pool), falling back to the
+/// machine's available parallelism. The conformance suite leans on this to
+/// re-run block-parallel codecs at 1/2/8 workers and assert identical output.
+pub fn current_num_threads() -> usize {
+    std::env::var("RAYON_NUM_THREADS")
+        .ok()
+        .and_then(|v| v.trim().parse::<usize>().ok())
+        .filter(|&t| t > 0)
+        .unwrap_or_else(|| std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1))
+}
+
+/// Map `0..n` across threads, one contiguous index run per worker, and
+/// collect the results in index order.
+fn map_indices<R: Send, B: FromIterator<R>>(n: usize, f: impl Fn(usize) -> R + Sync) -> B {
+    let threads = current_num_threads().min(n.max(1));
+    if threads <= 1 || n <= 1 {
+        return (0..n).map(f).collect();
+    }
+    let run = n.div_ceil(threads);
+    let f = &f;
+    let mut per_run: Vec<Vec<R>> = Vec::with_capacity(threads);
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..n)
+            .step_by(run)
+            .map(|start| {
+                scope.spawn(move || (start..(start + run).min(n)).map(f).collect::<Vec<R>>())
+            })
+            .collect();
+        for h in handles {
+            per_run.push(h.join().expect("parallel map worker panicked"));
+        }
+    });
+    per_run.into_iter().flatten().collect()
 }
 
 /// Conversion into a borrowing "parallel iterator".
@@ -62,39 +99,60 @@ where
     R: Send,
 {
     /// Run the map across threads and collect results in input order.
-    ///
-    /// Like real rayon, the worker count honours `RAYON_NUM_THREADS` (read at
-    /// call time rather than once at pool construction — this stub has no
-    /// global pool), falling back to the machine's available parallelism.
-    /// The conformance suite leans on this to re-run block-parallel codecs at
-    /// 1/2/8 workers and assert identical output.
     pub fn collect<B: FromIterator<R>>(self) -> B {
-        let n = self.items.len();
-        let threads = std::env::var("RAYON_NUM_THREADS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&t| t > 0)
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1)
-            });
-        let threads = threads.min(n.max(1));
-        if threads <= 1 || n <= 1 {
-            return self.items.iter().map(&self.f).collect();
-        }
-        let chunk = n.div_ceil(threads);
-        let f = &self.f;
-        let mut per_chunk: Vec<Vec<R>> = Vec::with_capacity(threads);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .items
-                .chunks(chunk)
-                .map(|items| scope.spawn(move || items.iter().map(f).collect::<Vec<R>>()))
-                .collect();
-            for h in handles {
-                per_chunk.push(h.join().expect("parallel map worker panicked"));
-            }
-        });
-        per_chunk.into_iter().flatten().collect()
+        map_indices(self.items.len(), |i| (self.f)(&self.items[i]))
+    }
+}
+
+/// `par_chunks` on slices, mirroring `rayon::slice::ParallelSlice`.
+pub trait ParallelSlice<T: Sync> {
+    /// Borrow as a parallel iterator over contiguous runs of `chunk_size`
+    /// elements (the last may be shorter). `chunk_size` must be nonzero.
+    fn par_chunks(&self, chunk_size: usize) -> ParChunks<'_, T>;
+}
+
+impl<T: Sync> ParallelSlice<T> for [T] {
+    fn par_chunks(&self, chunk_size: usize) -> ParChunks<'_, T> {
+        assert!(chunk_size != 0, "chunk_size must not be zero");
+        ParChunks { items: self, chunk_size }
+    }
+}
+
+/// Borrowing parallel iterator over the chunks of a slice.
+pub struct ParChunks<'a, T> {
+    items: &'a [T],
+    chunk_size: usize,
+}
+
+impl<'a, T: Sync> ParChunks<'a, T> {
+    /// Map each chunk (in parallel at collect time).
+    pub fn map<R, F>(self, f: F) -> ParChunksMap<'a, T, F>
+    where
+        F: Fn(&'a [T]) -> R + Sync,
+        R: Send,
+    {
+        ParChunksMap { chunks: self, f }
+    }
+}
+
+/// Pending parallel map over chunks.
+pub struct ParChunksMap<'a, T, F> {
+    chunks: ParChunks<'a, T>,
+    f: F,
+}
+
+impl<'a, T, F, R> ParChunksMap<'a, T, F>
+where
+    T: Sync,
+    F: Fn(&'a [T]) -> R + Sync,
+    R: Send,
+{
+    /// Run the map across threads and collect results in chunk order.
+    pub fn collect<B: FromIterator<R>>(self) -> B {
+        let ParChunks { items, chunk_size } = self.chunks;
+        map_indices(items.len().div_ceil(chunk_size), |i| {
+            (self.f)(&items[i * chunk_size..((i + 1) * chunk_size).min(items.len())])
+        })
     }
 }
 
@@ -132,6 +190,17 @@ mod tests {
         }
         assert_eq!(single, eight);
         assert_eq!(single, (0..1000).map(|x| x * 3).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn par_chunks_visits_contiguous_runs_in_order() {
+        let v: Vec<u32> = (0..103).collect();
+        let sums: Vec<(usize, u32)> =
+            v.par_chunks(10).map(|c| (c.len(), c.iter().sum())).collect();
+        let want: Vec<(usize, u32)> = v.chunks(10).map(|c| (c.len(), c.iter().sum())).collect();
+        assert_eq!(sums, want);
+        let none: Vec<usize> = v[..0].par_chunks(4).map(|c| c.len()).collect();
+        assert!(none.is_empty());
     }
 
     #[test]
