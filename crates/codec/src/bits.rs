@@ -36,6 +36,12 @@ impl BitWriter {
         Self::default()
     }
 
+    /// Writer that appends after the bytes already in `buf` (and into its
+    /// capacity), so a bit stream lands directly behind its byte header.
+    pub fn from_vec(buf: Vec<u8>) -> Self {
+        BitWriter { buf, acc: 0, nbits: 0 }
+    }
+
     /// Append the low `n` bits of `value` (MSB of those bits first). `n ≤ 64`.
     #[inline]
     pub fn write_bits(&mut self, value: u64, n: u32) {
@@ -66,7 +72,7 @@ impl BitWriter {
         self.write_bits(bit as u64, 1);
     }
 
-    /// Number of bits written so far.
+    /// Number of bits in the buffer so far (any bytes it started with included).
     pub fn bit_len(&self) -> usize {
         self.buf.len() * 8 + self.nbits as usize
     }

@@ -6,202 +6,228 @@
 //! alphabet is sparse and stored explicitly in the header (zigzag varints),
 //! followed by canonical code lengths and the MSB-first code stream.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::HashMap;
 
 use crate::bits::{BitReader, BitWriter};
-use crate::stream::{ByteReader, ByteWriter};
+use crate::stream::ByteReader;
+use crate::varint::{write_ivarint, write_uvarint};
 use crate::CodecError;
 
 /// Maximum admissible code length; frequencies are scaled down and the tree
 /// rebuilt in the (pathological) case a longer code appears.
 const MAX_CODE_LEN: u32 = 48;
 
+/// The unpredictable-point marker: 2³¹ away from the indices, so it is kept
+/// beside the dense value span, never inside it.
+const SENTINEL: i32 = i32::MIN;
+
+/// Working memory of [`encode_into`]. Every vector is rebuilt per block; only
+/// capacity carries over from one block to the next.
+#[derive(Debug, Default)]
+pub(crate) struct Scratch {
+    /// Per value of the span, and a last slot for the sentinel: its count,
+    /// then its alphabet rank.
+    rank: Vec<u32>,
+    alphabet: Vec<i32>,
+    freqs: Vec<u64>,
+    /// Tree nodes as `(weight, id)`: sorted leaves, then internal nodes.
+    queue: Vec<(u64, u32)>,
+    /// Per node its parent's id, then its depth; cut down to the leaves.
+    lengths: Vec<u32>,
+    /// `code << 6 | length` per alphabet rank.
+    packed: Vec<u64>,
+    /// Blocks that took the hash-map fallback (`codec.wide_alphabet_blocks`).
+    pub(crate) wide_blocks: u64,
+}
+
 /// Compute Huffman code lengths for the given positive frequencies.
+///
+/// Leaves sorted by `(freq, id)`, internal nodes queued behind them as they
+/// are made. Internal weights never decrease and leaf ids lie below internal
+/// ids, so taking the smaller front — the leaf on a tie — pops nodes in the
+/// order a `(freq, id)` min-heap would (docs/kernels.md).
 ///
 /// Degenerate alphabets (0 or 1 symbol) have no tree; callers handle them via
 /// the single-symbol stream format, but this function stays total anyway.
-fn code_lengths(freqs: &[u64]) -> Vec<u32> {
+fn code_lengths(freqs: &[u64], queue: &mut Vec<(u64, u32)>, lengths: &mut Vec<u32>) {
     let n = freqs.len();
+    assert!(n <= 1 << 31, "huffman: node ids are u32");
+    lengths.clear();
     if n < 2 {
-        return vec![1; n];
+        lengths.resize(n, 1);
+        return;
     }
-    // Heap of (frequency, node id); internal nodes get ids >= n.
-    let mut parent = vec![usize::MAX; 2 * n - 1];
-    let mut heap: BinaryHeap<Reverse<(u64, usize)>> =
-        freqs.iter().enumerate().map(|(i, &f)| Reverse((f, i))).collect();
-    let mut next_id = n;
-    while heap.len() > 1 {
-        let (Some(Reverse((fa, a))), Some(Reverse((fb, b)))) = (heap.pop(), heap.pop()) else {
-            break; // unreachable: the loop guard holds at least two nodes
-        };
-        parent[a] = next_id;
-        parent[b] = next_id;
-        heap.push(Reverse((fa + fb, next_id)));
-        next_id += 1;
-    }
-    let root = next_id - 1;
-    let mut lengths = vec![0u32; n];
-    for (i, len) in lengths.iter_mut().enumerate() {
-        let mut d = 0;
-        let mut node = i;
-        while node != root {
-            node = parent[node];
-            d += 1;
+    lengths.resize(2 * n - 1, 0);
+    queue.clear();
+    queue.reserve(2 * n - 1);
+    queue.extend(freqs.iter().zip(0..).map(|(&f, i)| (f, i)));
+    queue.sort_unstable();
+    let (mut leaf, mut inner) = (0, n);
+    for id in n..2 * n - 1 {
+        let mut sum = 0;
+        for _ in 0..2 {
+            let leaf_first = leaf < n && (inner == queue.len() || queue[leaf].0 <= queue[inner].0);
+            let front = if leaf_first { &mut leaf } else { &mut inner };
+            let (weight, node) = queue[*front];
+            *front += 1;
+            lengths[node as usize] = id as u32;
+            sum += weight;
         }
-        *len = d;
+        queue.push((sum, id as u32));
     }
-    lengths
+    // Parents have the larger ids: one sweep down from the root (the last
+    // node, depth 0) turns every parent link into a depth.
+    lengths[2 * n - 2] = 0;
+    for node in (0..2 * n - 2).rev() {
+        lengths[node] = lengths[lengths[node] as usize] + 1;
+    }
+    lengths.truncate(n);
 }
 
 /// Length-limited code lengths: rebuilds with scaled frequencies until the
 /// maximum length fits (standard freq-halving trick; optimality loss is
 /// negligible and only triggers for astronomically skewed inputs).
-fn limited_code_lengths(freqs: &[u64]) -> Vec<u32> {
-    let mut f: Vec<u64> = freqs.to_vec();
-    loop {
-        let lengths = code_lengths(&f);
-        if lengths.iter().all(|&l| l <= MAX_CODE_LEN) {
-            return lengths;
+fn limited_code_lengths(freqs: &[u64], queue: &mut Vec<(u64, u32)>, lengths: &mut Vec<u32>) {
+    code_lengths(freqs, queue, lengths);
+    let mut scaled = Vec::new();
+    while lengths.iter().any(|&l| l > MAX_CODE_LEN) {
+        if scaled.is_empty() {
+            scaled = freqs.to_vec();
         }
-        for v in &mut f {
+        for v in &mut scaled {
             *v = (*v).div_ceil(2);
         }
+        code_lengths(&scaled, queue, lengths);
     }
 }
 
 /// Canonical code assignment: symbols sorted by (length, symbol order as
-/// provided), codes assigned in increasing numeric order.
-fn canonical_codes(lengths: &[u32]) -> Vec<u64> {
-    let mut order: Vec<usize> = (0..lengths.len()).collect();
-    order.sort_by_key(|&i| (lengths[i], i));
-    let mut codes = vec![0u64; lengths.len()];
-    let mut code = 0u64;
-    let mut prev_len = 0u32;
-    for &i in &order {
-        let len = lengths[i];
-        code <<= len - prev_len;
-        codes[i] = code;
-        code += 1;
-        prev_len = len;
+/// provided), codes assigned in increasing numeric order — by counting:
+/// `next[l]` is the next free code of length `l ≤ MAX_CODE_LEN`.
+fn canonical_codes(lengths: &[u32], codes: &mut Vec<u64>) {
+    let mut count = [0u64; MAX_CODE_LEN as usize + 1];
+    for &l in lengths {
+        count[l as usize] += 1;
     }
-    codes
+    let mut next = [0u64; MAX_CODE_LEN as usize + 1];
+    for l in 1..MAX_CODE_LEN as usize {
+        next[l + 1] = (next[l] + count[l]) << 1;
+    }
+    codes.clear();
+    codes.extend(lengths.iter().map(|&l| {
+        next[l as usize] += 1;
+        next[l as usize] - 1
+    }));
 }
 
 /// Encode a symbol stream. The output is self-describing (alphabet + lengths
 /// + count + code stream) and decoded by [`decode`].
 pub fn encode(symbols: &[i32]) -> Vec<u8> {
-    let mut w = ByteWriter::with_capacity(symbols.len() / 2 + 64);
-    w.put_uvarint(symbols.len() as u64);
+    let mut out = Vec::new();
+    encode_into(symbols, &mut Scratch::default(), &mut out);
+    out
+}
+
+/// [`encode`] into `out` (cleared first) with the caller's working memory.
+pub(crate) fn encode_into(symbols: &[i32], t: &mut Scratch, out: &mut Vec<u8>) {
+    out.clear();
+    out.reserve(symbols.len() / 2 + 64);
+    write_uvarint(out, symbols.len() as u64);
     if symbols.is_empty() {
-        return w.finish();
+        return;
     }
 
-    // Histogram. Quantization-index streams cluster tightly around zero —
-    // plus the far-away unpredictable sentinel at i32::MIN — so a dense
-    // count array over the non-sentinel value range replaces the historical
-    // per-symbol HashMap (the dominant cost of this function on real index
-    // streams). The sentinel is counted separately so it cannot explode the
-    // span; genuinely wide alphabets keep the map fallback. Every path
-    // yields the identical sorted alphabet + frequency table, hence
-    // identical bytes.
-    const SENTINEL: i32 = i32::MIN;
-    let mut sentinel_count: u64 = 0;
+    // Histogram and symbol → rank lookup share one structure. Quantization
+    // indices cluster around zero with a sparse tail out to the quantizer
+    // radius, so one array over the value span `[lo, hi]` holds a count per
+    // value, then the value's rank in the sorted alphabet. The sentinel would
+    // stretch the span to 2³¹, so it owns the slot one past `hi`; a span wider
+    // than 2²² takes the hash map for both steps. Either way the sorted
+    // alphabet and its frequencies — hence the bytes — are the same.
     let (mut lo, mut hi) = (i32::MAX, i32::MIN);
     for &s in symbols {
-        if s == SENTINEL {
-            sentinel_count += 1;
-        } else {
+        if s != SENTINEL {
             lo = lo.min(s);
             hi = hi.max(s);
         }
     }
-    let mut alphabet: Vec<i32>;
-    let freqs: Vec<u64>;
-    if lo > hi {
-        // Every symbol was the sentinel.
-        alphabet = vec![SENTINEL];
-        freqs = vec![sentinel_count];
-    } else if ((hi as i64 - lo as i64) as u64) < 1 << 22 {
-        let span = (hi as i64 - lo as i64) as usize + 1;
-        let mut counts = vec![0u64; span];
+    // Zero when every symbol is the sentinel.
+    let span = (hi as i64 - lo as i64 + 1).max(0) as usize;
+    // `s - lo` wraps to at least `span` for the sentinel alone (`hi < 2³¹`).
+    let slot = |s: i32| (s.wrapping_sub(lo) as u32 as usize).min(span);
+    let dense = span <= 1 << 22 && (symbols.len() as u64) < 1 << 32;
+    let mut wide: HashMap<i32, u64> = HashMap::new();
+    t.alphabet.clear();
+    t.freqs.clear();
+    if dense {
+        t.rank.clear();
+        t.rank.resize(span + 1, 0);
+        let mut distinct = 0;
         for &s in symbols {
-            if s != SENTINEL {
-                counts[(s as i64 - lo as i64) as usize] += 1;
+            let count = &mut t.rank[slot(s)];
+            distinct += (*count == 0) as usize;
+            *count += 1;
+        }
+        t.alphabet.reserve(distinct);
+        t.freqs.reserve(distinct);
+        for k in std::iter::once(span).chain(0..span) {
+            let count = t.rank[k];
+            if count > 0 {
+                t.rank[k] = t.alphabet.len() as u32;
+                t.alphabet.push(if k == span { SENTINEL } else { lo + k as i32 });
+                t.freqs.push(count as u64);
             }
         }
-        let nonzero = counts.iter().filter(|&&c| c > 0).count();
-        let mut f = Vec::with_capacity(nonzero + 1);
-        alphabet = Vec::with_capacity(nonzero + 1);
-        if sentinel_count > 0 {
-            alphabet.push(SENTINEL);
-            f.push(sentinel_count);
-        }
-        for (k, &c) in counts.iter().enumerate() {
-            if c > 0 {
-                alphabet.push(lo + k as i32);
-                f.push(c);
-            }
-        }
-        freqs = f;
     } else {
-        let mut hist: HashMap<i32, u64> = HashMap::new();
+        t.wide_blocks += 1;
         for &s in symbols {
-            *hist.entry(s).or_insert(0) += 1;
+            *wide.entry(s).or_insert(0) += 1;
         }
-        alphabet = hist.keys().copied().collect();
-        alphabet.sort_unstable();
-        freqs = alphabet.iter().map(|s| hist[s]).collect();
+        t.alphabet.extend(wide.keys());
+        t.alphabet.sort_unstable();
+        for (i, s) in t.alphabet.iter().enumerate() {
+            let count = wide.get_mut(s).expect("alphabet symbol was counted");
+            t.freqs.push(std::mem::replace(count, i as u64));
+        }
     }
-    w.put_uvarint(alphabet.len() as u64);
+    write_uvarint(out, t.alphabet.len() as u64);
 
     // Alphabet as deltas between sorted symbols (small for dense index sets).
     let mut prev = 0i64;
-    for &sym in &alphabet {
-        w.put_ivarint(sym as i64 - prev);
+    for &sym in &t.alphabet {
+        write_ivarint(out, sym as i64 - prev);
         prev = sym as i64;
     }
 
-    if alphabet.len() == 1 {
+    if t.alphabet.len() == 1 {
         // Degenerate single-symbol stream: header carries everything.
-        return w.finish();
+        return;
     }
 
-    let lengths = limited_code_lengths(&freqs);
-    for &l in &lengths {
-        w.put_u8(l as u8);
+    limited_code_lengths(&t.freqs, &mut t.queue, &mut t.lengths);
+    out.extend(t.lengths.iter().map(|&l| l as u8));
+    canonical_codes(&t.lengths, &mut t.packed);
+    let mut bits = 0u64;
+    for ((p, &len), &freq) in t.packed.iter_mut().zip(&t.lengths).zip(&t.freqs) {
+        *p = *p << 6 | len as u64;
+        bits += freq * len as u64;
     }
-    let codes = canonical_codes(&lengths);
 
-    // Hot loop: one (code, length) fetch plus one word-batched bit append per
-    // symbol. Quantization-index alphabets are dense around zero, so a direct
-    // offset table replaces the historical per-symbol HashMap lookup; sparse
-    // alphabets (span far exceeding the alphabet) keep the map fallback. Both
-    // paths emit identical bits.
-    let min_sym = alphabet[0] as i64;
-    let max_sym = *alphabet.last().expect("nonempty alphabet") as i64;
-    let span = (max_sym - min_sym) as u64 + 1;
-    let dense_cap = (alphabet.len() as u64 * 8).clamp(4096, 1 << 22);
-    let mut bw = BitWriter::new();
-    if span <= dense_cap {
-        let mut table: Vec<(u64, u32)> = vec![(0, 0); span as usize];
-        for (i, &s) in alphabet.iter().enumerate() {
-            table[(s as i64 - min_sym) as usize] = (codes[i], lengths[i]);
-        }
-        for &s in symbols {
-            let (code, len) = table[(s as i64 - min_sym) as usize];
-            bw.write_bits(code, len);
-        }
-    } else {
-        let index: HashMap<i32, usize> =
-            alphabet.iter().enumerate().map(|(i, &s)| (s, i)).collect();
-        for &s in symbols {
-            let i = index[&s];
-            bw.write_bits(codes[i], lengths[i]);
-        }
+    // The code stream's size is known, so its length prefix goes out first
+    // and the bits land directly behind it: per symbol one rank fetch, one
+    // packed-code fetch and one word-batched append.
+    let bytes = bits.div_ceil(8);
+    write_uvarint(out, bytes);
+    out.reserve(bytes as usize);
+    let end = out.len() + bytes as usize;
+    let mut bw = BitWriter::from_vec(std::mem::take(out));
+    for &s in symbols {
+        let rank = if dense { t.rank[slot(s)] } else { wide[&s] as u32 };
+        let p = t.packed[rank as usize];
+        bw.write_bits(p >> 6, (p & 63) as u32);
     }
-    w.put_block(&bw.finish());
-    w.finish()
+    *out = bw.finish();
+    debug_assert_eq!(out.len(), end, "code stream size differs from its prefix");
 }
 
 /// Accelerated decode table: direct-indexed on the next [`DECODE_TABLE_BITS`]
@@ -288,9 +314,10 @@ pub fn decode_capped(bytes: &[u8], max_count: usize) -> Result<Vec<i32>, CodecEr
             idx += count_by_len[l];
         }
     }
-    // Kraft check: the lengths must describe a full prefix code.
-    let kraft: f64 = lengths.iter().map(|&l| (0.5f64).powi(l as i32)).sum();
-    if (kraft - 1.0).abs() > 1e-9 {
+    // Kraft check, exact in units of 2^-MAX_CODE_LEN: the lengths must
+    // describe a full prefix code.
+    let kraft = lengths.iter().try_fold(0u64, |k, &l| k.checked_add(1 << (MAX_CODE_LEN - l)));
+    if kraft != Some(1 << MAX_CODE_LEN) {
         return Err(CodecError::Corrupt("huffman: lengths violate Kraft equality"));
     }
 
@@ -306,7 +333,8 @@ pub fn decode_capped(bytes: &[u8], max_count: usize) -> Result<Vec<i32>, CodecEr
     // makes the claim unambiguous). Entries no short code owns keep length 0
     // and defer to the canonical walk below.
     let tb = DECODE_TABLE_BITS.min(max_len);
-    let codes = canonical_codes(&lengths);
+    let mut codes = Vec::new();
+    canonical_codes(&lengths, &mut codes);
     let mut fast: Vec<(i32, u8)> = vec![(0, 0); 1usize << tb];
     for (i, &len) in lengths.iter().enumerate() {
         if len <= tb {
@@ -318,6 +346,13 @@ pub fn decode_capped(bytes: &[u8], max_count: usize) -> Result<Vec<i32>, CodecEr
         }
     }
 
+    // The symbol whose canonical code of length `len` is `code`, if any.
+    let lookup = |code: u64, len: usize| {
+        let offset = code.wrapping_sub(first_code[len]);
+        let found = offset < count_by_len[len] as u64;
+        found.then(|| alphabet[order[first_index[len] + offset as usize]])
+    };
+
     let mut br = BitReader::new(payload);
     let mut out = Vec::with_capacity(count);
     for _ in 0..count {
@@ -325,6 +360,18 @@ pub fn decode_capped(bytes: &[u8], max_count: usize) -> Result<Vec<i32>, CodecEr
         let (sym, len) = fast[peeked];
         if len != 0 {
             br.consume(len as u32)?;
+            out.push(sym);
+            continue;
+        }
+        // A longer code: the canonical comparison per length. With
+        // `max_len ≤ 32` it runs on one peeked window instead of a refill per
+        // bit; no short code owns this prefix, so it starts past the table.
+        if max_len <= 32 {
+            let window = br.peek_bits(max_len);
+            let (len, sym) = (tb + 1..=max_len)
+                .find_map(|len| Some((len, lookup(window >> (max_len - len), len as usize)?)))
+                .ok_or(CodecError::Corrupt("huffman: code longer than table"))?;
+            br.consume(len)?;
             out.push(sym);
             continue;
         }
@@ -336,10 +383,8 @@ pub fn decode_capped(bytes: &[u8], max_count: usize) -> Result<Vec<i32>, CodecEr
             if len > max_len as usize {
                 return Err(CodecError::Corrupt("huffman: code longer than table"));
             }
-            let offset = code.wrapping_sub(first_code[len]);
-            if len <= max_len as usize && offset < count_by_len[len] as u64 {
-                let sym_idx = order[first_index[len] + offset as usize];
-                out.push(alphabet[sym_idx]);
+            if let Some(sym) = lookup(code, len) {
+                out.push(sym);
                 break;
             }
         }
@@ -350,6 +395,159 @@ pub fn decode_capped(bytes: &[u8], max_count: usize) -> Result<Vec<i32>, CodecEr
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stream::ByteWriter;
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
+    /// The tree builder this module started with — a `(freq, id)` min-heap
+    /// and a leaf-to-root walk per symbol — kept as the reference the
+    /// two-queue build must reproduce length for length.
+    fn heap_code_lengths(freqs: &[u64]) -> Vec<u32> {
+        let n = freqs.len();
+        if n < 2 {
+            return vec![1; n];
+        }
+        let mut parent = vec![usize::MAX; 2 * n - 1];
+        let mut heap: BinaryHeap<Reverse<(u64, usize)>> =
+            freqs.iter().enumerate().map(|(i, &f)| Reverse((f, i))).collect();
+        let mut next_id = n;
+        while heap.len() > 1 {
+            let (Some(Reverse((fa, a))), Some(Reverse((fb, b)))) = (heap.pop(), heap.pop()) else {
+                break;
+            };
+            parent[a] = next_id;
+            parent[b] = next_id;
+            heap.push(Reverse((fa + fb, next_id)));
+            next_id += 1;
+        }
+        let root = next_id - 1;
+        (0..n)
+            .map(|mut node| {
+                let mut d = 0;
+                while node != root {
+                    node = parent[node];
+                    d += 1;
+                }
+                d
+            })
+            .collect()
+    }
+
+    fn heap_limited_code_lengths(freqs: &[u64]) -> Vec<u32> {
+        let mut f = freqs.to_vec();
+        loop {
+            let lengths = heap_code_lengths(&f);
+            if lengths.iter().all(|&l| l <= MAX_CODE_LEN) {
+                return lengths;
+            }
+            f.iter_mut().for_each(|v| *v = (*v).div_ceil(2));
+        }
+    }
+
+    /// The canonical assignment as first written: sort by (length, index).
+    fn sorted_canonical_codes(lengths: &[u32]) -> Vec<u64> {
+        let mut order: Vec<usize> = (0..lengths.len()).collect();
+        order.sort_by_key(|&i| (lengths[i], i));
+        let mut codes = vec![0u64; lengths.len()];
+        let (mut code, mut prev_len) = (0u64, 0u32);
+        for &i in &order {
+            code <<= lengths[i] - prev_len;
+            codes[i] = code;
+            code += 1;
+            prev_len = lengths[i];
+        }
+        codes
+    }
+
+    fn fibonacci(terms: usize) -> Vec<u64> {
+        let mut f = vec![1u64, 1];
+        while f.len() < terms {
+            f.push(f[f.len() - 1] + f[f.len() - 2]);
+        }
+        f
+    }
+
+    /// A one-symbol stream over an alphabet `0..lengths.len()` with the given
+    /// code lengths; the all-zero payload is the first canonical code.
+    fn decode_with_lengths(lengths: &[u32]) -> Result<Vec<i32>, CodecError> {
+        let mut w = ByteWriter::new();
+        w.put_uvarint(1);
+        w.put_uvarint(lengths.len() as u64);
+        w.put_ivarint(0);
+        for _ in 1..lengths.len() {
+            w.put_ivarint(1);
+        }
+        for &l in lengths {
+            w.put_u8(l as u8);
+        }
+        w.put_block(&[0u8; 8]);
+        decode(&w.finish())
+    }
+
+    #[test]
+    fn two_queue_build_matches_the_heap() {
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut cases: Vec<Vec<u64>> = vec![vec![], vec![7], vec![3, 3], vec![1, 2], vec![2, 1]];
+        // Fibonacci counts: depth n − 1, past MAX_CODE_LEN from 50 terms on,
+        // so the halving retry runs; both orders, so ids and weights disagree.
+        for terms in [3, 10, 48, 49, 50, 60] {
+            cases.push(fibonacci(terms));
+            cases.push(fibonacci(terms).into_iter().rev().collect());
+        }
+        // All tied: every pop is decided by the id alone.
+        for n in [2, 3, 5, 8, 17, 64, 100, 1000] {
+            cases.push(vec![1; n]);
+            cases.push(vec![u64::MAX >> 12; n]);
+        }
+        // Random counts: full-range (sums stay below 2^64), and small ones
+        // with many leaf/internal ties.
+        for n in [2, 3, 7, 33, 257, 4000] {
+            cases.push((0..n).map(|_| 1 + (next() >> 13)).collect());
+            cases.push((0..n).map(|_| 1 + next() % 4).collect());
+            cases.push((0..n).map(|i| 1 + next() % (i as u64 + 1)).collect());
+        }
+        // One scratch for every case, left dirty by the previous one.
+        let (mut queue, mut lengths, mut codes) = (Vec::new(), Vec::new(), Vec::new());
+        for freqs in &cases {
+            code_lengths(freqs, &mut queue, &mut lengths);
+            assert_eq!(lengths, heap_code_lengths(freqs), "code_lengths({freqs:?})");
+            limited_code_lengths(freqs, &mut queue, &mut lengths);
+            assert_eq!(lengths, heap_limited_code_lengths(freqs), "limited({freqs:?})");
+            assert!(lengths.iter().all(|&l| l <= MAX_CODE_LEN));
+            canonical_codes(&lengths, &mut codes);
+            assert_eq!(codes, sorted_canonical_codes(&lengths), "codes({freqs:?})");
+        }
+    }
+
+    #[test]
+    fn kraft_check_is_exact() {
+        let violation = Err(CodecError::Corrupt("huffman: lengths violate Kraft equality"));
+        // Over-subscribed by 2^-40, and incomplete by 2^-30 − 2^-40: both
+        // inside the 1e-9 tolerance of a floating-point sum.
+        assert_eq!(decode_with_lengths(&[1, 1, 40]), violation);
+        let mut lengths: Vec<u32> = (1..=30).collect();
+        lengths.push(40);
+        assert_eq!(decode_with_lengths(&lengths), violation);
+        // 2^17 + 2 one-bit codes sum to 2^64 + 2^48: a wrapping add would
+        // land exactly on the accepted value.
+        assert_eq!(decode_with_lengths(&vec![1; (1 << 17) + 2]), violation);
+        // Every table the encoder can build passes — deep ones and the
+        // halving retry's included.
+        let (mut queue, mut lengths) = (Vec::new(), Vec::new());
+        for freqs in [fibonacci(2), fibonacci(30), fibonacci(49), fibonacci(60), vec![5; 1000]] {
+            limited_code_lengths(&freqs, &mut queue, &mut lengths);
+            // The first canonical code belongs to the first of the shortest.
+            let shortest = lengths.iter().min().unwrap();
+            let first = lengths.iter().position(|l| l == shortest).unwrap() as i32;
+            assert_eq!(decode_with_lengths(&lengths), Ok(vec![first]), "{freqs:?}");
+        }
+    }
 
     fn roundtrip(symbols: &[i32]) {
         let enc = encode(symbols);
@@ -399,7 +597,8 @@ mod tests {
     #[test]
     fn canonical_codes_prefix_free() {
         let lengths = vec![2, 2, 2, 3, 4, 4];
-        let codes = canonical_codes(&lengths);
+        let mut codes = Vec::new();
+        canonical_codes(&lengths, &mut codes);
         for i in 0..codes.len() {
             for j in 0..codes.len() {
                 if i == j {
@@ -417,7 +616,8 @@ mod tests {
     fn code_lengths_match_frequencies() {
         // More frequent symbols never get longer codes.
         let freqs = vec![100u64, 50, 20, 5, 1];
-        let lengths = code_lengths(&freqs);
+        let (mut queue, mut lengths) = (Vec::new(), Vec::new());
+        code_lengths(&freqs, &mut queue, &mut lengths);
         for w in lengths.windows(2) {
             assert!(w[0] <= w[1]);
         }

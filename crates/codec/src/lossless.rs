@@ -37,40 +37,57 @@ const RANGE_TRY_LIMIT: usize = 1 << 16;
 /// this many symbols keep the flat single-block layout.
 pub const CHUNK_SYMBOLS: usize = 1 << 17;
 
-/// Entropy-code one block of indices (modes 0–3), keeping whichever
-/// combination of coder and optional LZ pass is smallest.
-fn encode_block(indices: &[i32]) -> Vec<u8> {
-    let huff = {
-        let _t = qip_trace::span("huffman_encode");
-        huffman::encode(indices)
-    };
-    let lzed = {
+/// Working memory of [`encode_block`], owned by one `encode_indices_into`
+/// call (one per worker on the chunked path) and reused block after block.
+#[derive(Default)]
+struct Scratch {
+    huffman: huffman::Scratch,
+    lz: lz::Scratch,
+    /// The entropy coder's output, and its LZ-compressed form.
+    coded: Vec<u8>,
+    lzed: Vec<u8>,
+}
+
+impl Scratch {
+    /// LZ-compress `coded`; true when that shrank it.
+    fn lz_pass(&mut self) -> bool {
         let _t = qip_trace::span("lz_compress");
-        lz::compress(&huff)
-    };
-    qip_trace::counter("codec.huffman_bytes", huff.len() as u64);
-    let mut best: (u8, Vec<u8>) = if lzed.len() < huff.len() {
-        (MODE_HUFF_LZ, lzed)
-    } else {
-        (MODE_HUFF, huff)
-    };
+        lz::compress_into(&self.coded, &mut self.lz, &mut self.lzed);
+        self.lzed.len() < self.coded.len()
+    }
+
+    /// Report what the coders counted over this scratch's blocks
+    /// (docs/observability.md).
+    fn report(&self) {
+        qip_trace::counter("codec.wide_alphabet_blocks", self.huffman.wide_blocks);
+        qip_trace::counter("codec.lz_positions", self.lz.positions);
+        qip_trace::counter("codec.lz_walks", self.lz.walks);
+    }
+}
+
+/// Entropy-code one block of indices (modes 0–3) onto the end of `out`,
+/// keeping whichever combination of coder and optional LZ pass is smallest.
+fn encode_block(indices: &[i32], s: &mut Scratch, out: &mut Vec<u8>) {
+    {
+        let _t = qip_trace::span("huffman_encode");
+        huffman::encode_into(indices, &mut s.huffman, &mut s.coded);
+    }
+    qip_trace::counter("codec.huffman_bytes", s.coded.len() as u64);
+    let mut mode = if s.lz_pass() { MODE_HUFF_LZ } else { MODE_HUFF };
     if indices.len() <= RANGE_TRY_LIMIT {
         let rng = {
             let _t = qip_trace::span("range_encode");
             range::encode(indices)
         };
-        if rng.len() < best.1.len() {
-            let rlz = {
-                let _t = qip_trace::span("lz_compress");
-                lz::compress(&rng)
-            };
-            best = if rlz.len() < rng.len() { (MODE_RANGE_LZ, rlz) } else { (MODE_RANGE, rng) };
+        if rng.len() < s.coded.len().min(s.lzed.len()) {
+            s.coded = rng;
+            mode = if s.lz_pass() { MODE_RANGE_LZ } else { MODE_RANGE };
         }
     }
-    let mut out = Vec::with_capacity(best.1.len() + 1);
-    out.push(best.0);
-    out.extend_from_slice(&best.1);
-    out
+    let best = if mode == MODE_HUFF_LZ || mode == MODE_RANGE_LZ { &s.lzed } else { &s.coded };
+    out.reserve_exact(best.len() + 1);
+    out.push(mode);
+    out.extend_from_slice(best);
 }
 
 /// Decode one block produced by [`encode_block`], given its mode tag.
@@ -123,30 +140,47 @@ pub fn encode_indices(indices: &[i32]) -> Vec<u8> {
 pub fn encode_indices_into(indices: &[i32], out: &mut Vec<u8>) {
     out.clear();
     qip_trace::counter("codec.symbols_in", indices.len() as u64);
-    if indices.len() <= CHUNK_SYMBOLS {
-        let block = encode_block(indices);
-        out.extend_from_slice(&block);
-        qip_trace::counter("codec.chunks", 1);
-        qip_trace::counter("codec.bytes_out", out.len() as u64);
-        telemetry_encode_counters(indices.len(), 1, out.len());
-        return;
+    let nchunks = indices.len().div_ceil(CHUNK_SYMBOLS).max(1);
+    qip_trace::counter("codec.chunks", nchunks as u64);
+    if nchunks == 1 {
+        let mut s = Scratch::default();
+        encode_block(indices, &mut s, out);
+        s.report();
+    } else {
+        // Each worker takes a contiguous run of chunks and keeps one scratch
+        // for it; a run yields its chunks back to back and each one's length.
+        let run = nchunks.div_ceil(rayon::current_num_threads()) * CHUNK_SYMBOLS;
+        let runs: Vec<(Vec<u8>, Vec<usize>)> = indices
+            .par_chunks(run)
+            .map(|run| {
+                let mut s = Scratch::default();
+                let (mut bytes, mut lens) = (Vec::new(), Vec::new());
+                for chunk in run.chunks(CHUNK_SYMBOLS) {
+                    let start = bytes.len();
+                    encode_block(chunk, &mut s, &mut bytes);
+                    lens.push(bytes.len() - start);
+                }
+                s.report();
+                (bytes, lens)
+            })
+            .collect();
+        // Sized once, without doubling (a varint is at most 10 bytes), so a
+        // warm caller's buffer settles at the size of its largest stream.
+        let payload: usize = runs.iter().map(|(bytes, _)| bytes.len()).sum();
+        out.reserve_exact(1 + 10 * (3 + nchunks) + payload);
+        let mut w = ByteWriter::from_vec(std::mem::take(out));
+        w.put_u8(MODE_CHUNKED);
+        w.put_uvarint(indices.len() as u64);
+        w.put_uvarint(CHUNK_SYMBOLS as u64);
+        w.put_uvarint(nchunks as u64);
+        for &len in runs.iter().flat_map(|(_, lens)| lens) {
+            w.put_uvarint(len as u64);
+        }
+        for (bytes, _) in &runs {
+            w.put_bytes(bytes);
+        }
+        *out = w.finish();
     }
-    let chunks: Vec<&[i32]> = indices.chunks(CHUNK_SYMBOLS).collect();
-    qip_trace::counter("codec.chunks", chunks.len() as u64);
-    let nchunks = chunks.len();
-    let encoded: Vec<Vec<u8>> = chunks.par_iter().map(|c| encode_block(c)).collect();
-    let mut w = ByteWriter::from_vec(std::mem::take(out));
-    w.put_u8(MODE_CHUNKED);
-    w.put_uvarint(indices.len() as u64);
-    w.put_uvarint(CHUNK_SYMBOLS as u64);
-    w.put_uvarint(encoded.len() as u64);
-    for e in &encoded {
-        w.put_uvarint(e.len() as u64);
-    }
-    for e in &encoded {
-        w.put_bytes(e);
-    }
-    *out = w.finish();
     qip_trace::counter("codec.bytes_out", out.len() as u64);
     telemetry_encode_counters(indices.len(), nchunks, out.len());
 }

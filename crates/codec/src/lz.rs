@@ -5,7 +5,8 @@
 //! match finding, greedy parsing, varint-coded (literal-run, match) tokens.
 //! See DESIGN.md §5 for the substitution rationale.
 
-use crate::stream::{ByteReader, ByteWriter};
+use crate::stream::ByteReader;
+use crate::varint::write_uvarint;
 use crate::CodecError;
 
 /// Minimum match length worth emitting (shorter matches cost more than literals).
@@ -17,10 +18,47 @@ const MAX_CHAIN: usize = 48;
 /// Number of hash buckets (power of two).
 const HASH_BITS: u32 = 16;
 
-#[inline]
-fn hash4(data: &[u8], i: usize) -> usize {
-    let v = u32::from_le_bytes([data[i], data[i + 1], data[i + 2], data[i + 3]]);
-    (v.wrapping_mul(0x9E37_79B1) >> (32 - HASH_BITS)) as usize
+/// "No position" in the `u32` chain links.
+const NONE: u32 = u32::MAX;
+
+/// The 4-byte word at `i`, the unit the matcher hashes and pre-compares.
+fn word_at(data: &[u8], i: usize) -> u32 {
+    u32::from_le_bytes(data[i..i + MIN_MATCH].try_into().expect("a MIN_MATCH-byte slice"))
+}
+
+/// Hash chains and presence filter of [`compress_into`], rebuilt per input;
+/// only capacity carries over from one input to the next.
+#[derive(Debug, Default)]
+pub(crate) struct Scratch {
+    /// Most recent linked position per hash bucket.
+    head: Vec<u32>,
+    /// Per linked position, the previous one in its bucket.
+    prev: Vec<u32>,
+    /// One bit per hashed word (`filter_bits` of the hash), set for every
+    /// position ever linked: a clear bit proves no linked position starts
+    /// with the word at hand, so its chain holds no match of `MIN_MATCH`.
+    seen: Vec<u64>,
+    filter_bits: u32,
+    /// Positions scanned / chain walks started (`codec.lz_{positions,walks}`).
+    pub(crate) positions: u64,
+    pub(crate) walks: u64,
+}
+
+impl Scratch {
+    /// Hash bucket and filter bit of a word: the top `HASH_BITS` and the top
+    /// `filter_bits` of one multiplicative hash.
+    fn slots(&self, word: u32) -> (usize, usize) {
+        let h = word.wrapping_mul(0x9E37_79B1);
+        ((h >> (32 - HASH_BITS)) as usize, (h >> (32 - self.filter_bits)) as usize)
+    }
+
+    /// Link position `i` into its chain and mark its word as seen.
+    fn link(&mut self, input: &[u8], i: usize) {
+        let (bucket, bit) = self.slots(word_at(input, i));
+        self.prev[i] = self.head[bucket];
+        self.head[bucket] = i as u32;
+        self.seen[bit >> 6] |= 1 << (bit & 63);
+    }
 }
 
 /// Length of the common prefix of `x` and `y`, compared a word at a time.
@@ -48,36 +86,61 @@ fn common_prefix(x: &[u8], y: &[u8]) -> usize {
 
 /// Compress `input`; output is self-describing and decoded by [`decompress`].
 pub fn compress(input: &[u8]) -> Vec<u8> {
-    let mut w = ByteWriter::with_capacity(input.len() / 2 + 16);
-    w.put_uvarint(input.len() as u64);
-    if input.is_empty() {
-        return w.finish();
-    }
+    let mut out = Vec::new();
+    compress_into(input, &mut Scratch::default(), &mut out);
+    out
+}
 
-    let mut head = vec![usize::MAX; 1 << HASH_BITS];
-    let mut prev = vec![usize::MAX; input.len()];
+/// [`compress`] into `out` (cleared first) with the caller's working memory.
+/// Inputs are entropy-coded blocks: positions are `u32`.
+pub(crate) fn compress_into(input: &[u8], t: &mut Scratch, out: &mut Vec<u8>) {
+    assert!(input.len() < NONE as usize, "lz: input of 4 GiB or more");
+    out.clear();
+    out.reserve(input.len() / 2 + 16);
+    write_uvarint(out, input.len() as u64);
+    if input.is_empty() {
+        return;
+    }
+    t.head.clear();
+    t.head.resize(1 << HASH_BITS, NONE);
+    t.prev.clear();
+    t.prev.resize(input.len(), NONE);
+    // Sixteen filter bits per input byte keep false positives rare.
+    let bits = input.len().saturating_mul(16).next_power_of_two().clamp(1 << 12, 1 << 22);
+    t.filter_bits = bits.trailing_zeros();
+    t.seen.clear();
+    t.seen.resize(bits / 64, 0);
+    // Positions below `words_end` start a full `MIN_MATCH`-byte word.
+    let words_end = input.len().saturating_sub(MIN_MATCH - 1);
 
     let mut i = 0usize;
     let mut lit_start = 0usize;
     while i < input.len() {
         let mut best_len = 0usize;
         let mut best_dist = 0usize;
-        if i + MIN_MATCH <= input.len() {
-            let h = hash4(input, i);
-            let mut cand = head[h];
+        if i < words_end {
+            t.positions += 1;
+            let word = word_at(input, i);
+            let (bucket, bit) = t.slots(word);
+            // A clear filter bit: the walk could only end in a literal.
+            let seen = t.seen[bit >> 6] >> (bit & 63) & 1 != 0;
+            let mut cand = if seen { t.head[bucket] } else { NONE };
+            t.walks += (cand != NONE) as u64;
             let mut depth = 0;
-            while cand != usize::MAX && depth < MAX_CHAIN {
-                let dist = i - cand;
+            while cand != NONE && depth < MAX_CHAIN {
+                let c = cand as usize;
+                let dist = i - c;
                 if dist > WINDOW {
                     break;
                 }
-                // Cheap reject: candidate must beat the current best at its tail.
-                if best_len == 0
-                    || (i + best_len < input.len()
-                        && input.get(cand + best_len) == input.get(i + best_len))
-                {
+                // A candidate that differs in its first word matches fewer
+                // than `MIN_MATCH` bytes: never emitted, never hiding a longer
+                // one. Cheap reject: the rest must beat the best at its tail.
+                let beats_tail =
+                    i + best_len < input.len() && input[c + best_len] == input[i + best_len];
+                if word_at(input, c) == word && (best_len == 0 || beats_tail) {
                     let limit = input.len() - i;
-                    let l = common_prefix(&input[cand..cand + limit], &input[i..]);
+                    let l = common_prefix(&input[c..c + limit], &input[i..]);
                     if l > best_len {
                         best_len = l;
                         best_dist = dist;
@@ -86,43 +149,35 @@ pub fn compress(input: &[u8]) -> Vec<u8> {
                         }
                     }
                 }
-                cand = prev[cand];
+                cand = t.prev[c];
                 depth += 1;
             }
         }
 
         if best_len >= MIN_MATCH {
             // Emit pending literals, then the match token.
-            w.put_uvarint((i - lit_start) as u64);
-            w.put_bytes(&input[lit_start..i]);
-            w.put_uvarint(best_len as u64);
-            w.put_uvarint(best_dist as u64);
+            write_uvarint(out, (i - lit_start) as u64);
+            out.extend_from_slice(&input[lit_start..i]);
+            write_uvarint(out, best_len as u64);
+            write_uvarint(out, best_dist as u64);
             // Insert the match positions into the chains (sparsely for speed).
-            let end = (i + best_len).min(input.len().saturating_sub(MIN_MATCH - 1));
             let step = if best_len > 64 { 4 } else { 1 };
-            let mut j = i;
-            while j < end {
-                let h = hash4(input, j);
-                prev[j] = head[h];
-                head[h] = j;
-                j += step;
+            for j in (i..(i + best_len).min(words_end)).step_by(step) {
+                t.link(input, j);
             }
             i += best_len;
             lit_start = i;
         } else {
-            if i + MIN_MATCH <= input.len() {
-                let h = hash4(input, i);
-                prev[i] = head[h];
-                head[h] = i;
+            if i < words_end {
+                t.link(input, i);
             }
             i += 1;
         }
     }
     // Trailing literal run with a zero-length "match" sentinel omitted: the
     // decoder stops when the declared output length is reached.
-    w.put_uvarint((i - lit_start) as u64);
-    w.put_bytes(&input[lit_start..i]);
-    w.finish()
+    write_uvarint(out, (i - lit_start) as u64);
+    out.extend_from_slice(&input[lit_start..i]);
 }
 
 /// Decompress a stream produced by [`compress`].
@@ -179,6 +234,7 @@ pub fn decompress_capped(bytes: &[u8], max_out: usize) -> Result<Vec<u8>, CodecE
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stream::ByteWriter;
 
     fn roundtrip(data: &[u8]) {
         let c = compress(data);
