@@ -59,9 +59,6 @@
 //!
 //! `--scale N` divides every paper dimension by N (default 4); `--full` is
 //! `--scale 1` (paper sizes — hours of runtime and tens of GB of memory).
-//! `--kernel scalar|chunked` selects the codec kernel implementation for the
-//! whole process (default chunked), so e.g. `repro throughput --kernel scalar`
-//! measures the reference kernels.
 
 use qip_bench::experiments::{self, Opts};
 use qip_data::{Dataset, RD_DATASETS};
@@ -89,7 +86,7 @@ fn print_table1() {
 fn usage() -> ! {
     eprintln!(
         "usage: repro <table1|table2|fig3|fig4|fig5|fig7|fig8|fig9|rd|speed|throughput|monitor|profile|inspect|conformance|table4|fig18|ablate|serve|slo|tiles|all> \
-         [--scale N] [--fields K] [--out DIR] [--full] [--dataset NAME] [--baseline FILE] [--gate PCT] [--min-speedup X] [--kernel scalar|chunked] [--bless]"
+         [--scale N] [--fields K] [--out DIR] [--full] [--dataset NAME] [--baseline FILE] [--gate PCT] [--bless]"
     );
     std::process::exit(2);
 }
@@ -104,7 +101,6 @@ fn main() {
     let mut dataset: Option<String> = None;
     let mut baseline: Option<PathBuf> = None;
     let mut gate: Option<f64> = None;
-    let mut min_speedup: Option<f64> = None;
     let mut bless = false;
     let mut i = 1;
     while i < args.len() {
@@ -134,20 +130,6 @@ fn main() {
             "--gate" => {
                 i += 1;
                 gate = Some(args.get(i).and_then(|v| v.parse().ok()).unwrap_or_else(|| usage()));
-            }
-            "--min-speedup" => {
-                i += 1;
-                min_speedup =
-                    Some(args.get(i).and_then(|v| v.parse().ok()).unwrap_or_else(|| usage()));
-            }
-            "--kernel" => {
-                i += 1;
-                let name = args.get(i).cloned().unwrap_or_else(|| usage());
-                let mode = qip_interp::KernelMode::parse(&name).unwrap_or_else(|| {
-                    eprintln!("bad --kernel '{name}': expected scalar or chunked");
-                    std::process::exit(2);
-                });
-                qip_interp::set_kernel_mode(mode);
             }
             other => {
                 eprintln!("unknown option: {other}");
@@ -190,13 +172,7 @@ fn main() {
         "throughput" => {
             let records = experiments::throughput::run(&opts);
             if let Some(b) = &baseline {
-                // `--min-speedup X` flips the 5% regression gate into a
-                // minimum-improvement assertion (CI `kernels` job: X = 2).
-                let result = match min_speedup {
-                    Some(x) => experiments::throughput::require_speedup(&records, b, x),
-                    None => experiments::throughput::compare_baseline(&records, b, 0.05),
-                };
-                if let Err(msg) = result {
+                if let Err(msg) = experiments::throughput::compare_baseline(&records, b, 0.05) {
                     eprintln!("{msg}");
                     std::process::exit(1);
                 }

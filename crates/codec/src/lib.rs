@@ -26,7 +26,7 @@ pub mod range;
 pub mod stream;
 pub mod varint;
 
-pub use bits::{BitReader, BitWriter, ScalarBitWriter};
+pub use bits::{BitReader, BitWriter};
 pub use inspect::{inspect_index_block, price_symbol_range, ChunkForensics, IndexForensics};
 pub use lossless::{
     decode_indices, decode_indices_capped, decode_indices_capped_into, encode_indices,

@@ -4,18 +4,55 @@
 //! the reader refills by whole words where alignment allows. These tests pin
 //! the pair against arbitrary (length ≤ 64, value) sequences — round-trips,
 //! flush-at-partial-word, empty streams, exactly-64-bit boundaries — and
-//! cross-check the emitted bytes against [`ScalarBitWriter`], the retained
-//! per-byte reference path (which caps at 57 bits per call, as the historical
-//! implementation did).
+//! cross-check the emitted bytes against [`ScalarBitWriter`], the per-byte
+//! writer the library used before word batching, kept here as the reference
+//! (it caps at 57 bits per call, as it always did).
 
 use proptest::prelude::*;
-use qip_codec::{BitReader, BitWriter, ScalarBitWriter};
+use qip_codec::{BitReader, BitWriter};
 
 fn mask(n: u32) -> u64 {
     if n >= 64 {
         u64::MAX
     } else {
         (1u64 << n) - 1
+    }
+}
+
+/// Per-byte reference implementation of the bit writer. Supports `n ≤ 57`
+/// per call.
+#[derive(Debug, Default)]
+struct ScalarBitWriter {
+    buf: Vec<u8>,
+    acc: u64,
+    nbits: u32,
+}
+
+impl ScalarBitWriter {
+    fn new() -> Self {
+        Self::default()
+    }
+
+    /// Append the low `n` bits of `value` (MSB first). `n ≤ 57`.
+    fn write_bits(&mut self, value: u64, n: u32) {
+        debug_assert!(n <= 57, "reference writer supports at most 57 bits per call");
+        self.acc = (self.acc << n) | (value & mask(n));
+        self.nbits += n;
+        while self.nbits >= 8 {
+            self.nbits -= 8;
+            self.buf.push((self.acc >> self.nbits) as u8);
+        }
+    }
+
+    /// Flush (zero-padding the final partial byte) and return the buffer.
+    fn finish(mut self) -> Vec<u8> {
+        if self.nbits > 0 {
+            let pad = 8 - self.nbits;
+            self.acc <<= pad;
+            self.buf.push(self.acc as u8);
+            self.nbits = 0;
+        }
+        self.buf
     }
 }
 

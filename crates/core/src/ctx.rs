@@ -2,8 +2,8 @@
 //!
 //! Every `compress`/`decompress` call in the workspace historically allocated
 //! its working state — quantization-index planes, predicted-index streams,
-//! lattice point lists, per-level quantizers, entropy-stage output — from
-//! scratch. A [`CompressCtx`] owns all of that once; threading it through
+//! per-level quantizers, entropy-stage output — from scratch. A
+//! [`CompressCtx`] owns all of that once; threading it through
 //! [`Compressor::compress_into`](crate::Compressor::compress_into) /
 //! [`Compressor::decompress_into`](crate::Compressor::decompress_into) lets a
 //! long-running caller (bench harness, streaming service, CLI batch mode)
@@ -31,8 +31,6 @@ pub struct CompressCtx {
     pub qstore: Vec<i32>,
     /// Predicted/transformed index stream handed to the entropy stage.
     pub qprime: Vec<i32>,
-    /// Lattice point list: coordinates padded to 4 axes plus the flat index.
-    pub points: Vec<([usize; 4], usize)>,
     /// Anchor-channel (or coarse-level) byte scratch.
     pub anchors: Vec<u8>,
     /// Unpredictable-channel byte scratch.

@@ -371,9 +371,9 @@ impl QpEngine {
 
     /// Fused gate check + compensation: `Some(c)` when the gate is open
     /// (where `c` is what [`QpEngine::predict`] returns), `None` when it is
-    /// closed. This is the point API of the scalar reference pipeline, the
-    /// forensic decoders and the doc-tests; it evaluates the same [`gate`]
-    /// the row kernels run on direct `qstore` loads.
+    /// closed. This is the point API of qip-interp's test oracle, the
+    /// row-kernel property suite and the doc-tests; it evaluates the same
+    /// [`gate`] the row kernels run on direct `qstore` loads.
     pub fn gated_predict(&self, level: usize, nb: &Neighbors) -> Option<i32> {
         if !self.config.is_enabled() || level > self.config.max_level {
             return None;

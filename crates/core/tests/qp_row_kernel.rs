@@ -1,7 +1,7 @@
 //! Property suite for the QP row kernel (`QpEngine::row_taps` + `gate_at` /
 //! `forward_row` / `inverse_row`): for every mode × condition × level it
 //! must agree with the point API (`gated_predict` / `transform` on
-//! [`Neighbors`]) that the scalar reference pipeline runs, and the two row
+//! [`Neighbors`]) that qip-interp's reference oracle runs, and the two row
 //! directions must be exact inverses — on neighbor sets with absent taps,
 //! the `UNPRED` sentinel, zeros, mixed signs and `i32` extremes.
 

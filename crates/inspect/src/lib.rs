@@ -17,9 +17,9 @@
 //!
 //! Inspection is strictly read-only: it never changes compressed bytes, and
 //! the reconstructed field is bit-identical to a plain decompress (both are
-//! pinned by this crate's test suite). The forensic decode always runs the
-//! scalar reference kernels, so reports are byte-identical across runs and
-//! thread counts regardless of the process-wide kernel switch.
+//! pinned by this crate's test suite). The forensic decode of an
+//! interpolation-engine stream is the production tile walk with a per-tile
+//! probe; reports are byte-identical across runs and thread counts.
 
 mod json;
 mod render;

@@ -4,12 +4,10 @@
 //!   streams (inspection has no side effects on any encoder state);
 //! - the forensic decode reconstructs *exactly* the field a plain decompress
 //!   produces (pinned by inspecting a stream against its own plain
-//!   decompression: every pointwise error must be exactly zero);
-//! - reports are byte-identical under either runtime kernel mode (the
-//!   forensic path always runs the scalar reference driver).
+//!   decompression: every pointwise error must be exactly zero).
 
 use qip_core::{Compressor, ErrorBound};
-use qip_inspect::{inspect_bytes, inspect_bytes_with_original, InspectExt};
+use qip_inspect::{inspect_bytes_with_original, InspectExt};
 use qip_registry::AnyCompressor;
 use qip_tensor::{Field, Scalar, Shape};
 
@@ -53,20 +51,6 @@ fn forensic_decode_matches_plain_decompress_exactly() {
             );
         }
     }
-}
-
-#[test]
-fn reports_identical_under_either_kernel_mode() {
-    let field: Field<f32> = banded(&[17, 12]);
-    let comp = AnyCompressor::by_name("HPEZ+QP").unwrap();
-    let bytes = comp.as_dyn::<f32>().compress(&field, ErrorBound::Abs(1e-3)).unwrap();
-    let before = qip_interp::kernel_mode();
-    qip_interp::set_kernel_mode(qip_interp::KernelMode::ScalarRef);
-    let scalar = inspect_bytes(&bytes).unwrap().to_json();
-    qip_interp::set_kernel_mode(qip_interp::KernelMode::Chunked);
-    let chunked = inspect_bytes(&bytes).unwrap().to_json();
-    qip_interp::set_kernel_mode(before);
-    assert_eq!(scalar, chunked, "kernel switch leaked into the forensic report");
 }
 
 #[test]

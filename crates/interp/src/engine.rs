@@ -1,23 +1,24 @@
 //! The interpolation compression/decompression driver.
 //!
-//! One code path walks levels → passes → lattice points for both directions;
-//! a `PointSink` supplies the asymmetric part (quantize-and-record vs
+//! One code path — the tile walk of [`crate::kernels`] — visits levels →
+//! passes → rows → tiles for both directions; a `PointSink` and the two tile
+//! bodies supply the asymmetric part (quantize-and-record vs
 //! read-and-reconstruct). This makes the iteration order — which the QP
-//! transform's reversibility depends on — symmetric by construction.
+//! transform's reversibility depends on — symmetric by construction. Each
+//! direction has one body (`compress_impl`, `decompress_impl`); every public
+//! entry point is a call to it.
 
 use crate::config::{order_from_tag, order_tag, EngineConfig, LevelParams, PassStructure};
 use crate::kernels::Scratch;
-use crate::lattice::{build_passes, for_each_point, num_levels, Pass};
+use crate::lattice::{num_levels, Pass};
 use crate::select::choose_level_params;
-use qip_codec::{encode_indices, encode_indices_into, ByteReader, ByteWriter};
-use qip_core::{
-    CompressCtx, CompressError, Compressor, ErrorBound, Neighbors, QpEngine, StreamHeader,
-};
+use qip_codec::{encode_indices_into, ByteReader, ByteWriter};
+use qip_core::{CompressCtx, CompressError, Compressor, ErrorBound, QpEngine, StreamHeader};
 use qip_metrics::entropy;
 use qip_predict::{
     cubic_interior, linear_edge2, linear_mid, quad_begin, quad_end, InterpKind,
 };
-use qip_quant::{LinearQuantizer, Quantized, QuantizerBank, UNPRED};
+use qip_quant::{LinearQuantizer, QuantizerBank};
 use qip_tensor::{Field, Scalar};
 
 /// Stream format version byte. Version 2 allows the quantization index block
@@ -63,7 +64,7 @@ pub struct QuantCapture {
 }
 
 impl QuantCapture {
-    fn zeros(n: usize) -> Self {
+    pub(crate) fn zeros(n: usize) -> Self {
         QuantCapture { q: vec![0; n], q_prime: vec![0; n], level: vec![0; n] }
     }
 
@@ -162,41 +163,8 @@ pub(crate) fn predict_point<T: Scalar>(
     acc / used as f64
 }
 
-/// Resolve the QP neighbor values for the current point from the pass
-/// geometry and the already-reconstructed index store.
-#[inline]
-pub(crate) fn qp_neighbors(
-    qstore: &[i32],
-    pass: &Pass,
-    coords: &[usize],
-    flat: usize,
-    strides: &[usize],
-) -> Neighbors {
-    let (la, ta, ba) = pass.qp_axes;
-    let avail = |a: Option<usize>| -> Option<usize> {
-        let a = a?;
-        (coords[a] >= pass.start[a] + pass.step[a]).then(|| pass.step[a] * strides[a])
-    };
-    let l = avail(la);
-    let t = avail(ta);
-    let b = avail(ba);
-    let get = |off: Option<usize>| off.map(|o| qstore[flat - o]);
-    let combine = |x: Option<usize>, y: Option<usize>| match (x, y) {
-        (Some(a), Some(b)) => Some(a + b),
-        _ => None,
-    };
-    Neighbors {
-        left: get(l),
-        top: get(t),
-        diag: get(combine(l, t)),
-        back: get(b),
-        left_back: get(combine(l, b)),
-        top_back: get(combine(t, b)),
-        diag_back: get(combine(combine(l, t), b)),
-    }
-}
-
-/// The asymmetric half of the pipeline.
+/// The asymmetric half of the walk outside the tile bodies of
+/// [`crate::kernels`]: per-level parameters and the anchor grid.
 pub(crate) trait PointSink<T: Scalar> {
     /// Per-level parameters: chosen and recorded at compression, replayed at
     /// decompression.
@@ -210,202 +178,6 @@ pub(crate) trait PointSink<T: Scalar> {
 
     /// Handle an anchor-grid point (raw, lossless).
     fn anchor(&mut self, flat: usize, buf: &mut [T]) -> Result<(), CompressError>;
-
-    /// Handle one interpolated point: returns the value to write into the
-    /// working buffer, the *original* quantization index for the store, and
-    /// the transformed index that goes to (or came from) the encoder.
-    fn handle(
-        &mut self,
-        current: T,
-        pred: f64,
-        level: usize,
-        nb: &Neighbors,
-    ) -> Result<(T, i32, i32), CompressError>;
-
-    /// [`PointSink::handle`] plus the point's flat index. The scalar
-    /// reference driver calls this variant so position-aware sinks (the
-    /// forensic decoder's spatial accept map) can observe *where* each
-    /// decision landed; everything else inherits this delegation.
-    fn handle_at(
-        &mut self,
-        _flat: usize,
-        current: T,
-        pred: f64,
-        level: usize,
-        nb: &Neighbors,
-    ) -> Result<(T, i32, i32), CompressError> {
-        self.handle(current, pred, level, nb)
-    }
-}
-
-/// Shared driver: walks the full lattice schedule, feeding the sink.
-fn run_pipeline<T: Scalar, S: PointSink<T>>(
-    cfg: &EngineConfig,
-    dims: &[usize],
-    strides: &[usize],
-    buf: &mut [T],
-    sink: &mut S,
-    mut capture: Option<&mut QuantCapture>,
-) -> Result<(), CompressError> {
-    let max_dim = dims.iter().copied().max().unwrap_or(0);
-    let levels = num_levels(max_dim);
-    let start_level = match cfg.anchor_log2 {
-        Some(m) => (m as usize).min(levels).max(1.min(levels)),
-        None => levels,
-    };
-
-    // Anchor grid: the known lattice before the first processed level.
-    let anchor_step = 1usize << start_level;
-    let anchor_pass = Pass::uniform(dims.len(), start_level.max(1), anchor_step, anchor_step);
-    let mut anchor_flats = Vec::new();
-    for_each_point(&anchor_pass, dims, strides, |_c, flat| anchor_flats.push(flat));
-    for flat in anchor_flats {
-        sink.anchor(flat, buf)?;
-    }
-    if levels == 0 {
-        return Ok(());
-    }
-
-    let qp = QpEngine::new(cfg.qp);
-    let qp_enabled = cfg.qp.is_enabled();
-    let mut qstore = vec![0i32; buf.len()];
-
-    for level in (1..=start_level).rev() {
-        let _lvl = qip_trace::span_with(|| format!("level_{level}"));
-        let params = sink.params_for_level(level, buf, dims, strides)?;
-        let passes = build_passes(dims.len(), level, &params.order, cfg.passes);
-        for pass in &passes {
-            if pass.is_empty(dims) {
-                continue;
-            }
-            // Collect the pass points first so we can hand `buf` mutably to
-            // the sink inside the loop.
-            let mut result: Result<(), CompressError> = Ok(());
-            let mut coords_buf: Vec<(Vec<usize>, usize)> = Vec::with_capacity(pass.len(dims));
-            for_each_point(pass, dims, strides, |c, flat| {
-                coords_buf.push((c.to_vec(), flat));
-            });
-            for (coords, flat) in coords_buf {
-                let pred = predict_point(
-                    buf,
-                    dims,
-                    strides,
-                    &coords,
-                    flat,
-                    pass,
-                    params.kind,
-                    params.axis_mask,
-                );
-                let nb = if qp_enabled && level <= cfg.qp.max_level {
-                    qp_neighbors(&qstore, pass, &coords, flat, strides)
-                } else {
-                    Neighbors::default()
-                };
-                let _ = &qp;
-                match sink.handle_at(flat, buf[flat], pred, level, &nb) {
-                    Ok((value, q, q_prime)) => {
-                        buf[flat] = value;
-                        qstore[flat] = q;
-                        if let Some(cap) = capture.as_deref_mut() {
-                            cap.q[flat] = q;
-                            cap.q_prime[flat] = q_prime;
-                            cap.level[flat] = level as u8;
-                        }
-                    }
-                    Err(e) => {
-                        result = Err(e);
-                        break;
-                    }
-                }
-            }
-            result?;
-        }
-    }
-    Ok(())
-}
-
-/// Buffer-reusing variant of [`run_pipeline`]: identical visit order and
-/// arithmetic, but the per-pass lattice point list and the reconstructed
-/// index store live in a caller-owned arena. Flat `[usize; 4]` coordinates
-/// replace the one-heap-`Vec`-per-lattice-point of the allocating driver,
-/// which is the engine's dominant allocation cost.
-#[allow(clippy::too_many_arguments)] // one slot per arena channel, by design
-fn run_pipeline_ctx<T: Scalar, S: PointSink<T>>(
-    cfg: &EngineConfig,
-    dims: &[usize],
-    strides: &[usize],
-    buf: &mut [T],
-    sink: &mut S,
-    points: &mut Vec<([usize; 4], usize)>,
-    qstore: &mut Vec<i32>,
-    mut capture: Option<&mut QuantCapture>,
-) -> Result<(), CompressError> {
-    debug_assert!(dims.len() <= 4, "caller checks dimensionality");
-    let max_dim = dims.iter().copied().max().unwrap_or(0);
-    let levels = num_levels(max_dim);
-    let start_level = match cfg.anchor_log2 {
-        Some(m) => (m as usize).min(levels).max(1.min(levels)),
-        None => levels,
-    };
-
-    let anchor_step = 1usize << start_level;
-    let anchor_pass = Pass::uniform(dims.len(), start_level.max(1), anchor_step, anchor_step);
-    points.clear();
-    for_each_point(&anchor_pass, dims, strides, |_c, flat| points.push(([0; 4], flat)));
-    for &(_, flat) in points.iter() {
-        sink.anchor(flat, buf)?;
-    }
-    if levels == 0 {
-        return Ok(());
-    }
-
-    let qp_enabled = cfg.qp.is_enabled();
-    qstore.clear();
-    qstore.resize(buf.len(), 0);
-
-    for level in (1..=start_level).rev() {
-        let _lvl = qip_trace::span_with(|| format!("level_{level}"));
-        let params = sink.params_for_level(level, buf, dims, strides)?;
-        let passes = build_passes(dims.len(), level, &params.order, cfg.passes);
-        for pass in &passes {
-            if pass.is_empty(dims) {
-                continue;
-            }
-            points.clear();
-            for_each_point(pass, dims, strides, |c, flat| {
-                let mut coords = [0usize; 4];
-                coords[..c.len()].copy_from_slice(c);
-                points.push((coords, flat));
-            });
-            for &(coords, flat) in points.iter() {
-                let coords = &coords[..dims.len()];
-                let pred = predict_point(
-                    buf,
-                    dims,
-                    strides,
-                    coords,
-                    flat,
-                    pass,
-                    params.kind,
-                    params.axis_mask,
-                );
-                let nb = if qp_enabled && level <= cfg.qp.max_level {
-                    qp_neighbors(qstore, pass, coords, flat, strides)
-                } else {
-                    Neighbors::default()
-                };
-                let (value, q, q_prime) = sink.handle(buf[flat], pred, level, &nb)?;
-                buf[flat] = value;
-                qstore[flat] = q;
-                if let Some(cap) = capture.as_deref_mut() {
-                    cap.q[flat] = q;
-                    cap.q_prime[flat] = q_prime;
-                    cap.level[flat] = level as u8;
-                }
-            }
-        }
-    }
-    Ok(())
 }
 
 /// Per-level quantization/QP statistics, collected only while tracing.
@@ -484,10 +256,8 @@ impl SinkStats {
     }
 }
 
-/// Compression-side sink. The output channels borrow the caller's buffers so
-/// the allocating path (fresh locals) and the buffer-reusing path (a
-/// [`CompressCtx`] arena) share this one implementation — byte-identical
-/// streams by construction.
+/// Compression-side sink. The output channels borrow the caller's
+/// [`CompressCtx`] buffers.
 pub(crate) struct CompressSink<'a> {
     pub(crate) cfg: EngineConfig,
     pub(crate) qp: QpEngine,
@@ -522,7 +292,12 @@ fn trace_compress_bytes<T: Scalar>(
 }
 
 /// Build the per-level quantizer bank used while compressing.
-fn build_quantizers(cfg: &EngineConfig, eb: f64, max_level: usize, bank: &mut QuantizerBank) {
+pub(crate) fn build_quantizers(
+    cfg: &EngineConfig,
+    eb: f64,
+    max_level: usize,
+    bank: &mut QuantizerBank,
+) {
     bank.clear();
     for l in 0..=max_level {
         bank.push(LinearQuantizer::with_radius(cfg.level_eb(eb, l.max(1)), cfg.radius));
@@ -552,64 +327,45 @@ impl<T: Scalar> PointSink<T> for CompressSink<'_> {
         buf[flat].write_le(self.anchors);
         Ok(())
     }
-
-    fn handle(
-        &mut self,
-        current: T,
-        pred: f64,
-        level: usize,
-        nb: &Neighbors,
-    ) -> Result<(T, i32, i32), CompressError> {
-        let quant = &self.quantizers[level.min(self.quantizers.len() - 1)];
-        if let Some(st) = &mut self.stats {
-            if let Some(ls) = st.levels.get_mut(level) {
-                ls.points += 1;
-                if self.qp.gate_open(level, nb) {
-                    ls.accept += 1;
-                }
-            }
-        }
-        match quant.quantize(current, pred) {
-            Quantized::Pred { index, recon } => {
-                let qp = self.qp.transform(index, level, nb);
-                self.qprime.push(qp);
-                if let Some(st) = &mut self.stats {
-                    st.predictable += 1;
-                    if qp != index {
-                        if let Some(ls) = st.levels.get_mut(level) {
-                            ls.fired += 1;
-                        }
-                    }
-                }
-                Ok((recon, index, qp))
-            }
-            Quantized::Unpred => {
-                self.qprime.push(UNPRED);
-                if let Some(st) = &mut self.stats {
-                    st.unpredictable += 1;
-                }
-                // Serialized inline, in emission order — the same bytes the
-                // end-of-run serialization used to produce.
-                current.write_le(self.unpred);
-                Ok((current, UNPRED, UNPRED))
-            }
-        }
-    }
 }
 
-/// Decompression-side sink: read-only views over the decoded channels, so the
-/// allocating and buffer-reusing paths share one implementation.
+/// Decompression-side sink: read-only views over the decoded channels, each
+/// with its read cursor.
 pub(crate) struct DecompressSink<'a, T: Scalar> {
     pub(crate) qp: QpEngine,
     level_tags: &'a [(u8, u8, u8)],
     level_cursor: usize,
     anchors: &'a [T],
-    anchor_cursor: usize,
+    pub(crate) anchor_cursor: usize,
     pub(crate) unpred: &'a [T],
     pub(crate) unpred_cursor: usize,
     pub(crate) qprime: &'a [i32],
     pub(crate) q_cursor: usize,
     pub(crate) quantizers: &'a [LinearQuantizer],
+}
+
+impl<'a, T: Scalar> DecompressSink<'a, T> {
+    pub(crate) fn new(
+        qp: qip_core::QpConfig,
+        level_tags: &'a [(u8, u8, u8)],
+        anchors: &'a [T],
+        unpred: &'a [T],
+        qprime: &'a [i32],
+        quantizers: &'a [LinearQuantizer],
+    ) -> Self {
+        DecompressSink {
+            qp: QpEngine::new(qp),
+            level_tags,
+            level_cursor: 0,
+            anchors,
+            anchor_cursor: 0,
+            unpred,
+            unpred_cursor: 0,
+            qprime,
+            q_cursor: 0,
+            quantizers,
+        }
+    }
 }
 
 impl<T: Scalar> PointSink<T> for DecompressSink<'_, T> {
@@ -640,32 +396,6 @@ impl<T: Scalar> PointSink<T> for DecompressSink<'_, T> {
         self.anchor_cursor += 1;
         buf[flat] = v;
         Ok(())
-    }
-
-    fn handle(
-        &mut self,
-        _current: T,
-        pred: f64,
-        level: usize,
-        nb: &Neighbors,
-    ) -> Result<(T, i32, i32), CompressError> {
-        let q_prime = *self
-            .qprime
-            .get(self.q_cursor)
-            .ok_or(CompressError::WrongFormat("quantization index stream exhausted"))?;
-        self.q_cursor += 1;
-        let q = self.qp.recover(q_prime, level, nb);
-        if q == UNPRED {
-            let v = *self
-                .unpred
-                .get(self.unpred_cursor)
-                .ok_or(CompressError::WrongFormat("unpredictable channel exhausted"))?;
-            self.unpred_cursor += 1;
-            Ok((v, UNPRED, q_prime))
-        } else {
-            let quant = &self.quantizers[level.min(self.quantizers.len() - 1)];
-            Ok((quant.recover::<T>(pred, q), q, q_prime))
-        }
     }
 }
 
@@ -752,68 +482,28 @@ pub struct EngineForensics<T: Scalar> {
     pub qp_enabled: bool,
 }
 
-/// Decompression sink that additionally records QP decisions per level and
-/// per point. Wraps [`DecompressSink`]; reconstruction arithmetic is the
-/// inner sink's, untouched.
-struct InspectSink<'a, T: Scalar> {
-    inner: DecompressSink<'a, T>,
-    levels: Vec<LevelForensics>,
-    accepted: Vec<u8>,
-    unpredictable: u64,
+/// The per-point record of a forensic decode, filled tile by tile by
+/// [`crate::kernels::run_decompress_vec`]; `None` on every plain decode.
+#[derive(Default)]
+pub(crate) struct Probe {
+    /// Decision counters indexed by level (slot 0 stays empty).
+    pub(crate) levels: Vec<LevelForensics>,
+    pub(crate) accepted: Vec<u8>,
+    pub(crate) capture: QuantCapture,
+    pub(crate) unpredictable: u64,
+    pub(crate) anchors: u64,
 }
 
-impl<T: Scalar> PointSink<T> for InspectSink<'_, T> {
-    fn params_for_level(
-        &mut self,
-        level: usize,
-        buf: &[T],
-        dims: &[usize],
-        strides: &[usize],
-    ) -> Result<LevelParams, CompressError> {
-        if let Some(ls) = self.levels.get_mut(level) {
-            ls.qprime_start = self.inner.q_cursor;
+impl Probe {
+    pub(crate) fn new(n: usize, start_level: usize) -> Self {
+        Probe {
+            levels: (0..=start_level)
+                .map(|level| LevelForensics { level, ..LevelForensics::default() })
+                .collect(),
+            accepted: vec![0; n],
+            capture: QuantCapture::zeros(n),
+            ..Probe::default()
         }
-        self.inner.params_for_level(level, buf, dims, strides)
-    }
-
-    fn anchor(&mut self, flat: usize, buf: &mut [T]) -> Result<(), CompressError> {
-        self.inner.anchor(flat, buf)
-    }
-
-    fn handle(
-        &mut self,
-        current: T,
-        pred: f64,
-        level: usize,
-        nb: &Neighbors,
-    ) -> Result<(T, i32, i32), CompressError> {
-        self.inner.handle(current, pred, level, nb)
-    }
-
-    fn handle_at(
-        &mut self,
-        flat: usize,
-        current: T,
-        pred: f64,
-        level: usize,
-        nb: &Neighbors,
-    ) -> Result<(T, i32, i32), CompressError> {
-        let open = self.inner.qp.gate_open(level, nb);
-        let (value, q, q_prime) = self.inner.handle(current, pred, level, nb)?;
-        if let Some(ls) = self.levels.get_mut(level) {
-            ls.points += 1;
-            if open {
-                ls.accepted += 1;
-            }
-            if q != q_prime {
-                ls.fired += 1;
-            }
-        }
-        if q == UNPRED {
-            self.unpredictable += 1;
-        }
-        self.accepted[flat] = if open { 2 } else { 1 };
-        Ok((value, q, q_prime))
     }
 }
 
@@ -823,11 +513,13 @@ impl<T: Scalar> Compressor<T> for InterpEngine {
     }
 
     fn compress(&self, field: &Field<T>, bound: ErrorBound) -> Result<Vec<u8>, CompressError> {
-        self.compress_impl(field, bound, None)
+        let mut out = Vec::new();
+        self.compress_impl(field, bound, None, &mut CompressCtx::new(), &mut out)?;
+        Ok(out)
     }
 
     fn decompress(&self, bytes: &[u8]) -> Result<Field<T>, CompressError> {
-        self.decompress_impl(bytes)
+        self.decompress_impl(bytes, &mut CompressCtx::new(), None)
     }
 
     fn compress_into(
@@ -838,7 +530,7 @@ impl<T: Scalar> Compressor<T> for InterpEngine {
         out: &mut Vec<u8>,
     ) -> Result<(), CompressError> {
         out.clear();
-        self.compress_append(field, bound, ctx, out)
+        self.compress_impl(field, bound, None, ctx, out)
     }
 
     fn decompress_into(
@@ -846,7 +538,7 @@ impl<T: Scalar> Compressor<T> for InterpEngine {
         bytes: &[u8],
         ctx: &mut CompressCtx,
     ) -> Result<Field<T>, CompressError> {
-        self.decompress_with(bytes, ctx)
+        self.decompress_impl(bytes, ctx, None)
     }
 }
 
@@ -859,13 +551,19 @@ impl InterpEngine {
         bound: ErrorBound,
     ) -> Result<(Vec<u8>, QuantCapture), CompressError> {
         let mut cap = QuantCapture::zeros(field.len());
-        let bytes = self.compress_impl(field, bound, Some(&mut cap))?;
+        let mut bytes = Vec::new();
+        self.compress_impl(field, bound, Some(&mut cap), &mut CompressCtx::new(), &mut bytes)?;
         Ok((bytes, cap))
     }
 
     /// Write the stream prefix (header through start level) and return the
-    /// start level. Shared by the allocating and buffer-reusing paths.
-    fn write_prefix<T: Scalar>(&self, field: &Field<T>, abs_eb: f64, w: &mut ByteWriter) -> usize {
+    /// start level.
+    pub(crate) fn write_prefix<T: Scalar>(
+        &self,
+        field: &Field<T>,
+        abs_eb: f64,
+        w: &mut ByteWriter,
+    ) -> usize {
         let cfg = &self.cfg;
         StreamHeader {
             magic: cfg.magic,
@@ -891,94 +589,28 @@ impl InterpEngine {
         start_level
     }
 
+    /// Buffer-reusing compression: append the full stream to `out`, taking
+    /// every piece of scratch from `ctx`. Appending (rather than clearing)
+    /// lets wrapper formats write their magic/tag prefix first and still
+    /// share the caller's output buffer.
+    pub fn compress_append<T: Scalar>(
+        &self,
+        field: &Field<T>,
+        bound: ErrorBound,
+        ctx: &mut CompressCtx,
+        out: &mut Vec<u8>,
+    ) -> Result<(), CompressError> {
+        self.compress_impl(field, bound, None, ctx, out)
+    }
+
+    /// The one compression body: appends the stream to `out` with all
+    /// scratch from `ctx`; `capture` additionally records `Q`/`Q'`/level per
+    /// point.
     fn compress_impl<T: Scalar>(
         &self,
         field: &Field<T>,
         bound: ErrorBound,
         capture: Option<&mut QuantCapture>,
-    ) -> Result<Vec<u8>, CompressError> {
-        let cfg = &self.cfg;
-        let dims = field.shape().dims().to_vec();
-        if dims.len() > 4 {
-            return Err(CompressError::Unsupported(
-                "interpolation engine supports 1-4 dimensions",
-            ));
-        }
-        let strides = field.shape().strides().to_vec();
-        let abs_eb = bound.resolve(field).abs;
-
-        let mut w = ByteWriter::with_capacity(field.len() / 4 + 128);
-        let start_level = self.write_prefix(field, abs_eb, &mut w);
-
-        if field.is_empty() {
-            return Ok(w.finish());
-        }
-
-        let mut buf = field.as_slice().to_vec();
-        let mut bank = QuantizerBank::new();
-        build_quantizers(cfg, abs_eb, start_level, &mut bank);
-        bank.trace_levels();
-        let (mut anchors, mut unpred, mut qprime) = (Vec::new(), Vec::new(), Vec::new());
-        let mut sink = CompressSink {
-            cfg: *cfg,
-            qp: QpEngine::new(cfg.qp),
-            level_tags: Vec::new(),
-            anchors: &mut anchors,
-            unpred: &mut unpred,
-            qprime: &mut qprime,
-            quantizers: bank.as_slice(),
-            stats: SinkStats::new_if_tracing(start_level),
-        };
-        {
-            let _t = qip_trace::span("quantize");
-            match crate::kernels::kernel_mode() {
-                crate::kernels::KernelMode::Chunked => {
-                    let (mut qstore, mut f64s, mut idx) = (Vec::new(), Vec::new(), Vec::new());
-                    let scratch =
-                        Scratch { qstore: &mut qstore, f64s: &mut f64s, idx: &mut idx };
-                    crate::kernels::run_compress_vec(
-                        cfg, &dims, &strides, &mut buf, &mut sink, scratch, capture,
-                    )?;
-                }
-                crate::kernels::KernelMode::ScalarRef => {
-                    run_pipeline(cfg, &dims, &strides, &mut buf, &mut sink, capture)?;
-                }
-            }
-        }
-        let (level_tags, stats) = (sink.level_tags, sink.stats);
-        if let Some(stats) = stats {
-            stats.emit(&qprime);
-        }
-
-        for &(k, o, m) in &level_tags {
-            w.put_u8(k);
-            w.put_u8(o);
-            w.put_u8(m);
-        }
-        let index_bytes = {
-            let _t = qip_trace::span("entropy_encode");
-            encode_indices(&qprime)
-        };
-        let _t = qip_trace::span("serialize");
-        w.put_block(&anchors);
-        w.put_block(&unpred);
-        w.put_block(&index_bytes);
-        trace_compress_bytes::<T>(field.len(), &anchors, &unpred, &index_bytes);
-        Ok(w.finish())
-    }
-
-    /// Buffer-reusing compression: append the full stream to `out`, taking
-    /// every piece of scratch from `ctx`. Appending (rather than clearing)
-    /// lets wrapper formats write their magic/tag prefix first and still
-    /// share the caller's output buffer.
-    ///
-    /// The emitted bytes are identical to [`Compressor::compress`]'s: both
-    /// paths drive the same sink over the same visit order; only buffer
-    /// ownership and the lattice-point driver differ.
-    pub fn compress_append<T: Scalar>(
-        &self,
-        field: &Field<T>,
-        bound: ErrorBound,
         ctx: &mut CompressCtx,
         out: &mut Vec<u8>,
     ) -> Result<(), CompressError> {
@@ -1017,64 +649,39 @@ impl InterpEngine {
         };
         {
             let _t = qip_trace::span("quantize");
-            match crate::kernels::kernel_mode() {
-                crate::kernels::KernelMode::Chunked => {
-                    crate::kernels::run_compress_vec(
-                        cfg,
-                        field.shape().dims(),
-                        field.shape().strides(),
-                        &mut buf,
-                        &mut sink,
-                        Scratch {
-                            qstore: &mut ctx.qstore,
-                            f64s: &mut ctx.tile_f64,
-                            idx: &mut ctx.tile_idx,
-                        },
-                        None,
-                    )?;
-                }
-                crate::kernels::KernelMode::ScalarRef => {
-                    run_pipeline_ctx(
-                        cfg,
-                        field.shape().dims(),
-                        field.shape().strides(),
-                        &mut buf,
-                        &mut sink,
-                        &mut ctx.points,
-                        &mut ctx.qstore,
-                        None,
-                    )?;
-                }
-            }
+            crate::kernels::run_compress_vec(
+                cfg,
+                field.shape().dims(),
+                field.shape().strides(),
+                &mut buf,
+                &mut sink,
+                Scratch {
+                    qstore: &mut ctx.qstore,
+                    f64s: &mut ctx.tile_f64,
+                    idx: &mut ctx.tile_idx,
+                },
+                capture,
+            )?;
         }
         let (level_tags, stats) = (sink.level_tags, sink.stats);
         if let Some(stats) = stats {
             stats.emit(&ctx.qprime);
         }
 
-        for &(k, o, m) in &level_tags {
-            w.put_u8(k);
-            w.put_u8(o);
-            w.put_u8(m);
-        }
         {
             let _t = qip_trace::span("entropy_encode");
             encode_indices_into(&ctx.qprime, &mut ctx.stream);
         }
         let _t = qip_trace::span("serialize");
-        w.put_block(&ctx.anchors);
-        w.put_block(&ctx.unpred);
-        w.put_block(&ctx.stream);
+        write_body(&mut w, &level_tags, &ctx.anchors, &ctx.unpred, &ctx.stream);
         trace_compress_bytes::<T>(field.len(), &ctx.anchors, &ctx.unpred, &ctx.stream);
         ctx.pools.release(buf);
         *out = w.finish();
         Ok(())
     }
 
-    /// Parse and validate everything up to the decoded channels. Shared by
-    /// the allocating and buffer-reusing decompression paths so the two can
-    /// never drift in what they accept.
-    fn parse_stream<'a, T: Scalar>(
+    /// Parse and validate everything up to the decoded channels.
+    pub(crate) fn parse_stream<'a, T: Scalar>(
         &self,
         bytes: &'a [u8],
     ) -> Result<ParsedStream<'a>, CompressError> {
@@ -1148,67 +755,25 @@ impl InterpEngine {
         Ok(parsed)
     }
 
-    fn decompress_impl<T: Scalar>(&self, bytes: &[u8]) -> Result<Field<T>, CompressError> {
-        let p = {
-            let _t = qip_trace::span("parse");
-            self.parse_stream::<T>(bytes)?
-        };
-        if p.n == 0 {
-            return Ok(Field::zeros(p.shape));
-        }
-
-        let _t = qip_trace::span("entropy_decode");
-        let mut anchors = Vec::new();
-        decode_scalars_into(p.anchor_bytes, &mut anchors, "anchor block misaligned")?;
-        let mut unpred = Vec::new();
-        decode_scalars_into(p.unpred_bytes, &mut unpred, "unpredictable block misaligned")?;
-        let qprime = qip_codec::decode_indices_capped(p.index_block, p.n)?;
-        drop(_t);
-        let mut bank = QuantizerBank::new();
-        build_decode_quantizers(&p.eff, p.abs_eb, p.start_level, &mut bank)?;
-
-        let dims = p.shape.dims().to_vec();
-        let strides = p.shape.strides().to_vec();
-        let mut buf = qip_core::try_zeroed_vec::<T>(p.n)?;
-        let mut sink = DecompressSink {
-            qp: QpEngine::new(p.eff.qp),
-            level_tags: &p.level_tags,
-            level_cursor: 0,
-            anchors: &anchors,
-            anchor_cursor: 0,
-            unpred: &unpred,
-            unpred_cursor: 0,
-            qprime: &qprime,
-            q_cursor: 0,
-            quantizers: bank.as_slice(),
-        };
-        {
-            let _t = qip_trace::span("reconstruct");
-            match crate::kernels::kernel_mode() {
-                crate::kernels::KernelMode::Chunked => {
-                    let (mut qstore, mut f64s, mut idx) = (Vec::new(), Vec::new(), Vec::new());
-                    let scratch =
-                        Scratch { qstore: &mut qstore, f64s: &mut f64s, idx: &mut idx };
-                    crate::kernels::run_decompress_vec(
-                        &p.eff, &dims, &strides, &mut buf, &mut sink, scratch,
-                    )?;
-                }
-                crate::kernels::KernelMode::ScalarRef => {
-                    run_pipeline(&p.eff, &dims, &strides, &mut buf, &mut sink, None)?;
-                }
-            }
-        }
-        Ok(Field::from_vec(p.shape, buf)?)
-    }
-
     /// Buffer-reusing decompression: typed channels come from the context's
     /// scalar pools, the index stream decodes into the context's reusable
-    /// buffer, and the lattice driver runs on the context arena. Only the
+    /// buffer, and the tile walk runs on the context arena. Only the
     /// returned field itself is freshly allocated.
     pub fn decompress_with<T: Scalar>(
         &self,
         bytes: &[u8],
         ctx: &mut CompressCtx,
+    ) -> Result<Field<T>, CompressError> {
+        self.decompress_impl(bytes, ctx, None)
+    }
+
+    /// The one decompression body; `probe` additionally records every
+    /// point's QP decision (the forensic decode).
+    fn decompress_impl<T: Scalar>(
+        &self,
+        bytes: &[u8],
+        ctx: &mut CompressCtx,
+        mut probe: Option<&mut Probe>,
     ) -> Result<Field<T>, CompressError> {
         let p = {
             let _t = qip_trace::span("parse");
@@ -1227,49 +792,38 @@ impl InterpEngine {
         drop(_t);
         build_decode_quantizers(&p.eff, p.abs_eb, p.start_level, &mut ctx.quantizers)?;
 
+        // `try_zeroed_vec` validates that `n` is allocatable before the probe
+        // sizes its per-point maps to it.
         let mut buf = qip_core::try_zeroed_vec::<T>(p.n)?;
-        let mut sink = DecompressSink {
-            qp: QpEngine::new(p.eff.qp),
-            level_tags: &p.level_tags,
-            level_cursor: 0,
-            anchors: &anchors,
-            anchor_cursor: 0,
-            unpred: &unpred,
-            unpred_cursor: 0,
-            qprime: &ctx.qprime,
-            q_cursor: 0,
-            quantizers: ctx.quantizers.as_slice(),
-        };
+        if let Some(pr) = probe.as_deref_mut() {
+            *pr = Probe::new(p.n, p.start_level);
+        }
+        let mut sink = DecompressSink::new(
+            p.eff.qp,
+            &p.level_tags,
+            &anchors,
+            &unpred,
+            &ctx.qprime,
+            ctx.quantizers.as_slice(),
+        );
         {
             let _t = qip_trace::span("reconstruct");
-            match crate::kernels::kernel_mode() {
-                crate::kernels::KernelMode::Chunked => {
-                    crate::kernels::run_decompress_vec(
-                        &p.eff,
-                        p.shape.dims(),
-                        p.shape.strides(),
-                        &mut buf,
-                        &mut sink,
-                        Scratch {
-                            qstore: &mut ctx.qstore,
-                            f64s: &mut ctx.tile_f64,
-                            idx: &mut ctx.tile_idx,
-                        },
-                    )?;
-                }
-                crate::kernels::KernelMode::ScalarRef => {
-                    run_pipeline_ctx(
-                        &p.eff,
-                        p.shape.dims(),
-                        p.shape.strides(),
-                        &mut buf,
-                        &mut sink,
-                        &mut ctx.points,
-                        &mut ctx.qstore,
-                        None,
-                    )?;
-                }
-            }
+            crate::kernels::run_decompress_vec(
+                &p.eff,
+                p.shape.dims(),
+                p.shape.strides(),
+                &mut buf,
+                &mut sink,
+                Scratch {
+                    qstore: &mut ctx.qstore,
+                    f64s: &mut ctx.tile_f64,
+                    idx: &mut ctx.tile_idx,
+                },
+                probe.as_deref_mut(),
+            )?;
+        }
+        if let Some(pr) = probe {
+            pr.anchors = sink.anchor_cursor as u64;
         }
         ctx.pools.release(anchors);
         ctx.pools.release(unpred);
@@ -1277,19 +831,17 @@ impl InterpEngine {
     }
 
     /// Forensic decompression: reconstruct the field exactly as
-    /// [`Compressor::decompress`] would, while recovering the stream's byte
-    /// layout, per-level QP decision counters, the transformed index stream,
-    /// and a per-point gate map. Always runs the scalar reference driver so
-    /// the recovered decision record is deterministic regardless of the
-    /// process-wide kernel switch; arithmetic is identical by the kernel
-    /// equivalence pin, so the field matches either path bit-for-bit.
+    /// [`Compressor::decompress`] does — on the same tile walk — while
+    /// recovering the stream's byte layout, per-level QP decision counters,
+    /// the transformed index stream, and a per-point gate map.
     pub fn decompress_forensic<T: Scalar>(
         &self,
         bytes: &[u8],
     ) -> Result<EngineForensics<T>, CompressError> {
         use qip_codec::varint::uvarint_len;
+        // The layout must sum before any channel is decoded, so it is read
+        // off the (pure, prefix-only) parse here rather than inside the body.
         let p = self.parse_stream::<T>(bytes)?;
-
         let mut layout = EngineLayout {
             header_bytes: 3
                 + p.shape.dims().iter().map(|&d| uvarint_len(d as u64)).sum::<u64>()
@@ -1297,115 +849,73 @@ impl InterpEngine {
             config_bytes: 26,
             ..EngineLayout::default()
         };
-        if p.n == 0 {
-            if layout.total() != bytes.len() as u64 {
-                return Err(CompressError::Corrupt("stream layout does not sum"));
-            }
-            return Ok(EngineForensics {
-                field: Field::zeros(p.shape),
-                layout,
-                abs_eb: p.abs_eb,
-                start_level: p.start_level,
-                levels: Vec::new(),
-                qprime: Vec::new(),
-                capture: QuantCapture::zeros(0),
-                accepted: Vec::new(),
-                anchors: 0,
-                unpredictable: 0,
-                index_block: Vec::new(),
-                qp_enabled: p.eff.qp.is_enabled(),
-            });
+        if p.n > 0 {
+            layout.level_tag_bytes = 3 * p.start_level as u64;
+            layout.framing_bytes = uvarint_len(p.anchor_bytes.len() as u64)
+                + uvarint_len(p.unpred_bytes.len() as u64)
+                + uvarint_len(p.index_block.len() as u64);
+            layout.anchor_bytes = p.anchor_bytes.len() as u64;
+            layout.unpred_bytes = p.unpred_bytes.len() as u64;
+            layout.index_bytes = p.index_block.len() as u64;
         }
-        layout.level_tag_bytes = 3 * p.start_level as u64;
-        layout.framing_bytes = uvarint_len(p.anchor_bytes.len() as u64)
-            + uvarint_len(p.unpred_bytes.len() as u64)
-            + uvarint_len(p.index_block.len() as u64);
-        layout.anchor_bytes = p.anchor_bytes.len() as u64;
-        layout.unpred_bytes = p.unpred_bytes.len() as u64;
-        layout.index_bytes = p.index_block.len() as u64;
         if layout.total() != bytes.len() as u64 {
             return Err(CompressError::Corrupt("stream layout does not sum"));
         }
 
-        let mut anchors = Vec::new();
-        decode_scalars_into(p.anchor_bytes, &mut anchors, "anchor block misaligned")?;
-        let mut unpred = Vec::new();
-        decode_scalars_into(p.unpred_bytes, &mut unpred, "unpredictable block misaligned")?;
-        let qprime = qip_codec::decode_indices_capped(p.index_block, p.n)?;
-        let mut bank = QuantizerBank::new();
-        build_decode_quantizers(&p.eff, p.abs_eb, p.start_level, &mut bank)?;
-
-        let dims = p.shape.dims().to_vec();
-        let strides = p.shape.strides().to_vec();
-        let mut buf = qip_core::try_zeroed_vec::<T>(p.n)?;
-        let mut cap = QuantCapture::zeros(p.n);
-        let mut sink = InspectSink {
-            inner: DecompressSink {
-                qp: QpEngine::new(p.eff.qp),
-                level_tags: &p.level_tags,
-                level_cursor: 0,
-                anchors: &anchors,
-                anchor_cursor: 0,
-                unpred: &unpred,
-                unpred_cursor: 0,
-                qprime: &qprime,
-                q_cursor: 0,
-                quantizers: bank.as_slice(),
-            },
-            levels: (0..=p.start_level)
-                .map(|level| LevelForensics { level, ..LevelForensics::default() })
-                .collect(),
-            accepted: vec![0u8; p.n],
-            unpredictable: 0,
-        };
-        run_pipeline(&p.eff, &dims, &strides, &mut buf, &mut sink, Some(&mut cap))?;
-
-        // Close each level's index-stream segment: levels run coarsest first,
-        // so level L ends where level L-1 begins (the finest ends the stream).
-        let anchors_read = sink.inner.anchor_cursor as u64;
-        let unpredictable = sink.unpredictable;
-        let accepted = sink.accepted;
-        let mut levels = sink.levels;
-        for level in 1..=p.start_level {
-            let end = if level > 1 { levels[level - 1].qprime_start } else { qprime.len() };
-            levels[level].qprime_end = end;
-        }
-        let levels: Vec<LevelForensics> =
-            levels.into_iter().rev().filter(|ls| ls.points > 0).collect();
-
+        let (mut ctx, mut probe) = (CompressCtx::new(), Probe::default());
+        let field = self.decompress_impl(bytes, &mut ctx, Some(&mut probe))?;
         Ok(EngineForensics {
-            field: Field::from_vec(p.shape, buf)?,
+            field,
             layout,
             abs_eb: p.abs_eb,
             start_level: p.start_level,
-            levels,
-            qprime,
-            capture: cap,
-            accepted,
-            anchors: anchors_read,
-            unpredictable,
+            levels: probe.levels.into_iter().rev().filter(|ls| ls.points > 0).collect(),
+            qprime: ctx.qprime,
+            capture: probe.capture,
+            accepted: probe.accepted,
+            anchors: probe.anchors,
+            unpredictable: probe.unpredictable,
             index_block: p.index_block.to_vec(),
             qp_enabled: p.eff.qp.is_enabled(),
         })
     }
 }
 
+/// Write everything behind the prefix — the per-level tags, then the three
+/// length-prefixed channels — in the order `parse_stream` reads it back.
+pub(crate) fn write_body(
+    w: &mut ByteWriter,
+    level_tags: &[(u8, u8, u8)],
+    anchors: &[u8],
+    unpred: &[u8],
+    index: &[u8],
+) {
+    for &(k, o, m) in level_tags {
+        w.put_u8(k);
+        w.put_u8(o);
+        w.put_u8(m);
+    }
+    w.put_block(anchors);
+    w.put_block(unpred);
+    w.put_block(index);
+}
+
 /// Everything [`InterpEngine::parse_stream`] extracts from a stream before
 /// channel decoding. `n == 0` marks an empty field (no channels present).
-struct ParsedStream<'a> {
-    shape: qip_tensor::Shape,
-    abs_eb: f64,
-    eff: EngineConfig,
-    start_level: usize,
-    level_tags: Vec<(u8, u8, u8)>,
-    anchor_bytes: &'a [u8],
-    unpred_bytes: &'a [u8],
-    index_block: &'a [u8],
-    n: usize,
+pub(crate) struct ParsedStream<'a> {
+    pub(crate) shape: qip_tensor::Shape,
+    pub(crate) abs_eb: f64,
+    pub(crate) eff: EngineConfig,
+    pub(crate) start_level: usize,
+    pub(crate) level_tags: Vec<(u8, u8, u8)>,
+    pub(crate) anchor_bytes: &'a [u8],
+    pub(crate) unpred_bytes: &'a [u8],
+    pub(crate) index_block: &'a [u8],
+    pub(crate) n: usize,
 }
 
 /// Decode a little-endian scalar channel into a reusable buffer.
-fn decode_scalars_into<T: Scalar>(
+pub(crate) fn decode_scalars_into<T: Scalar>(
     bytes: &[u8],
     out: &mut Vec<T>,
     misaligned: &'static str,
@@ -1423,7 +933,7 @@ fn decode_scalars_into<T: Scalar>(
 
 /// Build the per-level quantizer bank used while decompressing (fallible:
 /// a forged header can declare degenerate per-level bounds).
-fn build_decode_quantizers(
+pub(crate) fn build_decode_quantizers(
     eff: &EngineConfig,
     abs_eb: f64,
     start_level: usize,
@@ -1707,8 +1217,8 @@ mod tests {
     #[test]
     fn compress_into_bytes_identical_and_ctx_reusable() {
         // One context threaded through different engines, shapes and scalar
-        // types: every stream must match the allocating path bit for bit,
-        // and every decompress_with must match decompress exactly.
+        // types: every stream must match a fresh context's bit for bit, and
+        // every decompress_with must match decompress exactly.
         let mut ctx = CompressCtx::new();
         let mut out = Vec::new();
         for (name, mut cfg) in engines() {

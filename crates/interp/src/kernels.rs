@@ -1,11 +1,8 @@
-//! Chunked, lane-oriented pipeline drivers — the vectorized hot path.
+//! The tile walk — the interpolation engine's one lattice driver.
 //!
-//! The scalar reference pipeline (`run_pipeline`/`run_pipeline_ctx` in
-//! `engine.rs`) walks the lattice point by point: per point it dispatches the
-//! 1-D spline boundary cases, branches on predictable/unpredictable, and pays
-//! a virtual-ish sink call. The drivers here restructure the same walk around
-//! *rows*: the innermost axis (unit stride in row-major layout) is processed
-//! in cache-blocked tiles of `TILE` points, with
+//! The walk is organised around *rows*: the innermost axis (unit stride in
+//! row-major layout) is processed in cache-blocked tiles of `TILE` points,
+//! with
 //!
 //! * boundary-case classification hoisted out of the inner loop — for outer
 //!   axes the spline case is constant along a row; for the inner axis the row
@@ -25,79 +22,27 @@
 //!   hit lines the tile just touched (the cache-blocked plane sweep of
 //!   docs/kernels.md).
 //!
-//! Byte identity with the scalar reference is a hard invariant: every f64
-//! operation happens in the same order with the same operands (axis-major
-//! accumulation, `acc / used` division, verbatim reconstruction expression),
-//! and emission order is the reference's row-major visit order. The
-//! `kernel_equivalence` suite diffs the two paths across a seeded sweep; the
-//! conformance golden vectors pin both against committed streams.
+//! Byte identity with the point-by-point reference walk (the `cfg(test)`
+//! oracle in `reference.rs`; per point: `predict_point`, one quantize, QP
+//! through `Neighbors`) is a hard invariant: every f64 operation happens in
+//! the same order with the same operands (axis-major accumulation,
+//! `acc / used` division, verbatim reconstruction expression), and emission
+//! order is the reference's row-major visit order. The oracle's suite diffs
+//! the two across a seeded sweep; the conformance golden vectors pin
+//! production against committed streams.
 
 use crate::config::EngineConfig;
-use crate::engine::{CompressSink, DecompressSink, PointSink, QuantCapture};
+use crate::engine::{CompressSink, DecompressSink, PointSink, Probe, QuantCapture};
 use crate::lattice::{build_passes, for_each_point, for_each_row, num_levels, Pass};
 use qip_core::{CompressError, QpTaps};
 use qip_predict::{cubic_interior, linear_edge2, linear_mid, quad_begin, quad_end, InterpKind};
 use qip_quant::UNPRED;
 use qip_tensor::Scalar;
-use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Points per cache-blocked row tile. The per-tile scratch (f64 accumulator +
 /// prediction, gathered values, indices, reconstructions) stays ≈18 KB — L1
 /// resident — while the tile's tap reads touch at most four neighbor rows.
 const TILE: usize = 512;
-
-/// Which pipeline driver the engine entry points dispatch to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KernelMode {
-    /// Chunked, lane-oriented drivers (the default production hot path).
-    Chunked,
-    /// The retained scalar reference pipeline, kept alive so differential
-    /// tests (and the conformance golden suite) can diff the two paths.
-    ScalarRef,
-}
-
-impl KernelMode {
-    /// Stable lowercase name (`"chunked"` / `"scalar"`) used by the CLI
-    /// `--kernel` flag and the flight recorder's `kernel_mode` field.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            KernelMode::Chunked => "chunked",
-            KernelMode::ScalarRef => "scalar",
-        }
-    }
-
-    /// Parse a CLI spelling; accepts the [`KernelMode::as_str`] names plus
-    /// `scalar-ref` as an alias.
-    pub fn parse(name: &str) -> Option<KernelMode> {
-        match name {
-            "chunked" => Some(KernelMode::Chunked),
-            "scalar" | "scalar-ref" | "scalar_ref" => Some(KernelMode::ScalarRef),
-            _ => None,
-        }
-    }
-}
-
-/// Process-global kernel mode (0 = chunked, 1 = scalar reference).
-///
-/// A runtime switch rather than a cargo feature so one test binary can verify
-/// golden vectors under both modes. Both modes emit byte-identical streams,
-/// so concurrent flips are harmless — the mode only selects *how* the bytes
-/// are produced.
-static KERNEL_MODE: AtomicU8 = AtomicU8::new(0);
-
-/// The currently selected pipeline driver.
-pub fn kernel_mode() -> KernelMode {
-    if KERNEL_MODE.load(Ordering::Relaxed) == 0 {
-        KernelMode::Chunked
-    } else {
-        KernelMode::ScalarRef
-    }
-}
-
-/// Select the pipeline driver for subsequent engine calls (process-global).
-pub fn set_kernel_mode(mode: KernelMode) {
-    KERNEL_MODE.store(matches!(mode, KernelMode::ScalarRef) as u8, Ordering::Relaxed);
-}
 
 /// One resolved 1-D spline boundary case: which tap pattern a run of points
 /// uses. Mirrors the `predict_1d` match arms exactly (same predictor
@@ -464,8 +409,8 @@ fn walk_tiles<T: Scalar, S: PointSink<T>>(
 
 /// Vectorized compression driver: batched row prediction, branchless
 /// 64-lane quantization with an unpredictable-point bitmap, the forward QP
-/// row kernel, and emission in reference visit order — byte-identical to
-/// `run_pipeline` feeding a [`CompressSink`].
+/// row kernel, and emission in reference visit order. On return `buf` holds
+/// the encoder's reconstruction — what the decoder will produce.
 pub(crate) fn run_compress_vec<T: Scalar>(
     cfg: &EngineConfig,
     dims: &[usize],
@@ -562,8 +507,10 @@ pub(crate) fn run_compress_vec<T: Scalar>(
 /// slice taken once, then one of two straight-line bodies — QP-inactive
 /// levels dequantize straight from `Q'` with no `qstore` traffic; QP-active
 /// levels run the inverse row kernel first — and the unpredictable-channel
-/// patch-up in emission order. Value-identical to `run_pipeline` over the
-/// same sink, including which error a short channel produces.
+/// patch-up in emission order. Value-identical to the reference walk,
+/// including which error a short channel produces. A `probe` (forensic
+/// decodes only; tested once per tile) additionally gets every point's `Q`,
+/// `Q'`, level and gate decision.
 pub(crate) fn run_decompress_vec<T: Scalar>(
     cfg: &EngineConfig,
     dims: &[usize],
@@ -571,6 +518,7 @@ pub(crate) fn run_decompress_vec<T: Scalar>(
     buf: &mut [T],
     sink: &mut DecompressSink<'_, T>,
     scratch: Scratch<'_>,
+    mut probe: Option<&mut Probe>,
 ) -> Result<(), CompressError> {
     let Scratch { qstore, f64s, idx } = scratch;
     qstore.clear();
@@ -619,6 +567,44 @@ pub(crate) fn run_decompress_vec<T: Scalar>(
         if take < tile.pred.len() {
             return Err(CompressError::WrongFormat("quantization index stream exhausted"));
         }
+        if let Some(pr) = probe.as_deref_mut() {
+            probe_tile(pr, sink, strides, tile, q, qstore);
+        }
         Ok(())
     })
+}
+
+/// Record one decoded tile (`q`, taken from the `q.len()` symbols behind the
+/// sink's index cursor) into a forensic probe. A point's neighbors are always
+/// earlier points, so the gate evaluated after the tile's inverse reads the
+/// `qstore` state the point had; QP-inactive levels resolve to closed taps.
+/// Out of line: plain decodes never get here.
+#[cold]
+fn probe_tile<T: Scalar>(
+    pr: &mut Probe,
+    sink: &DecompressSink<'_, T>,
+    strides: &[usize],
+    tile: &Tile<'_>,
+    q: &[i32],
+    qstore: &[i32],
+) {
+    let taps = tile.taps(&sink.qp, strides);
+    let (start, end) = (sink.q_cursor - q.len(), sink.q_cursor);
+    let ls = &mut pr.levels[tile.level];
+    if ls.points == 0 {
+        ls.qprime_start = start;
+    }
+    ls.qprime_end = end;
+    ls.points += q.len() as u64;
+    for (k, (&qk, &qpk)) in q.iter().zip(&sink.qprime[start..end]).enumerate() {
+        let at = tile.flat() + k * tile.stp;
+        let (open, _) = sink.qp.gate_at(&taps, tile.j0 == 0 && k == 0, qstore, at);
+        ls.accepted += open as u64;
+        ls.fired += (qk != qpk) as u64;
+        pr.unpredictable += (qk == UNPRED) as u64;
+        pr.accepted[at] = 1 + open as u8;
+        pr.capture.q[at] = qk;
+        pr.capture.q_prime[at] = qpk;
+        pr.capture.level[at] = tile.level as u8;
+    }
 }

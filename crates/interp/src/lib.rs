@@ -20,10 +20,11 @@
 //! | per-level dimension-order auto-tuning | — | — | ✓ |
 //! | multi-dimensional (parity-class) interpolation | — | — | ✓ |
 //!
-//! The driver ([`engine`]) walks levels → passes → lattice points in one code
-//! path shared by compression and decompression (a `PointSink` (internal trait)
-//! abstracts the difference), which makes the two sides symmetric by
-//! construction — the property QP's reversibility depends on.
+//! The driver ([`engine`] over the tile walk in [`kernels`]) visits levels →
+//! passes → rows → tiles in one code path shared by compression and
+//! decompression, which makes the two sides symmetric by construction — the
+//! property QP's reversibility depends on. The point-by-point form of the same
+//! walk is an in-crate test oracle (`reference.rs`, `cfg(test)` only).
 
 #![warn(missing_docs)]
 
@@ -31,8 +32,9 @@ pub mod config;
 pub mod engine;
 pub mod kernels;
 pub mod lattice;
+#[cfg(test)]
+mod reference;
 pub mod select;
 
 pub use config::{EngineConfig, LevelParams, PassStructure};
 pub use engine::{EngineForensics, EngineLayout, InterpEngine, LevelForensics, QuantCapture};
-pub use kernels::{kernel_mode, set_kernel_mode, KernelMode};

@@ -134,7 +134,7 @@ impl LinearQuantizer {
     /// for unpredictable lanes `idx`/`recon` hold don't-care values the caller
     /// must patch (the engine writes [`UNPRED`] and the exact value). The
     /// arithmetic mirrors the scalar path expression-for-expression so the two
-    /// are bit-identical — pinned by the `kernel_equivalence` suite.
+    /// are bit-identical — pinned by qip-interp's `reference` suite.
     ///
     /// All four slices must share a length `≤ 64`.
     #[inline]

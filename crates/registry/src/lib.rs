@@ -317,7 +317,6 @@ fn record_compress<T: Scalar>(
                 Ok(_) => "ok".to_string(),
                 Err(e) => e.to_string(),
             },
-            kernel_mode: qip_interp::kernel_mode().as_str(),
         },
     );
 }
@@ -351,7 +350,6 @@ fn record_decompress<T: Scalar>(
                 Ok(_) => "ok".to_string(),
                 Err(e) => e.to_string(),
             },
-            kernel_mode: qip_interp::kernel_mode().as_str(),
         },
     );
 }

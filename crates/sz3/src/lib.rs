@@ -233,19 +233,7 @@ impl<T: Scalar> Compressor<T> for Sz3 {
     }
 
     fn decompress(&self, bytes: &[u8]) -> Result<Field<T>, CompressError> {
-        let bytes = qip_core::integrity::check(bytes)?;
-        let mut r = ByteReader::new(bytes);
-        let magic = r.get_u8()?;
-        if magic != MAGIC_SZ3 {
-            return Err(CompressError::WrongFormat("not an SZ3 stream"));
-        }
-        let tag = r.get_u8()?;
-        let rest = r.rest();
-        match tag {
-            0 => self.engine().decompress(rest),
-            1 => lorenzo::decompress(rest, MAGIC_SZ3_LORENZO),
-            _ => Err(CompressError::WrongFormat("bad SZ3 pipeline tag")),
-        }
+        self.decompress_into(bytes, &mut CompressCtx::new())
     }
 
     fn compress_into(

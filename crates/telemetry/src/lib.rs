@@ -281,9 +281,6 @@ pub struct CallReport<'a> {
     pub outcome_kind: &'a str,
     /// Full outcome text for the flight record (`"ok"` or error rendering).
     pub outcome: String,
-    /// Active pipeline-kernel mode (`"chunked"` / `"scalar"`); `""` when the
-    /// caller has no kernel dimension (e.g. fault records).
-    pub kernel_mode: &'a str,
 }
 
 /// Record one finished call: updates the hub's histograms/counters and
@@ -354,7 +351,6 @@ pub fn record_call(scope: Option<CallScope>, report: CallReport<'_>) {
             duration_ns: report.duration_ns,
             outcome: report.outcome.clone(),
             qp_accept_rates: std::mem::take(&mut qp_accept_rates),
-            kernel_mode: report.kernel_mode.to_string(),
         });
     });
 }
@@ -383,7 +379,6 @@ pub fn record_fault(compressor: &str, op: &str, outcome: &str) {
             duration_ns: 0,
             outcome: outcome.to_string(),
             qp_accept_rates: Vec::new(),
-            kernel_mode: String::new(),
         });
     });
 }
@@ -466,7 +461,6 @@ mod tests {
                 duration_ns: 1000,
                 outcome_kind: "ok",
                 outcome: "ok".into(),
-                kernel_mode: "chunked",
             },
         );
         detach();
@@ -475,7 +469,6 @@ mod tests {
         let r = &records[0];
         assert_eq!(r.cr, 4.0);
         assert_eq!(r.bitrate_bits_per_value, 8.0);
-        assert_eq!(r.kernel_mode, "chunked");
         assert_eq!(
             r.qp_accept_rates,
             vec![LevelRate { level: 1, rate: 0.8 }, LevelRate { level: 2, rate: 0.9 }]

@@ -58,9 +58,6 @@ pub struct FlightRecord {
     /// Per-level QP accept rates observed during the call (compress only;
     /// empty for compressors without QP gating).
     pub qp_accept_rates: Vec<LevelRate>,
-    /// Pipeline-kernel mode active during the call (`"chunked"` /
-    /// `"scalar"`); `""` for records without a kernel dimension.
-    pub kernel_mode: String,
 }
 
 /// Bounded, thread-safe ring buffer of [`FlightRecord`]s.
@@ -150,7 +147,6 @@ mod tests {
             duration_ns: 12_345,
             outcome: "ok".into(),
             qp_accept_rates: vec![LevelRate { level: 1, rate: 0.75 }],
-            kernel_mode: "chunked".into(),
         }
     }
 

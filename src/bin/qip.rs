@@ -162,12 +162,27 @@ fn with_cli_obs<R>(obs: CliObs, f: impl FnOnce() -> Result<R, String>) -> Result
     result
 }
 
+/// Every valued option (`-k V` / `--key V`) some subcommand reads. Anything
+/// else is a usage error: a misspelt `--trace` must not run and write nothing.
+const KNOWN_OPTS: [&str; 25] = [
+    "i", "o", "d", "m", "eb", "tile", "region", "coarse", "original", "json", "dataset", "field",
+    "listen", "workers", "queue", "max-conns", "deadline-ms", "duration-s", "tails", "events",
+    "metrics-out", "prom", "flight", "trace", "flame",
+];
+
 fn run() -> Result<(), String> {
     let mut args = std::env::args().skip(1);
     let cmd = args.next().ok_or_else(usage)?;
     let mut opts: HashMap<String, String> = HashMap::new();
     let mut flags: Vec<String> = Vec::new();
     let mut key: Option<String> = None;
+    let known = |f: &str, arg: &str| {
+        if KNOWN_OPTS.contains(&f) {
+            Ok(f.to_string())
+        } else {
+            Err(format!("unknown option {arg}"))
+        }
+    };
     for a in args {
         if let Some(k) = key.take() {
             opts.insert(k, a);
@@ -175,10 +190,10 @@ fn run() -> Result<(), String> {
             if matches!(f, "qp" | "f64" | "stats") {
                 flags.push(f.into());
             } else {
-                key = Some(f.into());
+                key = Some(known(f, &a)?);
             }
         } else if let Some(f) = a.strip_prefix('-') {
-            key = Some(f.into());
+            key = Some(known(f, &a)?);
         } else {
             return Err(format!("unexpected argument '{a}'"));
         }
@@ -190,15 +205,6 @@ fn run() -> Result<(), String> {
         opts.get(k).ok_or(format!("missing required option -{k}"))
     };
     let is_f64 = flags.iter().any(|f| f == "f64");
-
-    // Global kernel switch: `--kernel scalar|chunked` selects the interp/quant
-    // kernel implementation for this process (default chunked; see
-    // docs/kernels.md). Applies to every subcommand that touches a codec.
-    if let Some(k) = opts.get("kernel") {
-        let mode = qip::interp::KernelMode::parse(k)
-            .ok_or_else(|| format!("bad --kernel '{k}': expected scalar or chunked"))?;
-        qip::interp::set_kernel_mode(mode);
-    }
 
     match cmd.as_str() {
         "compress" => {
@@ -586,8 +592,6 @@ fn usage() -> String {
      [--duration-s S] [--prom M.prom] [--tails T.jsonl] [--events E.jsonl]\n                 \
      (see docs/serving.md; FORMAT.md for the wire protocol; --tails dumps the\n                 \
      tail-sampler reservoir and --events the per-request event log at drain)\n\n\
-     Every subcommand accepts --kernel scalar|chunked to pick the codec kernel\n     \
-     implementation for the process (default chunked; see docs/kernels.md).\n\n\
      OBSERVABILITY (compress/decompress/inspect):\n  \
      --metrics-out M.json   telemetry snapshot (counters, gauges, latency histograms) as JSON\n  \
      --prom M.prom          the same snapshot in Prometheus text exposition format\n  \

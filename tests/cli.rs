@@ -173,6 +173,24 @@ fn bad_usage_fails_cleanly() {
 }
 
 #[test]
+fn unknown_options_are_rejected_not_ignored() {
+    // A misspelt `--trace` must not compress happily and write no trace, and
+    // `--kernel` (no such option) must not quietly run the one path there is.
+    let raw = tmp("unknown_opt.f32");
+    std::fs::write(&raw, [0u8; 64]).unwrap();
+    for (opt, value) in [("--trce", "t.json"), ("--kernel", "scalar"), ("-x", "1")] {
+        let out = qip()
+            .args(["compress", "-i", raw.to_str().unwrap(), "-o", "/dev/null", "-d", "4x4"])
+            .args([opt, value])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "{opt} must be a usage error");
+        let msg = String::from_utf8_lossy(&out.stderr);
+        assert!(msg.contains(&format!("unknown option {opt}")), "{opt}: {msg}");
+    }
+}
+
+#[test]
 fn zero_sized_axes_rejected_with_clear_error() {
     let raw = tmp("zero.f32");
     std::fs::write(&raw, [0u8; 64]).unwrap();
