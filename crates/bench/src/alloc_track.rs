@@ -1,10 +1,10 @@
-//! Allocation counting for the throughput benchmark.
+//! Allocation counting for the allocation-budget test.
 //!
 //! [`CountingAlloc`] is a pass-through global allocator that counts heap
-//! allocation *requests* (alloc + realloc calls) while armed. The `repro`
-//! binary installs it with `#[global_allocator]`; library users that don't
-//! install it simply observe zero counts, so [`count_allocs_during`] is safe
-//! to call anywhere.
+//! allocation *requests* (alloc + realloc calls) while armed. The root
+//! package's `tests/alloc_budget.rs` installs it with `#[global_allocator]`;
+//! a program that does not install it simply observes zero counts, so
+//! [`count_allocs_during`] is safe to call anywhere.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -49,8 +49,8 @@ unsafe impl GlobalAlloc for CountingAlloc {
 }
 
 /// Run `f`, returning its result and the number of heap allocation requests
-/// made while it ran. Counts are 0 unless [`CountingAlloc`] is installed as
-/// the global allocator (the `repro` binary installs it).
+/// made while it ran, on any thread. Counts are 0 unless [`CountingAlloc`] is
+/// installed as the global allocator.
 pub fn count_allocs_during<R>(f: impl FnOnce() -> R) -> (R, u64) {
     COUNT.store(0, Ordering::SeqCst);
     ENABLED.store(true, Ordering::SeqCst);

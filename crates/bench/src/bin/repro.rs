@@ -2,6 +2,7 @@
 //!
 //! ```text
 //! repro <command> [--scale N] [--fields K] [--out DIR] [--full]
+//!                 [--dataset NAME] [--gate PCT] [--bless]
 //!
 //! commands:
 //!   table1     qualitative compressor-traits table (paper Table I)
@@ -13,20 +14,14 @@
 //!   fig8       CR increase by condition case
 //!   fig9       CR increase by start level
 //!   rd         rate-distortion (Figs. 10-15); --dataset selects one
-//!   speed      compression/decompression speed (Figs. 16-17)
-//!   throughput allocating vs reused-context API throughput + allocation counts
-//!              (--baseline FILE compares against a previous BENCH_throughput.json
-//!              or BENCH_history.jsonl — newest entry — and exits 1 on a >5%
-//!              geometric-mean regression; every run also appends to
-//!              BENCH_history.jsonl under --out)
+//!              (the per-cell MB/s columns are single shots; the tracked
+//!              speed numbers of Figs. 16-17 come from `bash perf/run.sh`)
 //!   monitor    production-telemetry run: every registry compressor with a live
 //!              metrics hub attached; asserts byte-identity vs the dormant path
 //!              and emits BENCH_telemetry.json (latency p50/p90/p99, CR,
 //!              per-level QP accept rates), BENCH_telemetry.prom, a flight dump,
 //!              and BENCH_flame.folded. `--gate 0.02` exits 1 when attached
-//!              throughput drops >2% (geomean) below detached
-//!   profile    per-stage trace profiles for every registry compressor
-//!              (build with --features trace for populated stage tables)
+//!              throughput drops >2% (geomean of paired ratios) below detached
 //!   inspect    stream-forensics sweep: every registry compressor (plus a
 //!              tiled container) compressed and inspected; publishes per-level
 //!              index bits + QP accept rates into BENCH_inspect.json and exits
@@ -53,6 +48,11 @@
 //!              window burn rates, compliance), BENCH_tails.jsonl (tail-
 //!              sampler stage traces), and BENCH_events.jsonl (per-request
 //!              events); exits 1 when any objective is breached
+//!   tiles      tiled-container random access: region-read latency vs region
+//!              size with exact tile-decode counts, read identity vs the full
+//!              decode, the bound contract, TiledWriter byte-identity and
+//!              MGARD progressive decode. Writes BENCH_tiles.json, exits 1
+//!              when any hard gate fails
 //!   all        everything above in order (failures are aggregated; the exit
 //!              code is nonzero if any gated experiment failed)
 //! ```
@@ -63,12 +63,6 @@
 use qip_bench::experiments::{self, Opts};
 use qip_data::{Dataset, RD_DATASETS};
 use std::path::PathBuf;
-
-/// Install the counting allocator so the `throughput` experiment can report
-/// real allocation counts (it is pass-through and unarmed everywhere else).
-#[global_allocator]
-static ALLOC: qip_bench::alloc_track::CountingAlloc =
-    qip_bench::alloc_track::CountingAlloc::new();
 
 fn print_table1() {
     qip_bench::print_table(
@@ -85,8 +79,8 @@ fn print_table1() {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: repro <table1|table2|fig3|fig4|fig5|fig7|fig8|fig9|rd|speed|throughput|monitor|profile|inspect|conformance|table4|fig18|ablate|serve|slo|tiles|all> \
-         [--scale N] [--fields K] [--out DIR] [--full] [--dataset NAME] [--baseline FILE] [--gate PCT] [--bless]"
+        "usage: repro <table1|table2|fig3|fig4|fig5|fig7|fig8|fig9|rd|monitor|inspect|conformance|table4|fig18|ablate|serve|slo|tiles|all> \
+         [--scale N] [--fields K] [--out DIR] [--full] [--dataset NAME] [--gate PCT] [--bless]"
     );
     std::process::exit(2);
 }
@@ -99,7 +93,6 @@ fn main() {
     let cmd = args[0].clone();
     let mut opts = Opts::default();
     let mut dataset: Option<String> = None;
-    let mut baseline: Option<PathBuf> = None;
     let mut gate: Option<f64> = None;
     let mut bless = false;
     let mut i = 1;
@@ -122,10 +115,6 @@ fn main() {
             "--dataset" => {
                 i += 1;
                 dataset = Some(args.get(i).cloned().unwrap_or_else(|| usage()));
-            }
-            "--baseline" => {
-                i += 1;
-                baseline = Some(PathBuf::from(args.get(i).cloned().unwrap_or_else(|| usage())));
             }
             "--gate" => {
                 i += 1;
@@ -168,24 +157,11 @@ fn main() {
             Some(name) => rd_one(pick_dataset(name)),
             None => rd_all(),
         },
-        "speed" => experiments::speed::run(&opts),
-        "throughput" => {
-            let records = experiments::throughput::run(&opts);
-            if let Some(b) = &baseline {
-                if let Err(msg) = experiments::throughput::compare_baseline(&records, b, 0.05) {
-                    eprintln!("{msg}");
-                    std::process::exit(1);
-                }
-            }
-        }
         "monitor" => {
             if let Err(msg) = experiments::monitor::run(&opts, gate) {
                 eprintln!("{msg}");
                 std::process::exit(1);
             }
-        }
-        "profile" => {
-            experiments::profile::run(&opts);
         }
         "inspect" => {
             if let Err(msg) = experiments::inspect::run(&opts) {
@@ -233,19 +209,9 @@ fn main() {
             experiments::config_explore::fig8(&opts);
             experiments::config_explore::fig9(&opts);
             rd_all();
-            experiments::speed::run(&opts);
-            let throughput_records = experiments::throughput::run(&opts);
-            if let Some(b) = &baseline {
-                if let Err(msg) =
-                    experiments::throughput::compare_baseline(&throughput_records, b, 0.05)
-                {
-                    failures.push(format!("throughput: {msg}"));
-                }
-            }
             if let Err(msg) = experiments::monitor::run(&opts, gate) {
                 failures.push(format!("monitor: {msg}"));
             }
-            experiments::profile::run(&opts);
             if let Err(msg) = experiments::inspect::run(&opts) {
                 failures.push(format!("inspect: {msg}"));
             }

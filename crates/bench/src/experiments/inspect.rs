@@ -14,23 +14,24 @@
 //!    (the trace_equivalence discipline, extended to forensics).
 //! 3. **Dormant overhead ≤ 2%**: plain `decompress` throughput measured
 //!    after heavy inspection use must stay within 2% of the same measurement
-//!    taken before any inspection ran in the process. Forensics is a
-//!    separate decode path; the production path must not pay for it.
+//!    taken before any inspection ran in the process. Forensics is the
+//!    production decode with a probe; a forensic run must leave nothing
+//!    behind (a switch left on, a hub left attached, a grown pool) that later
+//!    plain decodes pay for — which is why the two timings are sequential.
 
 use super::Opts;
 use crate::registry::AnyCompressor;
-use crate::report::{fmt, print_table};
+use crate::report::{fmt, print_table, write_json};
+use crate::timing::fastest;
 use qip_core::{Compressor, ErrorBound};
 use qip_data::Dataset;
 use qip_inspect::InspectReport;
-use qip_tensor::Field;
 use serde::Serialize;
-use std::time::Instant;
 
 /// Value-range-relative bound used for every run.
 const REL_EB: f64 = 1e-3;
-/// Timed repetitions for the dormant-overhead A/B measurement (best-of; one
-/// untimed warmup precedes each phase).
+/// Timed repetitions for the dormant-overhead A/B measurement (the fastest
+/// counts; one untimed warm-up precedes each phase).
 const REPS: usize = 9;
 /// Allowed dormant-path slowdown after inspection has run (2%).
 const DORMANT_GATE: f64 = 0.02;
@@ -155,17 +156,6 @@ fn record_from(
     }
 }
 
-fn best_of(reps: usize, mut f: impl FnMut() -> Field<f32>) -> f64 {
-    let mut best = f64::INFINITY;
-    f(); // warmup
-    for _ in 0..reps {
-        let t = Instant::now();
-        std::hint::black_box(f());
-        best = best.min(t.elapsed().as_secs_f64());
-    }
-    best
-}
-
 /// Run the sweep, print the table, write `BENCH_inspect.json`, and return
 /// `Err` when any gate (ledger exactness, byte identity, bound violations,
 /// dormant overhead) fails.
@@ -180,9 +170,10 @@ pub fn run(opts: &Opts) -> Result<(), String> {
     // where no forensic decode has run yet.
     let timing_comp = AnyCompressor::by_name("sz3+qp").map_err(|e| e.to_string())?;
     let timing_stream = timing_comp.compress(&field, bound).map_err(|e| e.to_string())?;
-    let t_before = best_of(REPS, || {
+    let decode = || -> qip_tensor::Field<f32> {
         timing_comp.decompress(&timing_stream).expect("decompress failed")
-    });
+    };
+    let t_before = fastest(REPS, decode).1;
 
     // Phase 2: the forensic sweep itself.
     let mut records = Vec::new();
@@ -223,9 +214,7 @@ pub fn run(opts: &Opts) -> Result<(), String> {
     // regression. The baseline stays the one true pre-inspection timing.
     let mut t_after = f64::INFINITY;
     for attempt in 0..5 {
-        t_after = t_after.min(best_of(REPS, || {
-            timing_comp.decompress(&timing_stream).expect("decompress failed")
-        }));
+        t_after = t_after.min(fastest(REPS, decode).1);
         if t_before.max(1e-9) / t_after.max(1e-9) >= 1.0 - DORMANT_GATE {
             break;
         }
@@ -295,7 +284,7 @@ pub fn run(opts: &Opts) -> Result<(), String> {
     );
 
     let doc = InspectDoc { rel_eb: REL_EB, records, dormant };
-    if let Err(e) = write_json(opts, &doc) {
+    if let Err(e) = write_json(&opts.out, "BENCH_inspect.json", &doc) {
         eprintln!("[failed to write BENCH_inspect.json: {e}]");
     }
 
@@ -322,16 +311,6 @@ fn check_gates(rec: &InspectRecord, failures: &mut Vec<String>) {
             rec.compressor, rec.violations
         ));
     }
-}
-
-fn write_json(opts: &Opts, doc: &InspectDoc) -> std::io::Result<()> {
-    std::fs::create_dir_all(&opts.out)?;
-    let path = opts.out.join("BENCH_inspect.json");
-    let mut s = serde_json::to_string(doc).expect("serializable document");
-    s.push('\n');
-    std::fs::write(&path, s)?;
-    eprintln!("[results written to {}]", path.display());
-    Ok(())
 }
 
 #[cfg(test)]

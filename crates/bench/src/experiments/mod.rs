@@ -6,22 +6,19 @@ pub mod config_explore;
 pub mod conformance;
 pub mod inspect;
 pub mod monitor;
-pub mod profile;
 pub mod rd;
 pub mod serve;
 pub mod slo;
 pub mod sota;
-pub mod speed;
-pub mod throughput;
 pub mod tiles;
 pub mod transfer;
 
 use std::path::{Path, PathBuf};
 
 /// Canonical cross-run benchmark history file: `BENCH_history.jsonl` at the
-/// repository root. Every experiment appends here regardless of `--out`
-/// (per-run artifacts like `BENCH_throughput.json` still land in `--out`),
-/// so the trend file cannot split between `results/` and the root again.
+/// repository root. Every writer appends here regardless of `--out` (per-run
+/// artifacts like `BENCH_serve.json` still land in `--out`), so the trend
+/// file cannot split between `results/` and the root again.
 /// `QIP_BENCH_HISTORY=PATH` overrides the location — tests use it to keep
 /// smoke runs from appending to the committed file.
 pub fn history_path() -> PathBuf {
@@ -35,11 +32,26 @@ pub fn history_path() -> PathBuf {
         .join("BENCH_history.jsonl")
 }
 
-/// Append one pre-rendered JSON line to a history file, creating parent
-/// directories as needed. Shared by every history writer so the framing
-/// (append-only, one line per run, trailing newline) stays uniform.
-pub fn append_history_line_to(path: &Path, line: &str) -> std::io::Result<()> {
+/// Append one run to a history file as the self-contained line
+/// `{"ts_unix":…,"scale":…,"<key>":<doc>}`, creating parent directories as
+/// needed. The key names the writer (`"serve"`, `"slo"`; hand-written `perf/`
+/// lines use `"perf"`), so a reader picks its own lines out of the shared
+/// file.
+pub fn append_history_at<T: serde::Serialize>(
+    path: &Path,
+    key: &str,
+    scale: usize,
+    doc: &T,
+) -> std::io::Result<()> {
     use std::io::Write;
+    let ts = std::time::SystemTime::now()
+        .duration_since(std::time::UNIX_EPOCH)
+        .map(|d| d.as_secs())
+        .unwrap_or(0);
+    let line = format!(
+        "{{\"ts_unix\":{ts},\"scale\":{scale},\"{key}\":{}}}\n",
+        serde_json::to_string(doc).expect("serializable document")
+    );
     if let Some(parent) = path.parent() {
         if !parent.as_os_str().is_empty() {
             std::fs::create_dir_all(parent)?;
@@ -47,9 +59,6 @@ pub fn append_history_line_to(path: &Path, line: &str) -> std::io::Result<()> {
     }
     let mut f = std::fs::OpenOptions::new().create(true).append(true).open(path)?;
     f.write_all(line.as_bytes())?;
-    if !line.ends_with('\n') {
-        f.write_all(b"\n")?;
-    }
     eprintln!("[history appended to {}]", path.display());
     Ok(())
 }
@@ -73,5 +82,3 @@ impl Default for Opts {
 
 /// The relative error bounds used across the evaluation sweeps.
 pub const EB_SWEEP: [f64; 4] = [1e-2, 1e-3, 1e-4, 1e-5];
-/// The subset used by the speed figures (paper Figs. 16-17).
-pub const EB_SPEED: [f64; 3] = [1e-3, 1e-4, 1e-5];

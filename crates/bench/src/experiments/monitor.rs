@@ -1,9 +1,9 @@
 //! `repro monitor` — the production-telemetry monitoring run.
 //!
-//! Drives every registry compressor over the synthetic corpus twice: once
-//! with telemetry dormant (detached) and once with a live [`MetricsHub`]
-//! attached, asserting byte-identity between the two and measuring the
-//! attached/detached throughput ratio. Per-compressor latency histograms
+//! Drives every registry compressor over the synthetic corpus with telemetry
+//! dormant (detached) and with a live [`MetricsHub`] attached, as back-to-back
+//! pairs ([`crate::timing::paired`]), asserting byte-identity between the two
+//! and measuring what attaching costs. Per-compressor latency histograms
 //! (p50/p90/p99), achieved ratios, and per-level QP accept rates are
 //! harvested from the hub and written to `BENCH_telemetry.json`; the merged
 //! hub is exported as Prometheus text (`BENCH_telemetry.prom`, validated) and
@@ -12,24 +12,26 @@
 //! (`BENCH_flame.folded`) for flamegraph tooling.
 //!
 //! With `--gate PCT` (the CI telemetry-overhead gate uses 0.02) the run exits
-//! with an error when the geometric-mean attached/detached throughput ratio
-//! drops below `1 − PCT` — the "always-on means affordable" contract.
+//! with an error when the attached/detached throughput ratio — the inverse
+//! of the geometric mean of the per-cell paired slowdowns — drops below
+//! `1 − PCT`: the "always-on means affordable" contract.
 
 use super::Opts;
 use crate::registry::AnyCompressor;
 use crate::report::{fmt, print_table};
+use crate::timing::paired;
 use qip_core::{Compressor, ErrorBound};
 use qip_data::Dataset;
 use qip_telemetry::{HistSummary, LevelRate, MetricsHub};
 use serde::Serialize;
 use std::sync::Arc;
-use std::time::Instant;
 
-/// Same corpus as the throughput experiment so the numbers are comparable.
+/// The synthetic 3-D corpus.
 const MONITOR_DATASETS: [Dataset; 2] = [Dataset::Miranda, Dataset::SegSalt];
 /// Value-range-relative bound used for every run.
 const REL_EB: f64 = 1e-3;
-/// Timed repetitions per path (best-of; one untimed warmup precedes them).
+/// Timed detached/attached pairs per direction (one untimed warm-up of each
+/// side precedes them).
 const REPS: usize = 5;
 
 /// One (compressor, dataset) monitoring cell.
@@ -47,14 +49,19 @@ pub struct MonitorRecord {
     pub cr: f64,
     /// Achieved bitrate in bits per value.
     pub bitrate_bits_per_value: f64,
-    /// Compress throughput with telemetry dormant (MB/s, best of reps).
+    /// Compress throughput with telemetry dormant (MB/s, fastest call).
     pub detached_compress_mbs: f64,
-    /// Compress throughput with a hub attached (MB/s, best of reps).
+    /// Compress throughput with a hub attached (MB/s, fastest call).
     pub attached_compress_mbs: f64,
     /// Decompress throughput with telemetry dormant (MB/s).
     pub detached_decompress_mbs: f64,
     /// Decompress throughput with a hub attached (MB/s).
     pub attached_decompress_mbs: f64,
+    /// Median over the pairs of attached/detached compress time (1.0 = free;
+    /// what the gate reads).
+    pub attached_compress_slowdown: f64,
+    /// Median over the pairs of attached/detached decompress time.
+    pub attached_decompress_slowdown: f64,
     /// Compress latency histogram harvested from the hub (ns).
     pub compress_latency_ns: HistSummary,
     /// Decompress latency histogram harvested from the hub (ns).
@@ -62,17 +69,6 @@ pub struct MonitorRecord {
     /// Per-level QP acceptance rates from the newest compress flight record
     /// (empty for non-QP and transform compressors).
     pub qp_accept_rates: Vec<LevelRate>,
-}
-
-fn best_of<R>(reps: usize, mut f: impl FnMut() -> R) -> (R, f64) {
-    let mut out = f(); // warmup
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let t = Instant::now();
-        out = f();
-        best = best.min(t.elapsed().as_secs_f64());
-    }
-    (out, best)
 }
 
 /// Pull the summary of `name{compressor="comp"}` out of a hub snapshot.
@@ -88,6 +84,14 @@ fn hist_summary(hub: &MetricsHub, name: &str, comp: &str) -> HistSummary {
         .unwrap_or(HistSummary { count: 0, sum: 0, p50: 0, p90: 0, p99: 0, max: 0 })
 }
 
+/// Run `call` with `hub` attached (the `b` side of every pair).
+fn attached<R>(hub: &Arc<MetricsHub>, call: impl FnOnce() -> R) -> R {
+    qip_telemetry::attach(Arc::clone(hub));
+    let out = call();
+    qip_telemetry::detach();
+    out
+}
+
 /// Measure one cell. The per-cell hub keeps the latency histograms scoped to
 /// this (compressor, dataset) pair; the caller merges it into the run-wide
 /// hub afterwards (exercising the mergeability contract in production code).
@@ -97,33 +101,20 @@ fn measure(comp: &AnyCompressor, ds: Dataset, dims: &[usize], cell_hub: &Arc<Met
     let bound = ErrorBound::Rel(REL_EB);
     let name = Compressor::<f32>::name(comp);
 
-    // Detached: telemetry dormant — the production idle path.
-    assert!(!qip_telemetry::active(), "telemetry must be dormant for the detached pass");
-    let (baseline, t_detached) =
-        best_of(REPS, || comp.compress(&field, bound).expect("compress failed"));
-    let (plain, t_detached_d) = best_of(REPS, || -> qip_tensor::Field<f32> {
-        comp.decompress(&baseline).expect("decompress failed")
-    });
-
-    // Attached: same calls with the hub live.
-    qip_telemetry::attach(Arc::clone(cell_hub));
-    let (metered, t_attached) =
-        best_of(REPS, || comp.compress(&field, bound).expect("compress failed"));
-    let (metered_out, t_attached_d) = best_of(REPS, || -> qip_tensor::Field<f32> {
-        comp.decompress(&metered).expect("decompress failed")
-    });
-    qip_telemetry::detach();
-
-    // The hard invariant the CI gate leans on: telemetry observes, never
-    // steers — identical bytes and identical reconstruction.
+    // Every pair is one call with telemetry dormant (the production idle
+    // path), then the same call with the hub live. The hard invariant the CI
+    // gate leans on: telemetry observes, never steers — identical bytes and
+    // identical reconstruction.
+    assert!(!qip_telemetry::active(), "telemetry must be dormant between attached calls");
+    let compress = || comp.compress(&field, bound).expect("compress failed");
+    let c = paired(REPS, compress, || attached(cell_hub, compress));
+    assert_eq!(c.a, c.b, "{name} on {}: bytes diverge with a metrics hub attached", ds.name());
+    let decompress =
+        || -> qip_tensor::Field<f32> { comp.decompress(&c.a).expect("decompress failed") };
+    let d = paired(REPS, decompress, || attached(cell_hub, decompress));
     assert_eq!(
-        baseline, metered,
-        "{name} on {}: bytes diverge with a metrics hub attached",
-        ds.name()
-    );
-    assert_eq!(
-        plain.as_slice(),
-        metered_out.as_slice(),
+        d.a.as_slice(),
+        d.b.as_slice(),
         "{name} on {}: values diverge with a metrics hub attached",
         ds.name()
     );
@@ -142,32 +133,30 @@ fn measure(comp: &AnyCompressor, ds: Dataset, dims: &[usize], cell_hub: &Arc<Met
         dataset: ds.name().to_string(),
         dims: dims.to_vec(),
         rel_eb: REL_EB,
-        cr: (field.len() * 4) as f64 / baseline.len() as f64,
-        bitrate_bits_per_value: baseline.len() as f64 * 8.0 / field.len() as f64,
-        detached_compress_mbs: raw_mb / t_detached.max(1e-9),
-        attached_compress_mbs: raw_mb / t_attached.max(1e-9),
-        detached_decompress_mbs: raw_mb / t_detached_d.max(1e-9),
-        attached_decompress_mbs: raw_mb / t_attached_d.max(1e-9),
+        cr: (field.len() * 4) as f64 / c.a.len() as f64,
+        bitrate_bits_per_value: c.a.len() as f64 * 8.0 / field.len() as f64,
+        detached_compress_mbs: raw_mb / c.a_s.max(1e-9),
+        attached_compress_mbs: raw_mb / c.b_s.max(1e-9),
+        detached_decompress_mbs: raw_mb / d.a_s.max(1e-9),
+        attached_decompress_mbs: raw_mb / d.b_s.max(1e-9),
+        attached_compress_slowdown: c.ratio,
+        attached_decompress_slowdown: d.ratio,
         compress_latency_ns: hist_summary(cell_hub, "qip.compress.duration_ns", &Compressor::<f32>::name(comp)),
         decompress_latency_ns: hist_summary(cell_hub, "qip.decompress.duration_ns", &Compressor::<f32>::name(comp)),
         qp_accept_rates,
     }
 }
 
-/// Geometric-mean attached/detached throughput ratio over every cell and both
-/// directions (the overhead gate's statistic; 1.0 = telemetry is free).
+/// Attached/detached throughput ratio: the inverse of the geometric mean of
+/// the paired slowdowns over every cell and both directions (the overhead
+/// gate's statistic; 1.0 = telemetry is free).
 pub fn overhead_geomean(records: &[MonitorRecord]) -> f64 {
     let logs: Vec<f64> = records
         .iter()
-        .flat_map(|r| {
-            [
-                r.attached_compress_mbs / r.detached_compress_mbs.max(1e-12),
-                r.attached_decompress_mbs / r.detached_decompress_mbs.max(1e-12),
-            ]
-        })
+        .flat_map(|r| [r.attached_compress_slowdown, r.attached_decompress_slowdown])
         .map(f64::ln)
         .collect();
-    (logs.iter().sum::<f64>() / logs.len().max(1) as f64).exp()
+    (-logs.iter().sum::<f64>() / logs.len().max(1) as f64).exp()
 }
 
 /// Run the monitoring grid, write the artifacts, and apply the overhead gate
@@ -212,7 +201,10 @@ pub fn run(opts: &Opts, gate: Option<f64>) -> Result<Vec<MonitorRecord>, String>
     );
 
     let geomean = overhead_geomean(&records);
-    eprintln!("[telemetry overhead: geometric-mean attached/detached throughput ratio {geomean:.4}]");
+    eprintln!(
+        "[telemetry overhead: attached/detached throughput ratio {geomean:.4} \
+         (geometric mean of the paired per-cell ratios)]"
+    );
 
     if let Err(e) = write_artifacts(opts, &records, &run_hub) {
         eprintln!("[failed to write monitor artifacts: {e}]");
@@ -312,6 +304,8 @@ mod tests {
         let doc = crate::jsonx::parse(&json).expect("BENCH_telemetry.json parses");
         assert_eq!(doc.as_arr().unwrap().len(), records.len());
         assert!(doc.as_arr().unwrap()[0].get("compress_latency_ns").unwrap().num("p99").is_some());
+        assert!(doc.as_arr().unwrap()[0].num("attached_compress_slowdown").is_some());
+        assert!(doc.as_arr().unwrap()[0].num("attached_decompress_slowdown").is_some());
         let prom = std::fs::read_to_string(opts.out.join("BENCH_telemetry.prom")).unwrap();
         qip_telemetry::export::check_prometheus_text(&prom).expect("valid Prometheus text");
         assert!(opts.out.join("BENCH_flame.folded").exists());
@@ -320,23 +314,26 @@ mod tests {
 
     #[test]
     fn overhead_geomean_math() {
-        let mk = |att: f64, det: f64| MonitorRecord {
+        let mk = |slowdown: f64| MonitorRecord {
             compressor: "SZ3".into(),
             dataset: "SegSalt".into(),
             dims: vec![8, 8, 8],
             rel_eb: 1e-3,
             cr: 10.0,
             bitrate_bits_per_value: 3.2,
-            detached_compress_mbs: det,
-            attached_compress_mbs: att,
-            detached_decompress_mbs: det,
-            attached_decompress_mbs: att,
+            detached_compress_mbs: 100.0,
+            attached_compress_mbs: 100.0,
+            detached_decompress_mbs: 100.0,
+            attached_decompress_mbs: 100.0,
+            attached_compress_slowdown: slowdown,
+            attached_decompress_slowdown: slowdown,
             compress_latency_ns: HistSummary { count: 1, sum: 1, p50: 1, p90: 1, p99: 1, max: 1 },
             decompress_latency_ns: HistSummary { count: 1, sum: 1, p50: 1, p90: 1, p99: 1, max: 1 },
             qp_accept_rates: Vec::new(),
         };
-        assert!((overhead_geomean(&[mk(100.0, 100.0)]) - 1.0).abs() < 1e-12);
-        let g = overhead_geomean(&[mk(90.0, 100.0)]);
-        assert!((g - 0.9).abs() < 1e-12, "{g}");
+        assert!((overhead_geomean(&[mk(1.0)]) - 1.0).abs() < 1e-12);
+        // The gate reads the paired ratios, not the MB/s columns.
+        let g = overhead_geomean(&[mk(1.25)]);
+        assert!((g - 0.8).abs() < 1e-12, "{g}");
     }
 }

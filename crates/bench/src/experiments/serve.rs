@@ -18,13 +18,12 @@
 //!    error or a clean close. Zero hangs, zero escaped panics.
 //!
 //! Results land in `BENCH_serve.json` and one self-contained line is appended
-//! to `BENCH_history.jsonl` (keyed `"serve"`, so the throughput baseline gate
-//! skips it). The run returns `Err` — and `repro serve` exits nonzero — when
-//! any robustness gate fails.
+//! to `BENCH_history.jsonl` (keyed `"serve"`). The run returns `Err` — and
+//! `repro serve` exits nonzero — when any robustness gate fails.
 
 use super::Opts;
 use crate::registry::AnyCompressor;
-use crate::report::{fmt, print_table};
+use crate::report::{fmt, print_table, write_json};
 use qip_core::{Compressor, ErrorBound};
 use qip_serve::chaos::{self, ChaosConfig};
 use qip_serve::wire::{Status, WireBound};
@@ -398,43 +397,13 @@ pub fn run(opts: &Opts) -> Result<ServeReport, String> {
         report.chaos.server_panics,
     );
 
-    if let Err(e) = write_json(opts, &report) {
+    if let Err(e) = write_json(&opts.out, "BENCH_serve.json", &report) {
         eprintln!("[failed to write BENCH_serve.json: {e}]");
     }
-    if let Err(e) = append_history_at(&super::history_path(), opts.scale, &report) {
+    if let Err(e) = super::append_history_at(&super::history_path(), "serve", opts.scale, &report) {
         eprintln!("[failed to append BENCH_history.jsonl: {e}]");
     }
     Ok(report)
-}
-
-fn write_json(opts: &Opts, report: &ServeReport) -> std::io::Result<()> {
-    std::fs::create_dir_all(&opts.out)?;
-    let path = opts.out.join("BENCH_serve.json");
-    let mut s = serde_json::to_string(report).expect("serializable report");
-    s.push('\n');
-    std::fs::write(&path, s)?;
-    eprintln!("[results written to {}]", path.display());
-    Ok(())
-}
-
-/// Append this run to the canonical repo-root history (see
-/// [`super::history_path`]) as `{"ts_unix":…,"scale":…,"serve":{…}}`. The
-/// `serve` key (instead of `records`) keeps the throughput baseline gate
-/// from treating a serve run as its newest throughput entry.
-fn append_history_at(
-    path: &std::path::Path,
-    scale: usize,
-    report: &ServeReport,
-) -> std::io::Result<()> {
-    let ts = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    let line = format!(
-        "{{\"ts_unix\":{ts},\"scale\":{scale},\"serve\":{}}}\n",
-        serde_json::to_string(report).expect("serializable report")
-    );
-    super::append_history_line_to(path, &line)
 }
 
 #[cfg(test)]
@@ -451,7 +420,7 @@ mod tests {
     }
 
     #[test]
-    fn serve_history_line_is_skipped_by_throughput_gate() {
+    fn serve_history_line_parses_and_carries_its_key() {
         let out = std::env::temp_dir().join("qip_serve_history_test");
         let path = out.join("BENCH_history.jsonl");
         let _ = std::fs::remove_file(&path);
@@ -479,7 +448,7 @@ mod tests {
                 server_panics: 0,
             },
         };
-        append_history_at(&path, 48, &report).unwrap();
+        crate::experiments::append_history_at(&path, "serve", 48, &report).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         let runs = crate::jsonx::parse_lines(&text).unwrap();
         assert_eq!(runs.len(), 1);

@@ -213,7 +213,7 @@ fn run_phases(opts: &Opts, hub: &Arc<MetricsHub>) -> Result<SloReport, String> {
     if let Err(e) = write_artifacts(opts, &report, hub, &events) {
         eprintln!("[failed to write slo artifacts: {e}]");
     }
-    if let Err(e) = append_history_at(&super::history_path(), opts.scale, &report) {
+    if let Err(e) = super::append_history_at(&super::history_path(), "slo", opts.scale, &report) {
         eprintln!("[failed to append BENCH_history.jsonl: {e}]");
     }
 
@@ -239,12 +239,7 @@ fn write_artifacts(
     hub: &Arc<MetricsHub>,
     events: &str,
 ) -> std::io::Result<()> {
-    std::fs::create_dir_all(&opts.out)?;
-    let path = opts.out.join("BENCH_slo.json");
-    let mut s = serde_json::to_string(report).expect("serializable report");
-    s.push('\n');
-    std::fs::write(&path, s)?;
-    eprintln!("[results written to {}]", path.display());
+    crate::report::write_json(&opts.out, "BENCH_slo.json", report)?;
     let tails_path = opts.out.join("BENCH_tails.jsonl");
     std::fs::write(&tails_path, hub.tail.dump_jsonl())?;
     eprintln!("[tail reservoir written to {}]", tails_path.display());
@@ -254,32 +249,12 @@ fn write_artifacts(
     Ok(())
 }
 
-/// Append this run to the canonical repo-root history (see
-/// [`super::history_path`]) as `{"ts_unix":…,"scale":…,"slo":{…}}`. The
-/// `slo` key (instead of `records`) keeps the throughput baseline gate from
-/// treating an SLO run as its newest throughput entry.
-fn append_history_at(
-    path: &std::path::Path,
-    scale: usize,
-    report: &SloReport,
-) -> std::io::Result<()> {
-    let ts = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    let line = format!(
-        "{{\"ts_unix\":{ts},\"scale\":{scale},\"slo\":{}}}\n",
-        serde_json::to_string(report).expect("serializable report")
-    );
-    super::append_history_line_to(path, &line)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn slo_history_line_is_skipped_by_throughput_gate() {
+    fn slo_history_line_parses_and_carries_its_key() {
         let out = std::env::temp_dir().join("qip_slo_history_test");
         let path = out.join("BENCH_history.jsonl");
         let _ = std::fs::remove_file(&path);
@@ -292,7 +267,7 @@ mod tests {
             tail_p99_ns: 0,
             snapshot: tracker.snapshot(),
         };
-        append_history_at(&path, 48, &report).unwrap();
+        crate::experiments::append_history_at(&path, "slo", 48, &report).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         let runs = crate::jsonx::parse_lines(&text).unwrap();
         assert_eq!(runs.len(), 1);

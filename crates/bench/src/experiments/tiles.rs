@@ -3,7 +3,7 @@
 //! Measures what the container format buys over a monolithic stream:
 //!
 //! 1. **Region-read scaling** — `read_region` latency over a sweep of region
-//!    sizes on one fixed field. The acceptance criterion is that latency
+//!    sizes on one fixed field. The requirement is that latency
 //!    scales with the *region* (tiles decoded), not the field: every row
 //!    records the telemetry tile-decode count, and a single-tile read that
 //!    decodes more than its one tile is a hard failure.
@@ -20,7 +20,8 @@
 //! gate fails so `repro` can exit nonzero.
 
 use super::Opts;
-use crate::report::{fmt, print_table};
+use crate::report::{fmt, print_table, write_json};
+use crate::timing::fastest;
 use qip_container::{TiledCompressor, TiledWriter, TILE_DECODES_COUNTER};
 use qip_core::{Compressor, ErrorBound};
 use qip_registry::AnyCompressor;
@@ -28,9 +29,9 @@ use qip_tensor::{Field, Region};
 use serde::Serialize;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Instant;
 
-/// Timing repetitions per measurement (minimum is reported).
+/// Timed repetitions per measurement (the fastest is reported; one untimed
+/// warm-up precedes them).
 const REPS: usize = 3;
 
 /// One region size in the scaling sweep.
@@ -76,7 +77,7 @@ pub struct TilesReport {
     pub compressor: String,
     /// Container size in bytes.
     pub container_bytes: usize,
-    /// One-shot parallel compress latency.
+    /// Parallel compress latency (fastest of `REPS`).
     pub compress_ms: f64,
     /// Full-container decode latency (the baseline every region read beats).
     pub full_decode_ms: f64,
@@ -90,18 +91,6 @@ pub struct TilesReport {
     pub writer_identical: bool,
     /// MGARD progressive decode levels.
     pub progressive: Vec<ProgressiveRecord>,
-}
-
-fn time_best<R>(mut f: impl FnMut() -> R) -> (f64, R) {
-    let mut best = f64::INFINITY;
-    let mut out = None;
-    for _ in 0..REPS {
-        let t = Instant::now();
-        let r = f();
-        best = best.min(t.elapsed().as_secs_f64() * 1e3);
-        out = Some(r);
-    }
-    (best, out.expect("REPS >= 1"))
 }
 
 /// Run the tiled-container benchmark. Returns `Err` on any hard-gate failure.
@@ -141,13 +130,13 @@ fn run_attached(
     name: &str,
     decodes: &Arc<std::sync::atomic::AtomicU64>,
 ) -> Result<TilesReport, String> {
-    let (compress_ms, bytes) = time_best(|| tc.compress(field, ErrorBound::Abs(abs_bound)));
+    let (bytes, compress_s) = fastest(REPS, || tc.compress(field, ErrorBound::Abs(abs_bound)));
     let bytes = bytes.map_err(|e| format!("tiles: compress failed: {e}"))?;
     let (info, _) = qip_container::ContainerInfo::parse(&bytes)
         .map_err(|e| format!("tiles: container parse failed: {e}"))?;
     let tiles_total = info.tiles.len();
 
-    let (full_decode_ms, full) = time_best(|| tc.decompress(&bytes));
+    let (full, full_decode_s) = fastest(REPS, || tc.decompress(&bytes));
     let full: Field<f32> = full.map_err(|e| format!("tiles: decompress failed: {e}"))?;
     let max_abs_error = qip_metrics::max_abs_error(field, &full);
     let bound_ok = max_abs_error <= abs_bound * (1.0 + 1e-9);
@@ -168,10 +157,11 @@ fn run_attached(
     for (origin, extent) in sweep {
         let region = Region::new(&origin, &extent);
         let before = decodes.load(Ordering::Relaxed);
-        let (read_ms, got) = time_best(|| qip_container::read_region::<f32>(&bytes, &region));
+        let (got, read_s) =
+            fastest(REPS, || qip_container::read_region::<f32>(&bytes, &region));
         let got = got.map_err(|e| format!("tiles: read_region {region} failed: {e}"))?;
         let after = decodes.load(Ordering::Relaxed);
-        let per_read = (after - before) / REPS as u64;
+        let per_read = (after - before) / (REPS as u64 + 1); // warm-up included
 
         let want = full.subregion(&origin, &extent);
         let identical = got.as_slice() == want.as_slice();
@@ -192,7 +182,7 @@ fn run_attached(
             region_elems: extent.iter().product(),
             tiles_decoded: per_read,
             tiles_total,
-            read_ms,
+            read_ms: read_s * 1e3,
             identical,
             origin,
             extent,
@@ -237,8 +227,8 @@ fn run_attached(
         .map_err(|e| format!("tiles: mgard decompress failed: {e}"))?;
     let mut progressive = Vec::new();
     for stop_level in [0usize, 1, 2] {
-        let (decode_ms, coarse) =
-            time_best(|| qip_container::decompress_reduced::<f32>(&mgard_bytes, stop_level));
+        let (coarse, decode_s) =
+            fastest(REPS, || qip_container::decompress_reduced::<f32>(&mgard_bytes, stop_level));
         let coarse = coarse.map_err(|e| format!("tiles: progressive stop {stop_level}: {e}"))?;
         let want = mgard_full.decimate(1 << stop_level);
         let matches_decimate =
@@ -249,7 +239,7 @@ fn run_attached(
         progressive.push(ProgressiveRecord {
             stop_level,
             coarse_elems: coarse.len(),
-            decode_ms,
+            decode_ms: decode_s * 1e3,
             matches_decimate,
         });
     }
@@ -259,8 +249,8 @@ fn run_attached(
         tile,
         compressor: name.into(),
         container_bytes: bytes.len(),
-        compress_ms,
-        full_decode_ms,
+        compress_ms: compress_s * 1e3,
+        full_decode_ms: full_decode_s * 1e3,
         max_abs_error,
         abs_bound,
         regions,
@@ -307,7 +297,7 @@ fn run_attached(
         &prog_rows,
     );
 
-    if let Err(e) = write_json(opts, &report) {
+    if let Err(e) = write_json(&opts.out, "BENCH_tiles.json", &report) {
         eprintln!("[failed to write BENCH_tiles.json: {e}]");
     }
     if gates.is_empty() {
@@ -315,14 +305,4 @@ fn run_attached(
     } else {
         Err(format!("tiles: {} hard gate(s) failed:\n  {}", gates.len(), gates.join("\n  ")))
     }
-}
-
-fn write_json(opts: &Opts, report: &TilesReport) -> std::io::Result<()> {
-    std::fs::create_dir_all(&opts.out)?;
-    let path = opts.out.join("BENCH_tiles.json");
-    let mut s = serde_json::to_string(report).expect("serializable report");
-    s.push('\n');
-    std::fs::write(&path, s)?;
-    eprintln!("[results written to {}]", path.display());
-    Ok(())
 }

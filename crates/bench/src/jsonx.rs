@@ -1,12 +1,11 @@
 //! Minimal JSON reader for the bench tooling's own output files.
 //!
-//! The vendored `serde_json` stub only *serializes*, so anything that re-reads
-//! a `BENCH_*.json` / `BENCH_history.jsonl` file (the throughput baseline gate,
-//! the monitor regression comparison) needs a parser. This is a small strict
-//! recursive-descent one over the subset of JSON our writers emit: objects,
-//! arrays, strings with the standard escapes, finite numbers, booleans, and
-//! null. It exists to replace the brittle substring extraction the baseline
-//! gate used to do — nested objects and escaped quotes parse correctly here.
+//! The vendored `serde_json` stub only *serializes*, so the tests that check a
+//! `BENCH_*.json` / `BENCH_history.jsonl` writer by reading its output back
+//! need a parser. This is a small strict recursive-descent one over the subset
+//! of JSON our writers emit: objects, arrays, strings with the standard
+//! escapes, finite numbers, booleans, and null — nested objects and escaped
+//! quotes parse correctly, where substring matching would not.
 
 /// A parsed JSON value. Object keys keep insertion order (we never need map
 /// semantics, only lookup).

@@ -41,6 +41,17 @@ pub fn write_jsonl<T: Serialize>(dir: &Path, name: &str, records: &[T]) -> std::
     Ok(())
 }
 
+/// Write `doc` as one line of JSON to `dir/file_name` (creating `dir`).
+pub fn write_json<T: Serialize>(dir: &Path, file_name: &str, doc: &T) -> std::io::Result<()> {
+    std::fs::create_dir_all(dir)?;
+    let path = dir.join(file_name);
+    let mut s = serde_json::to_string(doc).expect("serializable document");
+    s.push('\n');
+    std::fs::write(&path, s)?;
+    eprintln!("[results written to {}]", path.display());
+    Ok(())
+}
+
 /// Format a float compactly for tables.
 pub fn fmt(v: f64) -> String {
     if !v.is_finite() {

@@ -16,7 +16,17 @@ fn unknown_command_exits_2() {
 
 #[test]
 fn missing_option_value_exits_2() {
-    let status = repro().args(["throughput", "--scale"]).status().unwrap();
+    let status = repro().args(["table1", "--scale"]).status().unwrap();
+    assert_eq!(status.code(), Some(2));
+}
+
+#[test]
+fn removed_timing_commands_and_baseline_option_exit_2() {
+    for cmd in ["throughput", "speed", "profile"] {
+        let status = repro().args([cmd, "--scale", "32"]).status().unwrap();
+        assert_eq!(status.code(), Some(2), "{cmd} is measured by perf/ now");
+    }
+    let status = repro().args(["table1", "--baseline", "x"]).status().unwrap();
     assert_eq!(status.code(), Some(2));
 }
 
@@ -28,16 +38,15 @@ fn table1_exits_0() {
 
 #[test]
 fn failed_gate_exits_1() {
-    // Scale 32 keeps the throughput grid tiny; the unreadable baseline makes
-    // the gate fail AFTER the measurement, so this exercises the propagation
-    // path rather than argument validation.
+    // Scale 32 keeps the monitor grid tiny; no ratio can clear a gate of -1
+    // (it asks for attached throughput above 2x detached), so the gate fails
+    // AFTER the measurement — this exercises the propagation path rather
+    // than argument validation.
     let out = std::env::temp_dir().join("qip_exit_code_test");
     let status = repro()
-        .args(["throughput", "--scale", "32", "--fields", "1"])
+        .args(["monitor", "--scale", "32", "--gate", "-1"])
         .arg("--out")
         .arg(&out)
-        .args(["--baseline", "/nonexistent/qip-baseline.json"])
-        .env("QIP_BENCH_HISTORY", out.join("BENCH_history.jsonl"))
         .status()
         .unwrap();
     assert_eq!(status.code(), Some(1));

@@ -129,27 +129,6 @@ impl TraceReport {
         Some(node)
     }
 
-    /// All `/`-joined span paths with their stats, depth-first (the flat view
-    /// used by `BENCH_profile.json`).
-    pub fn span_paths(&self) -> Vec<(String, u64, u64, u64)> {
-        fn walk(node: &SpanNode, prefix: &str, out: &mut Vec<(String, u64, u64, u64)>) {
-            let path = if prefix.is_empty() {
-                node.name.clone()
-            } else {
-                format!("{prefix}/{}", node.name)
-            };
-            out.push((path.clone(), node.calls, node.total_ns, node.self_ns));
-            for c in &node.children {
-                walk(c, &path, out);
-            }
-        }
-        let mut out = Vec::new();
-        for n in &self.spans {
-            walk(n, "", &mut out);
-        }
-        out
-    }
-
     /// Look up a counter by name.
     pub fn counter(&self, name: &str) -> Option<u64> {
         self.counters.iter().find(|c| c.name == name).map(|c| c.value)
@@ -255,14 +234,11 @@ mod tests {
     }
 
     #[test]
-    fn lookups_and_flat_view() {
+    fn lookups() {
         let r = sample();
         assert_eq!(r.counter("bytes"), Some(42));
         assert_eq!(r.counter_sum("by"), 42);
         assert_eq!(r.value("entropy"), Some(1.5));
-        let paths: Vec<String> = r.span_paths().into_iter().map(|(p, ..)| p).collect();
-        assert!(paths.contains(&"a/b/c".to_string()));
-        assert!(paths.contains(&"d/e".to_string()));
     }
 
     #[test]

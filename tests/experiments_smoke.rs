@@ -59,11 +59,6 @@ fn rd_runs_on_two_datasets() {
 }
 
 #[test]
-fn speed_runs() {
-    experiments::speed::run(&tiny_opts("speed"));
-}
-
-#[test]
 fn table4_runs() {
     let opts = tiny_opts("table4");
     experiments::sota::run(&opts);
