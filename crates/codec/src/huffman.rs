@@ -241,6 +241,70 @@ pub fn decode(bytes: &[u8]) -> Result<Vec<i32>, CodecError> {
     decode_capped(bytes, usize::MAX)
 }
 
+/// The sections of one stream, as [`parse`] reads them.
+pub(crate) struct Header<'a> {
+    /// Symbols the stream declares.
+    pub(crate) count: usize,
+    /// Sorted alphabet; empty for an empty stream.
+    pub(crate) alphabet: Vec<i32>,
+    /// Code length per alphabet symbol; empty when there is no code stream
+    /// (at most one distinct symbol).
+    pub(crate) lengths: Vec<u32>,
+    /// The code stream: the stream's tail, everything before it is header.
+    pub(crate) payload: &'a [u8],
+}
+
+/// Parse and validate a stream's header — the one description of the layout,
+/// for [`decode_capped`] and for symbol pricing alike. Code lengths must lie
+/// in `1..=MAX_CODE_LEN` and describe a full prefix code, and nothing may
+/// follow the code stream.
+pub(crate) fn parse(bytes: &[u8]) -> Result<Header<'_>, CodecError> {
+    let mut r = ByteReader::new(bytes);
+    let count = r.get_uvarint()? as usize;
+    let mut h = Header { count, alphabet: Vec::new(), lengths: Vec::new(), payload: &[] };
+    if count > 0 {
+        let n_sym = r.get_uvarint()? as usize;
+        if n_sym == 0 {
+            return Err(CodecError::Corrupt("huffman: empty alphabet for nonempty stream"));
+        }
+        // Each alphabet delta takes at least one byte in the stream.
+        if n_sym > r.remaining() {
+            return Err(CodecError::Corrupt("huffman: alphabet exceeds stream"));
+        }
+        h.alphabet.reserve_exact(n_sym);
+        let mut prev = 0i64;
+        for _ in 0..n_sym {
+            let sym = prev + r.get_ivarint()?;
+            if sym < i32::MIN as i64 || sym > i32::MAX as i64 {
+                return Err(CodecError::Corrupt("huffman: symbol out of i32 range"));
+            }
+            h.alphabet.push(sym as i32);
+            prev = sym;
+        }
+        if n_sym > 1 {
+            h.lengths.reserve_exact(n_sym);
+            for _ in 0..n_sym {
+                let l = r.get_u8()? as u32;
+                if l == 0 || l > MAX_CODE_LEN {
+                    return Err(CodecError::Corrupt("huffman: invalid code length"));
+                }
+                h.lengths.push(l);
+            }
+            // Kraft check, exact in units of 2^-MAX_CODE_LEN.
+            let kraft =
+                h.lengths.iter().try_fold(0u64, |k, &l| k.checked_add(1 << (MAX_CODE_LEN - l)));
+            if kraft != Some(1 << MAX_CODE_LEN) {
+                return Err(CodecError::Corrupt("huffman: lengths violate Kraft equality"));
+            }
+            h.payload = r.get_block()?;
+        }
+    }
+    if r.remaining() != 0 {
+        return Err(CodecError::Corrupt("huffman: trailing bytes after the code stream"));
+    }
+    Ok(h)
+}
+
 /// [`decode`] with a caller-imposed ceiling on the symbol count.
 ///
 /// Containers pass the number of indices the surrounding stream declares, so
@@ -248,48 +312,19 @@ pub fn decode(bytes: &[u8]) -> Result<Vec<i32>, CodecError> {
 /// this matters most for the single-symbol format, whose output size is
 /// otherwise unconstrained by the payload length.
 pub fn decode_capped(bytes: &[u8], max_count: usize) -> Result<Vec<i32>, CodecError> {
-    let mut r = ByteReader::new(bytes);
-    let count = r.get_uvarint()? as usize;
-    if count == 0 {
-        return Ok(Vec::new());
-    }
+    let Header { count, alphabet, lengths, payload } = parse(bytes)?;
     if count > (1 << 36) || count > max_count {
         return Err(CodecError::Corrupt("huffman: implausible symbol count"));
     }
-    let n_sym = r.get_uvarint()? as usize;
-    if n_sym == 0 {
-        return Err(CodecError::Corrupt("huffman: empty alphabet for nonempty stream"));
-    }
-    // Each alphabet delta takes at least one byte in the stream.
-    if n_sym > r.remaining() {
-        return Err(CodecError::Corrupt("huffman: alphabet exceeds stream"));
-    }
-    let mut alphabet = Vec::with_capacity(n_sym);
-    let mut prev = 0i64;
-    for _ in 0..n_sym {
-        let sym = prev + r.get_ivarint()?;
-        if sym < i32::MIN as i64 || sym > i32::MAX as i64 {
-            return Err(CodecError::Corrupt("huffman: symbol out of i32 range"));
-        }
-        alphabet.push(sym as i32);
-        prev = sym;
-    }
-    if n_sym == 1 {
+    let n_sym = alphabet.len();
+    if n_sym <= 1 {
+        // Empty or single-symbol stream: the header carried everything.
         // Fallible allocation: `count` is attacker-controlled.
         let mut out = Vec::new();
         out.try_reserve_exact(count)
             .map_err(|_| CodecError::Corrupt("huffman: count exceeds memory"))?;
-        out.resize(count, alphabet[0]);
+        out.resize(count, alphabet.first().copied().unwrap_or(0));
         return Ok(out);
-    }
-
-    let mut lengths = Vec::with_capacity(n_sym);
-    for _ in 0..n_sym {
-        let l = r.get_u8()? as u32;
-        if l == 0 || l > MAX_CODE_LEN {
-            return Err(CodecError::Corrupt("huffman: invalid code length"));
-        }
-        lengths.push(l);
     }
 
     // Canonical decode tables: per length, the first code and the run of
@@ -314,14 +349,6 @@ pub fn decode_capped(bytes: &[u8], max_count: usize) -> Result<Vec<i32>, CodecEr
             idx += count_by_len[l];
         }
     }
-    // Kraft check, exact in units of 2^-MAX_CODE_LEN: the lengths must
-    // describe a full prefix code.
-    let kraft = lengths.iter().try_fold(0u64, |k, &l| k.checked_add(1 << (MAX_CODE_LEN - l)));
-    if kraft != Some(1 << MAX_CODE_LEN) {
-        return Err(CodecError::Corrupt("huffman: lengths violate Kraft equality"));
-    }
-
-    let payload = r.get_block()?;
     // Every symbol costs at least one bit, so a corrupted count cannot force
     // an absurd decode loop.
     if count > payload.len().saturating_mul(8) {

@@ -1,326 +1,131 @@
-//! Forensic (read-only) parsing of entropy-coded index blocks.
+//! Forensics over an entropy-coded index block: where its bytes went and
+//! what the symbols of a range cost.
 //!
-//! The inspection layer (`qip-inspect`) needs to answer "where did the bytes
-//! of this index block go?" and "how many bits did the symbols of level L
-//! cost?" without re-encoding anything. This module walks the exact framing
-//! [`crate::lossless::encode_indices`] emits — mode tag, chunk offset table,
-//! per-chunk entropy headers — and prices symbol ranges against the embedded
-//! canonical Huffman code lengths when the chunk mode allows exact pricing.
-//!
-//! Byte accounting is exact by construction: the per-section byte counts of
-//! [`IndexForensics`] always sum to the block length (asserted by the
-//! inspect test suites over every committed golden vector). Bit pricing is
-//! exact for `huff` chunks; `huff+lz` and range-coded chunks fall back to a
-//! labelled estimate (`exact == false`).
+//! Nothing here reads a stream. The block's framing comes from
+//! `lossless::parse` and a Huffman chunk's header from `huffman::parse` —
+//! the functions the decoder itself calls — so a block inspects exactly when
+//! it decodes, and the byte attribution telescopes off the parser's offsets:
+//! `index.framing` (mode tags, chunk table), `index.tables` (Huffman
+//! alphabets + code lengths) and `index.payload` spans tile the block. Bit
+//! pricing is exact for `huff` chunks; `huff+lz` and range-coded chunks fall
+//! back to a labelled estimate (`exact == false`).
 
-use crate::stream::ByteReader;
-use crate::varint::uvarint_len;
-use crate::{lz, CodecError};
+use crate::stream::{Span, Spans};
+use crate::{huffman, lossless, CodecError};
+use std::borrow::Cow;
 use std::collections::HashMap;
 
-/// Wire mode tags (must mirror `lossless.rs`).
-const MODE_HUFF: u8 = 0;
-const MODE_HUFF_LZ: u8 = 1;
-const MODE_RANGE: u8 = 2;
-const MODE_RANGE_LZ: u8 = 3;
-const MODE_CHUNKED: u8 = 4;
-
-/// Human-readable name of a block mode tag.
-fn mode_name(mode: u8) -> &'static str {
-    match mode {
-        MODE_HUFF => "huff",
-        MODE_HUFF_LZ => "huff+lz",
-        MODE_RANGE => "range",
-        MODE_RANGE_LZ => "range+lz",
-        MODE_CHUNKED => "chunked",
-        _ => "unknown",
-    }
-}
-
-/// Exact byte attribution of one entropy-coded index block.
-///
-/// Invariant: `framing_bytes + table_bytes + payload_bytes` equals the block
-/// length exactly.
-#[derive(Debug, Clone, Default)]
-pub struct IndexForensics {
-    /// Total block length in bytes.
-    pub total_bytes: u64,
-    /// Structural overhead: mode tags, symbol counts, the chunk offset
-    /// table, and block-length varints inside chunks.
-    pub framing_bytes: u64,
-    /// Entropy model headers: Huffman alphabets + code lengths. Zero for
-    /// range-coded chunks (the model is adaptive, not stored).
-    pub table_bytes: u64,
-    /// The entropy payload proper (code streams / range output / LZ output).
-    pub payload_bytes: u64,
-    /// Per-chunk detail, in symbol order.
-    pub chunks: Vec<ChunkForensics>,
-    /// Total symbol count the block declares.
-    pub total_symbols: u64,
-}
-
-/// One independently coded chunk of the index block (the whole block, for
-/// the flat single-chunk layout).
+/// Byte attribution and price model of one entropy-coded index block.
 #[derive(Debug, Clone)]
-pub struct ChunkForensics {
-    /// Entropy mode name: `huff`, `huff+lz`, `range`, `range+lz`.
-    pub mode: &'static str,
-    /// Index of the first symbol this chunk covers.
-    pub first_symbol: u64,
-    /// Number of symbols in this chunk.
-    pub symbols: u64,
-    /// Total bytes of the chunk (tag + header + payload).
-    pub bytes: u64,
-    /// Bytes of framing + entropy-model header within the chunk.
-    pub header_bytes: u64,
-    /// Bytes of the entropy payload within the chunk.
-    pub payload_bytes: u64,
-    /// Per-symbol code lengths in bits, when the chunk can be priced. For
-    /// `huff` chunks the prices are exact stream bits; for `huff+lz` they
-    /// are pre-LZ bits (scale by `bytes / pre-LZ bytes` for an estimate).
-    pub code_lengths: Option<HashMap<i32, u32>>,
-    /// Pre-LZ byte size of the underlying Huffman stream (`huff+lz` only).
-    pub pre_lz_bytes: Option<u64>,
+pub struct IndexForensics {
+    /// `index.framing` / `index.tables` / `index.payload` spans, in stream
+    /// order; they tile the block.
+    pub spans: Vec<Span>,
+    /// Per-chunk price model, in symbol order.
+    chunks: Vec<ChunkPrice>,
 }
 
-impl ChunkForensics {
-    /// Whether per-symbol bit pricing over this chunk is exact.
-    pub fn exact(&self) -> bool {
-        self.mode == "huff"
-    }
+/// What the symbols of one independently coded chunk cost (the whole block,
+/// for the flat single-chunk layout, whose `symbols` is the caller's cap).
+#[derive(Debug, Clone)]
+struct ChunkPrice {
+    /// Plain Huffman, the one mode priced exactly.
+    exact: bool,
+    first_symbol: usize,
+    symbols: usize,
+    /// Tag + header + payload, and the entropy payload alone.
+    bytes: u64,
+    payload_bytes: u64,
+    /// Code length per symbol: exact stream bits for `huff`, pre-LZ bits for
+    /// `huff+lz`, whose Huffman stream was `pre_lz_bytes` long.
+    code_lengths: Option<HashMap<i32, u32>>,
+    pre_lz_bytes: Option<u64>,
+}
 
-    /// Price a run of symbols drawn from this chunk, in (possibly
-    /// fractional) stream bits. Exact for `huff`; scaled pre-LZ bits for
-    /// `huff+lz`; a uniform payload split for range-coded chunks.
-    pub fn price_symbols(&self, symbols: &[i32]) -> f64 {
+impl ChunkPrice {
+    /// Price a run of symbols drawn from this chunk, which holds `held` in
+    /// all, in (possibly fractional) stream bits. Exact for `huff`; pre-LZ
+    /// bits scaled by `bytes / pre_lz_bytes` for `huff+lz`; a uniform payload
+    /// split for range-coded chunks.
+    fn price(&self, symbols: &[i32], held: usize) -> f64 {
+        let raw = |lens: &HashMap<i32, u32>| -> f64 {
+            symbols.iter().map(|s| lens.get(s).copied().unwrap_or(0) as f64).sum()
+        };
         match (&self.code_lengths, self.pre_lz_bytes) {
-            (Some(lens), None) => {
-                symbols.iter().map(|s| lens.get(s).copied().unwrap_or(0) as f64).sum()
-            }
-            (Some(lens), Some(pre)) if pre > 0 => {
-                let raw: f64 =
-                    symbols.iter().map(|s| lens.get(s).copied().unwrap_or(0) as f64).sum();
-                raw * self.bytes as f64 / pre as f64
-            }
-            _ => {
-                if self.symbols == 0 {
-                    0.0
-                } else {
-                    self.payload_bytes as f64 * 8.0 * symbols.len() as f64 / self.symbols as f64
-                }
-            }
+            (Some(lens), None) => raw(lens),
+            (Some(lens), Some(pre)) if pre > 0 => raw(lens) * self.bytes as f64 / pre as f64,
+            _ if held == 0 => 0.0,
+            _ => self.payload_bytes as f64 * 8.0 * symbols.len() as f64 / held as f64,
         }
     }
-}
-
-/// Parse the header of a Huffman stream produced by `huffman::encode`,
-/// returning `(header_bytes, payload_bytes, code_lengths)` where the header
-/// covers count + alphabet + code lengths + the payload-length varint.
-fn parse_huffman_sections(
-    bytes: &[u8],
-) -> Result<(u64, u64, HashMap<i32, u32>), CodecError> {
-    let mut r = ByteReader::new(bytes);
-    let count = r.get_uvarint()? as usize;
-    if count == 0 {
-        return Ok((bytes.len() as u64, 0, HashMap::new()));
-    }
-    let n_sym = r.get_uvarint()? as usize;
-    if n_sym == 0 {
-        return Err(CodecError::Corrupt("huffman: empty alphabet for nonempty stream"));
-    }
-    if n_sym > r.remaining() {
-        return Err(CodecError::Corrupt("huffman: alphabet exceeds stream"));
-    }
-    let mut alphabet = Vec::with_capacity(n_sym);
-    let mut prev = 0i64;
-    for _ in 0..n_sym {
-        let sym = prev + r.get_ivarint()?;
-        if sym < i32::MIN as i64 || sym > i32::MAX as i64 {
-            return Err(CodecError::Corrupt("huffman: symbol out of i32 range"));
-        }
-        alphabet.push(sym as i32);
-        prev = sym;
-    }
-    if n_sym == 1 {
-        // Degenerate stream: the header carries everything, zero payload.
-        let lens = HashMap::from([(alphabet[0], 0u32)]);
-        return Ok((bytes.len() as u64, 0, lens));
-    }
-    let mut lengths = Vec::with_capacity(n_sym);
-    for _ in 0..n_sym {
-        lengths.push(r.get_u8()? as u32);
-    }
-    let payload = r.get_block()?;
-    if r.remaining() != 0 {
-        return Err(CodecError::Corrupt("huffman: trailing bytes after payload"));
-    }
-    let payload_bytes = payload.len() as u64;
-    let header_bytes = bytes.len() as u64 - payload_bytes;
-    let lens = alphabet.into_iter().zip(lengths).collect();
-    Ok((header_bytes, payload_bytes, lens))
-}
-
-/// Dissect one chunk body (`[mode u8, payload…]`).
-fn inspect_chunk(
-    chunk: &[u8],
-    first_symbol: u64,
-    symbols: u64,
-    max_payload: usize,
-) -> Result<ChunkForensics, CodecError> {
-    let (&mode, body) = chunk.split_first().ok_or(CodecError::UnexpectedEof)?;
-    let total = chunk.len() as u64;
-    let mut out = ChunkForensics {
-        mode: mode_name(mode),
-        first_symbol,
-        symbols,
-        bytes: total,
-        header_bytes: 1, // the mode tag
-        payload_bytes: total - 1,
-        code_lengths: None,
-        pre_lz_bytes: None,
-    };
-    match mode {
-        MODE_HUFF => {
-            let (header, payload, lens) = parse_huffman_sections(body)?;
-            out.header_bytes = 1 + header;
-            out.payload_bytes = payload;
-            out.code_lengths = Some(lens);
-        }
-        MODE_HUFF_LZ => {
-            // Byte attribution stays at the compressed level (tag + opaque
-            // LZ payload); the inner Huffman header still yields a pre-LZ
-            // bit model for estimation.
-            if let Ok(huff) = lz::decompress_capped(body, max_payload) {
-                if let Ok((_, _, lens)) = parse_huffman_sections(&huff) {
-                    out.code_lengths = Some(lens);
-                    out.pre_lz_bytes = Some(huff.len() as u64);
-                }
-            }
-        }
-        MODE_RANGE | MODE_RANGE_LZ => {}
-        _ => return Err(CodecError::BadHeader("unknown lossless mode tag")),
-    }
-    Ok(out)
 }
 
 /// Dissect an index block produced by [`crate::encode_indices`].
 ///
 /// `max_count` bounds the declared symbol total (callers pass the field
-/// volume), mirroring [`crate::decode_indices_capped`]'s defenses.
+/// volume), as in [`crate::decode_indices_capped`].
 pub fn inspect_index_block(
     bytes: &[u8],
     max_count: usize,
 ) -> Result<IndexForensics, CodecError> {
-    let (&mode, rest) = bytes.split_first().ok_or(CodecError::UnexpectedEof)?;
-    let max_payload = max_count.saturating_mul(16).saturating_add(4096);
-    let mut out = IndexForensics { total_bytes: bytes.len() as u64, ..Default::default() };
-
-    if mode != MODE_CHUNKED {
-        // Flat layout: one chunk covering every symbol. The symbol count
-        // lives inside the entropy stream; recover it from the chunk.
-        let count = match mode {
-            MODE_HUFF | MODE_RANGE => ByteReader::new(rest).get_uvarint()?,
-            MODE_HUFF_LZ | MODE_RANGE_LZ => {
-                let inner = lz::decompress_capped(rest, max_payload)?;
-                ByteReader::new(&inner).get_uvarint()?
+    let mut spans = Spans::default();
+    let mut chunks = Vec::new();
+    for c in lossless::parse(bytes, max_count)? {
+        let (body_at, end) = (c.at + 1, c.at + 1 + c.body.len());
+        // The decoder's own two steps, so a damaged chunk fails here too.
+        let coded = c.coded()?;
+        c.decode(&coded)?;
+        let lz = matches!(coded, Cow::Owned(_));
+        let mut out = ChunkPrice {
+            exact: c.is_huffman() && !lz,
+            first_symbol: c.first_symbol,
+            symbols: c.symbols,
+            bytes: 1 + c.body.len() as u64,
+            payload_bytes: c.body.len() as u64,
+            code_lengths: None,
+            pre_lz_bytes: None,
+        };
+        // Everything up to and including the tag: the chunk table in front
+        // of the first chunk, nothing but the tag in front of the others.
+        spans.push("index.framing", body_at);
+        if c.is_huffman() {
+            let h = huffman::parse(&coded)?;
+            // Byte attribution stays at the compressed level: an LZ-wrapped
+            // chunk is one opaque payload, and its Huffman header only
+            // yields the pre-LZ bit model for estimation.
+            if lz {
+                out.pre_lz_bytes = Some(coded.len() as u64);
+            } else {
+                out.payload_bytes = h.payload.len() as u64;
+                spans.push("index.tables", end - h.payload.len());
             }
-            _ => return Err(CodecError::BadHeader("unknown lossless mode tag")),
-        };
-        if count > max_count as u64 {
-            return Err(CodecError::Corrupt("index block: implausible symbol count"));
+            out.code_lengths = Some(h.alphabet.into_iter().zip(h.lengths).collect());
         }
-        let chunk = inspect_chunk(bytes, 0, count, max_payload)?;
-        out.total_symbols = count;
-        out.framing_bytes = 1;
-        out.table_bytes = chunk.header_bytes - 1;
-        out.payload_bytes = chunk.payload_bytes;
-        out.chunks.push(chunk);
-        return Ok(out);
+        spans.push("index.payload", end);
+        chunks.push(out);
     }
-
-    let mut r = ByteReader::new(rest);
-    let total = r.get_uvarint()? as usize;
-    let chunk_symbols = r.get_uvarint()? as usize;
-    let nchunks = r.get_uvarint()? as usize;
-    if total > max_count {
-        return Err(CodecError::BadHeader("declared symbol count exceeds cap"));
+    if chunks.is_empty() {
+        spans.push("index.framing", bytes.len()); // a chunk table of no chunks
     }
-    if chunk_symbols == 0 {
-        return Err(CodecError::BadHeader("zero chunk size"));
-    }
-    if nchunks != total.div_ceil(chunk_symbols) {
-        return Err(CodecError::BadHeader("chunk count inconsistent with total"));
-    }
-    let mut table_framing = 1u64
-        + uvarint_len(total as u64)
-        + uvarint_len(chunk_symbols as u64)
-        + uvarint_len(nchunks as u64);
-    let mut lens: Vec<usize> = Vec::new();
-    let mut payload_total = 0usize;
-    for _ in 0..nchunks {
-        let len = r.get_uvarint()? as usize;
-        table_framing += uvarint_len(len as u64);
-        payload_total = payload_total
-            .checked_add(len)
-            .ok_or(CodecError::BadHeader("chunk offset table overflows"))?;
-        lens.push(len);
-    }
-    let payload = r.rest();
-    if payload.len() != payload_total {
-        return Err(CodecError::BadHeader("offset table inconsistent with payload"));
-    }
-
-    out.total_symbols = total as u64;
-    out.framing_bytes = table_framing;
-    let mut off = 0usize;
-    for (i, &len) in lens.iter().enumerate() {
-        let symbols = if i + 1 == nchunks {
-            total - chunk_symbols * (nchunks - 1)
-        } else {
-            chunk_symbols
-        };
-        let chunk = inspect_chunk(
-            &payload[off..off + len],
-            (i * chunk_symbols) as u64,
-            symbols as u64,
-            max_payload,
-        )?;
-        off += len;
-        out.framing_bytes += 1; // the per-chunk mode tag
-        out.table_bytes += chunk.header_bytes - 1;
-        out.payload_bytes += chunk.payload_bytes;
-        out.chunks.push(chunk);
-    }
-    debug_assert_eq!(
-        out.framing_bytes + out.table_bytes + out.payload_bytes,
-        out.total_bytes
-    );
-    Ok(out)
+    Ok(IndexForensics { spans: spans.0, chunks })
 }
 
-/// Price a symbol range `[start, end)` of the original index array against
-/// the block's chunks, returning `(bits, exact)`. `symbols` must be the full
-/// decoded index array of the block.
-pub fn price_symbol_range(
-    forensics: &IndexForensics,
-    symbols: &[i32],
-    start: usize,
-    end: usize,
-) -> (f64, bool) {
-    let mut bits = 0.0f64;
-    let mut exact = true;
-    for chunk in &forensics.chunks {
-        let c0 = chunk.first_symbol as usize;
-        let c1 = c0 + chunk.symbols as usize;
-        let lo = start.max(c0);
-        let hi = end.min(c1);
-        if lo >= hi {
-            continue;
+impl IndexForensics {
+    /// Price the range `[start, end)` of `symbols` — the block's full decoded
+    /// index array — against its chunks: `(bits, exact)`.
+    pub fn price(&self, symbols: &[i32], start: usize, end: usize) -> (f64, bool) {
+        let (mut bits, mut exact) = (0.0f64, true);
+        for chunk in &self.chunks {
+            let c0 = chunk.first_symbol;
+            let c1 = c0.saturating_add(chunk.symbols).min(symbols.len());
+            let (lo, hi) = (start.max(c0), end.min(c1));
+            if lo < hi {
+                bits += chunk.price(&symbols[lo..hi], c1 - c0);
+                exact &= chunk.exact;
+            }
         }
-        bits += chunk.price_symbols(&symbols[lo..hi]);
-        exact &= chunk.exact();
+        (bits, exact)
     }
-    (bits, exact)
 }
 
 #[cfg(test)]
@@ -329,74 +134,71 @@ mod tests {
     use crate::lossless::CHUNK_SYMBOLS;
     use crate::{decode_indices, encode_indices};
 
+    fn bytes_named(f: &IndexForensics, name: &str) -> usize {
+        f.spans.iter().filter(|s| s.name == name).map(|s| s.end - s.start).sum()
+    }
+
+    /// Noise over three symbols.
+    fn noise(n: usize) -> Vec<i32> {
+        let mut state = 1234u64;
+        (0..n)
+            .map(|_| {
+                state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+                (state >> 33) as i32 % 3 - 1
+            })
+            .collect()
+    }
+
     fn check_exact_sum(q: &[i32]) -> IndexForensics {
         let enc = encode_indices(q);
         let f = inspect_index_block(&enc, q.len().max(1)).expect("inspect");
-        assert_eq!(
-            f.framing_bytes + f.table_bytes + f.payload_bytes,
-            enc.len() as u64,
-            "sections must sum to the block length"
-        );
-        assert_eq!(f.total_symbols, q.len() as u64);
+        let mut at = 0;
+        for s in &f.spans {
+            assert_eq!(s.start, at, "spans must tile the block");
+            at = s.end;
+        }
+        assert_eq!(at, enc.len(), "spans must end with the block");
         f
     }
 
     #[test]
-    fn flat_huffman_block_sections_sum() {
-        let q: Vec<i32> = (0..50_000).map(|i| (i % 23) - 11).collect();
-        let f = check_exact_sum(&q);
-        assert_eq!(f.chunks.len(), 1);
-    }
-
-    #[test]
-    fn empty_and_tiny_blocks() {
+    fn spans_tile_flat_tiny_and_chunked_blocks() {
+        let flat: Vec<i32> = (0..50_000).map(|i| (i % 23) - 11).collect();
+        assert_eq!(check_exact_sum(&flat).chunks.len(), 1);
         check_exact_sum(&[]);
         check_exact_sum(&[0]);
         check_exact_sum(&[7; 500]); // single-symbol degenerate header
-    }
-
-    #[test]
-    fn chunked_block_sections_sum() {
         let q: Vec<i32> = (0..CHUNK_SYMBOLS * 2 + 123).map(|i| (i % 5) as i32 - 2).collect();
         let f = check_exact_sum(&q);
         assert!(f.chunks.len() >= 2);
-        let covered: u64 = f.chunks.iter().map(|c| c.symbols).sum();
-        assert_eq!(covered, q.len() as u64);
-    }
-
-    #[test]
-    fn huff_pricing_matches_payload_bits() {
-        // A noisy stream keeps the plain-Huffman mode (LZ cannot help), so
-        // exact symbol pricing must reproduce the payload bit count.
-        let mut state = 1234u64;
-        let q: Vec<i32> = (0..30_000)
-            .map(|_| {
-                state = state
-                    .wrapping_mul(6_364_136_223_846_793_005)
-                    .wrapping_add(1_442_695_040_888_963_407);
-                ((state >> 33) as i32 % 257) - 128
-            })
-            .collect();
-        let enc = encode_indices(&q);
-        let f = inspect_index_block(&enc, q.len()).unwrap();
-        if f.chunks[0].mode != "huff" {
-            return; // encoder picked another mode; pricing is estimated there
-        }
-        let decoded = decode_indices(&enc).unwrap();
-        let (bits, exact) = price_symbol_range(&f, &decoded, 0, decoded.len());
-        assert!(exact);
-        let payload_bits = f.payload_bytes * 8;
-        // The bit stream is byte-padded, so priced bits ≤ payload bits with
-        // less than one byte of slack.
-        assert!(bits <= payload_bits as f64);
-        assert!(payload_bits as f64 - bits < 8.0, "bits {bits} vs payload {payload_bits}");
+        assert_eq!(f.chunks.iter().map(|c| c.symbols).sum::<usize>(), q.len());
     }
 
     #[test]
     fn truncated_blocks_error() {
-        let q: Vec<i32> = (0..10_000).map(|i| i % 13).collect();
-        let enc = encode_indices(&q);
-        assert!(inspect_index_block(&enc[..enc.len() / 2], q.len()).is_err());
+        // One flat block per coder: plain Huffman, huff+lz, range.
+        let periodic: Vec<i32> = (0..10_000).map(|i| i % 13).collect();
+        for (q, mode) in [(noise(70_000), 0), (periodic, 1), (noise(2_000), 2)] {
+            let enc = encode_indices(&q);
+            assert_eq!(enc[0], mode);
+            assert!(inspect_index_block(&enc, q.len()).is_ok(), "mode {mode}");
+            assert!(inspect_index_block(&enc[..enc.len() / 2], q.len()).is_err(), "mode {mode}");
+        }
         assert!(inspect_index_block(&[], 10).is_err());
+    }
+
+    #[test]
+    fn huff_pricing_matches_payload_bits() {
+        // Too long for the range coder, and the LZ pass gains nothing on the
+        // tiny header: the block stays plain Huffman, and exact symbol
+        // pricing must reproduce the payload bit count.
+        let q = noise(70_000);
+        let enc = encode_indices(&q);
+        let f = inspect_index_block(&enc, q.len()).unwrap();
+        let (bits, exact) = f.price(&decode_indices(&enc).unwrap(), 0, q.len());
+        assert!(exact, "block is not plain Huffman");
+        // The bit stream is byte-padded: less than one byte of slack.
+        let payload_bits = (bytes_named(&f, "index.payload") * 8) as f64;
+        assert!(bits <= payload_bits && payload_bits - bits < 8.0, "bits {bits} vs payload {payload_bits}");
     }
 }

@@ -27,12 +27,12 @@ pub mod stream;
 pub mod varint;
 
 pub use bits::{BitReader, BitWriter};
-pub use inspect::{inspect_index_block, price_symbol_range, ChunkForensics, IndexForensics};
+pub use inspect::{inspect_index_block, IndexForensics};
 pub use lossless::{
     decode_indices, decode_indices_capped, decode_indices_capped_into, encode_indices,
     encode_indices_into, CHUNK_SYMBOLS,
 };
-pub use stream::{ByteReader, ByteWriter};
+pub use stream::{ByteReader, ByteWriter, Span, Spans};
 
 /// Errors produced while decoding compressed streams.
 ///

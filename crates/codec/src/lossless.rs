@@ -16,6 +16,7 @@
 
 use crate::{huffman, lz, range, ByteReader, ByteWriter, CodecError};
 use rayon::prelude::*;
+use std::borrow::Cow;
 
 /// Mode tag: Huffman output stored raw.
 const MODE_HUFF: u8 = 0;
@@ -90,38 +91,117 @@ fn encode_block(indices: &[i32], s: &mut Scratch, out: &mut Vec<u8>) {
     out.extend_from_slice(best);
 }
 
-/// Decode one block produced by [`encode_block`], given its mode tag.
-fn decode_block(mode: u8, rest: &[u8], max_count: usize) -> Result<Vec<i32>, CodecError> {
-    // Entropy-coded payload for max_count symbols: 16 bytes/symbol is far
-    // above any legal code or escape cost, and the slack covers headers.
-    let max_payload = max_count.saturating_mul(16).saturating_add(4096);
-    match mode {
-        MODE_HUFF => {
-            let _t = qip_trace::span("huffman_decode");
-            huffman::decode_capped(rest, max_count)
+/// One independently coded chunk of an index block, as [`parse`] reads it
+/// (the whole block, for the flat layout).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Chunk<'a> {
+    /// Offset of the chunk's mode tag in the block: the chunk is the bytes
+    /// `at..at + 1 + body.len()`, and what lies between two chunks' ends and
+    /// starts is framing.
+    pub(crate) at: usize,
+    /// Mode tag, one of the four block modes.
+    pub(crate) mode: u8,
+    /// The coded bytes behind the tag.
+    pub(crate) body: &'a [u8],
+    /// Position of the chunk's first symbol in the index array.
+    pub(crate) first_symbol: usize,
+    /// Symbols the chunk holds. The flat layout keeps its count inside the
+    /// coded bytes, so there this is the caller's cap and `counted` is false.
+    pub(crate) symbols: usize,
+    counted: bool,
+}
+
+impl Chunk<'_> {
+    /// The entropy coder's bytes: the body, LZ-expanded for the LZ modes to
+    /// at most 16 bytes/symbol — far above any legal code or escape cost —
+    /// plus slack for headers.
+    pub(crate) fn coded(&self) -> Result<Cow<'_, [u8]>, CodecError> {
+        if self.mode == MODE_HUFF || self.mode == MODE_RANGE {
+            return Ok(Cow::Borrowed(self.body));
         }
-        MODE_HUFF_LZ => {
-            let huff = {
-                let _t = qip_trace::span("lz_decompress");
-                lz::decompress_capped(rest, max_payload)?
-            };
-            let _t = qip_trace::span("huffman_decode");
-            huffman::decode_capped(&huff, max_count)
-        }
-        MODE_RANGE => {
-            let _t = qip_trace::span("range_decode");
-            range::decode_capped(rest, max_count)
-        }
-        MODE_RANGE_LZ => {
-            let rng = {
-                let _t = qip_trace::span("lz_decompress");
-                lz::decompress_capped(rest, max_payload)?
-            };
-            let _t = qip_trace::span("range_decode");
-            range::decode_capped(&rng, max_count)
-        }
-        _ => Err(CodecError::BadHeader("unknown lossless mode tag")),
+        let _t = qip_trace::span("lz_decompress");
+        let cap = self.symbols.saturating_mul(16).saturating_add(4096);
+        Ok(Cow::Owned(lz::decompress_capped(self.body, cap)?))
     }
+
+    /// Whether `coded` is a Huffman stream (a range coder's otherwise).
+    pub(crate) fn is_huffman(&self) -> bool {
+        self.mode == MODE_HUFF || self.mode == MODE_HUFF_LZ
+    }
+
+    /// Decode the chunk's symbols — at most `self.symbols` of them, exactly
+    /// that many when `counted` — from its [`coded`](Self::coded) bytes.
+    pub(crate) fn decode(&self, coded: &[u8]) -> Result<Vec<i32>, CodecError> {
+        let v = if self.is_huffman() {
+            let _t = qip_trace::span("huffman_decode");
+            huffman::decode_capped(coded, self.symbols)?
+        } else {
+            let _t = qip_trace::span("range_decode");
+            range::decode_capped(coded, self.symbols)?
+        };
+        if self.counted && v.len() != self.symbols {
+            return Err(CodecError::BadHeader("chunk symbol count mismatch"));
+        }
+        Ok(v)
+    }
+}
+
+/// Parse an index block's framing — the one description of the layout, for
+/// decoding and for forensics alike: the mode tag and, behind tag 4, the
+/// chunk table. Chunked streams are checked for internal consistency (chunk
+/// count vs. declared total against `max_count`, offset table vs. payload
+/// length); the chunks tile the block's tail, so nothing can trail them.
+pub(crate) fn parse(bytes: &[u8], max_count: usize) -> Result<Vec<Chunk<'_>>, CodecError> {
+    let mut r = ByteReader::new(bytes);
+    let tag = r.get_u8()?;
+    if tag < MODE_CHUNKED {
+        let flat =
+            Chunk { at: 0, mode: tag, body: r.rest(), first_symbol: 0, symbols: max_count, counted: false };
+        return Ok(vec![flat]);
+    }
+    if tag > MODE_CHUNKED {
+        return Err(CodecError::BadHeader("unknown lossless mode tag"));
+    }
+    let total = r.get_uvarint()? as usize;
+    let chunk_symbols = r.get_uvarint()? as usize;
+    let nchunks = r.get_uvarint()? as usize;
+    if total > max_count {
+        return Err(CodecError::BadHeader("declared symbol count exceeds cap"));
+    }
+    if chunk_symbols == 0 {
+        return Err(CodecError::BadHeader("zero chunk size"));
+    }
+    if nchunks != total.div_ceil(chunk_symbols) {
+        return Err(CodecError::BadHeader("chunk count inconsistent with total"));
+    }
+
+    // Offset table: one byte length per chunk. Grown by push (each entry
+    // consumes stream bytes), never pre-sized from the untrusted count.
+    let mut lens: Vec<usize> = Vec::new();
+    let mut payload_total = 0usize;
+    for _ in 0..nchunks {
+        let len = r.get_uvarint()? as usize;
+        payload_total = payload_total
+            .checked_add(len)
+            .ok_or(CodecError::BadHeader("chunk offset table overflows"))?;
+        lens.push(len);
+    }
+    if r.remaining() != payload_total {
+        return Err(CodecError::BadHeader("offset table inconsistent with payload"));
+    }
+    let mut chunks = Vec::with_capacity(nchunks);
+    for (i, &len) in lens.iter().enumerate() {
+        let at = r.pos();
+        let (&mode, body) =
+            r.get_bytes(len)?.split_first().ok_or(CodecError::UnexpectedEof)?;
+        if mode >= MODE_CHUNKED {
+            return Err(CodecError::BadHeader("chunk tag is not a block mode"));
+        }
+        let first_symbol = i * chunk_symbols;
+        let symbols = chunk_symbols.min(total - first_symbol);
+        chunks.push(Chunk { at, mode, body, first_symbol, symbols, counted: true });
+    }
+    Ok(chunks)
 }
 
 /// Encode a quantization index array: entropy coding (canonical Huffman,
@@ -206,10 +286,8 @@ pub fn decode_indices(bytes: &[u8]) -> Result<Vec<i32>, CodecError> {
 /// declared field volume), so they pass it here and a corrupted count is
 /// rejected *before* any count-sized allocation. The cap also bounds the
 /// intermediate LZ expansion: `max_count` symbols need at most
-/// `MAX_CODE_LEN` bits each, plus a generous header allowance. Chunked
-/// streams are additionally checked for internal consistency (chunk count vs.
-/// declared total, offset table vs. payload length, per-chunk symbol counts)
-/// and decoded concurrently.
+/// `MAX_CODE_LEN` bits each, plus a generous header allowance. Chunks are
+/// decoded concurrently, each to exactly the symbol count `parse` gave it.
 pub fn decode_indices_capped(bytes: &[u8], max_count: usize) -> Result<Vec<i32>, CodecError> {
     let mut out = Vec::new();
     decode_indices_capped_into(bytes, max_count, &mut out)?;
@@ -224,71 +302,16 @@ pub fn decode_indices_capped_into(
 ) -> Result<(), CodecError> {
     out.clear();
     qip_trace::counter("codec.decode_bytes_in", bytes.len() as u64);
-    let (&mode, rest) = bytes.split_first().ok_or(CodecError::UnexpectedEof)?;
-    if mode != MODE_CHUNKED {
-        *out = decode_block(mode, rest, max_count)?;
-        qip_trace::counter("codec.decode_chunks", 1);
-        qip_trace::counter("codec.decode_symbols", out.len() as u64);
-        telemetry_decode_counters(bytes.len(), 1, out.len());
-        return Ok(());
-    }
-
-    let mut r = ByteReader::new(rest);
-    let total = r.get_uvarint()? as usize;
-    let chunk_symbols = r.get_uvarint()? as usize;
-    let nchunks = r.get_uvarint()? as usize;
-    if total > max_count {
-        return Err(CodecError::BadHeader("declared symbol count exceeds cap"));
-    }
-    if chunk_symbols == 0 {
-        return Err(CodecError::BadHeader("zero chunk size"));
-    }
-    if nchunks != total.div_ceil(chunk_symbols) {
-        return Err(CodecError::BadHeader("chunk count inconsistent with total"));
-    }
-
-    // Offset table: one byte length per chunk. Grown by push (each entry
-    // consumes stream bytes), never pre-sized from the untrusted count.
-    let mut lens: Vec<usize> = Vec::new();
-    let mut payload_total = 0usize;
-    for _ in 0..nchunks {
-        let len = r.get_uvarint()? as usize;
-        payload_total = payload_total
-            .checked_add(len)
-            .ok_or(CodecError::BadHeader("chunk offset table overflows"))?;
-        lens.push(len);
-    }
-    let payload = r.rest();
-    if payload.len() != payload_total {
-        return Err(CodecError::BadHeader("offset table inconsistent with payload"));
-    }
-
-    let mut slices: Vec<(&[u8], usize)> = Vec::with_capacity(nchunks);
-    let mut off = 0usize;
-    for (i, &len) in lens.iter().enumerate() {
-        let expected =
-            if i + 1 == nchunks { total - chunk_symbols * (nchunks - 1) } else { chunk_symbols };
-        slices.push((&payload[off..off + len], expected));
-        off += len;
-    }
-
-    let decoded: Vec<Result<Vec<i32>, CodecError>> = slices
-        .par_iter()
-        .map(|&(chunk, expected)| {
-            let (&m, body) = chunk.split_first().ok_or(CodecError::UnexpectedEof)?;
-            if m == MODE_CHUNKED {
-                return Err(CodecError::BadHeader("nested chunked index stream"));
-            }
-            let v = decode_block(m, body, expected)?;
-            if v.len() != expected {
-                return Err(CodecError::BadHeader("chunk symbol count mismatch"));
-            }
-            Ok(v)
-        })
-        .collect();
-
-    for d in decoded {
-        out.extend_from_slice(&d?);
+    let chunks = parse(bytes, max_count)?;
+    let nchunks = chunks.len();
+    if bytes[0] != MODE_CHUNKED {
+        *out = chunks[0].decode(&chunks[0].coded()?)?;
+    } else {
+        let decoded: Vec<Result<Vec<i32>, CodecError>> =
+            chunks.par_iter().map(|chunk| chunk.decode(&chunk.coded()?)).collect();
+        for d in decoded {
+            out.extend_from_slice(&d?);
+        }
     }
     qip_trace::counter("codec.decode_chunks", nchunks as u64);
     qip_trace::counter("codec.decode_symbols", out.len() as u64);

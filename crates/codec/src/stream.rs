@@ -108,6 +108,11 @@ impl<'a> ByteReader<'a> {
         self.data.len() - self.pos
     }
 
+    /// Bytes consumed so far: the cursor every [`Span`] is read off.
+    pub fn pos(&self) -> usize {
+        self.pos
+    }
+
     fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
         if self.remaining() < n {
             return Err(CodecError::UnexpectedEof);
@@ -169,9 +174,84 @@ impl<'a> ByteReader<'a> {
     }
 }
 
+/// A named byte range `start..end` of a parsed stream.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Span {
+    /// Component name (`header`, `framing`, `index`, `seal`, …).
+    pub name: &'static str,
+    /// Offset of the first byte.
+    pub start: usize,
+    /// Offset one past the last byte.
+    pub end: usize,
+}
+
+/// The spans of one stream as its parser reads it: every entry names the
+/// bytes the reader consumed since the previous one, so the list is in stream
+/// order and tiles `0..pos` with nothing to add up afterwards.
+#[derive(Debug)]
+pub struct Spans(pub Vec<Span>);
+
+impl Default for Spans {
+    /// Room for any flat format's list, so a parse allocates for it once.
+    fn default() -> Self {
+        Spans(Vec::with_capacity(16))
+    }
+}
+
+impl Spans {
+    /// Name the bytes from the previous span's end up to `end` — a reader's
+    /// `pos()`: what it consumed since the previous span.
+    pub fn push(&mut self, name: &'static str, end: usize) {
+        let start = self.0.last().map_or(0, |s| s.end);
+        self.0.push(Span { name, start, end });
+    }
+
+    /// Read a length-prefixed block: its prefix is a `framing` span, its
+    /// body a `name` span.
+    pub fn block<'a>(
+        &mut self,
+        name: &'static str,
+        r: &mut ByteReader<'a>,
+    ) -> Result<&'a [u8], CodecError> {
+        let body = r.get_block()?;
+        self.push("framing", r.pos() - body.len());
+        self.push(name, r.pos());
+        Ok(body)
+    }
+
+    /// Close the list at the end of `r`'s slice, which ends `seal_len` bytes
+    /// short of the stream when an integrity trailer follows it. Bytes left
+    /// unread are corruption: no format has a section behind its last one.
+    pub fn finish(mut self, r: &ByteReader, seal_len: usize) -> Result<Vec<Span>, CodecError> {
+        if r.remaining() != 0 {
+            return Err(CodecError::Corrupt("trailing bytes after the last section"));
+        }
+        if seal_len > 0 {
+            self.push("seal", r.pos() + seal_len);
+        }
+        Ok(self.0)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn spans_tile_the_stream_and_reject_trailing_bytes() {
+        let mut w = ByteWriter::new();
+        w.put_u8(7);
+        w.put_block(b"hello");
+        let bytes = w.finish();
+        let (mut r, mut spans) = (ByteReader::new(&bytes), Spans::default());
+        r.get_u8().unwrap();
+        spans.push("header", r.pos());
+        assert!(Spans::default().finish(&r, 0).is_err(), "six bytes are still unread");
+        assert_eq!(spans.block("index", &mut r).unwrap(), b"hello");
+        let span = |name, start, end| Span { name, start, end };
+        let expect = [span("header", 0, 1), span("framing", 1, 2), span("index", 2, 7), span("seal", 7, 13)];
+        assert_eq!(spans.finish(&r, 6).unwrap(), expect);
+    }
 
     #[test]
     fn roundtrip_all_types() {

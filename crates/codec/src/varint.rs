@@ -35,12 +35,6 @@ pub fn read_uvarint(data: &[u8], pos: &mut usize) -> Result<u64, CodecError> {
     }
 }
 
-/// Encoded length in bytes of `v` as unsigned LEB128.
-#[inline]
-pub fn uvarint_len(v: u64) -> u64 {
-    u64::from((64 - v.leading_zeros()).max(1).div_ceil(7))
-}
-
 /// Zigzag map: interleaves signed values into unsigned (0,-1,1,-2,2 → 0,1,2,3,4).
 #[inline]
 pub fn zigzag(v: i64) -> u64 {

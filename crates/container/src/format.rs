@@ -25,7 +25,7 @@
 //! validated against the running sum so index corruption that survives the
 //! seal is still caught structurally.
 
-use qip_codec::{ByteReader, ByteWriter};
+use qip_codec::{ByteReader, ByteWriter, Span, Spans};
 use qip_core::{try_with_capacity, CompressError};
 use qip_parallel::TileGrid;
 
@@ -66,6 +66,9 @@ pub struct ContainerInfo {
     pub compressor: String,
     /// Per-tile `(offset, len, CRC32)` in grid-origin order.
     pub tiles: Vec<TileEntry>,
+    /// `container.header`, `container.index` and `payload` byte spans, in
+    /// stream order, tiling the container.
+    pub spans: Vec<Span>,
 }
 
 impl ContainerInfo {
@@ -99,9 +102,13 @@ impl ContainerInfo {
         if r.get_u8()? != FMT_VERSION {
             return Err(CompressError::WrongFormat("unknown tiled container version"));
         }
+        let mut spans = Spans::default();
         let index_len = r.get_u32()? as usize;
+        spans.push("container.header", r.pos());
         let sealed = r.get_bytes(index_len)?;
+        spans.push("container.index", r.pos());
         let payload = r.rest();
+        spans.push("payload", r.pos());
         let index = qip_core::integrity::check(sealed)
             .map_err(|_| CompressError::Corrupt("tile index failed its integrity seal"))?;
 
@@ -164,7 +171,8 @@ impl ContainerInfo {
         if running != payload.len() {
             return Err(CompressError::Corrupt("payload length disagrees with the tile index"));
         }
-        Ok((ContainerInfo { bits, dims, tile, abs_bound, compressor: name, tiles }, payload))
+        let info = ContainerInfo { bits, dims, tile, abs_bound, compressor: name, tiles, spans: spans.0 };
+        Ok((info, payload))
     }
 }
 

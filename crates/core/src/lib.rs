@@ -27,6 +27,7 @@
 
 pub mod bound;
 pub mod capability;
+pub mod coeffs;
 pub mod compressor;
 pub mod ctx;
 pub mod header;

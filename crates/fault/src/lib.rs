@@ -235,6 +235,16 @@ pub fn corrupt_resealed(stream: &[u8], seed: u64) -> Option<(Vec<u8>, Fault)> {
     Some((integrity::seal(buf), Fault { seed, kind, resealed: true }))
 }
 
+/// XOR `mask` into payload byte `pos` of a sealed stream and recompute a
+/// valid trailer: [`corrupt_resealed`] aimed at one byte, for damage placed
+/// by a span list instead of a seed. `None` if `stream` carries no valid
+/// trailer or `pos` lies outside its payload.
+pub fn flip_resealed(stream: &[u8], pos: usize, mask: u8) -> Option<Vec<u8>> {
+    let mut buf = integrity::check(stream).ok()?.to_vec();
+    *buf.get_mut(pos)? ^= mask;
+    Some(integrity::seal(buf))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -167,6 +167,12 @@ fn budget_json(s: &mut String, e: &ErrorBudget) {
     s.push(',');
     kv_u64(s, "violations", e.violations);
     s.push(',');
+    // Present only when some sample was NaN or ±Inf, so reports of finite
+    // fields keep their bytes.
+    if e.nonfinite > 0 {
+        kv_u64(s, "nonfinite", e.nonfinite);
+        s.push(',');
+    }
     key(s, "margin_histogram");
     u64_array(s, &e.margin_histogram);
     s.push(',');

@@ -5,9 +5,10 @@
 //!
 //! * an **exact bit-accounting ledger** — every byte of the stream attributed
 //!   to a named component (integrity seal, header, entropy tables, payload,
-//!   side channels, container index, …). The components always sum to the
-//!   stream length *exactly*; a stream whose layout does not sum is rejected
-//!   as corrupt rather than reported approximately.
+//!   side channels, container index, …). The ledger is a by-name rollup of
+//!   the byte spans the stream's own decoder parse read off its cursor
+//!   ([`InspectReport::spans`]), so it sums to the stream length by
+//!   construction; no layout is described in this crate.
 //! * **QP decision maps** — per-level gate-fired / accepted / rejected
 //!   counters recovered from the decode itself, plus an optional coarse
 //!   spatial heatmap of accept rates.
@@ -15,24 +16,24 @@
 //!   pointwise `|err| / bound` margin histograms, per-level PSNR, and the
 //!   worst-case margin ([`inspect_bytes_with_original`]).
 //!
-//! Inspection is strictly read-only: it never changes compressed bytes, and
-//! the reconstructed field is bit-identical to a plain decompress (both are
-//! pinned by this crate's test suite). The forensic decode of an
+//! Every stream is decoded by its decoder's own parse → decode, so a stream
+//! inspects exactly when it decompresses. Inspection is strictly read-only:
+//! it never changes compressed bytes, and the reconstructed field is
+//! bit-identical to a plain decompress (both are pinned by this crate's
+//! test suite). The forensic decode of an
 //! interpolation-engine stream is the production tile walk with a per-tile
 //! probe; reports are byte-identical across runs and thread counts.
 
 mod json;
 mod render;
 
-use qip_codec::varint::uvarint_len;
-use qip_codec::{inspect_index_block, price_symbol_range, ByteReader, IndexForensics};
+use qip_codec::{inspect_index_block, IndexForensics, Span};
 use qip_container::ContainerInfo;
-use qip_core::{CompressError, Compressor, StreamHeader};
-use qip_interp::{EngineConfig, EngineForensics, EngineLayout, InterpEngine, LevelForensics, QuantCapture};
+use qip_core::CompressError;
+use qip_interp::{EngineConfig, EngineForensics, InterpEngine, LevelForensics, QuantCapture};
 use qip_mgard::Mgard;
 use qip_quant::{LinearQuantizer, UNPRED};
-use qip_registry::AnyCompressor;
-use qip_sz3::Sz3;
+use qip_sz3::{lorenzo, Pipeline, Sz3};
 use qip_tensor::{Field, Scalar};
 
 /// Largest heatmap extent per axis; real extents smaller than this map 1:1.
@@ -40,6 +41,15 @@ pub const HEATMAP_MAX_EDGE: usize = 16;
 
 /// Number of buckets in the `|err| / bound` margin histogram (over `[0, 1]`).
 pub const MARGIN_BUCKETS: usize = 10;
+
+/// Every ledger component, in the order a ledger lists them (a format uses
+/// the subset its parser names).
+#[rustfmt::skip]
+const LEDGER_ORDER: [&str; 19] = [
+    "container.header", "container.index", "seal", "wrapper", "header", "config", "level_tags",
+    "choice_bits", "coeffs", "framing", "factors", "anchors", "unpred",
+    "index.framing", "index.tables", "index.payload", "payload", "raw", "corrections",
+];
 
 // ---------------------------------------------------------------------------
 // Report types
@@ -125,14 +135,18 @@ pub struct TileRollup {
 pub struct ErrorBudget {
     /// Absolute error bound the stream was quantized at.
     pub bound: f64,
-    /// Largest pointwise absolute error.
+    /// Largest finite pointwise absolute error.
     pub max_abs_error: f64,
-    /// Largest `|err| / bound` margin.
+    /// Largest `|err| / bound` margin over the finite errors.
     pub max_margin: f64,
-    /// Mean `|err| / bound` margin.
+    /// Mean `|err| / bound` margin over the finite errors.
     pub mean_margin: f64,
     /// Points whose error exceeds the bound (must be 0 for a correct stream).
+    /// A non-finite sample meets the bound only when it comes back as the
+    /// same bit pattern.
     pub violations: u64,
+    /// Points whose error is not finite: either side is NaN or ±Inf.
+    pub nonfinite: u64,
     /// Histogram of margins over `[0, 1]` in [`MARGIN_BUCKETS`] buckets.
     pub margin_histogram: Vec<u64>,
     /// Whole-field PSNR in dB (NaN when undefined).
@@ -162,7 +176,12 @@ pub struct InspectReport {
     pub ratio: f64,
     /// Absolute error bound from the stream header.
     pub abs_bound: f64,
-    /// Exact byte ledger; entries sum to `stream_bytes`.
+    /// The named byte spans the stream's decoder parse read, in stream
+    /// order; they tile `0..stream_bytes` (tiles' spans in place of a
+    /// container's payload, an index block's sections in place of it).
+    pub spans: Vec<Span>,
+    /// Exact byte ledger: the spans summed by name; entries sum to
+    /// `stream_bytes`.
     pub ledger: Vec<LedgerEntry>,
     /// QP decision counters (absent for comparators without a QP path).
     pub qp: Option<QpReport>,
@@ -207,16 +226,13 @@ impl InspectReport {
 
 /// Inspect a compressed stream without the original field.
 pub fn inspect_bytes(bytes: &[u8]) -> Result<InspectReport, CompressError> {
-    match bytes.first() {
-        None => Err(CompressError::WrongFormat("empty stream")),
-        Some(0xB0) => inspect_tiled(bytes),
-        Some(0x90) => Err(CompressError::Unsupported(
-            "block-parallel wrapper streams are not inspectable; inspect the tiled container or per-shard streams instead",
-        )),
-        Some(_) => match scalar_bits_of(bytes)? {
-            32 => inspect_sealed::<f32>(bytes, None),
-            _ => inspect_sealed::<f64>(bytes, None),
-        },
+    if bytes.first() == Some(&0xB0) {
+        return inspect_tiled(bytes);
+    }
+    // Every flat format's header parse names the width it did not expect.
+    match inspect_flat::<f32>(bytes, None) {
+        Err(CompressError::WrongFormat("scalar width mismatch")) => inspect_flat::<f64>(bytes, None),
+        report => report,
     }
 }
 
@@ -226,189 +242,146 @@ pub fn inspect_bytes_with_original<T: Scalar>(
     bytes: &[u8],
     original: &Field<T>,
 ) -> Result<InspectReport, CompressError> {
-    match bytes.first() {
-        None => Err(CompressError::WrongFormat("empty stream")),
-        Some(0xB0) => {
-            let (info, _) = ContainerInfo::parse(bytes)?;
-            if info.bits != T::BITS {
-                return Err(CompressError::WrongFormat("original scalar width disagrees with the stream"));
-            }
-            let recon = qip_container::decompress_full::<T>(bytes)?;
-            let mut report = inspect_tiled(bytes)?;
-            report.error_budget =
-                Some(error_budget(original, &recon, info.abs_bound, &[], &[]));
-            Ok(report)
-        }
-        Some(0x90) => Err(CompressError::Unsupported(
-            "block-parallel wrapper streams are not inspectable; inspect the tiled container or per-shard streams instead",
-        )),
-        Some(_) => {
-            if scalar_bits_of(bytes)? != T::BITS {
-                return Err(CompressError::WrongFormat("original scalar width disagrees with the stream"));
-            }
-            inspect_sealed::<T>(bytes, Some(original))
-        }
+    if bytes.first() != Some(&0xB0) {
+        return inspect_flat::<T>(bytes, Some(original));
     }
-}
-
-/// Registry-level sugar: inspect via an [`AnyCompressor`] handle.
-pub trait InspectExt {
-    /// Forensically inspect `bytes` (must be a stream this registry decodes).
-    fn inspect(&self, bytes: &[u8]) -> Result<InspectReport, CompressError>;
-    /// Inspect with error-budget analytics against `original`.
-    fn inspect_with_original<T: Scalar>(
-        &self,
-        bytes: &[u8],
-        original: &Field<T>,
-    ) -> Result<InspectReport, CompressError>;
-}
-
-impl InspectExt for AnyCompressor {
-    fn inspect(&self, bytes: &[u8]) -> Result<InspectReport, CompressError> {
-        inspect_bytes(bytes)
-    }
-
-    fn inspect_with_original<T: Scalar>(
-        &self,
-        bytes: &[u8],
-        original: &Field<T>,
-    ) -> Result<InspectReport, CompressError> {
-        inspect_bytes_with_original(bytes, original)
-    }
-}
-
-/// Scalar width recorded at a fixed offset in every sealed stream header.
-/// The SZ3 wrapper interposes a pipeline tag before its inner header, so the
-/// width byte sits two bytes deeper there.
-fn scalar_bits_of(bytes: &[u8]) -> Result<u32, CompressError> {
-    let offset = if bytes.first() == Some(&0x20) { 3 } else { 1 };
-    match bytes.get(offset) {
-        Some(32) => Ok(32),
-        Some(64) => Ok(64),
-        _ => Err(CompressError::WrongFormat("unknown scalar width")),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Sealed single-compressor streams
-// ---------------------------------------------------------------------------
-
-fn inspect_sealed<T: Scalar>(
-    bytes: &[u8],
-    original: Option<&Field<T>>,
-) -> Result<InspectReport, CompressError> {
-    let magic = bytes[0];
-    let mut report = match magic {
-        0x20 => {
-            let inner = qip_core::integrity::check(bytes)?;
-            let seal = (bytes.len() - inner.len()) as u64;
-            let tag = *inner.get(1).ok_or(CompressError::Corrupt("truncated SZ3 wrapper"))?;
-            let body = &inner[2..];
-            let mut head = vec![
-                LedgerEntry { component: "seal".into(), bytes: seal },
-                LedgerEntry { component: "wrapper".into(), bytes: 2 },
-            ];
-            match tag {
-                0 => {
-                    let mut r = engine_report::<T>(
-                        body,
-                        EngineConfig::sz3_like(0x21),
-                        "sz3-interp",
-                        "SZ3",
-                        original,
-                    )?;
-                    head.append(&mut r.ledger);
-                    r.ledger = head;
-                    r
-                }
-                1 => {
-                    let mut r = lorenzo_report::<T>(body, bytes, original)?;
-                    head.append(&mut r.ledger);
-                    r.ledger = head;
-                    r
-                }
-                _ => return Err(CompressError::WrongFormat("bad SZ3 pipeline tag")),
-            }
-        }
-        0x30 | 0x40 => {
-            let inner = qip_core::integrity::check(bytes)?;
-            let seal = (bytes.len() - inner.len()) as u64;
-            let (cfg, kind, name) = if magic == 0x30 {
-                (EngineConfig::qoz_like(0x30), "qoz", "QoZ")
-            } else {
-                (EngineConfig::hpez_like(0x40), "hpez", "HPEZ")
-            };
-            let mut r = engine_report::<T>(inner, cfg, kind, name, original)?;
-            r.ledger.insert(0, LedgerEntry { component: "seal".into(), bytes: seal });
-            r
-        }
-        0x50 => mgard_report::<T>(bytes, original)?,
-        0x60 | 0x70 | 0x80 => comparator_report::<T>(bytes, original)?,
-        _ => return Err(CompressError::WrongFormat("unknown stream magic")),
-    };
-
-    report.stream_bytes = bytes.len() as u64;
-    report.raw_bytes =
-        report.dims.iter().product::<usize>() as u64 * (report.scalar_bits as u64 / 8);
-    report.ratio = if report.stream_bytes > 0 {
-        report.raw_bytes as f64 / report.stream_bytes as f64
-    } else {
-        0.0
-    };
-    if report.ledger_total() != report.stream_bytes {
-        return Err(CompressError::Corrupt("forensic ledger does not sum to the stream length"));
-    }
+    let recon = qip_container::decompress_full::<T>(bytes)?;
+    let mut report = inspect_tiled(bytes)?;
+    report.error_budget = Some(error_budget(original, &recon, report.abs_bound, &[], &[]));
     Ok(report)
 }
 
-/// Skeleton report with the sizing fields left for [`inspect_sealed`] to fill.
-fn blank_report(kind: &'static str, compressor: &str, bits: u32, dims: Vec<usize>, abs_eb: f64) -> InspectReport {
-    InspectReport {
+// ---------------------------------------------------------------------------
+// Flat single-compressor streams
+// ---------------------------------------------------------------------------
+
+/// `inner`'s spans, shifted to where the span called `name` starts, in its
+/// place (`outer` unchanged when it has no such span).
+fn splice(mut outer: Vec<Span>, name: &str, inner: Vec<Span>) -> Vec<Span> {
+    if let Some(at) = outer.iter().position(|s| s.name == name) {
+        let base = outer[at].start;
+        let shifted = inner.into_iter().map(|s| Span { start: s.start + base, end: s.end + base, ..s });
+        outer.splice(at..=at, shifted);
+    }
+    outer
+}
+
+/// The ledger of a span list: bytes summed by name, in [`LEDGER_ORDER`].
+fn ledger_of(spans: &[Span]) -> Vec<LedgerEntry> {
+    let mut ledger: Vec<LedgerEntry> = Vec::new();
+    for s in spans.iter().filter(|s| s.end > s.start) {
+        let bytes = (s.end - s.start) as u64;
+        match ledger.iter_mut().find(|e| e.component == s.name) {
+            Some(e) => e.bytes += bytes,
+            None => ledger.push(LedgerEntry { component: s.name.into(), bytes }),
+        }
+    }
+    ledger.sort_by_key(|e| LEDGER_ORDER.iter().position(|n| *n == e.component));
+    ledger
+}
+
+/// What a flat stream decodes to.
+enum Decoded<T: Scalar> {
+    /// A reconstruction and the bound it was quantized at.
+    Plain(Field<T>, f64),
+    /// An engine or MGARD decode with its QP record; its spans stand in
+    /// place of the `body` span of what wraps it.
+    Forensic(EngineForensics<T>),
+}
+
+/// Decode one flat stream through its own decoder's parse → decode and
+/// report on it.
+fn inspect_flat<T: Scalar>(
+    bytes: &[u8],
+    original: Option<&Field<T>>,
+) -> Result<InspectReport, CompressError> {
+    use Decoded::{Forensic, Plain};
+    let body = |end| Span { name: "body", start: 0, end };
+    let (kind, compressor, outer, decoded): (&'static str, &str, _, _) = match bytes.first() {
+        Some(0x90) => return Err(CompressError::Unsupported(
+            "block-parallel wrapper streams are not inspectable; inspect the tiled container or per-shard streams instead",
+        )),
+        Some(0x20) => {
+            let sz3 = Sz3::parse(bytes)?;
+            match sz3.pipeline {
+                Pipeline::Interpolation => {
+                    let fx = Sz3::new().engine().decompress_forensic(sz3.body)?;
+                    ("sz3-interp", "SZ3", sz3.spans, Forensic(fx))
+                }
+                Pipeline::Lorenzo => {
+                    let p = lorenzo::parse::<T>(sz3.body)?;
+                    let decoded = Plain(lorenzo::decode(&p)?, p.header.abs_eb);
+                    ("sz3-lorenzo", "SZ3", splice(sz3.spans, "body", p.spans), decoded)
+                }
+            }
+        }
+        Some(magic @ (0x30 | 0x40)) => {
+            let unsealed = qip_core::integrity::check(bytes)?;
+            let seal = Span { name: "seal", start: unsealed.len(), end: bytes.len() };
+            let (cfg, kind, name) = match magic {
+                0x30 => (EngineConfig::qoz_like(0x30), "qoz", "QoZ"),
+                _ => (EngineConfig::hpez_like(0x40), "hpez", "HPEZ"),
+            };
+            let fx = InterpEngine::new(cfg).decompress_forensic(unsealed)?;
+            (kind, name, vec![body(unsealed.len()), seal], Forensic(fx))
+        }
+        Some(0x50) => {
+            let fx = Mgard::new().decompress_forensic(bytes)?;
+            ("mgard", "MGARD", vec![body(bytes.len())], Forensic(fx))
+        }
+        Some(0x60) => {
+            let p = qip_zfp::parse::<T>(bytes)?;
+            let decoded = Plain(qip_zfp::decode(&p)?, p.header.abs_eb);
+            ("zfp", "ZFP", p.spans, decoded)
+        }
+        Some(0x70) => {
+            let p = qip_sperr::parse::<T>(bytes)?;
+            let decoded = Plain(qip_sperr::decode(&p)?, p.header.abs_eb);
+            ("sperr", "SPERR", p.spans, decoded)
+        }
+        Some(0x80) => {
+            let p = qip_tthresh::parse::<T>(bytes)?;
+            let decoded = Plain(qip_tthresh::decode(&p)?, p.header.abs_eb);
+            ("tthresh", "TTHRESH", p.spans, decoded)
+        }
+        _ => return Err(CompressError::WrongFormat("unknown stream magic")),
+    };
+    let (spans, abs_bound, recon, fx) = match &decoded {
+        Plain(recon, abs_eb) => (outer, *abs_eb, recon, None),
+        Forensic(fx) => (splice(outer, "body", fx.spans.clone()), fx.abs_eb, &fx.field, Some(fx)),
+    };
+
+    let dims = recon.shape().dims().to_vec();
+    // The index block's own sections in place of it.
+    let index_fx = match spans.iter().find(|s| s.name == "index") {
+        Some(ix) => Some(inspect_index_block(&bytes[ix.start..ix.end], recon.len())?),
+        None => None,
+    };
+    let spans = splice(spans, "index", index_fx.as_ref().map_or(Vec::new(), |f| f.spans.clone()));
+    let raw_bytes = (recon.len() * T::BYTES) as u64;
+    let level_of = fx.map_or(&[][..], |fx| &fx.probe.capture.level);
+    Ok(InspectReport {
         kind,
         compressor: compressor.to_string(),
-        scalar_bits: bits,
-        dims,
-        stream_bytes: 0,
-        raw_bytes: 0,
-        ratio: 0.0,
-        abs_bound: abs_eb,
-        ledger: Vec::new(),
-        qp: None,
-        heatmap: None,
+        scalar_bits: T::BITS,
+        stream_bytes: bytes.len() as u64,
+        raw_bytes,
+        ratio: raw_bytes as f64 / bytes.len() as f64,
+        abs_bound,
+        ledger: ledger_of(&spans),
+        spans,
+        qp: fx.map(|fx| QpReport {
+            enabled: fx.qp_enabled,
+            levels: level_reports(&fx.probe.levels, &fx.qprime, index_fx.as_ref()),
+            anchors: fx.probe.anchors,
+            unpredictable: fx.probe.unpredictable,
+        }),
+        heatmap: fx.and_then(|fx| heatmap(&dims, &fx.probe.capture, &fx.probe.accepted)),
         tiles: None,
-        error_budget: None,
-    }
-}
-
-fn push_nonzero(ledger: &mut Vec<LedgerEntry>, component: &str, bytes: u64) {
-    if bytes > 0 {
-        ledger.push(LedgerEntry { component: component.into(), bytes });
-    }
-}
-
-/// Append the three-way `index.framing` / `index.tables` / `index.payload`
-/// split for an entropy-coded index block, falling back to a single opaque
-/// `index` line if the block defies sub-parsing.
-fn push_index_split(
-    ledger: &mut Vec<LedgerEntry>,
-    block: &[u8],
-    n: usize,
-) -> Option<IndexForensics> {
-    if block.is_empty() {
-        return None;
-    }
-    match inspect_index_block(block, n) {
-        Ok(fx) if fx.total_bytes == block.len() as u64 => {
-            push_nonzero(ledger, "index.framing", fx.framing_bytes);
-            push_nonzero(ledger, "index.tables", fx.table_bytes);
-            push_nonzero(ledger, "index.payload", fx.payload_bytes);
-            Some(fx)
-        }
-        _ => {
-            push_nonzero(ledger, "index", block.len() as u64);
-            None
-        }
-    }
+        error_budget: original
+            .map(|orig| error_budget(orig, recon, abs_bound, level_of, &levels_present(level_of))),
+        dims,
+    })
 }
 
 /// Per-level counters → report rows, pricing each level's slice of the
@@ -421,10 +394,8 @@ fn level_reports(
     levels
         .iter()
         .map(|ls| {
-            let (index_bits, bits_exact) = match index_fx {
-                Some(fx) => price_symbol_range(fx, qprime, ls.qprime_start, ls.qprime_end),
-                None => (0.0, false),
-            };
+            let (index_bits, bits_exact) = index_fx
+                .map_or((0.0, false), |fx| fx.price(qprime, ls.qprime_start, ls.qprime_end));
             let pts = ls.points.max(1) as f64;
             LevelReport {
                 level: ls.level,
@@ -494,13 +465,25 @@ fn error_budget<T: Scalar>(
     let rec = recon.as_slice();
     let n = orig.len().min(rec.len());
     let mut hist = vec![0u64; MARGIN_BUCKETS];
-    let (mut max_err, mut max_margin, mut sum_margin, mut violations) = (0.0f64, 0.0f64, 0.0f64, 0u64);
+    let (mut max_err, mut max_margin, mut sum_margin) = (0.0f64, 0.0f64, 0.0f64);
+    let (mut violations, mut nonfinite) = (0u64, 0u64);
     let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
     for i in 0..n {
-        let o = orig[i].to_f64();
+        let (o, r) = (orig[i].to_f64(), rec[i].to_f64());
+        let err = (o - r).abs();
+        if !err.is_finite() {
+            // A NaN or ±Inf has no distance to anything: it meets the bound
+            // (margin 0) exactly when it comes back as the same bit pattern.
+            nonfinite += 1;
+            if o.to_bits() == r.to_bits() {
+                hist[0] += 1;
+            } else {
+                violations += 1;
+            }
+            continue;
+        }
         lo = lo.min(o);
         hi = hi.max(o);
-        let err = (o - rec[i].to_f64()).abs();
         let m = quant.margin_fraction(err);
         max_err = max_err.max(err);
         max_margin = max_margin.max(m);
@@ -511,6 +494,7 @@ fn error_budget<T: Scalar>(
             hist[((m * MARGIN_BUCKETS as f64) as usize).min(MARGIN_BUCKETS - 1)] += 1;
         }
     }
+    let finite = n as u64 - nonfinite;
     let range = hi - lo;
     let psnr_of = |mse: f64| {
         if mse > 0.0 && range > 0.0 {
@@ -524,8 +508,8 @@ fn error_budget<T: Scalar>(
         for &lvl in levels_present {
             let (mut se, mut count) = (0.0f64, 0u64);
             for i in 0..n {
-                if level_of[i] as usize == lvl {
-                    let d = orig[i].to_f64() - rec[i].to_f64();
+                let d = orig[i].to_f64() - rec[i].to_f64();
+                if level_of[i] as usize == lvl && d.is_finite() {
                     se += d * d;
                     count += 1;
                 }
@@ -539,8 +523,9 @@ fn error_budget<T: Scalar>(
         bound,
         max_abs_error: max_err,
         max_margin,
-        mean_margin: if n > 0 { sum_margin / n as f64 } else { 0.0 },
+        mean_margin: if finite > 0 { sum_margin / finite as f64 } else { 0.0 },
         violations,
+        nonfinite,
         margin_histogram: hist,
         psnr: qip_metrics::psnr(original, recon),
         level_psnr,
@@ -556,271 +541,67 @@ fn levels_present(level_of: &[u8]) -> Vec<usize> {
     (0..256).filter(|&l| seen[l]).collect()
 }
 
-fn engine_layout_ledger(ledger: &mut Vec<LedgerEntry>, layout: &EngineLayout) {
-    push_nonzero(ledger, "header", layout.header_bytes);
-    push_nonzero(ledger, "config", layout.config_bytes);
-    push_nonzero(ledger, "level_tags", layout.level_tag_bytes);
-    push_nonzero(ledger, "framing", layout.framing_bytes);
-    push_nonzero(ledger, "anchors", layout.anchor_bytes);
-    push_nonzero(ledger, "unpred", layout.unpred_bytes);
-}
-
-/// Shared report builder for unsealed interpolation-engine streams
-/// (SZ3-interp inner, QoZ, HPEZ).
-fn engine_report<T: Scalar>(
-    inner: &[u8],
-    cfg: EngineConfig,
-    kind: &'static str,
-    name: &str,
-    original: Option<&Field<T>>,
-) -> Result<InspectReport, CompressError> {
-    let fx: EngineForensics<T> = InterpEngine::new(cfg).decompress_forensic(inner)?;
-    let dims = fx.field.shape().dims().to_vec();
-    let mut report = blank_report(kind, name, T::BITS, dims.clone(), fx.abs_eb);
-    engine_layout_ledger(&mut report.ledger, &fx.layout);
-    let n: usize = dims.iter().product();
-    let index_fx = push_index_split(&mut report.ledger, &fx.index_block, n);
-    report.qp = Some(QpReport {
-        enabled: fx.qp_enabled,
-        levels: level_reports(&fx.levels, &fx.qprime, index_fx.as_ref()),
-        anchors: fx.anchors,
-        unpredictable: fx.unpredictable,
-    });
-    report.heatmap = heatmap(&dims, &fx.capture, &fx.accepted);
-    if let Some(orig) = original {
-        report.error_budget = Some(error_budget(
-            orig,
-            &fx.field,
-            fx.abs_eb,
-            &fx.capture.level,
-            &levels_present(&fx.capture.level),
-        ));
-    }
-    Ok(report)
-}
-
-fn mgard_report<T: Scalar>(
-    bytes: &[u8],
-    original: Option<&Field<T>>,
-) -> Result<InspectReport, CompressError> {
-    let fx = Mgard::new().decompress_forensic::<T>(bytes)?;
-    let dims = fx.field.shape().dims().to_vec();
-    let mut report = blank_report("mgard", "MGARD", T::BITS, dims.clone(), fx.abs_eb);
-    report.ledger.push(LedgerEntry { component: "seal".into(), bytes: fx.seal_bytes });
-    engine_layout_ledger(&mut report.ledger, &fx.layout);
-    let n: usize = dims.iter().product();
-    let index_fx = push_index_split(&mut report.ledger, &fx.index_block, n);
-    report.qp = Some(QpReport {
-        enabled: fx.qp_enabled,
-        levels: level_reports(&fx.levels, &fx.qprime, index_fx.as_ref()),
-        anchors: fx.anchors,
-        unpredictable: fx.unpredictable,
-    });
-    report.heatmap = heatmap(&dims, &fx.capture, &fx.accepted);
-    if let Some(orig) = original {
-        report.error_budget = Some(error_budget(
-            orig,
-            &fx.field,
-            fx.abs_eb,
-            &fx.capture.level,
-            &levels_present(&fx.capture.level),
-        ));
-    }
-    Ok(report)
-}
-
-/// Lorenzo inner stream (SZ3's alternate pipeline): layout walk plus an
-/// ordinary decode for the error budget. `sealed` is the full outer stream
-/// the [`Sz3`] decoder accepts.
-fn lorenzo_report<T: Scalar>(
-    inner: &[u8],
-    sealed: &[u8],
-    original: Option<&Field<T>>,
-) -> Result<InspectReport, CompressError> {
-    let mut r = ByteReader::new(inner);
-    let header = StreamHeader::read(&mut r, 0x22, T::BITS as u8)?;
-    let dims = header.shape.dims().to_vec();
-    let n: usize = dims.iter().product();
-    let mut report =
-        blank_report("sz3-lorenzo", "SZ3", T::BITS, dims.clone(), header.abs_eb);
-    let header_bytes =
-        3 + dims.iter().map(|&d| uvarint_len(d as u64)).sum::<u64>() + 8;
-    push_nonzero(&mut report.ledger, "header", header_bytes);
-    let mut framing = 0u64;
-    if n > 0 {
-        let blockwise = r.get_u8()? != 0;
-        push_nonzero(&mut report.ledger, "config", 1);
-        if blockwise {
-            let bits = r.get_block()?;
-            let coeffs = r.get_block()?;
-            framing += uvarint_len(bits.len() as u64) + uvarint_len(coeffs.len() as u64);
-            push_nonzero(&mut report.ledger, "choice_bits", bits.len() as u64);
-            push_nonzero(&mut report.ledger, "coeffs", coeffs.len() as u64);
-        }
-        let unpred = r.get_block()?;
-        let index = r.get_block()?;
-        framing += uvarint_len(unpred.len() as u64) + uvarint_len(index.len() as u64);
-        push_nonzero(&mut report.ledger, "framing", framing);
-        push_nonzero(&mut report.ledger, "unpred", unpred.len() as u64);
-        push_index_split(&mut report.ledger, index, n);
-    }
-    if r.remaining() != 0 {
-        return Err(CompressError::Corrupt("trailing bytes after the Lorenzo stream"));
-    }
-    if let Some(orig) = original {
-        let recon: Field<T> = Sz3::new().decompress(sealed)?;
-        report.error_budget = Some(error_budget(orig, &recon, header.abs_eb, &[], &[]));
-    }
-    Ok(report)
-}
-
-/// ZFP / SPERR / TTHRESH: pure layout walks (these comparators have no QP
-/// path), with an ordinary decode for the error budget.
-fn comparator_report<T: Scalar>(
-    bytes: &[u8],
-    original: Option<&Field<T>>,
-) -> Result<InspectReport, CompressError> {
-    let magic = bytes[0];
-    let inner = qip_core::integrity::check(bytes)?;
-    let seal = (bytes.len() - inner.len()) as u64;
-    let mut r = ByteReader::new(inner);
-    let header = StreamHeader::read(&mut r, magic, T::BITS as u8)?;
-    let dims = header.shape.dims().to_vec();
-    let n: usize = dims.iter().product();
-    let (kind, name): (&'static str, &str) = match magic {
-        0x60 => ("zfp", "ZFP"),
-        0x70 => ("sperr", "SPERR"),
-        _ => ("tthresh", "TTHRESH"),
-    };
-    let mut report = blank_report(kind, name, T::BITS, dims.clone(), header.abs_eb);
-    report.ledger.push(LedgerEntry { component: "seal".into(), bytes: seal });
-    let header_bytes =
-        3 + dims.iter().map(|&d| uvarint_len(d as u64)).sum::<u64>() + 8;
-    push_nonzero(&mut report.ledger, "header", header_bytes);
-    if n > 0 {
-        let mut framing = 0u64;
-        match magic {
-            0x60 => {
-                let payload = r.get_block()?;
-                framing += uvarint_len(payload.len() as u64);
-                push_nonzero(&mut report.ledger, "framing", framing);
-                push_nonzero(&mut report.ledger, "payload", payload.len() as u64);
-            }
-            _ => {
-                let mut factors = 0u64;
-                if magic == 0x80 {
-                    for _ in 0..dims.len() {
-                        let f = r.get_block()?;
-                        framing += uvarint_len(f.len() as u64);
-                        factors += f.len() as u64;
-                    }
-                }
-                let index = r.get_block()?;
-                let raw = r.get_block()?;
-                let n_corr = r.get_uvarint()?;
-                let corr = r.get_block()?;
-                framing += uvarint_len(index.len() as u64)
-                    + uvarint_len(raw.len() as u64)
-                    + uvarint_len(n_corr)
-                    + uvarint_len(corr.len() as u64);
-                push_nonzero(&mut report.ledger, "framing", framing);
-                push_nonzero(&mut report.ledger, "factors", factors);
-                push_index_split(&mut report.ledger, index, n);
-                push_nonzero(&mut report.ledger, "raw", raw.len() as u64);
-                push_nonzero(&mut report.ledger, "corrections", corr.len() as u64);
-            }
-        }
-    }
-    if r.remaining() != 0 {
-        return Err(CompressError::Corrupt("trailing bytes after the stream payload"));
-    }
-    if let Some(orig) = original {
-        let recon: Field<T> = match magic {
-            0x60 => qip_zfp_decode::<T>(bytes)?,
-            0x70 => qip_sperr_decode::<T>(bytes)?,
-            _ => qip_tthresh_decode::<T>(bytes)?,
-        };
-        report.error_budget = Some(error_budget(orig, &recon, header.abs_eb, &[], &[]));
-    }
-    Ok(report)
-}
-
-// Comparator decodes go through the registry so this crate needs no direct
-// dependency on the three comparator crates.
-fn qip_zfp_decode<T: Scalar>(bytes: &[u8]) -> Result<Field<T>, CompressError> {
-    registry_decode::<T>("zfp", bytes)
-}
-fn qip_sperr_decode<T: Scalar>(bytes: &[u8]) -> Result<Field<T>, CompressError> {
-    registry_decode::<T>("sperr", bytes)
-}
-fn qip_tthresh_decode<T: Scalar>(bytes: &[u8]) -> Result<Field<T>, CompressError> {
-    registry_decode::<T>("tthresh", bytes)
-}
-fn registry_decode<T: Scalar>(base: &str, bytes: &[u8]) -> Result<Field<T>, CompressError> {
-    let comp = AnyCompressor::by_base_name(base, qip_core::QpConfig::off())
-        .ok_or(CompressError::WrongFormat("unknown comparator"))?;
-    comp.as_dyn::<T>().decompress(bytes)
-}
-
 // ---------------------------------------------------------------------------
 // Tiled containers
 // ---------------------------------------------------------------------------
 
 fn inspect_tiled(bytes: &[u8]) -> Result<InspectReport, CompressError> {
     let (info, payload) = ContainerInfo::parse(bytes)?;
-    // Header: magic + version + u32 index length. Index: the sealed blob.
-    let index_bytes = bytes.len() - payload.len() - 6;
-    let mut report = blank_report("tiled", &info.compressor, info.bits, info.dims.clone(), info.abs_bound);
-    report.stream_bytes = bytes.len() as u64;
-    report.raw_bytes = info.dims.iter().product::<usize>() as u64 * (info.bits as u64 / 8);
-    report.ratio = if bytes.is_empty() { 0.0 } else { report.raw_bytes as f64 / bytes.len() as f64 };
-    report.ledger.push(LedgerEntry { component: "container.header".into(), bytes: 6 });
-    report.ledger.push(LedgerEntry { component: "container.index".into(), bytes: index_bytes as u64 });
 
-    // Per-tile forensics, rolled up: ledger components aggregate by name (in
-    // first-seen order), QP level counters merge by level.
-    let mut agg: Vec<LedgerEntry> = Vec::new();
+    // Per-tile forensics, rolled up: every tile's spans go in place of the
+    // payload, ledger components aggregate by name behind the container's
+    // own (in first-seen order), QP level counters merge by level.
+    let mut ledger = ledger_of(&info.spans);
+    ledger.retain(|e| e.component != "payload");
+    let mut tile_spans: Vec<Span> = Vec::new();
     let mut tile_sizes: Vec<u64> = Vec::with_capacity(info.tiles.len());
     let mut qp_rollup: Option<QpReport> = None;
-    for i in 0..info.tiles.len() {
+    for (i, entry) in info.tiles.iter().enumerate() {
         let tile = info
             .tile_payload(payload, i)
             .ok_or(CompressError::Corrupt("tile payload out of range"))?;
         tile_sizes.push(tile.len() as u64);
         let sub = match info.bits {
-            32 => inspect_sealed::<f32>(tile, None)?,
-            _ => inspect_sealed::<f64>(tile, None)?,
+            32 => inspect_flat::<f32>(tile, None)?,
+            _ => inspect_flat::<f64>(tile, None)?,
         };
+        let at = entry.offset;
+        tile_spans.extend(sub.spans.iter().map(|s| Span { start: s.start + at, end: s.end + at, ..*s }));
         for e in sub.ledger {
-            match agg.iter_mut().find(|a| a.component == e.component) {
+            match ledger.iter_mut().find(|a| a.component == e.component) {
                 Some(a) => a.bytes += e.bytes,
-                None => agg.push(e),
+                None => ledger.push(e),
             }
         }
         if let Some(qp) = sub.qp {
             qp_rollup = Some(merge_qp(qp_rollup.take(), qp));
         }
     }
-    report.ledger.append(&mut agg);
-    report.qp = qp_rollup;
-
     let mut sorted = tile_sizes.clone();
     sorted.sort_unstable();
-    report.tiles = Some(TileRollup {
-        tiles: info.tiles.len(),
-        min_tile_bytes: sorted.first().copied().unwrap_or(0),
-        median_tile_bytes: sorted.get(sorted.len() / 2).copied().unwrap_or(0),
-        max_tile_bytes: sorted.last().copied().unwrap_or(0),
-        by_compressor: vec![(
-            info.compressor.clone(),
-            info.tiles.len(),
-            tile_sizes.iter().sum(),
-        )],
-    });
-    if report.ledger_total() != report.stream_bytes {
-        return Err(CompressError::Corrupt("forensic ledger does not sum to the stream length"));
-    }
-    Ok(report)
+    let raw_bytes = info.dims.iter().product::<usize>() as u64 * (info.bits as u64 / 8);
+    Ok(InspectReport {
+        kind: "tiled",
+        compressor: info.compressor.clone(),
+        scalar_bits: info.bits,
+        dims: info.dims.clone(),
+        stream_bytes: bytes.len() as u64,
+        raw_bytes,
+        ratio: raw_bytes as f64 / bytes.len() as f64,
+        abs_bound: info.abs_bound,
+        ledger,
+        spans: splice(info.spans.clone(), "payload", tile_spans),
+        qp: qp_rollup,
+        heatmap: None,
+        tiles: Some(TileRollup {
+            tiles: info.tiles.len(),
+            min_tile_bytes: sorted.first().copied().unwrap_or(0),
+            median_tile_bytes: sorted.get(sorted.len() / 2).copied().unwrap_or(0),
+            max_tile_bytes: sorted.last().copied().unwrap_or(0),
+            by_compressor: vec![(info.compressor, info.tiles.len(), tile_sizes.iter().sum())],
+        }),
+        error_budget: None,
+    })
 }
 
 /// Merge one tile's QP report into the rollup: counters add per level,
@@ -857,6 +638,7 @@ fn merge_qp(acc: Option<QpReport>, next: QpReport) -> QpReport {
 mod tests {
     use super::*;
     use qip_core::ErrorBound;
+    use qip_registry::AnyCompressor;
     use qip_tensor::Shape;
 
     fn banded(dims: &[usize]) -> Field<f32> {
@@ -877,6 +659,10 @@ mod tests {
             assert_eq!(report.ledger_total(), bytes.len() as u64, "{name}");
             assert_eq!(report.scalar_bits, 32);
             assert_eq!(report.dims, vec![20, 15]);
+            // The spans tile the stream, and `LEDGER_ORDER` lists every name.
+            let end = report.spans.iter().try_fold(0, |at, s| (s.start == at).then_some(s.end));
+            assert_eq!(end, Some(bytes.len()), "{name}: {:?}", report.spans);
+            assert!(report.spans.iter().all(|s| LEDGER_ORDER.contains(&s.name)), "{name}");
         }
     }
 
@@ -885,12 +671,50 @@ mod tests {
         let field = banded(&[18, 14]);
         let comp = AnyCompressor::by_name("SZ3+QP").unwrap();
         let bytes = comp.as_dyn::<f32>().compress(&field, ErrorBound::Abs(1e-3)).unwrap();
-        let report = comp.inspect_with_original(&bytes, &field).unwrap();
+        let report = inspect_bytes_with_original(&bytes, &field).unwrap();
         let eb = report.error_budget.as_ref().unwrap();
         assert_eq!(eb.violations, 0);
         assert!(eb.max_margin <= 1.0 + 1e-9, "max margin {}", eb.max_margin);
         assert!(eb.margin_histogram.iter().sum::<u64>() == field.len() as u64);
         assert!(!eb.level_psnr.is_empty());
+    }
+
+    #[test]
+    fn error_budget_counts_nonfinite_samples_and_stays_finite() {
+        // NaN, ±Inf and a subnormal planted in a field. Kept bit-exact, all
+        // four meet the bound; any other pairing with a non-finite side is a
+        // violation, and no statistic turns non-finite.
+        let mut original = banded(&[8, 6]);
+        let planted = [(3, f32::NAN), (10, f32::INFINITY), (20, f32::NEG_INFINITY), (30, 1e-40)];
+        for (i, v) in planted {
+            original.as_mut_slice()[i] = v;
+        }
+        let exact = error_budget(&original, &original.clone(), 1e-3, &[], &[]);
+        assert_eq!((exact.violations, exact.nonfinite), (0, 3));
+        assert_eq!((exact.max_margin, exact.mean_margin, exact.max_abs_error), (0.0, 0.0, 0.0));
+        assert_eq!(exact.margin_histogram.iter().sum::<u64>(), 48);
+
+        let mut recon = original.clone();
+        recon.as_mut_slice()[3] = 0.0; // NaN came back finite
+        recon.as_mut_slice()[10] = f32::NEG_INFINITY; // +Inf came back as -Inf
+        recon.as_mut_slice()[25] = f32::NAN; // a finite sample came back NaN
+        recon.as_mut_slice()[30] = 0.0; // the subnormal flushed: within the bound
+        recon.as_mut_slice()[40] += 5e-4; // half the bound
+        let e = error_budget(&original, &recon, 1e-3, &[], &[]);
+        assert_eq!((e.violations, e.nonfinite), (3, 4));
+        assert!((e.max_margin - 0.5).abs() < 1e-3 && e.max_abs_error < 1e-3, "{e:?}");
+        assert!(e.mean_margin.is_finite() && e.mean_margin < 0.5 / 40.0);
+        assert_eq!(e.margin_histogram.iter().sum::<u64>() + e.violations, 48);
+
+        // Neither rendering of such a budget prints a non-finite number.
+        let zfp = AnyCompressor::by_name("ZFP").unwrap();
+        let bytes = zfp.as_dyn::<f32>().compress(&banded(&[8, 6]), ErrorBound::Abs(1e-3)).unwrap();
+        let mut report = inspect_bytes(&bytes).unwrap();
+        report.error_budget = Some(e);
+        for text in [report.to_json(), report.render_table()] {
+            assert!(!text.contains("inf") && !text.contains("NaN"), "{text}");
+        }
+        assert!(report.to_json().contains("\"nonfinite\":4"));
     }
 
     #[test]

@@ -81,6 +81,13 @@ pub fn render_table(r: &InspectReport) -> String {
             e.mean_margin,
             e.violations,
         );
+        if e.nonfinite > 0 {
+            let _ = writeln!(
+                out,
+                "  {} non-finite samples (kept bit-exact or counted as violations; margins above are over finite errors)",
+                e.nonfinite
+            );
+        }
         if e.psnr.is_finite() {
             let _ = writeln!(out, "  PSNR {:.2} dB", e.psnr);
         }

@@ -7,7 +7,7 @@
 //!   decompression: every pointwise error must be exactly zero).
 
 use qip_core::{Compressor, ErrorBound};
-use qip_inspect::{inspect_bytes_with_original, InspectExt};
+use qip_inspect::{inspect_bytes, inspect_bytes_with_original};
 use qip_registry::AnyCompressor;
 use qip_tensor::{Field, Scalar, Shape};
 
@@ -25,8 +25,8 @@ fn inspection_never_changes_compressed_bytes() {
     for comp in AnyCompressor::registry() {
         let name = comp.as_dyn::<f32>().name();
         let first = comp.as_dyn::<f32>().compress(&field, ErrorBound::Abs(1e-3)).unwrap();
-        let _ = comp.inspect(&first).unwrap();
-        let _ = comp.inspect_with_original(&first, &field).unwrap();
+        let _ = inspect_bytes(&first).unwrap();
+        let _ = inspect_bytes_with_original(&first, &field).unwrap();
         let second = comp.as_dyn::<f32>().compress(&field, ErrorBound::Abs(1e-3)).unwrap();
         assert_eq!(first, second, "{name}: inspection perturbed the encoder");
     }

@@ -1,58 +1,72 @@
 //! Ledger exactness over every committed fixture: for all 66 golden flat
 //! streams and all 10 tiled containers, the forensic ledger's components must
-//! sum to the stream length *exactly*, the report JSON must be byte-identical
-//! across repeated inspections, and the error budget against the pinned
-//! input must show zero bound violations.
+//! sum to the stream length *exactly*, the report JSON — without and with the
+//! pinned input — must hash to its line of `report_pin.txt`, and the error
+//! budget against the pinned input must show zero bound violations.
 //!
-//! CI runs this suite at `RAYON_NUM_THREADS=1` and `=8`; byte-identical JSON
-//! across those runs is the thread-determinism pin.
+//! CI runs this suite at `RAYON_NUM_THREADS=1` and `=8`; one digest file for
+//! both runs is the thread-determinism pin.
 
 use qip_conformance::golden::{default_dir, vector_specs};
 use qip_conformance::tiles::{tiled_specs, TILE_EDGE};
 use qip_conformance::{synth, FieldFamily};
+use qip_core::integrity::crc32;
 use qip_inspect::{inspect_bytes, inspect_bytes_with_original, InspectReport};
 
-fn read_fixture(stem: &str) -> Vec<u8> {
-    let path = default_dir().join(format!("{stem}.bin"));
-    std::fs::read(&path).unwrap_or_else(|e| panic!("missing fixture {}: {e}", path.display()))
+/// `stem crc32 len` of `InspectReport::to_json()` for every fixture, without
+/// and with (`stem+original`) its pinned input, written before the stream
+/// parsers were unified: component names, their order, byte counts,
+/// `index_bits` and `bits_exact` are all inside the digest. A line changes
+/// only with a deliberate report change.
+const REPORT_PIN: &str = include_str!("report_pin.txt");
+
+fn assert_pinned(stem: &str, report: &InspectReport) {
+    let json = report.to_json();
+    let line = format!("{stem} {:08x} {}", crc32(json.as_bytes()), json.len());
+    assert!(REPORT_PIN.lines().any(|l| l == line), "report drifted from report_pin.txt: {line}");
 }
 
-fn check_flat(
+/// Inspect one fixture without and with its pinned input: the ledger sums to
+/// the stream length *exactly*, both reports match their pinned digests, and
+/// the error budget shows zero bound violations.
+fn check(
     stem: &str,
-    bytes: &[u8],
     dtype: &str,
     family: FieldFamily,
     seed: u64,
     dims: &[usize],
-) -> InspectReport {
-    let report = inspect_bytes(bytes).unwrap_or_else(|e| panic!("{stem}: inspect failed: {e}"));
+) -> (Vec<u8>, InspectReport) {
+    let path = default_dir().join(format!("{stem}.bin"));
+    let bytes = std::fs::read(&path).unwrap_or_else(|e| panic!("missing fixture {}: {e}", path.display()));
+    let report = inspect_bytes(&bytes).unwrap_or_else(|e| panic!("{stem}: inspect failed: {e}"));
     assert_eq!(
         report.ledger_total(),
         bytes.len() as u64,
         "{stem}: ledger does not sum to the stream length ({:?})",
         report.ledger
     );
+    let end = report.spans.iter().try_fold(0, |at, s| (s.start == at).then_some(s.end));
+    assert_eq!(end, Some(bytes.len()), "{stem}: spans do not tile the stream ({:?})", report.spans);
     assert_eq!(report.dims, dims, "{stem}");
-    // Determinism: inspecting the same bytes twice yields identical JSON.
-    let again = inspect_bytes(bytes).unwrap();
-    assert_eq!(report.to_json(), again.to_json(), "{stem}: non-deterministic report");
+    assert_pinned(stem, &report);
 
-    // Error budget against the pinned input: zero violations, finite stats.
-    let budget = match dtype {
-        "f64" => {
-            let field = synth::<f64>(family, seed, dims);
-            inspect_bytes_with_original(bytes, &field).unwrap().error_budget.unwrap()
-        }
-        _ => {
-            let field = synth::<f32>(family, seed, dims);
-            inspect_bytes_with_original(bytes, &field).unwrap().error_budget.unwrap()
-        }
-    };
+    let with_original = match dtype {
+        "f64" => inspect_bytes_with_original(&bytes, &synth::<f64>(family, seed, dims)),
+        _ => inspect_bytes_with_original(&bytes, &synth::<f32>(family, seed, dims)),
+    }
+    .unwrap_or_else(|e| panic!("{stem}: inspect against the original failed: {e}"));
+    assert_pinned(&format!("{stem}+original"), &with_original);
+    let budget = with_original.error_budget.unwrap();
     assert_eq!(budget.violations, 0, "{stem}: error bound violated");
     assert!(budget.max_margin <= 1.0 + 1e-9, "{stem}: margin {}", budget.max_margin);
     let n: u64 = dims.iter().product::<usize>() as u64;
     assert_eq!(budget.margin_histogram.iter().sum::<u64>(), n, "{stem}");
-    report
+    (bytes, report)
+}
+
+#[test]
+fn every_fixture_has_its_two_pinned_digests() {
+    assert_eq!(REPORT_PIN.lines().count(), 2 * (66 + 10));
 }
 
 #[test]
@@ -61,9 +75,7 @@ fn golden_vectors_ledger_exact() {
     assert_eq!(specs.len(), 66, "golden grid drifted; update this suite");
     for (_, spec) in &specs {
         let stem = spec.stem();
-        let bytes = read_fixture(&stem);
-        let report =
-            check_flat(&stem, &bytes, spec.dtype, spec.family, spec.seed, &spec.dims);
+        let (_, report) = check(&stem, spec.dtype, spec.family, spec.seed, &spec.dims);
         // Every QP-capable stream reports per-level decision counters that
         // tile the field, and a priced index cost.
         if let Some(qp) = &report.qp {
@@ -105,14 +117,7 @@ fn tiled_fixtures_ledger_exact() {
     assert_eq!(specs.len(), 10, "tiled grid drifted; update this suite");
     for spec in &specs {
         let stem = spec.stem();
-        let bytes = read_fixture(&stem);
-        let report = inspect_bytes(&bytes).unwrap_or_else(|e| panic!("{stem}: {e}"));
-        assert_eq!(
-            report.ledger_total(),
-            bytes.len() as u64,
-            "{stem}: tiled ledger does not sum ({:?})",
-            report.ledger
-        );
+        let (bytes, report) = check(&stem, spec.dtype, spec.family, spec.seed, &spec.dims);
         assert_eq!(report.kind, "tiled", "{stem}");
         let rollup = report.tiles.as_ref().unwrap_or_else(|| panic!("{stem}: no rollup"));
         // 21×17 at tile edge 8 → 3×3 grid.
@@ -133,21 +138,5 @@ fn tiled_fixtures_ledger_exact() {
             bytes.len() as u64,
             "{stem}: container overhead + tile bytes must cover the stream"
         );
-
-        // Determinism across repeated inspections.
-        assert_eq!(report.to_json(), inspect_bytes(&bytes).unwrap().to_json(), "{stem}");
-
-        // Error budget against the pinned input.
-        let budget = match spec.dtype {
-            "f64" => {
-                let field = synth::<f64>(spec.family, spec.seed, &spec.dims);
-                inspect_bytes_with_original(&bytes, &field).unwrap().error_budget.unwrap()
-            }
-            _ => {
-                let field = synth::<f32>(spec.family, spec.seed, &spec.dims);
-                inspect_bytes_with_original(&bytes, &field).unwrap().error_budget.unwrap()
-            }
-        };
-        assert_eq!(budget.violations, 0, "{stem}");
     }
 }

@@ -12,7 +12,7 @@ use crate::config::{order_from_tag, order_tag, EngineConfig, LevelParams, PassSt
 use crate::kernels::Scratch;
 use crate::lattice::{num_levels, Pass};
 use crate::select::choose_level_params;
-use qip_codec::{encode_indices_into, ByteReader, ByteWriter};
+use qip_codec::{encode_indices_into, ByteReader, ByteWriter, Span, Spans};
 use qip_core::{CompressCtx, CompressError, Compressor, ErrorBound, QpEngine, StreamHeader};
 use qip_metrics::entropy;
 use qip_predict::{
@@ -64,7 +64,8 @@ pub struct QuantCapture {
 }
 
 impl QuantCapture {
-    pub(crate) fn zeros(n: usize) -> Self {
+    /// A capture of `n` points, all zero.
+    pub fn zeros(n: usize) -> Self {
         QuantCapture { q: vec![0; n], q_prime: vec![0; n], level: vec![0; n] }
     }
 
@@ -416,86 +417,46 @@ pub struct LevelForensics {
     pub qprime_end: usize,
 }
 
-/// Exact byte layout of one engine stream (seal excluded — the wrapper owns
-/// it). Every field is a contiguous region; [`EngineLayout::total`] must
-/// equal the unsealed stream length or the forensic decode refuses.
-#[derive(Debug, Clone, Default)]
-pub struct EngineLayout {
-    /// `StreamHeader` bytes (magic, scalar width, shape, error bound).
-    pub header_bytes: u64,
-    /// Fixed config prefix (version, α/β, passes, QP config, radius, level).
-    pub config_bytes: u64,
-    /// Per-level parameter tags (3 bytes per level).
-    pub level_tag_bytes: u64,
-    /// Block length prefixes (LEB128) for the three channels.
-    pub framing_bytes: u64,
-    /// Raw anchor-point scalars.
-    pub anchor_bytes: u64,
-    /// Unpredictable-value side channel.
-    pub unpred_bytes: u64,
-    /// Entropy-coded quantization index block.
-    pub index_bytes: u64,
-}
-
-impl EngineLayout {
-    /// Sum of every region — must equal the unsealed stream length.
-    pub fn total(&self) -> u64 {
-        self.header_bytes
-            + self.config_bytes
-            + self.level_tag_bytes
-            + self.framing_bytes
-            + self.anchor_bytes
-            + self.unpred_bytes
-            + self.index_bytes
-    }
-}
-
-/// Everything a forensic decode recovers from one engine stream: the
-/// reconstructed field plus the byte layout, per-level QP decision counters,
-/// the transformed index stream, the per-point capture, and a spatial map of
-/// where the gate opened.
+/// Everything a forensic decode recovers from one engine or MGARD stream:
+/// the reconstructed field, the byte spans its parse read, the transformed
+/// index stream and the per-point QP record.
 #[derive(Debug, Clone)]
 pub struct EngineForensics<T: Scalar> {
     /// The reconstructed field (bit-identical to a plain decompress).
     pub field: Field<T>,
-    /// Exact byte accounting for the unsealed stream.
-    pub layout: EngineLayout,
+    /// The stream's named byte spans, in stream order, tiling the bytes the
+    /// decoder was given (an engine stream's seal belongs to its wrapper).
+    pub spans: Vec<Span>,
     /// Absolute error bound recorded in the header.
     pub abs_eb: f64,
-    /// Coarsest processed level.
-    pub start_level: usize,
-    /// Per-level decision counters, coarsest first; empty levels omitted.
-    pub levels: Vec<LevelForensics>,
-    /// The decoded transformed index stream (encoder emission order).
-    pub qprime: Vec<i32>,
-    /// Per-point indices and levels in spatial layout.
-    pub capture: QuantCapture,
-    /// Per-point gate map: 0 = anchor, 1 = gate closed, 2 = gate open.
-    pub accepted: Vec<u8>,
-    /// Anchor-grid point count.
-    pub anchors: u64,
-    /// Unpredictable (escaped) point count.
-    pub unpredictable: u64,
-    /// Copy of the entropy-coded index block (for table-level forensics).
-    pub index_block: Vec<u8>,
     /// Whether the stream's QP config enables the transform at all.
     pub qp_enabled: bool,
+    /// The decoded transformed index stream (encoder emission order).
+    pub qprime: Vec<i32>,
+    /// The per-point record, [finished](Probe::finish).
+    pub probe: Probe,
 }
 
-/// The per-point record of a forensic decode, filled tile by tile by
-/// [`crate::kernels::run_decompress_vec`]; `None` on every plain decode.
-#[derive(Default)]
-pub(crate) struct Probe {
-    /// Decision counters indexed by level (slot 0 stays empty).
-    pub(crate) levels: Vec<LevelForensics>,
-    pub(crate) accepted: Vec<u8>,
-    pub(crate) capture: QuantCapture,
-    pub(crate) unpredictable: u64,
-    pub(crate) anchors: u64,
+/// The per-point record of a forensic decode, filled point by point through
+/// [`Probe::point`]; `None` on every plain decode.
+#[derive(Debug, Clone, Default)]
+pub struct Probe {
+    /// Decision counters indexed by level (slot 0 stays empty) while the
+    /// decode runs; coarsest first without the empty levels once finished.
+    pub levels: Vec<LevelForensics>,
+    /// Per-point gate map: 0 = anchor, 1 = gate closed, 2 = gate open.
+    pub accepted: Vec<u8>,
+    /// Per-point indices and levels in spatial layout.
+    pub capture: QuantCapture,
+    /// Unpredictable (escaped) point count.
+    pub unpredictable: u64,
+    /// Anchor-grid (MGARD: coarse-node) point count.
+    pub anchors: u64,
 }
 
 impl Probe {
-    pub(crate) fn new(n: usize, start_level: usize) -> Self {
+    /// A blank record for `n` points over levels `1..=start_level`.
+    pub fn new(n: usize, start_level: usize) -> Self {
         Probe {
             levels: (0..=start_level)
                 .map(|level| LevelForensics { level, ..LevelForensics::default() })
@@ -504,6 +465,33 @@ impl Probe {
             capture: QuantCapture::zeros(n),
             ..Probe::default()
         }
+    }
+
+    /// Record the point at `flat`, decoded on `level` from symbol `at` of
+    /// the index stream: `q_prime` as stored, `q` behind the inverse
+    /// transform, `open` whether its QP gate was.
+    #[inline]
+    pub fn point(&mut self, level: usize, flat: usize, at: usize, q: i32, q_prime: i32, open: bool) {
+        let ls = &mut self.levels[level];
+        if ls.points == 0 {
+            ls.qprime_start = at;
+        }
+        ls.qprime_end = at + 1;
+        ls.points += 1;
+        ls.accepted += open as u64;
+        ls.fired += (q != q_prime) as u64;
+        self.unpredictable += (q == qip_quant::UNPRED) as u64;
+        self.accepted[flat] = 1 + open as u8;
+        self.capture.q[flat] = q;
+        self.capture.q_prime[flat] = q_prime;
+        self.capture.level[flat] = level as u8;
+    }
+
+    /// Close the record: levels coarsest first, empty ones dropped.
+    pub fn finish(mut self) -> Self {
+        self.levels.retain(|ls| ls.points > 0);
+        self.levels.reverse();
+        self
     }
 }
 
@@ -519,7 +507,7 @@ impl<T: Scalar> Compressor<T> for InterpEngine {
     }
 
     fn decompress(&self, bytes: &[u8]) -> Result<Field<T>, CompressError> {
-        self.decompress_impl(bytes, &mut CompressCtx::new(), None)
+        Self::decompress_impl(self.parse_stream::<T>(bytes)?, &mut CompressCtx::new(), None)
     }
 
     fn compress_into(
@@ -538,7 +526,7 @@ impl<T: Scalar> Compressor<T> for InterpEngine {
         bytes: &[u8],
         ctx: &mut CompressCtx,
     ) -> Result<Field<T>, CompressError> {
-        self.decompress_impl(bytes, ctx, None)
+        Self::decompress_impl(self.parse_stream::<T>(bytes)?, ctx, None)
     }
 }
 
@@ -680,14 +668,19 @@ impl InterpEngine {
         Ok(())
     }
 
-    /// Parse and validate everything up to the decoded channels.
+    /// Parse and validate everything up to the decoded channels — the one
+    /// description of the stream layout, for every decode entry and for the
+    /// forensic span list alike. Bytes behind the index block are corruption.
     pub(crate) fn parse_stream<'a, T: Scalar>(
         &self,
         bytes: &'a [u8],
     ) -> Result<ParsedStream<'a>, CompressError> {
+        let _t = qip_trace::span("parse");
         let cfg = &self.cfg;
         let mut r = ByteReader::new(bytes);
+        let mut spans = Spans::default();
         let header = StreamHeader::read(&mut r, cfg.magic, T::BITS as u8)?;
+        spans.push("header", r.pos());
         let version = r.get_u8()?;
         if version != FMT_VERSION {
             return Err(CompressError::WrongFormat("unknown format version"));
@@ -706,6 +699,7 @@ impl InterpEngine {
             return Err(CompressError::WrongFormat("bad quantizer radius"));
         }
         let start_level = r.get_u8()? as usize;
+        spans.push("config", r.pos());
 
         let dims = header.shape.dims().to_vec();
         let n: usize = dims.iter().product();
@@ -730,8 +724,10 @@ impl InterpEngine {
             unpred_bytes: &[],
             index_block: &[],
             n,
+            spans: Vec::new(),
         };
         if n == 0 {
+            parsed.spans = spans.finish(&r, 0)?;
             return Ok(parsed);
         }
 
@@ -749,9 +745,11 @@ impl InterpEngine {
             let m = r.get_u8()?;
             parsed.level_tags.push((k, o, m));
         }
-        parsed.anchor_bytes = r.get_block()?;
-        parsed.unpred_bytes = r.get_block()?;
-        parsed.index_block = r.get_block()?;
+        spans.push("level_tags", r.pos());
+        parsed.anchor_bytes = spans.block("anchors", &mut r)?;
+        parsed.unpred_bytes = spans.block("unpred", &mut r)?;
+        parsed.index_block = spans.block("index", &mut r)?;
+        parsed.spans = spans.finish(&r, 0)?;
         Ok(parsed)
     }
 
@@ -764,21 +762,17 @@ impl InterpEngine {
         bytes: &[u8],
         ctx: &mut CompressCtx,
     ) -> Result<Field<T>, CompressError> {
-        self.decompress_impl(bytes, ctx, None)
+        Self::decompress_impl(self.parse_stream::<T>(bytes)?, ctx, None)
     }
 
-    /// The one decompression body; `probe` additionally records every
-    /// point's QP decision (the forensic decode).
+    /// The one decompression body — decode a parsed stream's channels and
+    /// run the tile walk; `probe` additionally records every point's QP
+    /// decision (the forensic decode).
     fn decompress_impl<T: Scalar>(
-        &self,
-        bytes: &[u8],
+        p: ParsedStream<'_>,
         ctx: &mut CompressCtx,
         mut probe: Option<&mut Probe>,
     ) -> Result<Field<T>, CompressError> {
-        let p = {
-            let _t = qip_trace::span("parse");
-            self.parse_stream::<T>(bytes)?
-        };
         if p.n == 0 {
             return Ok(Field::zeros(p.shape));
         }
@@ -831,53 +825,19 @@ impl InterpEngine {
     }
 
     /// Forensic decompression: reconstruct the field exactly as
-    /// [`Compressor::decompress`] does — on the same tile walk — while
-    /// recovering the stream's byte layout, per-level QP decision counters,
+    /// [`Compressor::decompress`] does — on the same parse and the same tile
+    /// walk — while recovering the stream's byte spans, per-level QP counters,
     /// the transformed index stream, and a per-point gate map.
     pub fn decompress_forensic<T: Scalar>(
         &self,
         bytes: &[u8],
     ) -> Result<EngineForensics<T>, CompressError> {
-        use qip_codec::varint::uvarint_len;
-        // The layout must sum before any channel is decoded, so it is read
-        // off the (pure, prefix-only) parse here rather than inside the body.
-        let p = self.parse_stream::<T>(bytes)?;
-        let mut layout = EngineLayout {
-            header_bytes: 3
-                + p.shape.dims().iter().map(|&d| uvarint_len(d as u64)).sum::<u64>()
-                + 8,
-            config_bytes: 26,
-            ..EngineLayout::default()
-        };
-        if p.n > 0 {
-            layout.level_tag_bytes = 3 * p.start_level as u64;
-            layout.framing_bytes = uvarint_len(p.anchor_bytes.len() as u64)
-                + uvarint_len(p.unpred_bytes.len() as u64)
-                + uvarint_len(p.index_block.len() as u64);
-            layout.anchor_bytes = p.anchor_bytes.len() as u64;
-            layout.unpred_bytes = p.unpred_bytes.len() as u64;
-            layout.index_bytes = p.index_block.len() as u64;
-        }
-        if layout.total() != bytes.len() as u64 {
-            return Err(CompressError::Corrupt("stream layout does not sum"));
-        }
-
+        let mut p = self.parse_stream::<T>(bytes)?;
+        let (spans, abs_eb, qp_enabled) =
+            (std::mem::take(&mut p.spans), p.abs_eb, p.eff.qp.is_enabled());
         let (mut ctx, mut probe) = (CompressCtx::new(), Probe::default());
-        let field = self.decompress_impl(bytes, &mut ctx, Some(&mut probe))?;
-        Ok(EngineForensics {
-            field,
-            layout,
-            abs_eb: p.abs_eb,
-            start_level: p.start_level,
-            levels: probe.levels.into_iter().rev().filter(|ls| ls.points > 0).collect(),
-            qprime: ctx.qprime,
-            capture: probe.capture,
-            accepted: probe.accepted,
-            anchors: probe.anchors,
-            unpredictable: probe.unpredictable,
-            index_block: p.index_block.to_vec(),
-            qp_enabled: p.eff.qp.is_enabled(),
-        })
+        let field = Self::decompress_impl(p, &mut ctx, Some(&mut probe))?;
+        Ok(EngineForensics { field, spans, abs_eb, qp_enabled, qprime: ctx.qprime, probe: probe.finish() })
     }
 }
 
@@ -912,6 +872,8 @@ pub(crate) struct ParsedStream<'a> {
     pub(crate) unpred_bytes: &'a [u8],
     pub(crate) index_block: &'a [u8],
     pub(crate) n: usize,
+    /// Named byte spans in stream order, tiling the stream.
+    pub(crate) spans: Vec<Span>,
 }
 
 /// Decode a little-endian scalar channel into a reusable buffer.
@@ -985,19 +947,19 @@ mod tests {
                 let plain: Field<f32> = eng.decompress(&bytes).unwrap();
                 let fx = eng.decompress_forensic::<f32>(&bytes).unwrap();
                 assert_eq!(fx.field.as_slice(), plain.as_slice(), "{name}");
-                assert_eq!(fx.layout.total(), bytes.len() as u64, "{name}");
-                let pts: u64 = fx.levels.iter().map(|l| l.points).sum();
-                assert_eq!(pts + fx.anchors, field.len() as u64, "{name}");
+                assert_eq!(fx.spans.last().unwrap().end, bytes.len(), "{name}");
+                let pts: u64 = fx.probe.levels.iter().map(|l| l.points).sum();
+                assert_eq!(pts + fx.probe.anchors, field.len() as u64, "{name}");
                 assert_eq!(fx.qprime.len() as u64, pts, "{name}");
                 // Level segments tile the index stream without gaps.
                 let mut cursor = 0usize;
-                for ls in fx.levels.iter() {
+                for ls in fx.probe.levels.iter() {
                     assert_eq!(ls.qprime_start, cursor, "{name} l{}", ls.level);
                     cursor = ls.qprime_end;
                 }
                 assert_eq!(cursor, fx.qprime.len(), "{name}");
                 if !qp.is_enabled() {
-                    assert!(fx.levels.iter().all(|l| l.fired == 0), "{name}");
+                    assert!(fx.probe.levels.iter().all(|l| l.fired == 0), "{name}");
                 }
             }
         }

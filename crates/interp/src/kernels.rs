@@ -589,22 +589,10 @@ fn probe_tile<T: Scalar>(
     qstore: &[i32],
 ) {
     let taps = tile.taps(&sink.qp, strides);
-    let (start, end) = (sink.q_cursor - q.len(), sink.q_cursor);
-    let ls = &mut pr.levels[tile.level];
-    if ls.points == 0 {
-        ls.qprime_start = start;
-    }
-    ls.qprime_end = end;
-    ls.points += q.len() as u64;
-    for (k, (&qk, &qpk)) in q.iter().zip(&sink.qprime[start..end]).enumerate() {
-        let at = tile.flat() + k * tile.stp;
-        let (open, _) = sink.qp.gate_at(&taps, tile.j0 == 0 && k == 0, qstore, at);
-        ls.accepted += open as u64;
-        ls.fired += (qk != qpk) as u64;
-        pr.unpredictable += (qk == UNPRED) as u64;
-        pr.accepted[at] = 1 + open as u8;
-        pr.capture.q[at] = qk;
-        pr.capture.q_prime[at] = qpk;
-        pr.capture.level[at] = tile.level as u8;
+    let start = sink.q_cursor - q.len();
+    for (k, &qk) in q.iter().enumerate() {
+        let flat = tile.flat() + k * tile.stp;
+        let (open, _) = sink.qp.gate_at(&taps, tile.j0 == 0 && k == 0, qstore, flat);
+        pr.point(tile.level, flat, start + k, qk, sink.qprime[start + k], open);
     }
 }

@@ -37,4 +37,4 @@ mod reference;
 pub mod select;
 
 pub use config::{EngineConfig, LevelParams, PassStructure};
-pub use engine::{EngineForensics, EngineLayout, InterpEngine, LevelForensics, QuantCapture};
+pub use engine::{EngineForensics, InterpEngine, LevelForensics, Probe, QuantCapture};

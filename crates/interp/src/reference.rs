@@ -429,14 +429,14 @@ mod tests {
         };
         let want_levels: Vec<_> =
             want.probe.levels.iter().rev().filter(|l| l.points > 0).map(key).collect();
-        assert_eq!(fx.levels.iter().map(key).collect::<Vec<_>>(), want_levels, "{tag}: levels");
-        assert_eq!(fx.accepted, want.probe.accepted, "{tag}: accept map diverged");
-        assert_eq!(fx.capture.q, want.probe.capture.q, "{tag}: forensic Q diverged");
-        assert_eq!(fx.capture.q_prime, want.probe.capture.q_prime, "{tag}: forensic Q'");
-        assert_eq!(fx.capture.level, want.probe.capture.level, "{tag}: forensic levels");
-        assert_eq!(fx.capture.q, cap.q, "{tag}: decoder Q vs encoder Q");
-        assert_eq!(fx.anchors, want.probe.anchors, "{tag}: anchors");
-        assert_eq!(fx.unpredictable, want.probe.unpredictable, "{tag}: unpredictable");
+        assert_eq!(fx.probe.levels.iter().map(key).collect::<Vec<_>>(), want_levels, "{tag}: levels");
+        assert_eq!(fx.probe.accepted, want.probe.accepted, "{tag}: accept map diverged");
+        assert_eq!(fx.probe.capture.q, want.probe.capture.q, "{tag}: forensic Q diverged");
+        assert_eq!(fx.probe.capture.q_prime, want.probe.capture.q_prime, "{tag}: forensic Q'");
+        assert_eq!(fx.probe.capture.level, want.probe.capture.level, "{tag}: forensic levels");
+        assert_eq!(fx.probe.capture.q, cap.q, "{tag}: decoder Q vs encoder Q");
+        assert_eq!(fx.probe.anchors, want.probe.anchors, "{tag}: anchors");
+        assert_eq!(fx.probe.unpredictable, want.probe.unpredictable, "{tag}: unpredictable");
         assert_eq!(fx.qprime, want.qprime, "{tag}: Q' stream");
 
         // Encoder-side reconstruction equals decoder output bit for bit.
@@ -553,8 +553,7 @@ mod tests {
         keep: usize,
         unpred_short: usize,
     ) -> Vec<u8> {
-        let prefix = (fx.layout.header_bytes + fx.layout.config_bytes + fx.layout.level_tag_bytes)
-            as usize;
+        let prefix = fx.spans.iter().find(|s| s.name == "framing").unwrap().start;
         let mut r = ByteReader::new(&bytes[prefix..]);
         let (anchors, unpred) = (r.get_block().unwrap(), r.get_block().unwrap());
         let mut w = ByteWriter::new();
@@ -588,7 +587,7 @@ mod tests {
                 let field = field_for::<f32>(&dims, 0x7C);
                 let bytes = eng.compress(&field, ErrorBound::Abs(1e-3)).unwrap();
                 let fx = eng.decompress_forensic::<f32>(&bytes).unwrap();
-                let (n, escaped) = (fx.qprime.len(), fx.unpredictable as usize);
+                let (n, escaped) = (fx.qprime.len(), fx.probe.unpredictable as usize);
                 assert!(escaped >= 2, "the field must exercise the side channel");
 
                 // Every tile boundary of the index stream ±1, both ends, and the

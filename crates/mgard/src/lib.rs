@@ -27,12 +27,12 @@
 
 #![warn(missing_docs)]
 
-use qip_codec::{encode_indices_into, ByteReader, ByteWriter};
+use qip_codec::{encode_indices_into, ByteReader, ByteWriter, Span, Spans};
 use qip_core::{
     CompressCtx, CompressError, Compressor, ErrorBound, QpConfig, QpEngine, QpTaps, StreamHeader,
 };
 use qip_interp::lattice::{build_passes, for_each_point, for_each_row, num_levels, Pass};
-use qip_interp::{EngineLayout, LevelForensics, PassStructure, QuantCapture};
+use qip_interp::{EngineForensics, PassStructure, Probe, QuantCapture};
 use qip_quant::UNPRED;
 use qip_tensor::{Field, Scalar};
 
@@ -89,11 +89,7 @@ impl Mgard {
         field: &Field<T>,
         bound: ErrorBound,
     ) -> Result<(Vec<u8>, QuantCapture), CompressError> {
-        let mut cap = QuantCapture {
-            q: vec![0; field.len()],
-            q_prime: vec![0; field.len()],
-            level: vec![0; field.len()],
-        };
+        let mut cap = QuantCapture::zeros(field.len());
         let mut bytes = Vec::new();
         self.compress_impl(field, bound, Some(&mut cap), &mut CompressCtx::new(), &mut bytes)?;
         Ok((bytes, cap))
@@ -122,7 +118,7 @@ impl Mgard {
         stop_level: usize,
     ) -> Result<Field<T>, CompressError> {
         let full: Field<T> =
-            self.decompress_impl(bytes, stop_level, &mut CompressCtx::new(), None)?;
+            decode(parse::<T>(bytes)?, stop_level, &mut CompressCtx::new(), None)?;
         if stop_level == 0 {
             return Ok(full);
         }
@@ -130,82 +126,80 @@ impl Mgard {
     }
 
     /// Forensic decompression: reconstruct the field exactly as
-    /// [`Compressor::decompress`] would, while recovering the stream's byte
-    /// layout (seal included), per-level QP decision counters, the
-    /// transformed coefficient index stream, and a per-point gate map.
+    /// [`Compressor::decompress`] would — on the same parse and the same
+    /// sweep — while recovering the stream's byte spans (seal included),
+    /// per-level QP decision counters, the transformed coefficient index
+    /// stream, and a per-point gate map (`anchors` counts the coarse nodes).
     pub fn decompress_forensic<T: Scalar>(
         &self,
         bytes: &[u8],
-    ) -> Result<MgardForensics<T>, CompressError> {
-        let mut probe = ForensicProbe::default();
-        let field =
-            self.decompress_impl(bytes, 0, &mut CompressCtx::new(), Some(&mut probe))?;
-        if probe.layout.total() + probe.seal_bytes != bytes.len() as u64 {
-            return Err(CompressError::Corrupt("stream layout does not sum"));
-        }
-        Ok(MgardForensics {
-            field,
-            layout: probe.layout,
-            seal_bytes: probe.seal_bytes,
-            abs_eb: probe.abs_eb,
-            levels: probe.levels,
-            qprime: probe.qprime,
-            capture: probe.capture,
-            accepted: probe.accepted,
-            anchors: probe.anchors,
-            unpredictable: probe.unpredictable,
-            index_block: probe.index_block,
-            qp_enabled: probe.qp_enabled,
-        })
+    ) -> Result<EngineForensics<T>, CompressError> {
+        let mut p = parse::<T>(bytes)?;
+        let (spans, abs_eb, qp_enabled) =
+            (std::mem::take(&mut p.spans), p.header.abs_eb, p.qp.is_enabled());
+        let (mut ctx, mut probe) = (CompressCtx::new(), Probe::default());
+        let field = decode(p, 0, &mut ctx, Some(&mut probe))?;
+        Ok(EngineForensics { field, spans, abs_eb, qp_enabled, qprime: ctx.qprime, probe: probe.finish() })
     }
 }
 
-/// Everything a forensic decode recovers from one MGARD stream (the analog of
-/// qip-interp's `EngineForensics`; the layout reuses [`EngineLayout`] with
-/// `level_tag_bytes = 0` and `anchor_bytes` holding the coarse-node block).
-#[derive(Debug, Clone)]
-pub struct MgardForensics<T: Scalar> {
-    /// The reconstructed field (bit-identical to a plain decompress).
-    pub field: Field<T>,
-    /// Exact byte accounting for the unsealed payload.
-    pub layout: EngineLayout,
-    /// Integrity seal trailer length.
-    pub seal_bytes: u64,
-    /// Absolute error bound recorded in the header.
-    pub abs_eb: f64,
-    /// Per-level decision counters, coarsest first; empty levels omitted.
-    pub levels: Vec<LevelForensics>,
-    /// The decoded transformed coefficient index stream.
-    pub qprime: Vec<i32>,
-    /// Per-point indices and levels in spatial layout.
-    pub capture: QuantCapture,
-    /// Per-point gate map: 0 = coarse node, 1 = gate closed, 2 = gate open.
-    pub accepted: Vec<u8>,
-    /// Coarse-node count.
-    pub anchors: u64,
-    /// Unpredictable (escaped) coefficient count.
-    pub unpredictable: u64,
-    /// Copy of the entropy-coded index block (for table-level forensics).
-    pub index_block: Vec<u8>,
-    /// Whether the stream's QP config enables the transform at all.
-    pub qp_enabled: bool,
+/// The sections of one stream, as [`parse`] reads them; the three channels
+/// are absent (empty) for an empty field.
+struct Parsed<'a> {
+    header: StreamHeader,
+    l2_projection: bool,
+    qp: QpConfig,
+    levels: usize,
+    coarse: &'a [u8],
+    unpred: &'a [u8],
+    index: &'a [u8],
+    /// Named byte spans in stream order, tiling the sealed stream.
+    spans: Vec<Span>,
 }
 
-/// Accumulator filled by `decompress_impl` on the forensic path only (`None`
-/// on every plain decode — the hot loop pays one `Option` test per point).
-#[derive(Default)]
-struct ForensicProbe {
-    layout: EngineLayout,
-    seal_bytes: u64,
-    abs_eb: f64,
-    levels: Vec<LevelForensics>,
-    qprime: Vec<i32>,
-    capture: QuantCapture,
-    accepted: Vec<u8>,
-    anchors: u64,
-    unpredictable: u64,
-    index_block: Vec<u8>,
-    qp_enabled: bool,
+/// Verify the seal, then parse the stream's layout: the one description of
+/// it, for decoding and forensics alike. Bytes behind the index block are
+/// corruption.
+fn parse<T: Scalar>(sealed: &[u8]) -> Result<Parsed<'_>, CompressError> {
+    let _t = qip_trace::span("parse");
+    let bytes = qip_core::integrity::check(sealed)?;
+    let mut r = ByteReader::new(bytes);
+    let mut spans = Spans::default();
+    let header = StreamHeader::read(&mut r, MAGIC_MGARD, T::BITS as u8)?;
+    spans.push("header", r.pos());
+    let version = r.get_u8()?;
+    if version != FMT_VERSION {
+        return Err(CompressError::WrongFormat("unknown MGARD format version"));
+    }
+    let l2_projection = r.get_u8()? != 0;
+    let qp = QpConfig::read(&mut r)?;
+    let mut p = Parsed {
+        header,
+        l2_projection,
+        qp,
+        levels: 0,
+        coarse: &[],
+        unpred: &[],
+        index: &[],
+        spans: Vec::new(),
+    };
+    spans.push("config", r.pos());
+    if !p.header.shape.is_empty() {
+        p.levels = r.get_u8()? as usize;
+        let max_dim = p.header.shape.dims().iter().copied().max().expect("ndim >= 1");
+        if p.levels != num_levels(max_dim) {
+            return Err(CompressError::WrongFormat("level count mismatch"));
+        }
+        spans.push("config", r.pos()); // the level count
+        p.coarse = spans.block("anchors", &mut r)?;
+        p.unpred = spans.block("unpred", &mut r)?;
+        p.index = spans.block("index", &mut r)?;
+        if !p.coarse.len().is_multiple_of(8) || !p.unpred.len().is_multiple_of(8) {
+            return Err(CompressError::WrongFormat("misaligned f64 block"));
+        }
+    }
+    p.spans = spans.finish(&r, sealed.len() - bytes.len())?;
+    Ok(p)
 }
 
 impl Default for Mgard {
@@ -315,7 +309,7 @@ impl<T: Scalar> Compressor<T> for Mgard {
     }
 
     fn decompress(&self, bytes: &[u8]) -> Result<Field<T>, CompressError> {
-        self.decompress_impl(bytes, 0, &mut CompressCtx::new(), None)
+        decode(parse::<T>(bytes)?, 0, &mut CompressCtx::new(), None)
     }
 
     fn compress_into(
@@ -334,7 +328,7 @@ impl<T: Scalar> Compressor<T> for Mgard {
         bytes: &[u8],
         ctx: &mut CompressCtx,
     ) -> Result<Field<T>, CompressError> {
-        self.decompress_impl(bytes, 0, ctx, None)
+        decode(parse::<T>(bytes)?, 0, ctx, None)
     }
 }
 
@@ -553,211 +547,156 @@ impl Mgard {
         Ok(())
     }
 
-    fn decompress_impl<T: Scalar>(
-        &self,
-        bytes: &[u8],
-        stop_level: usize,
-        ctx: &mut CompressCtx,
-        mut probe: Option<&mut ForensicProbe>,
-    ) -> Result<Field<T>, CompressError> {
-        let parse_span = qip_trace::span("parse");
-        let sealed_len = bytes.len();
-        let bytes = qip_core::integrity::check(bytes)?;
-        let mut r = ByteReader::new(bytes);
-        let header = StreamHeader::read(&mut r, MAGIC_MGARD, T::BITS as u8)?;
-        let version = r.get_u8()?;
-        if version != FMT_VERSION {
-            return Err(CompressError::WrongFormat("unknown MGARD format version"));
-        }
-        let l2_projection = r.get_u8()? != 0;
-        let qp_cfg = QpConfig::read(&mut r)?;
-        let dims = header.shape.dims().to_vec();
-        let strides = header.shape.strides().to_vec();
-        let n: usize = dims.iter().product();
-        if let Some(pr) = probe.as_deref_mut() {
-            pr.seal_bytes = (sealed_len - bytes.len()) as u64;
-            pr.layout.header_bytes = 3
-                + dims.iter().map(|&d| qip_codec::varint::uvarint_len(d as u64)).sum::<u64>()
-                + 8;
-            pr.layout.config_bytes = 5; // version + l2 flag + QP config
-            pr.abs_eb = header.abs_eb;
-            pr.qp_enabled = qp_cfg.is_enabled();
-        }
-        if n == 0 {
-            return Ok(Field::zeros(header.shape));
-        }
-        let levels = r.get_u8()? as usize;
-        let max_dim = dims.iter().copied().max().unwrap();
-        if levels != num_levels(max_dim) {
-            return Err(CompressError::WrongFormat("level count mismatch"));
-        }
+}
 
-        let coarse_bytes = r.get_block()?;
-        let unpred_bytes = r.get_block()?;
-        let index_bytes = r.get_block()?;
-        if coarse_bytes.len() % 8 != 0 || unpred_bytes.len() % 8 != 0 {
-            return Err(CompressError::WrongFormat("misaligned f64 block"));
-        }
-        drop(parse_span);
-        {
-            let _t = qip_trace::span("entropy_decode");
-            qip_codec::decode_indices_capped_into(index_bytes, n, &mut ctx.qprime)?;
-        }
-        if let Some(pr) = probe.as_deref_mut() {
-            use qip_codec::varint::uvarint_len;
-            pr.layout.config_bytes += 1; // level-count byte
-            pr.layout.framing_bytes = uvarint_len(coarse_bytes.len() as u64)
-                + uvarint_len(unpred_bytes.len() as u64)
-                + uvarint_len(index_bytes.len() as u64);
-            pr.layout.anchor_bytes = coarse_bytes.len() as u64;
-            pr.layout.unpred_bytes = unpred_bytes.len() as u64;
-            pr.layout.index_bytes = index_bytes.len() as u64;
-            pr.index_block = index_bytes.to_vec();
-            pr.anchors = (coarse_bytes.len() / 8) as u64;
-            pr.capture =
-                QuantCapture { q: vec![0; n], q_prime: vec![0; n], level: vec![0; n] };
-            pr.accepted = vec![0u8; n];
-            pr.qprime = ctx.qprime.clone();
-        }
-
-        // `try_zeroed_vec` validates that `n` is allocatable before any of the
-        // reusable buffers below are resized to it.
-        let mut buf = qip_core::try_zeroed_vec::<f64>(n)?;
-        let mut unpred: Vec<f64> = ctx.pools.acquire();
-        unpred.extend(
-            unpred_bytes.chunks_exact(8).map(|c| f64::from_le_bytes(c.try_into().unwrap())),
-        );
-        let order: Vec<usize> = (0..dims.len()).rev().collect();
-
-        // Coarse nodes.
-        let coarse_step = 1usize << levels;
-        let coarse = Pass::uniform(dims.len(), levels.max(1), coarse_step, coarse_step);
-        {
-            let mut cursor = 0usize;
-            let mut fail = false;
-            for_each_point(&coarse, &dims, &strides, |_c, flat| {
-                if let Some(chunk) = coarse_bytes.get(cursor..cursor + 8) {
-                    buf[flat] = f64::from_le_bytes(chunk.try_into().unwrap());
-                    cursor += 8;
-                } else {
-                    fail = true;
-                }
-            });
-            if fail || cursor != coarse_bytes.len() {
-                return Err(CompressError::WrongFormat("coarse block size mismatch"));
-            }
-        }
-
-        // Dequantize details (coarse → fine), mirroring the QP transform.
-        let dequant_span = qip_trace::span("dequantize");
-        let qp = QpEngine::new(qp_cfg);
-        ctx.qstore.clear();
-        ctx.qstore.resize(n, 0);
-        let qstore = &mut ctx.qstore;
-        let qprime = &ctx.qprime;
-        let row_q = &mut ctx.tile_idx;
-        let mut q_cursor = 0usize;
-        let mut u_cursor = 0usize;
-        for level in (1..=levels).rev() {
-            let b = Mgard::budget(header.abs_eb, level);
-            let level_q_start = q_cursor;
-            let qp_active = qp_cfg.is_enabled() && level <= qp_cfg.max_level;
-            let (mut lvl_points, mut lvl_accept, mut lvl_fired) = (0u64, 0u64, 0u64);
-            for pass in build_passes(dims.len(), level, &order, PassStructure::MultiDim) {
-                if pass.is_empty(&dims) {
-                    continue;
-                }
-                let m = pass.row_len(&dims);
-                let stp = pass.step[dims.len() - 1] * strides[dims.len() - 1];
-                row_q.clear();
-                row_q.resize(m, 0);
-                for_each_row(&pass, &dims, &strides, |row_coords, flat0| {
-                    // A short index stream still decodes its prefix, so the
-                    // channel that runs dry first in visit order is reported.
-                    let rest = &qprime[q_cursor..];
-                    let take = m.min(rest.len());
-                    q_cursor += take;
-                    let mut taps = QpTaps::CLOSED;
-                    let q: &[i32] = if qp_active {
-                        let (offs, along_row) = pass.qp_row_offsets(row_coords, &strides);
-                        taps = qp.row_taps(level, offs, along_row);
-                        let row_q = &mut row_q[..take];
-                        qp.inverse_row(&taps, true, &rest[..take], row_q, qstore, flat0, stp);
-                        row_q
-                    } else {
-                        &rest[..take]
-                    };
-                    for (k, &qk) in q.iter().enumerate() {
-                        let flat = flat0 + k * stp;
-                        if let Some(pr) = probe.as_deref_mut() {
-                            let (open, _) = qp.gate_at(&taps, k == 0, qstore, flat);
-                            lvl_points += 1;
-                            lvl_accept += open as u64;
-                            lvl_fired += (qk != rest[k]) as u64;
-                            pr.unpredictable += (qk == UNPRED) as u64;
-                            pr.capture.q[flat] = qk;
-                            pr.capture.q_prime[flat] = rest[k];
-                            pr.capture.level[flat] = level as u8;
-                            pr.accepted[flat] = if open { 2 } else { 1 };
-                        }
-                        buf[flat] = if qk == UNPRED {
-                            u_cursor += 1;
-                            *unpred.get(u_cursor - 1).ok_or(CompressError::WrongFormat(
-                                "unpredictable channel exhausted",
-                            ))?
-                        } else {
-                            2.0 * qk as f64 * b
-                        };
-                    }
-                    if take < m {
-                        return Err(CompressError::WrongFormat("index stream exhausted"));
-                    }
-                    Ok(())
-                })?;
-            }
-            if let Some(pr) = probe.as_deref_mut() {
-                if lvl_points > 0 {
-                    pr.levels.push(LevelForensics {
-                        level,
-                        points: lvl_points,
-                        accepted: lvl_accept,
-                        fired: lvl_fired,
-                        qprime_start: level_q_start,
-                        qprime_end: q_cursor,
-                    });
-                }
-            }
-        }
-        drop(dequant_span);
-
-        // ---- Inverse transform (coarse → fine), optionally stopping early
-        // for resolution reduction (levels ≤ stop_level keep their details
-        // unexpanded; the coarse lattice then holds the approximation) ----
-        let _t = qip_trace::span("inverse_transform");
-        for level in ((stop_level + 1).max(1)..=levels).rev() {
-            if l2_projection {
-                l2_update(&mut buf, &dims, &strides, level, -1.0, &mut ctx.pairs);
-            }
-            for pass in build_passes(dims.len(), level, &order, PassStructure::MultiDim) {
-                if pass.is_empty(&dims) {
-                    continue;
-                }
-                ctx.pairs.clear();
-                let values = &mut ctx.pairs;
-                for_each_point(&pass, &dims, &strides, |coords, flat| {
-                    let pred = corner_avg(&buf, &dims, &strides, coords, flat, &pass);
-                    values.push((flat, pred + buf[flat]));
-                });
-                for &(flat, v) in ctx.pairs.iter() {
-                    buf[flat] = v;
-                }
-            }
-        }
-
-        ctx.pools.release(unpred);
-        let data: Vec<T> = buf.into_iter().map(T::from_f64).collect();
-        Ok(Field::from_vec(header.shape, data)?)
+/// Decode a parsed stream's channels and run the sweeps; `probe`
+/// additionally records every point's QP decision (the forensic decode).
+fn decode<T: Scalar>(
+    p: Parsed<'_>,
+    stop_level: usize,
+    ctx: &mut CompressCtx,
+    mut probe: Option<&mut Probe>,
+) -> Result<Field<T>, CompressError> {
+    let Parsed {
+        header,
+        l2_projection,
+        qp: qp_cfg,
+        levels,
+        coarse: coarse_bytes,
+        unpred: unpred_bytes,
+        index,
+        ..
+    } = p;
+    let dims = header.shape.dims().to_vec();
+    let strides = header.shape.strides().to_vec();
+    let n = header.shape.len();
+    if n == 0 {
+        return Ok(Field::zeros(header.shape));
     }
+    {
+        let _t = qip_trace::span("entropy_decode");
+        qip_codec::decode_indices_capped_into(index, n, &mut ctx.qprime)?;
+    }
+    // `try_zeroed_vec` validates that `n` is allocatable before any of the
+    // reusable buffers below are resized to it.
+    let mut buf = qip_core::try_zeroed_vec::<f64>(n)?;
+    if let Some(pr) = probe.as_deref_mut() {
+        *pr = Probe::new(n, levels);
+        pr.anchors = (coarse_bytes.len() / 8) as u64;
+    }
+    let mut unpred: Vec<f64> = ctx.pools.acquire();
+    unpred.extend(
+        unpred_bytes.chunks_exact(8).map(|c| f64::from_le_bytes(c.try_into().unwrap())),
+    );
+    let order: Vec<usize> = (0..dims.len()).rev().collect();
+
+    // Coarse nodes.
+    let coarse_step = 1usize << levels;
+    let coarse = Pass::uniform(dims.len(), levels.max(1), coarse_step, coarse_step);
+    {
+        let mut cursor = 0usize;
+        let mut fail = false;
+        for_each_point(&coarse, &dims, &strides, |_c, flat| {
+            if let Some(chunk) = coarse_bytes.get(cursor..cursor + 8) {
+                buf[flat] = f64::from_le_bytes(chunk.try_into().unwrap());
+                cursor += 8;
+            } else {
+                fail = true;
+            }
+        });
+        if fail || cursor != coarse_bytes.len() {
+            return Err(CompressError::WrongFormat("coarse block size mismatch"));
+        }
+    }
+
+    // Dequantize details (coarse → fine), mirroring the QP transform.
+    let dequant_span = qip_trace::span("dequantize");
+    let qp = QpEngine::new(qp_cfg);
+    ctx.qstore.clear();
+    ctx.qstore.resize(n, 0);
+    let qstore = &mut ctx.qstore;
+    let qprime = &ctx.qprime;
+    let row_q = &mut ctx.tile_idx;
+    let mut q_cursor = 0usize;
+    let mut u_cursor = 0usize;
+    for level in (1..=levels).rev() {
+        let b = Mgard::budget(header.abs_eb, level);
+        let qp_active = qp_cfg.is_enabled() && level <= qp_cfg.max_level;
+        for pass in build_passes(dims.len(), level, &order, PassStructure::MultiDim) {
+            if pass.is_empty(&dims) {
+                continue;
+            }
+            let m = pass.row_len(&dims);
+            let stp = pass.step[dims.len() - 1] * strides[dims.len() - 1];
+            row_q.clear();
+            row_q.resize(m, 0);
+            for_each_row(&pass, &dims, &strides, |row_coords, flat0| {
+                // A short index stream still decodes its prefix, so the
+                // channel that runs dry first in visit order is reported.
+                let rest = &qprime[q_cursor..];
+                let take = m.min(rest.len());
+                q_cursor += take;
+                let mut taps = QpTaps::CLOSED;
+                let q: &[i32] = if qp_active {
+                    let (offs, along_row) = pass.qp_row_offsets(row_coords, &strides);
+                    taps = qp.row_taps(level, offs, along_row);
+                    let row_q = &mut row_q[..take];
+                    qp.inverse_row(&taps, true, &rest[..take], row_q, qstore, flat0, stp);
+                    row_q
+                } else {
+                    &rest[..take]
+                };
+                for (k, &qk) in q.iter().enumerate() {
+                    let flat = flat0 + k * stp;
+                    if let Some(pr) = probe.as_deref_mut() {
+                        let (open, _) = qp.gate_at(&taps, k == 0, qstore, flat);
+                        pr.point(level, flat, q_cursor - take + k, qk, rest[k], open);
+                    }
+                    buf[flat] = if qk == UNPRED {
+                        u_cursor += 1;
+                        *unpred.get(u_cursor - 1).ok_or(CompressError::WrongFormat(
+                            "unpredictable channel exhausted",
+                        ))?
+                    } else {
+                        2.0 * qk as f64 * b
+                    };
+                }
+                if take < m {
+                    return Err(CompressError::WrongFormat("index stream exhausted"));
+                }
+                Ok(())
+            })?;
+        }
+    }
+    drop(dequant_span);
+
+    // ---- Inverse transform (coarse → fine), optionally stopping early
+    // for resolution reduction (levels ≤ stop_level keep their details
+    // unexpanded; the coarse lattice then holds the approximation) ----
+    let _t = qip_trace::span("inverse_transform");
+    for level in ((stop_level + 1).max(1)..=levels).rev() {
+        if l2_projection {
+            l2_update(&mut buf, &dims, &strides, level, -1.0, &mut ctx.pairs);
+        }
+        for pass in build_passes(dims.len(), level, &order, PassStructure::MultiDim) {
+            if pass.is_empty(&dims) {
+                continue;
+            }
+            ctx.pairs.clear();
+            let values = &mut ctx.pairs;
+            for_each_point(&pass, &dims, &strides, |coords, flat| {
+                let pred = corner_avg(&buf, &dims, &strides, coords, flat, &pass);
+                values.push((flat, pred + buf[flat]));
+            });
+            for &(flat, v) in ctx.pairs.iter() {
+                buf[flat] = v;
+            }
+        }
+    }
+
+    ctx.pools.release(unpred);
+    let data: Vec<T> = buf.into_iter().map(T::from_f64).collect();
+    Ok(Field::from_vec(header.shape, data)?)
 }
 
 #[cfg(test)]
@@ -784,18 +723,18 @@ mod tests {
             let plain: Field<f32> = m.decompress(&bytes).unwrap();
             let fx = m.decompress_forensic::<f32>(&bytes).unwrap();
             assert_eq!(fx.field.as_slice(), plain.as_slice());
-            assert_eq!(fx.layout.total() + fx.seal_bytes, bytes.len() as u64);
-            let pts: u64 = fx.levels.iter().map(|l| l.points).sum();
-            assert_eq!(pts + fx.anchors, f.len() as u64);
+            assert_eq!(fx.spans.last().unwrap().end, bytes.len());
+            let pts: u64 = fx.probe.levels.iter().map(|l| l.points).sum();
+            assert_eq!(pts + fx.probe.anchors, f.len() as u64);
             assert_eq!(fx.qprime.len() as u64, pts);
             let mut cursor = 0usize;
-            for ls in fx.levels.iter() {
+            for ls in fx.probe.levels.iter() {
                 assert_eq!(ls.qprime_start, cursor, "l{}", ls.level);
                 cursor = ls.qprime_end;
             }
             assert_eq!(cursor, fx.qprime.len());
             if !qp.is_enabled() {
-                assert!(fx.levels.iter().all(|l| l.fired == 0));
+                assert!(fx.probe.levels.iter().all(|l| l.fired == 0));
             }
         }
     }
@@ -904,8 +843,8 @@ mod tests {
                     let out: Field<f32> = m.decompress(&bytes).unwrap();
                     assert_eq!(bits(&out), bits(&plain), "{qp:?}: QP changed the decoded data");
                     let fx = m.decompress_forensic::<f32>(&bytes).unwrap();
-                    assert_eq!(fx.capture.q, cap.q, "{qp:?}: forensic Q");
-                    assert_eq!(fx.capture.q_prime, cap.q_prime, "{qp:?}: forensic Q'");
+                    assert_eq!(fx.probe.capture.q, cap.q, "{qp:?}: forensic Q");
+                    assert_eq!(fx.probe.capture.q_prime, cap.q_prime, "{qp:?}: forensic Q'");
                 }
             }
         }

@@ -19,7 +19,8 @@ mod wavelet;
 
 pub use wavelet::{dwt2d_3d_levels, inverse_multilevel, forward_multilevel};
 
-use qip_codec::{encode_indices, ByteReader, ByteWriter};
+use qip_codec::{ByteReader, ByteWriter, Span, Spans};
+use qip_core::coeffs::{self, Sections};
 use qip_core::{CompressError, Compressor, ErrorBound, StreamHeader};
 use qip_tensor::{Field, Scalar};
 
@@ -28,10 +29,6 @@ const MAGIC_SPERR: u8 = 0x70;
 /// Coefficient quantization step as a fraction of the error bound: small
 /// enough that outliers are rare, large enough to keep the rate low.
 const STEP_FRACTION: f64 = 0.75;
-/// Coefficient indices beyond this magnitude go to the raw side channel.
-const Q_CLAMP: i64 = 1 << 30;
-/// Sentinel index marking a raw-coefficient escape.
-const ESCAPE: i32 = i32::MIN;
 
 /// The SPERR compressor.
 #[derive(Debug, Clone, Default)]
@@ -72,134 +69,57 @@ impl<T: Scalar> Compressor<T> for Sperr {
         let levels = dwt2d_3d_levels(&dims);
         forward_multilevel(&mut coeffs, &dims, levels);
 
-        // Uniform deadzone quantization.
+        // Uniform deadzone quantization, then the reconstruction exactly as
+        // the decompressor will see it, to find the outliers to correct.
         let step = STEP_FRACTION * abs_eb;
-        let mut q = Vec::with_capacity(coeffs.len());
-        let mut raw: Vec<u8> = Vec::new();
-        for &c in &coeffs {
-            let qi = (c / step).round();
-            if !qi.is_finite() || qi.abs() as i64 >= Q_CLAMP {
-                q.push(ESCAPE);
-                raw.extend_from_slice(&c.to_le_bytes());
-            } else {
-                q.push(qi as i32);
-            }
-        }
-
-        // Reconstruct exactly as the decompressor will, to find outliers.
-        let mut recon: Vec<f64> = {
-            let mut raw_cursor = 0usize;
-            q.iter()
-                .map(|&qi| {
-                    if qi == ESCAPE {
-                        let c = f64::from_le_bytes(
-                            raw[raw_cursor..raw_cursor + 8].try_into().unwrap(),
-                        );
-                        raw_cursor += 8;
-                        c
-                    } else {
-                        qi as f64 * step
-                    }
-                })
-                .collect()
-        };
+        let (q, raw) = coeffs::quantize(&coeffs, step);
+        let mut recon = coeffs::dequantize(&q, &raw, step)?;
         inverse_multilevel(&mut recon, &dims, levels);
-
-        // Outlier correction records: (delta position, residual index) so the
-        // final pointwise error is ≤ eb/2 at corrected points, ≤ eb elsewhere.
-        let mut corrections = ByteWriter::new();
-        let mut n_corr = 0u64;
-        let mut last = 0usize;
-        for (i, (&orig, &rec)) in field.as_slice().iter().zip(&recon).enumerate() {
-            let of = orig.to_f64();
-            // The bound must hold on the value *as stored* (after rounding to
-            // T), so every check below goes through T::from_f64.
-            let stored_err = |v: f64| (T::from_f64(v).to_f64() - of).abs();
-            if stored_err(rec) <= abs_eb && of.is_finite() {
-                continue;
-            }
-            let res = of - rec;
-            let qr = (res / abs_eb).round();
-            corrections.put_uvarint((i - last) as u64);
-            last = i;
-            let quantized_ok = qr.is_finite()
-                && (qr.abs() as i64) < Q_CLAMP
-                && of.is_finite()
-                && stored_err(rec + qr * abs_eb) <= abs_eb;
-            if quantized_ok {
-                corrections.put_ivarint(qr as i64);
-            } else {
-                // Escape: store the exact original value.
-                corrections.put_ivarint(i64::MIN + 1);
-                corrections.put_f64(of);
-            }
-            n_corr += 1;
-        }
-
-        w.put_block(&encode_indices(&q));
-        w.put_block(&raw);
-        w.put_uvarint(n_corr);
-        w.put_block(&corrections.finish());
+        coeffs::write(&mut w, &q, &raw, field, &recon, abs_eb);
         Ok(qip_core::integrity::seal(w.finish()))
     }
 
     fn decompress(&self, bytes: &[u8]) -> Result<Field<T>, CompressError> {
-        let bytes = qip_core::integrity::check(bytes)?;
-        let mut r = ByteReader::new(bytes);
-        let header = StreamHeader::read(&mut r, MAGIC_SPERR, T::BITS as u8)?;
-        let dims = header.shape.dims().to_vec();
-        let n: usize = dims.iter().product();
-        if n == 0 {
-            return Ok(Field::zeros(header.shape));
-        }
-        let q = qip_codec::decode_indices_capped(r.get_block()?, n)?;
-        if q.len() != n {
-            return Err(CompressError::WrongFormat("coefficient count mismatch"));
-        }
-        let raw = r.get_block()?;
-        if raw.len() % 8 != 0 {
-            return Err(CompressError::WrongFormat("raw coefficient block misaligned"));
-        }
-        let n_corr = r.get_uvarint()?;
-        let corr_block = r.get_block()?;
-
-        let step = STEP_FRACTION * header.abs_eb;
-        let mut raw_cursor = 0usize;
-        let mut coeffs = qip_core::try_with_capacity::<f64>(n)?;
-        for &qi in &q {
-            if qi == ESCAPE {
-                let chunk = raw
-                    .get(raw_cursor..raw_cursor + 8)
-                    .ok_or(CompressError::WrongFormat("raw coefficient channel exhausted"))?;
-                coeffs.push(f64::from_le_bytes(chunk.try_into().unwrap()));
-                raw_cursor += 8;
-            } else {
-                coeffs.push(qi as f64 * step);
-            }
-        }
-        let levels = dwt2d_3d_levels(&dims);
-        inverse_multilevel(&mut coeffs, &dims, levels);
-
-        // Apply corrections.
-        let mut cr = ByteReader::new(corr_block);
-        let mut pos = 0usize;
-        for k in 0..n_corr {
-            let delta = cr.get_uvarint()? as usize;
-            pos = if k == 0 { delta } else { pos + delta };
-            if pos >= n {
-                return Err(CompressError::WrongFormat("correction position out of range"));
-            }
-            let qr = cr.get_ivarint()?;
-            if qr == i64::MIN + 1 {
-                coeffs[pos] = cr.get_f64()?;
-            } else {
-                coeffs[pos] += qr as f64 * header.abs_eb;
-            }
-        }
-
-        let data: Vec<T> = coeffs.into_iter().map(T::from_f64).collect();
-        Ok(Field::from_vec(header.shape, data)?)
+        decode(&parse::<T>(bytes)?)
     }
+}
+
+/// The sections of one stream, as [`parse`] reads them.
+pub struct Parsed<'a> {
+    /// The common stream header.
+    pub header: StreamHeader,
+    /// Named byte spans in stream order, tiling the sealed stream.
+    pub spans: Vec<Span>,
+    /// The coded wavelet coefficients; absent for an empty field.
+    coded: Sections<'a>,
+}
+
+/// Verify the seal, then parse the stream's layout: the one description of
+/// it, for decoding and forensics alike. Bytes behind the corrections are corruption.
+pub fn parse<T: Scalar>(sealed: &[u8]) -> Result<Parsed<'_>, CompressError> {
+    let bytes = qip_core::integrity::check(sealed)?;
+    let mut r = ByteReader::new(bytes);
+    let mut spans = Spans::default();
+    let header = StreamHeader::read(&mut r, MAGIC_SPERR, T::BITS as u8)?;
+    spans.push("header", r.pos());
+    let coded = match header.shape.is_empty() {
+        true => Sections::default(),
+        false => Sections::parse(&mut spans, &mut r)?,
+    };
+    Ok(Parsed { header, coded, spans: spans.finish(&r, sealed.len() - bytes.len())? })
+}
+
+/// Reconstruct the field of a parsed stream.
+pub fn decode<T: Scalar>(p: &Parsed<'_>) -> Result<Field<T>, CompressError> {
+    let shape = p.header.shape.clone();
+    if shape.is_empty() {
+        return Ok(Field::zeros(shape));
+    }
+    let mut coeffs = p.coded.dequantize(shape.len(), STEP_FRACTION * p.header.abs_eb)?;
+    inverse_multilevel(&mut coeffs, shape.dims(), dwt2d_3d_levels(shape.dims()));
+    p.coded.correct(&mut coeffs, p.header.abs_eb)?;
+    let data: Vec<T> = coeffs.into_iter().map(T::from_f64).collect();
+    Ok(Field::from_vec(shape, data)?)
 }
 
 #[cfg(test)]

@@ -34,7 +34,7 @@
 pub mod lorenzo;
 pub mod regression;
 
-use qip_codec::ByteReader;
+use qip_codec::{ByteReader, Span, Spans};
 use qip_core::{CompressCtx, CompressError, Compressor, ErrorBound, QpConfig};
 use qip_interp::{EngineConfig, InterpEngine};
 use qip_tensor::{Field, Scalar};
@@ -43,8 +43,6 @@ use qip_tensor::{Field, Scalar};
 const MAGIC_SZ3: u8 = 0x20;
 /// Magic for the nested interpolation-engine stream.
 const MAGIC_SZ3_INTERP: u8 = 0x21;
-/// Magic for the nested Lorenzo stream.
-const MAGIC_SZ3_LORENZO: u8 = 0x22;
 
 /// Predictor pipeline selected for a stream; the discriminant is the
 /// stream's pipeline tag.
@@ -105,7 +103,8 @@ impl Sz3 {
         Ok(self.engine().compress_capturing(field, bound)?.1)
     }
 
-    fn engine(&self) -> InterpEngine {
+    /// The interpolation engine behind the wrapper's pipeline tag 0.
+    pub fn engine(&self) -> InterpEngine {
         let mut cfg = EngineConfig::sz3_like(MAGIC_SZ3_INTERP);
         cfg.qp = self.qp;
         InterpEngine::new(cfg)
@@ -162,7 +161,7 @@ impl Sz3 {
         }
         let interp_end = out.len();
         let interp_len = interp.map_or(usize::MAX, |()| interp_end - wrapper);
-        let lorenzo_len = lorenzo::compress_append(block, abs, MAGIC_SZ3_LORENZO, ctx, out)
+        let lorenzo_len = lorenzo::compress_append(block, abs, ctx, out)
             .map_or(usize::MAX, |()| out.len() - interp_end);
         // Mild preference for interpolation (SZ3's default algorithm): the
         // small-block trial systematically understates interpolation, which
@@ -180,19 +179,35 @@ impl Sz3 {
         (pipeline, finished)
     }
 
-    /// Which pipeline a stream used (for experiment reporting).
-    pub fn pipeline_of(bytes: &[u8]) -> Result<Pipeline, CompressError> {
+    /// Verify the seal and parse the wrapper — the one description of it,
+    /// for decoding, forensics and experiment reporting alike.
+    pub fn parse(sealed: &[u8]) -> Result<Sz3Stream<'_>, CompressError> {
+        let bytes = qip_core::integrity::check(sealed)?;
         let mut r = ByteReader::new(bytes);
-        let magic = r.get_u8()?;
-        if magic != MAGIC_SZ3 {
+        let mut spans = Spans::default();
+        if r.get_u8()? != MAGIC_SZ3 {
             return Err(CompressError::WrongFormat("not an SZ3 stream"));
         }
-        match r.get_u8()? {
-            0 => Ok(Pipeline::Interpolation),
-            1 => Ok(Pipeline::Lorenzo),
-            _ => Err(CompressError::WrongFormat("bad SZ3 pipeline tag")),
-        }
+        let pipeline = match r.get_u8()? {
+            0 => Pipeline::Interpolation,
+            1 => Pipeline::Lorenzo,
+            _ => return Err(CompressError::WrongFormat("bad SZ3 pipeline tag")),
+        };
+        spans.push("wrapper", r.pos());
+        let body = r.rest();
+        spans.push("body", r.pos());
+        Ok(Sz3Stream { pipeline, body, spans: spans.finish(&r, sealed.len() - bytes.len())? })
     }
+}
+
+/// One SZ3 stream, as [`Sz3::parse`] reads it.
+pub struct Sz3Stream<'a> {
+    /// The predictor pipeline the wrapper's tag names.
+    pub pipeline: Pipeline,
+    /// The nested stream: an engine stream or a [`lorenzo`] stream.
+    pub body: &'a [u8],
+    /// `wrapper`, `body` and `seal` spans of the sealed stream.
+    pub spans: Vec<Span>,
 }
 
 impl Default for Sz3 {
@@ -255,9 +270,7 @@ impl<T: Scalar> Compressor<T> for Sz3 {
         if !finished {
             match pipeline {
                 Pipeline::Interpolation => self.engine().compress_append(field, bound, ctx, out)?,
-                Pipeline::Lorenzo => {
-                    lorenzo::compress_append(field, bound, MAGIC_SZ3_LORENZO, ctx, out)?
-                }
+                Pipeline::Lorenzo => lorenzo::compress_append(field, bound, ctx, out)?,
             }
         }
         let _t = qip_trace::span("seal");
@@ -270,18 +283,10 @@ impl<T: Scalar> Compressor<T> for Sz3 {
         bytes: &[u8],
         ctx: &mut CompressCtx,
     ) -> Result<Field<T>, CompressError> {
-        let bytes = qip_core::integrity::check(bytes)?;
-        let mut r = ByteReader::new(bytes);
-        let magic = r.get_u8()?;
-        if magic != MAGIC_SZ3 {
-            return Err(CompressError::WrongFormat("not an SZ3 stream"));
-        }
-        let tag = r.get_u8()?;
-        let rest = r.rest();
-        match tag {
-            0 => self.engine().decompress_with(rest, ctx),
-            1 => lorenzo::decompress(rest, MAGIC_SZ3_LORENZO),
-            _ => Err(CompressError::WrongFormat("bad SZ3 pipeline tag")),
+        let stream = Sz3::parse(bytes)?;
+        match stream.pipeline {
+            Pipeline::Interpolation => self.engine().decompress_with(stream.body, ctx),
+            Pipeline::Lorenzo => lorenzo::decompress(stream.body),
         }
     }
 }
@@ -336,7 +341,7 @@ mod tests {
         for p in [Pipeline::Interpolation, Pipeline::Lorenzo] {
             let sz3 = Sz3::new().with_pipeline(p);
             let bytes = sz3.compress(&f, ErrorBound::Abs(1e-3)).unwrap();
-            assert_eq!(Sz3::pipeline_of(&bytes).unwrap(), p);
+            assert_eq!(Sz3::parse(&bytes).unwrap().pipeline, p);
             let out = sz3.decompress(&bytes).unwrap();
             assert!(max_abs_error(&f, &out) <= 1e-3 + 1e-9);
         }
@@ -357,6 +362,6 @@ mod tests {
     fn garbage_rejected() {
         let res: Result<Field<f32>, _> = Sz3::new().decompress(&[0u8; 3]);
         assert!(res.is_err());
-        assert!(Sz3::pipeline_of(&[MAGIC_SZ3, 7]).is_err());
+        assert!(Sz3::parse(&qip_core::integrity::seal(vec![MAGIC_SZ3, 7])).is_err());
     }
 }

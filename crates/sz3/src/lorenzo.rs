@@ -13,11 +13,14 @@
 //! pipeline has no QP hook.
 
 use crate::regression::{FitSums, PlaneFit};
-use qip_codec::{encode_indices_into, ByteReader, ByteWriter};
+use qip_codec::{encode_indices_into, ByteReader, ByteWriter, Span, Spans};
 use qip_core::{CompressCtx, CompressError, ErrorBound, StreamHeader};
 use qip_predict::{lorenzo2, lorenzo3};
 use qip_quant::{LinearQuantizer, Quantized, UNPRED};
 use qip_tensor::{Field, Scalar};
+
+/// Stream magic of the Lorenzo pipeline (nested inside the SZ3 wrapper).
+pub const MAGIC: u8 = 0x22;
 
 /// SZ2's block edge for the regression predictor.
 const REG_BLOCK: usize = 6;
@@ -42,13 +45,9 @@ pub fn quant_indices<T: Scalar>(
 }
 
 /// Compress `field` with the Lorenzo pipeline under `bound`.
-pub fn compress<T: Scalar>(
-    field: &Field<T>,
-    bound: ErrorBound,
-    magic: u8,
-) -> Result<Vec<u8>, CompressError> {
+pub fn compress<T: Scalar>(field: &Field<T>, bound: ErrorBound) -> Result<Vec<u8>, CompressError> {
     let mut out = Vec::new();
-    compress_append(field, bound, magic, &mut CompressCtx::new(), &mut out)?;
+    compress_append(field, bound, &mut CompressCtx::new(), &mut out)?;
     Ok(out)
 }
 
@@ -58,7 +57,6 @@ pub fn compress<T: Scalar>(
 pub fn compress_append<T: Scalar>(
     field: &Field<T>,
     bound: ErrorBound,
-    magic: u8,
     ctx: &mut CompressCtx,
     out: &mut Vec<u8>,
 ) -> Result<(), CompressError> {
@@ -69,7 +67,7 @@ pub fn compress_append<T: Scalar>(
     let abs_eb = bound.resolve(field).abs;
     let mut w = ByteWriter::from_vec(std::mem::take(out));
     StreamHeader {
-        magic,
+        magic: MAGIC,
         scalar_bits: T::BITS as u8,
         shape: field.shape().clone(),
         abs_eb,
@@ -237,128 +235,142 @@ fn blocks(dims: &[usize]) -> impl Iterator<Item = ([usize; 3], [usize; 3])> {
     })
 }
 
-/// Decompress a stream produced by [`compress`].
-pub fn decompress<T: Scalar>(bytes: &[u8], magic: u8) -> Result<Field<T>, CompressError> {
+/// The sections of one stream, as [`parse`] reads them; all but the header
+/// are absent (empty) for an empty field.
+pub struct Parsed<'a> {
+    /// The common stream header.
+    pub header: StreamHeader,
+    /// Named byte spans in stream order, tiling the stream.
+    pub spans: Vec<Span>,
+    /// Whether 6³ blocks chose between Lorenzo and a regression plane.
+    blockwise: bool,
+    /// One bit per block: set where regression won.
+    choice_bits: &'a [u8],
+    /// 16 bytes of plane coefficients per regression block.
+    coeffs: &'a [u8],
+    unpred: &'a [u8],
+    index: &'a [u8],
+}
+
+/// Parse a stream's layout: the one description of it, for decoding and
+/// forensics alike. Bytes behind the index block are corruption.
+pub fn parse<T: Scalar>(bytes: &[u8]) -> Result<Parsed<'_>, CompressError> {
     let mut r = ByteReader::new(bytes);
-    let header = StreamHeader::read(&mut r, magic, T::BITS as u8)?;
-    let dims = header.shape.dims().to_vec();
-    let n: usize = dims.iter().product();
-    if n == 0 {
-        return Ok(Field::zeros(header.shape));
-    }
-    let quant = LinearQuantizer::try_new(header.abs_eb)
-        .ok_or(CompressError::Corrupt("degenerate error bound"))?;
-    let strides = header.shape.strides().to_vec();
-
-    let blockwise = r.get_u8()? != 0;
-    let (choices, coeffs): (Vec<bool>, Vec<PlaneFit>) = if blockwise {
-        if dims.len() != 3 {
-            return Err(CompressError::WrongFormat("blockwise mode requires 3-D"));
-        }
-        let n_blocks = blocks(&dims).count();
-        let bits = r.get_block()?;
-        if bits.len() != n_blocks.div_ceil(8) {
-            return Err(CompressError::WrongFormat("choice bitmap size mismatch"));
-        }
-        let choices: Vec<bool> =
-            (0..n_blocks).map(|i| bits[i / 8] & (1 << (i % 8)) != 0).collect();
-        let n_reg = choices.iter().filter(|&&c| c).count();
-        let cb = r.get_block()?;
-        if cb.len() != n_reg * 16 {
-            return Err(CompressError::WrongFormat("coefficient block size mismatch"));
-        }
-        let coeffs: Vec<PlaneFit> = cb
-            .chunks_exact(16)
-            .map(|c| PlaneFit::read(c).expect("exact chunk"))
-            .collect();
-        (choices, coeffs)
-    } else {
-        (Vec::new(), Vec::new())
+    let mut spans = Spans::default();
+    let header = StreamHeader::read(&mut r, MAGIC, T::BITS as u8)?;
+    spans.push("header", r.pos());
+    let mut p = Parsed {
+        header,
+        spans: Vec::new(),
+        blockwise: false,
+        choice_bits: &[],
+        coeffs: &[],
+        unpred: &[],
+        index: &[],
     };
-
-    let unpred_bytes = r.get_block()?;
-    if unpred_bytes.len() % T::BYTES != 0 {
-        return Err(CompressError::WrongFormat("unpredictable block misaligned"));
+    if !p.header.shape.is_empty() {
+        p.blockwise = r.get_u8()? != 0;
+        spans.push("config", r.pos());
+        if p.blockwise {
+            let dims = p.header.shape.dims();
+            if dims.len() != 3 {
+                return Err(CompressError::WrongFormat("blockwise mode requires 3-D"));
+            }
+            p.choice_bits = spans.block("choice_bits", &mut r)?;
+            if p.choice_bits.len() != blocks(dims).count().div_ceil(8) {
+                return Err(CompressError::WrongFormat("choice bitmap size mismatch"));
+            }
+            p.coeffs = spans.block("coeffs", &mut r)?;
+        }
+        p.unpred = spans.block("unpred", &mut r)?;
+        if !p.unpred.len().is_multiple_of(T::BYTES) {
+            return Err(CompressError::WrongFormat("unpredictable block misaligned"));
+        }
+        p.index = spans.block("index", &mut r)?;
     }
-    let mut unpred = Vec::with_capacity(unpred_bytes.len() / T::BYTES);
-    for chunk in unpred_bytes.chunks_exact(T::BYTES) {
+    p.spans = spans.finish(&r, 0)?;
+    Ok(p)
+}
+
+/// Decompress a stream produced by [`compress`].
+pub fn decompress<T: Scalar>(bytes: &[u8]) -> Result<Field<T>, CompressError> {
+    decode(&parse::<T>(bytes)?)
+}
+
+/// Reconstruct the field of a parsed stream.
+pub fn decode<T: Scalar>(p: &Parsed<'_>) -> Result<Field<T>, CompressError> {
+    let shape = p.header.shape.clone();
+    let dims = shape.dims().to_vec();
+    let n = shape.len();
+    if n == 0 {
+        return Ok(Field::zeros(shape));
+    }
+    let quant = LinearQuantizer::try_new(p.header.abs_eb)
+        .ok_or(CompressError::Corrupt("degenerate error bound"))?;
+    let strides = shape.strides().to_vec();
+
+    let n_blocks = if p.blockwise { blocks(&dims).count() } else { 0 };
+    let choices: Vec<bool> =
+        (0..n_blocks).map(|i| p.choice_bits[i / 8] & (1 << (i % 8)) != 0).collect();
+    if p.coeffs.len() != choices.iter().filter(|&&c| c).count() * 16 {
+        return Err(CompressError::WrongFormat("coefficient block size mismatch"));
+    }
+    let coeffs: Vec<PlaneFit> =
+        p.coeffs.chunks_exact(16).map(|c| PlaneFit::read(c).expect("exact chunk")).collect();
+
+    let mut unpred = Vec::with_capacity(p.unpred.len() / T::BYTES);
+    for chunk in p.unpred.chunks_exact(T::BYTES) {
         unpred.push(T::read_le(chunk)?);
     }
-    let q = qip_codec::decode_indices_capped(r.get_block()?, n)?;
+    let q = qip_codec::decode_indices_capped(p.index, n)?;
     if q.len() != n {
         return Err(CompressError::WrongFormat("index count mismatch"));
     }
 
     let mut buf = qip_core::try_zeroed_vec::<T>(n)?;
-    let mut cursor = 0usize;
-    let mut unpred_cursor = 0usize;
-    let mut fail: Option<CompressError> = None;
-
-    if blockwise {
-        let mut reg_cursor = 0usize;
+    let mut points = Points { quant, indices: q.iter(), escaped: unpred.iter(), exhausted: false };
+    if p.blockwise {
+        let mut fits = coeffs.iter();
         for ((origin, ext), &use_reg) in blocks(&dims).zip(&choices) {
-            let fit = if use_reg {
-                let f = coeffs[reg_cursor];
-                reg_cursor += 1;
-                Some(f)
-            } else {
-                None
-            };
-            for_block(&origin, &ext, &strides, |local, flat| {
-                if fail.is_some() {
-                    return;
-                }
-                let idx = q[cursor];
-                cursor += 1;
-                if idx == UNPRED {
-                    match unpred.get(unpred_cursor) {
-                        Some(&v) => {
-                            unpred_cursor += 1;
-                            buf[flat] = v;
-                        }
-                        None => {
-                            fail = Some(CompressError::WrongFormat(
-                                "unpredictable channel exhausted",
-                            ))
-                        }
-                    }
-                } else {
-                    let pred = match &fit {
-                        Some(f) => f.predict(&ext, &local),
-                        None => predict(&buf, &strides, &global(&origin, &local), flat),
-                    };
-                    buf[flat] = quant.recover(pred, idx);
-                }
+            let fit = if use_reg { fits.next() } else { None };
+            for_block(&origin, &ext, &strides, |local, flat| match fit {
+                Some(f) => points.place(&mut buf, flat, |_| f.predict(&ext, &local)),
+                None => points
+                    .place(&mut buf, flat, |b| predict(b, &strides, &global(&origin, &local), flat)),
             });
         }
     } else {
-        scan(&dims, |flat, coords| {
-            if fail.is_some() {
-                return;
-            }
-            let idx = q[cursor];
-            cursor += 1;
-            if idx == UNPRED {
-                match unpred.get(unpred_cursor) {
-                    Some(&v) => {
-                        unpred_cursor += 1;
-                        buf[flat] = v;
-                    }
-                    None => {
-                        fail =
-                            Some(CompressError::WrongFormat("unpredictable channel exhausted"))
-                    }
-                }
-            } else {
-                let pred = predict(&buf, &strides, coords, flat);
-                buf[flat] = quant.recover(pred, idx);
-            }
-        });
+        scan(&dims, |flat, coords| points.place(&mut buf, flat, |b| predict(b, &strides, coords, flat)));
     }
-    if let Some(e) = fail {
-        return Err(e);
+    if points.exhausted {
+        return Err(CompressError::WrongFormat("unpredictable channel exhausted"));
     }
-    Ok(Field::from_vec(header.shape, buf)?)
+    Ok(Field::from_vec(shape, buf)?)
+}
+
+/// The decoder's two channels, consumed one point at a time in scan order.
+struct Points<'a, T> {
+    quant: LinearQuantizer,
+    indices: std::slice::Iter<'a, i32>,
+    escaped: std::slice::Iter<'a, T>,
+    /// Set once an escape finds the unpredictable channel empty.
+    exhausted: bool,
+}
+
+impl<T: Scalar> Points<'_, T> {
+    /// Reconstruct the next point at `flat`: its escaped value, or `pred` of
+    /// the points before it plus its dequantized index.
+    #[inline]
+    fn place(&mut self, buf: &mut [T], flat: usize, pred: impl FnOnce(&[T]) -> f64) {
+        buf[flat] = match self.indices.next() {
+            Some(&UNPRED) => self.escaped.next().copied().unwrap_or_else(|| {
+                self.exhausted = true;
+                T::from_f64(0.0)
+            }),
+            Some(&idx) => self.quant.recover(pred(buf), idx),
+            None => unreachable!("one index per point"),
+        };
+    }
 }
 
 /// Row-major scan calling `f(flat, coords)`.
@@ -438,8 +450,8 @@ mod tests {
         let f = Field::<f32>::from_fn(Shape::d3(14, 11, 9), |c| {
             (c[0] as f32 * 0.3).sin() + c[1] as f32 * 0.05 - c[2] as f32 * 0.02
         });
-        let bytes = compress(&f, ErrorBound::Abs(1e-3), 0x22).unwrap();
-        let out: Field<f32> = decompress(&bytes, 0x22).unwrap();
+        let bytes = compress(&f, ErrorBound::Abs(1e-3)).unwrap();
+        let out: Field<f32> = decompress(&bytes).unwrap();
         assert!(max_abs_error(&f, &out) <= 1e-3 + 1e-9);
     }
 
@@ -449,8 +461,8 @@ mod tests {
             let f = Field::<f64>::from_fn(Shape::new(&dims), |c| {
                 c.iter().map(|&x| (x as f64 * 0.2).cos()).sum()
             });
-            let bytes = compress(&f, ErrorBound::Abs(1e-5), 9).unwrap();
-            let out: Field<f64> = decompress(&bytes, 9).unwrap();
+            let bytes = compress(&f, ErrorBound::Abs(1e-5)).unwrap();
+            let out: Field<f64> = decompress(&bytes).unwrap();
             assert!(max_abs_error(&f, &out) <= 1e-5 + 1e-12);
         }
     }
@@ -461,23 +473,25 @@ mod tests {
         let f = Field::<f32>::from_fn(Shape::d2(64, 64), |c| {
             3.0 * c[0] as f32 + 4.0 * c[1] as f32
         });
-        let bytes = compress(&f, ErrorBound::Abs(1e-2), 9).unwrap();
+        let bytes = compress(&f, ErrorBound::Abs(1e-2)).unwrap();
         assert!(bytes.len() < 200, "got {}", bytes.len());
     }
 
     #[test]
     fn wrong_magic_and_truncation() {
         let f = Field::<f32>::from_fn(Shape::d2(8, 8), |c| c[0] as f32);
-        let bytes = compress(&f, ErrorBound::Abs(1e-2), 5).unwrap();
-        assert!(decompress::<f32>(&bytes, 6).is_err());
-        assert!(decompress::<f32>(&bytes[..bytes.len() / 2], 5).is_err());
+        let bytes = compress(&f, ErrorBound::Abs(1e-2)).unwrap();
+        let mut foreign = bytes.clone();
+        foreign[0] ^= 1;
+        assert!(decompress::<f32>(&foreign).is_err());
+        assert!(decompress::<f32>(&bytes[..bytes.len() / 2]).is_err());
     }
 
     #[test]
     fn empty_field() {
         let f = Field::<f32>::zeros(Shape::d2(0, 3));
-        let bytes = compress(&f, ErrorBound::Abs(1.0), 5).unwrap();
-        let out: Field<f32> = decompress(&bytes, 5).unwrap();
+        let bytes = compress(&f, ErrorBound::Abs(1.0)).unwrap();
+        let out: Field<f32> = decompress(&bytes).unwrap();
         assert!(out.is_empty());
     }
 }
@@ -494,8 +508,8 @@ mod blockwise_tests {
         let f = Field::<f32>::from_fn(Shape::d3(25, 19, 14), |c| {
             (c[0] as f32 * 0.2).sin() + 0.3 * c[1] as f32 - 0.1 * c[2] as f32
         });
-        let bytes = compress(&f, ErrorBound::Abs(1e-3), 0x22).unwrap();
-        let out: Field<f32> = decompress(&bytes, 0x22).unwrap();
+        let bytes = compress(&f, ErrorBound::Abs(1e-3)).unwrap();
+        let out: Field<f32> = decompress(&bytes).unwrap();
         assert!(max_abs_error(&f, &out) <= 1e-3 + 1e-9);
     }
 
@@ -508,8 +522,8 @@ mod blockwise_tests {
             let noise = if (c[0] + c[1] + c[2]) % 2 == 0 { 0.02 } else { -0.02 };
             c[0] as f32 * 0.5 + c[1] as f32 * 0.25 - c[2] as f32 * 0.125 + noise
         });
-        let bytes = compress(&f, ErrorBound::Abs(5e-3), 0x22).unwrap();
-        let out: Field<f32> = decompress(&bytes, 0x22).unwrap();
+        let bytes = compress(&f, ErrorBound::Abs(5e-3)).unwrap();
+        let out: Field<f32> = decompress(&bytes).unwrap();
         assert!(max_abs_error(&f, &out) <= 5e-3 + 1e-9);
         // The pipeline must compress this strongly (regression nails planes).
         assert!(bytes.len() * 6 < f.len() * 4, "got {} bytes", bytes.len());
@@ -519,8 +533,8 @@ mod blockwise_tests {
     fn small_fields_use_plain_scan() {
         // Below the block threshold the plain scan path still round-trips.
         let f = Field::<f32>::from_fn(Shape::d3(8, 8, 8), |c| c[0] as f32);
-        let bytes = compress(&f, ErrorBound::Abs(1e-2), 0x22).unwrap();
-        let out: Field<f32> = decompress(&bytes, 0x22).unwrap();
+        let bytes = compress(&f, ErrorBound::Abs(1e-2)).unwrap();
+        let out: Field<f32> = decompress(&bytes).unwrap();
         assert!(max_abs_error(&f, &out) <= 1e-2 + 1e-9);
     }
 }

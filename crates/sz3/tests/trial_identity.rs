@@ -24,7 +24,7 @@ fn check<T: Scalar>(
     let what = format!("{:?} {bound:?} {qp:?}", field.shape().dims());
     let sz3 = Sz3::new().with_qp(qp);
     sz3.compress_into(field, bound, ctx, out).unwrap();
-    let pipeline = Sz3::pipeline_of(out).unwrap();
+    let pipeline = Sz3::parse(out).unwrap().pipeline;
     let forced = sz3.clone().with_pipeline(pipeline).compress(field, bound).unwrap();
     assert!(*out == forced, "{what}: auto stream != forced {pipeline:?} stream");
     assert!(*out == sz3.compress(field, bound).unwrap(), "{what}: compress_into != compress");

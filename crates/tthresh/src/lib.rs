@@ -19,7 +19,8 @@ mod linalg;
 
 pub use linalg::{sym_eigen_desc, Jacobi};
 
-use qip_codec::{encode_indices, ByteReader, ByteWriter};
+use qip_codec::{ByteReader, ByteWriter, Span, Spans};
+use qip_core::coeffs::{self, Sections};
 use qip_core::{CompressError, Compressor, ErrorBound, StreamHeader};
 use qip_tensor::{Field, Scalar};
 
@@ -27,10 +28,6 @@ use qip_tensor::{Field, Scalar};
 const MAGIC_TTHRESH: u8 = 0x80;
 /// Core quantization step as a fraction of the bound.
 const STEP_FRACTION: f64 = 0.4;
-/// Escape sentinel for out-of-range core indices.
-const ESCAPE: i32 = i32::MIN;
-/// Clamp for representable core indices.
-const Q_CLAMP: i64 = 1 << 30;
 
 /// The TTHRESH compressor.
 #[derive(Debug, Clone, Default)]
@@ -184,67 +181,13 @@ impl<T: Scalar> Compressor<T> for Tthresh {
             core = ttm(&core, &dims, mode, u, true);
         }
 
-        // ---- Quantize core ----
+        // ---- Quantize the core, then reconstruct exactly as the decoder
+        // will, to find the outliers to correct ----
         let step = STEP_FRACTION * abs_eb;
-        let mut q = Vec::with_capacity(core.len());
-        let mut raw: Vec<u8> = Vec::new();
-        for &c in &core {
-            let qi = (c / step).round();
-            if !qi.is_finite() || qi.abs() as i64 >= Q_CLAMP {
-                q.push(ESCAPE);
-                raw.extend_from_slice(&c.to_le_bytes());
-            } else {
-                q.push(qi as i32);
-            }
-        }
-
-        // ---- Reconstruct exactly as the decoder will; collect outliers ----
-        let mut recon: Vec<f64> = {
-            let mut cursor = 0usize;
-            q.iter()
-                .map(|&qi| {
-                    if qi == ESCAPE {
-                        let v =
-                            f64::from_le_bytes(raw[cursor..cursor + 8].try_into().unwrap());
-                        cursor += 8;
-                        v
-                    } else {
-                        qi as f64 * step
-                    }
-                })
-                .collect()
-        };
+        let (q, raw) = coeffs::quantize(&core, step);
+        let mut recon = coeffs::dequantize(&q, &raw, step)?;
         for (mode, u) in factors.iter().enumerate() {
             recon = ttm(&recon, &dims, mode, u, false);
-        }
-
-        let mut corrections = ByteWriter::new();
-        let mut n_corr = 0u64;
-        let mut last = 0usize;
-        for (i, (&orig, &rec)) in field.as_slice().iter().zip(&recon).enumerate() {
-            let of = orig.to_f64();
-            // The bound must hold on the value *as stored* (after rounding to
-            // T), so every check below goes through T::from_f64.
-            let stored_err = |v: f64| (T::from_f64(v).to_f64() - of).abs();
-            if stored_err(rec) <= abs_eb && of.is_finite() {
-                continue;
-            }
-            let res = of - rec;
-            let qr = (res / abs_eb).round();
-            corrections.put_uvarint((i - last) as u64);
-            last = i;
-            let quantized_ok = qr.is_finite()
-                && (qr.abs() as i64) < Q_CLAMP
-                && of.is_finite()
-                && stored_err(rec + qr * abs_eb) <= abs_eb;
-            if quantized_ok {
-                corrections.put_ivarint(qr as i64);
-            } else {
-                // Escape: store the exact original value.
-                corrections.put_ivarint(i64::MIN + 1);
-                corrections.put_f64(of);
-            }
-            n_corr += 1;
         }
 
         // ---- Serialize: factors (f32), core indices, raw, corrections ----
@@ -255,85 +198,68 @@ impl<T: Scalar> Compressor<T> for Tthresh {
             }
             w.put_block(&fb);
         }
-        w.put_block(&encode_indices(&q));
-        w.put_block(&raw);
-        w.put_uvarint(n_corr);
-        w.put_block(&corrections.finish());
+        coeffs::write(&mut w, &q, &raw, field, &recon, abs_eb);
         Ok(qip_core::integrity::seal(w.finish()))
     }
 
     fn decompress(&self, bytes: &[u8]) -> Result<Field<T>, CompressError> {
-        let bytes = qip_core::integrity::check(bytes)?;
-        let mut r = ByteReader::new(bytes);
-        let header = StreamHeader::read(&mut r, MAGIC_TTHRESH, T::BITS as u8)?;
-        let dims = header.shape.dims().to_vec();
-        let n: usize = dims.iter().product();
-        if n == 0 {
-            return Ok(Field::zeros(header.shape));
-        }
+        decode(&parse::<T>(bytes)?)
+    }
+}
 
-        let mut factors: Vec<Vec<f64>> = Vec::with_capacity(dims.len());
-        for &d in &dims {
-            let fb = r.get_block()?;
+/// The sections of one stream, as [`parse`] reads them; all but the header
+/// are absent for an empty field.
+pub struct Parsed<'a> {
+    /// The common stream header.
+    pub header: StreamHeader,
+    /// Named byte spans in stream order, tiling the sealed stream.
+    pub spans: Vec<Span>,
+    /// One `d × d` factor matrix of `f32` per axis of extent `d`.
+    factors: Vec<&'a [u8]>,
+    /// The coded core tensor.
+    coded: Sections<'a>,
+}
+
+/// Verify the seal, then parse the stream's layout: the one description of
+/// it, for decoding and forensics alike. Bytes behind the corrections are corruption.
+pub fn parse<T: Scalar>(sealed: &[u8]) -> Result<Parsed<'_>, CompressError> {
+    let bytes = qip_core::integrity::check(sealed)?;
+    let mut r = ByteReader::new(bytes);
+    let mut spans = Spans::default();
+    let header = StreamHeader::read(&mut r, MAGIC_TTHRESH, T::BITS as u8)?;
+    spans.push("header", r.pos());
+    let mut p = Parsed { header, spans: Vec::new(), factors: Vec::new(), coded: Sections::default() };
+    if !p.header.shape.is_empty() {
+        for &d in p.header.shape.dims() {
+            let fb = spans.block("factors", &mut r)?;
             // Checked arithmetic: a forged extent near the header cap would
             // overflow `d * d * 4` in release builds and defeat this check.
             if d.checked_mul(d).and_then(|x| x.checked_mul(4)) != Some(fb.len()) {
                 return Err(CompressError::WrongFormat("factor matrix size mismatch"));
             }
-            let u: Vec<f64> = fb
-                .chunks_exact(4)
-                .map(|c| f32::from_le_bytes(c.try_into().unwrap()) as f64)
-                .collect();
-            factors.push(u);
+            p.factors.push(fb);
         }
-        let q = qip_codec::decode_indices_capped(r.get_block()?, n)?;
-        if q.len() != n {
-            return Err(CompressError::WrongFormat("core size mismatch"));
-        }
-        let raw = r.get_block()?;
-        if raw.len() % 8 != 0 {
-            return Err(CompressError::WrongFormat("raw core block misaligned"));
-        }
-        let n_corr = r.get_uvarint()?;
-        let corr_block = r.get_block()?;
-
-        let step = STEP_FRACTION * header.abs_eb;
-        let mut cursor = 0usize;
-        let mut core = qip_core::try_with_capacity::<f64>(n)?;
-        for &qi in &q {
-            if qi == ESCAPE {
-                let chunk = raw
-                    .get(cursor..cursor + 8)
-                    .ok_or(CompressError::WrongFormat("raw core channel exhausted"))?;
-                core.push(f64::from_le_bytes(chunk.try_into().unwrap()));
-                cursor += 8;
-            } else {
-                core.push(qi as f64 * step);
-            }
-        }
-        for (mode, u) in factors.iter().enumerate() {
-            core = ttm(&core, &dims, mode, u, false);
-        }
-
-        let mut cr = ByteReader::new(corr_block);
-        let mut pos = 0usize;
-        for k in 0..n_corr {
-            let delta = cr.get_uvarint()? as usize;
-            pos = if k == 0 { delta } else { pos + delta };
-            if pos >= n {
-                return Err(CompressError::WrongFormat("correction position out of range"));
-            }
-            let qr = cr.get_ivarint()?;
-            if qr == i64::MIN + 1 {
-                core[pos] = cr.get_f64()?;
-            } else {
-                core[pos] += qr as f64 * header.abs_eb;
-            }
-        }
-
-        let out: Vec<T> = core.into_iter().map(T::from_f64).collect();
-        Ok(Field::from_vec(header.shape, out)?)
+        p.coded = Sections::parse(&mut spans, &mut r)?;
     }
+    p.spans = spans.finish(&r, sealed.len() - bytes.len())?;
+    Ok(p)
+}
+
+/// Reconstruct the field of a parsed stream.
+pub fn decode<T: Scalar>(p: &Parsed<'_>) -> Result<Field<T>, CompressError> {
+    let shape = p.header.shape.clone();
+    if shape.is_empty() {
+        return Ok(Field::zeros(shape));
+    }
+    let mut core = p.coded.dequantize(shape.len(), STEP_FRACTION * p.header.abs_eb)?;
+    for (mode, fb) in p.factors.iter().enumerate() {
+        let u: Vec<f64> =
+            fb.chunks_exact(4).map(|c| f32::from_le_bytes(c.try_into().expect("4-byte chunk")) as f64).collect();
+        core = ttm(&core, shape.dims(), mode, &u, false);
+    }
+    p.coded.correct(&mut core, p.header.abs_eb)?;
+    let out: Vec<T> = core.into_iter().map(T::from_f64).collect();
+    Ok(Field::from_vec(shape, out)?)
 }
 
 #[cfg(test)]

@@ -20,7 +20,7 @@
 
 #![warn(missing_docs)]
 
-use qip_codec::{BitReader, BitWriter, ByteReader, ByteWriter, CodecError};
+use qip_codec::{BitReader, BitWriter, ByteReader, ByteWriter, CodecError, Span, Spans};
 use qip_core::{CompressError, Compressor, ErrorBound, StreamHeader};
 use qip_tensor::{Field, Scalar};
 
@@ -371,24 +371,48 @@ impl<T: Scalar> Compressor<T> for Zfp {
     }
 
     fn decompress(&self, bytes: &[u8]) -> Result<Field<T>, CompressError> {
-        let bytes = qip_core::integrity::check(bytes)?;
-        let mut r = ByteReader::new(bytes);
-        let header = StreamHeader::read(&mut r, MAGIC_ZFP, T::BITS as u8)?;
-        let dims = header.shape.dims().to_vec();
-        let strides = header.shape.strides().to_vec();
-        if header.shape.is_empty() {
-            return Ok(Field::zeros(header.shape));
-        }
-        let payload = r.get_block()?;
-        let mut br = BitReader::new(payload);
-        let order = sequency_order(dims.len());
-        let mut out = qip_core::try_zeroed_vec::<T>(header.shape.len())?;
-        for origin in header.shape.blocks(BLOCK) {
-            let block = decode_block(dims.len(), &order, &mut br)?;
-            scatter_block(&mut out, &dims, &strides, &origin, &block);
-        }
-        Ok(Field::from_vec(header.shape, out)?)
+        decode(&parse::<T>(bytes)?)
     }
+}
+
+/// The sections of one stream, as [`parse`] reads them.
+pub struct Parsed<'a> {
+    /// The common stream header.
+    pub header: StreamHeader,
+    /// Named byte spans in stream order, tiling the sealed stream.
+    pub spans: Vec<Span>,
+    /// The embedded bit planes of every block; absent for an empty field.
+    payload: &'a [u8],
+}
+
+/// Verify the seal, then parse the stream's layout: the one description of
+/// it, for decoding and forensics alike. Bytes behind the payload are corruption.
+pub fn parse<T: Scalar>(sealed: &[u8]) -> Result<Parsed<'_>, CompressError> {
+    let bytes = qip_core::integrity::check(sealed)?;
+    let mut r = ByteReader::new(bytes);
+    let mut spans = Spans::default();
+    let header = StreamHeader::read(&mut r, MAGIC_ZFP, T::BITS as u8)?;
+    spans.push("header", r.pos());
+    let payload =
+        if header.shape.is_empty() { &[][..] } else { spans.block("payload", &mut r)? };
+    Ok(Parsed { header, payload, spans: spans.finish(&r, sealed.len() - bytes.len())? })
+}
+
+/// Reconstruct the field of a parsed stream.
+pub fn decode<T: Scalar>(p: &Parsed<'_>) -> Result<Field<T>, CompressError> {
+    let shape = p.header.shape.clone();
+    if shape.is_empty() {
+        return Ok(Field::zeros(shape));
+    }
+    let (dims, strides) = (shape.dims(), shape.strides());
+    let mut br = BitReader::new(p.payload);
+    let order = sequency_order(dims.len());
+    let mut out = qip_core::try_zeroed_vec::<T>(shape.len())?;
+    for origin in shape.blocks(BLOCK) {
+        let block = decode_block(dims.len(), &order, &mut br)?;
+        scatter_block(&mut out, dims, strides, &origin, &block);
+    }
+    Ok(Field::from_vec(shape, out)?)
 }
 
 #[cfg(test)]

@@ -353,6 +353,10 @@ fn run() -> Result<(), String> {
                 eprintln!("[report written to {path}]");
             }
             println!("{}", report.render_table());
+            if let Some(n) = report.error_budget.map(|e| e.violations).filter(|&n| n > 0) {
+                eprintln!("error bound violated at {n} samples");
+                std::process::exit(1);
+            }
             Ok(())
         }
         "tile" => {

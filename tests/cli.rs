@@ -221,3 +221,29 @@ fn decompress_rejects_garbage() {
         .unwrap()
         .success());
 }
+
+#[test]
+fn inspect_exits_1_when_the_original_shows_a_bound_violation() {
+    let raw = tmp("budget.f32");
+    let packed = tmp("budget.qip");
+    let (raw_s, packed_s) = (raw.to_str().unwrap(), packed.to_str().unwrap());
+    assert!(qip().args(["gen", "-o", raw_s, "-d", "20x18x16"]).status().unwrap().success());
+    let compress = ["compress", "-i", raw_s, "-o", packed_s, "-d", "20x18x16", "-m", "qoz"];
+    assert!(qip().args(compress).status().unwrap().success());
+    let inspect = ["inspect", "-i", packed_s, "--original", raw_s, "-d", "20x18x16"];
+    let clean = qip().args(inspect).output().unwrap();
+    assert_eq!(clean.status.code(), Some(0), "{}", String::from_utf8_lossy(&clean.stderr));
+
+    // Not the stream's original: one sample far off, one NaN decoded finite.
+    let mut bytes = std::fs::read(&raw).unwrap();
+    bytes[400..404].copy_from_slice(&1.0e6f32.to_le_bytes());
+    bytes[800..804].copy_from_slice(&f32::NAN.to_le_bytes());
+    std::fs::write(&raw, bytes).unwrap();
+    let out = qip().args(inspect).output().unwrap();
+    assert_eq!(out.status.code(), Some(1), "violations must exit 1");
+    let table = String::from_utf8_lossy(&out.stdout);
+    assert!(table.contains("violations 2"), "{table}");
+    assert!(table.contains("1 non-finite samples"), "{table}");
+    assert!(!table.contains("inf") && !table.contains("NaN"), "{table}");
+    assert!(String::from_utf8_lossy(&out.stderr).contains("error bound violated at 2 samples"));
+}
