@@ -89,7 +89,13 @@ impl<T: Scalar> Compressor<T> for TiledCompressor {
         format!("{}⊞{}", Compressor::<T>::name(&self.inner), self.tile)
     }
 
-    fn compress(&self, field: &Field<T>, bound: ErrorBound) -> Result<Vec<u8>, CompressError> {
+    fn compress_into(
+        &self,
+        field: &Field<T>,
+        bound: ErrorBound,
+        _ctx: &mut CompressCtx,
+        out: &mut Vec<u8>,
+    ) -> Result<(), CompressError> {
         let _t = qip_trace::span("container.compress");
         let dims = field.shape().dims().to_vec();
         // Resolve once against the whole field so every tile quantizes at the
@@ -116,10 +122,15 @@ impl<T: Scalar> Compressor<T> for TiledCompressor {
             all.append(run?);
         }
         qip_telemetry::counter_add("qip.container.tile_encodes", &[], all.tiles.len() as u64);
-        Ok(format::assemble(T::BITS, &dims, self.tile, abs, &name, &all.tiles, &all.payload))
+        *out = format::assemble(T::BITS, &dims, self.tile, abs, &name, &all.tiles, &all.payload);
+        Ok(())
     }
 
-    fn decompress(&self, bytes: &[u8]) -> Result<Field<T>, CompressError> {
+    fn decompress_into(
+        &self,
+        bytes: &[u8],
+        _ctx: &mut CompressCtx,
+    ) -> Result<Field<T>, CompressError> {
         decompress_full(bytes)
     }
 }

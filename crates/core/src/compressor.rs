@@ -75,46 +75,49 @@ pub fn try_with_capacity<T>(n: usize) -> Result<Vec<T>, CompressError> {
 /// Streams are self-describing: `decompress` recovers the shape from the
 /// stream header, and the error-bound contract is
 /// `|d[i] − decompress(compress(d))[i]| ≤ ε` for the resolved absolute ε.
+///
+/// An implementation writes one body per direction: the required
+/// [`compress_into`](Compressor::compress_into) and
+/// [`decompress_into`](Compressor::decompress_into) take everything a call
+/// can be given (scratch context, output buffer). `compress` / `decompress`
+/// are those two under a fresh [`CompressCtx`], defined here and nowhere else,
+/// so both entry points produce identical bytes by construction.
 pub trait Compressor<T: Scalar> {
     /// Short stable name used in experiment reports ("SZ3", "QoZ+QP", …).
     fn name(&self) -> String;
 
-    /// Compress `field` under `bound`.
-    fn compress(&self, field: &Field<T>, bound: ErrorBound) -> Result<Vec<u8>, CompressError>;
-
-    /// Decompress a stream produced by [`Compressor::compress`].
-    fn decompress(&self, bytes: &[u8]) -> Result<Field<T>, CompressError>;
-
-    /// Compress `field` into `out`, reusing scratch from `ctx`.
+    /// Compress `field` under `bound` into `out`, reusing scratch from `ctx`.
     ///
-    /// `out` is cleared first; on success it holds a stream **byte-identical**
-    /// to what [`Compressor::compress`] returns for the same inputs (pinned by
-    /// the workspace equivalence tests). The default implementation delegates
-    /// to the allocating path, so every impl keeps compiling; compressors with
-    /// a real scratch-reusing path override it.
+    /// `out` is cleared first and holds the whole stream on success. A
+    /// compressor without reusable scratch ignores `ctx`; one with it must
+    /// never let state leak between calls (pinned by the workspace
+    /// equivalence tests).
     fn compress_into(
         &self,
         field: &Field<T>,
         bound: ErrorBound,
         ctx: &mut CompressCtx,
         out: &mut Vec<u8>,
-    ) -> Result<(), CompressError> {
-        let _ = ctx;
-        *out = self.compress(field, bound)?;
-        Ok(())
-    }
+    ) -> Result<(), CompressError>;
 
-    /// Decompress a stream, reusing scratch from `ctx`.
-    ///
-    /// Returns exactly what [`Compressor::decompress`] returns for the same
-    /// stream. The default delegates to the allocating path.
+    /// Decompress a stream produced by this compressor, reusing scratch from
+    /// `ctx`.
     fn decompress_into(
         &self,
         bytes: &[u8],
         ctx: &mut CompressCtx,
-    ) -> Result<Field<T>, CompressError> {
-        let _ = ctx;
-        self.decompress(bytes)
+    ) -> Result<Field<T>, CompressError>;
+
+    /// [`Compressor::compress_into`] with a fresh context and output buffer.
+    fn compress(&self, field: &Field<T>, bound: ErrorBound) -> Result<Vec<u8>, CompressError> {
+        let mut out = Vec::new();
+        self.compress_into(field, bound, &mut CompressCtx::new(), &mut out)?;
+        Ok(out)
+    }
+
+    /// [`Compressor::decompress_into`] with a fresh context.
+    fn decompress(&self, bytes: &[u8]) -> Result<Field<T>, CompressError> {
+        self.decompress_into(bytes, &mut CompressCtx::new())
     }
 }
 

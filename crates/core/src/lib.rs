@@ -20,8 +20,8 @@
 //! # Shared abstractions
 //!
 //! [`Compressor`], [`ErrorBound`], [`CompressError`] and the self-describing
-//! [`header`] are used by every compressor crate (`qip-sz3`, `qip-qoz`,
-//! `qip-hpez`, `qip-mgard`, and the transform-based comparators).
+//! [`header`] are used by every compressor (`qip-sz3`, `qip-interp`'s QoZ and
+//! HPEZ presets, `qip-mgard`, and the transform-based comparators).
 
 #![warn(missing_docs)]
 

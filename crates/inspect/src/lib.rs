@@ -30,7 +30,7 @@ mod render;
 use qip_codec::{inspect_index_block, IndexForensics, Span};
 use qip_container::ContainerInfo;
 use qip_core::CompressError;
-use qip_interp::{EngineConfig, EngineForensics, InterpEngine, LevelForensics, QuantCapture};
+use qip_interp::{EngineForensics, LevelForensics, Preset, QuantCapture};
 use qip_mgard::Mgard;
 use qip_quant::{LinearQuantizer, UNPRED};
 use qip_sz3::{lorenzo, Pipeline, Sz3};
@@ -315,16 +315,6 @@ fn inspect_flat<T: Scalar>(
                 }
             }
         }
-        Some(magic @ (0x30 | 0x40)) => {
-            let unsealed = qip_core::integrity::check(bytes)?;
-            let seal = Span { name: "seal", start: unsealed.len(), end: bytes.len() };
-            let (cfg, kind, name) = match magic {
-                0x30 => (EngineConfig::qoz_like(0x30), "qoz", "QoZ"),
-                _ => (EngineConfig::hpez_like(0x40), "hpez", "HPEZ"),
-            };
-            let fx = InterpEngine::new(cfg).decompress_forensic(unsealed)?;
-            (kind, name, vec![body(unsealed.len()), seal], Forensic(fx))
-        }
         Some(0x50) => {
             let fx = Mgard::new().decompress_forensic(bytes)?;
             ("mgard", "MGARD", vec![body(bytes.len())], Forensic(fx))
@@ -344,7 +334,16 @@ fn inspect_flat<T: Scalar>(
             let decoded = Plain(qip_tthresh::decode(&p)?, p.header.abs_eb);
             ("tthresh", "TTHRESH", p.spans, decoded)
         }
-        _ => return Err(CompressError::WrongFormat("unknown stream magic")),
+        // What is left is a tuned-engine stream (QoZ, HPEZ) or foreign.
+        magic => {
+            let preset = magic
+                .and_then(|&m| Preset::by_magic(m))
+                .ok_or(CompressError::WrongFormat("unknown stream magic"))?;
+            let unsealed = qip_core::integrity::check(bytes)?;
+            let seal = Span { name: "seal", start: unsealed.len(), end: bytes.len() };
+            let fx = preset.engine().decompress_forensic(unsealed)?;
+            (preset.kind, preset.name, vec![body(unsealed.len()), seal], Forensic(fx))
+        }
     };
     let (spans, abs_bound, recon, fx) = match &decoded {
         Plain(recon, abs_eb) => (outer, *abs_eb, recon, None),

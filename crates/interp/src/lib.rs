@@ -10,7 +10,7 @@
 //! the paper's contribution.
 //!
 //! Engine features are orthogonal switches, combined differently by the three
-//! compressor crates built on top:
+//! compressors built on top (QoZ and HPEZ are the two presets of [`Tuned`]):
 //!
 //! | feature | SZ3 | QoZ | HPEZ |
 //! |---|---|---|---|
@@ -35,6 +35,8 @@ pub mod lattice;
 #[cfg(test)]
 mod reference;
 pub mod select;
+pub mod tuned;
 
 pub use config::{EngineConfig, LevelParams, PassStructure};
 pub use engine::{EngineForensics, InterpEngine, LevelForensics, Probe, QuantCapture};
+pub use tuned::{sample_block, trial_scope, Preset, Tuned};

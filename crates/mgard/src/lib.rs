@@ -302,16 +302,6 @@ impl<T: Scalar> Compressor<T> for Mgard {
         }
     }
 
-    fn compress(&self, field: &Field<T>, bound: ErrorBound) -> Result<Vec<u8>, CompressError> {
-        let mut out = Vec::new();
-        self.compress_impl(field, bound, None, &mut CompressCtx::new(), &mut out)?;
-        Ok(out)
-    }
-
-    fn decompress(&self, bytes: &[u8]) -> Result<Field<T>, CompressError> {
-        decode(parse::<T>(bytes)?, 0, &mut CompressCtx::new(), None)
-    }
-
     fn compress_into(
         &self,
         field: &Field<T>,

@@ -16,7 +16,7 @@
 #![warn(missing_docs)]
 
 use qip_codec::{ByteReader, ByteWriter};
-use qip_core::{CompressError, Compressor, ErrorBound};
+use qip_core::{CompressCtx, CompressError, Compressor, ErrorBound};
 use qip_tensor::{Field, Scalar, Shape};
 use rayon::prelude::*;
 
@@ -135,7 +135,13 @@ where
         format!("{}∥{}", self.inner.name(), self.block)
     }
 
-    fn compress(&self, field: &Field<T>, bound: ErrorBound) -> Result<Vec<u8>, CompressError> {
+    fn compress_into(
+        &self,
+        field: &Field<T>,
+        bound: ErrorBound,
+        _ctx: &mut CompressCtx,
+        out: &mut Vec<u8>,
+    ) -> Result<(), CompressError> {
         let dims = field.shape().dims().to_vec();
         // Resolve the bound once against the whole field so every block
         // quantizes at the same absolute tolerance.
@@ -151,7 +157,8 @@ where
         }
         w.put_uvarint(self.block as u64);
         if field.is_empty() {
-            return Ok(qip_core::integrity::seal(w.finish()));
+            *out = qip_core::integrity::seal(w.finish());
+            return Ok(());
         }
 
         let grid = TileGrid::new(&dims, self.block)?;
@@ -169,10 +176,15 @@ where
         for s in streams {
             w.put_block(&s?);
         }
-        Ok(qip_core::integrity::seal(w.finish()))
+        *out = qip_core::integrity::seal(w.finish());
+        Ok(())
     }
 
-    fn decompress(&self, bytes: &[u8]) -> Result<Field<T>, CompressError> {
+    fn decompress_into(
+        &self,
+        bytes: &[u8],
+        _ctx: &mut CompressCtx,
+    ) -> Result<Field<T>, CompressError> {
         let bytes = qip_core::integrity::check(bytes)?;
         let mut r = ByteReader::new(bytes);
         if r.get_u8()? != MAGIC_PAR {

@@ -88,6 +88,7 @@ impl LinearQuantizer {
     /// The bound is verified on the value *as stored* (after rounding to `T`),
     /// so `f32` fields keep the guarantee even when `2qε` is not representable.
     #[inline]
+    #[allow(clippy::neg_cmp_op_on_partial_ord)]
     pub fn quantize<T: Scalar>(&self, d: T, pred: f64) -> Quantized<T> {
         let df = d.to_f64();
         if !df.is_finite() {
@@ -100,7 +101,9 @@ impl LinearQuantizer {
         }
         let q = q as i32;
         let recon = T::from_f64(pred + 2.0 * q as f64 * self.eb);
-        if (recon.to_f64() - df).abs() > self.eb {
+        // `!(.. <= eb)`, not `.. > eb`: a NaN `recon` (the prediction read a
+        // non-finite neighbour) must fail the check too.
+        if !((recon.to_f64() - df).abs() <= self.eb) {
             return Quantized::Unpred;
         }
         Quantized::Pred { index: q, recon }
@@ -138,6 +141,7 @@ impl LinearQuantizer {
     ///
     /// All four slices must share a length `≤ 64`.
     #[inline]
+    #[allow(clippy::neg_cmp_op_on_partial_ord)] // as in `quantize`
     pub fn quantize_lanes<T: Scalar>(
         &self,
         data: &[T],
@@ -158,7 +162,7 @@ impl LinearQuantizer {
             // where it equals the scalar path's in-radius `q as i32`.
             let qi = q as i32;
             let r = T::from_f64(pred[j] + 2.0 * qi as f64 * self.eb);
-            let out = !df.is_finite() | (q.abs() >= radius_f) | ((r.to_f64() - df).abs() > self.eb);
+            let out = !df.is_finite() | (q.abs() >= radius_f) | !((r.to_f64() - df).abs() <= self.eb);
             unpred |= (out as u64) << j;
             idx[j] = qi;
             recon[j] = r;

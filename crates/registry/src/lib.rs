@@ -4,21 +4,16 @@
 //! Historically each consumer (the `qip` CLI, the benchmark runner, the fault
 //! harness) grew its own name→compressor table; this crate is the single home
 //! for that mapping. [`AnyCompressor`] implements [`Compressor`] for both
-//! `f32` and `f64` — including the reusable-buffer `compress_into` /
-//! `decompress_into` paths, which dispatch to each backend's specialized
-//! implementation — so a registry entry can be used anywhere a concrete
-//! compressor could.
+//! `f32` and `f64`, one instrumented body per direction around the backend's
+//! own, so a registry entry can be used anywhere a concrete compressor could.
 
 #![warn(missing_docs)]
 
 use qip_core::{
     CompressCtx, CompressError, Compressor, ErrorBound, ProgressiveDecompress, QpConfig,
-    RegionDecompress,
 };
-use qip_hpez::Hpez;
-use qip_interp::QuantCapture;
+use qip_interp::{QuantCapture, Tuned};
 use qip_mgard::Mgard;
-use qip_qoz::Qoz;
 use qip_sperr::Sperr;
 use qip_sz3::Sz3;
 use qip_tensor::{Field, Scalar};
@@ -101,9 +96,9 @@ pub enum AnyCompressor {
     /// SZ3 (optionally +QP).
     Sz3(Sz3),
     /// QoZ (optionally +QP).
-    Qoz(Qoz),
+    Qoz(Tuned),
     /// HPEZ (optionally +QP).
-    Hpez(Hpez),
+    Hpez(Tuned),
     /// ZFP (transform-based comparator).
     Zfp(Zfp),
     /// SPERR (transform-based comparator).
@@ -119,26 +114,9 @@ impl AnyCompressor {
         vec![
             AnyCompressor::Mgard(Mgard::new().with_qp(qp)),
             AnyCompressor::Sz3(Sz3::new().with_qp(qp)),
-            AnyCompressor::Qoz(Qoz::new().with_qp(qp)),
-            AnyCompressor::Hpez(Hpez::new().with_qp(qp)),
+            AnyCompressor::Qoz(Tuned::qoz().with_qp(qp)),
+            AnyCompressor::Hpez(Tuned::hpez().with_qp(qp)),
         ]
-    }
-
-    /// One compressor by base name (case-insensitive), with an explicit QP
-    /// config. The transform-based comparators ignore the QP configuration.
-    /// Callers that speak canonical registry names (`"SZ3+QP"`) should use
-    /// [`AnyCompressor::by_name`] instead.
-    pub fn by_base_name(name: &str, qp: QpConfig) -> Option<AnyCompressor> {
-        Some(match name.to_ascii_lowercase().as_str() {
-            "mgard" => AnyCompressor::Mgard(Mgard::new().with_qp(qp)),
-            "sz3" => AnyCompressor::Sz3(Sz3::new().with_qp(qp)),
-            "qoz" => AnyCompressor::Qoz(Qoz::new().with_qp(qp)),
-            "hpez" => AnyCompressor::Hpez(Hpez::new().with_qp(qp)),
-            "zfp" => AnyCompressor::Zfp(Zfp::new()),
-            "sperr" => AnyCompressor::Sperr(Sperr::new()),
-            "tthresh" => AnyCompressor::Tthresh(Tthresh::new()),
-            _ => return None,
-        })
     }
 
     /// One compressor by canonical registry name (case-insensitive): the
@@ -156,8 +134,16 @@ impl AnyCompressor {
             Some(base) => (base, QpConfig::best_fit()),
             None => (lower.as_str(), QpConfig::off()),
         };
-        let comp = AnyCompressor::by_base_name(base, qp)
-            .ok_or_else(|| LookupError::UnknownName { name: name.to_string() })?;
+        let comp = match base {
+            "mgard" => AnyCompressor::Mgard(Mgard::new().with_qp(qp)),
+            "sz3" => AnyCompressor::Sz3(Sz3::new().with_qp(qp)),
+            "qoz" => AnyCompressor::Qoz(Tuned::qoz().with_qp(qp)),
+            "hpez" => AnyCompressor::Hpez(Tuned::hpez().with_qp(qp)),
+            "zfp" => AnyCompressor::Zfp(Zfp::new()),
+            "sperr" => AnyCompressor::Sperr(Sperr::new()),
+            "tthresh" => AnyCompressor::Tthresh(Tthresh::new()),
+            _ => return Err(LookupError::UnknownName { name: name.to_string() }),
+        };
         if lower.ends_with("+qp") {
             if let AnyCompressor::Zfp(_) | AnyCompressor::Sperr(_) | AnyCompressor::Tthresh(_) =
                 comp
@@ -199,8 +185,7 @@ impl AnyCompressor {
         match self {
             AnyCompressor::Mgard(c) => c,
             AnyCompressor::Sz3(c) => c,
-            AnyCompressor::Qoz(c) => c,
-            AnyCompressor::Hpez(c) => c,
+            AnyCompressor::Qoz(c) | AnyCompressor::Hpez(c) => c,
             AnyCompressor::Zfp(c) => c,
             AnyCompressor::Sperr(c) => c,
             AnyCompressor::Tthresh(c) => c,
@@ -217,23 +202,6 @@ impl AnyCompressor {
         }
     }
 
-    /// The wrapped compressor's random-access region capability, if it has
-    /// one. No monolithic backend can skip decoding work for a region, so
-    /// this is `None` for every registry entry — the tiled container's
-    /// `TiledCompressor` (crate `qip-container`) is the region-capable
-    /// implementation layered on top of these.
-    pub fn as_region<T: Scalar>(&self) -> Option<&dyn RegionDecompress<T>> {
-        match self {
-            AnyCompressor::Mgard(_)
-            | AnyCompressor::Sz3(_)
-            | AnyCompressor::Qoz(_)
-            | AnyCompressor::Hpez(_)
-            | AnyCompressor::Zfp(_)
-            | AnyCompressor::Sperr(_)
-            | AnyCompressor::Tthresh(_) => None,
-        }
-    }
-
     /// Capture the quantization index arrays (interpolation-based compressors
     /// only; `None` for the transform-based comparators).
     pub fn quant_capture<T: Scalar>(
@@ -244,8 +212,7 @@ impl AnyCompressor {
         match self {
             AnyCompressor::Mgard(c) => Some(c.quant_capture(field, bound)),
             AnyCompressor::Sz3(c) => Some(c.quant_capture(field, bound)),
-            AnyCompressor::Qoz(c) => Some(c.quant_capture(field, bound)),
-            AnyCompressor::Hpez(c) => Some(c.quant_capture(field, bound)),
+            AnyCompressor::Qoz(c) | AnyCompressor::Hpez(c) => Some(c.quant_capture(field, bound)),
             _ => None,
         }
     }
@@ -359,32 +326,6 @@ impl<T: Scalar> Compressor<T> for AnyCompressor {
         self.as_dyn::<T>().name()
     }
 
-    fn compress(&self, field: &Field<T>, bound: ErrorBound) -> Result<Vec<u8>, CompressError> {
-        let _t = qip_trace::span_with(|| format!("compress[{}]", Compressor::<T>::name(self)));
-        if !qip_telemetry::active() {
-            return self.as_dyn::<T>().compress(field, bound);
-        }
-        let scope = qip_telemetry::CallScope::begin();
-        let started = std::time::Instant::now();
-        let result = self.as_dyn::<T>().compress(field, bound);
-        let name = Compressor::<T>::name(self);
-        record_compress(scope, &name, field, bound, started, result.as_ref().map(Vec::len));
-        result
-    }
-
-    fn decompress(&self, bytes: &[u8]) -> Result<Field<T>, CompressError> {
-        let _t = qip_trace::span_with(|| format!("decompress[{}]", Compressor::<T>::name(self)));
-        if !qip_telemetry::active() {
-            return self.as_dyn::<T>().decompress(bytes);
-        }
-        let scope = qip_telemetry::CallScope::begin();
-        let started = std::time::Instant::now();
-        let result = self.as_dyn::<T>().decompress(bytes);
-        let name = Compressor::<T>::name(self);
-        record_decompress(scope, &name, bytes.len(), started, result.as_ref());
-        result
-    }
-
     fn compress_into(
         &self,
         field: &Field<T>,
@@ -455,13 +396,6 @@ mod tests {
     }
 
     #[test]
-    fn by_base_name_lookup() {
-        assert!(AnyCompressor::by_base_name("sz3", QpConfig::off()).is_some());
-        assert!(AnyCompressor::by_base_name("SPERR", QpConfig::off()).is_some());
-        assert!(AnyCompressor::by_base_name("nope", QpConfig::off()).is_none());
-    }
-
-    #[test]
     fn canonical_by_name_round_trips_every_registry_entry() {
         for c in AnyCompressor::registry() {
             let name = Compressor::<f32>::name(&c);
@@ -524,8 +458,6 @@ mod tests {
             let has = c.as_progressive::<f32>().is_some();
             assert_eq!(has, name.starts_with("MGARD"), "{name}");
             assert_eq!(c.as_progressive::<f64>().is_some(), has, "{name}");
-            // No monolithic backend offers random-access regions.
-            assert!(c.as_region::<f32>().is_none(), "{name}");
         }
     }
 
@@ -613,27 +545,6 @@ mod tests {
             } else {
                 assert!(creport.is_empty() && dreport.is_empty(), "{name}");
             }
-        }
-    }
-
-    #[test]
-    fn dyn_dispatch_reaches_specialized_into_paths() {
-        // compress_into through the trait object must produce bytes identical
-        // to the allocating compress for every registry entry.
-        let field = Field::<f32>::from_fn(Shape::d3(13, 12, 11), |c| {
-            (c[0] as f32 * 0.17).sin() + c[1] as f32 * 0.02 - (c[2] as f32 * 0.09).cos()
-        });
-        let mut ctx = CompressCtx::new();
-        let mut out = Vec::new();
-        let mut all = AnyCompressor::base_four(QpConfig::best_fit());
-        all.extend(AnyCompressor::comparators());
-        for c in &all {
-            let baseline = c.compress(&field, ErrorBound::Abs(1e-3)).unwrap();
-            c.compress_into(&field, ErrorBound::Abs(1e-3), &mut ctx, &mut out).unwrap();
-            assert_eq!(baseline, out, "{}", Compressor::<f32>::name(c));
-            let a: Field<f32> = c.decompress(&baseline).unwrap();
-            let b: Field<f32> = c.decompress_into(&out, &mut ctx).unwrap();
-            assert_eq!(a.as_slice(), b.as_slice(), "{}", Compressor::<f32>::name(c));
         }
     }
 }

@@ -19,7 +19,7 @@ use crate::events::{EventLog, RequestEvent, StageTimer};
 use crate::wire::{self, Op, OpKind, ReadFrameError, Request, Response, Status, TraceId};
 use qip_core::{CompressCtx, CompressError, Compressor};
 use qip_registry::AnyCompressor;
-use qip_tensor::{Field, Shape};
+use qip_tensor::{Field, Scalar, Shape};
 use std::collections::VecDeque;
 use std::io::Write;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -755,33 +755,28 @@ fn execute(
     }
 
     let (status, payload) = match req.op {
-        Op::Compress { compressor, dtype_bits, dims, bound, payload } => run_compress(
-            shared,
-            &token,
-            ctx,
-            stages,
-            &compressor,
-            dtype_bits,
-            &dims,
-            bound,
-            &payload,
-        ),
+        Op::Compress { compressor, dtype_bits, dims, bound, payload } => {
+            match AnyCompressor::by_name(&compressor) {
+                Ok(comp) => run_compress(
+                    shared, &token, ctx, stages, &comp, dtype_bits, &dims, bound, &payload,
+                ),
+                Err(e) => (Status::UnknownCompressor, e.to_string().into_bytes()),
+            }
+        }
         Op::Decompress { dtype_bits, payload } => {
             run_decompress(shared, &token, ctx, stages, dtype_bits, &payload)
         }
+        // A bad tile edge is rejected before the dims are looked at.
         Op::CompressTiled { compressor, dtype_bits, dims, tile, bound, payload } => {
-            run_compress_tiled(
-                shared,
-                &token,
-                ctx,
-                stages,
-                &compressor,
-                dtype_bits,
-                &dims,
-                tile,
-                bound,
-                &payload,
-            )
+            match AnyCompressor::by_name(&compressor)
+                .map(|comp| qip_container::TiledCompressor::new(comp, tile as usize))
+            {
+                Ok(Ok(tiled)) => run_compress(
+                    shared, &token, ctx, stages, &tiled, dtype_bits, &dims, bound, &payload,
+                ),
+                Ok(Err(e)) => (Status::BadRequest, e.to_string().into_bytes()),
+                Err(e) => (Status::UnknownCompressor, e.to_string().into_bytes()),
+            }
         }
         Op::ReadRegion { dtype_bits, origin, extent, payload } => {
             run_read_region(shared, &token, ctx, stages, dtype_bits, &origin, &extent, &payload)
@@ -818,22 +813,21 @@ fn isolate<R>(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run_compress(
+/// `COMPRESS` and `COMPRESS_TILED`: validate the request, then run `comp` —
+/// a registry compressor, or a [`qip_container::TiledCompressor`] over one so
+/// that the response payload is a random-access tiled container.
+#[allow(clippy::too_many_arguments)] // wire fields map 1:1 onto parameters
+fn run_compress<C: Compressor<f32> + Compressor<f64>>(
     shared: &Arc<Shared>,
     token: &DeadlineToken,
     ctx: &mut CompressCtx,
     stages: &mut StageTimer,
-    compressor: &str,
+    comp: &C,
     dtype_bits: u8,
     dims: &[u32],
     bound: crate::wire::WireBound,
     payload: &[u8],
 ) -> (Status, Vec<u8>) {
-    let comp = match AnyCompressor::by_name(compressor) {
-        Ok(c) => c,
-        Err(e) => return (Status::UnknownCompressor, e.to_string().into_bytes()),
-    };
     if dims.contains(&0) {
         return (Status::BadRequest, b"every axis must be nonzero".to_vec());
     }
@@ -867,34 +861,11 @@ fn run_compress(
     }
     stages.mark("parse");
 
-    // Stage: payload bytes -> Field. (from_le_bytes validates length again.)
     let shape = Shape::new(&dims_us);
-    let result: Result<Vec<u8>, (Status, Vec<u8>)> = if dtype_bits == 32 {
-        let field = match Field::<f32>::from_le_bytes(shape, payload) {
-            Ok(f) => f,
-            Err(e) => return (Status::BadRequest, e.to_string().into_bytes()),
-        };
-        if let Err(e) = token.check("compress") {
-            return e;
-        }
-        isolate(shared, ctx, |ctx| {
-            let mut out = Vec::new();
-            comp.compress_into(&field, b, ctx, &mut out).map(|()| out)
-        })
-        .and_then(|r| r.map_err(|e| compress_error_response(&e)))
+    let result = if dtype_bits == 32 {
+        compress_field::<f32>(shared, token, ctx, comp, shape, b, payload)
     } else {
-        let field = match Field::<f64>::from_le_bytes(shape, payload) {
-            Ok(f) => f,
-            Err(e) => return (Status::BadRequest, e.to_string().into_bytes()),
-        };
-        if let Err(e) = token.check("compress") {
-            return e;
-        }
-        isolate(shared, ctx, |ctx| {
-            let mut out = Vec::new();
-            comp.compress_into(&field, b, ctx, &mut out).map(|()| out)
-        })
-        .and_then(|r| r.map_err(|e| compress_error_response(&e)))
+        compress_field::<f64>(shared, token, ctx, comp, shape, b, payload)
     };
     let stream = match result {
         Ok(s) => s,
@@ -907,94 +878,25 @@ fn run_compress(
     (Status::Ok, stream)
 }
 
-/// `COMPRESS_TILED`: same request validation as `COMPRESS`, then the field is
-/// routed through [`qip_container::TiledCompressor`] so the response payload
-/// is a random-access tiled container instead of a monolithic stream.
-#[allow(clippy::too_many_arguments)]
-fn run_compress_tiled(
+/// Stage: payload bytes -> `Field<T>` (`from_le_bytes` validates the length
+/// again) -> stream, the compressor call isolated.
+fn compress_field<T: Scalar>(
     shared: &Arc<Shared>,
     token: &DeadlineToken,
     ctx: &mut CompressCtx,
-    stages: &mut StageTimer,
-    compressor: &str,
-    dtype_bits: u8,
-    dims: &[u32],
-    tile: u32,
-    bound: crate::wire::WireBound,
+    comp: &impl Compressor<T>,
+    shape: Shape,
+    bound: qip_core::ErrorBound,
     payload: &[u8],
-) -> (Status, Vec<u8>) {
-    let comp = match AnyCompressor::by_name(compressor) {
-        Ok(c) => c,
-        Err(e) => return (Status::UnknownCompressor, e.to_string().into_bytes()),
-    };
-    let tiled = match qip_container::TiledCompressor::new(comp, tile as usize) {
-        Ok(t) => t,
-        Err(e) => return (Status::BadRequest, e.to_string().into_bytes()),
-    };
-    if dims.contains(&0) {
-        return (Status::BadRequest, b"every axis must be nonzero".to_vec());
-    }
-    let dims_us: Vec<usize> = dims.iter().map(|&d| d as usize).collect();
-    let mut elems: u64 = 1;
-    for &d in dims {
-        elems = match elems.checked_mul(d as u64) {
-            Some(v) => v,
-            None => return (Status::BadRequest, b"dims product overflows".to_vec()),
-        };
-    }
-    let bytes_per = (dtype_bits / 8) as u64;
-    let expected = elems.saturating_mul(bytes_per);
-    if expected != payload.len() as u64 {
-        return (
-            Status::BadRequest,
-            format!("payload is {} bytes but dims x dtype need {expected}", payload.len())
-                .into_bytes(),
-        );
-    }
-    let b = bound.to_bound();
-    match b {
-        qip_core::ErrorBound::Abs(v) | qip_core::ErrorBound::Rel(v) => {
-            if !(v.is_finite() && v > 0.0) {
-                return (Status::BadRequest, b"error bound must be positive and finite".to_vec());
-            }
-        }
-    }
-    if let Err(e) = token.check("parse") {
-        return e;
-    }
-    stages.mark("parse");
-
-    let shape = Shape::new(&dims_us);
-    let result: Result<Vec<u8>, (Status, Vec<u8>)> = if dtype_bits == 32 {
-        let field = match Field::<f32>::from_le_bytes(shape, payload) {
-            Ok(f) => f,
-            Err(e) => return (Status::BadRequest, e.to_string().into_bytes()),
-        };
-        if let Err(e) = token.check("compress") {
-            return e;
-        }
-        isolate(shared, ctx, |_| tiled.compress(&field, b))
-            .and_then(|r| r.map_err(|e| compress_error_response(&e)))
-    } else {
-        let field = match Field::<f64>::from_le_bytes(shape, payload) {
-            Ok(f) => f,
-            Err(e) => return (Status::BadRequest, e.to_string().into_bytes()),
-        };
-        if let Err(e) = token.check("compress") {
-            return e;
-        }
-        isolate(shared, ctx, |_| tiled.compress(&field, b))
-            .and_then(|r| r.map_err(|e| compress_error_response(&e)))
-    };
-    let stream = match result {
-        Ok(s) => s,
-        Err(e) => return e,
-    };
-    stages.mark("compress");
-    if let Err(e) = token.check("respond") {
-        return e;
-    }
-    (Status::Ok, stream)
+) -> Result<Vec<u8>, (Status, Vec<u8>)> {
+    let field = Field::<T>::from_le_bytes(shape, payload)
+        .map_err(|e| (Status::BadRequest, e.to_string().into_bytes()))?;
+    token.check("compress")?;
+    isolate(shared, ctx, |ctx| {
+        let mut out = Vec::new();
+        comp.compress_into(&field, bound, ctx, &mut out).map(|()| out)
+    })
+    .and_then(|r| r.map_err(|e| compress_error_response(&e)))
 }
 
 /// `READ_REGION`: decode one region of a tiled container; only intersecting

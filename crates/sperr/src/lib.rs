@@ -21,7 +21,7 @@ pub use wavelet::{dwt2d_3d_levels, inverse_multilevel, forward_multilevel};
 
 use qip_codec::{ByteReader, ByteWriter, Span, Spans};
 use qip_core::coeffs::{self, Sections};
-use qip_core::{CompressError, Compressor, ErrorBound, StreamHeader};
+use qip_core::{CompressCtx, CompressError, Compressor, ErrorBound, StreamHeader};
 use qip_tensor::{Field, Scalar};
 
 /// Stream magic for SPERR.
@@ -46,7 +46,13 @@ impl<T: Scalar> Compressor<T> for Sperr {
         "SPERR".into()
     }
 
-    fn compress(&self, field: &Field<T>, bound: ErrorBound) -> Result<Vec<u8>, CompressError> {
+    fn compress_into(
+        &self,
+        field: &Field<T>,
+        bound: ErrorBound,
+        _ctx: &mut CompressCtx,
+        out: &mut Vec<u8>,
+    ) -> Result<(), CompressError> {
         let dims = field.shape().dims().to_vec();
         if dims.len() > 3 {
             return Err(CompressError::Unsupported("SPERR supports 1-3 dimensions"));
@@ -61,7 +67,8 @@ impl<T: Scalar> Compressor<T> for Sperr {
         }
         .write(&mut w);
         if field.is_empty() {
-            return Ok(qip_core::integrity::seal(w.finish()));
+            *out = qip_core::integrity::seal(w.finish());
+            return Ok(());
         }
 
         // Forward multi-level 9/7 transform.
@@ -76,10 +83,15 @@ impl<T: Scalar> Compressor<T> for Sperr {
         let mut recon = coeffs::dequantize(&q, &raw, step)?;
         inverse_multilevel(&mut recon, &dims, levels);
         coeffs::write(&mut w, &q, &raw, field, &recon, abs_eb);
-        Ok(qip_core::integrity::seal(w.finish()))
+        *out = qip_core::integrity::seal(w.finish());
+        Ok(())
     }
 
-    fn decompress(&self, bytes: &[u8]) -> Result<Field<T>, CompressError> {
+    fn decompress_into(
+        &self,
+        bytes: &[u8],
+        _ctx: &mut CompressCtx,
+    ) -> Result<Field<T>, CompressError> {
         decode(&parse::<T>(bytes)?)
     }
 }

@@ -36,7 +36,7 @@ pub mod regression;
 
 use qip_codec::{ByteReader, Span, Spans};
 use qip_core::{CompressCtx, CompressError, Compressor, ErrorBound, QpConfig};
-use qip_interp::{EngineConfig, InterpEngine};
+use qip_interp::{sample_block, trial_scope, EngineConfig, InterpEngine};
 use qip_tensor::{Field, Scalar};
 
 /// Stream magic for the SZ3 wrapper.
@@ -129,24 +129,9 @@ impl Sz3 {
         ctx: &mut CompressCtx,
         out: &mut Vec<u8>,
     ) -> (Pipeline, bool) {
-        // The trial compressions run capture-paused: the tuning *cost* stays
-        // visible as this span, but trial-stream stats never pollute the
-        // counters of the pipeline actually chosen.
-        let _t = qip_trace::span("select_pipeline");
-        let _p = qip_trace::pause();
-        let _pt = qip_telemetry::pause();
-        // Central block of up to 32 per axis.
-        let dims = field.shape().dims();
-        let whole = dims.iter().all(|&d| d <= 32);
-        let sampled;
-        let block = if whole {
-            field
-        } else {
-            let origin: Vec<usize> = dims.iter().map(|&d| d.saturating_sub(32) / 2).collect();
-            let extent: Vec<usize> = dims.iter().map(|&d| d.min(32)).collect();
-            sampled = field.subregion(&origin, &extent);
-            &sampled
-        };
+        let _trial = trial_scope("select_pipeline");
+        let block = &sample_block(field, 32);
+        let whole = block.len() == field.len();
         // Resolve the bound against the *full* field so both trials and the
         // real run quantize identically. The trial runs QP-blind (paper
         // Algorithm 1 intercepts the pipeline after predictor selection), so
@@ -235,20 +220,6 @@ impl<T: Scalar> Compressor<T> for Sz3 {
         } else {
             "SZ3".into()
         }
-    }
-
-    fn compress(&self, field: &Field<T>, bound: ErrorBound) -> Result<Vec<u8>, CompressError> {
-        // Route through the ctx scratch arena: even a fresh context pools the
-        // per-level working set, so the plain API no longer pays per-point
-        // allocation (the SegSalt ~5.6M-allocs hot spot). Byte-identical to
-        // `compress_into` by construction — it IS `compress_into`.
-        let mut out = Vec::new();
-        self.compress_into(field, bound, &mut CompressCtx::new(), &mut out)?;
-        Ok(out)
-    }
-
-    fn decompress(&self, bytes: &[u8]) -> Result<Field<T>, CompressError> {
-        self.decompress_into(bytes, &mut CompressCtx::new())
     }
 
     fn compress_into(

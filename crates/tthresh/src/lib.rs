@@ -21,7 +21,7 @@ pub use linalg::{sym_eigen_desc, Jacobi};
 
 use qip_codec::{ByteReader, ByteWriter, Span, Spans};
 use qip_core::coeffs::{self, Sections};
-use qip_core::{CompressError, Compressor, ErrorBound, StreamHeader};
+use qip_core::{CompressCtx, CompressError, Compressor, ErrorBound, StreamHeader};
 use qip_tensor::{Field, Scalar};
 
 /// Stream magic for TTHRESH.
@@ -147,7 +147,13 @@ impl<T: Scalar> Compressor<T> for Tthresh {
         "TTHRESH".into()
     }
 
-    fn compress(&self, field: &Field<T>, bound: ErrorBound) -> Result<Vec<u8>, CompressError> {
+    fn compress_into(
+        &self,
+        field: &Field<T>,
+        bound: ErrorBound,
+        _ctx: &mut CompressCtx,
+        out: &mut Vec<u8>,
+    ) -> Result<(), CompressError> {
         let dims = field.shape().dims().to_vec();
         if dims.len() > 3 {
             return Err(CompressError::Unsupported("TTHRESH supports 1-3 dimensions"));
@@ -162,7 +168,8 @@ impl<T: Scalar> Compressor<T> for Tthresh {
         }
         .write(&mut w);
         if field.is_empty() {
-            return Ok(qip_core::integrity::seal(w.finish()));
+            *out = qip_core::integrity::seal(w.finish());
+            return Ok(());
         }
 
         // ---- HOSVD: factor per mode from the Gram eigendecomposition ----
@@ -199,10 +206,15 @@ impl<T: Scalar> Compressor<T> for Tthresh {
             w.put_block(&fb);
         }
         coeffs::write(&mut w, &q, &raw, field, &recon, abs_eb);
-        Ok(qip_core::integrity::seal(w.finish()))
+        *out = qip_core::integrity::seal(w.finish());
+        Ok(())
     }
 
-    fn decompress(&self, bytes: &[u8]) -> Result<Field<T>, CompressError> {
+    fn decompress_into(
+        &self,
+        bytes: &[u8],
+        _ctx: &mut CompressCtx,
+    ) -> Result<Field<T>, CompressError> {
         decode(&parse::<T>(bytes)?)
     }
 }

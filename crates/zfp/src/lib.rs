@@ -21,7 +21,7 @@
 #![warn(missing_docs)]
 
 use qip_codec::{BitReader, BitWriter, ByteReader, ByteWriter, CodecError, Span, Spans};
-use qip_core::{CompressError, Compressor, ErrorBound, StreamHeader};
+use qip_core::{CompressCtx, CompressError, Compressor, ErrorBound, StreamHeader};
 use qip_tensor::{Field, Scalar};
 
 /// Stream magic for ZFP.
@@ -341,7 +341,13 @@ impl<T: Scalar> Compressor<T> for Zfp {
         "ZFP".into()
     }
 
-    fn compress(&self, field: &Field<T>, bound: ErrorBound) -> Result<Vec<u8>, CompressError> {
+    fn compress_into(
+        &self,
+        field: &Field<T>,
+        bound: ErrorBound,
+        _ctx: &mut CompressCtx,
+        out: &mut Vec<u8>,
+    ) -> Result<(), CompressError> {
         let dims = field.shape().dims().to_vec();
         if dims.len() > 3 {
             return Err(CompressError::Unsupported("ZFP supports 1-3 dimensions"));
@@ -357,7 +363,8 @@ impl<T: Scalar> Compressor<T> for Zfp {
         }
         .write(&mut w);
         if field.is_empty() {
-            return Ok(qip_core::integrity::seal(w.finish()));
+            *out = qip_core::integrity::seal(w.finish());
+            return Ok(());
         }
 
         let order = sequency_order(dims.len());
@@ -367,10 +374,15 @@ impl<T: Scalar> Compressor<T> for Zfp {
             encode_block(&vals, dims.len(), abs_eb, &order, &mut bw);
         }
         w.put_block(&bw.finish());
-        Ok(qip_core::integrity::seal(w.finish()))
+        *out = qip_core::integrity::seal(w.finish());
+        Ok(())
     }
 
-    fn decompress(&self, bytes: &[u8]) -> Result<Field<T>, CompressError> {
+    fn decompress_into(
+        &self,
+        bytes: &[u8],
+        _ctx: &mut CompressCtx,
+    ) -> Result<Field<T>, CompressError> {
         decode(&parse::<T>(bytes)?)
     }
 }

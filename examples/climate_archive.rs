@@ -1,8 +1,9 @@
 //! Choosing a compressor for a climate archive.
 //!
-//! Sweeps all seven compressors (interpolation-based ± QP, plus the
-//! transform-based ZFP/SPERR/TTHRESH) over a CESM-like temperature slab at
-//! two quality levels, the decision a data-center operator actually faces.
+//! Sweeps the whole registry (the four interpolation-based compressors ± QP,
+//! plus the transform-based ZFP/TTHRESH/SPERR) over a CESM-like temperature
+//! slab at two quality levels, the decision a data-center operator actually
+//! faces.
 //!
 //! Run with: `cargo run --release --example climate_archive`
 
@@ -13,35 +14,24 @@ fn main() {
     let field = qip::data::cesm_like(3, &dims);
     println!("CESM-like temperature slab {dims:?}\n");
 
-    let compressors: Vec<(&str, Box<dyn Compressor<f32>>)> = vec![
-        ("MGARD", Box::new(qip::mgard::Mgard::new())),
-        ("MGARD+QP", Box::new(qip::mgard::Mgard::new().with_qp(QpConfig::best_fit()))),
-        ("SZ3", Box::new(qip::sz3::Sz3::new())),
-        ("SZ3+QP", Box::new(qip::sz3::Sz3::new().with_qp(QpConfig::best_fit()))),
-        ("QoZ", Box::new(qip::qoz::Qoz::new())),
-        ("QoZ+QP", Box::new(qip::qoz::Qoz::new().with_qp(QpConfig::best_fit()))),
-        ("HPEZ", Box::new(qip::hpez::Hpez::new())),
-        ("HPEZ+QP", Box::new(qip::hpez::Hpez::new().with_qp(QpConfig::best_fit()))),
-        ("ZFP", Box::new(qip::zfp::Zfp::new())),
-        ("SPERR", Box::new(qip::sperr::Sperr::new())),
-        ("TTHRESH", Box::new(qip::tthresh::Tthresh::new())),
-    ];
+    let compressors = qip::registry::AnyCompressor::registry();
 
     for rel_eb in [1e-3, 1e-5] {
         println!("--- relative bound {rel_eb:.0e} ---");
         println!("{:<10} {:>8} {:>9} {:>12}", "compressor", "CR", "PSNR", "max rel err");
-        let mut best = ("", 0.0f64);
-        for (name, comp) in &compressors {
+        let mut best = (String::new(), 0.0f64);
+        for comp in &compressors {
+            let name = Compressor::<f32>::name(comp);
             let bytes = comp.compress(&field, ErrorBound::Rel(rel_eb)).expect("compress");
             let out: Field<f32> = comp.decompress(&bytes).expect("decompress");
             let cr = (field.len() * 4) as f64 / bytes.len() as f64;
             let psnr = qip::metrics::psnr(&field, &out);
             let max_rel = qip::metrics::max_rel_error(&field, &out);
             assert!(max_rel <= rel_eb * 1.0000001, "{name} violated the bound");
+            println!("{name:<10} {cr:>8.2} {psnr:>9.2} {max_rel:>12.3e}");
             if cr > best.1 {
                 best = (name, cr);
             }
-            println!("{name:<10} {cr:>8.2} {psnr:>9.2} {max_rel:>12.3e}");
         }
         println!("best ratio at this bound: {} (CR {:.2})\n", best.0, best.1);
     }

@@ -8,6 +8,7 @@
 
 use qip::prelude::*;
 use qip::metrics::{entropy, entropy_region};
+use qip::registry::AnyCompressor;
 
 fn main() {
     let dims = [252usize, 252, 88]; // SegSalt at quarter scale
@@ -16,10 +17,10 @@ fn main() {
     println!("SegSalt-like pressure field {dims:?}, relative bound 1e-4\n");
 
     println!("{:<10} {:>10} {:>10} {:>8}", "compressor", "CR", "CR+QP", "QP gain");
-    run_pair("MGARD", &field, bound, |qp| Box::new(qip::mgard::Mgard::new().with_qp(qp)));
-    run_pair("SZ3", &field, bound, |qp| Box::new(qip::sz3::Sz3::new().with_qp(qp)));
-    run_pair("QoZ", &field, bound, |qp| Box::new(qip::qoz::Qoz::new().with_qp(qp)));
-    run_pair("HPEZ", &field, bound, |qp| Box::new(qip::hpez::Hpez::new().with_qp(qp)));
+    let with_qp = AnyCompressor::base_four(QpConfig::best_fit());
+    for (plain, with_qp) in AnyCompressor::base_four(QpConfig::off()).iter().zip(&with_qp) {
+        run_pair(plain, with_qp, &field, bound);
+    }
 
     // Characterization: why does QP help? The quantization index array keeps
     // spatial correlation ("clustering") that the entropy stage can't see.
@@ -35,14 +36,8 @@ fn main() {
     println!("near the salt dome:  H(Q) = {dome:.3} bits -> H(Q') = {dome_qp:.3} bits");
 }
 
-fn run_pair(
-    name: &str,
-    field: &Field<f32>,
-    bound: ErrorBound,
-    mk: impl Fn(QpConfig) -> Box<dyn Compressor<f32>>,
-) {
-    let plain = mk(QpConfig::off());
-    let with_qp = mk(QpConfig::best_fit());
+fn run_pair(plain: &AnyCompressor, with_qp: &AnyCompressor, field: &Field<f32>, bound: ErrorBound) {
+    let name = Compressor::<f32>::name(plain);
     let a = plain.compress(field, bound).expect("compress").len();
     let b = with_qp.compress(field, bound).expect("compress").len();
     let raw = (field.len() * 4) as f64;

@@ -21,14 +21,12 @@ pub use qip_codec as codec;
 pub use qip_container as container;
 pub use qip_core as core;
 pub use qip_data as data;
-pub use qip_hpez as hpez;
 pub use qip_inspect as inspect;
 pub use qip_interp as interp;
 pub use qip_metrics as metrics;
 pub use qip_mgard as mgard;
 pub use qip_parallel as parallel;
 pub use qip_predict as predict;
-pub use qip_qoz as qoz;
 pub use qip_quant as quant;
 pub use qip_registry as registry;
 pub use qip_serve as serve;

@@ -110,3 +110,38 @@ proptest! {
         }
     }
 }
+
+/// Non-finite and subnormal samples come back as the same bit pattern and
+/// never poison a finite neighbour, through both entry points, for every
+/// compressor that holds the bound on such input today. (MGARD's mixed plant
+/// and ZFP's block zeroing do not yet: ROADMAP item 1.)
+#[test]
+fn planted_non_finite_samples_violate_no_bound() {
+    use qip::core::CompressCtx;
+    use qip::sz3::{Pipeline, Sz3};
+
+    let plants: [&[f32]; 3] =
+        [&[f32::NAN], &[f32::INFINITY], &[f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 1e-40]];
+    let mut comps: Vec<Box<dyn Compressor<f32>>> =
+        vec![Box::new(Sz3::new().with_pipeline(Pipeline::Lorenzo))];
+    for name in ["SZ3", "SZ3+QP", "QoZ", "QoZ+QP", "HPEZ", "HPEZ+QP", "SPERR", "TTHRESH"] {
+        comps.push(Box::new(qip::registry::AnyCompressor::by_name(name).unwrap()));
+    }
+    let (mut ctx, mut into) = (CompressCtx::new(), Vec::new());
+    for plant in plants {
+        let mut field = qip::data::miranda_like(0, &[24, 20, 16]);
+        for (k, &v) in plant.iter().enumerate() {
+            field.as_mut_slice()[3000 + 1117 * k] = v;
+        }
+        for comp in &comps {
+            let bound = ErrorBound::Abs(1e-3);
+            let plain = comp.compress(&field, bound).expect("compress");
+            comp.compress_into(&field, bound, &mut ctx, &mut into).expect("compress_into");
+            for stream in [&plain, &into] {
+                let report = qip::inspect::inspect_bytes_with_original(stream, &field).unwrap();
+                let violations = report.error_budget.unwrap().violations;
+                assert_eq!(violations, 0, "{} with {plant:?} planted", comp.name());
+            }
+        }
+    }
+}

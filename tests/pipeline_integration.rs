@@ -11,8 +11,8 @@ fn every_dataset_roundtrips_through_every_base_compressor() {
         let comps: Vec<Box<dyn Compressor<f32>>> = vec![
             Box::new(qip::mgard::Mgard::new().with_qp(QpConfig::best_fit())),
             Box::new(qip::sz3::Sz3::new().with_qp(QpConfig::best_fit())),
-            Box::new(qip::qoz::Qoz::new().with_qp(QpConfig::best_fit())),
-            Box::new(qip::hpez::Hpez::new().with_qp(QpConfig::best_fit())),
+            Box::new(qip::interp::Tuned::qoz().with_qp(QpConfig::best_fit())),
+            Box::new(qip::interp::Tuned::hpez().with_qp(QpConfig::best_fit())),
         ];
         for comp in comps {
             let bytes = comp.compress(&field, ErrorBound::Rel(1e-3)).unwrap();
@@ -31,8 +31,8 @@ fn streams_are_not_cross_decodable() {
     let comps: Vec<Box<dyn Compressor<f32>>> = vec![
         Box::new(qip::mgard::Mgard::new()),
         Box::new(qip::sz3::Sz3::new()),
-        Box::new(qip::qoz::Qoz::new()),
-        Box::new(qip::hpez::Hpez::new()),
+        Box::new(qip::interp::Tuned::qoz()),
+        Box::new(qip::interp::Tuned::hpez()),
         Box::new(qip::zfp::Zfp::new()),
         Box::new(qip::sperr::Sperr::new()),
         Box::new(qip::tthresh::Tthresh::new()),
@@ -118,8 +118,8 @@ fn corrupted_streams_never_panic_any_compressor() {
     let comps: Vec<Box<dyn Compressor<f32>>> = vec![
         Box::new(qip::mgard::Mgard::new().with_qp(QpConfig::best_fit())),
         Box::new(qip::sz3::Sz3::new().with_qp(QpConfig::best_fit())),
-        Box::new(qip::qoz::Qoz::new().with_qp(QpConfig::best_fit())),
-        Box::new(qip::hpez::Hpez::new().with_qp(QpConfig::best_fit())),
+        Box::new(qip::interp::Tuned::qoz().with_qp(QpConfig::best_fit())),
+        Box::new(qip::interp::Tuned::hpez().with_qp(QpConfig::best_fit())),
         Box::new(qip::zfp::Zfp::new()),
         Box::new(qip::sperr::Sperr::new()),
         Box::new(qip::tthresh::Tthresh::new()),
@@ -141,7 +141,7 @@ fn corrupted_streams_never_panic_any_compressor() {
 fn s3d_double_precision_end_to_end() {
     let dims: Vec<usize> = Dataset::S3d.paper_dims().iter().map(|&d| d / 20).collect();
     let field = Dataset::S3d.generate_f64(0, &dims);
-    let hpez = qip::hpez::Hpez::new().with_qp(QpConfig::best_fit());
+    let hpez = qip::interp::Tuned::hpez().with_qp(QpConfig::best_fit());
     let bytes = hpez.compress(&field, ErrorBound::Rel(1e-4)).unwrap();
     let out: Field<f64> = hpez.decompress(&bytes).unwrap();
     assert!(qip::metrics::max_rel_error(&field, &out) <= 1e-4 * (1.0 + 1e-9));

@@ -32,12 +32,12 @@ fn qp_bit_identical_output_all_compressors() {
                 Box::new(qip::sz3::Sz3::new().with_qp(QpConfig::best_fit())),
             ),
             (
-                Box::new(qip::qoz::Qoz::new()),
-                Box::new(qip::qoz::Qoz::new().with_qp(QpConfig::best_fit())),
+                Box::new(qip::interp::Tuned::qoz()),
+                Box::new(qip::interp::Tuned::qoz().with_qp(QpConfig::best_fit())),
             ),
             (
-                Box::new(qip::hpez::Hpez::new()),
-                Box::new(qip::hpez::Hpez::new().with_qp(QpConfig::best_fit())),
+                Box::new(qip::interp::Tuned::hpez()),
+                Box::new(qip::interp::Tuned::hpez().with_qp(QpConfig::best_fit())),
             ),
         ];
         for (plain, with_qp) in pairs {
