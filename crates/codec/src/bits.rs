@@ -2,11 +2,11 @@
 //!
 //! The writer packs codes into a `u64` accumulator and flushes whole
 //! big-endian words (8 bytes at a time) instead of pushing byte-by-byte; the
-//! reader refills its accumulator a word at a time whenever it runs dry on a
-//! word boundary. Both produce/consume the exact MSB-first bit concatenation
-//! the original per-byte implementation used, so streams are byte-identical —
-//! pinned by the `bit_io` property suite against the per-byte writer it keeps
-//! as its reference.
+//! reader tops its window up from a whole word at any alignment. Both
+//! produce/consume the exact MSB-first bit concatenation the original per-byte
+//! implementation used, so streams are byte-identical — pinned by the `bit_io`
+//! property suite against the per-byte writer and reader it keeps as its
+//! references.
 
 use crate::CodecError;
 
@@ -90,43 +90,91 @@ impl BitWriter {
     }
 }
 
-/// Reads bits MSB-first from a byte slice, refilling by 64-bit words where
-/// alignment allows.
+/// Reads bits MSB-first from a byte slice through a 64-bit window that is
+/// refilled a whole word at a time, at any alignment.
+///
+/// The window is left-aligned: the stream's next bit is bit 63 of `acc`, and
+/// `acc` as a whole is a prefix of the unread stream followed by zeros. The
+/// top `nbits` of it are *counted*; a word refill may leave up to seven more
+/// below them — the leading bits of `data[pos]`, which the next refill loads
+/// again into the same place. So `nbits` never claims a bit that is not there,
+/// `(len − pos) · 8 + nbits` is always the number of unread bits, and once the
+/// data is exhausted everything below the counted bits is zero.
 #[derive(Debug)]
 pub struct BitReader<'a> {
     data: &'a [u8],
-    byte_pos: usize,
-    /// Low `nbits` bits are buffered input.
+    /// First byte not yet counted into the window.
+    pos: usize,
     acc: u64,
+    /// Counted bits, at most 63.
     nbits: u32,
 }
 
 impl<'a> BitReader<'a> {
     /// Read from the start of `data`.
     pub fn new(data: &'a [u8]) -> Self {
-        BitReader { data, byte_pos: 0, acc: 0, nbits: 0 }
+        BitReader { data, pos: 0, acc: 0, nbits: 0 }
     }
 
-    /// Refill the accumulator so it holds at least `n` bits (or all remaining).
+    /// Top the window up from a whole word at `pos`, whatever the alignment:
+    /// 56 to 63 bits are counted afterwards. False, and nothing done, when
+    /// fewer than 8 bytes lie behind `pos`.
     #[inline]
-    fn refill(&mut self, n: u32) {
-        if self.nbits >= n {
+    pub(crate) fn refill_word(&mut self) -> bool {
+        let Some(word) = self.data.get(self.pos..self.pos + 8) else {
+            return false;
+        };
+        self.acc |= u64::from_be_bytes(word.try_into().expect("8-byte slice")) >> self.nbits;
+        self.pos += ((63 - self.nbits) >> 3) as usize;
+        self.nbits |= 56;
+        true
+    }
+
+    /// Refill as far as the data allows: at least 56 counted bits, or all
+    /// that remain.
+    #[inline]
+    pub(crate) fn refill(&mut self) {
+        if self.refill_word() {
             return;
         }
-        if self.nbits == 0 {
-            // Empty accumulator: grab a whole word when one is available.
-            if let Some(chunk) = self.data.get(self.byte_pos..self.byte_pos + 8) {
-                self.acc = u64::from_be_bytes(chunk.try_into().expect("8-byte slice"));
-                self.byte_pos += 8;
-                self.nbits = 64;
-                return;
-            }
-        }
-        while self.nbits < n && self.nbits <= 56 && self.byte_pos < self.data.len() {
-            self.acc = (self.acc << 8) | self.data[self.byte_pos] as u64;
-            self.byte_pos += 1;
+        while self.nbits < 56 && self.pos < self.data.len() {
+            self.acc |= (self.data[self.pos] as u64) << (56 - self.nbits);
+            self.pos += 1;
             self.nbits += 8;
         }
+    }
+
+    /// Have `n ≤ 56` bits counted, or fail: the input holds fewer.
+    #[inline]
+    fn need(&mut self, n: u32) -> Result<(), CodecError> {
+        if self.nbits < n {
+            self.refill();
+            if self.nbits < n {
+                return Err(CodecError::UnexpectedEof);
+            }
+        }
+        Ok(())
+    }
+
+    /// The window: the unread stream's next 64 bits, the first `buffered()`
+    /// of them counted, zeros past the end of the data.
+    #[inline]
+    pub(crate) fn window(&self) -> u64 {
+        self.acc
+    }
+
+    /// Counted bits in the window.
+    #[inline]
+    pub(crate) fn buffered(&self) -> u32 {
+        self.nbits
+    }
+
+    /// Drop `n ≤ buffered()` bits, `n < 64`, from the window.
+    #[inline]
+    pub(crate) fn skip(&mut self, n: u32) {
+        debug_assert!(n <= self.nbits);
+        self.acc <<= n;
+        self.nbits -= n;
     }
 
     /// Read `n ≤ 64` bits; errors on exhausted input.
@@ -136,18 +184,15 @@ impl<'a> BitReader<'a> {
         if n == 0 {
             return Ok(0);
         }
-        if n > 57 {
-            // Wide reads may not fit the accumulator at odd alignment: split.
+        if n > 56 {
+            // A refill guarantees 56 bits, no more: split.
             let hi = self.read_bits(n - 32)?;
             let lo = self.read_bits(32)?;
             return Ok((hi << 32) | lo);
         }
-        self.refill(n);
-        if self.nbits < n {
-            return Err(CodecError::UnexpectedEof);
-        }
-        self.nbits -= n;
-        let v = (self.acc >> self.nbits) & low_mask(n);
+        self.need(n)?;
+        let v = self.acc >> (64 - n);
+        self.skip(n);
         Ok(v)
     }
 
@@ -162,31 +207,26 @@ impl<'a> BitReader<'a> {
     #[inline]
     pub fn peek_bits(&mut self, n: u32) -> u64 {
         debug_assert!(n <= 32);
-        self.refill(n);
-        if self.nbits >= n {
-            (self.acc >> (self.nbits - n)) & low_mask(n)
-        } else {
-            // Left-align what we have inside an n-bit window.
-            let have = self.nbits;
-            let v = if have == 0 { 0 } else { self.acc & low_mask(have) };
-            v << (n - have)
+        if n == 0 {
+            return 0;
         }
+        if self.nbits < n {
+            self.refill();
+        }
+        self.acc >> (64 - n)
     }
 
-    /// Consume `n` bits previously peeked. Errors if fewer remain.
+    /// Consume `n ≤ 56` bits previously peeked. Errors if fewer remain.
     #[inline]
     pub fn consume(&mut self, n: u32) -> Result<(), CodecError> {
-        self.refill(n);
-        if self.nbits < n {
-            return Err(CodecError::UnexpectedEof);
-        }
-        self.nbits -= n;
+        self.need(n)?;
+        self.skip(n);
         Ok(())
     }
 
     /// Number of whole bits remaining.
     pub fn bits_remaining(&self) -> usize {
-        (self.data.len() - self.byte_pos) * 8 + self.nbits as usize
+        (self.data.len() - self.pos) * 8 + self.nbits as usize
     }
 }
 

@@ -11,7 +11,7 @@ use std::collections::HashMap;
 use crate::bits::{BitReader, BitWriter};
 use crate::stream::ByteReader;
 use crate::varint::{write_ivarint, write_uvarint};
-use crate::CodecError;
+use crate::{CodecError, Dest};
 
 /// Maximum admissible code length; frequencies are scaled down and the tree
 /// rebuilt in the (pathological) case a longer code appears.
@@ -230,38 +230,38 @@ pub(crate) fn encode_into(symbols: &[i32], t: &mut Scratch, out: &mut Vec<u8>) {
     debug_assert_eq!(out.len(), end, "code stream size differs from its prefix");
 }
 
-/// Accelerated decode table: direct-indexed on the next [`DECODE_TABLE_BITS`]
-/// bits of the stream. Codes short enough to fit resolve in one lookup;
-/// longer codes (rare: only pathological distributions exceed 12 bits on real
-/// index streams) fall back to the canonical bit-at-a-time walk.
-const DECODE_TABLE_BITS: u32 = 12;
-
 /// Decode a stream produced by [`encode`].
 pub fn decode(bytes: &[u8]) -> Result<Vec<i32>, CodecError> {
     decode_capped(bytes, usize::MAX)
 }
 
 /// The sections of one stream, as [`parse`] reads them.
-pub(crate) struct Header<'a> {
+pub(crate) struct Header<'a, 't> {
     /// Symbols the stream declares.
     pub(crate) count: usize,
     /// Sorted alphabet; empty for an empty stream.
-    pub(crate) alphabet: Vec<i32>,
+    pub(crate) alphabet: &'t [i32],
     /// Code length per alphabet symbol; empty when there is no code stream
     /// (at most one distinct symbol).
-    pub(crate) lengths: Vec<u32>,
+    pub(crate) lengths: &'t [u32],
     /// The code stream: the stream's tail, everything before it is header.
     pub(crate) payload: &'a [u8],
 }
 
 /// Parse and validate a stream's header — the one description of the layout,
-/// for [`decode_capped`] and for symbol pricing alike. Code lengths must lie
-/// in `1..=MAX_CODE_LEN` and describe a full prefix code, and nothing may
-/// follow the code stream.
-pub(crate) fn parse(bytes: &[u8]) -> Result<Header<'_>, CodecError> {
+/// for [`decode_into`] and for symbol pricing alike — into the caller's two
+/// vectors (cleared first). Code lengths must lie in `1..=MAX_CODE_LEN` and
+/// describe a full prefix code, and nothing may follow the code stream.
+pub(crate) fn parse<'a, 't>(
+    bytes: &'a [u8],
+    alphabet: &'t mut Vec<i32>,
+    lengths: &'t mut Vec<u32>,
+) -> Result<Header<'a, 't>, CodecError> {
+    alphabet.clear();
+    lengths.clear();
     let mut r = ByteReader::new(bytes);
     let count = r.get_uvarint()? as usize;
-    let mut h = Header { count, alphabet: Vec::new(), lengths: Vec::new(), payload: &[] };
+    let mut payload: &[u8] = &[];
     if count > 0 {
         let n_sym = r.get_uvarint()? as usize;
         if n_sym == 0 {
@@ -271,38 +271,38 @@ pub(crate) fn parse(bytes: &[u8]) -> Result<Header<'_>, CodecError> {
         if n_sym > r.remaining() {
             return Err(CodecError::Corrupt("huffman: alphabet exceeds stream"));
         }
-        h.alphabet.reserve_exact(n_sym);
+        alphabet.reserve_exact(n_sym);
         let mut prev = 0i64;
         for _ in 0..n_sym {
             let sym = prev + r.get_ivarint()?;
             if sym < i32::MIN as i64 || sym > i32::MAX as i64 {
                 return Err(CodecError::Corrupt("huffman: symbol out of i32 range"));
             }
-            h.alphabet.push(sym as i32);
+            alphabet.push(sym as i32);
             prev = sym;
         }
         if n_sym > 1 {
-            h.lengths.reserve_exact(n_sym);
+            lengths.reserve_exact(n_sym);
             for _ in 0..n_sym {
                 let l = r.get_u8()? as u32;
                 if l == 0 || l > MAX_CODE_LEN {
                     return Err(CodecError::Corrupt("huffman: invalid code length"));
                 }
-                h.lengths.push(l);
+                lengths.push(l);
             }
             // Kraft check, exact in units of 2^-MAX_CODE_LEN.
             let kraft =
-                h.lengths.iter().try_fold(0u64, |k, &l| k.checked_add(1 << (MAX_CODE_LEN - l)));
+                lengths.iter().try_fold(0u64, |k, &l| k.checked_add(1 << (MAX_CODE_LEN - l)));
             if kraft != Some(1 << MAX_CODE_LEN) {
                 return Err(CodecError::Corrupt("huffman: lengths violate Kraft equality"));
             }
-            h.payload = r.get_block()?;
+            payload = r.get_block()?;
         }
     }
     if r.remaining() != 0 {
         return Err(CodecError::Corrupt("huffman: trailing bytes after the code stream"));
     }
-    Ok(h)
+    Ok(Header { count, alphabet, lengths, payload })
 }
 
 /// [`decode`] with a caller-imposed ceiling on the symbol count.
@@ -312,111 +312,276 @@ pub(crate) fn parse(bytes: &[u8]) -> Result<Header<'_>, CodecError> {
 /// this matters most for the single-symbol format, whose output size is
 /// otherwise unconstrained by the payload length.
 pub fn decode_capped(bytes: &[u8], max_count: usize) -> Result<Vec<i32>, CodecError> {
-    let Header { count, alphabet, lengths, payload } = parse(bytes)?;
+    let mut out = Vec::new();
+    decode_into(bytes, max_count, &mut Tables::default(), Dest::Vec(&mut out))?;
+    Ok(out)
+}
+
+/// Bits that index the primary decode table: 2¹¹ `u32` entries are 8 KiB, a
+/// quarter of L1, and leave the rest to the code stream and the output.
+const PRIMARY_BITS: u32 = 11;
+/// Widest secondary table, in bits behind the primary ones. Tables resolve
+/// codes of up to `PRIMARY_BITS + SECONDARY_BITS = 24` bits — whose canonical
+/// ranks therefore fit an entry's 24 payload bits — and a header may declare
+/// 48-bit codes under every primary prefix, so the width has to stop somewhere.
+const SECONDARY_BITS: u32 = 13;
+/// Entries all secondary tables of one stream may hold (1 MiB). A real
+/// alphabet of a whole 2¹⁷-symbol chunk stays below it; a forged header
+/// cannot ask for more. Prefixes that would exceed it keep the canonical walk.
+const SECONDARY_BUDGET: usize = 1 << 18;
+/// Most symbols one primary entry resolves.
+const MULTI: usize = 4;
+/// Bits per rank in a multi-symbol entry: `MULTI` of them share the payload.
+const RANK_BITS: u32 = 24 / MULTI as u32;
+/// Ranks a multi-symbol entry can hold.
+const MULTI_RANKS: u32 = 1 << RANK_BITS;
+
+/// A decode-table entry. Bits 0–4: code bits consumed; bits 5–7: symbols
+/// resolved, `n`; bits 8–31, the payload: the symbol's canonical rank for
+/// `n = 1`, `MULTI` ranks of `RANK_BITS` each (the first `n` real, the rest
+/// zero) for `n = 2..=MULTI`. With `n = 0` the entry is a link: bits 0–4 are the width
+/// of the secondary table at offset `payload`, or zero ([`WALK`]) when the
+/// prefix is left to [`Canon::walk`].
+fn entry(bits: u32, n: u32, payload: u32) -> u32 {
+    bits | n << 5 | payload << 8
+}
+const WALK: u32 = 0;
+const BITS_MASK: u32 = (1 << 5) - 1;
+const N_MASK: u32 = 7 << 5;
+
+/// The canonical code, per length: codes of one length are consecutive
+/// numbers and, left-aligned in 48 bits, the lengths' ranges tile `0..2⁴⁸` in
+/// order, so a window is decoded by finding the range it falls in.
+#[derive(Debug)]
+struct Canon {
+    /// First code of each length, left-aligned in 48 bits; `start[l + 1]` is
+    /// where length `l`'s range ends.
+    start: [u64; MAX_CODE_LEN as usize + 2],
+    /// Canonical rank of each length's first code.
+    rank: [usize; MAX_CODE_LEN as usize + 2],
+}
+
+impl Default for Canon {
+    fn default() -> Self {
+        Canon { start: [0; MAX_CODE_LEN as usize + 2], rank: [0; MAX_CODE_LEN as usize + 2] }
+    }
+}
+
+impl Canon {
+    /// Length and rank of the code that starts a 48-bit window: the per-length
+    /// comparison, on one window. It resolves any code; production runs it
+    /// for codes longer than the tables hold and for the stream's last bytes.
+    #[inline]
+    fn walk(&self, window: u64) -> Result<(u32, usize), CodecError> {
+        let len = (1..=MAX_CODE_LEN as usize)
+            .find(|&l| window < self.start[l + 1])
+            .ok_or(CodecError::Corrupt("huffman: code longer than table"))?;
+        let offset = (window - self.start[len]) >> (MAX_CODE_LEN as usize - len);
+        Ok((len as u32, self.rank[len] + offset as usize))
+    }
+}
+
+/// Working memory of [`decode_into`]: the parsed header and the tables built
+/// from it. Everything is rebuilt per stream; only capacity carries over.
+#[derive(Debug, Default)]
+pub(crate) struct Tables {
+    alphabet: Vec<i32>,
+    lengths: Vec<u32>,
+    /// The alphabet in canonical order — by (code length, alphabet position),
+    /// which is the numeric order of the codes.
+    syms: Vec<i32>,
+    canon: Canon,
+    /// The primary table, then the secondary tables its links point to.
+    table: Vec<u32>,
+    /// The primary table with one symbol per entry, which the multi-symbol
+    /// entries are composed from.
+    single: Vec<u32>,
+}
+
+impl Tables {
+    /// Build `syms`, `canon` and `table` from `alphabet` and `lengths`
+    /// (a full prefix code of at least two symbols).
+    fn build(&mut self) {
+        const P: usize = 1 << PRIMARY_BITS;
+        const MAX: usize = MAX_CODE_LEN as usize;
+        let Tables { alphabet, lengths, syms, canon, table, single } = self;
+        let mut count = [0usize; MAX + 2];
+        for &l in lengths.iter() {
+            count[l as usize] += 1;
+        }
+        let (mut code, mut rank) = (0u64, 0usize);
+        for (l, &n) in count.iter().enumerate().skip(1) {
+            canon.start[l] = code << (MAX + 1 - l) >> 1;
+            canon.rank[l] = rank;
+            code = (code + n as u64) << 1;
+            rank += n;
+        }
+        let mut next = canon.rank;
+        syms.clear();
+        syms.resize(alphabet.len(), 0);
+        for (&sym, &l) in alphabet.iter().zip(lengths.iter()) {
+            syms[next[l as usize]] = sym;
+            next[l as usize] += 1;
+        }
+
+        // Primary table: canonical order is also the order of the codes'
+        // entry runs, so the fill is one sweep; what it leaves is the
+        // prefixes of longer codes.
+        single.clear();
+        single.resize(P, WALK);
+        let mut at = 0;
+        for l in 1..=PRIMARY_BITS {
+            let run = 1 << (PRIMARY_BITS - l);
+            for k in 0..count[l as usize] {
+                single[at..at + run].fill(entry(l, 1, (canon.rank[l as usize] + k) as u32));
+                at += run;
+            }
+        }
+        table.clear();
+        table.extend_from_slice(single);
+
+        // Multi-symbol entries: what follows a short code inside the same
+        // PRIMARY_BITS is decoded here, once per entry, not once per use —
+        // where two codes fit them at all. Ranks grow along the table, so the
+        // entries a multi-symbol one can start from come first.
+        let shortest = (1..=MAX).find(|&l| count[l] > 0).unwrap_or(MAX) as u32;
+        let starts = single[..at].iter().take_while(|&&e| e >> 8 < MULTI_RANKS).count();
+        for first in 0..if 2 * shortest <= PRIMARY_BITS { starts } else { 0 } {
+            let e = single[first];
+            let (mut used, mut n, mut ranks) = (e & BITS_MASK, 1, e >> 8);
+            while n < MULTI as u32 && used + shortest <= PRIMARY_BITS {
+                // The bits of `first` behind the `used` ones already taken,
+                // zero-padded: a code that fits cannot notice the padding.
+                let e = single[(first << used) & (P - 1)];
+                let fits = used + (e & BITS_MASK) <= PRIMARY_BITS;
+                if e == WALK || e >> 8 >= MULTI_RANKS || !fits {
+                    break;
+                }
+                ranks |= (e >> 8) << (RANK_BITS * n);
+                n += 1;
+                used += e & BITS_MASK;
+            }
+            if n > 1 {
+                table[first] = entry(used, n, ranks);
+            }
+        }
+
+        // Secondary tables, one per primary prefix of longer codes, each as
+        // wide as the prefix's longest code needs (up to SECONDARY_BITS: what
+        // lies deeper keeps WALK). `lo` is the shortest length whose range
+        // reaches the prefix: it only grows from prefix to prefix.
+        let mut lo = PRIMARY_BITS as usize + 1;
+        for prefix in at..P {
+            let (base, end) = ((prefix as u64) << (MAX - 11), (prefix as u64 + 1) << (MAX - 11));
+            while canon.start[lo + 1] <= base {
+                lo += 1;
+            }
+            let deepest = (lo..=MAX).take_while(|&l| canon.start[l] < end).last().unwrap_or(lo);
+            let width = (deepest as u32 - PRIMARY_BITS).min(SECONDARY_BITS);
+            let offset = table.len();
+            if offset - P + (1 << width) > SECONDARY_BUDGET {
+                continue;
+            }
+            table.resize(offset + (1 << width), WALK);
+            for l in lo..=deepest.min((PRIMARY_BITS + width) as usize) {
+                let (from, to) = (canon.start[l].max(base), canon.start[l + 1].min(end));
+                let run = 1 << (PRIMARY_BITS as usize + width as usize - l);
+                let mut at = offset + ((from - base) >> (MAX as u32 - PRIMARY_BITS - width)) as usize;
+                let first = canon.rank[l] + ((from - canon.start[l]) >> (MAX - l)) as usize;
+                for rank in first..first + ((to - from) >> (MAX - l)) as usize {
+                    table[at..at + run].fill(entry(l as u32, 1, rank as u32));
+                    at += run;
+                }
+            }
+            table[prefix] = entry(width, 0, offset as u32);
+        }
+    }
+
+    /// Decode `out.len()` symbols of `payload` with the tables built.
+    fn run(&self, payload: &[u8], out: &mut [i32]) -> Result<(), CodecError> {
+        let (syms, table) = (self.syms.as_slice(), self.table.as_slice());
+        let primary: &[u32; 1 << PRIMARY_BITS] =
+            table[..1 << PRIMARY_BITS].try_into().expect("the primary table is built");
+        let mut br = BitReader::new(payload);
+        let mut i = 0;
+        // While a whole word lies behind the cursor a refill buffers 56 bits,
+        // more than any code is long, so nothing in this loop can run dry and
+        // nothing is checked per symbol: a lookup starts with the tables'
+        // reach of bits buffered. It also wants room in `out` for a full
+        // multi-symbol entry.
+        while i + MULTI <= out.len() {
+            if br.buffered() < PRIMARY_BITS + SECONDARY_BITS && !br.refill_word() {
+                break;
+            }
+            let window = br.window();
+            let mut e = primary[(window >> (64 - PRIMARY_BITS)) as usize];
+            if e & N_MASK == 0 {
+                // A longer code: the secondary table, or the walk — which
+                // wants a whole code's worth of window.
+                if e != WALK {
+                    let behind = window << PRIMARY_BITS >> (64 - (e & BITS_MASK));
+                    e = table[(e >> 8) as usize + behind as usize];
+                }
+                if e == WALK {
+                    if !br.refill_word() {
+                        break;
+                    }
+                    let (len, rank) = self.canon.walk(br.window() >> (64 - MAX_CODE_LEN))?;
+                    br.skip(len);
+                    out[i] = syms[rank];
+                    i += 1;
+                    continue;
+                }
+            }
+            br.skip(e & BITS_MASK);
+            let (n, p) = ((e & N_MASK) >> 5, e >> 8);
+            if n == 1 {
+                out[i] = syms[p as usize];
+            } else {
+                let ranks: [u32; MULTI] =
+                    std::array::from_fn(|k| p >> (RANK_BITS * k as u32) & (MULTI_RANKS - 1));
+                out[i..i + MULTI].copy_from_slice(&ranks.map(|rank| syms[rank as usize]));
+            }
+            i += n as usize;
+        }
+        // The last symbols and the last bytes: one code at a time through the
+        // checked reader, so a short stream ends where it always did.
+        for slot in &mut out[i..] {
+            br.refill();
+            let (len, rank) = self.canon.walk(br.window() >> (64 - MAX_CODE_LEN))?;
+            br.consume(len)?;
+            *slot = syms[rank];
+        }
+        Ok(())
+    }
+}
+
+/// [`decode_capped`] into the caller's memory: `dest` gets the stream's
+/// symbols, `t` holds the tables. Returns how many symbols were decoded.
+pub(crate) fn decode_into(
+    bytes: &[u8],
+    max_count: usize,
+    t: &mut Tables,
+    dest: Dest<'_>,
+) -> Result<usize, CodecError> {
+    let Header { count, alphabet, lengths, payload } = parse(bytes, &mut t.alphabet, &mut t.lengths)?;
     if count > (1 << 36) || count > max_count {
         return Err(CodecError::Corrupt("huffman: implausible symbol count"));
     }
-    let n_sym = alphabet.len();
-    if n_sym <= 1 {
+    if lengths.is_empty() {
         // Empty or single-symbol stream: the header carried everything.
-        // Fallible allocation: `count` is attacker-controlled.
-        let mut out = Vec::new();
-        out.try_reserve_exact(count)
-            .map_err(|_| CodecError::Corrupt("huffman: count exceeds memory"))?;
-        out.resize(count, alphabet.first().copied().unwrap_or(0));
-        return Ok(out);
-    }
-
-    // Canonical decode tables: per length, the first code and the run of
-    // symbols (in canonical order) using that length. `lengths` is nonempty
-    // (n_sym >= 2 here), but stay total regardless.
-    let max_len = lengths.iter().copied().max().unwrap_or(1);
-    let mut order: Vec<usize> = (0..n_sym).collect();
-    order.sort_by_key(|&i| (lengths[i], i));
-    let mut first_code = vec![0u64; (max_len + 2) as usize];
-    let mut first_index = vec![0usize; (max_len + 2) as usize];
-    let mut count_by_len = vec![0usize; (max_len + 2) as usize];
-    for &i in &order {
-        count_by_len[lengths[i] as usize] += 1;
-    }
-    {
-        let mut code = 0u64;
-        let mut idx = 0usize;
-        for l in 1..=max_len as usize {
-            first_code[l] = code;
-            first_index[l] = idx;
-            code = (code + count_by_len[l] as u64) << 1;
-            idx += count_by_len[l];
-        }
+        dest.take(count)?.fill(alphabet.first().copied().unwrap_or(0));
+        return Ok(count);
     }
     // Every symbol costs at least one bit, so a corrupted count cannot force
     // an absurd decode loop.
     if count > payload.len().saturating_mul(8) {
         return Err(CodecError::Corrupt("huffman: count exceeds payload bits"));
     }
-
-    // Direct-indexed fast table over the next `tb` bits: every code of length
-    // `l ≤ tb` owns the 2^(tb−l) entries sharing its prefix (prefix-freeness
-    // makes the claim unambiguous). Entries no short code owns keep length 0
-    // and defer to the canonical walk below.
-    let tb = DECODE_TABLE_BITS.min(max_len);
-    let mut codes = Vec::new();
-    canonical_codes(&lengths, &mut codes);
-    let mut fast: Vec<(i32, u8)> = vec![(0, 0); 1usize << tb];
-    for (i, &len) in lengths.iter().enumerate() {
-        if len <= tb {
-            let lo = (codes[i] << (tb - len)) as usize;
-            let hi = lo + (1usize << (tb - len));
-            for entry in &mut fast[lo..hi] {
-                *entry = (alphabet[i], len as u8);
-            }
-        }
-    }
-
-    // The symbol whose canonical code of length `len` is `code`, if any.
-    let lookup = |code: u64, len: usize| {
-        let offset = code.wrapping_sub(first_code[len]);
-        let found = offset < count_by_len[len] as u64;
-        found.then(|| alphabet[order[first_index[len] + offset as usize]])
-    };
-
-    let mut br = BitReader::new(payload);
-    let mut out = Vec::with_capacity(count);
-    for _ in 0..count {
-        let peeked = br.peek_bits(tb) as usize;
-        let (sym, len) = fast[peeked];
-        if len != 0 {
-            br.consume(len as u32)?;
-            out.push(sym);
-            continue;
-        }
-        // A longer code: the canonical comparison per length. With
-        // `max_len ≤ 32` it runs on one peeked window instead of a refill per
-        // bit; no short code owns this prefix, so it starts past the table.
-        if max_len <= 32 {
-            let window = br.peek_bits(max_len);
-            let (len, sym) = (tb + 1..=max_len)
-                .find_map(|len| Some((len, lookup(window >> (max_len - len), len as usize)?)))
-                .ok_or(CodecError::Corrupt("huffman: code longer than table"))?;
-            br.consume(len)?;
-            out.push(sym);
-            continue;
-        }
-        let mut code = 0u64;
-        let mut len = 0usize;
-        loop {
-            code = (code << 1) | br.read_bit()? as u64;
-            len += 1;
-            if len > max_len as usize {
-                return Err(CodecError::Corrupt("huffman: code longer than table"));
-            }
-            if let Some(sym) = lookup(code, len) {
-                out.push(sym);
-                break;
-            }
-        }
-    }
-    Ok(out)
+    let out = dest.take(count)?;
+    t.build();
+    t.run(payload, out)?;
+    Ok(count)
 }
 
 #[cfg(test)]

@@ -11,8 +11,7 @@
 //! back to a labelled estimate (`exact == false`).
 
 use crate::stream::{Span, Spans};
-use crate::{huffman, lossless, CodecError};
-use std::borrow::Cow;
+use crate::{huffman, lossless, CodecError, Dest};
 use std::collections::HashMap;
 
 /// Byte attribution and price model of one entropy-coded index block.
@@ -70,12 +69,13 @@ pub fn inspect_index_block(
 ) -> Result<IndexForensics, CodecError> {
     let mut spans = Spans::default();
     let mut chunks = Vec::new();
+    let (mut scratch, mut symbols) = (lossless::DecodeScratch::default(), Vec::new());
+    let (mut alphabet, mut lengths) = (Vec::new(), Vec::new());
     for c in lossless::parse(bytes, max_count)? {
         let (body_at, end) = (c.at + 1, c.at + 1 + c.body.len());
-        // The decoder's own two steps, so a damaged chunk fails here too.
-        let coded = c.coded()?;
-        c.decode(&coded)?;
-        let lz = matches!(coded, Cow::Owned(_));
+        // The decoder's own step, so a damaged chunk fails here too.
+        let coded = c.decode(&mut scratch, Dest::Vec(&mut symbols))?;
+        let lz = c.is_lz();
         let mut out = ChunkPrice {
             exact: c.is_huffman() && !lz,
             first_symbol: c.first_symbol,
@@ -89,7 +89,7 @@ pub fn inspect_index_block(
         // of the first chunk, nothing but the tag in front of the others.
         spans.push("index.framing", body_at);
         if c.is_huffman() {
-            let h = huffman::parse(&coded)?;
+            let h = huffman::parse(coded, &mut alphabet, &mut lengths)?;
             // Byte attribution stays at the compressed level: an LZ-wrapped
             // chunk is one opaque payload, and its Huffman header only
             // yields the pre-LZ bit model for estimation.
@@ -99,7 +99,7 @@ pub fn inspect_index_block(
                 out.payload_bytes = h.payload.len() as u64;
                 spans.push("index.tables", end - h.payload.len());
             }
-            out.code_lengths = Some(h.alphabet.into_iter().zip(h.lengths).collect());
+            out.code_lengths = Some(h.alphabet.iter().copied().zip(h.lengths.iter().copied()).collect());
         }
         spans.push("index.payload", end);
         chunks.push(out);

@@ -58,3 +58,30 @@ impl std::fmt::Display for CodecError {
 }
 
 impl std::error::Error for CodecError {}
+
+/// Where a decoder puts the symbols of one stream.
+pub(crate) enum Dest<'a> {
+    /// The front of a slice; the caller caps the count at its length.
+    Slice(&'a mut [i32]),
+    /// A vector, resized to the count (whatever it held is overwritten).
+    Vec(&'a mut Vec<i32>),
+}
+
+impl<'a> Dest<'a> {
+    /// The `count` slots the decoder fills, every one of them.
+    pub(crate) fn take(self, count: usize) -> Result<&'a mut [i32], CodecError> {
+        match self {
+            Dest::Slice(s) => s
+                .get_mut(..count)
+                .ok_or(CodecError::Corrupt("symbol count exceeds its destination")),
+            Dest::Vec(v) => {
+                v.truncate(count);
+                // Fallible: the count is the stream's word, up to the caller's cap.
+                v.try_reserve_exact(count - v.len())
+                    .map_err(|_| CodecError::Corrupt("symbol count exceeds memory"))?;
+                v.resize(count, 0);
+                Ok(v)
+            }
+        }
+    }
+}

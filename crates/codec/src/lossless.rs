@@ -14,9 +14,8 @@
 //! except for the per-chunk table headers. Chunk boundaries are fixed by the
 //! format, never by the thread count, so the encoded bytes are deterministic.
 
-use crate::{huffman, lz, range, ByteReader, ByteWriter, CodecError};
+use crate::{huffman, lz, range, ByteReader, ByteWriter, CodecError, Dest};
 use rayon::prelude::*;
-use std::borrow::Cow;
 
 /// Mode tag: Huffman output stored raw.
 const MODE_HUFF: u8 = 0;
@@ -111,38 +110,58 @@ pub(crate) struct Chunk<'a> {
     counted: bool,
 }
 
-impl Chunk<'_> {
-    /// The entropy coder's bytes: the body, LZ-expanded for the LZ modes to
-    /// at most 16 bytes/symbol — far above any legal code or escape cost —
-    /// plus slack for headers.
-    pub(crate) fn coded(&self) -> Result<Cow<'_, [u8]>, CodecError> {
-        if self.mode == MODE_HUFF || self.mode == MODE_RANGE {
-            return Ok(Cow::Borrowed(self.body));
-        }
-        let _t = qip_trace::span("lz_decompress");
-        let cap = self.symbols.saturating_mul(16).saturating_add(4096);
-        Ok(Cow::Owned(lz::decompress_capped(self.body, cap)?))
-    }
+/// Working memory of [`Chunk::decode`], owned by one
+/// `decode_indices_capped_into` call (one per worker on the chunked path) and
+/// reused chunk after chunk.
+#[derive(Default)]
+pub(crate) struct DecodeScratch {
+    huffman: huffman::Tables,
+    range: range::DecodeScratch,
+    /// The LZ modes' expanded bytes.
+    coded: Vec<u8>,
+}
 
-    /// Whether `coded` is a Huffman stream (a range coder's otherwise).
+impl Chunk<'_> {
+    /// Whether the entropy coder's bytes are a Huffman stream (a range
+    /// coder's otherwise).
     pub(crate) fn is_huffman(&self) -> bool {
         self.mode == MODE_HUFF || self.mode == MODE_HUFF_LZ
     }
 
-    /// Decode the chunk's symbols — at most `self.symbols` of them, exactly
-    /// that many when `counted` — from its [`coded`](Self::coded) bytes.
-    pub(crate) fn decode(&self, coded: &[u8]) -> Result<Vec<i32>, CodecError> {
-        let v = if self.is_huffman() {
+    /// Whether the body is the entropy coder's bytes LZ-compressed.
+    pub(crate) fn is_lz(&self) -> bool {
+        self.mode == MODE_HUFF_LZ || self.mode == MODE_RANGE_LZ
+    }
+
+    /// Decode the chunk's symbols into `dest` — at most `self.symbols` of
+    /// them, exactly that many when `counted` — and return the entropy
+    /// coder's bytes they came from: the body, LZ-expanded for the LZ modes
+    /// to at most 16 bytes/symbol — far above any legal code or escape cost —
+    /// plus slack for headers.
+    pub(crate) fn decode<'s>(
+        &'s self,
+        s: &'s mut DecodeScratch,
+        dest: Dest<'_>,
+    ) -> Result<&'s [u8], CodecError> {
+        let coded = if self.is_lz() {
+            let _t = qip_trace::span("lz_decompress");
+            let cap = self.symbols.saturating_mul(16).saturating_add(4096);
+            lz::decompress_capped_into(self.body, cap, &mut s.coded)?;
+            s.coded.as_slice()
+        } else {
+            self.body
+        };
+        let decoded = if self.is_huffman() {
             let _t = qip_trace::span("huffman_decode");
-            huffman::decode_capped(coded, self.symbols)?
+            huffman::decode_into(coded, self.symbols, &mut s.huffman, dest)?
         } else {
             let _t = qip_trace::span("range_decode");
-            range::decode_capped(coded, self.symbols)?
+            range::decode_into(coded, self.symbols, &mut s.range, dest)?
         };
-        if self.counted && v.len() != self.symbols {
+        if self.counted && decoded != self.symbols {
             return Err(CodecError::BadHeader("chunk symbol count mismatch"));
         }
-        Ok(v)
+        Ok(coded)
     }
 }
 
@@ -294,28 +313,50 @@ pub fn decode_indices_capped(bytes: &[u8], max_count: usize) -> Result<Vec<i32>,
     Ok(out)
 }
 
-/// [`decode_indices_capped`] into a caller-owned buffer (cleared first).
+/// [`decode_indices_capped`] into a caller-owned buffer: resized to the
+/// stream's symbol count and overwritten, its capacity and its pages kept;
+/// empty after an error.
 pub fn decode_indices_capped_into(
     bytes: &[u8],
     max_count: usize,
     out: &mut Vec<i32>,
 ) -> Result<(), CodecError> {
-    out.clear();
+    let decoded = decode_chunks(bytes, max_count, out);
+    if decoded.is_err() {
+        out.clear();
+    }
+    decoded
+}
+
+/// Every chunk decodes straight into its part of `out`, which is sized once
+/// from the chunk table `parse` validated (the flat layout's single chunk
+/// sizes it from its own header).
+fn decode_chunks(bytes: &[u8], max_count: usize, out: &mut Vec<i32>) -> Result<(), CodecError> {
     qip_trace::counter("codec.decode_bytes_in", bytes.len() as u64);
     let chunks = parse(bytes, max_count)?;
-    let nchunks = chunks.len();
     if bytes[0] != MODE_CHUNKED {
-        *out = chunks[0].decode(&chunks[0].coded()?)?;
+        chunks[0].decode(&mut DecodeScratch::default(), Dest::Vec(out))?;
     } else {
-        let decoded: Vec<Result<Vec<i32>, CodecError>> =
-            chunks.par_iter().map(|chunk| chunk.decode(&chunk.coded()?)).collect();
-        for d in decoded {
-            out.extend_from_slice(&d?);
-        }
+        let total = chunks.iter().map(|c| c.symbols).sum();
+        Dest::Vec(out).take(total)?;
+        // Each worker takes a contiguous run of chunks, as in
+        // `encode_indices_into`, and keeps one scratch for it.
+        let chunk_symbols = chunks.first().map_or(1, |c| c.symbols);
+        let run = chunks.len().div_ceil(rayon::current_num_threads()).max(1);
+        out.par_chunks_mut(run.saturating_mul(chunk_symbols))
+            .enumerate()
+            .map(|(worker, plane)| {
+                let mut s = DecodeScratch::default();
+                for (chunk, slots) in chunks[worker * run..].iter().zip(plane.chunks_mut(chunk_symbols)) {
+                    chunk.decode(&mut s, Dest::Slice(slots))?;
+                }
+                Ok(())
+            })
+            .collect::<Result<(), CodecError>>()?;
     }
-    qip_trace::counter("codec.decode_chunks", nchunks as u64);
+    qip_trace::counter("codec.decode_chunks", chunks.len() as u64);
     qip_trace::counter("codec.decode_symbols", out.len() as u64);
-    telemetry_decode_counters(bytes.len(), nchunks, out.len());
+    telemetry_decode_counters(bytes.len(), chunks.len(), out.len());
     Ok(())
 }
 

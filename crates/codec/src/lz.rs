@@ -193,6 +193,18 @@ pub fn decompress(bytes: &[u8]) -> Result<Vec<u8>, CodecError> {
 /// count) pass that bound here and oversized claims fail before the copy
 /// loop runs.
 pub fn decompress_capped(bytes: &[u8], max_out: usize) -> Result<Vec<u8>, CodecError> {
+    let mut out = Vec::new();
+    decompress_capped_into(bytes, max_out, &mut out)?;
+    Ok(out)
+}
+
+/// [`decompress_capped`] into `out` (cleared first).
+pub(crate) fn decompress_capped_into(
+    bytes: &[u8],
+    max_out: usize,
+    out: &mut Vec<u8>,
+) -> Result<(), CodecError> {
+    out.clear();
     let mut r = ByteReader::new(bytes);
     let out_len = r.get_uvarint()? as usize;
     if out_len > max_out {
@@ -200,7 +212,7 @@ pub fn decompress_capped(bytes: &[u8], max_out: usize) -> Result<Vec<u8>, CodecE
     }
     // Cap the speculative allocation: a corrupted header may claim any
     // length, but real memory is only committed as tokens actually decode.
-    let mut out = Vec::with_capacity(out_len.min(1 << 24));
+    out.reserve(out_len.min(1 << 24));
     while out.len() < out_len {
         let lit_len = r.get_uvarint()? as usize;
         if lit_len > out_len - out.len() {
@@ -228,7 +240,7 @@ pub fn decompress_capped(bytes: &[u8], max_out: usize) -> Result<Vec<u8>, CodecE
             out.push(b);
         }
     }
-    Ok(out)
+    Ok(())
 }
 
 #[cfg(test)]

@@ -10,7 +10,7 @@
 //! [`crate::lossless`] keeps both and picks per stream.
 
 use crate::stream::{ByteReader, ByteWriter};
-use crate::CodecError;
+use crate::{CodecError, Dest};
 
 const TOP: u32 = 1 << 24;
 const BOTTOM: u32 = 1 << 16;
@@ -18,9 +18,10 @@ const BOTTOM: u32 = 1 << 16;
 /// non-degenerate and adapts to drift).
 const MAX_TOTAL: u32 = 1 << 15;
 
-/// Adaptive frequency model: the plain frequency array and its running total
-/// beside a Fenwick (binary indexed) tree of the same frequencies, so `freq`
-/// and `total` are loads and only cumulative sums walk the tree.
+/// The encoder's adaptive frequency model: the plain frequency array and its
+/// running total beside a Fenwick (binary indexed) tree of the same
+/// frequencies, so `freq` and `total` are loads and only cumulative sums walk
+/// the tree.
 ///
 /// Invariants after every method: `tree` is the Fenwick tree of `freq`, and
 /// `total == freq.iter().sum()`. The coder's arithmetic sees only
@@ -63,25 +64,6 @@ impl Model {
             i &= i - 1;
         }
         s
-    }
-
-    /// The symbol whose cumulative interval holds `target`, with its `cum`:
-    /// `cum = prefix(i) <= target < prefix(i + 1)` (decode search).
-    #[inline]
-    fn find(&self, target: u32) -> (usize, u32) {
-        let n = self.freq.len();
-        let mut pos = 0usize;
-        let mut rem = target;
-        let mut step = n.next_power_of_two();
-        while step > 0 {
-            let next = pos + step;
-            if next <= n && self.tree[next] <= rem {
-                rem -= self.tree[next];
-                pos = next;
-            }
-            step >>= 1;
-        }
-        (pos, target - rem)
     }
 
     /// Halve all frequencies (keeping them ≥ 1) to adapt to drift.
@@ -240,13 +222,18 @@ impl<'a> RangeDecoder<'a> {
 
     /// The cumulative-frequency target of the next symbol, with the range
     /// step `r` that [`RangeDecoder::decode_update`] must be given back.
+    #[inline(always)]
     fn decode_target(&self, total: u32) -> (u32, u32) {
         let r = (self.range / total).max(1);
         // Wrapping: corrupted input can break the low ≤ code invariant; the
-        // decoder must then produce garbage, never panic.
-        (((self.code.wrapping_sub(self.low) / r as u64) as u32).min(total - 1), r)
+        // decoder must then produce garbage, never panic. (On a valid stream
+        // `code − low < range`, and the compiler already emits the 32-bit
+        // divide for operands that fit.)
+        let target = (self.code.wrapping_sub(self.low) / r as u64) as u32;
+        (target.min(total - 1), r)
     }
 
+    #[inline(always)]
     fn decode_update(&mut self, cum: u32, freq: u32, r: u32) {
         self.low = self.low.wrapping_add((r * cum) as u64);
         self.range = r * freq;
@@ -305,6 +292,134 @@ pub fn encode(symbols: &[i32]) -> Vec<u8> {
     w.finish()
 }
 
+/// The decoder's adaptive model: the frequencies [`Model`] keeps, hence the
+/// same `(cum, freq, total)` triples, under running sums on two levels —
+/// per block of `1 << shift` symbols the frequencies before the block, per
+/// symbol the frequencies before it inside its block. A search first looks
+/// where the last symbol was found: quantization indices cluster, so the next
+/// one is often the same, and a guess that holds costs no dependent load at
+/// all. Otherwise it counts, on each level, the sums at or below the target —
+/// one pass over about √n contiguous words with no branch in it — where a
+/// Fenwick descent is log₂ n loads, each waiting for the one before. An
+/// update is two runs of `+= inc` over the same words.
+///
+/// Invariants after every method: `within` and `before` are those sums of
+/// `freq` (whose padding up to a whole block stays zero, so a padding slot's
+/// sum is its block's total, which no target inside the block reaches),
+/// `total == freq.iter().sum()`, and `last < n`.
+///
+/// The three arrays are slices of one buffer the caller keeps, so the hot
+/// loop holds them as plain pointers that no store can be taken to move.
+#[derive(Debug)]
+struct DecodeModel<'a> {
+    /// Real symbols; `freq` and `within` are padded to whole blocks.
+    n: usize,
+    shift: u32,
+    freq: &'a mut [u32],
+    within: &'a mut [u32],
+    before: &'a mut [u32],
+    total: u32,
+    /// The symbol found last.
+    last: usize,
+}
+
+impl<'a> DecodeModel<'a> {
+    /// Every symbol starts with frequency 1. Blocks hold about √n symbols,
+    /// and at least 16, so both levels stay short for any alphabet.
+    fn new(n: usize, buf: &'a mut Vec<u32>) -> Self {
+        let shift = (usize::BITS - n.leading_zeros()).div_ceil(2).max(4);
+        let blocks = n.div_ceil(1 << shift);
+        let padded = blocks << shift;
+        buf.clear();
+        buf.resize(n, 1);
+        buf.resize(2 * padded + blocks, 0);
+        let (freq, sums) = buf.split_at_mut(padded);
+        let (within, before) = sums.split_at_mut(padded);
+        let mut model = DecodeModel { n, shift, freq, within, before, total: n as u32, last: 0 };
+        model.rebuild();
+        model
+    }
+
+    /// Recompute both levels of sums from `freq`.
+    fn rebuild(&mut self) {
+        let mut before = 0u32;
+        let blocks = self.freq.chunks(1 << self.shift).zip(self.within.chunks_mut(1 << self.shift));
+        for ((freq, within), slot) in blocks.zip(self.before.iter_mut()) {
+            *slot = before;
+            let mut sum = 0u32;
+            for (w, &f) in within.iter_mut().zip(freq) {
+                *w = sum;
+                sum += f;
+            }
+            before += sum;
+        }
+    }
+
+    /// The symbol whose cumulative interval holds `target < total`, with its
+    /// `cum` and `freq`.
+    #[inline(always)]
+    fn find(&mut self, target: u32) -> (usize, u32, u32) {
+        // The last position of `sums` (ascending, from zero) at or below `t`:
+        // `at` if it is still the one, else a count over every lane.
+        #[inline(always)]
+        fn locate(sums: &[u32], at: usize, t: u32) -> usize {
+            if sums[at] <= t && sums.get(at + 1).is_none_or(|&next| next > t) {
+                return at;
+            }
+            sums.iter().map(|&sum| (sum <= t) as u32).sum::<u32>() as usize - 1
+        }
+        let (block, slot) = (self.last >> self.shift, self.last & ((1 << self.shift) - 1));
+        let block = locate(self.before, block, target);
+        let rest = target - self.before[block];
+        let start = block << self.shift;
+        let slot = locate(&self.within[start..start + (1 << self.shift)], slot, rest);
+        self.last = start + slot;
+        (self.last, self.before[block] + self.within[self.last], self.freq[self.last])
+    }
+
+    /// Halve all frequencies (keeping them ≥ 1) to adapt to drift.
+    #[cold]
+    fn rescale(&mut self) {
+        let mut total = 0u32;
+        for f in &mut self.freq[..self.n] {
+            *f = f.div_ceil(2).max(1);
+            total += *f;
+        }
+        self.total = total;
+        self.rebuild();
+    }
+
+    #[inline(always)]
+    fn bump(&mut self, i: usize, inc: u32) {
+        self.freq[i] += inc;
+        self.total += inc;
+        let block = i >> self.shift;
+        // `+= inc` behind position `from`, as a masked add over the whole
+        // run: every store lands where the last update's did, so the loads
+        // of the next search and update are forwarded to, not stalled.
+        let add_behind = |sums: &mut [u32], from: usize| {
+            for (k, sum) in sums.iter_mut().enumerate() {
+                *sum += if k as u32 > from as u32 { inc } else { 0 };
+            }
+        };
+        let start = block << self.shift;
+        add_behind(&mut self.within[start..start + (1 << self.shift)], i - start);
+        add_behind(self.before, block);
+        if self.total >= MAX_TOTAL {
+            self.rescale();
+        }
+    }
+}
+
+/// Working memory of [`decode_into`], rebuilt per stream; only capacity
+/// carries over.
+#[derive(Debug, Default)]
+pub(crate) struct DecodeScratch {
+    alphabet: Vec<i32>,
+    /// The arrays of [`DecodeModel`].
+    model: Vec<u32>,
+}
+
 /// Decode a stream produced by [`encode`].
 pub fn decode(bytes: &[u8]) -> Result<Vec<i32>, CodecError> {
     decode_capped(bytes, usize::MAX)
@@ -314,10 +429,25 @@ pub fn decode(bytes: &[u8]) -> Result<Vec<i32>, CodecError> {
 /// `huffman::decode_capped`): a corrupted count is rejected before any
 /// count-sized allocation.
 pub fn decode_capped(bytes: &[u8], max_count: usize) -> Result<Vec<i32>, CodecError> {
+    let mut out = Vec::new();
+    decode_into(bytes, max_count, &mut DecodeScratch::default(), Dest::Vec(&mut out))?;
+    Ok(out)
+}
+
+/// [`decode_capped`] into the caller's memory: `dest` gets the stream's
+/// symbols, `s` holds the alphabet and the model. Returns how many symbols
+/// were decoded.
+pub(crate) fn decode_into(
+    bytes: &[u8],
+    max_count: usize,
+    s: &mut DecodeScratch,
+    dest: Dest<'_>,
+) -> Result<usize, CodecError> {
     let mut r = ByteReader::new(bytes);
     let count = r.get_uvarint()? as usize;
     if count == 0 {
-        return Ok(Vec::new());
+        dest.take(0)?;
+        return Ok(0);
     }
     if count > (1 << 36) || count > max_count {
         return Err(CodecError::Corrupt("range: implausible symbol count"));
@@ -333,7 +463,9 @@ pub fn decode_capped(bytes: &[u8], max_count: usize) -> Result<Vec<i32>, CodecEr
     if n_sym > count {
         return Err(CodecError::Corrupt("range: alphabet exceeds symbol count"));
     }
-    let mut alphabet = Vec::with_capacity(n_sym);
+    let alphabet = &mut s.alphabet;
+    alphabet.clear();
+    alphabet.reserve_exact(n_sym);
     let mut prev = 0i64;
     for _ in 0..n_sym {
         let s = prev + r.get_ivarint()?;
@@ -344,11 +476,8 @@ pub fn decode_capped(bytes: &[u8], max_count: usize) -> Result<Vec<i32>, CodecEr
         prev = s;
     }
     if n_sym == 1 {
-        let mut out = Vec::new();
-        out.try_reserve_exact(count)
-            .map_err(|_| CodecError::Corrupt("range: count exceeds memory"))?;
-        out.resize(count, alphabet[0]);
-        return Ok(out);
+        dest.take(count)?.fill(alphabet[0]);
+        return Ok(count);
     }
     let payload = r.get_block()?;
     if payload.len() < 8 {
@@ -360,17 +489,16 @@ pub fn decode_capped(bytes: &[u8], max_count: usize) -> Result<Vec<i32>, CodecEr
         return Err(CodecError::Corrupt("range: count exceeds payload capacity"));
     }
 
-    let mut model = Model::new(n_sym);
+    let mut model = DecodeModel::new(n_sym, &mut s.model);
     let mut dec = RangeDecoder::new(payload);
-    let mut out = Vec::with_capacity(count.min(1 << 24));
-    for _ in 0..count {
+    for slot in dest.take(count)? {
         let (target, r) = dec.decode_target(model.total);
-        let (i, cum) = model.find(target);
-        dec.decode_update(cum, model.freq[i], r);
-        out.push(alphabet[i]);
+        let (i, cum, freq) = model.find(target);
+        dec.decode_update(cum, freq, r);
+        *slot = alphabet[i];
         model.bump(i, 32);
     }
-    Ok(out)
+    Ok(count)
 }
 
 #[cfg(test)]
@@ -455,11 +583,30 @@ mod tests {
         assert_eq!(m.total, 15);
         assert_eq!(m.prefix(3), 3);
         assert_eq!(m.prefix(4), 9);
-        // find: target below prefix(3)=3 lands before symbol 3.
-        assert_eq!(m.find(2), (2, 2));
-        assert_eq!(m.find(3), (3, 3));
-        assert_eq!(m.find(8), (3, 3));
-        assert_eq!(m.find(9), (4, 9));
+    }
+
+    /// The decoder's model hands out the encoder's triples, symbol for
+    /// symbol, through bumps and rescales, for alphabets of one block, of
+    /// several, and with a padded last block.
+    #[test]
+    fn decode_model_tracks_the_encoder_model() {
+        for n in [2usize, 10, 16, 17, 100, 1000] {
+            let mut buf = vec![7; 5];
+            let (mut enc, mut dec) = (Model::new(n), DecodeModel::new(n, &mut buf));
+            let mut state = n as u64;
+            for _ in 0..3000 {
+                state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                let i = (state >> 33) as usize % n.min(7 + n / 3);
+                assert_eq!(dec.total, enc.total);
+                let (cum, freq) = (enc.prefix(i), enc.freq[i]);
+                // From wherever the last search left off, and from here.
+                for target in [cum, cum + freq - 1] {
+                    assert_eq!(dec.find(target), (i, cum, freq), "n {n}, target {target}");
+                }
+                enc.bump(i, 32);
+                dec.bump(i, 32);
+            }
+        }
     }
 
     #[test]

@@ -1,12 +1,14 @@
 //! Property suite for the word-batched bit I/O layer.
 //!
 //! The writer packs codes into a 64-bit staging word and flushes whole words;
-//! the reader refills by whole words where alignment allows. These tests pin
-//! the pair against arbitrary (length ≤ 64, value) sequences — round-trips,
-//! flush-at-partial-word, empty streams, exactly-64-bit boundaries — and
-//! cross-check the emitted bytes against [`ScalarBitWriter`], the per-byte
-//! writer the library used before word batching, kept here as the reference
-//! (it caps at 57 bits per call, as it always did).
+//! the reader tops its window up from a whole word at any alignment. These
+//! tests pin the pair against arbitrary (length ≤ 64, value) sequences —
+//! round-trips, flush-at-partial-word, empty streams, exactly-64-bit
+//! boundaries — and cross-check the emitted bytes against
+//! [`ScalarBitWriter`], the per-byte writer the library used before word
+//! batching (it caps at 57 bits per call, as it always did), and every read,
+//! peek, consume and end of input against [`ScalarBitReader`], one bit at a
+//! time, from every start alignment and across the last 8 bytes.
 
 use proptest::prelude::*;
 use qip_codec::{BitReader, BitWriter};
@@ -56,7 +58,76 @@ impl ScalarBitWriter {
     }
 }
 
+/// Per-bit reference implementation of the bit reader: a position in the
+/// bit string, nothing buffered.
+struct ScalarBitReader<'a> {
+    data: &'a [u8],
+    pos: usize,
+}
+
+impl ScalarBitReader<'_> {
+    fn bits_remaining(&self) -> usize {
+        self.data.len() * 8 - self.pos
+    }
+
+    /// The next `n` bits, zeros past the end of the data.
+    fn peek_bits(&self, n: u32) -> u64 {
+        (self.pos..self.pos + n as usize).fold(0, |v, bit| {
+            let byte = self.data.get(bit / 8).copied().unwrap_or(0);
+            v << 1 | (byte >> (7 - bit % 8) & 1) as u64
+        })
+    }
+
+    fn consume(&mut self, n: u32) -> Result<(), ()> {
+        if n as usize > self.bits_remaining() {
+            return Err(());
+        }
+        self.pos += n as usize;
+        Ok(())
+    }
+
+    fn read_bits(&mut self, n: u32) -> Result<u64, ()> {
+        let v = self.peek_bits(n);
+        self.consume(n).map(|()| v)
+    }
+}
+
+/// Drive the reader and the per-bit reference through the same operations
+/// — `op % 3`: read, peek + consume, peek alone; widths as given, clamped to
+/// what the operation takes — until the reference runs dry, then once more.
+fn assert_reads_alike(bytes: &[u8], start: u32, ops: &[(u8, u32)]) {
+    let mut fast = BitReader::new(bytes);
+    let mut slow = ScalarBitReader { data: bytes, pos: 0 };
+    assert_eq!(fast.read_bits(start).ok(), slow.read_bits(start).ok(), "start alignment {start}");
+    for &(op, n) in ops {
+        let at = slow.pos;
+        match op % 3 {
+            0 => assert_eq!(fast.read_bits(n).ok(), slow.read_bits(n).ok(), "read {n} at bit {at}"),
+            1 => {
+                let n = n.min(32);
+                assert_eq!(fast.peek_bits(n), slow.peek_bits(n), "peek {n} at bit {at}");
+                assert_eq!(fast.consume(n).ok(), slow.consume(n).ok(), "consume {n} at bit {at}");
+            }
+            _ => assert_eq!(fast.peek_bits(n.min(32)), slow.peek_bits(n.min(32)), "peek {n} at bit {at}"),
+        }
+        assert_eq!(fast.bits_remaining(), slow.bits_remaining(), "remaining behind bit {at}");
+    }
+}
+
 proptest! {
+    /// Any mix of reads, peeks and consumes sees the bits the per-bit
+    /// reference sees, from every start alignment, through the end of the
+    /// input and past it.
+    #[test]
+    fn reader_matches_per_bit_reference(
+        bytes in proptest::collection::vec(any::<u8>(), 0..80),
+        ops in proptest::collection::vec((any::<u8>(), 0u32..57), 0..120),
+    ) {
+        for start in 0..64 {
+            assert_reads_alike(&bytes, start.min(bytes.len() as u32 * 8), &ops);
+        }
+    }
+
     /// Arbitrary (width ≤ 64, value) sequences round-trip exactly.
     #[test]
     fn roundtrip_arbitrary_sequences(seq in proptest::collection::vec((0u32..65, any::<u64>()), 0..200)) {
@@ -122,6 +193,28 @@ proptest! {
                 let expect = words[bit / 64] >> (63 - bit % 64) & 1;
                 prop_assert_eq!(v >> k & 1, expect, "bit {}", bit);
                 bit += 1;
+            }
+        }
+    }
+}
+
+/// Reads of every width that start before the last 8 bytes and end inside
+/// them, at them, or past them: the word refill gives way to the byte tail.
+#[test]
+fn reads_straddling_the_last_word() {
+    let bytes: Vec<u8> = (0..40u32).map(|i| (i * 151 + 43) as u8).collect();
+    for len in 8..=bytes.len() {
+        let bytes = &bytes[..len];
+        let tail = (len - 8) as u32 * 8;
+        for before in 1..=56.min(tail) {
+            for width in [1, 7, 8, 9, 31, 32, 33, 56, 57, 63, 64] {
+                // Up to the start of the read in steps of 56, then the read,
+                // then whatever is left, bit by bit.
+                let mut ops = vec![(0u8, 56); ((tail - before) / 56) as usize];
+                ops.push((0, (tail - before) % 56));
+                ops.push((0, width));
+                ops.extend(std::iter::repeat_n((1, 1), 70));
+                assert_reads_alike(bytes, 0, &ops);
             }
         }
     }

@@ -41,6 +41,9 @@ unsafe impl GlobalAlloc for TrackingAlloc {
 static GLOBAL: TrackingAlloc = TrackingAlloc;
 
 fn max_alloc_during<R>(f: impl FnOnce() -> R) -> (R, usize) {
+    // One measurement at a time: the tests of this file share the counters.
+    static MEASURING: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    let _one = MEASURING.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
     MAX_ALLOC.store(0, Ordering::SeqCst);
     TRACKING.store(true, Ordering::SeqCst);
     let r = f();
@@ -99,4 +102,60 @@ fn decode_allocations_bounded_by_declared_size() {
             );
         }
     }
+}
+
+/// `stream`, an SZ3 interpolation stream, with its index block — the last
+/// section, behind a one-varint length prefix — swapped for `forged`.
+fn with_index_block(stream: &[u8], forged: &[u8]) -> Vec<u8> {
+    let report = qip_inspect::inspect_bytes(stream).expect("pristine stream inspects");
+    let at = report.spans.iter().position(|s| s.name.starts_with("index.")).expect("an index block");
+    let mut payload = stream[..report.spans[at - 1].start].to_vec();
+    assert!(forged.len() < 1 << 14, "two-byte length prefix");
+    payload.extend([forged.len() as u8 | 0x80, (forged.len() >> 7) as u8]);
+    payload.extend_from_slice(forged);
+    qip_core::integrity::seal(payload)
+}
+
+/// Entropy-coder headers no encoder writes but every check accepts: the
+/// decoders' tables stay within their fixed budget (docs/robustness.md).
+#[test]
+fn forged_entropy_headers_stay_within_the_table_budget() {
+    /// Primary plus secondary Huffman tables, in bytes, whatever the header
+    /// declares: (2¹¹ + 2¹⁸) `u32` entries.
+    const HUFFMAN_TABLE_BUDGET: usize = ((1 << 11) + (1 << 18)) * 4;
+
+    let field: Field<f32> = qip_data::Dataset::Miranda.generate_f32(11, &[14, 12, 10]);
+    let comp = qip_sz3::Sz3::new()
+        .with_qp(QpConfig::best_fit())
+        .with_pipeline(qip_sz3::Pipeline::Interpolation);
+    let stream = comp.compress(&field, ErrorBound::Abs(1e-3)).expect("compress");
+    let general = 16 * field.len() * 4 + (64 << 10);
+
+    // Huffman, Kraft-complete with code lengths 1, 2, …, 47, 48, 48 over a
+    // 60-byte code stream: sized by "longest code under this prefix", the
+    // secondary table behind the all-ones prefix would have 2³⁷ entries.
+    let mut huffman = vec![0u8]; // mode: plain Huffman
+    huffman.extend([0x90, 0x03, 49, 0]); // 400 symbols, 49 of them distinct, from 0
+    huffman.extend([2u8; 48]); // … each one above the last
+    huffman.extend((1..=47u8).chain([48, 48]));
+    huffman.push(60);
+    huffman.extend((0..60u8).map(|i| i.wrapping_mul(37) | 0xE0));
+    let (res, peak) = max_alloc_during(|| comp.decompress(&with_index_block(&stream, &huffman)));
+    let _: Result<Field<f32>, _> = res;
+    assert!(peak >= 4 << 11, "the forged header was rejected before the tables were built");
+    assert!(peak <= HUFFMAN_TABLE_BUDGET.min(general), "deep Huffman header: {peak}-byte allocation");
+
+    // Range coder, the largest alphabet the bytes and the count allow: one
+    // delta byte per symbol, as many symbols as the field has points.
+    let n = field.len();
+    let mut range = vec![2u8]; // mode: plain range coder
+    range.extend([n as u8 | 0x80, (n >> 7) as u8]); // count
+    range.extend([n as u8 | 0x80, (n >> 7) as u8]); // alphabet size
+    range.extend(std::iter::repeat_n(2u8, n));
+    range.push(16);
+    range.extend([0x5A; 16]);
+    let (res, peak) = max_alloc_during(|| comp.decompress(&with_index_block(&stream, &range)));
+    let _: Result<Field<f32>, _> = res;
+    assert!(peak >= 8 * n, "the forged header was rejected before the model was built");
+    assert!(peak <= general, "widest range header: {peak}-byte allocation");
 }

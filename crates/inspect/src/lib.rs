@@ -29,7 +29,7 @@ mod render;
 
 use qip_codec::{inspect_index_block, IndexForensics, Span};
 use qip_container::ContainerInfo;
-use qip_core::CompressError;
+use qip_core::{CompressCtx, CompressError};
 use qip_interp::{EngineForensics, LevelForensics, Preset, QuantCapture};
 use qip_mgard::Mgard;
 use qip_quant::{LinearQuantizer, UNPRED};
@@ -310,7 +310,7 @@ fn inspect_flat<T: Scalar>(
                 }
                 Pipeline::Lorenzo => {
                     let p = lorenzo::parse::<T>(sz3.body)?;
-                    let decoded = Plain(lorenzo::decode(&p)?, p.header.abs_eb);
+                    let decoded = Plain(lorenzo::decode(&p, &mut CompressCtx::new())?, p.header.abs_eb);
                     ("sz3-lorenzo", "SZ3", splice(sz3.spans, "body", p.spans), decoded)
                 }
             }

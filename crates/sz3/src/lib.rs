@@ -257,7 +257,7 @@ impl<T: Scalar> Compressor<T> for Sz3 {
         let stream = Sz3::parse(bytes)?;
         match stream.pipeline {
             Pipeline::Interpolation => self.engine().decompress_with(stream.body, ctx),
-            Pipeline::Lorenzo => lorenzo::decompress(stream.body),
+            Pipeline::Lorenzo => lorenzo::decode(&lorenzo::parse::<T>(stream.body)?, ctx),
         }
     }
 }

@@ -292,60 +292,63 @@ pub fn parse<T: Scalar>(bytes: &[u8]) -> Result<Parsed<'_>, CompressError> {
     Ok(p)
 }
 
-/// Decompress a stream produced by [`compress`].
+/// Decompress a stream produced by [`compress`], with a context of its own.
 pub fn decompress<T: Scalar>(bytes: &[u8]) -> Result<Field<T>, CompressError> {
-    decode(&parse::<T>(bytes)?)
+    decode(&parse::<T>(bytes)?, &mut CompressCtx::new())
 }
 
-/// Reconstruct the field of a parsed stream.
-pub fn decode<T: Scalar>(p: &Parsed<'_>) -> Result<Field<T>, CompressError> {
-    let shape = p.header.shape.clone();
-    let dims = shape.dims().to_vec();
+/// Reconstruct the field of a parsed stream: the index plane decodes into
+/// the context's reusable buffer and the escaped values come from its scalar
+/// pools, so only the returned field itself is freshly allocated.
+pub fn decode<T: Scalar>(p: &Parsed<'_>, ctx: &mut CompressCtx) -> Result<Field<T>, CompressError> {
+    let shape = &p.header.shape;
+    let (dims, strides) = (shape.dims(), shape.strides());
     let n = shape.len();
     if n == 0 {
-        return Ok(Field::zeros(shape));
+        return Ok(Field::zeros(shape.clone()));
     }
     let quant = LinearQuantizer::try_new(p.header.abs_eb)
         .ok_or(CompressError::Corrupt("degenerate error bound"))?;
-    let strides = shape.strides().to_vec();
 
-    let n_blocks = if p.blockwise { blocks(&dims).count() } else { 0 };
-    let choices: Vec<bool> =
-        (0..n_blocks).map(|i| p.choice_bits[i / 8] & (1 << (i % 8)) != 0).collect();
-    if p.coeffs.len() != choices.iter().filter(|&&c| c).count() * 16 {
+    // One choice bit per block, and 16 coefficient bytes per set bit.
+    let n_blocks = if p.blockwise { blocks(dims).count() } else { 0 };
+    let uses_regression = |i: usize| p.choice_bits[i / 8] & (1 << (i % 8)) != 0;
+    if p.coeffs.len() != (0..n_blocks).filter(|&i| uses_regression(i)).count() * 16 {
         return Err(CompressError::WrongFormat("coefficient block size mismatch"));
     }
-    let coeffs: Vec<PlaneFit> =
-        p.coeffs.chunks_exact(16).map(|c| PlaneFit::read(c).expect("exact chunk")).collect();
 
-    let mut unpred = Vec::with_capacity(p.unpred.len() / T::BYTES);
+    let mut unpred: Vec<T> = ctx.pools.acquire();
+    unpred.reserve(p.unpred.len() / T::BYTES);
     for chunk in p.unpred.chunks_exact(T::BYTES) {
         unpred.push(T::read_le(chunk)?);
     }
-    let q = qip_codec::decode_indices_capped(p.index, n)?;
-    if q.len() != n {
+    qip_codec::decode_indices_capped_into(p.index, n, &mut ctx.qprime)?;
+    if ctx.qprime.len() != n {
         return Err(CompressError::WrongFormat("index count mismatch"));
     }
 
     let mut buf = qip_core::try_zeroed_vec::<T>(n)?;
-    let mut points = Points { quant, indices: q.iter(), escaped: unpred.iter(), exhausted: false };
+    let mut points =
+        Points { quant, indices: ctx.qprime.iter(), escaped: unpred.iter(), exhausted: false };
     if p.blockwise {
-        let mut fits = coeffs.iter();
-        for ((origin, ext), &use_reg) in blocks(&dims).zip(&choices) {
-            let fit = if use_reg { fits.next() } else { None };
-            for_block(&origin, &ext, &strides, |local, flat| match fit {
+        let mut fits = p.coeffs.chunks_exact(16).map(|c| PlaneFit::read(c).expect("exact chunk"));
+        for (i, (origin, ext)) in blocks(dims).enumerate() {
+            let fit = if uses_regression(i) { fits.next() } else { None };
+            for_block(&origin, &ext, strides, |local, flat| match &fit {
                 Some(f) => points.place(&mut buf, flat, |_| f.predict(&ext, &local)),
                 None => points
-                    .place(&mut buf, flat, |b| predict(b, &strides, &global(&origin, &local), flat)),
+                    .place(&mut buf, flat, |b| predict(b, strides, &global(&origin, &local), flat)),
             });
         }
     } else {
-        scan(&dims, |flat, coords| points.place(&mut buf, flat, |b| predict(b, &strides, coords, flat)));
+        scan(dims, |flat, coords| points.place(&mut buf, flat, |b| predict(b, strides, coords, flat)));
     }
-    if points.exhausted {
+    let exhausted = points.exhausted;
+    ctx.pools.release(unpred);
+    if exhausted {
         return Err(CompressError::WrongFormat("unpredictable channel exhausted"));
     }
-    Ok(Field::from_vec(shape, buf)?)
+    Ok(Field::from_vec(shape.clone(), buf)?)
 }
 
 /// The decoder's two channels, consumed one point at a time in scan order.

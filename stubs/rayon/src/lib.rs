@@ -1,14 +1,18 @@
 //! Offline stand-in for `rayon` (see `stubs/README.md`).
 //!
-//! Provides the `par_iter().map(f).collect()` and
-//! `par_chunks(n).map(f).collect()` shapes the workspace uses, executed on
-//! real OS threads via `std::thread::scope` with an order-preserving collect.
+//! Provides the `par_iter().map(f).collect()`,
+//! `par_chunks(n).map(f).collect()` and
+//! `par_chunks_mut(n).enumerate().map(f).collect()` shapes the workspace
+//! uses, executed on real OS threads via `std::thread::scope` with an
+//! order-preserving collect.
 //! Work is split into one contiguous chunk per available core; each thread
 //! maps its chunk, and the results are stitched back together in input order.
 
 /// The parallel iterator prelude, mirroring `rayon::prelude`.
 pub mod prelude {
-    pub use crate::{IntoParallelRefIterator, ParallelSlice, ParallelSliceIter};
+    pub use crate::{
+        IntoParallelRefIterator, ParallelSlice, ParallelSliceIter, ParallelSliceMut,
+    };
 }
 
 /// Worker count of a parallel call, like `rayon::current_num_threads`:
@@ -156,6 +160,96 @@ where
     }
 }
 
+/// `par_chunks_mut` on slices, mirroring `rayon::slice::ParallelSliceMut`.
+pub trait ParallelSliceMut<T: Send> {
+    /// Borrow as a parallel iterator over contiguous mutable runs of
+    /// `chunk_size` elements (the last may be shorter). `chunk_size` must be
+    /// nonzero.
+    fn par_chunks_mut(&mut self, chunk_size: usize) -> ParChunksMut<'_, T>;
+}
+
+impl<T: Send> ParallelSliceMut<T> for [T] {
+    fn par_chunks_mut(&mut self, chunk_size: usize) -> ParChunksMut<'_, T> {
+        assert!(chunk_size != 0, "chunk_size must not be zero");
+        ParChunksMut { items: self, chunk_size }
+    }
+}
+
+/// Mutably borrowing parallel iterator over the chunks of a slice.
+pub struct ParChunksMut<'a, T> {
+    items: &'a mut [T],
+    chunk_size: usize,
+}
+
+impl<'a, T: Send> ParChunksMut<'a, T> {
+    /// Pair each chunk with its position, like
+    /// `IndexedParallelIterator::enumerate`.
+    pub fn enumerate(self) -> EnumerateChunksMut<'a, T> {
+        EnumerateChunksMut { chunks: self }
+    }
+}
+
+/// [`ParChunksMut`] yielding `(index, chunk)`.
+pub struct EnumerateChunksMut<'a, T> {
+    chunks: ParChunksMut<'a, T>,
+}
+
+impl<'a, T: Send> EnumerateChunksMut<'a, T> {
+    /// Map each `(index, chunk)` (in parallel at collect time).
+    pub fn map<R, F>(self, f: F) -> ParChunksMutMap<'a, T, F>
+    where
+        F: Fn((usize, &'a mut [T])) -> R + Sync + Send,
+        R: Send,
+    {
+        ParChunksMutMap { chunks: self.chunks, f }
+    }
+}
+
+/// Pending parallel map over enumerated mutable chunks.
+pub struct ParChunksMutMap<'a, T, F> {
+    chunks: ParChunksMut<'a, T>,
+    f: F,
+}
+
+impl<'a, T, F, R> ParChunksMutMap<'a, T, F>
+where
+    T: Send,
+    F: Fn((usize, &'a mut [T])) -> R + Sync + Send,
+    R: Send,
+{
+    /// Run the map across threads — one contiguous run of chunks per worker —
+    /// and collect results in chunk order.
+    pub fn collect<B: FromIterator<R>>(self) -> B {
+        let ParChunksMut { items, chunk_size } = self.chunks;
+        let f = &self.f;
+        let n = items.len().div_ceil(chunk_size);
+        let threads = current_num_threads().min(n.max(1));
+        if threads <= 1 {
+            return items.chunks_mut(chunk_size).enumerate().map(f).collect();
+        }
+        let run = n.div_ceil(threads);
+        let mut per_run: Vec<Vec<R>> = Vec::with_capacity(threads);
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = items
+                .chunks_mut(run * chunk_size)
+                .enumerate()
+                .map(|(worker, part)| {
+                    scope.spawn(move || {
+                        part.chunks_mut(chunk_size)
+                            .enumerate()
+                            .map(|(k, chunk)| f((worker * run + k, chunk)))
+                            .collect::<Vec<R>>()
+                    })
+                })
+                .collect();
+            for h in handles {
+                per_run.push(h.join().expect("parallel map worker panicked"));
+            }
+        });
+        per_run.into_iter().flatten().collect()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::prelude::*;
@@ -200,6 +294,26 @@ mod tests {
         let want: Vec<(usize, u32)> = v.chunks(10).map(|c| (c.len(), c.iter().sum())).collect();
         assert_eq!(sums, want);
         let none: Vec<usize> = v[..0].par_chunks(4).map(|c| c.len()).collect();
+        assert!(none.is_empty());
+    }
+
+    #[test]
+    fn par_chunks_mut_hands_each_worker_its_own_run() {
+        let mut v = vec![0u32; 103];
+        let lens: Vec<usize> = v
+            .par_chunks_mut(10)
+            .enumerate()
+            .map(|(i, c)| {
+                c.fill(i as u32);
+                c.len()
+            })
+            .collect();
+        assert_eq!(lens, [[10; 10].as_slice(), &[3]].concat());
+        assert!(v.iter().enumerate().all(|(k, &x)| x as usize == k / 10));
+        let failed: Result<(), usize> =
+            v.par_chunks_mut(10).enumerate().map(|(i, _)| if i < 4 { Ok(()) } else { Err(i) }).collect();
+        assert_eq!(failed, Err(4));
+        let none: Vec<usize> = v[..0].par_chunks_mut(4).enumerate().map(|(i, _)| i).collect();
         assert!(none.is_empty());
     }
 

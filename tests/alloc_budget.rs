@@ -4,8 +4,13 @@
 //! `compress_into` call — a slide back to per-point allocation (~5.6M
 //! requests on SegSalt before the routing fix) trips this immediately.
 //!
-//! A test binary of its own with a single test: the counter is process-wide,
-//! so no other test thread may allocate while it is armed.
+//! The decode half: one warm `decompress_into` makes a fixed, small number of
+//! requests — the field it returns, the entropy stage's tables, the worker
+//! threads — and a slide back to a staged vector per chunk, or to a fresh
+//! index plane per call, trips its ceiling.
+//!
+//! A test binary of its own: the counter is process-wide, so no other test
+//! thread may allocate while it is armed — the two tests take turns.
 
 use qip::prelude::*;
 use qip::registry::AnyCompressor;
@@ -15,8 +20,12 @@ use qip_core::CompressCtx;
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc::new();
 
+/// Held by whichever test is counting.
+static COUNTING: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 #[test]
 fn plain_compress_stays_within_the_warm_ctx_allocation_budget() {
+    let _turn = COUNTING.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
     // 512 000 points: a per-point regression clears the 100 000 floor.
     let ds = qip::data::Dataset::SegSalt;
     let field = ds.generate_f32(0, &[80, 80, 80]);
@@ -40,6 +49,41 @@ fn plain_compress_stays_within_the_warm_ctx_allocation_budget() {
              (warm compress_into: {warm}, budget: {budget}) — the ctx-arena \
              routing of the plain API has regressed",
             ds.name()
+        );
+    }
+}
+
+/// One warm `decompress_into` of each QP-on base, and of SZ3 held to its
+/// Lorenzo pipeline, under a ceiling a few requests above what it makes
+/// (54 / 52 / 64 / 83 / 41) and well below what it made while every chunk was
+/// staged in a vector of its own and the Lorenzo decoder ignored the context
+/// (77 / 75 / 88 / 110 / 70).
+#[test]
+fn warm_decompress_stays_within_its_allocation_budget() {
+    let _turn = COUNTING.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    // Two workers whatever the machine: thread spawns are heap requests too.
+    std::env::set_var("RAYON_NUM_THREADS", "2");
+    let field = qip::data::Dataset::SegSalt.generate_f32(0, &[80, 80, 80]);
+    let bound = ErrorBound::Rel(1e-3);
+    let by_name = |name| Box::new(AnyCompressor::by_name(name).unwrap()) as Box<dyn Compressor<f32>>;
+    let lorenzo = qip::sz3::Sz3::new().with_pipeline(qip::sz3::Pipeline::Lorenzo);
+    let cases = [
+        ("SZ3+QP", by_name("SZ3+QP"), 60),
+        ("QoZ+QP", by_name("QoZ+QP"), 58),
+        ("HPEZ+QP", by_name("HPEZ+QP"), 70),
+        ("MGARD+QP", by_name("MGARD+QP"), 90),
+        ("SZ3 held to Lorenzo", Box::new(lorenzo), 48),
+    ];
+    for (name, comp, ceiling) in cases {
+        let stream = comp.compress(&field, bound).unwrap();
+        let mut ctx = CompressCtx::new();
+        comp.decompress_into(&stream, &mut ctx).unwrap();
+        let (_, warm) = count_allocs_during(|| comp.decompress_into(&stream, &mut ctx).unwrap());
+        assert!(warm > 0, "{name}: the counting allocator is not installed");
+        assert!(
+            warm <= ceiling,
+            "{name}: one warm decompress_into made {warm} heap allocation requests \
+             (ceiling: {ceiling}) — per-chunk staging or a per-call plane is back"
         );
     }
 }
