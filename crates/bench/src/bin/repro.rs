@@ -146,7 +146,12 @@ fn main() {
 
     match cmd.as_str() {
         "table1" => print_table1(),
-        "table2" => experiments::characterize::table2(&opts),
+        "table2" => {
+            if let Err(msg) = experiments::characterize::table2(&opts) {
+                eprintln!("{msg}");
+                std::process::exit(1);
+            }
+        }
         "fig3" => experiments::characterize::fig3(&opts),
         "fig4" => experiments::characterize::fig4(&opts),
         "fig5" => experiments::characterize::fig5(&opts),
@@ -201,7 +206,9 @@ fn main() {
             // process still exits nonzero at the end if anything failed.
             let mut failures: Vec<String> = Vec::new();
             print_table1();
-            experiments::characterize::table2(&opts);
+            if let Err(msg) = experiments::characterize::table2(&opts) {
+                failures.push(format!("table2: {msg}"));
+            }
             experiments::characterize::fig3(&opts);
             experiments::characterize::fig4(&opts);
             experiments::characterize::fig5(&opts);

@@ -3,7 +3,7 @@
 //! 1. **Golden vectors** — verify the committed fixtures under
 //!    `crates/conformance/golden` (or regenerate them with `--bless`);
 //! 2. **Differential oracles** — path identity for every registry compressor
-//!    plus the block-parallel thread sweep at 1/2/8 workers;
+//!    plus the tiled-container thread sweep at 1/2/8 workers;
 //! 3. **Error-bound contract** — ≥256 seeded cases per compressor, with
 //!    minimized counterexamples written to `conformance_counterexamples.txt`
 //!    for CI artifact upload;
@@ -34,7 +34,7 @@ pub struct ConformanceRecord {
     pub golden_findings: usize,
     /// Path-identity divergences (serial vs ctx vs traced).
     pub path_divergences: usize,
-    /// Thread-sweep divergences (block-parallel at 1/2/8 workers).
+    /// Thread-sweep divergences (tiled container at 1/2/8 workers).
     pub sweep_divergences: usize,
     /// Contract cases run.
     pub contract_cases: usize,

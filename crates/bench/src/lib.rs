@@ -19,4 +19,4 @@ pub mod timing;
 
 pub use registry::AnyCompressor;
 pub use report::{print_table, write_jsonl};
-pub use runner::{find_eb_for_psnr, run_once, RunRecord};
+pub use runner::{find_eb_for_psnr, run_once, PsnrMiss, RunRecord};

@@ -68,10 +68,26 @@ pub fn run_once<T: Scalar, C: Compressor<T>>(
     }
 }
 
+/// A PSNR target [`find_eb_for_psnr`] could not meet: the bound and run that
+/// came closest, outside the tolerance.
+#[derive(Debug, Clone)]
+pub struct PsnrMiss {
+    /// The closest `(relative bound, run)` the bisection saw.
+    pub closest: (f64, RunRecord),
+}
+
+impl std::fmt::Display for PsnrMiss {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let (eb, rec) = &self.closest;
+        write!(f, "{}: PSNR target missed, closest {:.2} dB at rel {eb:.3e}", rec.compressor, rec.psnr)
+    }
+}
+
 /// Find the relative error bound at which `comp` hits `target_psnr` (±`tol`
 /// dB) on `field`, by bisection on the log of the bound. Returns the bound
-/// and the aligned run. This is the paper's Table II protocol ("we align the
-/// PSNR of all the candidate compressors to 75").
+/// and the aligned run, or a [`PsnrMiss`] when 14 steps end outside `tol`.
+/// This is the paper's Table II protocol ("we align the PSNR of all the
+/// candidate compressors to 75").
 pub fn find_eb_for_psnr<T: Scalar, C: Compressor<T>>(
     comp: &C,
     dataset: &str,
@@ -79,7 +95,7 @@ pub fn find_eb_for_psnr<T: Scalar, C: Compressor<T>>(
     field: &Field<T>,
     target_psnr: f64,
     tol: f64,
-) -> (f64, RunRecord) {
+) -> Result<(f64, RunRecord), PsnrMiss> {
     // PSNR decreases as eb grows; bracket then bisect in log10(eb).
     let mut lo = -8.0f64; // 1e-8: very high PSNR
     let mut hi = -0.5f64; // ~0.32: very low PSNR
@@ -89,15 +105,15 @@ pub fn find_eb_for_psnr<T: Scalar, C: Compressor<T>>(
         let eb = 10f64.powf(mid);
         let rec = run_once(comp, dataset, field_idx, field, eb);
         let diff = rec.psnr - target_psnr;
+        if diff.abs() <= tol {
+            return Ok((eb, rec));
+        }
         let better = match &best {
             Some((_, b)) => (b.psnr - target_psnr).abs() > diff.abs(),
             None => true,
         };
         if better {
-            best = Some((eb, rec.clone()));
-        }
-        if diff.abs() <= tol {
-            break;
+            best = Some((eb, rec));
         }
         if diff > 0.0 {
             // Too accurate: loosen the bound.
@@ -106,7 +122,7 @@ pub fn find_eb_for_psnr<T: Scalar, C: Compressor<T>>(
             hi = mid;
         }
     }
-    best.expect("bisection ran at least once")
+    Err(PsnrMiss { closest: best.expect("bisection ran at least once") })
 }
 
 #[cfg(test)]
@@ -135,8 +151,11 @@ mod tests {
     #[test]
     fn psnr_alignment_converges() {
         let f = field();
-        let (eb, rec) = find_eb_for_psnr(&Sz3::new(), "test", 0, &f, 75.0, 1.5);
+        let (eb, rec) = find_eb_for_psnr(&Sz3::new(), "test", 0, &f, 75.0, 1.5).unwrap();
         assert!(eb > 0.0);
-        assert!((rec.psnr - 75.0).abs() < 6.0, "got PSNR {}", rec.psnr);
+        assert!((rec.psnr - 75.0).abs() <= 1.5, "got PSNR {}", rec.psnr);
+        // A target no bound reaches is a typed miss carrying the closest run.
+        let miss = find_eb_for_psnr(&Sz3::new(), "test", 0, &f, 1000.0, 1.5).unwrap_err();
+        assert!((miss.closest.1.psnr - 1000.0).abs() > 1.5, "{miss}");
     }
 }

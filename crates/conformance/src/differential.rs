@@ -2,22 +2,22 @@
 //!
 //! The workspace now ships four ways to run every compressor — the allocating
 //! serial path, the reusable-buffer `compress_into`/`decompress_into` context
-//! path, the traced path (`compress_traced`), and the block-parallel wrapper.
+//! path, the traced path (`compress_traced`), and the tiled container.
 //! The paper's reversibility argument (Sec. III/V) only holds if they are all
 //! the *same* transform, so these oracles assert:
 //!
 //! - **byte identity** of serial vs fresh-ctx vs dirty-ctx vs traced
 //!   compression, and bit identity of the three decompression paths, over
 //!   every seeded field family;
-//! - **thread-count invariance** of [`BlockParallel`]: compressed bytes and
+//! - **thread-count invariance** of [`TiledCompressor`]: compressed bytes and
 //!   decompressed bits must not change when `RAYON_NUM_THREADS` does.
 //!
 //! Oracles return findings instead of panicking so the `repro conformance`
 //! experiment can tabulate every divergence in one run.
 
 use crate::fields::{synth, FieldFamily};
+use qip_container::TiledCompressor;
 use qip_core::{CompressCtx, Compressor, ErrorBound};
-use qip_parallel::BlockParallel;
 use qip_registry::AnyCompressor;
 use qip_tensor::{Field, Scalar};
 
@@ -36,10 +36,10 @@ pub struct Divergence {
 /// edge remainders against the interpolation strides).
 const PATH_DIMS: [usize; 3] = [13, 11, 9];
 /// The field shape the thread-sweep oracle runs at (large enough for a
-/// multi-block grid with clipped edge blocks).
+/// multi-tile grid with clipped edge tiles).
 const SWEEP_DIMS: [usize; 3] = [40, 36, 24];
-/// Block edge for the thread sweep (3×3×2 grid, remainders on every axis).
-const SWEEP_BLOCK: usize = 16;
+/// Tile edge for the thread sweep (3×3×2 grid, remainders on every axis).
+const SWEEP_TILE: usize = 16;
 /// The thread counts the sweep pins (the acceptance criteria's 1/2/8).
 pub const SWEEP_THREADS: [usize; 3] = [1, 2, 8];
 
@@ -149,23 +149,14 @@ fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
     r
 }
 
-/// Thread-count invariance of the block-parallel wrapper, for one inner
+/// Thread-count invariance of the tiled container, for one inner
 /// compressor: compress and decompress a turbulent field at each count in
 /// [`SWEEP_THREADS`]; streams and decompressed bits must be identical.
 fn thread_sweep_one(comp: AnyCompressor) -> Vec<Divergence> {
     let name = Compressor::<f32>::name(&comp);
     let field: Field<f32> = synth(FieldFamily::Turbulent, 0x7423, &SWEEP_DIMS);
     let bound = ErrorBound::Rel(1e-3);
-    let par = match BlockParallel::new(comp, SWEEP_BLOCK) {
-        Ok(p) => p,
-        Err(e) => {
-            return vec![Divergence {
-                compressor: name,
-                case: "thread sweep".into(),
-                problem: format!("BlockParallel::new failed: {e}"),
-            }]
-        }
-    };
+    let par = TiledCompressor::new(comp, SWEEP_TILE).expect("SWEEP_TILE is a valid tile edge");
     let mut findings = Vec::new();
     let mut pinned: Option<(Vec<u8>, Vec<u8>)> = None; // (stream, decoded bits) at threads=1
     for threads in SWEEP_THREADS {
@@ -210,7 +201,7 @@ fn thread_sweep_one(comp: AnyCompressor) -> Vec<Divergence> {
 }
 
 /// Run the thread sweep with every registry compressor as the wrapped inner.
-/// Empty result = block-parallel output independent of worker count.
+/// Empty result = container output independent of worker count.
 pub fn thread_sweep_suite() -> Vec<Divergence> {
     AnyCompressor::registry().into_iter().flat_map(thread_sweep_one).collect()
 }

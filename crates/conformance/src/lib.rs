@@ -10,8 +10,8 @@
 //!   fixtures after an *intentional* format change
 //!   (`repro conformance --bless`).
 //! - [`differential`] — the four execution paths (serial, reusable-ctx,
-//!   traced, block-parallel) must produce byte/bit-identical results, and the
-//!   block-parallel path must be invariant under `RAYON_NUM_THREADS`.
+//!   traced, tiled) must produce byte/bit-identical results, and the
+//!   tiled path must be invariant under `RAYON_NUM_THREADS`.
 //! - [`contract`] — a seeded random suite asserting the paper's reversibility
 //!   contract pointwise (`|d − d'| ≤ ε`) for every registry compressor, with
 //!   greedy counterexample minimization and stage-trace replay on failure.

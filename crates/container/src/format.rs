@@ -25,9 +25,9 @@
 //! validated against the running sum so index corruption that survives the
 //! seal is still caught structurally.
 
+use crate::grid::TileGrid;
 use qip_codec::{ByteReader, ByteWriter, Span, Spans};
 use qip_core::{try_with_capacity, CompressError};
-use qip_parallel::TileGrid;
 
 /// Stream magic for the tiled container.
 pub const MAGIC_TILED: u8 = 0xB0;
@@ -35,7 +35,7 @@ pub const MAGIC_TILED: u8 = 0xB0;
 pub const FMT_VERSION: u8 = 1;
 /// Longest accepted compressor name in the index.
 const MAX_NAME: usize = 32;
-/// Decoded-volume cap shared with the block-parallel wrapper.
+/// Decoded-volume cap.
 const MAX_VOLUME: u128 = 1u128 << 36;
 
 /// One tile's slot in the index.

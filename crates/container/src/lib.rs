@@ -1,9 +1,13 @@
 //! Tiled container format: random-access region reads, parallel tile
 //! round-trips, and progressive (coarse-first) decoding.
 //!
-//! A container splits a field over the fixed [`TileGrid`] geometry shared
-//! with `BlockParallel`, compresses every tile independently with one of the
-//! eleven registry compressors, and prepends a **sealed index** — tile grid
+//! The container is the workspace's one partitioner — the CPU analog of the
+//! GPU compressors' chunked execution (cuSZ/cuSZ-i, paper Table I) and of the
+//! embarrassingly parallel slice decomposition of Sec. VI-E. It splits a field
+//! over the fixed [`TileGrid`] geometry, compresses every tile independently
+//! with one of the eleven registry compressors (tile boundaries cut prediction
+//! context, so ratios drop slightly in exchange for scaling across cores and
+//! random access), and prepends a **sealed index** — tile grid
 //! geometry, global shape/dtype/bound, and a per-tile `(offset, len, CRC32)`
 //! table — so a reader can plan exactly which tiles a request touches before
 //! decoding a single payload byte. That turns the all-or-nothing streams the
@@ -26,20 +30,18 @@
 #![warn(missing_docs)]
 
 mod format;
+mod grid;
 
 pub use format::{assemble, ContainerInfo, TileEntry, FMT_VERSION, MAGIC_TILED};
+pub use grid::{TileGrid, MIN_TILE};
 
 use qip_core::{
     CompressCtx, CompressError, Compressor, ErrorBound, ProgressiveDecompress, RegionDecompress,
 };
-use qip_parallel::{TileGrid, MIN_BLOCK};
-use qip_registry::AnyCompressor;
+use qip_registry::{detect_stream, AnyCompressor};
 use qip_tensor::{Field, Region, Scalar, Shape};
 use rayon::prelude::*;
 use std::sync::Mutex;
-
-/// Smallest accepted tile edge (shared with `BlockParallel`).
-pub const MIN_TILE: usize = MIN_BLOCK;
 
 /// Telemetry counter bumped once per decoded tile, across every read path.
 /// The random-access contract is asserted against it: a region covering one
@@ -62,14 +64,9 @@ pub struct TiledCompressor {
 impl TiledCompressor {
     /// Tile with edge `tile` per axis, compressing tiles with `inner`.
     ///
-    /// Returns [`CompressError::Unsupported`] below [`MIN_TILE`], same as
-    /// `BlockParallel`.
+    /// Returns [`CompressError::Unsupported`] below [`MIN_TILE`].
     pub fn new(inner: AnyCompressor, tile: usize) -> Result<Self, CompressError> {
-        if tile < MIN_TILE {
-            return Err(CompressError::Unsupported(
-                "tile edge below 8 per axis destroys prediction context",
-            ));
-        }
+        grid::check_edge(tile)?;
         Ok(TiledCompressor { inner, tile })
     }
 
@@ -185,7 +182,7 @@ impl TileEncoder {
 
 /// Decode a whole container. Containers are self-describing (the index names
 /// the tile compressor), so unlike [`TiledCompressor::decompress`] this needs
-/// no configured instance — the serve and CLI decode paths route here.
+/// no configured instance — [`decompress_any`] routes here.
 pub fn decompress_full<T: Scalar>(bytes: &[u8]) -> Result<Field<T>, CompressError> {
     let _t = qip_trace::span("container.decompress");
     let (info, payload) = ContainerInfo::parse(bytes)?;
@@ -204,6 +201,21 @@ pub fn decompress_full<T: Scalar>(bytes: &[u8]) -> Result<Field<T>, CompressErro
         Ok(())
     })?;
     Ok(out.into_inner().expect(POISONED))
+}
+
+/// Decode any stream the workspace emits, by its magic byte: a container
+/// through [`decompress_full`], a flat stream through the registry compressor
+/// [`detect_stream`] names. The one decode-by-magic entry behind
+/// `qip decompress` and serve's `DECOMPRESS`.
+pub fn decompress_any<T: Scalar>(
+    bytes: &[u8],
+    ctx: &mut CompressCtx,
+) -> Result<Field<T>, CompressError> {
+    const FOREIGN: CompressError = CompressError::WrongFormat("unrecognized stream magic");
+    match detect_stream(bytes).ok_or(FOREIGN)? {
+        "tiled" => decompress_full(bytes),
+        name => AnyCompressor::by_name(name).map_err(|_| FOREIGN)?.decompress_into(bytes, ctx),
+    }
 }
 
 impl<T: Scalar> RegionDecompress<T> for TiledCompressor {
@@ -438,11 +450,6 @@ impl<T: Scalar> TiledWriter<T> {
         dims: &[usize],
         abs_bound: f64,
     ) -> Result<Self, CompressError> {
-        if tile < MIN_TILE {
-            return Err(CompressError::Unsupported(
-                "tile edge below 8 per axis destroys prediction context",
-            ));
-        }
         if !abs_bound.is_finite() || abs_bound <= 0.0 {
             return Err(CompressError::Unsupported("absolute bound must be finite and positive"));
         }
@@ -513,7 +520,6 @@ impl<T: Scalar> TiledWriter<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qip_registry::detect_stream;
 
     fn field(dims: &[usize]) -> Field<f32> {
         qip_data::Dataset::Miranda.generate_f32(11, dims)
@@ -532,6 +538,15 @@ mod tests {
         let out: Field<f32> = tc.decompress(&bytes).unwrap();
         assert_eq!(out.shape(), f.shape());
         assert!(qip_metrics::max_abs_error(&f, &out) <= 1e-3 + 1e-9);
+    }
+
+    #[test]
+    fn tile_seams_cost_a_modest_ratio() {
+        // Seams cut prediction context: some ratio, not a collapse.
+        let f = field(&[80, 80, 40]);
+        let len = |c: &dyn Compressor<f32>| c.compress(&f, ErrorBound::Rel(1e-3)).unwrap().len();
+        let (flat, tiles) = (len(&AnyCompressor::by_name("SZ3").unwrap()), len(&tiled("SZ3", 40)));
+        assert!((tiles as f64) < flat as f64 * 1.6, "seam cost too large: {flat} -> {tiles}");
     }
 
     #[test]

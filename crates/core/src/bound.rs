@@ -37,7 +37,7 @@ impl ErrorBound {
     /// Resolve this bound against a concrete field.
     ///
     /// This is the single entry point every compressor (and wrapper such as
-    /// `BlockParallel`) goes through, so `Rel` semantics cannot drift between
+    /// `TiledCompressor`) goes through, so `Rel` semantics cannot drift between
     /// a wrapper resolving against the whole field and an inner codec
     /// resolving against a block's narrower value range.
     pub fn resolve<T: Scalar>(&self, field: &Field<T>) -> ResolvedBound {

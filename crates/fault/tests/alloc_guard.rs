@@ -40,10 +40,15 @@ unsafe impl GlobalAlloc for TrackingAlloc {
 #[global_allocator]
 static GLOBAL: TrackingAlloc = TrackingAlloc;
 
+/// One test at a time: the counters are process-wide, so whatever the other
+/// test allocates between its own measurements (a compress, a field) would
+/// land in this one's peak.
+fn one_test_at_a_time() -> std::sync::MutexGuard<'static, ()> {
+    static RUNNING: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    RUNNING.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 fn max_alloc_during<R>(f: impl FnOnce() -> R) -> (R, usize) {
-    // One measurement at a time: the tests of this file share the counters.
-    static MEASURING: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    let _one = MEASURING.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
     MAX_ALLOC.store(0, Ordering::SeqCst);
     TRACKING.store(true, Ordering::SeqCst);
     let r = f();
@@ -73,6 +78,7 @@ fn corrupt_body_resealed(stream: &[u8], seed: u64) -> Vec<u8> {
 
 #[test]
 fn decode_allocations_bounded_by_declared_size() {
+    let _alone = one_test_at_a_time();
     let field: Field<f32> = qip_data::Dataset::Miranda.generate_f32(11, &[14, 12, 10]);
     let declared_bytes = field.len() * 4;
     // 16× the declared size, plus a fixed floor for decoder working state
@@ -120,6 +126,7 @@ fn with_index_block(stream: &[u8], forged: &[u8]) -> Vec<u8> {
 /// decoders' tables stay within their fixed budget (docs/robustness.md).
 #[test]
 fn forged_entropy_headers_stay_within_the_table_budget() {
+    let _alone = one_test_at_a_time();
     /// Primary plus secondary Huffman tables, in bytes, whatever the header
     /// declares: (2¹¹ + 2¹⁸) `u32` entries.
     const HUFFMAN_TABLE_BUDGET: usize = ((1 << 11) + (1 << 18)) * 4;

@@ -1,6 +1,6 @@
 //! Workspace-wide corruption suite: every compressor in the bench registry
 //! (the four interpolation-based compressors with QP off and on, plus the
-//! three transform-based comparators, plus the block-parallel wrapper) must
+//! three transform-based comparators, plus the tiled container) must
 //! reject damaged streams with an error — never a panic — under thousands of
 //! seeded corruptions, and must survive corruptions that carry a valid
 //! integrity trailer (reaching the deep parsing layers) without panicking.
@@ -10,8 +10,6 @@
 
 use qip_registry::AnyCompressor;
 use qip_core::{Compressor, ErrorBound, QpConfig};
-use qip_parallel::BlockParallel;
-use qip_sz3::Sz3;
 use qip_tensor::Field;
 
 /// Seeded corruptions per (compressor, stream) for the raw (CRC-gated) pass.
@@ -97,77 +95,6 @@ fn resealed_corruptions_never_panic() {
     }
 }
 
-/// Seeded corruptions per (inner compressor, stream) in the block-parallel
-/// sweep below (smaller than RAW_SEEDS/RESEALED_SEEDS because the sweep
-/// multiplies across four inner compressors).
-const PAR_RAW_SEEDS: u64 = 400;
-const PAR_RESEALED_SEEDS: u64 = 200;
-
-#[test]
-fn block_parallel_wrapper_rejects_corruption() {
-    // The wrapper stream carries its own CRC32 trailer (on top of the
-    // per-block trailers the inner compressors seal), so raw damage anywhere
-    // — wrapper header, block table, nested payloads, trailer — must be
-    // rejected, for every interpolation-based inner compressor.
-    let field = qip_data::Dataset::Miranda.generate_f32(1, &[20, 18, 10]);
-    for inner in AnyCompressor::base_four(QpConfig::best_fit()) {
-        let name = Compressor::<f32>::name(&inner);
-        let par = BlockParallel::new(inner, 10).expect("valid block size");
-        let stream = par.compress(&field, ErrorBound::Abs(1e-3)).expect("compress");
-        for seed in 0..PAR_RAW_SEEDS {
-            let (bad, fault) = qip_fault::corrupt(&stream, seed);
-            let res: Result<Field<f32>, _> = par.decompress(&bad);
-            assert!(res.is_err(), "{name}∥: decoded corrupted stream: {fault}");
-        }
-    }
-}
-
-#[test]
-fn block_parallel_resealed_corruptions_never_panic() {
-    // Damage that gets past the wrapper's CRC gate (payload corrupted, outer
-    // trailer recomputed) reaches the block table and the nested decoders;
-    // like the flat-stream pass above, the contract is no panics, ever.
-    let field = qip_data::Dataset::Miranda.generate_f32(4, &[20, 18, 10]);
-    for inner in AnyCompressor::base_four(QpConfig::best_fit()) {
-        let name = Compressor::<f32>::name(&inner);
-        let par = BlockParallel::new(inner, 10).expect("valid block size");
-        let stream = par.compress(&field, ErrorBound::Abs(1e-3)).expect("compress");
-        for seed in 0..PAR_RESEALED_SEEDS {
-            let (bad, fault) = qip_fault::corrupt_resealed(&stream, seed).expect("sealed");
-            let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let r: Result<Field<f32>, _> = par.decompress(&bad);
-                r
-            }));
-            if res.is_err() {
-                let trace = qip_fault::trace_replay(|| {
-                    let _: Result<Field<f32>, _> = par.decompress(&bad);
-                });
-                panic!("{name}∥ panicked on a resealed corruption: {fault}\n{trace}");
-            }
-        }
-    }
-}
-
-#[test]
-fn block_parallel_trailer_flags_every_payload_bitflip() {
-    // The wrapper-level CRC must catch any single-bit flip before nested
-    // parsing starts, exactly like the flat-stream trailer check.
-    let field = qip_data::Dataset::SegSalt.generate_f32(0, &[16, 12, 10]);
-    let par = BlockParallel::new(Sz3::new(), 8).expect("valid block size");
-    let stream = par.compress(&field, ErrorBound::Abs(1e-2)).expect("compress");
-    let mut rng = qip_fault::XorShift64::new(0xB10C_BA11);
-    for pos in 0..stream.len() {
-        let mut bad = stream.clone();
-        bad[pos] ^= 1 << rng.below(8);
-        let res: Result<Field<f32>, _> = par.decompress(&bad);
-        match res {
-            Err(qip_core::CompressError::Corrupt(_)) => {}
-            Err(e) => panic!("∥: flip at byte {pos} gave non-Corrupt error: {e}"),
-            Ok(_) => panic!("∥: flip at byte {pos} decoded cleanly"),
-        }
-    }
-}
-
 #[test]
 fn crc_trailer_flags_every_payload_bitflip() {
     // Acceptance check for the integrity layer: flipping any single bit of a
@@ -245,7 +172,8 @@ fn truncation_at_every_prefix_errors() {
 }
 
 /// Seeded corruptions per inner compressor in the tiled-container sweeps
-/// (sized like the block-parallel ones: the sweep multiplies across inners).
+/// (smaller than RAW_SEEDS/RESEALED_SEEDS: the sweep multiplies across four
+/// inner compressors).
 const TILED_RAW_SEEDS: u64 = 400;
 const TILED_RESEALED_SEEDS: u64 = 200;
 

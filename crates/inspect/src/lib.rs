@@ -298,9 +298,6 @@ fn inspect_flat<T: Scalar>(
     use Decoded::{Forensic, Plain};
     let body = |end| Span { name: "body", start: 0, end };
     let (kind, compressor, outer, decoded): (&'static str, &str, _, _) = match bytes.first() {
-        Some(0x90) => return Err(CompressError::Unsupported(
-            "block-parallel wrapper streams are not inspectable; inspect the tiled container or per-shard streams instead",
-        )),
         Some(0x20) => {
             let sz3 = Sz3::parse(bytes)?;
             match sz3.pipeline {
@@ -727,12 +724,6 @@ mod tests {
         let total: u64 = qp.levels.iter().map(|l| l.points).sum();
         assert_eq!(total + qp.anchors, field.len() as u64);
         assert!(report.heatmap.is_some());
-    }
-
-    #[test]
-    fn block_parallel_streams_rejected_clearly() {
-        let err = inspect_bytes(&[0x90, 1, 2, 3]).unwrap_err();
-        assert!(matches!(err, CompressError::Unsupported(_)));
     }
 
     #[test]

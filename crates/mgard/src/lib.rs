@@ -362,7 +362,18 @@ impl Mgard {
         // ---- Transform sweep: values → hierarchical detail coefficients ----
         let transform_span = qip_trace::span("transform");
         let mut buf: Vec<f64> = ctx.pools.acquire();
-        buf.extend(field.as_slice().iter().map(|v| v.to_f64()));
+        // The multilinear and L² sweeps would smear one NaN/±Inf over every
+        // coarser node, so a non-finite field is refused, not mis-bounded.
+        let mut finite = true;
+        buf.extend(field.as_slice().iter().map(|v| {
+            let v = v.to_f64();
+            finite &= v.is_finite();
+            v
+        }));
+        if !finite {
+            ctx.pools.release(buf);
+            return Err(CompressError::Unsupported("non-finite sample"));
+        }
         let order: Vec<usize> = (0..dims.len()).rev().collect();
         for level in 1..=levels {
             for pass in build_passes(dims.len(), level, &order, PassStructure::MultiDim) {
@@ -798,10 +809,10 @@ mod tests {
     #[test]
     fn every_qp_configuration_matches_the_point_api_and_roundtrips() {
         use qip_core::{Condition, PredMode};
-        // Huge and non-finite samples escape the quantizer, so the sentinel
-        // lands among the neighbors (Case I must substitute zero there).
+        // Huge samples escape the quantizer, so the sentinel lands among the
+        // neighbors (Case I must substitute zero there).
         let mut f = smooth(&[13, 10, 12]);
-        for (i, v) in [(77usize, 3.0e9f32), (400, f32::NAN), (401, -2.5e9), (900, f32::INFINITY)] {
+        for (i, v) in [(77usize, 3.0e9f32), (400, 4.0e12), (401, -2.5e9), (900, -6.0e10)] {
             f.as_mut_slice()[i] = v;
         }
         let (dims, strides) = (f.shape().dims().to_vec(), f.shape().strides().to_vec());

@@ -82,7 +82,6 @@ pub fn detect_stream(bytes: &[u8]) -> Option<&'static str> {
         0x60 => Some("zfp"),
         0x70 => Some("sperr"),
         0x80 => Some("tthresh"),
-        0x90 => Some("block-parallel"),
         0xB0 => Some("tiled"),
         _ => None,
     }
@@ -478,7 +477,7 @@ mod tests {
 
     #[test]
     fn detect_stream_classifies_every_workspace_magic() {
-        let cases: [(u8, &str); 10] = [
+        let cases: [(u8, &str); 9] = [
             (0x20, "sz3"),
             (0x22, "sz3"),
             (0x30, "qoz"),
@@ -487,7 +486,6 @@ mod tests {
             (0x60, "zfp"),
             (0x70, "sperr"),
             (0x80, "tthresh"),
-            (0x90, "block-parallel"),
             (0xB0, "tiled"),
         ];
         for (magic, kind) in cases {

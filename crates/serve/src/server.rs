@@ -969,59 +969,26 @@ fn run_decompress(
     dtype_bits: u8,
     payload: &[u8],
 ) -> (Status, Vec<u8>) {
-    // The stream names its compressor in its magic byte; the registry entry
-    // is resolved the same way the CLI does it. Tiled containers (0xB0) are
-    // self-describing, so they decode through qip-container directly.
-    let Some(name) = qip_registry::detect_stream(payload) else {
+    // The stream names its decoder in its magic byte, the same way the CLI
+    // resolves it; a foreign byte is the client's mistake, not a failed decode.
+    if qip_registry::detect_stream(payload).is_none() {
         return (Status::BadRequest, b"unrecognized stream magic".to_vec());
-    };
+    }
     if let Err(e) = token.check("decompress") {
         return e;
     }
     stages.mark("parse");
-    let result: Result<Vec<u8>, CompressError> = if name == "tiled" {
-        let r = if dtype_bits == 32 {
-            isolate(shared, ctx, |_| {
-                qip_container::decompress_full::<f32>(payload).map(|f| f.to_le_bytes())
-            })
-        } else {
-            isolate(shared, ctx, |_| {
-                qip_container::decompress_full::<f64>(payload).map(|f| f.to_le_bytes())
-            })
-        };
-        match r {
-            Ok(r) => r,
-            Err(e) => return e,
-        }
-    } else {
-        let comp = match AnyCompressor::by_name(name) {
-            Ok(c) => c,
-            Err(_) => {
-                return (
-                    Status::BadRequest,
-                    format!("stream magic maps to unserveable compressor '{name}'").into_bytes(),
-                )
-            }
-        };
+    let result = isolate(shared, ctx, |ctx| {
         if dtype_bits == 32 {
-            match isolate(shared, ctx, |ctx| {
-                Compressor::<f32>::decompress_into(&comp, payload, ctx)
-            }) {
-                Ok(r) => r.map(|f| f.to_le_bytes()),
-                Err(e) => return e,
-            }
+            qip_container::decompress_any::<f32>(payload, ctx).map(|f| f.to_le_bytes())
         } else {
-            match isolate(shared, ctx, |ctx| {
-                Compressor::<f64>::decompress_into(&comp, payload, ctx)
-            }) {
-                Ok(r) => r.map(|f| f.to_le_bytes()),
-                Err(e) => return e,
-            }
+            qip_container::decompress_any::<f64>(payload, ctx).map(|f| f.to_le_bytes())
         }
-    };
+    });
     let out = match result {
-        Ok(o) => o,
-        Err(e) => return compress_error_response(&e),
+        Ok(Ok(o)) => o,
+        Ok(Err(e)) => return compress_error_response(&e),
+        Err(e) => return e,
     };
     stages.mark("decompress");
     if out.len() > shared.config.max_frame_bytes {

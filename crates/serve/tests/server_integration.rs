@@ -130,6 +130,10 @@ fn typed_errors_for_bad_requests() {
     );
     let resp = c.decompress(32, vec![0xFF; 64], 0).unwrap();
     assert_eq!(resp.status, Status::BadRequest);
+    // 0x90, a retired stream tag (docs/FORMAT.md), is a foreign byte like any other.
+    let resp = c.decompress(32, vec![0x90, 1, 32, 1, 8, 8, 0], 0).unwrap();
+    assert_eq!(resp.status, Status::BadRequest);
+    assert_eq!(resp.reason(), "unrecognized stream magic");
 
     // Ping still answers after all of the above on the same connection.
     let resp = c.ping().unwrap();

@@ -6,8 +6,7 @@
 //! machine:
 //!
 //! * per-slice compression/decompression cost and compressed size are
-//!   **measured** on real synthetic RTM slices (optionally in parallel with
-//!   rayon to exercise the real code path),
+//!   **measured** on real synthetic RTM slices,
 //! * the WAN link is **modeled** at the paper's measured vanilla-Globus rate
 //!   (461.75 MB/s — substitution documented in DESIGN.md §5), and the
 //!   parallel filesystem at configurable read/write rates,
@@ -173,26 +172,9 @@ pub fn vanilla_transfer_s(raw_total_bytes: f64, link: LinkModel) -> f64 {
     raw_total_bytes / 1e6 / link.bandwidth_mbs
 }
 
-/// Compress all slices in parallel with rayon, returning the streams — the
-/// real (non-modeled) parallel code path, used by examples and tests.
-pub fn compress_slices_parallel<C>(
-    compressor: &C,
-    slices: &[Field<f32>],
-    bound: ErrorBound,
-) -> Vec<Vec<u8>>
-where
-    C: Compressor<f32> + Sync,
-{
-    slices
-        .par_iter()
-        .map(|s| compressor.compress(s, bound).expect("compression failed"))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qip_core::QpConfig;
     use qip_data::Dataset;
     use qip_sz3::Sz3;
 
@@ -276,16 +258,4 @@ mod tests {
         // 635.54 GB at 461.75 MB/s ≈ 23.5 minutes.
         let t = vanilla_transfer_s(635.54e9, LinkModel::paper_globus());
         assert!((t / 60.0 - 23.5).abs() < 0.6, "got {} min", t / 60.0);
-    }
-
-    #[test]
-    fn parallel_compression_matches_serial() {
-        let slices = sample_slices(4);
-        let sz3 = Sz3::new().with_qp(QpConfig::best_fit());
-        let par = compress_slices_parallel(&sz3, &slices, ErrorBound::Rel(1e-3));
-        for (s, bytes) in slices.iter().zip(&par) {
-            let serial = sz3.compress(s, ErrorBound::Rel(1e-3)).unwrap();
-            assert_eq!(&serial, bytes, "parallel compression must be deterministic");
-        }
-    }
-}
+    }}

@@ -150,13 +150,14 @@ fn transform_block(data: &mut [i64], ndim: usize, forward: bool) {
     }
 }
 
-/// Gather a (padded) block from the field.
+/// Gather a (padded) block from the field. The block transform has no
+/// lossless channel, so a NaN/±Inf sample is refused rather than mis-bounded.
 fn gather_block<T: Scalar>(
     field: &[T],
     dims: &[usize],
     strides: &[usize],
     origin: &[usize],
-) -> Vec<f64> {
+) -> Result<Vec<f64>, CompressError> {
     let ndim = dims.len();
     let n = BLOCK.pow(ndim as u32);
     let mut out = vec![0.0f64; n];
@@ -172,8 +173,11 @@ fn gather_block<T: Scalar>(
             flat += c * strides[a];
         }
         *slot = field[flat].to_f64();
+        if !slot.is_finite() {
+            return Err(CompressError::Unsupported("non-finite sample"));
+        }
     }
-    out
+    Ok(out)
 }
 
 /// Scatter a block back into the field (clipping the padding).
@@ -210,8 +214,8 @@ fn encode_block(vals: &[f64], ndim: usize, tol: f64, order: &[usize], bw: &mut B
     let n = vals.len();
     // Block-floating-point: common exponent of the largest magnitude.
     let vmax = vals.iter().fold(0.0f64, |m, &v| m.max(v.abs()));
-    if vmax == 0.0 || !vmax.is_finite() {
-        // All-zero (or non-finite, stored as zero) block: 1 flag bit.
+    if vmax == 0.0 {
+        // All-zero block: 1 flag bit.
         bw.write_bit(false);
         return;
     }
@@ -370,7 +374,7 @@ impl<T: Scalar> Compressor<T> for Zfp {
         let order = sequency_order(dims.len());
         let mut bw = BitWriter::new();
         for origin in field.shape().blocks(BLOCK) {
-            let vals = gather_block(field.as_slice(), &dims, &strides, &origin);
+            let vals = gather_block(field.as_slice(), &dims, &strides, &origin)?;
             encode_block(&vals, dims.len(), abs_eb, &order, &mut bw);
         }
         w.put_block(&bw.finish());

@@ -1,16 +1,13 @@
 //! Parallel wide-area transfer of a 4-D seismic time series (paper Sec. VI-E).
 //!
-//! Compresses RTM-like wavefield slices in parallel (rayon, the real code
-//! path), then models the end-to-end pipeline — compress, write, WAN
-//! transfer, read, decompress — at the paper's strong-scaling core counts.
+//! Compresses RTM-like wavefield slices one by one, then models the
+//! end-to-end pipeline — compress, write, WAN transfer, read, decompress — at
+//! the paper's strong-scaling core counts.
 //!
 //! Run with: `cargo run --release --example parallel_transfer`
 
 use qip::prelude::*;
-use qip::transfer::{
-    compress_slices_parallel, measure_slice_stats, model_pipeline, vanilla_transfer_s, FsModel,
-    LinkModel,
-};
+use qip::transfer::{measure_slice_stats, model_pipeline, vanilla_transfer_s, FsModel, LinkModel};
 
 fn main() {
     // Scaled RTM workload: 90 slices of the quarter-size spatial grid stand
@@ -22,14 +19,11 @@ fn main() {
         .collect();
     let bound = ErrorBound::Rel(1e-3);
 
-    // Real parallel compression of the sample (exercises the rayon path).
+    // Real compression of the sample, one independent stream per slice.
     let sz3_qp = qip::sz3::Sz3::new().with_qp(QpConfig::best_fit());
-    let streams = compress_slices_parallel(&sz3_qp, &sample, bound);
-    println!(
-        "compressed {} sample slices in parallel; sizes: {:?}",
-        streams.len(),
-        streams.iter().map(|s| s.len()).collect::<Vec<_>>()
-    );
+    let sizes: Vec<usize> =
+        sample.iter().map(|s| sz3_qp.compress(s, bound).expect("compress").len()).collect();
+    println!("compressed {} sample slices; sizes: {sizes:?}", sizes.len());
 
     // Model the full pipeline for SZ3 vs SZ3+QP.
     let link = LinkModel::paper_globus();

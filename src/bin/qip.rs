@@ -247,39 +247,16 @@ fn run() -> Result<(), String> {
             let bytes = std::fs::read(input).map_err(|e| format!("read {input}: {e}"))?;
             let method =
                 qip::registry::detect_stream(&bytes).ok_or("unrecognized stream magic")?;
-            if method == "block-parallel" {
-                return Err(
-                    "block-parallel streams need the wrapping API (qip_parallel::BlockParallel); \
-                     this CLI decodes single-compressor streams"
-                        .into(),
-                );
-            }
-            let out =
-                with_cli_obs(CliObs::from_cli(&opts, &flags), || {
-                    if method == "tiled" {
-                        // Containers are self-describing; no registry lookup.
-                        if is_f64 {
-                            let field: Field<f64> = qip::container::decompress_full(&bytes)
-                                .map_err(|e| e.to_string())?;
-                            Ok(field.to_le_bytes())
-                        } else {
-                            let field: Field<f32> = qip::container::decompress_full(&bytes)
-                                .map_err(|e| e.to_string())?;
-                            Ok(field.to_le_bytes())
-                        }
-                    } else {
-                        let comp = compressor_by_name(method, false)?;
-                        if is_f64 {
-                            let field: Field<f64> =
-                                comp.decompress(&bytes).map_err(|e| e.to_string())?;
-                            Ok(field.to_le_bytes())
-                        } else {
-                            let field: Field<f32> =
-                                comp.decompress(&bytes).map_err(|e| e.to_string())?;
-                            Ok(field.to_le_bytes())
-                        }
-                    }
-                })?;
+            let out = with_cli_obs(CliObs::from_cli(&opts, &flags), || {
+                use qip::container::decompress_any;
+                let ctx = &mut qip::core::CompressCtx::new();
+                if is_f64 {
+                    decompress_any::<f64>(&bytes, ctx).map(|f| f.to_le_bytes())
+                } else {
+                    decompress_any::<f32>(&bytes, ctx).map(|f| f.to_le_bytes())
+                }
+                .map_err(|e| e.to_string())
+            })?;
             std::fs::write(output, &out).map_err(|e| format!("write {output}: {e}"))?;
             eprintln!("{method}: {} -> {} bytes", bytes.len(), out.len());
             Ok(())

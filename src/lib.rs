@@ -25,7 +25,6 @@ pub use qip_inspect as inspect;
 pub use qip_interp as interp;
 pub use qip_metrics as metrics;
 pub use qip_mgard as mgard;
-pub use qip_parallel as parallel;
 pub use qip_predict as predict;
 pub use qip_quant as quant;
 pub use qip_registry as registry;
@@ -37,6 +36,11 @@ pub use qip_tensor as tensor;
 pub use qip_transfer as transfer;
 pub use qip_tthresh as tthresh;
 pub use qip_zfp as zfp;
+
+/// The name the frozen `perf/src/layers.rs` imports; delete with ROADMAP item 2.
+pub mod parallel {
+    pub use qip_container::TiledCompressor as BlockParallel;
+}
 
 /// Common imports for downstream users: field container, error bound, the
 /// compressor trait (plus the region/progressive capability traits), and the

@@ -223,6 +223,35 @@ fn decompress_rejects_garbage() {
 }
 
 #[test]
+fn retired_stream_magic_is_a_foreign_byte() {
+    // 0x90 is a retired stream tag (docs/FORMAT.md), never reassigned.
+    let old = tmp("retired.qip");
+    std::fs::write(&old, [0x90, 1, 32, 1, 8, 8, 0]).unwrap();
+    let out =
+        qip().args(["decompress", "-i", old.to_str().unwrap(), "-o", "/dev/null"]).output().unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("unrecognized stream magic"), "{err}");
+}
+
+#[test]
+fn mgard_refuses_a_non_finite_field_instead_of_breaking_the_bound() {
+    let raw = tmp("nan.f32");
+    let packed = tmp("nan.qip");
+    let (raw_s, packed_s) = (raw.to_str().unwrap(), packed.to_str().unwrap());
+    assert!(qip().args(["gen", "-o", raw_s, "-d", "24x20x16"]).status().unwrap().success());
+    let mut bytes = std::fs::read(&raw).unwrap();
+    bytes[400..404].copy_from_slice(&f32::NAN.to_le_bytes());
+    std::fs::write(&raw, bytes).unwrap();
+    let compress =
+        ["compress", "-i", raw_s, "-o", packed_s, "-d", "24x20x16", "-m", "mgard", "--eb", "abs:1e-3"];
+    let out = qip().args(compress).output().unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("non-finite sample"), "{err}");
+}
+
+#[test]
 fn inspect_exits_1_when_the_original_shows_a_bound_violation() {
     let raw = tmp("budget.f32");
     let packed = tmp("budget.qip");

@@ -13,7 +13,7 @@ fn tiny_opts(tag: &str) -> Opts {
 
 #[test]
 fn table2_runs() {
-    experiments::characterize::table2(&tiny_opts("table2"));
+    experiments::characterize::table2(&tiny_opts("table2")).unwrap();
 }
 
 #[test]
