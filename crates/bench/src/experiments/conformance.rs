@@ -217,19 +217,7 @@ fn write_outputs(
     records: &[ConformanceRecord],
     counterexamples: &str,
 ) -> std::io::Result<()> {
-    std::fs::create_dir_all(&opts.out)?;
-    let path = opts.out.join("BENCH_conformance.json");
-    let mut s = String::from("[\n");
-    for (i, r) in records.iter().enumerate() {
-        if i > 0 {
-            s.push_str(",\n");
-        }
-        s.push_str("  ");
-        s.push_str(&serde_json::to_string(r).expect("serializable record"));
-    }
-    s.push_str("\n]\n");
-    std::fs::write(&path, s)?;
-    eprintln!("[results written to {}]", path.display());
+    crate::report::write_json(&opts.out, "BENCH_conformance.json", &records)?;
     if !counterexamples.is_empty() {
         let cx = opts.out.join("conformance_counterexamples.txt");
         std::fs::write(&cx, counterexamples)?;
@@ -257,9 +245,10 @@ mod tests {
         };
         let records = collect_smoke(&opts);
         assert_eq!(records.len(), 11);
-        let json =
-            std::fs::read_to_string(opts.out.join("BENCH_conformance.json")).unwrap();
-        assert!(json.contains("\"contract_violations\""));
+        let json = std::fs::read_to_string(opts.out.join("BENCH_conformance.json")).unwrap();
+        let doc: serde_json::Value = serde_json::from_str(&json).unwrap();
+        assert_eq!(doc.as_array().unwrap().len(), 11);
+        assert_eq!(doc[0]["contract_violations"].as_u64(), Some(0));
     }
 
     /// Tiny-footprint version of [`run`] for the unit test: golden + paths

@@ -25,7 +25,7 @@ use crate::report::{fmt, print_table, write_json};
 use crate::timing::fastest;
 use qip_core::{Compressor, ErrorBound};
 use qip_data::Dataset;
-use qip_inspect::InspectReport;
+use qip_inspect::{ErrorBudget, InspectReport, QpReport};
 use serde::Serialize;
 
 /// Value-range-relative bound used for every run.
@@ -37,23 +37,6 @@ const REPS: usize = 9;
 const DORMANT_GATE: f64 = 0.02;
 /// Tile edge for the tiled-container record.
 const TILE_EDGE: usize = 16;
-
-/// One level's published forensic features.
-#[derive(Debug, Clone, Serialize)]
-pub struct LevelRecord {
-    /// Interpolation / multigrid level (1 = finest; absent for comparators).
-    pub level: usize,
-    /// Points processed on this level.
-    pub points: u64,
-    /// QP accept rate (`accepted / points`).
-    pub accept_rate: f64,
-    /// QP fire rate (`fired / points`).
-    pub fire_rate: f64,
-    /// Entropy bits this level's indices cost in the index block.
-    pub index_bits: f64,
-    /// Whether `index_bits` is exact stream bits or a model-based estimate.
-    pub bits_exact: bool,
-}
 
 /// One compressor's forensic record in `BENCH_inspect.json`.
 #[derive(Debug, Clone, Serialize)]
@@ -72,23 +55,11 @@ pub struct InspectRecord {
     pub ledger_exact: bool,
     /// Re-compression after inspection reproduced identical bytes.
     pub byte_identical: bool,
-    /// Whether the stream's config enables the QP transform.
-    pub qp_enabled: bool,
-    /// Anchor / coarse-node points (not gated).
-    pub anchors: u64,
-    /// Unpredictable (escaped) points.
-    pub unpredictable: u64,
-    /// Per-level bits + QP decision rates, coarsest first (empty for
-    /// comparators without a level structure).
-    pub levels: Vec<LevelRecord>,
-    /// Largest `|err| / bound` margin against the original field.
-    pub max_margin: f64,
-    /// Mean `|err| / bound` margin.
-    pub mean_margin: f64,
-    /// Bound violations (must be 0).
-    pub violations: u64,
-    /// Whole-field PSNR (dB).
-    pub psnr: f64,
+    /// qip-inspect's QP decisions: per-level counters, rates and index bits
+    /// (`null` for comparators without a QP path).
+    pub qp: Option<QpReport>,
+    /// qip-inspect's error budget against the original field.
+    pub error_budget: Option<ErrorBudget>,
 }
 
 /// The dormant-overhead A/B measurement.
@@ -113,22 +84,6 @@ pub struct InspectDoc {
     pub dormant: DormantRecord,
 }
 
-fn level_records(report: &InspectReport) -> Vec<LevelRecord> {
-    report
-        .qp
-        .iter()
-        .flat_map(|qp| &qp.levels)
-        .map(|l| LevelRecord {
-            level: l.level,
-            points: l.points,
-            accept_rate: l.accept_rate,
-            fire_rate: l.fire_rate,
-            index_bits: l.index_bits,
-            bits_exact: l.bits_exact,
-        })
-        .collect()
-}
-
 fn record_from(
     name: String,
     dims: &[usize],
@@ -136,7 +91,6 @@ fn record_from(
     byte_identical: bool,
     report: &InspectReport,
 ) -> InspectRecord {
-    let budget = report.error_budget.as_ref();
     InspectRecord {
         compressor: name,
         kind: report.kind.to_string(),
@@ -145,14 +99,8 @@ fn record_from(
         ratio: report.ratio,
         ledger_exact: report.ledger_total() == bytes.len() as u64,
         byte_identical,
-        qp_enabled: report.qp.as_ref().is_some_and(|qp| qp.enabled),
-        anchors: report.qp.as_ref().map_or(0, |qp| qp.anchors),
-        unpredictable: report.qp.as_ref().map_or(0, |qp| qp.unpredictable),
-        levels: level_records(report),
-        max_margin: budget.map_or(f64::NAN, |b| b.max_margin),
-        mean_margin: budget.map_or(f64::NAN, |b| b.mean_margin),
-        violations: budget.map_or(0, |b| b.violations),
-        psnr: budget.map_or(f64::NAN, |b| b.psnr),
+        qp: report.qp.clone(),
+        error_budget: report.error_budget.clone(),
     }
 }
 
@@ -241,13 +189,11 @@ pub fn run(opts: &Opts) -> Result<(), String> {
     let rows: Vec<Vec<String>> = records
         .iter()
         .map(|r| {
-            let acc = r
-                .levels
-                .iter()
-                .map(|l| format!("{:.0}%", l.accept_rate * 100.0))
-                .collect::<Vec<_>>()
-                .join("/");
-            let bits: f64 = r.levels.iter().map(|l| l.index_bits).sum();
+            let levels = r.qp.iter().flat_map(|qp| &qp.levels);
+            let acc: Vec<String> =
+                levels.clone().map(|l| format!("{:.0}%", l.accept_rate * 100.0)).collect();
+            let bits: f64 = levels.map(|l| l.index_bits).sum();
+            let budget = r.error_budget.as_ref().expect("inspected against the original");
             vec![
                 r.compressor.clone(),
                 r.kind.clone(),
@@ -255,10 +201,10 @@ pub fn run(opts: &Opts) -> Result<(), String> {
                 fmt(r.ratio),
                 r.ledger_exact.to_string(),
                 r.byte_identical.to_string(),
-                if r.qp_enabled { acc } else { "-".into() },
+                if r.qp.as_ref().is_some_and(|qp| qp.enabled) { acc.join("/") } else { "-".into() },
                 fmt(bits),
-                format!("{:.3}", r.max_margin),
-                format!("{:.1}", r.psnr),
+                format!("{:.3}", budget.max_margin),
+                format!("{:.1}", budget.psnr),
             ]
         })
         .collect();
@@ -305,33 +251,8 @@ fn check_gates(rec: &InspectRecord, failures: &mut Vec<String>) {
     if !rec.byte_identical {
         failures.push(format!("{}: compressed bytes changed after inspection", rec.compressor));
     }
-    if rec.violations != 0 {
-        failures.push(format!(
-            "{}: {} points exceed the error bound",
-            rec.compressor, rec.violations
-        ));
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn sweep_passes_all_gates_at_smoke_scale() {
-        let opts = Opts {
-            scale: 16,
-            fields: 1,
-            out: std::env::temp_dir().join("qip_inspect_exp_test"),
-        };
-        run(&opts).expect("inspect experiment gates must pass");
-        let json =
-            std::fs::read_to_string(opts.out.join("BENCH_inspect.json")).unwrap();
-        // 11 registry compressors + the tiled container.
-        assert_eq!(json.matches("\"ledger_exact\":true").count(), 12);
-        assert!(!json.contains("\"ledger_exact\":false"));
-        assert!(!json.contains("\"byte_identical\":false"));
-        assert!(json.contains("\"accept_rate\""));
-        assert!(json.contains("\"dormant\""));
+    let violations = rec.error_budget.as_ref().map_or(0, |b| b.violations);
+    if violations != 0 {
+        failures.push(format!("{}: {violations} points exceed the error bound", rec.compressor));
     }
 }

@@ -18,7 +18,7 @@
 
 use super::Opts;
 use crate::registry::AnyCompressor;
-use crate::report::{fmt, print_table};
+use crate::report::{fmt, print_table, write_json};
 use crate::timing::paired;
 use qip_core::{Compressor, ErrorBound};
 use qip_data::Dataset;
@@ -228,20 +228,7 @@ fn write_artifacts(
     records: &[MonitorRecord],
     run_hub: &MetricsHub,
 ) -> std::io::Result<()> {
-    std::fs::create_dir_all(&opts.out)?;
-
-    let path = opts.out.join("BENCH_telemetry.json");
-    let mut s = String::from("[\n");
-    for (i, r) in records.iter().enumerate() {
-        if i > 0 {
-            s.push_str(",\n");
-        }
-        s.push_str("  ");
-        s.push_str(&serde_json::to_string(r).expect("serializable record"));
-    }
-    s.push_str("\n]\n");
-    std::fs::write(&path, s)?;
-    eprintln!("[results written to {}]", path.display());
+    write_json(&opts.out, "BENCH_telemetry.json", &records)?;
 
     // The merged run-wide hub, in both exporter formats, plus the flight dump.
     let prom = qip_telemetry::export::prometheus_text(run_hub);
@@ -301,11 +288,11 @@ mod tests {
             "no +QP cell reported accept rates"
         );
         let json = std::fs::read_to_string(opts.out.join("BENCH_telemetry.json")).unwrap();
-        let doc = crate::jsonx::parse(&json).expect("BENCH_telemetry.json parses");
-        assert_eq!(doc.as_arr().unwrap().len(), records.len());
-        assert!(doc.as_arr().unwrap()[0].get("compress_latency_ns").unwrap().num("p99").is_some());
-        assert!(doc.as_arr().unwrap()[0].num("attached_compress_slowdown").is_some());
-        assert!(doc.as_arr().unwrap()[0].num("attached_decompress_slowdown").is_some());
+        let doc: serde_json::Value = serde_json::from_str(&json).unwrap();
+        assert_eq!(doc.as_array().unwrap().len(), records.len());
+        assert!(doc[0]["compress_latency_ns"]["p99"].as_u64().is_some());
+        assert!(doc[0]["attached_compress_slowdown"].as_f64().is_some());
+        assert!(doc[0]["attached_decompress_slowdown"].as_f64().is_some());
         let prom = std::fs::read_to_string(opts.out.join("BENCH_telemetry.prom")).unwrap();
         qip_telemetry::export::check_prometheus_text(&prom).expect("valid Prometheus text");
         assert!(opts.out.join("BENCH_flame.folded").exists());

@@ -418,41 +418,4 @@ mod tests {
         assert_eq!(percentile(&v, 0.0), 1.0);
         assert_eq!(percentile(&[], 0.5), 0.0);
     }
-
-    #[test]
-    fn serve_history_line_parses_and_carries_its_key() {
-        let out = std::env::temp_dir().join("qip_serve_history_test");
-        let path = out.join("BENCH_history.jsonl");
-        let _ = std::fs::remove_file(&path);
-        let report = ServeReport {
-            closed_loop: vec![],
-            overload: OverloadRecord {
-                workers: 1,
-                queue_depth: 2,
-                clients: 1,
-                requests: 1,
-                ok: 1,
-                busy: 0,
-                deadline_exceeded: 0,
-                shed: 0,
-                deadline_miss: 0,
-                max_queue_depth: 1,
-                shed_rate: 0.0,
-            },
-            chaos: ChaosRecord {
-                cases: 0,
-                typed_errors: 0,
-                ok: 0,
-                clean_closes: 0,
-                hangs: 0,
-                server_panics: 0,
-            },
-        };
-        crate::experiments::append_history_at(&path, "serve", 48, &report).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        let runs = crate::jsonx::parse_lines(&text).unwrap();
-        assert_eq!(runs.len(), 1);
-        assert!(runs[0].get("serve").is_some());
-        assert!(runs[0].get("records").is_none());
-    }
 }

@@ -269,9 +269,9 @@ mod tests {
         };
         crate::experiments::append_history_at(&path, "slo", 48, &report).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
-        let runs = crate::jsonx::parse_lines(&text).unwrap();
-        assert_eq!(runs.len(), 1);
-        assert!(runs[0].get("slo").is_some());
-        assert!(runs[0].get("records").is_none());
+        assert_eq!(text.lines().count(), 1);
+        let run: serde_json::Value = serde_json::from_str(text.trim_end()).unwrap();
+        assert!(run.get("slo").is_some() && run["scale"].as_u64() == Some(48));
+        assert!(run.get("records").is_none());
     }
 }

@@ -11,7 +11,6 @@
 
 pub mod alloc_track;
 pub mod experiments;
-pub mod jsonx;
 pub mod registry;
 pub mod report;
 pub mod runner;

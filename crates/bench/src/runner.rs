@@ -3,12 +3,12 @@
 use qip_core::{Compressor, ErrorBound};
 use qip_metrics::{bit_rate, compression_ratio, ErrorStats};
 use qip_tensor::{Field, Scalar};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::time::Instant;
 
 /// One measured compression/decompression run (a row of the paper's tables,
 /// a point of its figures).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct RunRecord {
     /// Compressor name ("SZ3+QP", …).
     pub compressor: String,

@@ -63,10 +63,19 @@ fn inspect_healthy_run_exits_0_and_writes_artifacts() {
         .status()
         .unwrap();
     assert_eq!(status.code(), Some(0), "healthy inspect run must exit 0");
-    let doc = std::fs::read_to_string(out.join("BENCH_inspect.json")).unwrap();
-    assert!(doc.contains("\"ledger_exact\":true"), "{doc}");
-    assert!(doc.contains("\"accept_rate\""));
-    assert!(doc.contains("\"dormant\""));
+    let text = std::fs::read_to_string(out.join("BENCH_inspect.json")).unwrap();
+    let doc: serde_json::Value = serde_json::from_str(&text).unwrap();
+    // 11 registry compressors + the tiled container, every gate green.
+    let records = doc["records"].as_array().unwrap();
+    assert_eq!(records.len(), 12);
+    for r in records {
+        let gates = (r["ledger_exact"].as_bool(), r["byte_identical"].as_bool());
+        assert_eq!(gates, (Some(true), Some(true)), "{r:?}");
+        assert_eq!(r["error_budget"]["violations"].as_u64(), Some(0), "{r:?}");
+    }
+    let qoz = records.iter().find(|r| r["compressor"].as_str() == Some("QoZ+QP")).unwrap();
+    assert!(qoz["qp"]["levels"][0]["accept_rate"].as_f64().is_some(), "{qoz:?}");
+    assert!(doc["dormant"]["ratio"].as_f64().is_some());
 }
 
 #[test]
@@ -88,7 +97,9 @@ fn slo_healthy_run_exits_0_and_writes_artifacts() {
         .unwrap();
     assert_eq!(status.code(), Some(0), "healthy slo run must exit 0");
     let slo = std::fs::read_to_string(out.join("BENCH_slo.json")).unwrap();
-    assert!(slo.starts_with('{') && slo.contains("\"burn_rate\""), "{slo}");
+    let doc: serde_json::Value = serde_json::from_str(&slo).unwrap();
+    let window = &doc["snapshot"]["objectives"][0]["windows"][0];
+    assert!(window["burn_rate"].as_f64().is_some(), "{slo}");
     assert!(out.join("BENCH_tails.jsonl").exists());
     assert!(out.join("BENCH_events.jsonl").exists());
 }

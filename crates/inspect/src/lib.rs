@@ -24,7 +24,6 @@
 //! interpolation-engine stream is the production tile walk with a per-tile
 //! probe; reports are byte-identical across runs and thread counts.
 
-mod json;
 mod render;
 
 use qip_codec::{inspect_index_block, IndexForensics, Span};
@@ -35,6 +34,7 @@ use qip_mgard::Mgard;
 use qip_quant::{LinearQuantizer, UNPRED};
 use qip_sz3::{lorenzo, Pipeline, Sz3};
 use qip_tensor::{Field, Scalar};
+use serde::Serialize;
 
 /// Largest heatmap extent per axis; real extents smaller than this map 1:1.
 pub const HEATMAP_MAX_EDGE: usize = 16;
@@ -56,7 +56,7 @@ const LEDGER_ORDER: [&str; 19] = [
 // ---------------------------------------------------------------------------
 
 /// One ledger line: `bytes` of the stream attributed to `component`.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct LedgerEntry {
     /// Component name (`seal`, `header`, `index.tables`, `container.index`, …).
     pub component: String,
@@ -65,7 +65,7 @@ pub struct LedgerEntry {
 }
 
 /// Per-level QP decision counters plus the level's entropy cost.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct LevelReport {
     /// Interpolation / multigrid level (1 = finest).
     pub level: usize,
@@ -89,7 +89,7 @@ pub struct LevelReport {
 }
 
 /// QP decision summary for one stream (or a tiled rollup).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct QpReport {
     /// Whether the stream's config enables the QP transform at all.
     pub enabled: bool,
@@ -103,7 +103,7 @@ pub struct QpReport {
 
 /// Coarse spatial accept-rate grid (downsampled to ≤ [`HEATMAP_MAX_EDGE`]
 /// cells per axis, row-major).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Heatmap {
     /// Grid extents, one per field axis.
     pub grid: Vec<usize>,
@@ -115,8 +115,19 @@ pub struct Heatmap {
     pub fired: Vec<u64>,
 }
 
+/// One compressor's share of a tiled container.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+pub struct CompressorTiles {
+    /// Compressor name.
+    pub compressor: String,
+    /// Tiles it compressed.
+    pub tiles: usize,
+    /// Total bytes of those tile streams.
+    pub bytes: u64,
+}
+
 /// Per-tile ledger rollup for tiled containers.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct TileRollup {
     /// Tile count.
     pub tiles: usize,
@@ -126,12 +137,21 @@ pub struct TileRollup {
     pub median_tile_bytes: u64,
     /// Largest tile stream in bytes.
     pub max_tile_bytes: u64,
-    /// `(compressor, tiles, total bytes)` breakdown.
-    pub by_compressor: Vec<(String, usize, u64)>,
+    /// Per-compressor breakdown.
+    pub by_compressor: Vec<CompressorTiles>,
+}
+
+/// PSNR over the points decoded at one level.
+#[derive(Debug, Clone, PartialEq, Serialize)]
+pub struct LevelPsnr {
+    /// Level (0 = anchors / coarse nodes).
+    pub level: usize,
+    /// PSNR in dB (NaN when undefined).
+    pub psnr: f64,
 }
 
 /// Error-budget analytics against the original field.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ErrorBudget {
     /// Absolute error bound the stream was quantized at.
     pub bound: f64,
@@ -145,19 +165,25 @@ pub struct ErrorBudget {
     /// A non-finite sample meets the bound only when it comes back as the
     /// same bit pattern.
     pub violations: u64,
-    /// Points whose error is not finite: either side is NaN or ±Inf.
+    /// Points whose error is not finite: either side is NaN or ±Inf. Left
+    /// out of the JSON when 0, so reports of finite fields keep their bytes.
+    #[serde(skip_serializing_if = "is_zero")]
     pub nonfinite: u64,
     /// Histogram of margins over `[0, 1]` in [`MARGIN_BUCKETS`] buckets.
     pub margin_histogram: Vec<u64>,
     /// Whole-field PSNR in dB (NaN when undefined).
     pub psnr: f64,
-    /// `(level, PSNR)` over the points decoded at each level (level 0 =
-    /// anchors / coarse nodes); only for forensically decoded streams.
-    pub level_psnr: Vec<(usize, f64)>,
+    /// Per-level PSNR; only for forensically decoded streams.
+    pub level_psnr: Vec<LevelPsnr>,
 }
 
-/// The full forensic report for one compressed stream.
-#[derive(Debug, Clone, PartialEq)]
+fn is_zero(n: &u64) -> bool {
+    *n == 0
+}
+
+/// The full forensic report for one compressed stream; its JSON has the
+/// fields in declaration order, `spans` left out.
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct InspectReport {
     /// Stream kind: `sz3-interp`, `sz3-lorenzo`, `qoz`, `hpez`, `mgard`,
     /// `zfp`, `sperr`, `tthresh`, or `tiled`.
@@ -179,6 +205,7 @@ pub struct InspectReport {
     /// The named byte spans the stream's decoder parse read, in stream
     /// order; they tile `0..stream_bytes` (tiles' spans in place of a
     /// container's payload, an index block's sections in place of it).
+    #[serde(skip)]
     pub spans: Vec<Span>,
     /// Exact byte ledger: the spans summed by name; entries sum to
     /// `stream_bytes`.
@@ -211,7 +238,7 @@ impl InspectReport {
     /// Deterministic JSON rendering (fixed key order, shortest-roundtrip
     /// floats, non-finite values as `null`).
     pub fn to_json(&self) -> String {
-        json::report_to_json(self)
+        serde_json::to_string(self).expect("the stub serializer is infallible")
     }
 
     /// Human-readable table for the CLI.
@@ -511,7 +538,7 @@ fn error_budget<T: Scalar>(
                 }
             }
             if count > 0 {
-                level_psnr.push((lvl, psnr_of(se / count as f64)));
+                level_psnr.push(LevelPsnr { level: lvl, psnr: psnr_of(se / count as f64) });
             }
         }
     }
@@ -594,7 +621,11 @@ fn inspect_tiled(bytes: &[u8]) -> Result<InspectReport, CompressError> {
             min_tile_bytes: sorted.first().copied().unwrap_or(0),
             median_tile_bytes: sorted.get(sorted.len() / 2).copied().unwrap_or(0),
             max_tile_bytes: sorted.last().copied().unwrap_or(0),
-            by_compressor: vec![(info.compressor, info.tiles.len(), tile_sizes.iter().sum())],
+            by_compressor: vec![CompressorTiles {
+                compressor: info.compressor,
+                tiles: info.tiles.len(),
+                bytes: tile_sizes.iter().sum(),
+            }],
         }),
         error_budget: None,
     })
@@ -710,7 +741,8 @@ mod tests {
         for text in [report.to_json(), report.render_table()] {
             assert!(!text.contains("inf") && !text.contains("NaN"), "{text}");
         }
-        assert!(report.to_json().contains("\"nonfinite\":4"));
+        let json: serde_json::Value = serde_json::from_str(&report.to_json()).unwrap();
+        assert_eq!(json["error_budget"]["nonfinite"].as_u64(), Some(4));
     }
 
     #[test]

@@ -67,8 +67,8 @@ pub fn render_table(r: &InspectReport) -> String {
             "tiles: {} (bytes min {} / median {} / max {})",
             t.tiles, t.min_tile_bytes, t.median_tile_bytes, t.max_tile_bytes
         );
-        for (name, tiles, bytes) in &t.by_compressor {
-            let _ = writeln!(out, "  {name}: {tiles} tiles, {bytes} bytes");
+        for c in &t.by_compressor {
+            let _ = writeln!(out, "  {}: {} tiles, {} bytes", c.compressor, c.tiles, c.bytes);
         }
     }
 
@@ -91,9 +91,9 @@ pub fn render_table(r: &InspectReport) -> String {
         if e.psnr.is_finite() {
             let _ = writeln!(out, "  PSNR {:.2} dB", e.psnr);
         }
-        for (lvl, p) in &e.level_psnr {
-            if p.is_finite() {
-                let _ = writeln!(out, "  level {lvl}: PSNR {p:.2} dB");
+        for l in &e.level_psnr {
+            if l.psnr.is_finite() {
+                let _ = writeln!(out, "  level {}: PSNR {:.2} dB", l.level, l.psnr);
             }
         }
         let total: u64 = e.margin_histogram.iter().sum();

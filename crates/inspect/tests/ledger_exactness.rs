@@ -127,14 +127,14 @@ fn tiled_fixtures_ledger_exact() {
         assert!(rollup.min_tile_bytes <= rollup.median_tile_bytes, "{stem}");
         assert!(rollup.median_tile_bytes <= rollup.max_tile_bytes, "{stem}");
         assert_eq!(rollup.by_compressor.len(), 1, "{stem}");
-        assert_eq!(rollup.by_compressor[0].0, spec.compressor, "{stem}");
+        assert_eq!(rollup.by_compressor[0].compressor, spec.compressor, "{stem}");
 
         // Container components are present and the per-tile rollup accounts
         // for the whole payload.
         let container_overhead =
             report.component_bytes("container.header") + report.component_bytes("container.index");
         assert_eq!(
-            container_overhead + rollup.by_compressor[0].2,
+            container_overhead + rollup.by_compressor[0].bytes,
             bytes.len() as u64,
             "{stem}: container overhead + tile bytes must cover the stream"
         );

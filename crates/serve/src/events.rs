@@ -1,19 +1,17 @@
 //! Per-request structured event log: one JSONL line per finished request,
 //! carrying the trace ID, op, status, queue wait, and per-stage durations
 //! (accept → dequeue → parse → compress → respond). The log is a bounded
-//! ring like the flight recorder, dumpable via `ServerHandle::events_jsonl`
-//! and written to disk by `qip serve --events`.
+//! [`Ring`](qip_telemetry::Ring) like the flight recorder, dumpable via
+//! `ServerHandle::events_jsonl` and written to disk by `qip serve --events`.
 
-use std::collections::VecDeque;
-use std::sync::Mutex;
+use serde::Serialize;
 use std::time::Instant;
 
 /// Default number of request events retained.
 pub const DEFAULT_EVENT_CAPACITY: usize = 4096;
 
-/// One finished request. All string fields are controlled (hex trace IDs and
-/// static op/status labels), so the JSON rendering below needs no escaping.
-#[derive(Debug, Clone)]
+/// One finished request.
+#[derive(Debug, Clone, Serialize)]
 pub struct RequestEvent {
     /// Trace ID (32 lower-hex chars).
     pub trace_id: String,
@@ -23,69 +21,29 @@ pub struct RequestEvent {
     pub status: &'static str,
     /// Time from accept to worker dequeue (0 for inline ops).
     pub queue_wait_ns: u64,
-    /// Ordered `(stage, duration_ns)` pairs.
-    pub stages: Vec<(&'static str, u64)>,
+    /// Per-stage durations, in stage order.
+    pub stages: Stages,
     /// End-to-end duration from accept to response enqueue.
     pub total_ns: u64,
 }
 
-impl RequestEvent {
+/// Ordered `(stage, duration_ns)` pairs, written as the JSON object
+/// `{"dequeue":1,"parse":2,…}` in stage order.
+#[derive(Debug, Clone)]
+pub struct Stages(pub Vec<(&'static str, u64)>);
+
+impl Serialize for Stages {
     fn write_json(&self, out: &mut String) {
-        use std::fmt::Write;
-        let _ = write!(
-            out,
-            "{{\"trace_id\":\"{}\",\"op\":\"{}\",\"status\":\"{}\",\"queue_wait_ns\":{},\"stages\":{{",
-            self.trace_id, self.op, self.status, self.queue_wait_ns
-        );
-        for (i, (stage, ns)) in self.stages.iter().enumerate() {
-            let sep = if i == 0 { "" } else { "," };
-            let _ = write!(out, "{sep}\"{stage}\":{ns}");
+        out.push('{');
+        for (i, (stage, ns)) in self.0.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            stage.write_json(out);
+            out.push(':');
+            ns.write_json(out);
         }
-        let _ = write!(out, "}},\"total_ns\":{}}}", self.total_ns);
-    }
-}
-
-/// Bounded, thread-safe ring of [`RequestEvent`]s.
-pub struct EventLog {
-    capacity: usize,
-    ring: Mutex<VecDeque<RequestEvent>>,
-}
-
-impl Default for EventLog {
-    fn default() -> Self {
-        EventLog::with_capacity(DEFAULT_EVENT_CAPACITY)
-    }
-}
-
-impl EventLog {
-    /// A log keeping at most `capacity` events (min 1).
-    pub fn with_capacity(capacity: usize) -> EventLog {
-        EventLog { capacity: capacity.max(1), ring: Mutex::new(VecDeque::new()) }
-    }
-
-    /// Append an event, evicting the oldest when full.
-    pub fn push(&self, event: RequestEvent) {
-        let mut ring = self.ring.lock().unwrap();
-        if ring.len() == self.capacity {
-            ring.pop_front();
-        }
-        ring.push_back(event);
-    }
-
-    /// Number of events currently held.
-    #[cfg(test)]
-    pub fn len(&self) -> usize {
-        self.ring.lock().unwrap().len()
-    }
-
-    /// Render as JSON Lines (oldest first, trailing newline when non-empty).
-    pub fn dump_jsonl(&self) -> String {
-        let mut out = String::new();
-        for e in self.ring.lock().unwrap().iter() {
-            e.write_json(&mut out);
-            out.push('\n');
-        }
-        out
+        out.push('}');
     }
 }
 
@@ -110,9 +68,9 @@ impl StageTimer {
         self.last = now;
     }
 
-    /// Take the recorded `(stage, duration_ns)` pairs.
-    pub fn take(&mut self) -> Vec<(&'static str, u64)> {
-        std::mem::take(&mut self.marks)
+    /// Take the recorded stages.
+    pub fn take(&mut self) -> Stages {
+        Stages(std::mem::take(&mut self.marks))
     }
 }
 
@@ -121,29 +79,19 @@ mod tests {
     use super::*;
 
     #[test]
-    fn event_log_is_bounded_and_renders_jsonl() {
-        let log = EventLog::with_capacity(2);
-        for i in 0..3u64 {
-            log.push(RequestEvent {
-                trace_id: format!("{i:032x}"),
-                op: "compress",
-                status: "OK",
-                queue_wait_ns: 10 * i,
-                stages: vec![("dequeue", 1), ("parse", 2), ("compress", 30), ("respond", 4)],
-                total_ns: 37 + i,
-            });
-        }
-        assert_eq!(log.len(), 2);
-        let dump = log.dump_jsonl();
-        let lines: Vec<&str> = dump.lines().collect();
-        assert_eq!(lines.len(), 2);
-        // Oldest evicted: first surviving line is event 1.
-        assert!(lines[0].contains(&format!("\"trace_id\":\"{:032x}\"", 1)));
-        assert!(lines[0].starts_with('{') && lines[0].ends_with('}'));
-        assert!(lines[0].contains("\"op\":\"compress\""));
-        assert!(lines[0].contains("\"status\":\"OK\""));
-        assert!(lines[0].contains("\"stages\":{\"dequeue\":1,\"parse\":2,\"compress\":30,\"respond\":4}"));
-        assert!(lines[1].contains("\"total_ns\":39"));
+    fn events_render_their_stages_as_one_ordered_object() {
+        let event = RequestEvent {
+            trace_id: "ab".repeat(16),
+            op: "compress",
+            status: "OK",
+            queue_wait_ns: 10,
+            stages: Stages(vec![("dequeue", 1), ("parse", 2), ("compress", 30), ("respond", 4)]),
+            total_ns: 38,
+        };
+        let head = format!(r#"{{"trace_id":"{}","op":"compress","status":"OK""#, "ab".repeat(16));
+        let tail = r#""stages":{"dequeue":1,"parse":2,"compress":30,"respond":4},"total_ns":38}"#;
+        let line = format!(r#"{head},"queue_wait_ns":10,{tail}"#);
+        assert_eq!(serde_json::to_string(&event).unwrap(), line);
     }
 
     #[test]
@@ -152,11 +100,11 @@ mod tests {
         t.mark("parse");
         std::thread::sleep(std::time::Duration::from_millis(2));
         t.mark("compress");
-        let marks = t.take();
+        let Stages(marks) = t.take();
         assert_eq!(marks.len(), 2);
         assert_eq!(marks[0].0, "parse");
         assert_eq!(marks[1].0, "compress");
         assert!(marks[1].1 >= 2_000_000, "compress stage covers the sleep");
-        assert!(t.take().is_empty(), "take drains");
+        assert!(t.take().0.is_empty(), "take drains");
     }
 }

@@ -15,10 +15,11 @@
 //! I/O wait) and a panic inside a compressor call is caught per-request, so a
 //! poisoned input can never take a worker down.
 
-use crate::events::{EventLog, RequestEvent, StageTimer};
+use crate::events::{RequestEvent, Stages, StageTimer, DEFAULT_EVENT_CAPACITY};
 use crate::wire::{self, Op, OpKind, ReadFrameError, Request, Response, Status, TraceId};
 use qip_core::{CompressCtx, CompressError, Compressor};
 use qip_registry::AnyCompressor;
+use qip_telemetry::Ring;
 use qip_tensor::{Field, Scalar, Shape};
 use std::collections::VecDeque;
 use std::io::Write;
@@ -200,8 +201,8 @@ struct Shared {
     trace_prefix: u64,
     /// Low half of server-assigned trace IDs: unique per mint.
     trace_counter: AtomicU64,
-    /// Per-request structured event log (bounded ring).
-    events: EventLog,
+    /// Per-request structured event log.
+    events: Ring<RequestEvent>,
 }
 
 impl Shared {
@@ -231,7 +232,7 @@ impl Shared {
             op: op.name(),
             status: status.name(),
             queue_wait_ns: 0,
-            stages: vec![("inline", total_ns)],
+            stages: Stages(vec![("inline", total_ns)]),
             total_ns,
         });
     }
@@ -322,7 +323,7 @@ impl Server {
             rr: AtomicUsize::new(0),
             trace_prefix: (boot_ns ^ ((std::process::id() as u64) << 32)) | 1,
             trace_counter: AtomicU64::new(0),
-            events: EventLog::default(),
+            events: Ring::with_capacity(DEFAULT_EVENT_CAPACITY),
         });
 
         let mut worker_joins = Vec::new();
@@ -1021,7 +1022,7 @@ mod tests {
             rr: AtomicUsize::new(0),
             trace_prefix: 0xABCD_EF01 | 1,
             trace_counter: AtomicU64::new(0),
-            events: EventLog::default(),
+            events: Ring::with_capacity(DEFAULT_EVENT_CAPACITY),
         })
     }
 
@@ -1055,10 +1056,10 @@ mod tests {
         let trace = shared.mint_trace();
         shared.push_inline_event(&trace, OpKind::Ping, Status::Ok, Instant::now());
         let dump = shared.events.dump_jsonl();
-        assert!(dump.contains(&wire::trace_hex(&trace)), "{dump}");
-        assert!(dump.contains("\"op\":\"ping\""));
-        assert!(dump.contains("\"status\":\"OK\""));
-        assert!(dump.contains("\"stages\":{\"inline\":"));
+        let event: serde_json::Value = serde_json::from_str(dump.trim_end()).unwrap();
+        assert_eq!(event["trace_id"].as_str(), Some(&*wire::trace_hex(&trace)), "{dump}");
+        assert_eq!((event["op"].as_str(), event["status"].as_str()), (Some("ping"), Some("OK")));
+        assert!(event["stages"]["inline"].as_u64().is_some(), "{dump}");
     }
 
     #[test]

@@ -25,6 +25,15 @@ fn client_for(handle: &qip_serve::ServerHandle) -> Client {
     Client::connect(handle.addr(), Duration::from_secs(10), MAX_FRAME).unwrap()
 }
 
+/// The records of a JSONL dump (events, flight, tails) stamped with `trace`.
+fn records_with(jsonl: &str, trace: &str) -> Vec<serde_json::Value> {
+    jsonl
+        .lines()
+        .map(|l| -> serde_json::Value { serde_json::from_str(l).unwrap() })
+        .filter(|r| r["trace_id"].as_str() == Some(trace))
+        .collect()
+}
+
 /// Acceptance criterion: server responses match offline `AnyCompressor`
 /// output bit-for-bit, across compressors and field families (reusing the
 /// conformance oracles' field generator).
@@ -370,6 +379,55 @@ fn tiled_ops_round_trip_and_match_offline() {
     assert_eq!(stats.panics.load(std::sync::atomic::Ordering::SeqCst), 0);
 }
 
+/// ROADMAP item 1's served rows of the non-finite contract: with NaN / ±Inf
+/// planted, COMPRESS and COMPRESS_TILED answer every registry compressor
+/// with the library's own stream — which violates no bound — or, for MGARD
+/// and ZFP only (no lossless channel), FAILED with the library's typed error.
+#[test]
+fn planted_non_finite_samples_are_served_losslessly_or_refused() {
+    let handle = Server::start(quick_config()).unwrap();
+    let mut c = client_for(&handle);
+    let plants: [&[f32]; 3] =
+        [&[f32::NAN], &[f32::INFINITY], &[f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 1e-40]];
+    let refusal = qip_core::CompressError::Unsupported("non-finite sample").to_string();
+    let (eb, wire, dims) = (ErrorBound::Abs(1e-3), WireBound::Abs(1e-3), [24, 20, 16]);
+    let mut refused = 0;
+    for plant in plants {
+        let mut field = qip_data::miranda_like(0, &[24, 20, 16]);
+        for (k, &v) in plant.iter().enumerate() {
+            field.as_mut_slice()[3000 + 1117 * k] = v;
+        }
+        for comp in AnyCompressor::registry() {
+            let name = Compressor::<f32>::name(&comp);
+            let tiled = qip_container::TiledCompressor::new(comp.clone(), 8).unwrap();
+            let raw = field.to_le_bytes();
+            for (library, resp) in [
+                (comp.compress(&field, eb), c.compress(&name, 32, &dims, wire, raw.clone(), 0)),
+                (tiled.compress(&field, eb), c.compress_tiled(&name, 32, &dims, 8, wire, raw, 0)),
+            ] {
+                let (resp, what) = (resp.unwrap(), format!("{name} with {plant:?}"));
+                match library {
+                    Ok(stream) => {
+                        assert_eq!(resp.status, Status::Ok, "{what}: {}", resp.reason());
+                        assert!(resp.payload == stream, "{what}: served stream differs");
+                        let report = qip_inspect::inspect_bytes_with_original(&stream, &field);
+                        assert_eq!(report.unwrap().error_budget.unwrap().violations, 0, "{what}");
+                    }
+                    Err(e) => {
+                        assert!(name.starts_with("MGARD") || name == "ZFP", "{what}: {e}");
+                        assert_eq!((e.to_string(), resp.status), (refusal.clone(), Status::Failed));
+                        assert_eq!(resp.reason(), refusal);
+                        refused += 1;
+                    }
+                }
+            }
+        }
+    }
+    // MGARD, MGARD+QP and ZFP, flat and tiled, for each plant.
+    assert_eq!(refused, 3 * 3 * 2);
+    assert_eq!(handle.join().panics.load(std::sync::atomic::Ordering::SeqCst), 0);
+}
+
 /// READ_REGION's failure modes are typed: BAD_REGION for regions the field
 /// does not contain, BAD_REQUEST for non-container payloads, and
 /// UNKNOWN_COMPRESSOR (with the canonical-name listing) for bad tile names.
@@ -453,19 +511,17 @@ fn trace_ids_echo_across_statuses_and_land_in_the_event_log() {
     // responses are in, but the last event push may still be in flight.
     let hex = qip_serve::wire::trace_hex(&t);
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    let mut events = handle.events_jsonl();
-    while events.lines().filter(|l| l.contains(&hex)).count() < 7
-        && std::time::Instant::now() < deadline
-    {
+    let mut mine = records_with(&handle.events_jsonl(), &hex);
+    while mine.len() < 7 && std::time::Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(10));
-        events = handle.events_jsonl();
+        mine = records_with(&handle.events_jsonl(), &hex);
     }
-    let mine: Vec<&str> = events.lines().filter(|l| l.contains(&hex)).collect();
-    assert!(mine.len() >= 7, "expected >=7 event lines for {hex}, got:\n{events}");
+    assert!(mine.len() >= 7, "expected >=7 events for {hex}, got {mine:?}");
     // Worker-path events carry the full stage breakdown.
     assert!(
-        mine.iter().any(|l| l.contains("\"compress\":") && l.contains("\"queue_wait_ns\":")),
-        "no compress stage timing in:\n{events}"
+        mine.iter().any(|e| e["stages"]["compress"].as_u64().is_some()
+            && e["queue_wait_ns"].as_u64().is_some()),
+        "no compress stage timing in {mine:?}"
     );
     handle.join();
 }
@@ -522,7 +578,7 @@ fn flight_op_serves_recorder_and_tail_dumps_remotely() {
     assert_eq!(flight.status, Status::Ok);
     let text = flight.reason();
     assert!(
-        text.lines().any(|l| l.contains("\"op\":\"compress\"") && l.contains(&hex)),
+        records_with(&text, &hex).iter().any(|r| r["op"].as_str() == Some("compress")),
         "no trace-stamped compress record in flight dump:\n{text}"
     );
 
@@ -532,25 +588,23 @@ fn flight_op_serves_recorder_and_tail_dumps_remotely() {
     // poll: the compress response arriving does not yet guarantee the
     // reservoir entry is visible.
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    let sampled = |text: &str| {
+        records_with(text, &hex).iter().any(|r| r["sampled"].as_bool() == Some(true))
+    };
     let text = loop {
         let tails = c.tails().unwrap();
         assert_eq!(tails.status, Status::Ok);
         let text = tails.reason();
-        if text.lines().any(|l| l.contains(&hex) && l.contains("\"sampled\":true"))
-            || std::time::Instant::now() > deadline
-        {
+        if sampled(&text) || std::time::Instant::now() > deadline {
             break text;
         }
         std::thread::sleep(Duration::from_millis(10));
     };
-    assert!(
-        text.lines().any(|l| l.contains(&hex) && l.contains("\"sampled\":true")),
-        "no sampled tail record for {hex} in:\n{text}"
-    );
+    assert!(sampled(&text), "no sampled tail record for {hex} in:\n{text}");
 
     // The same request also shows up in the event log: one trace ID ties
     // wire response, flight record, tail record, and event line together.
-    assert!(handle.events_jsonl().contains(&hex));
+    assert!(!records_with(&handle.events_jsonl(), &hex).is_empty());
 
     qip_telemetry::detach();
     handle.join();

@@ -500,11 +500,12 @@ mod tests {
     #[test]
     fn json_snapshot_shape() {
         let hub = sample_hub();
-        let json = json_snapshot(&hub);
-        assert!(json.starts_with("{\"counters\":["));
-        assert!(json.contains("\"name\":\"qip.compress.calls\""));
-        assert!(json.contains("\"key\":\"compressor\",\"value\":\"SZ3+QP\""));
-        assert!(json.contains("\"histograms\":[{"));
-        assert!(json.contains("\"p99\""));
+        let json: serde_json::Value = serde_json::from_str(&json_snapshot(&hub)).unwrap();
+        let calls = &json["counters"][0];
+        assert_eq!(calls["name"].as_str(), Some("qip.compress.calls"));
+        assert_eq!(calls["labels"][0]["key"].as_str(), Some("compressor"));
+        assert_eq!(calls["labels"][0]["value"].as_str(), Some("SZ3+QP"));
+        assert_eq!(calls["value"].as_u64(), Some(3));
+        assert_eq!(json["histograms"][0]["summary"]["count"].as_u64(), Some(4));
     }
 }

@@ -71,14 +71,6 @@ impl MetricsHub {
         MetricsHub::default()
     }
 
-    /// A hub whose flight recorder keeps at most `flight_capacity` records.
-    pub fn with_flight_capacity(flight_capacity: usize) -> MetricsHub {
-        MetricsHub {
-            recorder: FlightRecorder::with_capacity(flight_capacity),
-            ..MetricsHub::default()
-        }
-    }
-
     /// A hub tracking custom SLO `objectives`, with every burn-rate window
     /// multiplied by `window_scale` (private fields make the struct-update
     /// syntax unavailable outside this crate, hence the constructor).

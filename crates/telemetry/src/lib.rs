@@ -14,6 +14,8 @@
 //! * [`recorder::FlightRecorder`] — a bounded ring of per-call structured
 //!   records (compressor, dims, error bound, achieved ratio, per-level QP
 //!   accept rates, duration, outcome) dumpable as JSONL for incident triage.
+//! * [`Ring`] — the bounded JSONL ring under the flight recorder, the tail
+//!   sampler's reservoir and qip-serve's per-request event log.
 //! * [`export`] — Prometheus text exposition and JSON snapshot renderers.
 //! * [`flame`] — converts a qip-trace `TraceReport` into collapsed-stack
 //!   (folded) format for flamegraph tooling.
@@ -31,12 +33,14 @@ pub mod flame;
 pub mod hist;
 pub mod hub;
 pub mod recorder;
+mod ring;
 pub mod slo;
 pub mod tail;
 
 pub use hist::{HistSummary, Histogram};
 pub use hub::{MetricKey, MetricsHub, Snapshot};
 pub use recorder::{FlightRecord, FlightRecorder, LevelRate};
+pub use ring::Ring;
 pub use slo::{Objective, ObjectiveKind, SloSnapshot, SloTracker};
 pub use tail::{TailRecord, TailSampler, TailToken};
 
@@ -161,13 +165,6 @@ pub fn tail_finish(
 ) {
     let Some(token) = token else { return };
     with_hub(|hub| hub.tail.finish(token, trace_id, op, status, duration_ns, queue_wait_ns));
-}
-
-/// The attached hub's tail-sampler reservoir as JSONL, if a hub is attached.
-pub fn tails_jsonl() -> Option<String> {
-    let mut out = None;
-    with_hub(|hub| out = Some(hub.tail.dump_jsonl()));
-    out
 }
 
 /// Record a finished request against the attached hub's SLO objectives;
@@ -519,7 +516,6 @@ mod tests {
         detach();
         assert!(tail_begin().is_none());
         tail_finish(None, "", "compress", "OK", 1, 0);
-        assert!(tails_jsonl().is_none());
         slo_observe("compress", true, 1);
         slo_publish();
 
@@ -535,10 +531,8 @@ mod tests {
         tail_finish(token, &"ef".repeat(16), "compress", "OK", 5_000, 100);
         slo_observe("compress", false, 5_000);
         slo_publish();
-        let tails = tails_jsonl().unwrap();
         detach();
-        assert!(tails.contains(&"ef".repeat(16)));
-        assert_eq!(hub.tail.len(), 1);
+        assert_eq!(hub.tail.records()[0].trace_id, "ef".repeat(16));
         assert_eq!(hub.slo.snapshot().objectives[0].total, 1);
         let names: Vec<String> =
             hub.snapshot().gauges.iter().map(|(k, _)| k.name.clone()).collect();

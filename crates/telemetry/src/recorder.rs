@@ -8,9 +8,8 @@
 //! `seq` is monotonically increasing across the process, so dropped records
 //! are detectable as gaps.
 
-use std::collections::VecDeque;
+use crate::ring::Ring;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 /// Default ring capacity (records kept before the oldest is evicted).
 pub const DEFAULT_FLIGHT_CAPACITY: usize = 4096;
@@ -60,11 +59,11 @@ pub struct FlightRecord {
     pub qp_accept_rates: Vec<LevelRate>,
 }
 
-/// Bounded, thread-safe ring buffer of [`FlightRecord`]s.
+/// Bounded, thread-safe ring of [`FlightRecord`]s that stamps each with its
+/// `seq`; reads (`len`, `records`, `dump_jsonl`) go to the [`Ring`].
 pub struct FlightRecorder {
-    capacity: usize,
     seq: AtomicU64,
-    ring: Mutex<VecDeque<FlightRecord>>,
+    ring: Ring<FlightRecord>,
 }
 
 impl Default for FlightRecorder {
@@ -76,54 +75,26 @@ impl Default for FlightRecorder {
 impl FlightRecorder {
     /// A recorder keeping at most `capacity` records (min 1).
     pub fn with_capacity(capacity: usize) -> FlightRecorder {
-        FlightRecorder {
-            capacity: capacity.max(1),
-            seq: AtomicU64::new(0),
-            ring: Mutex::new(VecDeque::new()),
-        }
+        FlightRecorder { seq: AtomicU64::new(0), ring: Ring::with_capacity(capacity) }
     }
 
     /// Append a record, evicting the oldest when full. The recorder assigns
     /// `seq`; the caller's value is overwritten.
     pub fn push(&self, mut record: FlightRecord) {
         record.seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        let mut ring = self.ring.lock().unwrap();
-        if ring.len() == self.capacity {
-            ring.pop_front();
-        }
-        ring.push_back(record);
+        self.ring.push(record);
     }
 
     /// Total records ever pushed (including evicted ones).
     pub fn total_pushed(&self) -> u64 {
         self.seq.load(Ordering::Relaxed)
     }
+}
 
-    /// Number of records currently held.
-    pub fn len(&self) -> usize {
-        self.ring.lock().unwrap().len()
-    }
-
-    /// True when no records are held.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Copy out the current contents, oldest first.
-    pub fn records(&self) -> Vec<FlightRecord> {
-        self.ring.lock().unwrap().iter().cloned().collect()
-    }
-
-    /// Render the current contents as JSON Lines (one record per line,
-    /// oldest first, trailing newline when non-empty).
-    pub fn dump_jsonl(&self) -> String {
-        use serde::Serialize;
-        let mut out = String::new();
-        for r in self.ring.lock().unwrap().iter() {
-            r.write_json(&mut out);
-            out.push('\n');
-        }
-        out
+impl std::ops::Deref for FlightRecorder {
+    type Target = Ring<FlightRecord>;
+    fn deref(&self) -> &Ring<FlightRecord> {
+        &self.ring
     }
 }
 
@@ -158,26 +129,9 @@ mod tests {
         }
         assert_eq!(r.total_pushed(), 5);
         let held = r.records();
-        assert_eq!(held.len(), 3);
         // Oldest two evicted; seq shows the gap.
-        assert_eq!(held[0].seq, 2);
-        assert_eq!(held[2].seq, 4);
+        assert_eq!(held.iter().map(|r| r.seq).collect::<Vec<_>>(), [2, 3, 4]);
         assert_eq!(held[0].compressor, "c2");
-    }
-
-    #[test]
-    fn jsonl_one_line_per_record() {
-        let r = FlightRecorder::with_capacity(8);
-        r.push(rec("SZ3"));
-        r.push(rec("SZ3+QP"));
-        let dump = r.dump_jsonl();
-        let lines: Vec<&str> = dump.lines().collect();
-        assert_eq!(lines.len(), 2);
-        assert!(lines[0].starts_with('{') && lines[0].ends_with('}'));
-        assert!(lines[1].contains("\"compressor\":\"SZ3+QP\""));
-        assert!(lines[0].contains("\"dims\":[8,8,8]"));
-        assert!(lines[0].contains("\"qp_accept_rates\":[{\"level\":1,\"rate\":0.75}]"));
-        assert!(lines[0].contains("\"trace_id\":\"00112233445566778899aabbccddeeff\""));
     }
 
     #[test]

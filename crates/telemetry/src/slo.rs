@@ -529,11 +529,11 @@ mod tests {
     fn snapshot_serializes_to_json() {
         let t = tracker(vec![Objective::latency("lat", "compress", 100, 0.9)]);
         t.record_at(1000, "compress", false, 500);
-        let json = t.snapshot_at(2000).to_json();
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        assert!(json.contains("\"name\":\"lat\""));
-        assert!(json.contains("\"kind\":\"latency\""));
-        assert!(json.contains("\"window\":\"5m\""));
-        assert!(json.contains("\"burn_rate\":"));
+        let json: serde_json::Value = serde_json::from_str(&t.snapshot_at(2000).to_json()).unwrap();
+        let lat = &json["objectives"][0];
+        assert_eq!(lat["name"].as_str(), Some("lat"));
+        assert_eq!(lat["kind"].as_str(), Some("latency"));
+        assert_eq!(lat["windows"][0]["window"].as_str(), Some("5m"));
+        assert!(lat["windows"][0]["burn_rate"].as_f64().is_some());
     }
 }

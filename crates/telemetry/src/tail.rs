@@ -21,7 +21,7 @@
 //! tracks recent traffic instead of the whole process lifetime.
 
 use crate::hist::Histogram;
-use std::collections::VecDeque;
+use crate::ring::Ring;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -70,15 +70,16 @@ pub struct TailToken {
     pub traced: bool,
 }
 
-/// Bounded, thread-safe tail-sample reservoir (see module docs).
+/// Bounded, thread-safe tail-sample reservoir (see module docs); reads
+/// (`len`, `records`, `dump_jsonl` — the `--tails` / FLIGHT(tails) dump) go
+/// to its [`Ring`].
 pub struct TailSampler {
-    capacity: usize,
     sample_every: u64,
     counter: AtomicU64,
     /// One qip-trace session at a time; claimed by CAS, never waited on.
     session_busy: AtomicBool,
     durations: Mutex<Histogram>,
-    ring: Mutex<VecDeque<TailRecord>>,
+    ring: Ring<TailRecord>,
 }
 
 impl Default for TailSampler {
@@ -92,12 +93,11 @@ impl TailSampler {
     /// `sample_every`-th request deterministically (min 1 for both).
     pub fn with_config(capacity: usize, sample_every: u64) -> TailSampler {
         TailSampler {
-            capacity: capacity.max(1),
             sample_every: sample_every.max(1),
             counter: AtomicU64::new(0),
             session_busy: AtomicBool::new(false),
             durations: Mutex::new(Histogram::new()),
-            ring: Mutex::new(VecDeque::new()),
+            ring: Ring::with_capacity(capacity),
         }
     }
 
@@ -152,7 +152,7 @@ impl TailSampler {
         if !(token.sampled || over_p99) {
             return;
         }
-        let record = TailRecord {
+        self.ring.push(TailRecord {
             trace_id: trace_id.to_string(),
             op: op.to_string(),
             status: status.to_string(),
@@ -163,12 +163,7 @@ impl TailSampler {
             p99_estimate_ns: p99.unwrap_or(0),
             traced: token.traced,
             report_json,
-        };
-        let mut ring = self.ring.lock().unwrap();
-        if ring.len() == self.capacity {
-            ring.pop_front();
-        }
-        ring.push_back(record);
+        });
     }
 
     /// Total requests observed via [`TailSampler::begin`].
@@ -176,41 +171,16 @@ impl TailSampler {
         self.counter.load(Ordering::Relaxed)
     }
 
-    /// Number of records currently retained.
-    pub fn len(&self) -> usize {
-        self.ring.lock().unwrap().len()
-    }
-
-    /// True when no records are retained.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// The current rolling p99 estimate, if any observations exist.
     pub fn p99_estimate_ns(&self) -> Option<u64> {
         self.durations.lock().unwrap().quantile(0.99)
     }
+}
 
-    /// Copy out the retained records, oldest first.
-    pub fn records(&self) -> Vec<TailRecord> {
-        self.ring.lock().unwrap().iter().cloned().collect()
-    }
-
-    /// Look up a retained record by its trace ID (most recent wins).
-    pub fn find(&self, trace_id: &str) -> Option<TailRecord> {
-        self.ring.lock().unwrap().iter().rev().find(|r| r.trace_id == trace_id).cloned()
-    }
-
-    /// Render the retained records as JSON Lines (oldest first, trailing
-    /// newline when non-empty) — the `--tails` / FLIGHT(tails) dump format.
-    pub fn dump_jsonl(&self) -> String {
-        use serde::Serialize;
-        let mut out = String::new();
-        for r in self.ring.lock().unwrap().iter() {
-            r.write_json(&mut out);
-            out.push('\n');
-        }
-        out
+impl std::ops::Deref for TailSampler {
+    type Target = Ring<TailRecord>;
+    fn deref(&self) -> &Ring<TailRecord> {
+        &self.ring
     }
 }
 
@@ -252,41 +222,13 @@ mod tests {
         let tok = s.begin();
         assert!(!tok.sampled);
         finish_plain(&s, tok, &"ff".repeat(16), 100_000);
-        let rec = s.find(&"ff".repeat(16)).expect("outlier retained");
+        let rec = s.records().pop().expect("outlier retained");
+        assert_eq!(rec.trace_id, "ff".repeat(16));
         assert!(rec.over_p99);
         assert!(!rec.sampled);
         assert!(rec.p99_estimate_ns > 0);
         // The fast non-sampled requests were not retained.
         assert_eq!(s.len(), 2, "sample[0] + outlier only");
-    }
-
-    #[test]
-    fn reservoir_is_bounded() {
-        let s = TailSampler::with_config(4, 1); // sample everything
-        for i in 0..100u64 {
-            let tok = s.begin();
-            finish_plain(&s, tok, &format!("{i:032x}"), 10);
-        }
-        assert_eq!(s.len(), 4);
-        // Oldest evicted: the survivors are the last four.
-        assert_eq!(s.records()[0].trace_id, format!("{:032x}", 96u64));
-    }
-
-    #[test]
-    fn dump_jsonl_round_trips_key_fields() {
-        let s = TailSampler::with_config(8, 1);
-        let tok = s.begin();
-        s.finish(tok, "deadbeef", "read_region", "BAD_REGION", 777, 55);
-        let dump = s.dump_jsonl();
-        let lines: Vec<&str> = dump.lines().collect();
-        assert_eq!(lines.len(), 1);
-        assert!(lines[0].starts_with('{') && lines[0].ends_with('}'));
-        assert!(lines[0].contains("\"trace_id\":\"deadbeef\""));
-        assert!(lines[0].contains("\"op\":\"read_region\""));
-        assert!(lines[0].contains("\"status\":\"BAD_REGION\""));
-        assert!(lines[0].contains("\"duration_ns\":777"));
-        assert!(lines[0].contains("\"queue_wait_ns\":55"));
-        assert!(lines[0].contains("\"sampled\":true"));
     }
 
     #[test]

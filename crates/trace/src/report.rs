@@ -244,10 +244,10 @@ mod tests {
     #[test]
     fn json_and_render() {
         let r = sample();
-        let json = r.to_json();
-        assert!(json.contains("\"spans\""));
-        assert!(json.contains("\"total_ns\":100"));
-        assert!(json.contains("\"name\":\"bytes\""));
+        let json: serde_json::Value = serde_json::from_str(&r.to_json()).unwrap();
+        assert_eq!(json["spans"][0]["total_ns"].as_u64(), Some(100));
+        assert_eq!(json["counters"][0]["name"].as_str(), Some("bytes"));
+        assert_eq!(json["values"][0]["value"].as_f64(), Some(1.5));
         let table = r.render();
         assert!(table.contains("entropy"));
         assert!(TraceReport::default().render().contains("empty"));

@@ -23,11 +23,11 @@
 use qip_core::{Compressor, ErrorBound};
 use qip_tensor::Field;
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::time::Instant;
 
 /// Wide-area link model.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct LinkModel {
     /// Sustained bandwidth in MB/s.
     pub bandwidth_mbs: f64,
@@ -41,7 +41,7 @@ impl LinkModel {
 }
 
 /// Parallel filesystem model (aggregate rates).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct FsModel {
     /// Aggregate write bandwidth in MB/s.
     pub write_mbs: f64,
@@ -57,7 +57,7 @@ impl Default for FsModel {
 }
 
 /// Measured per-slice statistics feeding the pipeline model.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct SliceStats {
     /// Mean single-threaded compression time per slice (seconds).
     pub compress_s: f64,
@@ -79,7 +79,7 @@ impl SliceStats {
 }
 
 /// One stage breakdown of the modeled pipeline (paper Fig. 18 bars).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct TransferReport {
     /// Virtual core count of this strong-scaling point.
     pub cores: usize,

@@ -286,8 +286,8 @@ fn run() -> Result<(), String> {
                         "tile bytes min/median/max: {} / {} / {}",
                         t.min_tile_bytes, t.median_tile_bytes, t.max_tile_bytes
                     );
-                    for (name, tiles, total) in &t.by_compressor {
-                        println!("  {name}: {tiles} tiles, {total} bytes");
+                    for c in &t.by_compressor {
+                        println!("  {}: {} tiles, {} bytes", c.compressor, c.tiles, c.bytes);
                     }
                 }
                 println!("ledger ({} bytes accounted):", report.ledger_total());

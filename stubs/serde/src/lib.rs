@@ -1,13 +1,14 @@
 //! Offline stand-in for `serde` (see `stubs/README.md`).
 //!
-//! The workspace only serializes flat named-field record structs to JSON
-//! lines, so the data model here is a single trait that writes JSON text
-//! directly. `serde_json::to_string` and `derive(Serialize)` build on it;
-//! `derive(Deserialize)` is accepted and expands to nothing (no in-repo
-//! deserialization).
+//! The workspace serializes plain named-field record structs to JSON, so the
+//! data model here is a single trait that writes JSON text directly.
+//! `serde_json::to_string` and `derive(Serialize)` build on it; reading JSON
+//! back is `serde_json::from_str` into a `serde_json::Value`.
 
 #[cfg(feature = "derive")]
-pub use serde_derive::{Deserialize, Serialize};
+pub use serde_derive::Serialize;
+
+use std::fmt::Write;
 
 /// Types that can write themselves as a JSON value.
 pub trait Serialize {
@@ -25,7 +26,7 @@ macro_rules! impl_int {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
             fn write_json(&self, out: &mut String) {
-                out.push_str(&self.to_string());
+                let _ = write!(out, "{self}");
             }
         }
     )*};
@@ -37,7 +38,14 @@ macro_rules! impl_float {
         impl Serialize for $t {
             fn write_json(&self, out: &mut String) {
                 if self.is_finite() {
-                    out.push_str(&self.to_string());
+                    // Shortest round-trip decimal (`{}` never uses an
+                    // exponent); an integral value keeps a `.0`, as
+                    // serde_json writes it, so it reads back as a float.
+                    let start = out.len();
+                    let _ = write!(out, "{self}");
+                    if !out[start..].contains('.') {
+                        out.push_str(".0");
+                    }
                 } else {
                     // Matches serde_json: non-finite floats become null.
                     out.push_str("null");
@@ -65,7 +73,7 @@ impl Serialize for str {
                 '\r' => out.push_str("\\r"),
                 '\t' => out.push_str("\\t"),
                 c if (c as u32) < 0x20 => {
-                    out.push_str(&format!("\\u{:04x}", c as u32));
+                    let _ = write!(out, "\\u{:04x}", c as u32);
                 }
                 c => out.push(c),
             }
@@ -112,19 +120,20 @@ impl<T: Serialize> Serialize for Vec<T> {
 mod tests {
     use super::Serialize;
 
+    fn json(v: &impl Serialize) -> String {
+        let mut out = String::new();
+        v.write_json(&mut out);
+        out
+    }
+
     #[test]
     fn primitives_encode_as_json() {
-        let mut out = String::new();
-        "a\"b\n".write_json(&mut out);
-        assert_eq!(out, r#""a\"b\n""#);
-        out.clear();
-        f64::NAN.write_json(&mut out);
-        assert_eq!(out, "null");
-        out.clear();
-        vec![1u32, 2, 3].write_json(&mut out);
-        assert_eq!(out, "[1,2,3]");
-        out.clear();
-        Option::<i32>::None.write_json(&mut out);
-        assert_eq!(out, "null");
+        assert_eq!(json(&"a\"b\n\u{1}"), r#""a\"b\n\u0001""#);
+        assert_eq!(json(&vec![1u32, 2, 3]), "[1,2,3]");
+        assert_eq!(json(&Option::<i32>::None), "null");
+        // Floats stay floats; non-finite ones become null.
+        let floats = vec![2.0f64, -0.5, 1e21, f64::NAN, f64::NEG_INFINITY];
+        assert_eq!(json(&floats), "[2.0,-0.5,1000000000000000000000.0,null,null]");
+        assert_eq!(json(&3.0f32), "3.0");
     }
 }

@@ -251,6 +251,49 @@ fn mgard_refuses_a_non_finite_field_instead_of_breaking_the_bound() {
     assert!(err.contains("non-finite sample"), "{err}");
 }
 
+/// ROADMAP item 1's CLI rows of the non-finite contract: NaN and ±Inf planted
+/// in a file come back bit for bit through `compress` / `tile` → `decompress`,
+/// and `inspect --original` exits 0 with the samples counted, none violated.
+#[test]
+fn planted_non_finite_samples_survive_the_cli() {
+    let raw = tmp("plant.f32");
+    let raw_s = raw.to_str().unwrap();
+    assert!(qip().args(["gen", "-o", raw_s, "-d", "24x20x16"]).status().unwrap().success());
+    let mut bytes = std::fs::read(&raw).unwrap();
+    let plant = [(3000, f32::NAN), (4117, f32::INFINITY), (5234, f32::NEG_INFINITY)];
+    for (i, v) in plant {
+        bytes[4 * i..4 * i + 4].copy_from_slice(&v.to_le_bytes());
+    }
+    std::fs::write(&raw, bytes).unwrap();
+    let ok = |args: &[&str]| {
+        let out = qip().args(args).output().unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {err}");
+    };
+    let packs = [("compress", "sz3"), ("compress", "qoz"), ("compress", "hpez"), ("tile", "sz3")];
+    for (cmd, method) in packs {
+        let [packed, report, restored] =
+            ["qip", "json", "f32"].map(|ext| tmp(&format!("plant-{cmd}-{method}.{ext}")));
+        let [packed, report, restored] = [&packed, &report, &restored].map(|p| p.to_str().unwrap());
+        let mut pack = vec![cmd, "-i", raw_s, "-o", packed, "-d", "24x20x16", "-m", method];
+        pack.extend(["--eb", "abs:1e-3"]);
+        if cmd == "tile" {
+            pack.extend(["--tile", "8"]);
+        }
+        ok(&pack);
+        ok(&["inspect", "-i", packed, "--original", raw_s, "-d", "24x20x16", "--json", report]);
+        let json: serde_json::Value =
+            serde_json::from_str(&std::fs::read_to_string(report).unwrap()).unwrap();
+        let count = |k: &str| json["error_budget"][k].as_u64();
+        assert_eq!((count("violations"), count("nonfinite")), (Some(0), Some(3)));
+        ok(&["decompress", "-i", packed, "-o", restored]);
+        let back = std::fs::read(restored).unwrap();
+        for (i, v) in plant {
+            assert_eq!(back[4 * i..4 * i + 4], v.to_le_bytes(), "{cmd} -m {method}: sample {i}");
+        }
+    }
+}
+
 #[test]
 fn inspect_exits_1_when_the_original_shows_a_bound_violation() {
     let raw = tmp("budget.f32");
