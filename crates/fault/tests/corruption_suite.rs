@@ -171,6 +171,36 @@ fn truncation_at_every_prefix_errors() {
     }
 }
 
+#[test]
+fn lorenzo_config_byte_must_match_the_shape() {
+    // The Lorenzo stream's config byte says whether 6³ blocks chose between
+    // Lorenzo and regression. The encoder writes 1 exactly for 3-D fields
+    // with every axis ≥ 12; any other byte — a value above 1, or the mode
+    // the shape does not take — is a format error, resealed or not.
+    use qip_sz3::{lorenzo, Pipeline, Sz3};
+    let comp = Sz3::new().with_pipeline(Pipeline::Lorenzo);
+    for dims in [&[16usize, 16, 16][..], &[13, 12, 20], &[8, 8, 8], &[20, 20], &[64]] {
+        let field = qip_data::Dataset::Miranda.generate_f32(4, dims);
+        let stream = comp.compress(&field, ErrorBound::Abs(1e-3)).expect("compress");
+        let body = Sz3::parse(&stream).expect("parse").spans[1].start;
+        let inner = lorenzo::parse::<f32>(&stream[body..stream.len() - 6]).expect("inner parse");
+        let at = body + inner.spans.iter().find(|s| s.name == "config").expect("config").start;
+        let blockwise = stream[at];
+        assert_eq!(blockwise, (dims.len() == 3 && dims.iter().all(|&d| d >= 12)) as u8, "{dims:?}");
+        for flag in [blockwise ^ 1, 2, 0x80, 0xFF] {
+            let mut bad = stream[..stream.len() - 6].to_vec();
+            bad[at] = flag;
+            let bad = qip_core::integrity::seal(bad);
+            let res: Result<Field<f32>, _> = comp.decompress(&bad);
+            assert!(
+                matches!(res, Err(qip_core::CompressError::WrongFormat(_))),
+                "{dims:?}: config byte {flag} gave {:?}",
+                res.map(|f| f.len())
+            );
+        }
+    }
+}
+
 /// Seeded corruptions per inner compressor in the tiled-container sweeps
 /// (smaller than RAW_SEEDS/RESEALED_SEEDS: the sweep multiplies across four
 /// inner compressors).

@@ -25,9 +25,8 @@ pub struct PlaneFit {
 /// Moment sums of a least-squares plane fit, accumulated one sample at a time
 /// in row-major block order so the caller can share the walk (the Lorenzo
 /// pipeline estimates its other predictor on the same pass).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct FitSums {
-    center: [f64; 3],
     n: usize,
     sum: f64,
     sxy: [f64; 3], // Σ f·x'_a
@@ -35,27 +34,15 @@ pub struct FitSums {
 }
 
 impl FitSums {
-    /// Empty sums for a block of extents `ext` (≤ 3 axes).
-    pub fn new(ext: &[usize]) -> Self {
-        debug_assert!(ext.len() <= 3);
-        FitSums {
-            center: std::array::from_fn(|a| ext.get(a).map_or(0.0, |&e| center_of(e))),
-            n: 0,
-            sum: 0.0,
-            sxy: [0.0; 3],
-            sxx: [0.0; 3],
-        }
-    }
-
-    /// Add the sample `f` at block-local `coords`.
+    /// Add the sample `f` at the [`centered`] block-local coordinates `xc`
+    /// (≤ 3 axes).
     #[inline]
-    pub fn add(&mut self, coords: &[usize], f: f64) {
+    pub fn add(&mut self, xc: &[f64], f: f64) {
         self.n += 1;
         self.sum += f;
-        for (a, &c) in coords.iter().enumerate() {
-            let xc = c as f64 - self.center[a];
-            self.sxy[a] += f * xc;
-            self.sxx[a] += xc * xc;
+        for (a, &x) in xc.iter().enumerate() {
+            self.sxy[a] += f * x;
+            self.sxx[a] += x * x;
         }
     }
 
@@ -68,10 +55,17 @@ impl FitSums {
     }
 }
 
-/// Centre coordinate of an axis of extent `e`.
+/// Position `c` along a block axis of extent `e`, measured from the axis
+/// centre: the coordinate the plane is written in.
 #[inline]
-fn center_of(e: usize) -> f64 {
-    (e as f64 - 1.0) / 2.0
+pub fn centered(e: usize, c: usize) -> f64 {
+    c as f64 - (e as f64 - 1.0) / 2.0
+}
+
+/// [`centered`] coordinates of the point `coords` of a block of extents
+/// `ext` (≤ 3 axes; the unused tail is zero).
+fn centered_coords(ext: &[usize], coords: &[usize]) -> [f64; 3] {
+    std::array::from_fn(|a| coords.get(a).map_or(0.0, |&c| centered(ext[a], c)))
 }
 
 impl PlaneFit {
@@ -80,11 +74,11 @@ impl PlaneFit {
     pub fn fit<T: Scalar>(ext: &[usize], at: impl Fn(&[usize]) -> T) -> PlaneFit {
         let ndim = ext.len();
         let n: usize = ext.iter().product();
-        let mut sums = FitSums::new(ext);
+        let mut sums = FitSums::default();
         let mut coords = [0usize; 3];
         let coords = &mut coords[..ndim];
         for _ in 0..n {
-            sums.add(coords, at(coords).to_f64());
+            sums.add(&centered_coords(ext, coords)[..ndim], at(coords).to_f64());
             for a in (0..ndim).rev() {
                 coords[a] += 1;
                 if coords[a] < ext[a] {
@@ -96,12 +90,12 @@ impl PlaneFit {
         sums.finish()
     }
 
-    /// Predict the sample at block-local `coords` for a block of extents `ext`.
+    /// Predict the sample at the [`centered`] block-local coordinates `xc`.
     #[inline]
-    pub fn predict(&self, ext: &[usize], coords: &[usize]) -> f64 {
+    pub fn predict(&self, xc: &[f64]) -> f64 {
         let mut v = self.b0;
-        for (a, &c) in coords.iter().enumerate() {
-            v += self.slopes[a] * (c as f64 - center_of(ext[a]));
+        for (a, &x) in xc.iter().enumerate() {
+            v += self.slopes[a] * x;
         }
         v
     }
@@ -152,7 +146,7 @@ mod tests {
             for y in 0..6 {
                 for z in 0..6 {
                     let coords = [x, y, z];
-                    let got = fit.predict(&ext, &coords);
+                    let got = fit.predict(&centered_coords(&ext, &coords));
                     assert!((got - f(&coords)).abs() < 1e-9, "{coords:?}");
                 }
             }
@@ -169,7 +163,7 @@ mod tests {
     #[test]
     fn single_sample_block() {
         let fit = PlaneFit::fit(&[1, 1, 1], |_| 3.0f64);
-        assert_eq!(fit.predict(&[1, 1, 1], &[0, 0, 0]), 3.0);
+        assert_eq!(fit.predict(&centered_coords(&[1, 1, 1], &[0, 0, 0])), 3.0);
     }
 
     #[test]

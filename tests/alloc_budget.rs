@@ -7,10 +7,11 @@
 //! The decode half: one warm `decompress_into` makes a fixed, small number of
 //! requests — the field it returns, the entropy stage's tables, the worker
 //! threads — and a slide back to a staged vector per chunk, or to a fresh
-//! index plane per call, trips its ceiling.
+//! index plane per call, trips its ceiling. The Lorenzo pipeline's warm
+//! `compress_into` has a ceiling of its own.
 //!
 //! A test binary of its own: the counter is process-wide, so no other test
-//! thread may allocate while it is armed — the two tests take turns.
+//! thread may allocate while it is armed — the tests take turns.
 
 use qip::prelude::*;
 use qip::registry::AnyCompressor;
@@ -51,6 +52,31 @@ fn plain_compress_stays_within_the_warm_ctx_allocation_budget() {
             ds.name()
         );
     }
+}
+
+/// One warm `compress_into` of SZ3 held to its Lorenzo pipeline, under a
+/// ceiling a few requests above what it makes (55; 56 while the choice bitmap
+/// was a vector of its own per call). The working plane, index plane, choice
+/// bits, plane coefficients and unpredictable channel all live in the
+/// context, so what is left is the entropy stage's tables and workers; a
+/// per-call plane or bitmap trips the ceiling.
+#[test]
+fn warm_lorenzo_compress_stays_within_its_allocation_budget() {
+    let _turn = COUNTING.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    std::env::set_var("RAYON_NUM_THREADS", "2");
+    let field = qip::data::Dataset::SegSalt.generate_f32(0, &[80, 80, 80]);
+    let bound = ErrorBound::Rel(1e-3);
+    let lorenzo = qip::sz3::Sz3::new().with_pipeline(qip::sz3::Pipeline::Lorenzo);
+    let (mut ctx, mut out) = (CompressCtx::new(), Vec::new());
+    lorenzo.compress_into(&field, bound, &mut ctx, &mut out).unwrap();
+    let (_, warm) =
+        count_allocs_during(|| lorenzo.compress_into(&field, bound, &mut ctx, &mut out).unwrap());
+    assert!(warm > 0, "the counting allocator is not installed");
+    assert!(
+        warm <= 60,
+        "one warm Lorenzo compress_into made {warm} heap allocation requests \
+         (ceiling: 60) — a per-call plane or bitmap is back"
+    );
 }
 
 /// One warm `decompress_into` of each QP-on base, and of SZ3 held to its
