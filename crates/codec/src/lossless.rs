@@ -15,6 +15,7 @@
 //! format, never by the thread count, so the encoded bytes are deterministic.
 
 use crate::{huffman, lz, range, ByteReader, ByteWriter, CodecError, Dest};
+use qip_telemetry::{count, span, Label};
 use rayon::prelude::*;
 
 /// Mode tag: Huffman output stored raw.
@@ -51,17 +52,17 @@ struct Scratch {
 impl Scratch {
     /// LZ-compress `coded`; true when that shrank it.
     fn lz_pass(&mut self) -> bool {
-        let _t = qip_trace::span("lz_compress");
+        let _t = span("lz_compress");
         lz::compress_into(&self.coded, &mut self.lz, &mut self.lzed);
         self.lzed.len() < self.coded.len()
     }
 
     /// Report what the coders counted over this scratch's blocks
-    /// (docs/observability.md).
+    /// (docs/telemetry.md).
     fn report(&self) {
-        qip_trace::counter("codec.wide_alphabet_blocks", self.huffman.wide_blocks);
-        qip_trace::counter("codec.lz_positions", self.lz.positions);
-        qip_trace::counter("codec.lz_walks", self.lz.walks);
+        count("codec.wide_alphabet_blocks", Label::None, self.huffman.wide_blocks);
+        count("codec.lz_positions", Label::None, self.lz.positions);
+        count("codec.lz_walks", Label::None, self.lz.walks);
     }
 }
 
@@ -69,14 +70,14 @@ impl Scratch {
 /// keeping whichever combination of coder and optional LZ pass is smallest.
 fn encode_block(indices: &[i32], s: &mut Scratch, out: &mut Vec<u8>) {
     {
-        let _t = qip_trace::span("huffman_encode");
+        let _t = span("huffman_encode");
         huffman::encode_into(indices, &mut s.huffman, &mut s.coded);
     }
-    qip_trace::counter("codec.huffman_bytes", s.coded.len() as u64);
+    count("codec.huffman_bytes", Label::None, s.coded.len() as u64);
     let mut mode = if s.lz_pass() { MODE_HUFF_LZ } else { MODE_HUFF };
     if indices.len() <= RANGE_TRY_LIMIT {
         let rng = {
-            let _t = qip_trace::span("range_encode");
+            let _t = span("range_encode");
             range::encode(indices)
         };
         if rng.len() < s.coded.len().min(s.lzed.len()) {
@@ -144,7 +145,7 @@ impl Chunk<'_> {
         dest: Dest<'_>,
     ) -> Result<&'s [u8], CodecError> {
         let coded = if self.is_lz() {
-            let _t = qip_trace::span("lz_decompress");
+            let _t = span("lz_decompress");
             let cap = self.symbols.saturating_mul(16).saturating_add(4096);
             lz::decompress_capped_into(self.body, cap, &mut s.coded)?;
             s.coded.as_slice()
@@ -152,10 +153,10 @@ impl Chunk<'_> {
             self.body
         };
         let decoded = if self.is_huffman() {
-            let _t = qip_trace::span("huffman_decode");
+            let _t = span("huffman_decode");
             huffman::decode_into(coded, self.symbols, &mut s.huffman, dest)?
         } else {
-            let _t = qip_trace::span("range_decode");
+            let _t = span("range_decode");
             range::decode_into(coded, self.symbols, &mut s.range, dest)?
         };
         if self.counted && decoded != self.symbols {
@@ -238,9 +239,7 @@ pub fn encode_indices(indices: &[i32]) -> Vec<u8> {
 /// compressions reuse the output allocation.
 pub fn encode_indices_into(indices: &[i32], out: &mut Vec<u8>) {
     out.clear();
-    qip_trace::counter("codec.symbols_in", indices.len() as u64);
     let nchunks = indices.len().div_ceil(CHUNK_SYMBOLS).max(1);
-    qip_trace::counter("codec.chunks", nchunks as u64);
     if nchunks == 1 {
         let mut s = Scratch::default();
         encode_block(indices, &mut s, out);
@@ -280,18 +279,9 @@ pub fn encode_indices_into(indices: &[i32], out: &mut Vec<u8>) {
         }
         *out = w.finish();
     }
-    qip_trace::counter("codec.bytes_out", out.len() as u64);
-    telemetry_encode_counters(indices.len(), nchunks, out.len());
-}
-
-/// Production-telemetry mirror of the encode-side trace counters.
-fn telemetry_encode_counters(symbols: usize, chunks: usize, bytes_out: usize) {
-    if !qip_telemetry::active() {
-        return;
-    }
-    qip_telemetry::counter_add("qip.codec.symbols_in", &[], symbols as u64);
-    qip_telemetry::counter_add("qip.codec.chunks", &[], chunks as u64);
-    qip_telemetry::counter_add("qip.codec.bytes_out", &[], bytes_out as u64);
+    count("codec.symbols_in", Label::None, indices.len() as u64);
+    count("codec.chunks", Label::None, nchunks as u64);
+    count("codec.bytes_out", Label::None, out.len() as u64);
 }
 
 /// Decode a stream produced by [`encode_indices`].
@@ -332,7 +322,6 @@ pub fn decode_indices_capped_into(
 /// from the chunk table `parse` validated (the flat layout's single chunk
 /// sizes it from its own header).
 fn decode_chunks(bytes: &[u8], max_count: usize, out: &mut Vec<i32>) -> Result<(), CodecError> {
-    qip_trace::counter("codec.decode_bytes_in", bytes.len() as u64);
     let chunks = parse(bytes, max_count)?;
     if bytes[0] != MODE_CHUNKED {
         chunks[0].decode(&mut DecodeScratch::default(), Dest::Vec(out))?;
@@ -354,20 +343,10 @@ fn decode_chunks(bytes: &[u8], max_count: usize, out: &mut Vec<i32>) -> Result<(
             })
             .collect::<Result<(), CodecError>>()?;
     }
-    qip_trace::counter("codec.decode_chunks", chunks.len() as u64);
-    qip_trace::counter("codec.decode_symbols", out.len() as u64);
-    telemetry_decode_counters(bytes.len(), chunks.len(), out.len());
+    count("codec.decode_bytes_in", Label::None, bytes.len() as u64);
+    count("codec.decode_chunks", Label::None, chunks.len() as u64);
+    count("codec.decode_symbols", Label::None, out.len() as u64);
     Ok(())
-}
-
-/// Production-telemetry mirror of the decode-side trace counters.
-fn telemetry_decode_counters(bytes_in: usize, chunks: usize, symbols: usize) {
-    if !qip_telemetry::active() {
-        return;
-    }
-    qip_telemetry::counter_add("qip.codec.decode_bytes_in", &[], bytes_in as u64);
-    qip_telemetry::counter_add("qip.codec.decode_chunks", &[], chunks as u64);
-    qip_telemetry::counter_add("qip.codec.decode_symbols", &[], symbols as u64);
 }
 
 #[cfg(test)]

@@ -39,13 +39,14 @@ use qip_core::{
     CompressCtx, CompressError, Compressor, ErrorBound, ProgressiveDecompress, RegionDecompress,
 };
 use qip_registry::{detect_stream, AnyCompressor};
+use qip_telemetry::{count, span, Label};
 use qip_tensor::{Field, Region, Scalar, Shape};
 use rayon::prelude::*;
 use std::sync::Mutex;
 
-/// Telemetry counter bumped once per decoded tile, across every read path.
-/// The random-access contract is asserted against it: a region covering one
-/// tile of N must move it by exactly 1.
+/// Hub name of the `container.tile_decodes` count, bumped once per decoded
+/// tile across every read path. The random-access contract is asserted
+/// against it: a region covering one tile of N must move it by exactly 1.
 pub const TILE_DECODES_COUNTER: &str = "qip.container.tile_decodes";
 
 /// A compressor that tiles the field and round-trips every tile in parallel
@@ -93,7 +94,7 @@ impl<T: Scalar> Compressor<T> for TiledCompressor {
         _ctx: &mut CompressCtx,
         out: &mut Vec<u8>,
     ) -> Result<(), CompressError> {
-        let _t = qip_trace::span("container.compress");
+        let _t = span("container.compress");
         let dims = field.shape().dims().to_vec();
         // Resolve once against the whole field so every tile quantizes at the
         // same absolute tolerance (and `Rel` keeps its global meaning).
@@ -118,7 +119,7 @@ impl<T: Scalar> Compressor<T> for TiledCompressor {
         for run in runs {
             all.append(run?);
         }
-        qip_telemetry::counter_add("qip.container.tile_encodes", &[], all.tiles.len() as u64);
+        count("container.tile_encodes", Label::None, all.tiles.len() as u64);
         *out = format::assemble(T::BITS, &dims, self.tile, abs, &name, &all.tiles, &all.payload);
         Ok(())
     }
@@ -184,7 +185,7 @@ impl TileEncoder {
 /// the tile compressor), so unlike [`TiledCompressor::decompress`] this needs
 /// no configured instance — [`decompress_any`] routes here.
 pub fn decompress_full<T: Scalar>(bytes: &[u8]) -> Result<Field<T>, CompressError> {
-    let _t = qip_trace::span("container.decompress");
+    let _t = span("container.decompress");
     let (info, payload) = ContainerInfo::parse(bytes)?;
     let inner = inner_of(&info)?;
     check_bits::<T>(&info)?;
@@ -268,8 +269,7 @@ fn tile_stream<'a>(
     if qip_core::integrity::crc32(stream) != entry.crc32 {
         return Err(CompressError::Corrupt("tile payload failed its CRC"));
     }
-    qip_telemetry::counter_add(TILE_DECODES_COUNTER, &[], 1);
-    qip_trace::counter("container.tile_decodes", 1);
+    count("container.tile_decodes", Label::None, 1);
     Ok(stream)
 }
 
@@ -310,7 +310,7 @@ fn decode_tile<T: Scalar>(
 /// region intersects. The result is byte-identical to slicing the full
 /// decompression at the same coordinates.
 pub fn read_region<T: Scalar>(bytes: &[u8], region: &Region) -> Result<Field<T>, CompressError> {
-    let _t = qip_trace::span("container.read_region");
+    let _t = span("container.read_region");
     let (info, payload) = ContainerInfo::parse(bytes)?;
     check_bits::<T>(&info)?;
     region.validate(&info.dims)?;
@@ -322,7 +322,7 @@ pub fn read_region<T: Scalar>(bytes: &[u8], region: &Region) -> Result<Field<T>,
         .enumerate()
         .filter(|(_, origin)| region.intersects(origin, &grid.clipped_extent(origin)))
         .collect();
-    qip_telemetry::counter_add("qip.container.region_reads", &[], 1);
+    count("container.region_reads", Label::None, 1);
 
     let out_shape = Shape::new(region.extent());
     let out =
@@ -352,7 +352,7 @@ pub fn decompress_tile<T: Scalar>(
     bytes: &[u8],
     index: usize,
 ) -> Result<(Vec<usize>, Field<T>), CompressError> {
-    let _t = qip_trace::span("container.decompress_tile");
+    let _t = span("container.decompress_tile");
     let (info, payload) = ContainerInfo::parse(bytes)?;
     check_bits::<T>(&info)?;
     let inner = inner_of(&info)?;
@@ -380,7 +380,7 @@ pub fn decompress_reduced<T: Scalar>(
     bytes: &[u8],
     stop_level: usize,
 ) -> Result<Field<T>, CompressError> {
-    let _t = qip_trace::span("container.decompress_reduced");
+    let _t = span("container.decompress_reduced");
     let (info, payload) = ContainerInfo::parse(bytes)?;
     check_bits::<T>(&info)?;
     let inner = inner_of(&info)?;
@@ -495,7 +495,7 @@ impl<T: Scalar> TiledWriter<T> {
         }
         self.enc.push(&self.inner, tile, self.abs_bound)?;
         self.next += 1;
-        qip_telemetry::counter_add("qip.container.tile_encodes", &[], 1);
+        count("container.tile_encodes", Label::None, 1);
         Ok(())
     }
 

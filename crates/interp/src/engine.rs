@@ -19,6 +19,7 @@ use qip_predict::{
     cubic_interior, linear_edge2, linear_mid, quad_begin, quad_end, InterpKind,
 };
 use qip_quant::{LinearQuantizer, QuantizerBank};
+use qip_telemetry::span;
 use qip_tensor::{Field, Scalar};
 
 /// Stream format version byte. Version 2 allows the quantization index block
@@ -181,80 +182,87 @@ pub(crate) trait PointSink<T: Scalar> {
     fn anchor(&mut self, flat: usize, buf: &mut [T]) -> Result<(), CompressError>;
 }
 
-/// Per-level quantization/QP statistics, collected only while tracing.
-#[derive(Default)]
-pub(crate) struct LevelStat {
-    pub(crate) points: u64,
-    pub(crate) accept: u64,
-    pub(crate) fired: u64,
-    pub(crate) qprime_start: usize,
-}
-
-/// Per-run pipeline statistics, collected only while tracing (the sink holds
-/// `None` otherwise, so the untraced hot path pays nothing per point).
-pub(crate) struct SinkStats {
-    pub(crate) predictable: u64,
-    pub(crate) unpredictable: u64,
-    pub(crate) levels: Vec<LevelStat>,
+/// Per-run pipeline statistics of the interpolation engine and MGARD alike:
+/// the one producer of the `quant.{predictable,unpredictable}`, `qp.*`,
+/// `interp.bytes.*` and `interp.entropy.*` families. Collected only while
+/// [`qip_telemetry::capturing`]; a sink holds `None` otherwise, so the
+/// dormant hot path pays nothing per point.
+#[derive(Debug)]
+pub struct SinkStats {
+    predictable: u64,
+    unpredictable: u64,
+    /// Indexed by level (slot 0 stays empty), as in [`Probe::levels`].
+    levels: Vec<LevelForensics>,
 }
 
 impl SinkStats {
-    /// Stats collector when capture is live at compress entry — either a
-    /// qip-trace session or an attached qip-telemetry hub — else `None` (the
-    /// dormant hot path pays only the two relaxed flag loads).
-    fn new_if_tracing(start_level: usize) -> Option<SinkStats> {
-        (qip_trace::enabled() || qip_telemetry::active()).then(|| SinkStats {
+    /// A collector over levels `1..=start_level`, or `None` when no sink
+    /// would keep what it collects.
+    pub fn new_if_capturing(start_level: usize) -> Option<SinkStats> {
+        qip_telemetry::capturing().then(|| SinkStats {
             predictable: 0,
             unpredictable: 0,
-            levels: (0..=start_level).map(|_| LevelStat::default()).collect(),
+            levels: blank_levels(start_level),
         })
     }
 
-    /// Emit the collected counters and per-level values. `qprime` is the full
-    /// transformed index stream, contiguous per level (coarsest first), so
-    /// the recorded offsets delimit each level's segment for the entropy
-    /// computation (the signal behind the paper's Fig. 9 level gate).
-    fn emit(self, qprime: &[i32]) {
-        let telemetry = qip_telemetry::active();
-        qip_trace::counter("quant.predictable", self.predictable);
-        qip_trace::counter("quant.unpredictable", self.unpredictable);
-        if telemetry {
-            qip_telemetry::counter_add("qip.quant.predictable", &[], self.predictable);
-            qip_telemetry::counter_add("qip.quant.unpredictable", &[], self.unpredictable);
-        }
-        let max = self.levels.len().saturating_sub(1);
-        for level in 1..=max {
-            let ls = &self.levels[level];
-            if ls.points == 0 {
-                continue;
-            }
-            let end =
-                if level > 1 { self.levels[level - 1].qprime_start } else { qprime.len() };
-            let rate = ls.accept as f64 / ls.points as f64;
-            qip_trace::counter_owned(format!("qp.points.l{level}"), ls.points);
-            qip_trace::counter_owned(format!("qp.accept.l{level}"), ls.accept);
-            qip_trace::counter_owned(format!("qp.fired.l{level}"), ls.fired);
-            qip_trace::value_owned(format!("qp.accept_rate.l{level}"), rate);
-            if telemetry {
-                let lvl = format!("l{level}");
-                let labels = [("level", lvl.as_str())];
-                qip_telemetry::counter_add("qip.qp.points", &labels, ls.points);
-                qip_telemetry::counter_add("qip.qp.accept", &labels, ls.accept);
-                qip_telemetry::counter_add("qip.qp.fired", &labels, ls.fired);
-                // Harvested by the registry entry point into the flight
-                // record and per-compressor gauges.
-                qip_telemetry::call_value(&format!("qp.accept_rate.l{level}"), rate);
-            }
-            // Per-level entropy is an O(n) scan per level — a profiling
-            // signal for trace sessions only, too costly for the always-on
-            // telemetry hub (which keeps only the counter-grade stats above).
-            if qip_trace::enabled() {
-                if let Some(seg) = qprime.get(ls.qprime_start..end) {
-                    qip_trace::value_owned(format!("interp.entropy.l{level}"), entropy(seg));
-                }
-            }
+    /// `level`'s segment of the transformed index stream starts at `at`.
+    pub fn begin_level(&mut self, level: usize, at: usize) {
+        if let Some(ls) = self.levels.get_mut(level) {
+            ls.qprime_start = at;
         }
     }
+
+    /// Count one row or tile of `level`: its indices `q`, what QP made of
+    /// them, and how many of its points the QP gate accepted.
+    pub fn row(&mut self, level: usize, accepted: usize, q: &[i32], q_prime: &[i32]) {
+        let (mut unpredictable, mut fired) = (0u64, 0u64);
+        for (&a, &b) in q.iter().zip(q_prime) {
+            unpredictable += (a == qip_quant::UNPRED) as u64;
+            fired += (a != b) as u64;
+        }
+        self.unpredictable += unpredictable;
+        self.predictable += q.len() as u64 - unpredictable;
+        if let Some(ls) = self.levels.get_mut(level) {
+            ls.points += q.len() as u64;
+            ls.accepted += accepted as u64;
+            ls.fired += fired;
+        }
+    }
+
+    /// Report the run: the counters, the per-level values, and the stream's
+    /// `raw` input size beside its three channels. `qprime` is the full
+    /// transformed index stream, contiguous per level (coarsest first), so
+    /// the recorded starts delimit each level's segment for the entropy
+    /// profile (the signal behind the paper's Fig. 9 level gate).
+    pub fn emit(self, qprime: &[i32], raw: usize, [anchors, unpred, index]: [&[u8]; 3]) {
+        use qip_telemetry::{count, note, profile, Label};
+        count("quant.predictable", Label::None, self.predictable);
+        count("quant.unpredictable", Label::None, self.unpredictable);
+        for ls in self.levels.iter().filter(|ls| ls.points > 0) {
+            let level = Label::Level(ls.level);
+            count("qp.points", level, ls.points);
+            count("qp.accept", level, ls.accepted);
+            count("qp.fired", level, ls.fired);
+            note("qp.accept_rate", level, ls.accepted as f64 / ls.points as f64);
+            let end = match ls.level {
+                1 => qprime.len(),
+                l => self.levels[l - 1].qprime_start,
+            };
+            if let Some(seg) = qprime.get(ls.qprime_start..end) {
+                profile("interp.entropy", level, || entropy(seg));
+            }
+        }
+        count("interp.bytes.in", Label::None, raw as u64);
+        count("interp.bytes.anchors", Label::None, anchors.len() as u64);
+        count("interp.bytes.unpred", Label::None, unpred.len() as u64);
+        count("interp.bytes.index", Label::None, index.len() as u64);
+    }
+}
+
+/// Blank per-level records for levels `0..=start_level`, indexed by level.
+fn blank_levels(start_level: usize) -> Vec<LevelForensics> {
+    (0..=start_level).map(|level| LevelForensics { level, ..LevelForensics::default() }).collect()
 }
 
 /// Compression-side sink. The output channels borrow the caller's
@@ -268,28 +276,6 @@ pub(crate) struct CompressSink<'a> {
     pub(crate) qprime: &'a mut Vec<i32>,
     pub(crate) quantizers: &'a [LinearQuantizer],
     pub(crate) stats: Option<SinkStats>,
-}
-
-/// Record the per-channel byte breakdown of one compressed stream (no-op
-/// unless capture is live).
-fn trace_compress_bytes<T: Scalar>(
-    points: usize,
-    anchors: &[u8],
-    unpred: &[u8],
-    index_bytes: &[u8],
-) {
-    if qip_trace::enabled() {
-        qip_trace::counter("interp.bytes.in", (points * T::BYTES) as u64);
-        qip_trace::counter("interp.bytes.anchors", anchors.len() as u64);
-        qip_trace::counter("interp.bytes.unpred", unpred.len() as u64);
-        qip_trace::counter("interp.bytes.index", index_bytes.len() as u64);
-    }
-    if qip_telemetry::active() {
-        qip_telemetry::counter_add("qip.interp.bytes.in", &[], (points * T::BYTES) as u64);
-        qip_telemetry::counter_add("qip.interp.bytes.anchors", &[], anchors.len() as u64);
-        qip_telemetry::counter_add("qip.interp.bytes.unpred", &[], unpred.len() as u64);
-        qip_telemetry::counter_add("qip.interp.bytes.index", &[], index_bytes.len() as u64);
-    }
 }
 
 /// Build the per-level quantizer bank used while compressing.
@@ -317,9 +303,7 @@ impl<T: Scalar> PointSink<T> for CompressSink<'_> {
         self.level_tags
             .push((params.kind.tag(), order_tag(&params.order), params.axis_mask));
         if let Some(st) = &mut self.stats {
-            if let Some(ls) = st.levels.get_mut(level) {
-                ls.qprime_start = self.qprime.len();
-            }
+            st.begin_level(level, self.qprime.len());
         }
         Ok(params)
     }
@@ -458,9 +442,7 @@ impl Probe {
     /// A blank record for `n` points over levels `1..=start_level`.
     pub fn new(n: usize, start_level: usize) -> Self {
         Probe {
-            levels: (0..=start_level)
-                .map(|level| LevelForensics { level, ..LevelForensics::default() })
-                .collect(),
+            levels: blank_levels(start_level),
             accepted: vec![0; n],
             capture: QuantCapture::zeros(n),
             ..Probe::default()
@@ -611,7 +593,7 @@ impl InterpEngine {
         let mut buf: Vec<T> = ctx.pools.acquire();
         buf.extend_from_slice(field.as_slice());
         build_quantizers(cfg, abs_eb, start_level, &mut ctx.quantizers);
-        ctx.quantizers.trace_levels();
+        ctx.quantizers.report_levels();
         ctx.anchors.clear();
         ctx.unpred.clear();
         ctx.qprime.clear();
@@ -623,10 +605,10 @@ impl InterpEngine {
             unpred: &mut ctx.unpred,
             qprime: &mut ctx.qprime,
             quantizers: ctx.quantizers.as_slice(),
-            stats: SinkStats::new_if_tracing(start_level),
+            stats: SinkStats::new_if_capturing(start_level),
         };
         {
-            let _t = qip_trace::span("quantize");
+            let _t = span("quantize");
             crate::kernels::run_compress_vec(
                 cfg,
                 field.shape().dims(),
@@ -642,17 +624,19 @@ impl InterpEngine {
             )?;
         }
         let (level_tags, stats) = (sink.level_tags, sink.stats);
-        if let Some(stats) = stats {
-            stats.emit(&ctx.qprime);
-        }
 
         {
-            let _t = qip_trace::span("entropy_encode");
+            let _t = span("entropy_encode");
             encode_indices_into(&ctx.qprime, &mut ctx.stream);
         }
-        let _t = qip_trace::span("serialize");
-        write_body(&mut w, &level_tags, &ctx.anchors, &ctx.unpred, &ctx.stream);
-        trace_compress_bytes::<T>(field.len(), &ctx.anchors, &ctx.unpred, &ctx.stream);
+        {
+            let _t = span("serialize");
+            write_body(&mut w, &level_tags, &ctx.anchors, &ctx.unpred, &ctx.stream);
+        }
+        if let Some(stats) = stats {
+            let raw = field.len() * T::BYTES;
+            stats.emit(&ctx.qprime, raw, [&ctx.anchors, &ctx.unpred, &ctx.stream]);
+        }
         ctx.pools.release(buf);
         *out = w.finish();
         Ok(())
@@ -665,7 +649,7 @@ impl InterpEngine {
         &self,
         bytes: &'a [u8],
     ) -> Result<ParsedStream<'a>, CompressError> {
-        let _t = qip_trace::span("parse");
+        let _t = span("parse");
         let cfg = &self.cfg;
         let mut r = ByteReader::new(bytes);
         let mut spans = Spans::default();
@@ -767,7 +751,7 @@ impl InterpEngine {
             return Ok(Field::zeros(p.shape));
         }
 
-        let _t = qip_trace::span("entropy_decode");
+        let _t = span("entropy_decode");
         let mut anchors: Vec<T> = ctx.pools.acquire();
         decode_scalars_into(p.anchor_bytes, &mut anchors, "anchor block misaligned")?;
         let mut unpred: Vec<T> = ctx.pools.acquire();
@@ -791,7 +775,7 @@ impl InterpEngine {
             ctx.quantizers.as_slice(),
         );
         {
-            let _t = qip_trace::span("reconstruct");
+            let _t = span("reconstruct");
             crate::kernels::run_decompress_vec(
                 &p.eff,
                 p.shape.dims(),

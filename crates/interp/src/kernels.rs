@@ -335,7 +335,7 @@ fn walk_tiles<T: Scalar, S: PointSink<T>>(
     let (acc, pred) = f64s.split_at_mut(TILE);
 
     for level in (1..=start_level).rev() {
-        let _lvl = qip_trace::span_with(|| format!("level_{level}"));
+        let _lvl = qip_telemetry::span_with(|| format!("level_{level}"));
         let params = sink.params_for_level(level, &*buf, dims, strides)?;
         let passes = build_passes(ndim, level, &params.order, cfg.passes);
         let qp_active = cfg.qp.is_enabled() && level <= cfg.qp.max_level;
@@ -438,7 +438,6 @@ pub(crate) fn run_compress_vec<T: Scalar>(
         // Branchless quantization, 64 lanes per bitmap word; unpredictable
         // lanes get their label patched in afterwards (rare).
         let mut masks = [0u64; TILE / 64];
-        let mut n_unpred = 0u64;
         for (w, k) in (0..t).step_by(64).enumerate() {
             let l = 64.min(t - k);
             masks[w] = quant.quantize_lanes(
@@ -447,7 +446,6 @@ pub(crate) fn run_compress_vec<T: Scalar>(
                 &mut idx[k..k + l],
                 &mut rec[k..k + l],
             );
-            n_unpred += masks[w].count_ones() as u64;
         }
         for (w, &mask) in masks.iter().enumerate() {
             let mut bits = mask;
@@ -482,14 +480,7 @@ pub(crate) fn run_compress_vec<T: Scalar>(
             buf[flat + k * stp] = r;
         }
         if let Some(st) = sink.stats.as_mut() {
-            st.predictable += t as u64 - n_unpred;
-            st.unpredictable += n_unpred;
-            if let Some(ls) = st.levels.get_mut(level) {
-                ls.points += t as u64;
-                ls.accept += accepted as u64;
-                let fired = idx[..t].iter().zip(&sink.qprime[base..]).filter(|(q, p)| q != p);
-                ls.fired += fired.count() as u64;
-            }
+            st.row(level, accepted, &idx[..t], &sink.qprime[base..]);
         }
         if let Some(cap) = capture.as_deref_mut() {
             for (k, (&q, &qp)) in idx[..t].iter().zip(&sink.qprime[base..]).enumerate() {

@@ -38,5 +38,5 @@ pub mod select;
 pub mod tuned;
 
 pub use config::{EngineConfig, LevelParams, PassStructure};
-pub use engine::{EngineForensics, InterpEngine, LevelForensics, Probe, QuantCapture};
+pub use engine::{EngineForensics, InterpEngine, LevelForensics, Probe, QuantCapture, SinkStats};
 pub use tuned::{sample_block, trial_scope, Preset, Tuned};

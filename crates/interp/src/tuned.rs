@@ -31,7 +31,7 @@ pub struct Preset {
     /// Registry name ("QoZ"); [`Compressor::name`] appends "+QP".
     pub name: &'static str,
     /// Lowercase stream kind ("qoz"): the inspect kind and the prefix of the
-    /// `{kind}.alpha` trace values and `qip.{kind}.alpha` gauges.
+    /// `{kind}.alpha` / `{kind}.beta` notes.
     pub kind: &'static str,
     /// Stream magic.
     pub magic: u8,
@@ -108,7 +108,7 @@ pub fn sample_block<T: Scalar>(field: &Field<T>, edge: usize) -> Cow<'_, Field<T
 /// run actually kept.
 #[must_use]
 pub fn trial_scope(name: &'static str) -> impl Sized {
-    (qip_trace::span(name), qip_trace::pause(), qip_telemetry::pause())
+    (qip_telemetry::span(name), qip_telemetry::pause())
 }
 
 /// QoZ or HPEZ, as its [`Preset`] says.
@@ -188,15 +188,11 @@ impl Tuned {
     }
 
     /// Record the (α, β) pair the tuner settled on.
-    fn trace_tuned(&self, (alpha, beta): (f64, f64)) {
-        let kind = self.preset.kind;
-        if qip_trace::enabled() {
-            qip_trace::value_owned(format!("{kind}.alpha"), alpha);
-            qip_trace::value_owned(format!("{kind}.beta"), beta);
-        }
-        if qip_telemetry::active() {
-            qip_telemetry::gauge_set(&format!("qip.{kind}.alpha"), &[], alpha);
-            qip_telemetry::gauge_set(&format!("qip.{kind}.beta"), &[], beta);
+    fn note_tuned(&self, (alpha, beta): (f64, f64)) {
+        if qip_telemetry::capturing() {
+            let kind = self.preset.kind;
+            qip_telemetry::note(&format!("{kind}.alpha"), qip_telemetry::Label::None, alpha);
+            qip_telemetry::note(&format!("{kind}.beta"), qip_telemetry::Label::None, beta);
         }
     }
 }
@@ -216,10 +212,10 @@ impl<T: Scalar> Compressor<T> for Tuned {
     ) -> Result<(), CompressError> {
         // `out` doubles as the trial-stream scratch; it is rebuilt below.
         let ab = self.tune(field, bound, ctx, out);
-        self.trace_tuned(ab);
+        self.note_tuned(ab);
         out.clear();
         self.engine(ab, self.qp).compress_append(field, bound, ctx, out)?;
-        let _t = qip_trace::span("seal");
+        let _t = qip_telemetry::span("seal");
         qip_core::integrity::seal_in_place(out);
         Ok(())
     }

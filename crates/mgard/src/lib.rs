@@ -32,8 +32,9 @@ use qip_core::{
     CompressCtx, CompressError, Compressor, ErrorBound, QpConfig, QpEngine, QpTaps, StreamHeader,
 };
 use qip_interp::lattice::{build_passes, for_each_point, for_each_row, num_levels, Pass};
-use qip_interp::{EngineForensics, PassStructure, Probe, QuantCapture};
+use qip_interp::{EngineForensics, PassStructure, Probe, QuantCapture, SinkStats};
 use qip_quant::UNPRED;
+use qip_telemetry::{span, span_with};
 use qip_tensor::{Field, Scalar};
 
 /// Stream magic for MGARD.
@@ -161,7 +162,7 @@ struct Parsed<'a> {
 /// it, for decoding and forensics alike. Bytes behind the index block are
 /// corruption.
 fn parse<T: Scalar>(sealed: &[u8]) -> Result<Parsed<'_>, CompressError> {
-    let _t = qip_trace::span("parse");
+    let _t = span("parse");
     let bytes = qip_core::integrity::check(sealed)?;
     let mut r = ByteReader::new(bytes);
     let mut spans = Spans::default();
@@ -360,7 +361,7 @@ impl Mgard {
         w.put_u8(levels as u8);
 
         // ---- Transform sweep: values → hierarchical detail coefficients ----
-        let transform_span = qip_trace::span("transform");
+        let transform_span = span("transform");
         let mut buf: Vec<f64> = ctx.pools.acquire();
         // The multilinear and L² sweeps would smear one NaN/±Inf over every
         // coarser node, so a non-finite field is refused, not mis-bounded.
@@ -406,9 +407,8 @@ impl Mgard {
         });
 
         // ---- Quantization sweep (coarse → fine), with the QP hook ----
-        let quantize_span = qip_trace::span("quantize");
-        let telemetry_on = qip_telemetry::active();
-        let stats_on = qip_trace::enabled() || telemetry_on;
+        let quantize_span = span("quantize");
+        let mut stats = SinkStats::new_if_capturing(levels);
         let qp = QpEngine::new(self.qp);
         ctx.qstore.clear();
         ctx.qstore.resize(buf.len(), 0);
@@ -419,13 +419,13 @@ impl Mgard {
         ctx.unpred.clear();
         let unpred = &mut ctx.unpred;
         let row_q = &mut ctx.tile_idx;
-        let (mut n_pred, mut n_unpred) = (0u64, 0u64);
         for level in (1..=levels).rev() {
-            let _lvl = qip_trace::span_with(|| format!("level_{level}"));
+            let _lvl = span_with(|| format!("level_{level}"));
             let b = Self::budget(abs_eb, level);
-            let level_start = qprime.len();
+            if let Some(st) = stats.as_mut() {
+                st.begin_level(level, qprime.len());
+            }
             let qp_active = self.qp.is_enabled() && level <= self.qp.max_level;
-            let (mut lvl_points, mut lvl_accept, mut lvl_fired) = (0u64, 0u64, 0u64);
             for pass in build_passes(dims.len(), level, &order, PassStructure::MultiDim) {
                 if pass.is_empty(&dims) {
                     continue;
@@ -466,14 +466,8 @@ impl Mgard {
                         qprime.extend_from_slice(row_q);
                         0
                     };
-                    if stats_on {
-                        let escaped = row_q.iter().filter(|&&q| q == UNPRED).count() as u64;
-                        lvl_points += m as u64;
-                        lvl_accept += accepted as u64;
-                        n_unpred += escaped;
-                        n_pred += m as u64 - escaped;
-                        let fired = row_q.iter().zip(&qprime[base..]).filter(|(q, p)| q != p);
-                        lvl_fired += fired.count() as u64;
+                    if let Some(st) = stats.as_mut() {
+                        st.row(level, accepted, row_q, &qprime[base..]);
                     }
                     if let Some(cap) = capture.as_deref_mut() {
                         for (k, (&q, &qpv)) in row_q.iter().zip(&qprime[base..]).enumerate() {
@@ -486,64 +480,25 @@ impl Mgard {
                     Ok(())
                 })?;
             }
-            if stats_on && lvl_points > 0 {
-                let rate = lvl_accept as f64 / lvl_points as f64;
-                qip_trace::counter_owned(format!("qp.points.l{level}"), lvl_points);
-                qip_trace::counter_owned(format!("qp.accept.l{level}"), lvl_accept);
-                qip_trace::counter_owned(format!("qp.fired.l{level}"), lvl_fired);
-                qip_trace::value_owned(format!("qp.accept_rate.l{level}"), rate);
-                // Per-level entropy is an O(n) scan — a profiling signal for
-                // trace sessions only, too costly for the always-on hub.
-                if qip_trace::enabled() {
-                    qip_trace::value_owned(
-                        format!("mgard.entropy.l{level}"),
-                        qip_metrics::entropy(&qprime[level_start..]),
-                    );
-                }
-                if telemetry_on {
-                    let lvl = format!("l{level}");
-                    let labels = [("level", lvl.as_str())];
-                    qip_telemetry::counter_add("qip.qp.points", &labels, lvl_points);
-                    qip_telemetry::counter_add("qip.qp.accept", &labels, lvl_accept);
-                    qip_telemetry::counter_add("qip.qp.fired", &labels, lvl_fired);
-                    qip_telemetry::call_value(&format!("qp.accept_rate.l{level}"), rate);
-                }
-            }
-        }
-        if stats_on {
-            qip_trace::counter("quant.predictable", n_pred);
-            qip_trace::counter("quant.unpredictable", n_unpred);
-            if telemetry_on {
-                qip_telemetry::counter_add("qip.quant.predictable", &[], n_pred);
-                qip_telemetry::counter_add("qip.quant.unpredictable", &[], n_unpred);
-            }
         }
         drop(quantize_span);
 
         ctx.pools.release(buf);
         {
-            let _t = qip_trace::span("entropy_encode");
+            let _t = span("entropy_encode");
             encode_indices_into(&ctx.qprime, &mut ctx.stream);
         }
-        let serialize_span = qip_trace::span("serialize");
+        let serialize_span = span("serialize");
         w.put_block(&ctx.anchors);
         w.put_block(&ctx.unpred);
         w.put_block(&ctx.stream);
         *out = w.finish();
         drop(serialize_span);
-        if qip_trace::enabled() {
-            qip_trace::counter("mgard.bytes.in", (field.len() * T::BYTES) as u64);
-            qip_trace::counter("mgard.bytes.coarse", ctx.anchors.len() as u64);
-            qip_trace::counter("mgard.bytes.unpred", ctx.unpred.len() as u64);
-            qip_trace::counter("mgard.bytes.index", ctx.stream.len() as u64);
+        if let Some(stats) = stats {
+            let raw = field.len() * T::BYTES;
+            stats.emit(&ctx.qprime, raw, [&ctx.anchors, &ctx.unpred, &ctx.stream]);
         }
-        if telemetry_on {
-            qip_telemetry::counter_add("qip.interp.bytes.in", &[], (field.len() * T::BYTES) as u64);
-            qip_telemetry::counter_add("qip.interp.bytes.anchors", &[], ctx.anchors.len() as u64);
-            qip_telemetry::counter_add("qip.interp.bytes.unpred", &[], ctx.unpred.len() as u64);
-            qip_telemetry::counter_add("qip.interp.bytes.index", &[], ctx.stream.len() as u64);
-        }
-        let _t = qip_trace::span("seal");
+        let _t = span("seal");
         qip_core::integrity::seal_in_place(out);
         Ok(())
     }
@@ -575,7 +530,7 @@ fn decode<T: Scalar>(
         return Ok(Field::zeros(header.shape));
     }
     {
-        let _t = qip_trace::span("entropy_decode");
+        let _t = span("entropy_decode");
         qip_codec::decode_indices_capped_into(index, n, &mut ctx.qprime)?;
     }
     // `try_zeroed_vec` validates that `n` is allocatable before any of the
@@ -611,7 +566,7 @@ fn decode<T: Scalar>(
     }
 
     // Dequantize details (coarse → fine), mirroring the QP transform.
-    let dequant_span = qip_trace::span("dequantize");
+    let dequant_span = span("dequantize");
     let qp = QpEngine::new(qp_cfg);
     ctx.qstore.clear();
     ctx.qstore.resize(n, 0);
@@ -674,7 +629,7 @@ fn decode<T: Scalar>(
     // ---- Inverse transform (coarse → fine), optionally stopping early
     // for resolution reduction (levels ≤ stop_level keep their details
     // unexpanded; the coarse lattice then holds the approximation) ----
-    let _t = qip_trace::span("inverse_transform");
+    let _t = span("inverse_transform");
     for level in ((stop_level + 1).max(1)..=levels).rev() {
         if l2_projection {
             l2_update(&mut buf, &dims, &strides, level, -1.0, &mut ctx.pairs);

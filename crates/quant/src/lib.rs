@@ -213,16 +213,14 @@ impl QuantizerBank {
         self.levels.is_empty()
     }
 
-    /// Emit the bank's per-level error bounds into the active trace session
-    /// (`quant.eb.l{level}` values). No-op unless capture is live.
-    pub fn trace_levels(&self) {
-        if !qip_trace::enabled() {
-            return;
-        }
+    /// Report the bank: its per-level error bounds (`quant.eb` notes,
+    /// labelled by level) and one `quant.bank_builds` count.
+    pub fn report_levels(&self) {
+        use qip_telemetry::{count, note, Label};
         for (level, q) in self.levels.iter().enumerate() {
-            qip_trace::value_owned(format!("quant.eb.l{level}"), q.error_bound());
+            note("quant.eb", Label::Level(level), q.error_bound());
         }
-        qip_trace::counter("quant.bank_builds", 1);
+        count("quant.bank_builds", Label::None, 1);
     }
 }
 

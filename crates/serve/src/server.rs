@@ -240,21 +240,22 @@ impl Shared {
     /// always-on stats.
     fn record_response(&self, op: OpKind, status: Status, received: Instant) {
         let elapsed_ns = received.elapsed().as_nanos() as u64;
+        let op_label = [("op", op.name())];
         match status {
             Status::Ok => {
                 self.stats.ok.fetch_add(1, Ordering::Relaxed);
             }
             Status::ServerBusy => {
                 self.stats.shed.fetch_add(1, Ordering::Relaxed);
-                qip_telemetry::counter_add("qip.serve.shed", &[("op", op.name())], 1);
+                qip_telemetry::with_hub(|h| h.counter_add("qip.serve.shed", &op_label, 1));
             }
             Status::DeadlineExceeded => {
                 self.stats.deadline_miss.fetch_add(1, Ordering::Relaxed);
-                qip_telemetry::counter_add("qip.serve.deadline_miss", &[("op", op.name())], 1);
+                qip_telemetry::with_hub(|h| h.counter_add("qip.serve.deadline_miss", &op_label, 1));
             }
             Status::Internal => {
                 self.stats.panics.fetch_add(1, Ordering::Relaxed);
-                qip_telemetry::counter_add("qip.serve.panics", &[("op", op.name())], 1);
+                qip_telemetry::with_hub(|h| h.counter_add("qip.serve.panics", &op_label, 1));
             }
             Status::Failed => {
                 self.stats.failed.fetch_add(1, Ordering::Relaxed);
@@ -265,12 +266,10 @@ impl Shared {
             }
             Status::ShuttingDown => {}
         }
-        qip_telemetry::counter_add(
-            "qip.serve.requests",
-            &[("op", op.name()), ("status", status.name())],
-            1,
-        );
-        qip_telemetry::observe("qip.serve.request_ns", &[("op", op.name())], elapsed_ns);
+        qip_telemetry::with_hub(|h| {
+            h.counter_add("qip.serve.requests", &[("op", op.name()), ("status", status.name())], 1);
+            h.observe("qip.serve.request_ns", &op_label, elapsed_ns);
+        });
         // SLO bookkeeping: server-caused failures (panics, shed load, missed
         // deadlines) burn the error budget; client mistakes (bad frames,
         // corrupt payloads, unknown names) and drain refusals don't,
@@ -284,17 +283,12 @@ impl Shared {
 
     /// Export the live queue depths as gauges (called around scrapes).
     fn publish_queue_depths(&self) {
-        if !qip_telemetry::active() {
-            return;
-        }
-        for (i, q) in self.queues.iter().enumerate() {
-            qip_telemetry::gauge_set(
-                "qip.serve.queue_depth",
-                &[("worker", &format!("w{i}"))],
-                q.len() as f64,
-            );
-        }
-        qip_telemetry::slo_publish();
+        qip_telemetry::with_hub(|h| {
+            for (i, q) in self.queues.iter().enumerate() {
+                h.gauge_set("qip.serve.queue_depth", &[("worker", &format!("w{i}"))], q.len() as f64);
+            }
+            h.slo.publish(h);
+        });
     }
 }
 
@@ -651,11 +645,10 @@ fn dispatch(shared: &Arc<Shared>, mut job: Job) -> Result<(), PushRefused> {
             Ok(depth) => {
                 shared.stats.dispatched.fetch_add(1, Ordering::SeqCst);
                 shared.stats.bump_max_queue(depth);
-                qip_telemetry::gauge_set(
-                    "qip.serve.queue_depth",
-                    &[("worker", &format!("w{i}"))],
-                    shared.queues[i].len() as f64,
-                );
+                let depth = shared.queues[i].len() as f64;
+                qip_telemetry::with_hub(|h| {
+                    h.gauge_set("qip.serve.queue_depth", &[("worker", &format!("w{i}"))], depth)
+                });
                 return Ok(());
             }
             // Draining is terminal: every queue will refuse the same way.

@@ -37,6 +37,7 @@ pub mod regression;
 use qip_codec::{ByteReader, Span, Spans};
 use qip_core::{CompressCtx, CompressError, Compressor, ErrorBound, QpConfig};
 use qip_interp::{sample_block, trial_scope, EngineConfig, InterpEngine};
+use qip_telemetry::{count, span, Label};
 use qip_tensor::{Field, Scalar};
 
 /// Stream magic for the SZ3 wrapper.
@@ -202,15 +203,12 @@ impl Default for Sz3 {
 }
 
 /// Count which predictor pipeline the trial selection picked.
-fn trace_pipeline_choice(p: Pipeline) {
+fn count_pipeline_choice(p: Pipeline) {
     let name = match p {
         Pipeline::Interpolation => "interpolation",
         Pipeline::Lorenzo => "lorenzo",
     };
-    qip_trace::counter_owned(format!("sz3.pipeline.{name}"), 1);
-    if qip_telemetry::active() {
-        qip_telemetry::counter_add("qip.sz3.pipeline", &[("pipeline", name)], 1);
-    }
+    count("sz3.pipeline", Label::Named("pipeline", name), 1);
 }
 
 impl<T: Scalar> Compressor<T> for Sz3 {
@@ -236,7 +234,7 @@ impl<T: Scalar> Compressor<T> for Sz3 {
             None if field.len() < 4096 => (Pipeline::Interpolation, false),
             None => self.choose_pipeline_with(field, bound, ctx, out),
         };
-        trace_pipeline_choice(pipeline);
+        count_pipeline_choice(pipeline);
         out[1] = pipeline as u8;
         if !finished {
             match pipeline {
@@ -244,7 +242,7 @@ impl<T: Scalar> Compressor<T> for Sz3 {
                 Pipeline::Lorenzo => lorenzo::compress_append(field, bound, ctx, out)?,
             }
         }
-        let _t = qip_trace::span("seal");
+        let _t = span("seal");
         qip_core::integrity::seal_in_place(out);
         Ok(())
     }

@@ -28,6 +28,7 @@ use qip_codec::{encode_indices_into, ByteReader, ByteWriter, Span, Spans};
 use qip_core::{CompressCtx, CompressError, ErrorBound, StreamHeader};
 use qip_predict::lorenzo3;
 use qip_quant::{LinearQuantizer, Quantized, UNPRED};
+use qip_telemetry::span;
 use qip_tensor::{Field, Scalar};
 
 /// Stream magic of the Lorenzo pipeline (nested inside the SZ3 wrapper).
@@ -105,7 +106,7 @@ pub fn compress_append<T: Scalar>(
     let blockwise = is_blockwise(dims);
     w.put_u8(blockwise as u8);
     {
-        let _t = qip_trace::span("quantize");
+        let _t = span("quantize");
         let buf = encode(field.as_slice(), dims, blockwise, &LinearQuantizer::new(abs_eb), ctx);
         ctx.pools.release(buf);
         if blockwise {
@@ -114,10 +115,10 @@ pub fn compress_append<T: Scalar>(
         }
     }
     {
-        let _t = qip_trace::span("entropy_encode");
+        let _t = span("entropy_encode");
         encode_indices_into(&ctx.qprime, &mut ctx.stream);
     }
-    let _t = qip_trace::span("serialize");
+    let _t = span("serialize");
     w.put_block(&ctx.unpred);
     w.put_block(&ctx.stream);
     *out = w.finish();
@@ -498,7 +499,7 @@ pub struct Parsed<'a> {
 /// forensics alike. Bytes behind the index block are corruption, and so is a
 /// config byte other than the encoder's rule for the shape.
 pub fn parse<T: Scalar>(bytes: &[u8]) -> Result<Parsed<'_>, CompressError> {
-    let _t = qip_trace::span("parse");
+    let _t = span("parse");
     let mut r = ByteReader::new(bytes);
     let mut spans = Spans::default();
     let header = StreamHeader::read(&mut r, MAGIC, T::BITS as u8)?;
@@ -565,7 +566,7 @@ pub fn decode<T: Scalar>(p: &Parsed<'_>, ctx: &mut CompressCtx) -> Result<Field<
         return Err(CompressError::WrongFormat("coefficient block size mismatch"));
     }
 
-    let entropy = qip_trace::span("entropy_decode");
+    let entropy = span("entropy_decode");
     let mut unpred: Vec<T> = ctx.pools.acquire();
     unpred.reserve(p.unpred.len() / T::BYTES);
     for chunk in p.unpred.chunks_exact(T::BYTES) {
@@ -578,7 +579,7 @@ pub fn decode<T: Scalar>(p: &Parsed<'_>, ctx: &mut CompressCtx) -> Result<Field<
     drop(entropy);
 
     let mut buf = qip_core::try_zeroed_vec::<T>(n)?;
-    let _t = qip_trace::span("reconstruct");
+    let _t = span("reconstruct");
     let q = &ctx.qprime;
     // Escaped values go into place first, in scan order; the sweep then
     // leaves their points alone.

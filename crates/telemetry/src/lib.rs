@@ -20,13 +20,26 @@
 //! * [`flame`] — converts a qip-trace `TraceReport` into collapsed-stack
 //!   (folded) format for flamegraph tooling.
 //!
+//! # The one instrumentation API
+//!
+//! The pipeline crates report through this crate only, never to qip-trace
+//! directly: one call per quantity feeds both sinks by one naming rule.
+//! [`count`]`("qp.points", Label::Level(3), n)` adds to the trace counter
+//! `qp.points.l3` and to the hub counter `qip.qp.points{level="l3"}`;
+//! [`note`] records a per-call value the same way (trace value, and the open
+//! [`CallScope`], which [`record_call`] publishes as a `qip.<name>` gauge);
+//! [`profile`] is the trace-only value for an O(n) scan; [`capturing`] is the
+//! one gate for collecting a statistic at all; [`pause`] silences both sinks;
+//! [`span`] / [`span_with`] are qip-trace's spans.
+//!
 //! # Dormant-cost contract
 //!
-//! Mirroring qip-trace: when no hub is attached, every instrumentation entry
-//! point returns after **one relaxed atomic load** ([`active`]). No
-//! formatting, no allocation, no locks. Instrumentation only ever *observes*
-//! the pipeline — compressed streams are byte-identical with telemetry on or
-//! off (pinned by the `trace_equivalence` integration test).
+//! With no hub attached and no trace session live, every instrumentation
+//! entry point returns after the relaxed atomic loads of [`capturing`] (one
+//! without the `trace` feature). No formatting, no allocation, no locks.
+//! Instrumentation only ever *observes* the pipeline — compressed streams are
+//! byte-identical with telemetry on or off (pinned by the `trace_equivalence`
+//! integration test).
 
 pub mod export;
 pub mod flame;
@@ -43,7 +56,9 @@ pub use recorder::{FlightRecord, FlightRecorder, LevelRate};
 pub use ring::Ring;
 pub use slo::{Objective, ObjectiveKind, SloSnapshot, SloTracker};
 pub use tail::{TailRecord, TailSampler, TailToken};
+pub use qip_trace::{span, span_with};
 
+use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -58,8 +73,8 @@ thread_local! {
     static PAUSE_DEPTH: Cell<u32> = const { Cell::new(0) };
     /// Open [`CallScope`] on this thread (0 or 1; nested calls don't reopen).
     static CALL_DEPTH: Cell<u32> = const { Cell::new(0) };
-    /// Values reported via [`call_value`] inside the open scope.
-    static CALL_VALUES: RefCell<Vec<(String, f64)>> = const { RefCell::new(Vec::new()) };
+    /// Values reported via [`note`] inside the open scope.
+    static CALL_VALUES: RefCell<Vec<CallValue>> = const { RefCell::new(Vec::new()) };
     /// Trace ID of the serving request currently running on this thread
     /// (set via [`TraceTag`]; empty outside request scope).
     static CURRENT_TRACE: RefCell<String> = const { RefCell::new(String::new()) };
@@ -98,17 +113,18 @@ pub fn with_hub<F: FnOnce(&MetricsHub)>(f: F) {
     }
 }
 
-/// Suppress telemetry on this thread until the guard drops. Used by trial
-/// tuners (QoZ/HPEZ alpha-beta search) so speculative compressions don't
-/// pollute production counters, mirroring `qip_trace::pause`.
+/// Silence both sinks — the hub and the trace session — on this thread until
+/// the guard drops. Trial compressions (SZ3's pipeline selection, the QoZ /
+/// HPEZ tuner) run under it, so they never feed the statistics of the run
+/// actually kept.
 pub fn pause() -> PauseGuard {
     PAUSE_DEPTH.with(|d| d.set(d.get() + 1));
-    PauseGuard { _priv: () }
+    PauseGuard { _trace: qip_trace::pause() }
 }
 
-/// RAII guard from [`pause`]; re-enables telemetry for this thread on drop.
+/// RAII guard from [`pause`]; re-enables both sinks for this thread on drop.
 pub struct PauseGuard {
-    _priv: (),
+    _trace: qip_trace::PauseGuard,
 }
 
 impl Drop for PauseGuard {
@@ -180,48 +196,115 @@ pub fn slo_publish() {
     with_hub(|hub| hub.slo.publish(hub));
 }
 
-/// Add `delta` to a counter series on the attached hub; no-op when dormant.
-#[inline]
-pub fn counter_add(name: &str, labels: &[(&str, &str)], delta: u64) {
-    if !active() {
-        return;
-    }
-    with_hub(|hub| hub.counter_add(name, labels, delta));
+/// The one optional label of a pipeline statistic (see [`count`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Label {
+    /// Unlabelled: trace `name`, hub `qip.name`.
+    None,
+    /// An interpolation level: trace `name.l3`, hub `qip.name{level="l3"}`.
+    Level(usize),
+    /// Any other low-cardinality `(key, value)`: trace `name.value`, hub
+    /// `qip.name{key="value"}`.
+    Named(&'static str, &'static str),
 }
 
-/// Set a gauge series on the attached hub; no-op when dormant.
-#[inline]
-pub fn gauge_set(name: &str, labels: &[(&str, &str)], value: f64) {
-    if !active() {
-        return;
+impl Label {
+    /// The hub's `(key, value)` pair, `None` when unlabelled.
+    fn pair(self) -> Option<(&'static str, Cow<'static, str>)> {
+        match self {
+            Label::None => None,
+            Label::Level(level) => Some(("level", Cow::Owned(format!("l{level}")))),
+            Label::Named(key, value) => Some((key, Cow::Borrowed(value))),
+        }
     }
-    with_hub(|hub| hub.gauge_set(name, labels, value));
+
+    /// The trace session's spelling of `name` under this label.
+    fn trace_name(self, name: &str) -> String {
+        match self.pair() {
+            None => name.to_string(),
+            Some((_, value)) => format!("{name}.{value}"),
+        }
+    }
+
+    /// Run `f` on the hub label set: `first` (if any), then this label.
+    fn with_hub_labels<R>(self, first: Option<(&str, &str)>, f: impl FnOnce(&[(&str, &str)]) -> R) -> R {
+        let pair = self.pair();
+        let labels: Vec<(&str, &str)> =
+            first.into_iter().chain(pair.as_ref().map(|(k, v)| (*k, v.as_ref()))).collect();
+        f(&labels)
+    }
 }
 
-/// Record a histogram observation on the attached hub; no-op when dormant.
+/// True when a statistic computed now would be kept: a trace session is live
+/// or a hub is attached, and this thread is not [`pause`]d. The one gate for
+/// collecting per-point statistics; dormant it is two relaxed loads (one
+/// without the `trace` feature).
 #[inline]
-pub fn observe(name: &str, labels: &[(&str, &str)], value: u64) {
-    if !active() {
-        return;
-    }
-    with_hub(|hub| hub.observe(name, labels, value));
+pub fn capturing() -> bool {
+    qip_trace::enabled() || active()
 }
 
-/// Report a named value from inside an instrumented call (e.g. the engine's
-/// per-level `qp.accept_rate.l3`). Last write per name wins, so trial runs
-/// that precede the real compression within one call are overwritten by it.
-/// No-op when dormant or when no [`CallScope`] is open on this thread.
-pub fn call_value(name: &str, value: f64) {
+/// Add `n` to a pipeline counter: the trace session's `name[.label]` and the
+/// hub's `qip.name{key="label"}` — `count("qp.points", Label::Level(3), n)`
+/// feeds `qp.points.l3` and `qip.qp.points{level="l3"}`.
+#[inline]
+pub fn count(name: &str, label: Label, n: u64) {
+    if capturing() {
+        count_live(name, label, n);
+    }
+}
+
+#[inline(never)]
+fn count_live(name: &str, label: Label, n: u64) {
+    if qip_trace::enabled() {
+        qip_trace::counter(&label.trace_name(name), n);
+    }
+    with_hub(|hub| label.with_hub_labels(None, |l| hub.counter_add(&format!("qip.{name}"), l, n)));
+}
+
+/// Record a per-call value: the trace session's `name[.label]` value and, in
+/// the open [`CallScope`], the entry [`record_call`] publishes as the gauge
+/// `qip.name{compressor, key="label"}`. Last write wins in both, so a trial
+/// run that precedes the real compression within one call is overwritten.
+#[inline]
+pub fn note(name: &str, label: Label, x: f64) {
+    if capturing() {
+        note_live(name, label, x);
+    }
+}
+
+#[inline(never)]
+fn note_live(name: &str, label: Label, x: f64) {
+    if qip_trace::enabled() {
+        qip_trace::value(&label.trace_name(name), x);
+    }
     if !active() || CALL_DEPTH.with(|d| d.get()) == 0 {
         return;
     }
     CALL_VALUES.with(|vals| {
         let mut vals = vals.borrow_mut();
-        match vals.iter_mut().find(|(n, _)| n == name) {
-            Some(entry) => entry.1 = value,
-            None => vals.push((name.to_string(), value)),
+        match vals.iter_mut().find(|v| v.name == name && v.label == label) {
+            Some(v) => v.value = x,
+            None => vals.push(CallValue { name: name.to_string(), label, value: x }),
         }
     });
+}
+
+/// A value too costly for the always-on path (an O(n) scan, such as a
+/// level's index entropy): `f` runs, and its result becomes the trace value
+/// `name[.label]`, only inside a live trace session. The hub never sees it.
+#[inline]
+pub fn profile(name: &str, label: Label, f: impl FnOnce() -> f64) {
+    if qip_trace::enabled() {
+        qip_trace::value(&label.trace_name(name), f());
+    }
+}
+
+/// One [`note`] held by the open [`CallScope`].
+struct CallValue {
+    name: String,
+    label: Label,
+    value: f64,
 }
 
 /// Open per-call collection scope (see [`CallScope::begin`]).
@@ -243,7 +326,7 @@ impl CallScope {
     }
 
     /// Close the scope and drain the values reported inside it.
-    pub fn finish(self) -> Vec<(String, f64)> {
+    fn finish(self) -> Vec<CallValue> {
         CALL_VALUES.with(|v| std::mem::take(&mut *v.borrow_mut()))
         // Drop impl resets the depth.
     }
@@ -280,11 +363,12 @@ pub struct CallReport<'a> {
     pub outcome: String,
 }
 
-/// Record one finished call: updates the hub's histograms/counters and
-/// appends a flight record, harvesting per-level QP accept rates from the
-/// scope's [`call_value`]s. The scope comes from [`CallScope::begin`] at the
-/// start of the call; pass `None` if none was opened (then only a detached
-/// record would be meaningless, so this is a no-op when dormant).
+/// Record one finished call: updates the hub's histograms/counters, publishes
+/// every [`note`] of the scope as the gauge `qip.<name>{compressor[, label]}`
+/// and appends a flight record carrying the per-level `qp.accept_rate`s. The
+/// scope comes from [`CallScope::begin`] at the start of the call; pass
+/// `None` if none was opened (then only a detached record would be
+/// meaningless, so this is a no-op when dormant).
 pub fn record_call(scope: Option<CallScope>, report: CallReport<'_>) {
     let Some(scope) = scope else { return };
     let values = scope.finish();
@@ -298,12 +382,11 @@ pub fn record_call(scope: Option<CallScope>, report: CallReport<'_>) {
     } else {
         0.0
     };
+    // No values, no ratio, no bitrate: a rejected decode has no field, and
+    // the empty product of its dims must not read as one value.
     let n_values: u64 = report.dims.iter().map(|&d| d as u64).product();
-    let bitrate = if report.stream_bytes > 0 && n_values > 0 {
-        report.stream_bytes as f64 * 8.0 / n_values as f64
-    } else {
-        0.0
-    };
+    let bitrate =
+        if cr > 0.0 { report.stream_bytes as f64 * 8.0 / n_values as f64 } else { 0.0 };
 
     let mut qp_accept_rates = Vec::new();
     with_hub(|hub| {
@@ -319,17 +402,11 @@ pub fn record_call(scope: Option<CallScope>, report: CallReport<'_>) {
             // CR as a fixed-point histogram (x100) so quantiles are exportable.
             hub.observe(&format!("qip.{}.cr_x100", report.op), &labels, (cr * 100.0) as u64);
         }
-        for (name, value) in &values {
-            if let Some(level) = name.strip_prefix("qp.accept_rate.l").and_then(|s| s.parse().ok())
-            {
-                qp_accept_rates.push(LevelRate { level, rate: *value });
-                hub.gauge_set(
-                    "qip.qp.accept_rate",
-                    &[("compressor", comp), ("level", &format!("l{level}"))],
-                    *value,
-                );
-            } else {
-                hub.gauge_set(&format!("qip.call.{name}"), &labels, *value);
+        for v in &values {
+            let name = format!("qip.{}", v.name);
+            v.label.with_hub_labels(Some(labels[0]), |l| hub.gauge_set(&name, l, v.value));
+            if let ("qp.accept_rate", Label::Level(level)) = (v.name.as_str(), v.label) {
+                qp_accept_rates.push(LevelRate { level: level as u32, rate: v.value });
             }
         }
         qp_accept_rates.sort_by_key(|r| r.level);
@@ -393,28 +470,35 @@ mod tests {
         let _t = TEST_LOCK.lock().unwrap();
         detach();
         assert!(!active());
-        counter_add("c", &[], 1);
-        gauge_set("g", &[], 1.0);
-        observe("h", &[], 1);
-        call_value("v", 1.0);
+        with_hub(|_| panic!("no hub is attached"));
+        count("c", Label::Level(1), 1);
+        note("v", Label::None, 1.0);
         assert!(CallScope::begin().is_none());
         record_fault("X", "decompress", "corrupt");
     }
 
     #[test]
-    fn attach_records_detach_stops() {
+    fn count_names_the_hub_series_by_the_rule_until_detached() {
         let _t = TEST_LOCK.lock().unwrap();
         let hub = Arc::new(MetricsHub::new());
         attach(Arc::clone(&hub));
         assert!(active());
-        counter_add("c", &[], 2);
-        observe("h", &[], 7);
+        count("qp.points", Label::Level(3), 5);
+        count("qp.points", Label::Level(3), 2);
+        count("sz3.pipeline", Label::Named("pipeline", "lorenzo"), 1);
+        count("codec.chunks", Label::None, 4);
         let detached = detach().unwrap();
         assert!(Arc::ptr_eq(&detached, &hub));
-        counter_add("c", &[], 100); // dormant: must not land
-        let snap = hub.snapshot();
-        assert_eq!(snap.counters[0].1, 2);
-        assert_eq!(snap.hists[0].1.count, 1);
+        count("codec.chunks", Label::None, 100); // dormant: must not land
+        let key = MetricKey::new;
+        assert_eq!(
+            hub.snapshot().counters,
+            vec![
+                (key("qip.codec.chunks", &[]), 4),
+                (key("qip.qp.points", &[("level", "l3")]), 7),
+                (key("qip.sz3.pipeline", &[("pipeline", "lorenzo")]), 1),
+            ]
+        );
     }
 
     #[test]
@@ -424,12 +508,12 @@ mod tests {
         attach(Arc::clone(&hub));
         {
             let _p = pause();
-            assert!(!active());
-            counter_add("c", &[], 1);
+            assert!(!capturing());
+            count("c", Label::None, 1);
             let _p2 = pause(); // nesting
         }
         assert!(active());
-        counter_add("c", &[], 1);
+        count("c", Label::None, 1);
         detach();
         assert_eq!(hub.snapshot().counters[0].1, 1);
     }
@@ -442,9 +526,14 @@ mod tests {
         let scope = CallScope::begin();
         assert!(scope.is_some());
         assert!(CallScope::begin().is_none()); // no nested scopes
-        call_value("qp.accept_rate.l2", 0.5); // trial run…
-        call_value("qp.accept_rate.l2", 0.9); // …overwritten by the real one
-        call_value("qp.accept_rate.l1", 0.8);
+        note("qp.accept_rate", Label::Level(2), 0.5); // trial run…
+        note("qp.accept_rate", Label::Level(2), 0.9); // …overwritten by the real one
+        note("qp.accept_rate", Label::Level(1), 0.8);
+        note("qoz.alpha", Label::None, 1.5);
+        {
+            let _p = pause();
+            note("qoz.alpha", Label::None, 9.0); // a paused trial never lands
+        }
         record_call(
             scope,
             CallReport {
@@ -474,12 +563,17 @@ mod tests {
         let names: Vec<&str> = snap.hists.iter().map(|(k, _)| k.name.as_str()).collect();
         assert!(names.contains(&"qip.compress.duration_ns"));
         assert!(names.contains(&"qip.compress.cr_x100"));
-        assert!(snap
-            .gauges
-            .iter()
-            .any(|(k, v)| k.name == "qip.qp.accept_rate"
-                && k.labels.contains(&("level".into(), "l2".into()))
-                && *v == 0.9));
+        // Every note is a `qip.<name>` gauge labelled by compressor (+ level).
+        let gauge = |name: &str, level: Option<&str>| {
+            let mut labels = vec![("compressor".to_string(), "SZ3+QP".to_string())];
+            labels.extend(level.map(|l| ("level".to_string(), l.to_string())));
+            labels.sort();
+            snap.gauges.iter().find(|(k, _)| k.name == name && k.labels == labels).map(|g| g.1)
+        };
+        assert_eq!(gauge("qip.qp.accept_rate", Some("l2")), Some(0.9));
+        assert_eq!(gauge("qip.qp.accept_rate", Some("l1")), Some(0.8));
+        assert_eq!(gauge("qip.qoz.alpha", None), Some(1.5));
+        assert_eq!(snap.gauges.len(), 3);
         // A fresh scope starts clean.
         let scope = CallScope::begin();
         assert!(scope.is_none()); // dormant after detach

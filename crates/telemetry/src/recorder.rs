@@ -14,7 +14,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// Default ring capacity (records kept before the oldest is evicted).
 pub const DEFAULT_FLIGHT_CAPACITY: usize = 4096;
 
-/// Per-level QP acceptance rate harvested from the engine's `SinkStats`.
+/// Per-level QP acceptance rate: the call's `qp.accept_rate` notes.
 #[derive(Debug, Clone, PartialEq, serde::Serialize)]
 pub struct LevelRate {
     /// Interpolation level the rate belongs to.

@@ -270,13 +270,6 @@ pub fn span(name: &'static str) -> Span {
     imp::span_str(name)
 }
 
-/// [`span`] with a runtime-built name.
-#[cfg(feature = "enabled")]
-#[inline]
-pub fn span_owned(name: String) -> Span {
-    imp::span_str(&name)
-}
-
 /// [`span`] with a lazily built name — the closure only runs when capture is
 /// live, so call sites can format names without paying when tracing is off.
 #[cfg(feature = "enabled")]
@@ -289,33 +282,18 @@ pub fn span_with(name: impl FnOnce() -> String) -> Span {
     }
 }
 
-
 /// Add `delta` to the named monotonic counter.
 #[cfg(feature = "enabled")]
 #[inline]
-pub fn counter(name: &'static str, delta: u64) {
+pub fn counter(name: &str, delta: u64) {
     imp::counter_str(name, delta)
-}
-
-/// [`counter`] with a runtime-built name.
-#[cfg(feature = "enabled")]
-#[inline]
-pub fn counter_owned(name: String, delta: u64) {
-    imp::counter_str(&name, delta)
 }
 
 /// Record a floating-point observation (last write wins within a session).
 #[cfg(feature = "enabled")]
 #[inline]
-pub fn value(name: &'static str, value: f64) {
+pub fn value(name: &str, value: f64) {
     imp::value_str(name, value)
-}
-
-/// [`value`] with a runtime-built name.
-#[cfg(feature = "enabled")]
-#[inline]
-pub fn value_owned(name: String, v: f64) {
-    imp::value_str(&name, v)
 }
 
 /// Suppress capture on the current thread while the returned guard lives.
@@ -381,13 +359,6 @@ pub fn span(_name: &'static str) -> Span {
     Span(())
 }
 
-/// No-op span (feature `enabled` not compiled).
-#[cfg(not(feature = "enabled"))]
-#[inline(always)]
-pub fn span_owned(_name: String) -> Span {
-    Span(())
-}
-
 /// No-op span; the name closure is never invoked.
 #[cfg(not(feature = "enabled"))]
 #[inline(always)]
@@ -398,22 +369,12 @@ pub fn span_with(_name: impl FnOnce() -> String) -> Span {
 /// No-op counter (feature `enabled` not compiled).
 #[cfg(not(feature = "enabled"))]
 #[inline(always)]
-pub fn counter(_name: &'static str, _delta: u64) {}
-
-/// No-op counter (feature `enabled` not compiled).
-#[cfg(not(feature = "enabled"))]
-#[inline(always)]
-pub fn counter_owned(_name: String, _delta: u64) {}
+pub fn counter(_name: &str, _delta: u64) {}
 
 /// No-op value (feature `enabled` not compiled).
 #[cfg(not(feature = "enabled"))]
 #[inline(always)]
-pub fn value(_name: &'static str, _value: f64) {}
-
-/// No-op value (feature `enabled` not compiled).
-#[cfg(not(feature = "enabled"))]
-#[inline(always)]
-pub fn value_owned(_name: String, _value: f64) {}
+pub fn value(_name: &str, _value: f64) {}
 
 /// No-op pause guard (feature `enabled` not compiled).
 #[cfg(not(feature = "enabled"))]
