@@ -1,4 +1,5 @@
-//! `repro` — regenerate every table and figure of the paper.
+//! `repro` — regenerate every table and figure of the paper, and run the two
+//! gates that need the whole registry: `conformance` and `monitor`.
 //!
 //! ```text
 //! repro <command> [--scale N] [--fields K] [--out DIR] [--full]
@@ -22,11 +23,6 @@
 //!              per-level QP accept rates), BENCH_telemetry.prom, a flight dump,
 //!              and BENCH_flame.folded. `--gate 0.02` exits 1 when attached
 //!              throughput drops >2% (geomean of paired ratios) below detached
-//!   inspect    stream-forensics sweep: every registry compressor (plus a
-//!              tiled container) compressed and inspected; publishes per-level
-//!              index bits + QP accept rates into BENCH_inspect.json and exits
-//!              1 when any ledger is inexact, any stream changes after
-//!              inspection, or the dormant decompress path slows >2%
 //!   conformance  golden-vector verification, execution-path differential
 //!              oracles, and the error-bound contract suite; exits 1 on any
 //!              failure. `--bless` regenerates the committed golden fixtures
@@ -34,31 +30,16 @@
 //!   table4     comparison with ZFP/TTHRESH/SPERR
 //!   fig18      end-to-end parallel transfer
 //!   ablate     ablation studies (DESIGN.md §8)
-//!   serve      fault-tolerance benchmark of the qip-serve TCP service:
-//!              closed-loop p50/p99 latency + RPS for several registry
-//!              compressors, an open-loop overload phase proving bounded
-//!              queues and typed SERVER_BUSY shedding, and a seeded chaos
-//!              run (corrupt frames → typed errors/clean closes, zero
-//!              hangs). Writes BENCH_serve.json, appends BENCH_history.jsonl,
-//!              exits 1 when any robustness gate fails
-//!   slo        SLO burn-rate tracking of a live qip-serve deployment: a
-//!              well-provisioned load phase plus a seeded chaos phase against
-//!              one server with declarative availability/latency objectives
-//!              on a compressed window clock. Writes BENCH_slo.json (multi-
-//!              window burn rates, compliance), BENCH_tails.jsonl (tail-
-//!              sampler stage traces), and BENCH_events.jsonl (per-request
-//!              events); exits 1 when any objective is breached
-//!   tiles      tiled-container random access: region-read latency vs region
-//!              size with exact tile-decode counts, read identity vs the full
-//!              decode, the bound contract, TiledWriter byte-identity and
-//!              MGARD progressive decode. Writes BENCH_tiles.json, exits 1
-//!              when any hard gate fails
 //!   all        everything above in order (failures are aggregated; the exit
 //!              code is nonzero if any gated experiment failed)
 //! ```
 //!
 //! `--scale N` divides every paper dimension by N (default 4); `--full` is
 //! `--scale 1` (paper sizes — hours of runtime and tens of GB of memory).
+//!
+//! Speed is timed by `perf/` only. The serving, tiled-container and forensics
+//! gates are workspace tests (`cargo test -p qip-serve -p qip-container -p
+//! qip-inspect`).
 
 use qip_bench::experiments::{self, Opts};
 use qip_data::{Dataset, RD_DATASETS};
@@ -79,7 +60,7 @@ fn print_table1() {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: repro <table1|table2|fig3|fig4|fig5|fig7|fig8|fig9|rd|monitor|inspect|conformance|table4|fig18|ablate|serve|slo|tiles|all> \
+        "usage: repro <table1|table2|fig3|fig4|fig5|fig7|fig8|fig9|rd|monitor|conformance|table4|fig18|ablate|all> \
          [--scale N] [--fields K] [--out DIR] [--full] [--dataset NAME] [--gate PCT] [--bless]"
     );
     std::process::exit(2);
@@ -168,12 +149,6 @@ fn main() {
                 std::process::exit(1);
             }
         }
-        "inspect" => {
-            if let Err(msg) = experiments::inspect::run(&opts) {
-                eprintln!("{msg}");
-                std::process::exit(1);
-            }
-        }
         "conformance" => {
             if !experiments::conformance::run(&opts, bless) {
                 std::process::exit(1);
@@ -182,24 +157,6 @@ fn main() {
         "table4" => experiments::sota::run(&opts),
         "fig18" => experiments::transfer::run(&opts),
         "ablate" => experiments::ablate::run(&opts),
-        "serve" => {
-            if let Err(msg) = experiments::serve::run(&opts) {
-                eprintln!("{msg}");
-                std::process::exit(1);
-            }
-        }
-        "slo" => {
-            if let Err(msg) = experiments::slo::run(&opts) {
-                eprintln!("{msg}");
-                std::process::exit(1);
-            }
-        }
-        "tiles" => {
-            if let Err(msg) = experiments::tiles::run(&opts) {
-                eprintln!("{msg}");
-                std::process::exit(1);
-            }
-        }
         "all" => {
             // Gated experiments append to `failures` instead of exiting on
             // the spot, so one bad gate never masks the others — but the
@@ -219,24 +176,12 @@ fn main() {
             if let Err(msg) = experiments::monitor::run(&opts, gate) {
                 failures.push(format!("monitor: {msg}"));
             }
-            if let Err(msg) = experiments::inspect::run(&opts) {
-                failures.push(format!("inspect: {msg}"));
-            }
             if !experiments::conformance::run(&opts, false) {
                 failures.push("conformance: suite reported failures (see log above)".into());
             }
             experiments::sota::run(&opts);
             experiments::transfer::run(&opts);
             experiments::ablate::run(&opts);
-            if let Err(msg) = experiments::serve::run(&opts) {
-                failures.push(format!("serve: {msg}"));
-            }
-            if let Err(msg) = experiments::slo::run(&opts) {
-                failures.push(format!("slo: {msg}"));
-            }
-            if let Err(msg) = experiments::tiles::run(&opts) {
-                failures.push(format!("tiles: {msg}"));
-            }
             if !failures.is_empty() {
                 eprintln!("repro all: {} gated experiment(s) failed:", failures.len());
                 for f in &failures {

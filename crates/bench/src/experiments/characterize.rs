@@ -1,7 +1,6 @@
 //! Quantization-index characterization: paper Table II and Figs. 3–5.
 
 use super::Opts;
-use crate::registry::AnyCompressor;
 use crate::report::{fmt, print_table, write_jsonl};
 use crate::runner::{find_eb_for_psnr, run_once};
 use qip_core::{Compressor, ErrorBound, QpConfig};
@@ -9,6 +8,7 @@ use qip_data::Dataset;
 use qip_interp::QuantCapture;
 use qip_metrics::{entropy_by_slice, entropy_region};
 use qip_quant::UNPRED;
+use qip_registry::AnyCompressor;
 use qip_tensor::Field;
 use serde::Serialize;
 use std::io::Write;
@@ -157,7 +157,7 @@ pub fn table2(opts: &Opts) -> Result<(), String> {
         let (eb, rec) =
             find_eb_for_psnr(&base, "SegSalt", 0, &field, 75.0, 0.8).unwrap_or_else(|miss| {
                 failures.push(miss.to_string());
-                miss.closest
+                *miss.closest
             });
         let qp = AnyCompressor::by_name(&format!("{name}+QP")).expect("known name");
         let rec_qp = run_once(&qp, "SegSalt", 0, &field, eb);

@@ -17,11 +17,11 @@
 //! `1 − PCT`: the "always-on means affordable" contract.
 
 use super::Opts;
-use crate::registry::AnyCompressor;
 use crate::report::{fmt, print_table, write_json};
 use crate::timing::paired;
 use qip_core::{Compressor, ErrorBound};
 use qip_data::Dataset;
+use qip_registry::AnyCompressor;
 use qip_telemetry::{HistSummary, LevelRate, MetricsHub};
 use serde::Serialize;
 use std::sync::Arc;

@@ -8,11 +8,11 @@
 //! per-figure annotation).
 
 use super::{Opts, EB_SWEEP};
-use crate::registry::AnyCompressor;
 use crate::report::{fmt, print_table, write_jsonl};
 use crate::runner::{run_once, RunRecord};
 use qip_core::{Compressor, QpConfig};
 use qip_data::Dataset;
+use qip_registry::AnyCompressor;
 
 /// Run the rate-distortion sweep for one dataset (one paper figure).
 pub fn run_dataset(ds: Dataset, opts: &Opts) {

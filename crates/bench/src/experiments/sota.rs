@@ -6,11 +6,11 @@
 //! throughputs.
 
 use super::Opts;
-use crate::registry::AnyCompressor;
 use crate::report::{fmt, print_table, write_jsonl};
 use crate::runner::{run_once, RunRecord};
 use qip_core::Compressor;
 use qip_data::Dataset;
+use qip_registry::AnyCompressor;
 
 /// Table IV's compressor rows, in paper order.
 fn rows() -> Vec<AnyCompressor> {

@@ -72,13 +72,14 @@ pub fn run_once<T: Scalar, C: Compressor<T>>(
 /// came closest, outside the tolerance.
 #[derive(Debug, Clone)]
 pub struct PsnrMiss {
-    /// The closest `(relative bound, run)` the bisection saw.
-    pub closest: (f64, RunRecord),
+    /// The closest `(relative bound, run)` the bisection saw, boxed so the
+    /// error side of [`find_eb_for_psnr`]'s `Result` stays one pointer.
+    pub closest: Box<(f64, RunRecord)>,
 }
 
 impl std::fmt::Display for PsnrMiss {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let (eb, rec) = &self.closest;
+        let (eb, rec) = &*self.closest;
         write!(f, "{}: PSNR target missed, closest {:.2} dB at rel {eb:.3e}", rec.compressor, rec.psnr)
     }
 }
@@ -122,7 +123,7 @@ pub fn find_eb_for_psnr<T: Scalar, C: Compressor<T>>(
             hi = mid;
         }
     }
-    Err(PsnrMiss { closest: best.expect("bisection ran at least once") })
+    Err(PsnrMiss { closest: Box::new(best.expect("bisection ran at least once")) })
 }
 
 #[cfg(test)]

@@ -1,7 +1,6 @@
-//! The one stopwatch of `qip-bench`: every warm-up-and-repeat loop a `repro`
-//! gate times a compressor with. Throughput itself is measured by `perf/`
-//! (docs/benchmarks.md); these loops only feed the overhead gates of
-//! `repro monitor`/`inspect` and the latency columns of `repro tiles`.
+//! The one stopwatch of `qip-bench`: the paired A/B loop behind `repro
+//! monitor`'s ≤ 2 % telemetry-overhead gate. Throughput itself is measured by
+//! `perf/` (docs/benchmarks.md).
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -10,19 +9,6 @@ fn timed<R>(f: &mut impl FnMut() -> R) -> (R, f64) {
     let t = Instant::now();
     let out = black_box(f());
     (out, t.elapsed().as_secs_f64())
-}
-
-/// Call `f` once untimed (warm-up), then `rounds` more times. Returns the
-/// last result and the fastest timed call in seconds.
-pub fn fastest<R>(rounds: usize, mut f: impl FnMut() -> R) -> (R, f64) {
-    let mut out = black_box(f());
-    let mut best = f64::INFINITY;
-    for _ in 0..rounds {
-        let t;
-        (out, t) = timed(&mut f);
-        best = best.min(t);
-    }
-    (out, best)
 }
 
 /// What [`paired`] measured.
@@ -102,15 +88,7 @@ mod tests {
     }
 
     #[test]
-    fn call_counts_and_order() {
-        let mut calls = 0;
-        let (last, best) = fastest(3, || {
-            calls += 1;
-            calls
-        });
-        assert_eq!((last, calls), (4, 4)); // one warm-up + three timed
-        assert!(best.is_finite());
-
+    fn call_order() {
         let log = std::cell::RefCell::new(String::new());
         paired(3, || log.borrow_mut().push('a'), || log.borrow_mut().push('b'));
         assert_eq!(*log.borrow(), "ababbaab", "warm-up, then ab / ba / ab");

@@ -37,5 +37,20 @@ fn read_region_decodes_only_intersecting_tiles() {
     let _: Field<f32> = tc.decompress(&bytes).unwrap();
     assert_eq!(counter.load(Ordering::Relaxed), 1 + 2 + 4 + 4);
 
+    // 3-D: a 3×3×2 grid of 18 tiles, clipped to 8 at the end of the last
+    // two axes. A one-tile region decodes 1, the full region all 18.
+    let f3 = qip_data::Dataset::Miranda.generate_f32(3, &[48, 40, 24]);
+    let tc3 = TiledCompressor::new(AnyCompressor::by_name("SZ3+QP").unwrap(), 16).unwrap();
+    let bytes3 = tc3.compress(&f3, ErrorBound::Abs(1e-3)).unwrap();
+    let decoded = |region: Region| {
+        let before = counter.load(Ordering::Relaxed);
+        let _: Field<f32> = read_region(&bytes3, &region).unwrap();
+        counter.load(Ordering::Relaxed) - before
+    };
+    // A tile-sized region at tile/2 straddles a corner: 2×2×2 tiles.
+    assert_eq!(decoded(Region::new(&[8, 8, 8], &[16, 16, 16])), 8);
+    assert_eq!(decoded(Region::new(&[16, 16, 0], &[16, 16, 16])), 1);
+    assert_eq!(decoded(Region::full(&[48, 40, 24])), 18);
+
     qip_telemetry::detach();
 }

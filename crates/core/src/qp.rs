@@ -312,7 +312,7 @@ macro_rules! with_row_gate {
 
 /// The involved neighbors of one lattice row, resolved once per row by
 /// [`QpEngine::row_taps`]: their flat offsets *below* the point's own flat
-/// index, in the canonical order [`gate`] expects. Everything the point API
+/// index, in the canonical order `gate` expects. Everything the point API
 /// re-derives per point — which mode, which axes exist, whether the row sits
 /// on the lattice's first line — is constant along a row and lives here, so
 /// the per-point work is plain `i32` loads from the index store.
@@ -373,7 +373,7 @@ impl QpEngine {
     /// (where `c` is what [`QpEngine::predict`] returns), `None` when it is
     /// closed. This is the point API of qip-interp's test oracle, the
     /// row-kernel property suite and the doc-tests; it evaluates the same
-    /// [`gate`] the row kernels run on direct `qstore` loads.
+    /// `gate` the row kernels run on direct `qstore` loads.
     pub fn gated_predict(&self, level: usize, nb: &Neighbors) -> Option<i32> {
         if !self.config.is_enabled() || level > self.config.max_level {
             return None;

@@ -482,7 +482,7 @@ fn recv_checked(
 /// The shed/deadline phase assumes the target server runs with one worker
 /// and a queue of two (the chaos suite configures `workers: 1,
 /// queue_depth: 2`) and sequences itself on what the server does, not on
-/// sleeps: a noisy compress sized by [`calibrate_blocker`] occupies the
+/// sleeps: a noisy compress sized by `calibrate_blocker` occupies the
 /// worker; tiny requests are sent until one stops coming straight back —
 /// that one is queued behind the running blocker; then a 1 ms-deadline
 /// request and three more go out pipelined on one connection, which the

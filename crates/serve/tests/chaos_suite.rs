@@ -1,16 +1,38 @@
 //! Acceptance criterion: ≥500 seeded malformed/truncated/slow-client frames
 //! against a live server → 100% typed error responses or clean closes, zero
-//! hangs, zero panics escaping isolation. Run in CI by the serve-smoke job
-//! (job timeout doubles as the hang detector).
+//! hangs, zero panics escaping isolation — and none of it burns the
+//! availability SLO, because a corrupt frame is the client's mistake. Run in
+//! CI by the serve-smoke job (job timeout doubles as the hang detector).
 
 use qip_serve::chaos::{self, ChaosConfig};
 use qip_serve::wire::Status;
 use qip_serve::{Client, ServeConfig, Server};
 use std::sync::atomic::Ordering;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
+
+/// The attached telemetry hub is process-global, and the trace-echo test
+/// below deliberately answers `SERVER_BUSY` and `DEADLINE_EXCEEDED`, which
+/// burn the budget; the two tests serialize on this. Poison-tolerant, so one
+/// failure does not cascade into the other.
+static HUB_LOCK: Mutex<()> = Mutex::new(());
+
+fn hub_guard() -> MutexGuard<'static, ()> {
+    HUB_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 #[test]
 fn five_hundred_corrupt_frames_never_hang_or_panic() {
+    let _guard = hub_guard();
+    // Only server faults (panics, shed load, missed deadlines) may burn the
+    // availability budget; the SLO objectives record every answered frame.
+    let hub = Arc::new(qip_telemetry::MetricsHub::with_slo_and_tail(
+        qip_telemetry::slo::default_objectives(),
+        1.0,
+        16,
+        8,
+    ));
+    qip_telemetry::attach(Arc::clone(&hub));
     let cfg = ServeConfig {
         addr: "127.0.0.1:0".into(),
         workers: 2,
@@ -66,7 +88,18 @@ fn five_hundred_corrupt_frames_never_hang_or_panic() {
     drop(probe);
 
     let stats = handle.join();
+    qip_telemetry::detach();
     assert_eq!(stats.panics.load(Ordering::SeqCst), 0, "panic escaped isolation");
+
+    let snapshot = hub.slo.snapshot();
+    let availability = snapshot
+        .objectives
+        .iter()
+        .find(|o| o.kind == "availability")
+        .expect("the default objectives declare availability");
+    assert!(availability.total > 0, "the objective saw no traffic: {availability:?}");
+    assert_eq!(availability.bad, 0, "client mistakes burned the budget: {availability:?}");
+    assert!(!snapshot.breached().contains(&availability.name), "{snapshot:?}");
 }
 
 /// Satellite: every response frame — success, typed error, shed, and
@@ -77,6 +110,7 @@ fn five_hundred_corrupt_frames_never_hang_or_panic() {
 /// request expires waiting behind them, and further requests overflow.
 #[test]
 fn every_status_echoes_the_trace_id_and_assigned_ids_are_unique() {
+    let _guard = hub_guard();
     let cfg = ServeConfig {
         addr: "127.0.0.1:0".into(),
         workers: 1,

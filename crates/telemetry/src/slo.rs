@@ -14,9 +14,8 @@
 //! pace; 10.0 exhausts a 3-day budget in ~7 hours. Following SRE practice
 //! the tracker evaluates fast windows (5m / 1h) that catch sharp regressions
 //! and slow windows (6h / 3d) that catch slow leaks. All four window lengths
-//! are multiplied by a `window_scale` at construction so tests and the
-//! `repro slo` experiment can compress days into seconds without touching
-//! the math.
+//! are multiplied by a `window_scale` at construction so a test can
+//! compress days into seconds without touching the math.
 //!
 //! Time is measured in nanoseconds since tracker construction. Production
 //! callers use [`SloTracker::record`] (wall clock); tests inject synthetic
@@ -174,7 +173,7 @@ impl Ring {
 }
 
 /// Burn rate from a windowed bad fraction and the objective's target.
-/// Exposed so the bench experiment and tests share one definition.
+/// Exposed so callers and tests share one definition.
 pub fn burn_rate(total: u64, bad: u64, target: f64) -> f64 {
     if total == 0 {
         return 0.0;
