@@ -1,7 +1,7 @@
 //! Reusable compression scratch arena.
 //!
 //! Every `compress`/`decompress` call in the workspace historically allocated
-//! its working state — quantization-index planes, predicted-index streams,
+//! its working state — quantization-index streams, channel buffers,
 //! per-level quantizers, entropy-stage output — from scratch. A
 //! [`CompressCtx`] owns all of that once; threading it through
 //! [`Compressor::compress_into`](crate::Compressor::compress_into) /
@@ -27,9 +27,9 @@ use qip_tensor::ScalarPools;
 /// be moved freely between calls.
 #[derive(Debug, Default)]
 pub struct CompressCtx {
-    /// Reconstructed quantization-index plane (`qstore` in the engines).
-    pub qstore: Vec<i32>,
-    /// Predicted/transformed index stream handed to the entropy stage.
+    /// The quantization-index stream in the entropy coder's order: the
+    /// engines quantize into it and run QP on it in place (`Q → Q′` before
+    /// the entropy stage, `Q′ → Q` after it).
     pub qprime: Vec<i32>,
     /// Anchor-channel (or coarse-level) byte scratch.
     pub anchors: Vec<u8>,
@@ -70,11 +70,11 @@ mod tests {
     #[test]
     fn default_is_empty_and_reset_drops_capacity() {
         let mut ctx = CompressCtx::new();
-        assert!(ctx.qstore.is_empty());
-        ctx.qstore.resize(1024, 0);
+        assert!(ctx.qprime.is_empty());
+        ctx.qprime.resize(1024, 0);
         ctx.stream.extend_from_slice(&[1, 2, 3]);
         ctx.reset();
-        assert!(ctx.qstore.is_empty() && ctx.qstore.capacity() == 0);
+        assert!(ctx.qprime.is_empty() && ctx.qprime.capacity() == 0);
         assert!(ctx.stream.is_empty());
     }
 }

@@ -23,6 +23,7 @@ use crate::CompressError;
 use qip_codec::{ByteReader, ByteWriter};
 use qip_predict::{lorenzo2, lorenzo3};
 use qip_quant::UNPRED;
+use std::ops::Range;
 
 /// Prediction dimension/direction for `quant_pred` (paper Fig. 7).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -310,22 +311,26 @@ macro_rules! with_row_gate {
     };
 }
 
-/// The involved neighbors of one lattice row, resolved once per row by
-/// [`QpEngine::row_taps`]: their flat offsets *below* the point's own flat
-/// index, in the canonical order `gate` expects. Everything the point API
-/// re-derives per point — which mode, which axes exist, whether the row sits
-/// on the lattice's first line — is constant along a row and lives here, so
-/// the per-point work is plain `i32` loads from the index store.
+/// The involved neighbors of one row run, resolved by [`QpEngine::row_taps`]:
+/// their distances *behind* the point in the pass's visit order — row-major
+/// over the pass lattice, the order the entropy coder sees the indices in —
+/// in the canonical order `gate` expects. In that order a neighbor sits at
+/// the same distance from every point of a pass (the product of the lattice
+/// counts over the later axes; 1 along the row), so everything the point API
+/// re-derives per point — which mode, which axes exist, whether the row lies
+/// on the lattice's first line — is constant along a row and lives here, and
+/// the per-point work is plain `i32` loads from contiguous slices.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QpTaps {
     offs: [usize; 7],
     /// Involved-neighbor count (1, 3 or 7), or 0 when an involved neighbor
     /// cannot exist anywhere on the row: the gate is provably closed.
     n: usize,
-    /// Position in `offs` of the tap one step back along the row, when an
-    /// involved axis runs along it. The row's first point then has no such
-    /// neighbor (closed there, resolvable from the second point on), and for
-    /// every later point it is the index the inverse recovered just before.
+    /// Position in `offs` of the tap one point back along the row (distance
+    /// 1), when an involved axis runs along it. The row's first point then
+    /// has no such neighbor (closed there), and for every later point it is
+    /// the index the inverse recovered just before: its one serial
+    /// dependency.
     row_tap: Option<usize>,
 }
 
@@ -344,8 +349,26 @@ impl QpTaps {
     }
 
     #[inline(always)]
-    fn load<const N: usize>(&self, qstore: &[i32], flat: usize) -> [i32; N] {
-        std::array::from_fn(|k| qstore[flat - self.offs[k]])
+    fn load<const N: usize>(&self, q: &[i32], at: usize) -> [i32; N] {
+        std::array::from_fn(|k| q[at - self.offs[k]])
+    }
+
+    /// Each tap's values for the `row_tap.len()` points from visit index
+    /// `at` on: a slice of `done` (everything before the run) for the taps
+    /// in earlier rows, `row_tap` — whatever the caller holds for it — for
+    /// the tap along the row.
+    #[inline(always)]
+    fn sources<'a, const N: usize>(
+        &self,
+        done: &'a [i32],
+        at: usize,
+        row_tap: &'a [i32],
+    ) -> [&'a [i32]; N] {
+        let len = row_tap.len();
+        std::array::from_fn(|i| match self.row_tap {
+            Some(r) if r == i => row_tap,
+            _ => &done[at - self.offs[i]..][..len],
+        })
     }
 }
 
@@ -358,6 +381,12 @@ impl QpEngine {
     /// The engine's configuration.
     pub fn config(&self) -> &QpConfig {
         &self.config
+    }
+
+    /// Whether QP transforms anything on `level`: enabled, and the level
+    /// within `max_level`.
+    pub fn active(&self, level: usize) -> bool {
+        self.config.is_enabled() && level <= self.config.max_level
     }
 
     /// Whether the gating condition admits a prediction at this point (paper
@@ -373,9 +402,9 @@ impl QpEngine {
     /// (where `c` is what [`QpEngine::predict`] returns), `None` when it is
     /// closed. This is the point API of qip-interp's test oracle, the
     /// row-kernel property suite and the doc-tests; it evaluates the same
-    /// `gate` the row kernels run on direct `qstore` loads.
+    /// `gate` the row kernels run on visit-ordered slices.
     pub fn gated_predict(&self, level: usize, nb: &Neighbors) -> Option<i32> {
-        if !self.config.is_enabled() || level > self.config.max_level {
+        if !self.active(level) {
             return None;
         }
         let cond = self.config.condition;
@@ -431,27 +460,38 @@ impl QpEngine {
     }
 }
 
-/// Row kernels: the production form of the transform. A *row* is a run of
-/// same-pass lattice points `flat0, flat0 + stp, …` along the innermost axis;
-/// `first` says the run starts at the row's first point. Both directions keep
-/// the index store current (`qstore[flat] = Q`) because later rows of the
-/// pass read this one as their top/back neighbors.
+/// Points per chunk of a run: one bit each in the inverse's `u64` mark word.
+const CHUNK: usize = 64;
+
+/// The two row-tap values the dependency probe tries: one of each strict
+/// sign.
+const PROBE: [i32; 2] = [1, -1];
+
+/// Stand-in values for the row tap where a sweep does not read it.
+const NO_ROW_TAP: [i32; CHUNK] = [0; CHUNK];
+
+/// Row kernels: the production form of the transform, in place on the
+/// visit-ordered index array `q` — the array the entropy coder reads
+/// (compression) or wrote (decompression). `run` is consecutive points of
+/// one row (a whole row, or one row tile) and `first` says it starts at the
+/// row's first point. Every tap but the one along the row reaches into
+/// earlier rows, i.e. before `run.start`.
 impl QpEngine {
     /// Resolve the involved neighbors for one row of a pass on `level`.
     ///
-    /// `offs` holds the flat offset of the −step lattice neighbor along the
-    /// (left, top, back) axes — `None` when the axis does not exist or the
-    /// row lies on the lattice's first line along it; `along_row` marks the
-    /// axis the row itself runs along (its neighbor exists from the second
-    /// point on). Diagonal offsets are sums of their components, so the
-    /// three axes decide the whole involved set.
+    /// `offs` holds the visit distance of the −step lattice neighbor along
+    /// the (left, top, back) axes — `None` when the axis does not exist or
+    /// the row lies on the lattice's first line along it; `along_row` marks
+    /// the axis the row itself runs along (distance 1; its neighbor exists
+    /// from the second point on). Diagonal distances are sums of their
+    /// components, so the three axes decide the whole involved set.
     pub fn row_taps(
         &self,
         level: usize,
         offs: [Option<usize>; 3],
         along_row: [bool; 3],
     ) -> QpTaps {
-        if !self.config.is_enabled() || level > self.config.max_level {
+        if !self.active(level) {
             return QpTaps::CLOSED;
         }
         let one = |axis: usize| match offs[axis] {
@@ -480,135 +520,202 @@ impl QpEngine {
         }
     }
 
-    /// Gate + compensation for the single point at `flat` (`first`: it is its
-    /// row's first point): `(open, c)` with `c = 0` when closed — what
+    /// Gate + compensation for the single point at visit index `at` of `q`
+    /// (`first`: it is its row's first point), every neighbor holding `Q`:
+    /// `(open, c)` with `c = 0` when closed — what
     /// [`QpEngine::gated_predict`] returns on the equivalent [`Neighbors`].
     /// The forensic decoders use it to recover per-point decisions.
-    pub fn gate_at(&self, taps: &QpTaps, first: bool, qstore: &[i32], flat: usize) -> (bool, i32) {
+    pub fn gate_at(&self, taps: &QpTaps, first: bool, q: &[i32], at: usize) -> (bool, i32) {
         if taps.skip(first, 1) == 1 {
             return (false, 0);
         }
-        with_row_gate!(taps, self.config.condition, |g| g(taps.load(qstore, flat)))
+        with_row_gate!(taps, self.config.condition, |g| g(taps.load(q, at)))
     }
 
-    /// Compression side over one row run: `qprime[k] = q[k] − quant_pred`
-    /// ([`UNPRED`] passes through), `qstore` updated; returns how many gates
-    /// were open. All of `Q` is known up front, so nothing here is serial.
-    #[allow(clippy::too_many_arguments)] // one run = five slices/strides
-    pub fn forward_row(
-        &self,
-        taps: &QpTaps,
-        first: bool,
-        q: &[i32],
-        qprime: &mut [i32],
-        qstore: &mut [i32],
-        flat0: usize,
-        stp: usize,
-    ) -> usize {
-        assert_eq!(q.len(), qprime.len());
-        for (k, &v) in q.iter().enumerate() {
-            qstore[flat0 + k * stp] = v;
+    /// The decoder's dependency probe at a point whose tap `slot` — the one
+    /// along the row — is not recovered yet: whether the gate opens with
+    /// that tap at +1 or at −1, the others as in `v` (canonical order, 1, 3
+    /// or 7 of them). Every condition asks the row tap at most to be a
+    /// label-free index of one strict sign, so a gate the probe finds shut
+    /// stays shut whatever the row tap turns out to be, and the point has
+    /// `Q = Q′` (pinned exhaustively by the row-kernel suite).
+    pub fn may_open(&self, v: &[i32], slot: usize) -> bool {
+        let cond = self.config.condition;
+        let load = |i: usize| v[i];
+        match (v.len(), slot) {
+            (1, _) => with_gate!(cond, 1, |g| probe::<1, 0>(&g, load)),
+            (3, 0) => with_gate!(cond, 3, |g| probe::<3, 0>(&g, load)),
+            (3, _) => with_gate!(cond, 3, |g| probe::<3, 1>(&g, load)),
+            (_, 0) => with_gate!(cond, 7, |g| probe::<7, 0>(&g, load)),
+            (_, 1) => with_gate!(cond, 7, |g| probe::<7, 1>(&g, load)),
+            _ => with_gate!(cond, 7, |g| probe::<7, 2>(&g, load)),
         }
-        let skip = taps.skip(first, q.len());
-        if taps.n == 0 {
-            let closed = |_: [i32; 0]| (false, 0);
-            return forward_run(taps, skip, q, qprime, qstore, flat0, stp, closed);
-        }
-        with_row_gate!(taps, self.config.condition, |g| forward_run(
-            taps, skip, q, qprime, qstore, flat0, stp, g
-        ))
     }
 
-    /// Decompression side over one row run: `q[k] = qprime[k] + quant_pred`
-    /// ([`UNPRED`] passes through), `qstore` updated. The only serial
-    /// dependency is a tap along the row (the point just recovered).
-    #[allow(clippy::too_many_arguments)]
-    pub fn inverse_row(
-        &self,
-        taps: &QpTaps,
-        first: bool,
-        qprime: &[i32],
-        q: &mut [i32],
-        qstore: &mut [i32],
-        flat0: usize,
-        stp: usize,
-    ) {
-        assert_eq!(q.len(), qprime.len());
-        let skip = taps.skip(first, q.len());
-        if taps.n == 0 {
-            let closed = |_: [i32; 0]| (false, 0);
-            return inverse_run(taps, skip, qprime, q, qstore, flat0, stp, closed);
+    /// Compression side: `Q → Q′` over `q[run]` in place ([`UNPRED`] passes
+    /// through); returns how many gates were open. Every neighbor must
+    /// still hold `Q`, so a pass is transformed rows last first (a run is
+    /// transformed back to front). All of `Q` is known: nothing is serial.
+    pub fn forward(&self, taps: &QpTaps, first: bool, q: &mut [i32], run: Range<usize>) -> usize {
+        let skip = taps.skip(first, run.len());
+        if skip == run.len() {
+            return 0;
         }
-        with_row_gate!(taps, self.config.condition, |g| inverse_run(
-            taps, skip, qprime, q, qstore, flat0, stp, g
-        ))
+        with_row_gate!(taps, self.config.condition, |g| forward_run(taps, skip, q, run, g))
+    }
+
+    /// Decompression side: `Q′ → Q` over `q[run]` in place ([`UNPRED`]
+    /// passes through); every neighbor before `run.start` must hold `Q`
+    /// already. Without a tap along the row this is one branchless sweep.
+    /// With one, a branchless sweep first marks the points whose gate
+    /// [may open](QpEngine::may_open), and only those are resolved, in
+    /// order; every other point keeps `Q = Q′`.
+    pub fn inverse(&self, taps: &QpTaps, first: bool, q: &mut [i32], run: Range<usize>) {
+        let skip = taps.skip(first, run.len());
+        if skip < run.len() {
+            with_row_gate!(taps, self.config.condition, |g| inverse_run(taps, skip, q, run, g))
+        }
     }
 }
 
-/// [`QpEngine::forward_row`] for one (neighbor count, condition) pair: the
-/// first `skip` points pass through, the rest go through `gate`.
+/// The neighbors of one point with the row tap — slot `R` — at `x`, the
+/// others from `load`.
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
+fn with_row_tap<const N: usize, const R: usize>(load: impl Fn(usize) -> i32, x: i32) -> [i32; N] {
+    std::array::from_fn(|i| if i == R { x } else { load(i) })
+}
+
+/// [`QpEngine::may_open`] for one (neighbor count, condition) pair and row
+/// tap slot `R`: the gate at each [`PROBE`] value of the row tap.
+#[inline(always)]
+fn probe<const N: usize, const R: usize>(
+    gate: &impl Fn([i32; N]) -> (bool, i32),
+    load: impl Fn(usize) -> i32,
+) -> bool {
+    PROBE.iter().fold(false, |open, &x| open | gate(with_row_tap::<N, R>(&load, x)).0)
+}
+
+/// [`QpEngine::forward`] for one (neighbor count, condition) pair: the
+/// first `skip` points pass through, the rest go through `gate`, chunks last
+/// first so the row tap still reads `Q` (copied out before the chunk is
+/// written).
+#[inline(always)]
 fn forward_run<const N: usize>(
     taps: &QpTaps,
     skip: usize,
-    q: &[i32],
-    qprime: &mut [i32],
-    qstore: &[i32],
-    flat0: usize,
-    stp: usize,
+    q: &mut [i32],
+    run: Range<usize>,
     gate: impl Fn([i32; N]) -> (bool, i32),
 ) -> usize {
-    qprime[..skip].copy_from_slice(&q[..skip]);
+    let at = run.start;
+    let (done, rest) = q.split_at_mut(at);
+    let row = &mut rest[..run.len()];
     let mut accepted = 0usize;
-    for k in skip..q.len() {
-        let (open, c) = gate(taps.load(qstore, flat0 + k * stp));
-        accepted += open as usize;
-        // Wrapping keeps forward/inverse exact inverses over all of i32, so
-        // a corrupted index array cannot overflow on the decode side.
-        qprime[k] = if q[k] == UNPRED { UNPRED } else { q[k].wrapping_sub(c) };
+    let mut hi = row.len();
+    while hi > skip {
+        let lo = hi.saturating_sub(CHUNK).max(skip);
+        let mut prev = [0i32; CHUNK];
+        let prev = &mut prev[..hi - lo];
+        if taps.row_tap.is_some() {
+            for (k, p) in (lo..hi).zip(prev.iter_mut()) {
+                *p = if k == 0 { done[at - 1] } else { row[k - 1] };
+            }
+        }
+        let srcs = taps.sources::<N>(done, at + lo, prev);
+        for (j, v) in row[lo..hi].iter_mut().enumerate() {
+            let (open, c) = gate(std::array::from_fn(|i| srcs[i][j]));
+            accepted += open as usize;
+            // Wrapping keeps forward/inverse exact inverses over all of i32,
+            // so a corrupted index array cannot overflow on the decode side.
+            *v = if *v == UNPRED { UNPRED } else { v.wrapping_sub(c) };
+        }
+        hi = lo;
     }
     accepted
 }
 
-/// [`QpEngine::inverse_row`] for one (neighbor count, condition) pair (a
-/// closed row passes everything through: `skip = len`).
+/// [`QpEngine::inverse`] for one (neighbor count, condition) pair.
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
 fn inverse_run<const N: usize>(
     taps: &QpTaps,
     skip: usize,
-    qprime: &[i32],
     q: &mut [i32],
-    qstore: &mut [i32],
-    flat0: usize,
-    stp: usize,
+    run: Range<usize>,
     gate: impl Fn([i32; N]) -> (bool, i32),
 ) {
-    for k in 0..skip {
-        q[k] = qprime[k];
-        qstore[flat0 + k * stp] = qprime[k];
+    let at = run.start;
+    let (done, rest) = q.split_at_mut(at);
+    let row = &mut rest[..run.len()];
+    match taps.row_tap {
+        None => inverse_sweep(taps, skip, done, row, gate),
+        Some(0) => inverse_marked::<N, 0>(taps, skip, done, row, gate),
+        Some(1) => inverse_marked::<N, 1>(taps, skip, done, row, gate),
+        Some(_) => inverse_marked::<N, 2>(taps, skip, done, row, gate),
     }
-    // The tap along the row is the value stored one iteration ago: carry it
-    // in a register instead of waiting on the store to forward to its load.
-    let mut prev = match taps.row_tap {
-        Some(r) if skip < q.len() => {
-            assert_eq!(taps.offs[r], stp, "run geometry differs from the taps'");
-            qstore[flat0 + skip * stp - stp]
+}
+
+/// The inverse of a run with no tap along the row: every tap sits in an
+/// earlier row (`done`), so nothing is serial.
+#[inline(always)]
+fn inverse_sweep<const N: usize>(
+    taps: &QpTaps,
+    skip: usize,
+    done: &[i32],
+    row: &mut [i32],
+    gate: impl Fn([i32; N]) -> (bool, i32),
+) {
+    let at = done.len();
+    let mut lo = skip;
+    while lo < row.len() {
+        let hi = (lo + CHUNK).min(row.len());
+        let srcs = taps.sources::<N>(done, at + lo, &NO_ROW_TAP[..hi - lo]);
+        for (j, v) in row[lo..hi].iter_mut().enumerate() {
+            let (_, c) = gate(std::array::from_fn(|i| srcs[i][j]));
+            *v = if *v == UNPRED { UNPRED } else { v.wrapping_add(c) };
         }
-        _ => 0,
-    };
-    for k in skip..q.len() {
-        let flat = flat0 + k * stp;
-        let nb: [i32; N] = std::array::from_fn(|i| match taps.row_tap {
-            Some(r) if r == i => prev,
-            _ => qstore[flat - taps.offs[i]],
-        });
-        let (_, c) = gate(nb);
-        let v = if qprime[k] == UNPRED { UNPRED } else { qprime[k].wrapping_add(c) };
-        q[k] = v;
-        qstore[flat] = v;
-        prev = v;
+        lo = hi;
+    }
+}
+
+/// The inverse of a run whose tap `R` runs along the row, a chunk at a
+/// time: a branch-free sweep marks, one bit each, the points whose gate
+/// opens for either [`PROBE`] value of the row tap — only they depend on the
+/// point before — and only those are resolved, in order. Every other point
+/// keeps `Q = Q′`.
+#[inline(always)]
+fn inverse_marked<const N: usize, const R: usize>(
+    taps: &QpTaps,
+    skip: usize,
+    done: &[i32],
+    row: &mut [i32],
+    gate: impl Fn([i32; N]) -> (bool, i32),
+) {
+    let at = done.len();
+    assert_eq!(taps.offs[R], 1, "the row tap is the previous point");
+    let mut lo = skip;
+    while lo < row.len() {
+        let hi = (lo + CHUNK).min(row.len());
+        let srcs = taps.sources::<N>(done, at + lo, &NO_ROW_TAP[..hi - lo]);
+        let mut marks = 0u64;
+        for (j, &v) in row[lo..hi].iter().enumerate() {
+            marks |= (((v != UNPRED) & probe::<N, R>(&gate, |i| srcs[i][j])) as u64) << j;
+        }
+        // A marked point's row tap is the point before it: carried in a
+        // register when that point was just resolved too.
+        let (mut carried, mut prev) = (usize::MAX, 0);
+        while marks != 0 {
+            let j = marks.trailing_zeros() as usize;
+            marks &= marks - 1;
+            let k = lo + j;
+            if j != carried {
+                prev = if k == 0 { done[at - 1] } else { row[k - 1] };
+            }
+            let (_, c) = gate(with_row_tap::<N, R>(|i| srcs[i][j], prev));
+            prev = row[k].wrapping_add(c);
+            row[k] = prev;
+            carried = j + 1;
+        }
+        lo = hi;
     }
 }
 

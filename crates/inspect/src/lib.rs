@@ -313,7 +313,7 @@ enum Decoded<T: Scalar> {
     Plain(Field<T>, f64),
     /// An engine or MGARD decode with its QP record; its spans stand in
     /// place of the `body` span of what wraps it.
-    Forensic(EngineForensics<T>),
+    Forensic(Box<EngineForensics<T>>),
 }
 
 /// Decode one flat stream through its own decoder's parse → decode and
@@ -330,7 +330,7 @@ fn inspect_flat<T: Scalar>(
             match sz3.pipeline {
                 Pipeline::Interpolation => {
                     let fx = Sz3::new().engine().decompress_forensic(sz3.body)?;
-                    ("sz3-interp", "SZ3", sz3.spans, Forensic(fx))
+                    ("sz3-interp", "SZ3", sz3.spans, Forensic(Box::new(fx)))
                 }
                 Pipeline::Lorenzo => {
                     let p = lorenzo::parse::<T>(sz3.body)?;
@@ -341,7 +341,7 @@ fn inspect_flat<T: Scalar>(
         }
         Some(0x50) => {
             let fx = Mgard::new().decompress_forensic(bytes)?;
-            ("mgard", "MGARD", vec![body(bytes.len())], Forensic(fx))
+            ("mgard", "MGARD", vec![body(bytes.len())], Forensic(Box::new(fx)))
         }
         Some(0x60) => {
             let p = qip_zfp::parse::<T>(bytes)?;
@@ -366,12 +366,12 @@ fn inspect_flat<T: Scalar>(
             let unsealed = qip_core::integrity::check(bytes)?;
             let seal = Span { name: "seal", start: unsealed.len(), end: bytes.len() };
             let fx = preset.engine().decompress_forensic(unsealed)?;
-            (preset.kind, preset.name, vec![body(unsealed.len()), seal], Forensic(fx))
+            (preset.kind, preset.name, vec![body(unsealed.len()), seal], Forensic(Box::new(fx)))
         }
     };
     let (spans, abs_bound, recon, fx) = match &decoded {
         Plain(recon, abs_eb) => (outer, *abs_eb, recon, None),
-        Forensic(fx) => (splice(outer, "body", fx.spans.clone()), fx.abs_eb, &fx.field, Some(fx)),
+        Forensic(fx) => (splice(outer, "body", fx.spans.clone()), fx.abs_eb, &fx.field, Some(&**fx)),
     };
 
     let dims = recon.shape().dims().to_vec();

@@ -10,7 +10,7 @@
 
 use crate::config::{order_from_tag, order_tag, EngineConfig, LevelParams, PassStructure};
 use crate::kernels::Scratch;
-use crate::lattice::{num_levels, Pass};
+use crate::lattice::{for_each_point, num_levels, Pass};
 use crate::select::choose_level_params;
 use qip_codec::{encode_indices_into, ByteReader, ByteWriter, Span, Spans};
 use qip_core::{CompressCtx, CompressError, Compressor, ErrorBound, QpEngine, StreamHeader};
@@ -213,8 +213,8 @@ impl SinkStats {
         }
     }
 
-    /// Count one row or tile of `level`: its indices `q`, what QP made of
-    /// them, and how many of its points the QP gate accepted.
+    /// Count a stretch of `level`'s points: their indices `q`, what QP made
+    /// of them, and how many of them the QP gate accepted.
     pub fn row(&mut self, level: usize, accepted: usize, q: &[i32], q_prime: &[i32]) {
         let (mut unpredictable, mut fired) = (0u64, 0u64);
         for (&a, &b) in q.iter().zip(q_prime) {
@@ -257,6 +257,36 @@ impl SinkStats {
         count("interp.bytes.anchors", Label::None, anchors.len() as u64);
         count("interp.bytes.unpred", Label::None, unpred.len() as u64);
         count("interp.bytes.index", Label::None, index.len() as u64);
+    }
+}
+
+/// The encoder's QP step for one quantized pass: `q` holds the pass's
+/// indices in visit order, `Q` on entry and `Q′` on return. The statistics
+/// and the capture (cold paths) see both for every point.
+pub fn transform_pass(
+    qp: &QpEngine,
+    pass: &Pass,
+    dims: &[usize],
+    strides: &[usize],
+    q: &mut [i32],
+    stats: Option<&mut SinkStats>,
+    capture: Option<&mut QuantCapture>,
+) {
+    let (level, active) = (pass.level, qp.active(pass.level));
+    let kept = (active && (stats.is_some() || capture.is_some())).then(|| q.to_vec());
+    let accepted = if active { pass.qp_visit(dims).forward(qp, level, q) } else { 0 };
+    let before = kept.as_deref().unwrap_or(q);
+    if let Some(st) = stats {
+        st.row(level, accepted, before, q);
+    }
+    if let Some(cap) = capture {
+        let mut v = 0;
+        for_each_point(pass, dims, strides, |_, flat| {
+            cap.q[flat] = before[v];
+            cap.q_prime[flat] = q[v];
+            cap.level[flat] = level as u8;
+            v += 1;
+        });
     }
 }
 
@@ -324,7 +354,9 @@ pub(crate) struct DecompressSink<'a, T: Scalar> {
     pub(crate) anchor_cursor: usize,
     pub(crate) unpred: &'a [T],
     pub(crate) unpred_cursor: usize,
-    pub(crate) qprime: &'a [i32],
+    /// The decoded index stream: `Q′` until the tile walk inverts it, tile
+    /// by tile, into `Q` in place.
+    pub(crate) qprime: &'a mut [i32],
     pub(crate) q_cursor: usize,
     pub(crate) quantizers: &'a [LinearQuantizer],
 }
@@ -335,7 +367,7 @@ impl<'a, T: Scalar> DecompressSink<'a, T> {
         level_tags: &'a [(u8, u8, u8)],
         anchors: &'a [T],
         unpred: &'a [T],
-        qprime: &'a [i32],
+        qprime: &'a mut [i32],
         quantizers: &'a [LinearQuantizer],
     ) -> Self {
         DecompressSink {
@@ -436,24 +468,31 @@ pub struct Probe {
     pub unpredictable: u64,
     /// Anchor-grid (MGARD: coarse-node) point count.
     pub anchors: u64,
+    /// The transformed index stream as decoded (encoder emission order),
+    /// kept before the decoder inverts it in place: the `Q′` of
+    /// [`Probe::point`].
+    pub qprime: Vec<i32>,
 }
 
 impl Probe {
-    /// A blank record for `n` points over levels `1..=start_level`.
-    pub fn new(n: usize, start_level: usize) -> Self {
+    /// A blank record for `n` points over levels `1..=start_level` of a
+    /// stream whose decoded index stream is `qprime`.
+    pub fn new(n: usize, start_level: usize, qprime: &[i32]) -> Self {
         Probe {
             levels: blank_levels(start_level),
             accepted: vec![0; n],
             capture: QuantCapture::zeros(n),
+            qprime: qprime.to_vec(),
             ..Probe::default()
         }
     }
 
     /// Record the point at `flat`, decoded on `level` from symbol `at` of
-    /// the index stream: `q_prime` as stored, `q` behind the inverse
-    /// transform, `open` whether its QP gate was.
+    /// the index stream: `q` behind the inverse transform, `open` whether
+    /// its QP gate was.
     #[inline]
-    pub fn point(&mut self, level: usize, flat: usize, at: usize, q: i32, q_prime: i32, open: bool) {
+    pub fn point(&mut self, level: usize, flat: usize, at: usize, q: i32, open: bool) {
+        let q_prime = self.qprime[at];
         let ls = &mut self.levels[level];
         if ls.points == 0 {
             ls.qprime_start = at;
@@ -615,11 +654,7 @@ impl InterpEngine {
                 field.shape().strides(),
                 &mut buf,
                 &mut sink,
-                Scratch {
-                    qstore: &mut ctx.qstore,
-                    f64s: &mut ctx.tile_f64,
-                    idx: &mut ctx.tile_idx,
-                },
+                Scratch { f64s: &mut ctx.tile_f64, idx: &mut ctx.tile_idx },
                 capture,
             )?;
         }
@@ -764,14 +799,14 @@ impl InterpEngine {
         // sizes its per-point maps to it.
         let mut buf = qip_core::try_zeroed_vec::<T>(p.n)?;
         if let Some(pr) = probe.as_deref_mut() {
-            *pr = Probe::new(p.n, p.start_level);
+            *pr = Probe::new(p.n, p.start_level, &ctx.qprime);
         }
         let mut sink = DecompressSink::new(
             p.eff.qp,
             &p.level_tags,
             &anchors,
             &unpred,
-            &ctx.qprime,
+            &mut ctx.qprime,
             ctx.quantizers.as_slice(),
         );
         {
@@ -782,11 +817,7 @@ impl InterpEngine {
                 p.shape.strides(),
                 &mut buf,
                 &mut sink,
-                Scratch {
-                    qstore: &mut ctx.qstore,
-                    f64s: &mut ctx.tile_f64,
-                    idx: &mut ctx.tile_idx,
-                },
+                Scratch { f64s: &mut ctx.tile_f64, idx: &mut ctx.tile_idx },
                 probe.as_deref_mut(),
             )?;
         }
@@ -809,9 +840,10 @@ impl InterpEngine {
         let mut p = self.parse_stream::<T>(bytes)?;
         let (spans, abs_eb, qp_enabled) =
             (std::mem::take(&mut p.spans), p.abs_eb, p.eff.qp.is_enabled());
-        let (mut ctx, mut probe) = (CompressCtx::new(), Probe::default());
-        let field = Self::decompress_impl(p, &mut ctx, Some(&mut probe))?;
-        Ok(EngineForensics { field, spans, abs_eb, qp_enabled, qprime: ctx.qprime, probe: probe.finish() })
+        let mut probe = Probe::default();
+        let field = Self::decompress_impl(p, &mut CompressCtx::new(), Some(&mut probe))?;
+        let qprime = std::mem::take(&mut probe.qprime);
+        Ok(EngineForensics { field, spans, abs_eb, qp_enabled, qprime, probe: probe.finish() })
     }
 }
 

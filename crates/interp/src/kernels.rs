@@ -13,14 +13,13 @@
 //!   ([`qip_quant::LinearQuantizer::quantize_lanes`]), emitting indices
 //!   unconditionally plus an unpredictable-point bitmap that the (rare)
 //!   side-channel patch-up consumes afterwards;
-//! * level/QP gating hoisted out of the inner loop: QP-inactive levels skip
-//!   neighbor resolution and index-store writes entirely;
-//! * the QP transform run per tile through the row kernels of
-//!   [`qip_core::QpEngine`] — the involved neighbors resolved once per row
-//!   into flat `qstore` offsets ([`qip_core::QpTaps`]), in both directions —
-//!   inside the same L1-resident tile, so the orthogonal-plane neighbor reads
-//!   hit lines the tile just touched (the cache-blocked plane sweep of
-//!   docs/kernels.md).
+//! * QP run on the index stream itself, in the order the entropy coder sees
+//!   it: a pass's neighbors sit at constant distances in its visit order
+//!   ([`crate::lattice::QpVisit`], resolved once per pass; the row only
+//!   decides which exist, [`qip_core::QpTaps`]). The encoder transforms
+//!   each quantized pass in place, rows last first; the decoder inverts
+//!   each tile's slice of the decoded stream in place just before it
+//!   dequantizes it. QP-inactive levels have closed taps: nothing to do.
 //!
 //! Byte identity with the point-by-point reference walk (the `cfg(test)`
 //! oracle in `reference.rs`; per point: `predict_point`, one quantize, QP
@@ -32,9 +31,9 @@
 //! production against committed streams.
 
 use crate::config::EngineConfig;
-use crate::engine::{CompressSink, DecompressSink, PointSink, Probe, QuantCapture};
+use crate::engine::{transform_pass, CompressSink, DecompressSink, PointSink, Probe, QuantCapture};
 use crate::lattice::{build_passes, for_each_point, for_each_row, num_levels, Pass};
-use qip_core::{CompressError, QpTaps};
+use qip_core::{CompressError, QpEngine, QpTaps};
 use qip_predict::{cubic_interior, linear_edge2, linear_mid, quad_begin, quad_end, InterpKind};
 use qip_quant::UNPRED;
 use qip_tensor::Scalar;
@@ -275,8 +274,6 @@ fn run_anchors<T: Scalar, S: PointSink<T>>(
 /// Tile scratch of the drivers, borrowed from a [`qip_core::CompressCtx`]
 /// on the buffer-reusing paths so a warm context allocates nothing here.
 pub(crate) struct Scratch<'a> {
-    /// Reconstructed quantization-index plane (QP-active levels only).
-    pub(crate) qstore: &'a mut Vec<i32>,
     /// Per-tile accumulator (`[..TILE]`) and prediction (`[TILE..]`).
     pub(crate) f64s: &'a mut Vec<f64>,
     /// Per-tile quantization indices.
@@ -287,10 +284,8 @@ pub(crate) struct Scratch<'a> {
 /// `j0 .. j0 + pred.len()` of the row starting at `row_coords`/`flat0`.
 struct Tile<'a> {
     level: usize,
-    /// Whether QP transforms anything on this level (else no `qstore` I/O).
-    qp_active: bool,
-    pass: &'a Pass,
-    row_coords: &'a [usize; 4],
+    /// The row's QP taps ([`QpTaps::CLOSED`] on QP-inactive levels).
+    taps: QpTaps,
     flat0: usize,
     /// Flat step between consecutive row points.
     stp: usize,
@@ -303,19 +298,14 @@ impl Tile<'_> {
     fn flat(&self) -> usize {
         self.flat0 + self.j0 * self.stp
     }
-
-    /// The row's QP taps (constant along the row; resolved per tile, i.e.
-    /// once per ≤ `TILE` points).
-    fn taps(&self, qp: &qip_core::QpEngine, strides: &[usize]) -> QpTaps {
-        let (offs, along_row) = self.pass.qp_row_offsets(self.row_coords, strides);
-        qp.row_taps(self.level, offs, along_row)
-    }
 }
 
 /// The walk both drivers share: anchors, then levels → passes → rows → tiles
 /// in the reference visit order, with the tile's spline prediction computed
-/// before `body` runs. `body` gets the sink and the working buffer back
-/// (the walk needs both between tiles) and owns everything asymmetric.
+/// before `body` runs, and `pass_done` after the last tile of each pass.
+/// Both get the sink back (the walk needs it between tiles); `body` owns
+/// everything asymmetric about a tile.
+#[allow(clippy::too_many_arguments)]
 fn walk_tiles<T: Scalar, S: PointSink<T>>(
     cfg: &EngineConfig,
     dims: &[usize],
@@ -324,6 +314,7 @@ fn walk_tiles<T: Scalar, S: PointSink<T>>(
     sink: &mut S,
     f64s: &mut Vec<f64>,
     mut body: impl FnMut(&mut S, &mut [T], &Tile<'_>) -> Result<(), CompressError>,
+    mut pass_done: impl FnMut(&mut S, &Pass),
 ) -> Result<(), CompressError> {
     let Some(start_level) = run_anchors(cfg, dims, strides, buf, sink)? else {
         return Ok(());
@@ -333,12 +324,12 @@ fn walk_tiles<T: Scalar, S: PointSink<T>>(
     f64s.clear();
     f64s.resize(2 * TILE, 0.0);
     let (acc, pred) = f64s.split_at_mut(TILE);
+    let qp = QpEngine::new(cfg.qp);
 
     for level in (1..=start_level).rev() {
         let _lvl = qip_telemetry::span_with(|| format!("level_{level}"));
         let params = sink.params_for_level(level, &*buf, dims, strides)?;
         let passes = build_passes(ndim, level, &params.order, cfg.passes);
-        let qp_active = cfg.qp.is_enabled() && level <= cfg.qp.max_level;
         for pass in &passes {
             if pass.is_empty(dims) {
                 continue;
@@ -366,7 +357,12 @@ fn walk_tiles<T: Scalar, S: PointSink<T>>(
                 Segs::EMPTY
             };
             let stp = pass.step[inner] * strides[inner];
+            let visit = qp.active(level).then(|| pass.qp_visit(dims));
+            // Visit index of the row's first point within the pass.
+            let mut v = 0usize;
             for_each_row(pass, dims, strides, |row_coords, flat0| {
+                let taps = visit.map_or(QpTaps::CLOSED, |visit| visit.taps(&qp, level, v));
+                v += m;
                 let mut j0 = 0usize;
                 while j0 < m {
                     let t = TILE.min(m - j0);
@@ -389,9 +385,7 @@ fn walk_tiles<T: Scalar, S: PointSink<T>>(
                     }
                     let tile = Tile {
                         level,
-                        qp_active,
-                        pass,
-                        row_coords,
+                        taps,
                         flat0,
                         stp,
                         j0,
@@ -402,15 +396,17 @@ fn walk_tiles<T: Scalar, S: PointSink<T>>(
                 }
                 Ok(())
             })?;
+            pass_done(sink, pass);
         }
     }
     Ok(())
 }
 
 /// Vectorized compression driver: batched row prediction, branchless
-/// 64-lane quantization with an unpredictable-point bitmap, the forward QP
-/// row kernel, and emission in reference visit order. On return `buf` holds
-/// the encoder's reconstruction — what the decoder will produce.
+/// 64-lane quantization with an unpredictable-point bitmap, emission of `Q`
+/// in reference visit order, and the forward QP transform over each pass as
+/// it completes. On return `buf` holds the encoder's reconstruction — what
+/// the decoder will produce.
 pub(crate) fn run_compress_vec<T: Scalar>(
     cfg: &EngineConfig,
     dims: &[usize],
@@ -420,15 +416,13 @@ pub(crate) fn run_compress_vec<T: Scalar>(
     scratch: Scratch<'_>,
     mut capture: Option<&mut QuantCapture>,
 ) -> Result<(), CompressError> {
-    let Scratch { qstore, f64s, idx } = scratch;
-    qstore.clear();
-    qstore.resize(buf.len(), 0);
+    let Scratch { f64s, idx } = scratch;
     idx.clear();
     idx.resize(TILE, 0);
     let mut cur = [T::ZERO; TILE];
     let mut rec = [T::ZERO; TILE];
 
-    walk_tiles(cfg, dims, strides, buf, sink, f64s, |sink, buf, tile| {
+    let body = |sink: &mut CompressSink<'_>, buf: &mut [T], tile: &Tile<'_>| {
         let t = tile.pred.len();
         let (level, stp, flat) = (tile.level, tile.stp, tile.flat());
         let quant = sink.quantizers[level.min(sink.quantizers.len() - 1)];
@@ -458,50 +452,28 @@ pub(crate) fn run_compress_vec<T: Scalar>(
                 cur[k].write_le(sink.unpred);
             }
         }
-        // Q → Q' for the whole tile. QP-inactive levels skip the kernel and
-        // the index store altogether.
-        let base = sink.qprime.len();
-        let accepted = if tile.qp_active {
-            sink.qprime.resize(base + t, 0);
-            sink.qp.forward_row(
-                &tile.taps(&sink.qp, strides),
-                tile.j0 == 0,
-                &idx[..t],
-                &mut sink.qprime[base..],
-                qstore,
-                flat,
-                stp,
-            )
-        } else {
-            sink.qprime.extend_from_slice(&idx[..t]);
-            0
-        };
+        sink.qprime.extend_from_slice(&idx[..t]);
         for (k, &r) in rec[..t].iter().enumerate() {
             buf[flat + k * stp] = r;
         }
-        if let Some(st) = sink.stats.as_mut() {
-            st.row(level, accepted, &idx[..t], &sink.qprime[base..]);
-        }
-        if let Some(cap) = capture.as_deref_mut() {
-            for (k, (&q, &qp)) in idx[..t].iter().zip(&sink.qprime[base..]).enumerate() {
-                let at = flat + k * stp;
-                cap.q[at] = q;
-                cap.q_prime[at] = qp;
-                cap.level[at] = level as u8;
-            }
-        }
         Ok(())
-    })
+    };
+    // The pass's `Q` is the tail of the stream: `Q → Q′` in place.
+    let pass_done = |sink: &mut CompressSink<'_>, pass: &Pass| {
+        let base = sink.qprime.len() - pass.len(dims);
+        let q = &mut sink.qprime[base..];
+        transform_pass(&sink.qp, pass, dims, strides, q, sink.stats.as_mut(), capture.as_deref_mut());
+    };
+    walk_tiles(cfg, dims, strides, buf, sink, f64s, body, pass_done)
 }
 
-/// Vectorized decompression driver: batched row prediction, the tile's `Q'`
-/// slice taken once, then one of two straight-line bodies — QP-inactive
-/// levels dequantize straight from `Q'` with no `qstore` traffic; QP-active
-/// levels run the inverse row kernel first — and the unpredictable-channel
-/// patch-up in emission order. Value-identical to the reference walk,
-/// including which error a short channel produces. A `probe` (forensic
-/// decodes only; tested once per tile) additionally gets every point's `Q`,
-/// `Q'`, level and gate decision.
+/// Vectorized decompression driver: batched row prediction, the tile's
+/// slice of the decoded index stream inverted `Q′ → Q` in place (a no-op on
+/// QP-inactive levels), one straight-line dequantization from it, and the
+/// unpredictable-channel patch-up in emission order. Value-identical to the
+/// reference walk, including which error a short channel produces. A
+/// `probe` (forensic decodes only; tested once per tile) additionally gets
+/// every point's `Q`, level and gate decision.
 pub(crate) fn run_decompress_vec<T: Scalar>(
     cfg: &EngineConfig,
     dims: &[usize],
@@ -511,36 +483,17 @@ pub(crate) fn run_decompress_vec<T: Scalar>(
     scratch: Scratch<'_>,
     mut probe: Option<&mut Probe>,
 ) -> Result<(), CompressError> {
-    let Scratch { qstore, f64s, idx } = scratch;
-    qstore.clear();
-    qstore.resize(buf.len(), 0);
-    idx.clear();
-    idx.resize(TILE, 0);
-
-    walk_tiles(cfg, dims, strides, buf, sink, f64s, |sink, buf, tile| {
+    let body = |sink: &mut DecompressSink<'_, T>, buf: &mut [T], tile: &Tile<'_>| {
         let (level, stp, flat) = (tile.level, tile.stp, tile.flat());
         let quant = sink.quantizers[level.min(sink.quantizers.len() - 1)];
         // A short index stream still decodes its prefix first, so whichever
         // channel runs dry first in visit order names the error — exactly
         // what the point-by-point reference reports.
-        let qprime: &[i32] = sink.qprime;
-        let rest = &qprime[sink.q_cursor..];
-        let take = tile.pred.len().min(rest.len());
-        sink.q_cursor += take;
-        let q: &[i32] = if tile.qp_active {
-            sink.qp.inverse_row(
-                &tile.taps(&sink.qp, strides),
-                tile.j0 == 0,
-                &rest[..take],
-                &mut idx[..take],
-                qstore,
-                flat,
-                stp,
-            );
-            &idx[..take]
-        } else {
-            &rest[..take]
-        };
+        let start = sink.q_cursor;
+        let run = start..start + tile.pred.len().min(sink.qprime.len() - start);
+        sink.q_cursor = run.end;
+        sink.qp.inverse(&tile.taps, tile.j0 == 0, sink.qprime, run.clone());
+        let q = &sink.qprime[run.clone()];
         let mut any_unpred = false;
         for (k, (&qk, &pk)) in q.iter().zip(tile.pred).enumerate() {
             any_unpred |= qk == UNPRED;
@@ -555,35 +508,26 @@ pub(crate) fn run_decompress_vec<T: Scalar>(
                 sink.unpred_cursor += 1;
             }
         }
-        if take < tile.pred.len() {
+        if run.len() < tile.pred.len() {
             return Err(CompressError::WrongFormat("quantization index stream exhausted"));
         }
         if let Some(pr) = probe.as_deref_mut() {
-            probe_tile(pr, sink, strides, tile, q, qstore);
+            probe_tile(pr, &sink.qp, tile, sink.qprime, run);
         }
         Ok(())
-    })
+    };
+    walk_tiles(cfg, dims, strides, buf, sink, scratch.f64s, body, |_, _| {})
 }
 
-/// Record one decoded tile (`q`, taken from the `q.len()` symbols behind the
-/// sink's index cursor) into a forensic probe. A point's neighbors are always
-/// earlier points, so the gate evaluated after the tile's inverse reads the
-/// `qstore` state the point had; QP-inactive levels resolve to closed taps.
-/// Out of line: plain decodes never get here.
+/// Record one decoded tile — its points at `run` of the stream `q`, already
+/// inverted — into a forensic probe. A point's neighbors are earlier points,
+/// which hold `Q` by now, so the gate evaluated here is the one the inverse
+/// saw; QP-inactive levels have closed taps. Out of line: plain decodes never
+/// get here.
 #[cold]
-fn probe_tile<T: Scalar>(
-    pr: &mut Probe,
-    sink: &DecompressSink<'_, T>,
-    strides: &[usize],
-    tile: &Tile<'_>,
-    q: &[i32],
-    qstore: &[i32],
-) {
-    let taps = tile.taps(&sink.qp, strides);
-    let start = sink.q_cursor - q.len();
-    for (k, &qk) in q.iter().enumerate() {
-        let flat = tile.flat() + k * tile.stp;
-        let (open, _) = sink.qp.gate_at(&taps, tile.j0 == 0 && k == 0, qstore, flat);
-        pr.point(tile.level, flat, start + k, qk, sink.qprime[start + k], open);
+fn probe_tile(pr: &mut Probe, qp: &QpEngine, tile: &Tile<'_>, q: &[i32], run: std::ops::Range<usize>) {
+    for (k, at) in run.enumerate() {
+        let (open, _) = qp.gate_at(&tile.taps, tile.j0 == 0 && k == 0, q, at);
+        pr.point(tile.level, tile.flat() + k * tile.stp, at, q[at], open);
     }
 }

@@ -38,5 +38,7 @@ pub mod select;
 pub mod tuned;
 
 pub use config::{EngineConfig, LevelParams, PassStructure};
-pub use engine::{EngineForensics, InterpEngine, LevelForensics, Probe, QuantCapture, SinkStats};
+pub use engine::{
+    transform_pass, EngineForensics, InterpEngine, LevelForensics, Probe, QuantCapture, SinkStats,
+};
 pub use tuned::{sample_block, trial_scope, Preset, Tuned};

@@ -94,9 +94,9 @@ impl<T: Scalar> PointHandler<T> for DecompressSink<'_, T> {
 }
 
 /// Resolve the QP neighbor values for the current point from the pass
-/// geometry and the already-reconstructed index store.
+/// geometry and the spatial plane of the indices reconstructed so far.
 fn qp_neighbors(
-    qstore: &[i32],
+    indices: &[i32],
     pass: &Pass,
     coords: &[usize],
     flat: usize,
@@ -110,7 +110,7 @@ fn qp_neighbors(
     let l = avail(la);
     let t = avail(ta);
     let b = avail(ba);
-    let get = |off: Option<usize>| off.map(|o| qstore[flat - o]);
+    let get = |off: Option<usize>| off.map(|o| indices[flat - o]);
     let combine = |x: Option<usize>, y: Option<usize>| match (x, y) {
         (Some(a), Some(b)) => Some(a + b),
         _ => None,
@@ -156,7 +156,7 @@ fn run_pipeline<T: Scalar, S: PointHandler<T>>(
         return Ok(());
     }
 
-    let mut qstore = vec![0i32; buf.len()];
+    let mut indices = vec![0i32; buf.len()];
     for level in (1..=start_level).rev() {
         let params = sink.params_for_level(level, buf, dims, strides)?;
         let qp_active = cfg.qp.is_enabled() && level <= cfg.qp.max_level;
@@ -180,13 +180,13 @@ fn run_pipeline<T: Scalar, S: PointHandler<T>>(
                     params.axis_mask,
                 );
                 let nb = if qp_active {
-                    qp_neighbors(&qstore, pass, &coords, flat, strides)
+                    qp_neighbors(&indices, pass, &coords, flat, strides)
                 } else {
                     Neighbors::default()
                 };
                 let (value, q, q_prime) = sink.handle(buf[flat], pred, level, &nb)?;
                 buf[flat] = value;
-                qstore[flat] = q;
+                indices[flat] = q;
                 record(flat, level, q, q_prime, &nb);
             }
         }
@@ -279,14 +279,20 @@ pub(crate) fn decompress<T: Scalar>(
     let (mut anchors, mut unpred) = (Vec::new(), Vec::new());
     decode_scalars_into(p.anchor_bytes, &mut anchors, "anchor block misaligned")?;
     decode_scalars_into(p.unpred_bytes, &mut unpred, "unpredictable block misaligned")?;
-    let qprime = qip_codec::decode_indices_capped(p.index_block, p.n)?;
+    let mut qprime = qip_codec::decode_indices_capped(p.index_block, p.n)?;
     let mut bank = QuantizerBank::new();
     build_decode_quantizers(&p.eff, p.abs_eb, p.start_level, &mut bank)?;
 
     let mut buf = qip_core::try_zeroed_vec::<T>(p.n)?;
-    let mut sink =
-        DecompressSink::new(p.eff.qp, &p.level_tags, &anchors, &unpred, &qprime, bank.as_slice());
-    let mut probe = Probe::new(p.n, p.start_level);
+    let mut probe = Probe::new(p.n, p.start_level, &qprime);
+    let mut sink = DecompressSink::new(
+        p.eff.qp,
+        &p.level_tags,
+        &anchors,
+        &unpred,
+        &mut qprime,
+        bank.as_slice(),
+    );
     let qp = QpEngine::new(p.eff.qp);
     let mut cursor = 0usize;
     let (dims, strides) = (p.shape.dims(), p.shape.strides());
@@ -383,8 +389,8 @@ mod tests {
         let cfg = eng.config();
         let start_level = eng.write_prefix(field, abs_eb, &mut ByteWriter::new());
         let (dims, strides) = (field.shape().dims(), field.shape().strides());
-        let (mut qstore, mut f64s, mut idx) = (Vec::new(), Vec::new(), Vec::new());
-        let scratch = Scratch { qstore: &mut qstore, f64s: &mut f64s, idx: &mut idx };
+        let (mut f64s, mut idx) = (Vec::new(), Vec::new());
+        let scratch = Scratch { f64s: &mut f64s, idx: &mut idx };
         walk_compress(cfg, field, abs_eb, start_level, |buf, sink| {
             run_compress_vec(cfg, dims, strides, buf, sink, scratch, None)
         })
@@ -423,7 +429,7 @@ mod tests {
         assert_eq!(bits(fx.field.as_slice()), want_bits, "{tag}: forensic decode diverged");
 
         // The forensic record equals what the reference walk saw point by
-        // point — the probe reads the right `qstore` state.
+        // point — the probe reads the right index state.
         let key = |l: &crate::LevelForensics| {
             (l.level, l.points, l.accepted, l.fired, l.qprime_start, l.qprime_end)
         };

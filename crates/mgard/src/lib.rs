@@ -32,7 +32,7 @@ use qip_core::{
     CompressCtx, CompressError, Compressor, ErrorBound, QpConfig, QpEngine, QpTaps, StreamHeader,
 };
 use qip_interp::lattice::{build_passes, for_each_point, for_each_row, num_levels, Pass};
-use qip_interp::{EngineForensics, PassStructure, Probe, QuantCapture, SinkStats};
+use qip_interp::{transform_pass, EngineForensics, PassStructure, Probe, QuantCapture, SinkStats};
 use qip_quant::UNPRED;
 use qip_telemetry::{span, span_with};
 use qip_tensor::{Field, Scalar};
@@ -138,9 +138,10 @@ impl Mgard {
         let mut p = parse::<T>(bytes)?;
         let (spans, abs_eb, qp_enabled) =
             (std::mem::take(&mut p.spans), p.header.abs_eb, p.qp.is_enabled());
-        let (mut ctx, mut probe) = (CompressCtx::new(), Probe::default());
-        let field = decode(p, 0, &mut ctx, Some(&mut probe))?;
-        Ok(EngineForensics { field, spans, abs_eb, qp_enabled, qprime: ctx.qprime, probe: probe.finish() })
+        let mut probe = Probe::default();
+        let field = decode(p, 0, &mut CompressCtx::new(), Some(&mut probe))?;
+        let qprime = std::mem::take(&mut probe.qprime);
+        Ok(EngineForensics { field, spans, abs_eb, qp_enabled, qprime, probe: probe.finish() })
     }
 }
 
@@ -410,75 +411,42 @@ impl Mgard {
         let quantize_span = span("quantize");
         let mut stats = SinkStats::new_if_capturing(levels);
         let qp = QpEngine::new(self.qp);
-        ctx.qstore.clear();
-        ctx.qstore.resize(buf.len(), 0);
-        let qstore = &mut ctx.qstore;
         ctx.qprime.clear();
         ctx.qprime.reserve(buf.len());
         let qprime = &mut ctx.qprime;
         ctx.unpred.clear();
         let unpred = &mut ctx.unpred;
-        let row_q = &mut ctx.tile_idx;
         for level in (1..=levels).rev() {
             let _lvl = span_with(|| format!("level_{level}"));
             let b = Self::budget(abs_eb, level);
             if let Some(st) = stats.as_mut() {
                 st.begin_level(level, qprime.len());
             }
-            let qp_active = self.qp.is_enabled() && level <= self.qp.max_level;
             for pass in build_passes(dims.len(), level, &order, PassStructure::MultiDim) {
                 if pass.is_empty(&dims) {
                     continue;
                 }
                 let m = pass.row_len(&dims);
                 let stp = pass.step[dims.len() - 1] * strides[dims.len() - 1];
-                row_q.clear();
-                row_q.resize(m, 0);
-                for_each_row(&pass, &dims, &strides, |row_coords, flat0| {
-                    // Quantize the row's details, then Q → Q' in one kernel
-                    // call; levels QP does not reach skip it and the store.
-                    for (k, q) in row_q.iter_mut().enumerate() {
-                        let flat = flat0 + k * stp;
+                for_each_row(&pass, &dims, &strides, |_, flat0| {
+                    for flat in (0..m).map(|k| flat0 + k * stp) {
                         let detail = buf[flat];
                         let qf = (detail / (2.0 * b)).round();
                         if !qf.is_finite() || qf.abs() >= RADIUS as f64 {
-                            *q = UNPRED;
+                            qprime.push(UNPRED);
                             unpred.extend_from_slice(&detail.to_le_bytes());
                         } else {
-                            *q = qf as i32;
-                            buf[flat] = 2.0 * *q as f64 * b;
-                        }
-                    }
-                    let base = qprime.len();
-                    let accepted = if qp_active {
-                        let (offs, along_row) = pass.qp_row_offsets(row_coords, &strides);
-                        qprime.resize(base + m, 0);
-                        qp.forward_row(
-                            &qp.row_taps(level, offs, along_row),
-                            true,
-                            row_q,
-                            &mut qprime[base..],
-                            qstore,
-                            flat0,
-                            stp,
-                        )
-                    } else {
-                        qprime.extend_from_slice(row_q);
-                        0
-                    };
-                    if let Some(st) = stats.as_mut() {
-                        st.row(level, accepted, row_q, &qprime[base..]);
-                    }
-                    if let Some(cap) = capture.as_deref_mut() {
-                        for (k, (&q, &qpv)) in row_q.iter().zip(&qprime[base..]).enumerate() {
-                            let flat = flat0 + k * stp;
-                            cap.q[flat] = q;
-                            cap.q_prime[flat] = qpv;
-                            cap.level[flat] = level as u8;
+                            let q = qf as i32;
+                            qprime.push(q);
+                            buf[flat] = 2.0 * q as f64 * b;
                         }
                     }
                     Ok(())
                 })?;
+                // Q → Q′ over the pass just quantized, in place.
+                let base = qprime.len() - pass.len(&dims);
+                let q = &mut qprime[base..];
+                transform_pass(&qp, &pass, &dims, &strides, q, stats.as_mut(), capture.as_deref_mut());
             }
         }
         drop(quantize_span);
@@ -537,7 +505,7 @@ fn decode<T: Scalar>(
     // reusable buffers below are resized to it.
     let mut buf = qip_core::try_zeroed_vec::<f64>(n)?;
     if let Some(pr) = probe.as_deref_mut() {
-        *pr = Probe::new(n, levels);
+        *pr = Probe::new(n, levels, &ctx.qprime);
         pr.anchors = (coarse_bytes.len() / 8) as u64;
     }
     let mut unpred: Vec<f64> = ctx.pools.acquire();
@@ -568,45 +536,32 @@ fn decode<T: Scalar>(
     // Dequantize details (coarse → fine), mirroring the QP transform.
     let dequant_span = span("dequantize");
     let qp = QpEngine::new(qp_cfg);
-    ctx.qstore.clear();
-    ctx.qstore.resize(n, 0);
-    let qstore = &mut ctx.qstore;
-    let qprime = &ctx.qprime;
-    let row_q = &mut ctx.tile_idx;
+    let qprime = &mut ctx.qprime;
     let mut q_cursor = 0usize;
     let mut u_cursor = 0usize;
     for level in (1..=levels).rev() {
         let b = Mgard::budget(header.abs_eb, level);
-        let qp_active = qp_cfg.is_enabled() && level <= qp_cfg.max_level;
         for pass in build_passes(dims.len(), level, &order, PassStructure::MultiDim) {
             if pass.is_empty(&dims) {
                 continue;
             }
             let m = pass.row_len(&dims);
             let stp = pass.step[dims.len() - 1] * strides[dims.len() - 1];
-            row_q.clear();
-            row_q.resize(m, 0);
-            for_each_row(&pass, &dims, &strides, |row_coords, flat0| {
+            let visit = qp.active(level).then(|| pass.qp_visit(&dims));
+            let pass_start = q_cursor;
+            for_each_row(&pass, &dims, &strides, |_, flat0| {
                 // A short index stream still decodes its prefix, so the
                 // channel that runs dry first in visit order is reported.
-                let rest = &qprime[q_cursor..];
-                let take = m.min(rest.len());
-                q_cursor += take;
-                let mut taps = QpTaps::CLOSED;
-                let q: &[i32] = if qp_active {
-                    let (offs, along_row) = pass.qp_row_offsets(row_coords, &strides);
-                    taps = qp.row_taps(level, offs, along_row);
-                    let row_q = &mut row_q[..take];
-                    qp.inverse_row(&taps, true, &rest[..take], row_q, qstore, flat0, stp);
-                    row_q
-                } else {
-                    &rest[..take]
-                };
-                for (k, &qk) in q.iter().enumerate() {
-                    let flat = flat0 + k * stp;
+                let row_start = q_cursor;
+                let run = row_start..row_start + m.min(qprime.len() - row_start);
+                q_cursor = run.end;
+                let taps = visit.map_or(QpTaps::CLOSED, |v| v.taps(&qp, level, row_start - pass_start));
+                qp.inverse(&taps, true, qprime, run.clone());
+                for (k, at) in run.clone().enumerate() {
+                    let (flat, qk) = (flat0 + k * stp, qprime[at]);
                     if let Some(pr) = probe.as_deref_mut() {
-                        let (open, _) = qp.gate_at(&taps, k == 0, qstore, flat);
-                        pr.point(level, flat, q_cursor - take + k, qk, rest[k], open);
+                        let (open, _) = qp.gate_at(&taps, k == 0, qprime, at);
+                        pr.point(level, flat, at, qk, open);
                     }
                     buf[flat] = if qk == UNPRED {
                         u_cursor += 1;
@@ -617,7 +572,7 @@ fn decode<T: Scalar>(
                         2.0 * qk as f64 * b
                     };
                 }
-                if take < m {
+                if run.len() < m {
                     return Err(CompressError::WrongFormat("index stream exhausted"));
                 }
                 Ok(())

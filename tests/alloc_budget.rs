@@ -80,10 +80,14 @@ fn warm_lorenzo_compress_stays_within_its_allocation_budget() {
 }
 
 /// One warm `decompress_into` of each QP-on base, and of SZ3 held to its
-/// Lorenzo pipeline, under a ceiling a few requests above what it makes
-/// (54 / 52 / 64 / 83 / 41) and well below what it made while every chunk was
-/// staged in a vector of its own and the Lorenzo decoder ignored the context
-/// (77 / 75 / 88 / 110 / 70).
+/// Lorenzo pipeline, well below what it made while every chunk was staged in
+/// a vector of its own and the Lorenzo decoder ignored the context
+/// (77 / 75 / 88 / 110 / 70). The QP-on bases are held to exactly what they
+/// make under `cargo test`, debug or release: 58 / 56 / 68 / 87 (4 fewer
+/// with `--nocapture`). QP runs in place on the decoded index stream, so one
+/// more plane per call — an index store, or a copy of `Q′` — is one request
+/// over. The Lorenzo pipeline keeps a few requests of headroom (45 under 48;
+/// 41 with `--nocapture`).
 #[test]
 fn warm_decompress_stays_within_its_allocation_budget() {
     let _turn = COUNTING.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
@@ -94,10 +98,10 @@ fn warm_decompress_stays_within_its_allocation_budget() {
     let by_name = |name| Box::new(AnyCompressor::by_name(name).unwrap()) as Box<dyn Compressor<f32>>;
     let lorenzo = qip::sz3::Sz3::new().with_pipeline(qip::sz3::Pipeline::Lorenzo);
     let cases = [
-        ("SZ3+QP", by_name("SZ3+QP"), 60),
-        ("QoZ+QP", by_name("QoZ+QP"), 58),
-        ("HPEZ+QP", by_name("HPEZ+QP"), 70),
-        ("MGARD+QP", by_name("MGARD+QP"), 90),
+        ("SZ3+QP", by_name("SZ3+QP"), 58),
+        ("QoZ+QP", by_name("QoZ+QP"), 56),
+        ("HPEZ+QP", by_name("HPEZ+QP"), 68),
+        ("MGARD+QP", by_name("MGARD+QP"), 87),
         ("SZ3 held to Lorenzo", Box::new(lorenzo), 48),
     ];
     for (name, comp, ceiling) in cases {

@@ -168,3 +168,55 @@ fn planted_non_finite_samples_violate_no_bound() {
     // MGARD, MGARD+QP and ZFP, flat and tiled, through both entry points.
     assert_eq!(refused, plants.len() * placements.len() * 6 * 2);
 }
+
+/// Indices at the quantizer radius: white noise under `Abs(range / 2¹⁷)`
+/// puts `(d − p)/2ε` on both sides of ±32 768, so QP meets `|Q|` near the
+/// radius next to `UNPRED`-dense neighbourhoods. No registry compressor, bare
+/// or tiled, through either entry point, violates the bound, and every QP-on
+/// stream decodes to the bits of its QP-off twin's.
+#[test]
+fn indices_at_the_quantizer_radius_violate_no_bound() {
+    use qip::container::TiledCompressor;
+    use qip::core::CompressCtx;
+    use qip::registry::AnyCompressor;
+    use std::collections::HashMap;
+
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    let field = Field::<f64>::from_fn(Shape::d3(24, 20, 16), |_| {
+        state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+        (state >> 11) as f64 / (1u64 << 53) as f64 * 1e3 - 500.0
+    });
+    let bound = ErrorBound::Abs(field.value_range() / 131_072.0);
+    let mut comps: Vec<Box<dyn Compressor<f64>>> = Vec::new();
+    for comp in AnyCompressor::registry() {
+        comps.push(Box::new(TiledCompressor::new(comp.clone(), 8).unwrap()));
+        comps.push(Box::new(comp));
+    }
+    let (mut ctx, mut into) = (CompressCtx::new(), Vec::new());
+    let mut qp_off: HashMap<String, Vec<u64>> = HashMap::new();
+    let (mut twins, mut escaped) = (0, 0);
+    for comp in &comps {
+        let name = comp.name();
+        let plain = comp.compress(&field, bound).unwrap();
+        comp.compress_into(&field, bound, &mut ctx, &mut into).unwrap();
+        for (entry, stream) in [("compress", &plain), ("compress_into", &into)] {
+            let what = format!("{name} through {entry}");
+            let report = qip::inspect::inspect_bytes_with_original(stream, &field).unwrap();
+            assert_eq!(report.error_budget.unwrap().violations, 0, "{what}");
+            escaped += report.qp.map_or(0, |qp| qp.unpredictable);
+            let out: Field<f64> = comp.decompress(stream).unwrap();
+            let bits: Vec<u64> = out.as_slice().iter().map(|v| v.to_bits()).collect();
+            let base = name.replace("+QP", "");
+            if base == name {
+                qp_off.insert(base, bits);
+            } else {
+                assert!(qp_off[&base] == bits, "{what} decodes unlike {base}");
+                twins += 1;
+            }
+        }
+    }
+    // The four QP-on bases, flat and tiled, through both entry points; and
+    // the radius was crossed.
+    assert_eq!(twins, 4 * 2 * 2);
+    assert!(escaped > 0, "no index reached the quantizer radius");
+}
