@@ -35,8 +35,6 @@ pub struct CompressCtx {
     pub anchors: Vec<u8>,
     /// Unpredictable-channel byte scratch.
     pub unpred: Vec<u8>,
-    /// `(flat index, value)` pair scratch for transform sweeps.
-    pub pairs: Vec<(usize, f64)>,
     /// Typed scalar working planes (`f32`/`f64` working copies of fields).
     pub pools: ScalarPools,
     /// Per-level quantizer bank.

@@ -35,7 +35,7 @@ use qip_interp::lattice::{build_passes, for_each_point, for_each_row, num_levels
 use qip_interp::{transform_pass, EngineForensics, PassStructure, Probe, QuantCapture, SinkStats};
 use qip_quant::UNPRED;
 use qip_telemetry::{span, span_with};
-use qip_tensor::{Field, Scalar};
+use qip_tensor::{Field, Scalar, Shape};
 
 /// Stream magic for MGARD.
 const MAGIC_MGARD: u8 = 0x50;
@@ -112,12 +112,17 @@ impl Mgard {
     /// shrink by `8^stop_level` in 3-D, recovered without decoding the finer
     /// detail levels' values.
     ///
-    /// `stop_level = 0` reproduces the full-resolution decompression.
+    /// `stop_level = 0` reproduces the full-resolution decompression; a
+    /// `stop_level` of 32 or more is refused before any decode, as the
+    /// container refuses it.
     pub fn decompress_reduced<T: Scalar>(
         &self,
         bytes: &[u8],
         stop_level: usize,
     ) -> Result<Field<T>, CompressError> {
+        if stop_level >= 32 {
+            return Err(CompressError::Unsupported("stop level out of range"));
+        }
         let full: Field<T> =
             decode(parse::<T>(bytes)?, stop_level, &mut CompressCtx::new(), None)?;
         if stop_level == 0 {
@@ -223,61 +228,133 @@ impl<T: Scalar> qip_core::ProgressiveDecompress<T> for Mgard {
     }
 }
 
-/// Multilinear prediction: mean of the `2^|O|` coarse corners at ±s along the
-/// odd axes (boundary corners that fall outside the field are dropped).
-#[inline]
-fn corner_avg(buf: &[f64], dims: &[usize], strides: &[usize], coords: &[usize], flat: usize, pass: &Pass) -> f64 {
-    let s = pass.stride;
-    let axes = &pass.interp_axes;
-    let mut sum = 0.0f64;
-    let mut count = 0usize;
-    let n_corners = 1usize << axes.len();
-    for mask in 0..n_corners {
-        let mut idx = flat as isize;
-        let mut ok = true;
-        for (bit, &a) in axes.iter().enumerate() {
-            if mask & (1 << bit) != 0 {
-                if coords[a] + s >= dims[a] {
-                    ok = false;
-                    break;
-                }
-                idx += (s * strides[a]) as isize;
-            } else {
-                // coords[a] >= s by pass construction.
-                idx -= (s * strides[a]) as isize;
-            }
+/// The multi-dimensional passes of `level` on a 1–4-dimensional lattice,
+/// axes in reverse order.
+fn passes(ndim: usize, level: usize) -> Vec<Pass> {
+    build_passes(ndim, level, &[3, 2, 1, 0][4 - ndim..], PassStructure::MultiDim)
+}
+
+/// **Decomposition**, in place: from fine to coarse, every pass of a level
+/// replaces its points by their detail against the multilinear prediction
+/// ([`sweep`]), then the optional L² update corrects the level's even nodes.
+/// `buf` is a row-major plane of `shape`'s dims. Public for the identity
+/// suite, which diffs it against the point-by-point walk.
+#[doc(hidden)]
+pub fn decompose(buf: &mut [f64], shape: &Shape, l2_projection: bool) {
+    let (dims, strides) = (shape.dims(), shape.strides());
+    for level in 1..=num_levels(dims.iter().copied().max().unwrap_or(0)) {
+        for pass in passes(dims.len(), level) {
+            sweep::<true>(buf, dims, strides, &pass);
         }
-        if ok {
-            sum += buf[idx as usize];
-            count += 1;
+        if l2_projection {
+            l2_update(buf, dims, strides, level, 1.0);
         }
     }
-    debug_assert!(count > 0);
-    sum / count as f64
+}
+
+/// **Recomposition**, the inverse of [`decompose`] from coarse to fine,
+/// stopping above `stop_level` (levels ≤ `stop_level` keep their details
+/// unexpanded; the stride-`2^stop_level` lattice then holds the coarse
+/// approximation).
+#[doc(hidden)]
+pub fn recompose(buf: &mut [f64], shape: &Shape, stop_level: usize, l2_projection: bool) {
+    let (dims, strides) = (shape.dims(), shape.strides());
+    let levels = num_levels(dims.iter().copied().max().unwrap_or(0));
+    for level in (stop_level.saturating_add(1)..=levels).rev() {
+        if l2_projection {
+            l2_update(buf, dims, strides, level, -1.0);
+        }
+        for pass in passes(dims.len(), level) {
+            sweep::<false>(buf, dims, strides, &pass);
+        }
+    }
+}
+
+/// One multilinear pass, row by row and in place: the prediction of a point
+/// is the mean of its `2^|O|` corners at ±s along the pass's odd axes `O`
+/// (corners outside the field dropped), summed from `0.0` in corner-mask
+/// order; `FORWARD` stores `value − prediction`, the inverse
+/// `prediction + detail`.
+///
+/// In place is safe because a pass writes only points that are odd multiples
+/// of `s` on its axes and reads only corners that are multiples of `2s` on
+/// every axis — nodes no pass of the level writes. Only an axis other than
+/// the row's can clip a corner for a whole row, so the valid corners are
+/// resolved once per row (1, 2, 4, 8 or 16 of them); along the row only the
+/// last point can lose its `+s` corner, and it alone takes the generic path.
+fn sweep<const FORWARD: bool>(buf: &mut [f64], dims: &[usize], strides: &[usize], pass: &Pass) {
+    if pass.is_empty(dims) {
+        return;
+    }
+    let (s, axes, inner) = (pass.stride, &pass.interp_axes, dims.len() - 1);
+    let (m, stp) = (pass.row_len(dims), pass.step[inner]);
+    // Offset of a point from its lowest corner (−s on every odd axis).
+    let back: usize = axes.iter().map(|&a| s * strides[a]).sum();
+    let clipped = axes.contains(&inner) && pass.start[inner] + (m - 1) * stp + s >= dims[inner];
+    let full = m - clipped as usize;
+    let _ = for_each_row(pass, dims, strides, |coords, flat0| {
+        // The corners in mask order, as offsets from the lowest one; `last`
+        // drops the `+s` corners along the row (the clipped last point).
+        let corners = |last: bool| {
+            let (mut offs, mut n) = ([0usize; 16], 0);
+            'mask: for mask in 0..1usize << axes.len() {
+                let mut off = 0;
+                for (_, &a) in axes.iter().enumerate().filter(|&(bit, _)| mask & (1 << bit) != 0) {
+                    let outside = if a == inner { last } else { coords[a] + s >= dims[a] };
+                    if outside {
+                        continue 'mask;
+                    }
+                    off += 2 * s * strides[a];
+                }
+                (offs[n], n) = (off, n + 1);
+            }
+            (offs, n)
+        };
+        let (lo, (offs, n)) = (flat0 - back, corners(false));
+        match n {
+            1 => row::<1, FORWARD>(buf, lo, back, stp, full, &offs),
+            2 => row::<2, FORWARD>(buf, lo, back, stp, full, &offs),
+            4 => row::<4, FORWARD>(buf, lo, back, stp, full, &offs),
+            8 => row::<8, FORWARD>(buf, lo, back, stp, full, &offs),
+            _ => row::<16, FORWARD>(buf, lo, back, stp, full, &offs),
+        }
+        if clipped {
+            let ((offs, n), lo) = (corners(true), lo + full * stp);
+            let sum = offs[..n].iter().fold(0.0f64, |sum, &off| sum + buf[lo + off]);
+            update::<FORWARD>(&mut buf[lo + back], sum / n as f64);
+        }
+        Ok(())
+    });
+}
+
+/// The first `len` points of a row whose `N` corners are all inside.
+#[inline(always)]
+fn row<const N: usize, const FORWARD: bool>(buf: &mut [f64], lo: usize, back: usize, stp: usize, len: usize, offs: &[usize; 16]) {
+    for base in (0..len).map(|k| lo + k * stp) {
+        let sum = offs[..N].iter().fold(0.0f64, |sum, &off| sum + buf[base + off]);
+        update::<FORWARD>(&mut buf[base + back], sum / N as f64);
+    }
+}
+
+#[inline(always)]
+fn update<const FORWARD: bool>(v: &mut f64, pred: f64) {
+    *v = if FORWARD { *v - pred } else { pred + *v };
 }
 
 /// Lifting-style L² update of the even (coarse) nodes from the level's
-/// details: along each odd axis, every coarse node absorbs a quarter of its
-/// two adjacent details (the 5/3-wavelet update, a local approximation of
-/// MGARD's tridiagonal projection). `sign = +1` during decomposition,
-/// `−1` during recomposition.
-fn l2_update(
-    buf: &mut [f64],
-    dims: &[usize],
-    strides: &[usize],
-    level: usize,
-    sign: f64,
-    scratch: &mut Vec<(usize, f64)>,
-) {
+/// details, in place: along each odd axis, every coarse node absorbs a
+/// quarter of its two adjacent details (the 5/3-wavelet update, a local
+/// approximation of MGARD's tridiagonal projection). Even nodes read only
+/// edge-class details, which the update never writes. `sign = +1` during
+/// decomposition, `−1` during recomposition.
+fn l2_update(buf: &mut [f64], dims: &[usize], strides: &[usize], level: usize, sign: f64) {
     let s = 1usize << (level - 1);
-    let two_s = s << 1;
     let ndim = dims.len();
     // Even lattice of this level: all coordinates multiples of 2s.
-    let even = Pass::uniform(ndim, level, s, two_s);
+    let even = Pass::uniform(ndim, level, s, s << 1);
     // For each axis: even node absorbs (detail_left + detail_right) / 4,
     // where the details live at ±s along that axis (odd parity on the axis,
     // even on all others — i.e. the axis' edge-midpoint class).
-    scratch.clear();
     for_each_point(&even, dims, strides, |coords, flat| {
         let mut acc = 0.0f64;
         for a in 0..ndim {
@@ -288,11 +365,8 @@ fn l2_update(
                 acc += buf[flat + s * strides[a]] * 0.25;
             }
         }
-        scratch.push((flat, acc));
-    });
-    for &(flat, acc) in scratch.iter() {
         buf[flat] += sign * acc;
-    }
+    });
 }
 
 impl<T: Scalar> Compressor<T> for Mgard {
@@ -376,26 +450,7 @@ impl Mgard {
             ctx.pools.release(buf);
             return Err(CompressError::Unsupported("non-finite sample"));
         }
-        let order: Vec<usize> = (0..dims.len()).rev().collect();
-        for level in 1..=levels {
-            for pass in build_passes(dims.len(), level, &order, PassStructure::MultiDim) {
-                if pass.is_empty(&dims) {
-                    continue;
-                }
-                ctx.pairs.clear();
-                let details = &mut ctx.pairs;
-                for_each_point(&pass, &dims, &strides, |coords, flat| {
-                    let pred = corner_avg(&buf, &dims, &strides, coords, flat, &pass);
-                    details.push((flat, buf[flat] - pred));
-                });
-                for &(flat, d) in ctx.pairs.iter() {
-                    buf[flat] = d;
-                }
-            }
-            if self.l2_projection {
-                l2_update(&mut buf, &dims, &strides, level, 1.0, &mut ctx.pairs);
-            }
-        }
+        decompose(&mut buf, field.shape(), self.l2_projection);
         drop(transform_span);
 
         // ---- Coarse approximation nodes: stored raw ----
@@ -422,7 +477,7 @@ impl Mgard {
             if let Some(st) = stats.as_mut() {
                 st.begin_level(level, qprime.len());
             }
-            for pass in build_passes(dims.len(), level, &order, PassStructure::MultiDim) {
+            for pass in passes(dims.len(), level) {
                 if pass.is_empty(&dims) {
                     continue;
                 }
@@ -512,7 +567,6 @@ fn decode<T: Scalar>(
     unpred.extend(
         unpred_bytes.chunks_exact(8).map(|c| f64::from_le_bytes(c.try_into().unwrap())),
     );
-    let order: Vec<usize> = (0..dims.len()).rev().collect();
 
     // Coarse nodes.
     let coarse_step = 1usize << levels;
@@ -541,7 +595,7 @@ fn decode<T: Scalar>(
     let mut u_cursor = 0usize;
     for level in (1..=levels).rev() {
         let b = Mgard::budget(header.abs_eb, level);
-        for pass in build_passes(dims.len(), level, &order, PassStructure::MultiDim) {
+        for pass in passes(dims.len(), level) {
             if pass.is_empty(&dims) {
                 continue;
             }
@@ -584,25 +638,9 @@ fn decode<T: Scalar>(
     // ---- Inverse transform (coarse → fine), optionally stopping early
     // for resolution reduction (levels ≤ stop_level keep their details
     // unexpanded; the coarse lattice then holds the approximation) ----
-    let _t = span("inverse_transform");
-    for level in ((stop_level + 1).max(1)..=levels).rev() {
-        if l2_projection {
-            l2_update(&mut buf, &dims, &strides, level, -1.0, &mut ctx.pairs);
-        }
-        for pass in build_passes(dims.len(), level, &order, PassStructure::MultiDim) {
-            if pass.is_empty(&dims) {
-                continue;
-            }
-            ctx.pairs.clear();
-            let values = &mut ctx.pairs;
-            for_each_point(&pass, &dims, &strides, |coords, flat| {
-                let pred = corner_avg(&buf, &dims, &strides, coords, flat, &pass);
-                values.push((flat, pred + buf[flat]));
-            });
-            for &(flat, v) in ctx.pairs.iter() {
-                buf[flat] = v;
-            }
-        }
+    {
+        let _t = span("inverse_transform");
+        recompose(&mut buf, &header.shape, stop_level, l2_projection);
     }
 
     ctx.pools.release(unpred);
@@ -686,10 +724,9 @@ mod tests {
         qp: QpConfig,
     ) -> Vec<i32> {
         let eng = QpEngine::new(qp);
-        let order: Vec<usize> = (0..dims.len()).rev().collect();
         let mut want = vec![0i32; cap.q.len()];
         for level in 1..=num_levels(*dims.iter().max().unwrap()) {
-            for pass in build_passes(dims.len(), level, &order, PassStructure::MultiDim) {
+            for pass in passes(dims.len(), level) {
                 for_each_point(&pass, dims, strides, |coords, flat| {
                     let (la, ta, ba) = pass.qp_axes;
                     let off = |a: Option<usize>| {
@@ -835,40 +872,13 @@ mod tests {
         let strides = [35usize, 5, 1];
         let n = 9 * 7 * 5;
         let orig: Vec<f64> = (0..n).map(|i| ((i * 37) % 101) as f64 * 0.25 - 12.0).collect();
-        let mut scratch = Vec::new();
         for level in 1..=3 {
             let mut buf = orig.clone();
-            l2_update(&mut buf, &dims, &strides, level, 1.0, &mut scratch);
+            l2_update(&mut buf, &dims, &strides, level, 1.0);
             assert_ne!(buf, orig, "level {level}: update must change coarse nodes");
-            l2_update(&mut buf, &dims, &strides, level, -1.0, &mut scratch);
+            l2_update(&mut buf, &dims, &strides, level, -1.0);
             for (a, b) in buf.iter().zip(&orig) {
                 assert_eq!(a, b, "level {level}: inverse not exact");
-            }
-        }
-    }
-
-    #[test]
-    fn corner_avg_multilinear_on_linear_fields() {
-        // Multilinear prediction is exact on linear fields at any level.
-        let dims = [9usize, 9, 9];
-        let strides = [81usize, 9, 1];
-        let buf: Vec<f64> = (0..729)
-            .map(|i| {
-                let (z, rem) = (i / 81, i % 81);
-                let (y, x) = (rem / 9, rem % 9);
-                2.0 * x as f64 - y as f64 + 0.5 * z as f64 + 3.0
-            })
-            .collect();
-        let order = vec![2usize, 1, 0];
-        for level in 1..=2 {
-            for pass in build_passes(3, level, &order, PassStructure::MultiDim) {
-                for_each_point(&pass, &dims, &strides, |coords, flat| {
-                    // Interior points only (boundary drops corners).
-                    if coords.iter().zip(&dims).all(|(&c, &d)| c + pass.stride < d) {
-                        let pred = corner_avg(&buf, &dims, &strides, coords, flat, &pass);
-                        assert!((pred - buf[flat]).abs() < 1e-9, "at {coords:?}");
-                    }
-                });
             }
         }
     }
@@ -885,41 +895,5 @@ mod tests {
         let out: Field<f32> =
             m.decompress(&m.compress(&empty, ErrorBound::Abs(1.0)).unwrap()).unwrap();
         assert!(out.is_empty());
-    }
-}
-
-#[cfg(test)]
-mod reduction_tests {
-    use super::*;
-    use qip_metrics::max_abs_error;
-    use qip_tensor::Shape;
-
-    #[test]
-    fn reduced_decompression_matches_decimated_full() {
-        // The coarse lattice of the reduced reconstruction approximates the
-        // decimated original within a few levels' error budgets.
-        let f = Field::<f32>::from_fn(Shape::d3(33, 29, 21), |c| {
-            (c[0] as f32 * 0.15).sin() + 0.4 * (c[1] as f32 * 0.1).cos() + c[2] as f32 * 0.01
-        });
-        let m = Mgard::new();
-        let bytes = m.compress(&f, ErrorBound::Abs(1e-3)).unwrap();
-        for stop in [1usize, 2] {
-            let reduced: Field<f32> = m.decompress_reduced(&bytes, stop).unwrap();
-            let expect = f.decimate(1 << stop);
-            assert_eq!(reduced.shape(), expect.shape(), "stop {stop}");
-            // Coarse nodes carry the full hierarchy error budget at most.
-            let err = max_abs_error(&expect, &reduced);
-            assert!(err <= 1e-3 + 1e-9, "stop {stop}: err {err}");
-        }
-    }
-
-    #[test]
-    fn stop_level_zero_is_full_resolution() {
-        let f = Field::<f32>::from_fn(Shape::d3(17, 15, 11), |c| (c[0] + c[1] + c[2]) as f32);
-        let m = Mgard::new();
-        let bytes = m.compress(&f, ErrorBound::Abs(1e-2)).unwrap();
-        let full: Field<f32> = m.decompress(&bytes).unwrap();
-        let reduced: Field<f32> = m.decompress_reduced(&bytes, 0).unwrap();
-        assert_eq!(full.as_slice(), reduced.as_slice());
     }
 }
