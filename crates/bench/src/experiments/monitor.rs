@@ -7,9 +7,9 @@
 //! (p50/p90/p99), achieved ratios, and per-level QP accept rates are
 //! harvested from the hub and written to `BENCH_telemetry.json`; the merged
 //! hub is exported as Prometheus text (`BENCH_telemetry.prom`, validated) and
-//! a flight-recorder dump (`BENCH_flight.jsonl`); when the `trace` feature is
-//! compiled in, one representative run is also rendered as collapsed stacks
-//! (`BENCH_flame.folded`) for flamegraph tooling.
+//! a flight-recorder dump (`BENCH_flight.jsonl`); one representative run is
+//! always rendered as collapsed stacks (`BENCH_flame.folded`) for flamegraph
+//! tooling.
 //!
 //! With `--gate PCT` (the CI telemetry-overhead gate uses 0.02) the run exits
 //! with an error when the attached/detached throughput ratio — the inverse
@@ -243,19 +243,13 @@ fn write_artifacts(
     std::fs::write(opts.out.join("BENCH_flight.jsonl"), run_hub.recorder.dump_jsonl())?;
 
     // A sample flamegraph: one traced SZ3+QP compress rendered as collapsed
-    // stacks. Populated only when the trace feature is compiled in (the CI
-    // step builds with `--features trace`); otherwise the file records why
-    // it is empty, in comment-free folded format (a single sentinel frame).
+    // stacks.
     let field = Dataset::SegSalt.generate_f32(0, &Dataset::SegSalt.scaled_dims(opts.scale.max(8)));
     let comp = AnyCompressor::by_name("sz3+qp").expect("sz3 exists");
-    let (_, report) = qip_trace::with_session(|| {
+    let (_, report) = qip_telemetry::with_session(|| {
         comp.compress(&field, ErrorBound::Rel(REL_EB)).expect("compress failed")
     });
-    let folded = if qip_trace::compiled() {
-        qip_telemetry::flame::collapsed_stacks(&report)
-    } else {
-        "trace_feature_not_compiled 1\n".to_string()
-    };
+    let folded = qip_telemetry::flame::collapsed_stacks(&report);
     std::fs::write(opts.out.join("BENCH_flame.folded"), folded)?;
     eprintln!("[exporters written to {}]", opts.out.display());
     Ok(())

@@ -4,8 +4,8 @@
 //! resolved absolute ε) is checked here over hundreds of seeded cases per
 //! compressor — random family × dimensionality × precision × Abs/Rel bound.
 //! A violation is **minimized** (greedy axis shrinking while the violation
-//! reproduces) and reported with its replay seed and a `qip-trace` stage
-//! trace of the failing run, so the counterexample a CI artifact carries is
+//! reproduces) and reported with its replay seed and a stage trace of the
+//! failing run, so the counterexample a CI artifact carries is
 //! the smallest one the minimizer could find, not the random one it hit.
 
 use crate::fields::{synth, FieldFamily};
@@ -38,8 +38,7 @@ pub struct Violation {
     pub max_err: f64,
     /// Error message when compress/decompress failed outright.
     pub failure: Option<String>,
-    /// `qip-trace` stage trace of the minimized failing run (or the rebuild
-    /// hint when the `trace` feature is off).
+    /// Stage trace of the minimized failing run.
     pub trace: String,
 }
 

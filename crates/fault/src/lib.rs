@@ -24,13 +24,9 @@ use qip_core::integrity;
 /// pipeline trace next to its repro line. Panics inside `f` are caught (the
 /// session always closes and capture switches back off) and folded into the
 /// returned text instead of propagating.
-///
-/// Without the `trace` feature compiled into the workspace the replay still
-/// runs — exercising the same code path the failure took — but the report is
-/// empty and the text says how to get a real one.
 pub fn trace_replay<R>(f: impl FnOnce() -> R) -> String {
     let (result, report) =
-        qip_trace::with_session(|| std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)));
+        qip_telemetry::with_session(|| std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)));
     let mut out = String::new();
     if let Err(payload) = result {
         let msg = payload
@@ -40,14 +36,8 @@ pub fn trace_replay<R>(f: impl FnOnce() -> R) -> String {
             .unwrap_or("non-string panic payload");
         out.push_str(&format!("replay panicked: {msg}\n"));
     }
-    if qip_trace::compiled() {
-        out.push_str("stage trace of the failing run:\n");
-        out.push_str(&report.render());
-    } else {
-        out.push_str(
-            "(rebuild with `--features qip-fault/trace` for a stage trace of the failing run)\n",
-        );
-    }
+    out.push_str("stage trace of the failing run:\n");
+    out.push_str(&report.render());
     out
 }
 
@@ -324,8 +314,7 @@ mod tests {
         assert!(text.contains("boom at byte 42"), "{text}");
         let calm = trace_replay(|| 1 + 1);
         assert!(!calm.contains("panicked"), "{calm}");
-        // Either a rendered report (trace feature on) or the rebuild hint.
-        assert!(calm.contains("stage trace") || calm.contains("qip-fault/trace"), "{calm}");
+        assert!(calm.contains("stage trace of the failing run"), "{calm}");
     }
 
     #[test]

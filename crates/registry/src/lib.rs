@@ -16,6 +16,7 @@ use qip_interp::{QuantCapture, Tuned};
 use qip_mgard::Mgard;
 use qip_sperr::Sperr;
 use qip_sz3::Sz3;
+use qip_telemetry::TraceReport;
 use qip_tensor::{Field, Scalar};
 use qip_tthresh::Tthresh;
 use qip_zfp::Zfp;
@@ -217,22 +218,21 @@ impl AnyCompressor {
     }
 
     /// [`Compressor::compress`] inside a fresh trace session, returning the
-    /// stream together with the run's [`qip_trace::TraceReport`]. The report
-    /// is empty unless the workspace `trace` feature is compiled in.
+    /// stream together with the run's [`TraceReport`].
     pub fn compress_traced<T: Scalar>(
         &self,
         field: &Field<T>,
         bound: ErrorBound,
-    ) -> (Result<Vec<u8>, CompressError>, qip_trace::TraceReport) {
-        qip_trace::with_session(|| self.compress(field, bound))
+    ) -> (Result<Vec<u8>, CompressError>, TraceReport) {
+        qip_telemetry::with_session(|| self.compress(field, bound))
     }
 
     /// [`Compressor::decompress`] inside a fresh trace session.
     pub fn decompress_traced<T: Scalar>(
         &self,
         bytes: &[u8],
-    ) -> (Result<Field<T>, CompressError>, qip_trace::TraceReport) {
-        qip_trace::with_session(|| self.decompress(bytes))
+    ) -> (Result<Field<T>, CompressError>, TraceReport) {
+        qip_telemetry::with_session(|| self.decompress(bytes))
     }
 }
 
@@ -332,7 +332,7 @@ impl<T: Scalar> Compressor<T> for AnyCompressor {
         ctx: &mut CompressCtx,
         out: &mut Vec<u8>,
     ) -> Result<(), CompressError> {
-        let _t = qip_trace::span_with(|| format!("compress[{}]", Compressor::<T>::name(self)));
+        let _t = qip_telemetry::span_with(|| format!("compress[{}]", Compressor::<T>::name(self)));
         if !qip_telemetry::active() {
             return self.as_dyn::<T>().compress_into(field, bound, ctx, out);
         }
@@ -349,7 +349,7 @@ impl<T: Scalar> Compressor<T> for AnyCompressor {
         bytes: &[u8],
         ctx: &mut CompressCtx,
     ) -> Result<Field<T>, CompressError> {
-        let _t = qip_trace::span_with(|| format!("decompress[{}]", Compressor::<T>::name(self)));
+        let _t = qip_telemetry::span_with(|| format!("decompress[{}]", Compressor::<T>::name(self)));
         if !qip_telemetry::active() {
             return self.as_dyn::<T>().decompress_into(bytes, ctx);
         }
@@ -366,6 +366,14 @@ impl<T: Scalar> Compressor<T> for AnyCompressor {
 mod tests {
     use super::*;
     use qip_tensor::Shape;
+    use std::sync::{Mutex, MutexGuard};
+
+    /// A trace session is process-global: tests that run a registry
+    /// compressor serialize, so a traced test sees only its own root spans.
+    fn serial() -> MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     #[test]
     fn base_four_names() {
@@ -462,6 +470,7 @@ mod tests {
 
     #[test]
     fn progressive_downcast_matches_inherent_reduced_decode() {
+        let _s = serial();
         let field = Field::<f32>::from_fn(Shape::d3(17, 15, 13), |c| {
             (c[0] as f32 * 0.2).sin() + (c[1] as f32 * 0.15).cos() + c[2] as f32 * 0.01
         });
@@ -497,6 +506,7 @@ mod tests {
 
     #[test]
     fn all_seven_roundtrip() {
+        let _s = serial();
         let field = Field::<f32>::from_fn(Shape::d3(14, 13, 12), |c| {
             (c[0] as f32 * 0.2).sin() + (c[1] as f32 * 0.15).cos() + c[2] as f32 * 0.01
         });
@@ -523,6 +533,7 @@ mod tests {
 
     #[test]
     fn traced_run_reports_root_span_per_compressor() {
+        let _s = serial();
         let field = Field::<f32>::from_fn(Shape::d3(14, 13, 12), |c| {
             (c[0] as f32 * 0.2).sin() + (c[1] as f32 * 0.15).cos() + c[2] as f32 * 0.01
         });
@@ -534,15 +545,11 @@ mod tests {
             let bytes = bytes.unwrap();
             let (out, dreport) = c.decompress_traced::<f32>(&bytes);
             out.unwrap();
-            if qip_trace::compiled() {
-                let root = creport
-                    .span(&format!("compress[{name}]"))
-                    .unwrap_or_else(|| panic!("{name}: missing compress root span"));
-                assert_eq!(root.calls, 1, "{name}");
-                assert!(dreport.span(&format!("decompress[{name}]")).is_some(), "{name}");
-            } else {
-                assert!(creport.is_empty() && dreport.is_empty(), "{name}");
-            }
+            let root = creport
+                .span(&format!("compress[{name}]"))
+                .unwrap_or_else(|| panic!("{name}: missing compress root span"));
+            assert_eq!(root.calls, 1, "{name}");
+            assert!(dreport.span(&format!("decompress[{name}]")).is_some(), "{name}");
         }
     }
 }

@@ -44,7 +44,6 @@
 
 #![warn(missing_docs)]
 
-pub mod chaos;
 mod client;
 mod events;
 mod server;

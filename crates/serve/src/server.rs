@@ -19,7 +19,7 @@ use crate::events::{RequestEvent, Stages, StageTimer, DEFAULT_EVENT_CAPACITY};
 use crate::wire::{self, Op, OpKind, ReadFrameError, Request, Response, Status, TraceId};
 use qip_core::{CompressCtx, CompressError, Compressor};
 use qip_registry::AnyCompressor;
-use qip_telemetry::Ring;
+use qip_telemetry::{Ring, TailToken};
 use qip_tensor::{Field, Scalar, Shape};
 use std::collections::VecDeque;
 use std::io::Write;
@@ -217,29 +217,27 @@ impl Shared {
         id
     }
 
-    /// Log a request answered without worker dispatch (inline control ops,
-    /// shed/refused/bad frames): one event with a single `inline` stage.
-    fn push_inline_event(
-        &self,
-        trace_id: &TraceId,
-        op: OpKind,
-        status: Status,
-        received: Instant,
-    ) {
+    /// Account a frame answered without worker dispatch (inline control
+    /// ops, shed/refused/bad frames): one event with a single `inline` stage.
+    fn account_inline(&self, trace_id: &TraceId, op: OpKind, status: Status, received: Instant) {
         let total_ns = received.elapsed().as_nanos() as u64;
-        self.events.push(RequestEvent {
+        let event = RequestEvent {
             trace_id: wire::trace_hex(trace_id),
             op: op.name(),
             status: status.name(),
             queue_wait_ns: 0,
             stages: Stages(vec![("inline", total_ns)]),
             total_ns,
-        });
+        };
+        self.account(op, status, None, event);
     }
-    /// Mirror a finished request into telemetry (no-op when dormant) and the
-    /// always-on stats.
-    fn record_response(&self, op: OpKind, status: Status, received: Instant) {
-        let elapsed_ns = received.elapsed().as_nanos() as u64;
+
+    /// Account one answered frame, once and with one duration: the always-on
+    /// stats, the hub's request counter and latency histogram (no-op when
+    /// dormant), the SLO, the tail sampler and the event log all see
+    /// `event.total_ns`. `event` carries `op` and `status` by name.
+    fn account(&self, op: OpKind, status: Status, tail: Option<TailToken>, event: RequestEvent) {
+        let total_ns = event.total_ns;
         let op_label = [("op", op.name())];
         match status {
             Status::Ok => {
@@ -268,7 +266,7 @@ impl Shared {
         }
         qip_telemetry::with_hub(|h| {
             h.counter_add("qip.serve.requests", &[("op", op.name()), ("status", status.name())], 1);
-            h.observe("qip.serve.request_ns", &op_label, elapsed_ns);
+            h.observe("qip.serve.request_ns", &op_label, total_ns);
         });
         // SLO bookkeeping: server-caused failures (panics, shed load, missed
         // deadlines) burn the error budget; client mistakes (bad frames,
@@ -278,7 +276,10 @@ impl Shared {
             status,
             Status::Internal | Status::ServerBusy | Status::DeadlineExceeded
         );
-        qip_telemetry::slo_observe(op.name(), is_error, elapsed_ns);
+        qip_telemetry::slo_observe(op.name(), is_error, total_ns);
+        let (trace_id, queue_wait_ns) = (&event.trace_id, event.queue_wait_ns);
+        qip_telemetry::tail_finish(tail, trace_id, op.name(), status.name(), total_ns, queue_wait_ns);
+        self.events.push(event);
     }
 
     /// Export the live queue depths as gauges (called around scrapes).
@@ -489,9 +490,8 @@ fn connection_loop(stream: TcpStream, shared: &Arc<Shared>) {
             Err(ReadFrameError::TooLarge(n)) => {
                 // The declared length is hostile; answer and cut the
                 // connection (we cannot resync the stream past it).
-                shared.stats.bad_frames.fetch_add(1, Ordering::Relaxed);
                 let trace_id = shared.mint_trace();
-                shared.push_inline_event(&trace_id, OpKind::Ping, Status::TooLarge, Instant::now());
+                shared.account_inline(&trace_id, OpKind::Ping, Status::TooLarge, Instant::now());
                 let resp = Response {
                     id: 0,
                     status: Status::TooLarge,
@@ -511,16 +511,14 @@ fn connection_loop(stream: TcpStream, shared: &Arc<Shared>) {
         let mut req = match wire::decode_request(&body, cfg.max_frame_bytes) {
             Ok(r) => r,
             Err(e) => {
-                shared.stats.bad_frames.fetch_add(1, Ordering::Relaxed);
                 let status = match e {
                     wire::WireError::TooLarge(_) => Status::TooLarge,
                     _ => Status::BadFrame,
                 };
-                shared.record_response(OpKind::Ping, status, received);
                 // The frame didn't parse, so any client trace ID in it is
                 // untrusted; mint a fresh one so even rejections are traced.
                 let trace_id = shared.mint_trace();
-                shared.push_inline_event(&trace_id, OpKind::Ping, status, received);
+                shared.account_inline(&trace_id, OpKind::Ping, status, received);
                 let resp =
                     Response { id: 0, status, payload: e.to_string().into_bytes(), trace_id };
                 let _ = resp_tx.send(wire::encode_response(&resp));
@@ -541,8 +539,7 @@ fn connection_loop(stream: TcpStream, shared: &Arc<Shared>) {
             // Cheap control ops are answered inline — they must keep working
             // even when every worker queue is saturated.
             OpKind::Ping => {
-                shared.record_response(op, Status::Ok, received);
-                shared.push_inline_event(&req.trace_id, op, Status::Ok, received);
+                shared.account_inline(&req.trace_id, op, Status::Ok, received);
                 let resp = Response {
                     id: req.id,
                     status: Status::Ok,
@@ -562,8 +559,7 @@ fn connection_loop(stream: TcpStream, shared: &Arc<Shared>) {
                 let payload = text
                     .unwrap_or_else(|| "# no telemetry hub attached\n".to_string())
                     .into_bytes();
-                shared.record_response(op, Status::Ok, received);
-                shared.push_inline_event(&req.trace_id, op, Status::Ok, received);
+                shared.account_inline(&req.trace_id, op, Status::Ok, received);
                 let resp =
                     Response { id: req.id, status: Status::Ok, payload, trace_id: req.trace_id };
                 if resp_tx.send(wire::encode_response(&resp)).is_err() {
@@ -585,8 +581,7 @@ fn connection_loop(stream: TcpStream, shared: &Arc<Shared>) {
                 let payload = text
                     .unwrap_or_else(|| "# no telemetry hub attached\n".to_string())
                     .into_bytes();
-                shared.record_response(op, Status::Ok, received);
-                shared.push_inline_event(&req.trace_id, op, Status::Ok, received);
+                shared.account_inline(&req.trace_id, op, Status::Ok, received);
                 let resp =
                     Response { id: req.id, status: Status::Ok, payload, trace_id: req.trace_id };
                 if resp_tx.send(wire::encode_response(&resp)).is_err() {
@@ -614,8 +609,7 @@ fn connection_loop(stream: TcpStream, shared: &Arc<Shared>) {
                             (Status::ShuttingDown, b"server is draining")
                         }
                     };
-                    shared.record_response(op, status, received);
-                    shared.push_inline_event(&trace_id, op, status, received);
+                    shared.account_inline(&trace_id, op, status, received);
                     let resp = Response { id, status, payload: reason.to_vec(), trace_id };
                     if resp_tx.send(wire::encode_response(&resp)).is_err() {
                         break;
@@ -673,11 +667,11 @@ fn writer_loop(mut stream: TcpStream, rx: mpsc::Receiver<Vec<u8>>) {
 }
 
 /// One worker: owns a reusable [`CompressCtx`]; pops jobs until drain.
-/// Per job it (1) starts a tail-sampler token (which may activate a live
-/// qip-trace session), (2) tags the thread with the request's trace ID so
-/// flight records stamped during execution carry it, (3) runs the pipeline
-/// under a [`StageTimer`], and (4) closes the tail sample and appends the
-/// structured request event after the response is handed to the writer.
+/// Per job it (1) starts a tail-sampler token, (2) tags the thread with the
+/// request's trace ID so flight records stamped during execution carry it,
+/// (3) runs the pipeline under a [`StageTimer`], and (4) encodes the
+/// response and accounts the request before handing the response to the
+/// writer, so a client that has its answer also finds it counted and logged.
 fn worker_loop(shared: &Arc<Shared>, queue: &Arc<WorkQueue>) {
     let mut ctx = CompressCtx::new();
     while let Some(job) = queue.pop(&shared.draining) {
@@ -692,19 +686,19 @@ fn worker_loop(shared: &Arc<Shared>, queue: &Arc<WorkQueue>) {
             let _tag = qip_telemetry::trace_tag(&hex);
             execute(shared, job, &mut ctx, &mut stages)
         };
-        shared.record_response(op, status, received);
-        let _ = resp_tx.send(wire::encode_response(&Response { id, status, payload, trace_id }));
+        let frame = wire::encode_response(&Response { id, status, payload, trace_id });
         stages.mark("respond");
         let total_ns = received.elapsed().as_nanos() as u64;
-        qip_telemetry::tail_finish(tail, &hex, op.name(), status.name(), total_ns, queue_wait_ns);
-        shared.events.push(RequestEvent {
+        let event = RequestEvent {
             trace_id: hex,
             op: op.name(),
             status: status.name(),
             queue_wait_ns,
             stages: stages.take(),
             total_ns,
-        });
+        };
+        shared.account(op, status, tail, event);
+        let _ = resp_tx.send(frame);
     }
 }
 
@@ -796,7 +790,7 @@ fn isolate<R>(
         Ok(r) => Ok(r),
         Err(payload) => {
             *ctx = CompressCtx::new();
-            let _ = shared; // stats recorded by the caller via record_response
+            let _ = shared; // stats recorded by the caller via account
             let msg = payload
                 .downcast_ref::<String>()
                 .map(String::as_str)
@@ -1047,7 +1041,7 @@ mod tests {
     fn inline_events_land_in_the_log_with_the_trace_id() {
         let shared = test_shared();
         let trace = shared.mint_trace();
-        shared.push_inline_event(&trace, OpKind::Ping, Status::Ok, Instant::now());
+        shared.account_inline(&trace, OpKind::Ping, Status::Ok, Instant::now());
         let dump = shared.events.dump_jsonl();
         let event: serde_json::Value = serde_json::from_str(dump.trim_end()).unwrap();
         assert_eq!(event["trace_id"].as_str(), Some(&*wire::trace_hex(&trace)), "{dump}");

@@ -4,7 +4,9 @@
 //! availability SLO, because a corrupt frame is the client's mistake. Run in
 //! CI by the serve-smoke job (job timeout doubles as the hang detector).
 
-use qip_serve::chaos::{self, ChaosConfig};
+mod chaos;
+
+use chaos::ChaosConfig;
 use qip_serve::wire::Status;
 use qip_serve::{Client, ServeConfig, Server};
 use std::sync::atomic::Ordering;

@@ -7,6 +7,7 @@ use qip_registry::AnyCompressor;
 use qip_serve::wire::{Status, WireBound};
 use qip_serve::{Client, ServeConfig, Server};
 use qip_tensor::Field;
+use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Duration;
 
 const MAX_FRAME: usize = 64 << 20;
@@ -25,6 +26,21 @@ fn client_for(handle: &qip_serve::ServerHandle) -> Client {
     Client::connect(handle.addr(), Duration::from_secs(10), MAX_FRAME).unwrap()
 }
 
+/// The attached telemetry hub is process-global and every running server
+/// reports into it. A test that attaches one holds [`hub_guard`], which
+/// excludes every other server of this file, so the hub counts only that
+/// test's requests; a test whose server runs without a hub holds
+/// [`hubless`]. Poison-tolerant: a failing test must not cascade.
+static HUB_LOCK: RwLock<()> = RwLock::new(());
+
+fn hub_guard() -> RwLockWriteGuard<'static, ()> {
+    HUB_LOCK.write().unwrap_or_else(|e| e.into_inner())
+}
+
+fn hubless() -> RwLockReadGuard<'static, ()> {
+    HUB_LOCK.read().unwrap_or_else(|e| e.into_inner())
+}
+
 /// The records of a JSONL dump (events, flight, tails) stamped with `trace`.
 fn records_with(jsonl: &str, trace: &str) -> Vec<serde_json::Value> {
     jsonl
@@ -39,6 +55,7 @@ fn records_with(jsonl: &str, trace: &str) -> Vec<serde_json::Value> {
 /// conformance oracles' field generator).
 #[test]
 fn served_bytes_are_identical_to_offline() {
+    let _h = hubless();
     let handle = Server::start(quick_config()).unwrap();
     let mut client = client_for(&handle);
 
@@ -79,6 +96,7 @@ fn served_bytes_are_identical_to_offline() {
 
 #[test]
 fn f64_round_trip_through_server() {
+    let _h = hubless();
     let handle = Server::start(quick_config()).unwrap();
     let mut client = client_for(&handle);
     let dims = [12usize, 12, 12];
@@ -102,6 +120,7 @@ fn f64_round_trip_through_server() {
 
 #[test]
 fn typed_errors_for_bad_requests() {
+    let _h = hubless();
     let handle = Server::start(quick_config()).unwrap();
 
     // Unknown compressor name.
@@ -157,6 +176,7 @@ fn typed_errors_for_bad_requests() {
 /// depth never exceeds its configured bound.
 #[test]
 fn overload_sheds_with_server_busy() {
+    let _h = hubless();
     let cfg = ServeConfig {
         workers: 1,
         queue_depth: 2,
@@ -201,6 +221,7 @@ fn overload_sheds_with_server_busy() {
 /// answered `DEADLINE_EXCEEDED` at dequeue, not executed.
 #[test]
 fn queued_past_deadline_is_answered_deadline_exceeded() {
+    let _h = hubless();
     let cfg = ServeConfig { workers: 1, queue_depth: 8, ..quick_config() };
     let handle = Server::start(cfg).unwrap();
     let addr = handle.addr();
@@ -239,6 +260,7 @@ fn queued_past_deadline_is_answered_deadline_exceeded() {
 /// responses while new connections are refused.
 #[test]
 fn graceful_shutdown_finishes_in_flight_and_refuses_new() {
+    let _h = hubless();
     let cfg = ServeConfig { workers: 4, queue_depth: 8, ..quick_config() };
     let handle = Server::start(cfg).unwrap();
     let addr = handle.addr();
@@ -290,6 +312,7 @@ fn graceful_shutdown_finishes_in_flight_and_refuses_new() {
 /// The connection cap sheds whole connections with a typed response.
 #[test]
 fn connection_cap_refuses_with_typed_busy() {
+    let _h = hubless();
     let cfg = ServeConfig { max_conns: 1, ..quick_config() };
     let handle = Server::start(cfg).unwrap();
 
@@ -311,15 +334,6 @@ fn connection_cap_refuses_with_typed_busy() {
     drop(keeper);
     let stats = handle.join();
     assert!(stats.conns_refused.load(std::sync::atomic::Ordering::SeqCst) >= 1);
-}
-
-/// The attached telemetry hub is process-global; tests that attach/detach
-/// serialize on this so they can't tear each other's hub down mid-flight.
-/// Poison-tolerant: a failing hub test must not cascade into the others.
-static HUB_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-fn hub_guard() -> std::sync::MutexGuard<'static, ()> {
-    HUB_LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// Metrics op returns valid Prometheus text when a hub is attached.
@@ -347,6 +361,7 @@ fn metrics_op_exports_serve_counters() {
 /// `TiledCompressor`, and READ_REGION serves exactly the region's bytes.
 #[test]
 fn tiled_ops_round_trip_and_match_offline() {
+    let _h = hubless();
     let handle = Server::start(quick_config()).unwrap();
     let mut c = client_for(&handle);
 
@@ -385,6 +400,7 @@ fn tiled_ops_round_trip_and_match_offline() {
 /// and ZFP only (no lossless channel), FAILED with the library's typed error.
 #[test]
 fn planted_non_finite_samples_are_served_losslessly_or_refused() {
+    let _h = hubless();
     let handle = Server::start(quick_config()).unwrap();
     let mut c = client_for(&handle);
     let plants: [&[f32]; 3] =
@@ -433,6 +449,7 @@ fn planted_non_finite_samples_are_served_losslessly_or_refused() {
 /// UNKNOWN_COMPRESSOR (with the canonical-name listing) for bad tile names.
 #[test]
 fn tiled_ops_answer_typed_errors() {
+    let _h = hubless();
     let handle = Server::start(quick_config()).unwrap();
     let mut c = client_for(&handle);
 
@@ -479,6 +496,7 @@ fn tiled_ops_answer_typed_errors() {
 /// records the same ID with stage timings.
 #[test]
 fn trace_ids_echo_across_statuses_and_land_in_the_event_log() {
+    let _h = hubless();
     let handle = Server::start(quick_config()).unwrap();
     let mut c = client_for(&handle);
     let t: qip_serve::wire::TraceId = *b"0123456789abcdef";
@@ -530,6 +548,7 @@ fn trace_ids_echo_across_statuses_and_land_in_the_event_log() {
 /// that is nonzero and unique across the run.
 #[test]
 fn server_assigned_trace_ids_are_unique_and_nonzero() {
+    let _h = hubless();
     let handle = Server::start(quick_config()).unwrap();
     let mut seen = std::collections::HashSet::new();
     for _ in 0..4 {
@@ -608,4 +627,92 @@ fn flight_op_serves_recorder_and_tail_dumps_remotely() {
 
     qip_telemetry::detach();
     handle.join();
+}
+
+/// One frame that does not parse is one bad frame, however many sinks see it.
+#[test]
+fn one_malformed_frame_counts_one_bad_frame() {
+    let _h = hubless();
+    let handle = Server::start(quick_config()).unwrap();
+    let mut raw = std::net::TcpStream::connect_timeout(&handle.addr(), Duration::from_secs(5)).unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    qip_serve::wire::write_frame(&mut raw, b"not a sealed request").unwrap();
+    let body = qip_serve::wire::read_frame(&mut raw, MAX_FRAME).unwrap();
+    let resp = qip_serve::wire::decode_response(&body, MAX_FRAME).unwrap();
+    assert_eq!(resp.status, Status::BadFrame, "{}", resp.reason());
+    let events = records_with(&handle.events_jsonl(), &qip_serve::wire::trace_hex(&resp.trace_id));
+    assert_eq!(events.len(), 1, "{events:?}");
+    drop(raw);
+    let stats = handle.join();
+    assert_eq!(stats.bad_frames.load(std::sync::atomic::Ordering::SeqCst), 1);
+}
+
+/// A declared length above the cap is answered TOO_LARGE and accounted like
+/// any other answered frame: one request count, one event, one bad frame.
+#[test]
+fn one_over_cap_length_is_one_too_large_request_and_one_event() {
+    let _guard = hub_guard();
+    let hub = std::sync::Arc::new(qip_telemetry::MetricsHub::new());
+    qip_telemetry::attach(std::sync::Arc::clone(&hub));
+    let cfg = ServeConfig { max_frame_bytes: 1 << 10, ..quick_config() };
+    let handle = Server::start(cfg).unwrap();
+    let mut raw = std::net::TcpStream::connect_timeout(&handle.addr(), Duration::from_secs(5)).unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    std::io::Write::write_all(&mut raw, &(1u32 << 20).to_le_bytes()).unwrap();
+    let body = qip_serve::wire::read_frame(&mut raw, MAX_FRAME).unwrap();
+    let resp = qip_serve::wire::decode_response(&body, MAX_FRAME).unwrap();
+    assert_eq!(resp.status, Status::TooLarge, "{}", resp.reason());
+    let events = handle.events_jsonl();
+    drop(raw);
+    let stats = handle.join();
+    qip_telemetry::detach();
+    let too_large = |r: &serde_json::Value| r["status"].as_str() == Some("TOO_LARGE");
+    let logged = events.lines().map(|l| serde_json::from_str(l).unwrap()).filter(too_large);
+    assert_eq!(logged.count(), 1, "{events}");
+    let requests = hub.snapshot().counters.into_iter().filter(|(k, _)| {
+        k.name == "qip.serve.requests" && k.labels.contains(&("status".into(), "TOO_LARGE".into()))
+    });
+    assert_eq!(requests.map(|(_, n)| n).collect::<Vec<_>>(), [1]);
+    assert_eq!(stats.bad_frames.load(std::sync::atomic::Ordering::SeqCst), 1);
+}
+
+/// Every worker request is timed once: the hub's `qip.serve.request_ns` sum
+/// is exactly the event log's `total_ns` sum, and each tail record carries
+/// its event's `total_ns`.
+#[test]
+fn worker_requests_feed_every_sink_one_duration() {
+    let _guard = hub_guard();
+    let hub = std::sync::Arc::new(qip_telemetry::MetricsHub::with_slo_and_tail(
+        qip_telemetry::slo::default_objectives(),
+        1.0,
+        64,
+        1, // every request is sampled, so every one leaves a tail record
+    ));
+    qip_telemetry::attach(std::sync::Arc::clone(&hub));
+    let handle = Server::start(quick_config()).unwrap();
+    let mut c = client_for(&handle);
+    let payload: Vec<u8> = (0..256u32).flat_map(|v| (v as f32).to_le_bytes()).collect();
+    for i in 0..6u8 {
+        c.set_trace_id([i + 1; 16]);
+        let resp = c.compress("SZ3", 32, &[256], WireBound::Abs(1e-3), payload.clone(), 0).unwrap();
+        assert_eq!(resp.status, Status::Ok, "{}", resp.reason());
+    }
+    let events: Vec<serde_json::Value> =
+        handle.events_jsonl().lines().map(|l| serde_json::from_str(l).unwrap()).collect();
+    drop(c);
+    handle.join();
+    qip_telemetry::detach();
+
+    assert_eq!(events.len(), 6);
+    let total = |r: &serde_json::Value| r["total_ns"].as_u64().unwrap();
+    let hists = hub.snapshot().hists;
+    let request_ns = hists.iter().filter(|(k, _)| k.name == "qip.serve.request_ns");
+    let summed: Vec<(u64, u64)> = request_ns.map(|(_, h)| (h.count, h.sum)).collect();
+    assert_eq!(summed, [(6, events.iter().map(total).sum())]);
+    let tails = hub.tail.records();
+    assert_eq!(tails.len(), 6);
+    for tail in &tails {
+        let event = events.iter().find(|e| e["trace_id"].as_str() == Some(&tail.trace_id));
+        assert_eq!(Some(tail.duration_ns), event.map(total), "{}", tail.trace_id);
+    }
 }

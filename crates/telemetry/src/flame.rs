@@ -7,7 +7,7 @@
 //! with zero self time are still emitted when they are leaves, so synthesized
 //! intermediate nodes never swallow a subtree.
 
-use qip_trace::TraceReport;
+use crate::{SpanNode, TraceReport};
 
 /// Frame separator mandated by the folded format; occurrences inside span
 /// names are replaced to keep the stack structure parseable.
@@ -20,7 +20,7 @@ fn clean(name: &str) -> String {
 /// Convert a report's span tree to collapsed-stack ("folded") format.
 /// Returns an empty string for an empty report.
 pub fn collapsed_stacks(report: &TraceReport) -> String {
-    fn walk(node: &qip_trace::SpanNode, prefix: &str, out: &mut String) {
+    fn walk(node: &SpanNode, prefix: &str, out: &mut String) {
         let path = if prefix.is_empty() {
             clean(&node.name)
         } else {

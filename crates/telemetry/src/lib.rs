@@ -1,10 +1,5 @@
-//! Always-on production telemetry for the QIP pipeline.
-//!
-//! `qip-telemetry` is the *production* counterpart to the development-time
-//! [`qip-trace`](../qip_trace/index.html) profiler. Where qip-trace is
-//! compile-gated (`--features trace`) and collects span trees for a single
-//! diagnostic session, this crate is always compiled in and designed to stay
-//! attached for the lifetime of a serving process:
+//! Observability for the QIP pipeline: always-on production metrics and
+//! on-demand trace sessions, behind one run-time gate.
 //!
 //! * [`hist::Histogram`] — lock-free log-linear (HDR-style) latency
 //!   histograms with bounded-relative-error p50/p90/p99 and exact max,
@@ -16,55 +11,63 @@
 //!   accept rates, duration, outcome) dumpable as JSONL for incident triage.
 //! * [`Ring`] — the bounded JSONL ring under the flight recorder, the tail
 //!   sampler's reservoir and qip-serve's per-request event log.
+//! * [`with_session`] — one diagnostic trace session: [`span`] trees,
+//!   counters and values merged into a [`TraceReport`].
 //! * [`export`] — Prometheus text exposition and JSON snapshot renderers.
-//! * [`flame`] — converts a qip-trace `TraceReport` into collapsed-stack
-//!   (folded) format for flamegraph tooling.
+//! * [`flame`] — converts a [`TraceReport`] into collapsed-stack (folded)
+//!   format for flamegraph tooling.
 //!
 //! # The one instrumentation API
 //!
-//! The pipeline crates report through this crate only, never to qip-trace
-//! directly: one call per quantity feeds both sinks by one naming rule.
+//! One call per quantity feeds both sinks by one naming rule.
 //! [`count`]`("qp.points", Label::Level(3), n)` adds to the trace counter
 //! `qp.points.l3` and to the hub counter `qip.qp.points{level="l3"}`;
 //! [`note`] records a per-call value the same way (trace value, and the open
 //! [`CallScope`], which [`record_call`] publishes as a `qip.<name>` gauge);
 //! [`profile`] is the trace-only value for an O(n) scan; [`capturing`] is the
 //! one gate for collecting a statistic at all; [`pause`] silences both sinks;
-//! [`span`] / [`span_with`] are qip-trace's spans.
+//! [`span`] / [`span_with`] time a stage of the live session.
 //!
 //! # Dormant-cost contract
 //!
-//! With no hub attached and no trace session live, every instrumentation
-//! entry point returns after the relaxed atomic loads of [`capturing`] (one
-//! without the `trace` feature). No formatting, no allocation, no locks.
-//! Instrumentation only ever *observes* the pipeline — compressed streams are
-//! byte-identical with telemetry on or off (pinned by the `trace_equivalence`
-//! integration test).
+//! With no hub attached and no trace session open, every instrumentation
+//! entry point returns after the one relaxed atomic load of [`capturing`].
+//! No formatting, no allocation, no locks. Instrumentation only ever
+//! *observes* the pipeline — compressed streams are byte-identical with
+//! capture on or off (pinned by the `trace_equivalence` integration test).
 
 pub mod export;
 pub mod flame;
 pub mod hist;
 pub mod hub;
 pub mod recorder;
+mod report;
 mod ring;
 pub mod slo;
 pub mod tail;
+mod trace;
 
 pub use hist::{HistSummary, Histogram};
 pub use hub::{MetricKey, MetricsHub, Snapshot};
 pub use recorder::{FlightRecord, FlightRecorder, LevelRate};
+pub use report::{CounterEntry, SpanNode, TraceReport, ValueEntry};
 pub use ring::Ring;
 pub use slo::{Objective, ObjectiveKind, SloSnapshot, SloTracker};
 pub use tail::{TailRecord, TailSampler, TailToken};
-pub use qip_trace::{span, span_with};
+pub use trace::{span, span_with, with_session, Span};
 
 use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Fast dormant check; set strictly after/cleared strictly before `HUB`.
-static ATTACHED: AtomicBool = AtomicBool::new(false);
+/// Bit of [`LIVE`]: a hub is attached.
+const HUB_LIVE: u8 = 1;
+/// Bit of [`LIVE`]: a trace session is open.
+const SESSION_LIVE: u8 = 2;
+/// Which sinks listen: the one dormant check for both. The hub bit is set
+/// strictly after `HUB` is filled and cleared strictly before it is emptied.
+static LIVE: AtomicU8 = AtomicU8::new(0);
 /// The attached hub. A mutex (not a OnceLock) so tests can attach/detach.
 static HUB: Mutex<Option<Arc<MetricsHub>>> = Mutex::new(None);
 
@@ -80,23 +83,44 @@ thread_local! {
     static CURRENT_TRACE: RefCell<String> = const { RefCell::new(String::new()) };
 }
 
+/// True when one of `sinks` listens and this thread is not [`pause`]d. When
+/// dormant this is a single relaxed atomic load (the `&&` never evaluates
+/// its right side), which is the entire hot-path cost.
+#[inline]
+fn listening(sinks: u8) -> bool {
+    LIVE.load(Ordering::Relaxed) & sinks != 0 && PAUSE_DEPTH.with(|d| d.get()) == 0
+}
+
 /// True when a hub is attached and telemetry is not paused on this thread.
-/// When dormant this is a single relaxed atomic load (the `&&` never
-/// evaluates its right side), which is the entire hot-path cost.
 #[inline]
 pub fn active() -> bool {
-    ATTACHED.load(Ordering::Relaxed) && PAUSE_DEPTH.with(|d| d.get()) == 0
+    listening(HUB_LIVE)
+}
+
+/// True when a trace session is open and this thread is not paused.
+#[inline]
+fn tracing() -> bool {
+    listening(SESSION_LIVE)
+}
+
+/// Raise or clear the session bit (the trace module's session boundaries).
+fn set_session_live(on: bool) {
+    if on {
+        LIVE.fetch_or(SESSION_LIVE, Ordering::SeqCst);
+    } else {
+        LIVE.fetch_and(!SESSION_LIVE, Ordering::SeqCst);
+    }
 }
 
 /// Attach `hub` as the process-wide metrics sink, replacing any previous one.
 pub fn attach(hub: Arc<MetricsHub>) {
     *HUB.lock().unwrap() = Some(hub);
-    ATTACHED.store(true, Ordering::SeqCst);
+    LIVE.fetch_or(HUB_LIVE, Ordering::SeqCst);
 }
 
-/// Detach and return the current hub, if any. Instrumentation goes dormant.
+/// Detach and return the current hub, if any. The hub sink goes dormant.
 pub fn detach() -> Option<Arc<MetricsHub>> {
-    ATTACHED.store(false, Ordering::SeqCst);
+    LIVE.fetch_and(!HUB_LIVE, Ordering::SeqCst);
     HUB.lock().unwrap().take()
 }
 
@@ -119,12 +143,12 @@ pub fn with_hub<F: FnOnce(&MetricsHub)>(f: F) {
 /// actually kept.
 pub fn pause() -> PauseGuard {
     PAUSE_DEPTH.with(|d| d.set(d.get() + 1));
-    PauseGuard { _trace: qip_trace::pause() }
+    PauseGuard { _priv: () }
 }
 
 /// RAII guard from [`pause`]; re-enables both sinks for this thread on drop.
 pub struct PauseGuard {
-    _trace: qip_trace::PauseGuard,
+    _priv: (),
 }
 
 impl Drop for PauseGuard {
@@ -169,8 +193,8 @@ pub fn tail_begin() -> Option<TailToken> {
     token
 }
 
-/// Finish a tail-sampled request (no-op for a `None` token or when the hub
-/// was detached mid-request).
+/// Finish a tail-sampled request (no-op for a `None` token or a hub
+/// detached mid-request).
 pub fn tail_finish(
     token: Option<TailToken>,
     trace_id: &str,
@@ -235,13 +259,12 @@ impl Label {
     }
 }
 
-/// True when a statistic computed now would be kept: a trace session is live
+/// True when a statistic computed now would be kept: a trace session is open
 /// or a hub is attached, and this thread is not [`pause`]d. The one gate for
-/// collecting per-point statistics; dormant it is two relaxed loads (one
-/// without the `trace` feature).
+/// collecting per-point statistics; dormant it is one relaxed load.
 #[inline]
 pub fn capturing() -> bool {
-    qip_trace::enabled() || active()
+    listening(HUB_LIVE | SESSION_LIVE)
 }
 
 /// Add `n` to a pipeline counter: the trace session's `name[.label]` and the
@@ -256,8 +279,8 @@ pub fn count(name: &str, label: Label, n: u64) {
 
 #[inline(never)]
 fn count_live(name: &str, label: Label, n: u64) {
-    if qip_trace::enabled() {
-        qip_trace::counter(&label.trace_name(name), n);
+    if tracing() {
+        trace::counter(&label.trace_name(name), n);
     }
     with_hub(|hub| label.with_hub_labels(None, |l| hub.counter_add(&format!("qip.{name}"), l, n)));
 }
@@ -275,8 +298,8 @@ pub fn note(name: &str, label: Label, x: f64) {
 
 #[inline(never)]
 fn note_live(name: &str, label: Label, x: f64) {
-    if qip_trace::enabled() {
-        qip_trace::value(&label.trace_name(name), x);
+    if tracing() {
+        trace::value(&label.trace_name(name), x);
     }
     if !active() || CALL_DEPTH.with(|d| d.get()) == 0 {
         return;
@@ -295,8 +318,8 @@ fn note_live(name: &str, label: Label, x: f64) {
 /// `name[.label]`, only inside a live trace session. The hub never sees it.
 #[inline]
 pub fn profile(name: &str, label: Label, f: impl FnOnce() -> f64) {
-    if qip_trace::enabled() {
-        qip_trace::value(&label.trace_name(name), f());
+    if tracing() {
+        trace::value(&label.trace_name(name), f());
     }
 }
 
@@ -461,13 +484,18 @@ pub fn record_fault(compressor: &str, op: &str, outcome: &str) {
 mod tests {
     use super::*;
 
-    // The attach/detach slot is process-global, so tests touching it share
-    // one lock to stay independent of test-thread interleaving.
+    // The hub slot and the trace session are process-global, so every test
+    // touching either shares one lock to stay independent of test-thread
+    // interleaving. Poison-tolerant: one failing test must not fail the rest.
     static TEST_LOCK: Mutex<()> = Mutex::new(());
+
+    pub(crate) fn serial() -> std::sync::MutexGuard<'static, ()> {
+        TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     #[test]
     fn dormant_functions_are_noops() {
-        let _t = TEST_LOCK.lock().unwrap();
+        let _t = serial();
         detach();
         assert!(!active());
         with_hub(|_| panic!("no hub is attached"));
@@ -479,7 +507,7 @@ mod tests {
 
     #[test]
     fn count_names_the_hub_series_by_the_rule_until_detached() {
-        let _t = TEST_LOCK.lock().unwrap();
+        let _t = serial();
         let hub = Arc::new(MetricsHub::new());
         attach(Arc::clone(&hub));
         assert!(active());
@@ -502,25 +530,38 @@ mod tests {
     }
 
     #[test]
-    fn pause_suppresses_on_this_thread() {
-        let _t = TEST_LOCK.lock().unwrap();
+    fn one_pause_guard_silences_both_sinks_nests_and_restores() {
+        let _t = serial();
         let hub = Arc::new(MetricsHub::new());
         attach(Arc::clone(&hub));
-        {
-            let _p = pause();
-            assert!(!capturing());
-            count("c", Label::None, 1);
-            let _p2 = pause(); // nesting
-        }
-        assert!(active());
-        count("c", Label::None, 1);
+        let ((), report) = with_session(|| {
+            let _outer = span("tune");
+            {
+                let _p = pause();
+                assert!(!capturing() && !active());
+                let _hidden = span("trial_compress");
+                count("c", Label::None, 1);
+                {
+                    let _p2 = pause(); // nesting
+                    count("c", Label::None, 10);
+                }
+                assert!(!capturing(), "the outer guard still holds");
+                note("trial_value", Label::None, 1.0);
+            }
+            assert!(capturing() && active());
+            count("c", Label::None, 100);
+        });
         detach();
-        assert_eq!(hub.snapshot().counters[0].1, 1);
+        assert!(report.span("tune").is_some());
+        assert!(report.span("tune/trial_compress").is_none());
+        assert_eq!(report.counter("c"), Some(100));
+        assert_eq!(report.value("trial_value"), None);
+        assert_eq!(hub.snapshot().counters, vec![(MetricKey::new("qip.c", &[]), 100)]);
     }
 
     #[test]
     fn call_scope_collects_last_write_wins_and_feeds_record() {
-        let _t = TEST_LOCK.lock().unwrap();
+        let _t = serial();
         let hub = Arc::new(MetricsHub::new());
         attach(Arc::clone(&hub));
         let scope = CallScope::begin();
@@ -581,7 +622,7 @@ mod tests {
 
     #[test]
     fn trace_tag_stamps_flight_records_and_restores_on_drop() {
-        let _t = TEST_LOCK.lock().unwrap();
+        let _t = serial();
         let hub = Arc::new(MetricsHub::new());
         attach(Arc::clone(&hub));
         let id = "ab".repeat(16);
@@ -606,7 +647,7 @@ mod tests {
 
     #[test]
     fn tail_and_slo_helpers_are_dormant_noops_and_live_passthroughs() {
-        let _t = TEST_LOCK.lock().unwrap();
+        let _t = serial();
         detach();
         assert!(tail_begin().is_none());
         tail_finish(None, "", "compress", "OK", 1, 0);
@@ -635,7 +676,7 @@ mod tests {
 
     #[test]
     fn fault_records_land_in_recorder() {
-        let _t = TEST_LOCK.lock().unwrap();
+        let _t = serial();
         let hub = Arc::new(MetricsHub::new());
         attach(Arc::clone(&hub));
         record_fault("MGARD", "decompress", "corrupt: bad magic");

@@ -4,17 +4,14 @@
 //! *why*. The sampler closes that gap: for a deterministic 1-in-N sample and
 //! for any request whose duration crosses a rolling p99 estimate, it retains
 //! a [`TailRecord`] keyed by the request's trace ID — duration, queue wait,
-//! and (when the `qip-trace` feature is compiled into the binary) the full
-//! per-stage `TraceReport` captured live during that request.
+//! status and the rolling p99 estimate at decision time.
 //!
-//! Capture model: at most one qip-trace session is active at a time, claimed
-//! with a lock-free compare-and-swap at request start — a contended claim is
-//! simply skipped, so workers never block on the sampler. Because qip-trace
-//! capture is process-global, a retained report may include spans from
-//! requests that overlapped the sampled one; the record's own duration and
-//! queue-wait fields are always exact. Without the trace feature the sampler
-//! still retains records (with an empty report), so the tails dump works in
-//! default builds.
+//! The sampler opens no trace session. Capture is process-global: a session
+//! held for one sampled request would cover its whole time in flight,
+//! including every request overlapping it on other workers, and that cost
+//! on served traffic is unmeasured. `traced` is therefore always `false` and
+//! `report_json` always empty; the two fields keep the `--tails` dump's
+//! schema. Workers never block on the sampler beyond one short mutex.
 //!
 //! The rolling p99 estimate comes from a [`Histogram`] of request durations
 //! that is reset every [`ROLLING_WINDOW`] observations, so the threshold
@@ -22,7 +19,7 @@
 
 use crate::hist::Histogram;
 use crate::ring::Ring;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// Default reservoir capacity (records kept before the oldest is evicted).
@@ -41,7 +38,7 @@ pub struct TailRecord {
     pub op: String,
     /// Response status name (`"OK"`, `"DEADLINE_EXCEEDED"`, …).
     pub status: String,
-    /// End-to-end duration (accept → response handed to the writer).
+    /// End-to-end duration (accept → response ready for the writer).
     pub duration_ns: u64,
     /// Time spent queued before a worker picked the request up.
     pub queue_wait_ns: u64,
@@ -51,23 +48,18 @@ pub struct TailRecord {
     pub over_p99: bool,
     /// The rolling p99 estimate at decision time (0 before any estimate).
     pub p99_estimate_ns: u64,
-    /// True when a live qip-trace session captured this request.
+    /// Always `false`: the sampler opens no trace session (module docs).
     pub traced: bool,
-    /// The captured `TraceReport` as JSON (`""` when not traced or the
-    /// `qip-trace` feature is not compiled in).
+    /// Always `""`: no `TraceReport` is captured per request.
     pub report_json: String,
 }
 
 /// Per-request activation handle from [`TailSampler::begin`]; hand it back to
-/// [`TailSampler::finish`] when the request completes. If a `traced` token is
-/// dropped without `finish`, the trace session slot stays claimed and no
-/// further requests are traced (bounded failure, never a deadlock).
+/// [`TailSampler::finish`] when the request completes.
 #[derive(Debug, Clone, Copy)]
 pub struct TailToken {
     /// This request is in the deterministic sample.
     pub sampled: bool,
-    /// A qip-trace session was activated for this request.
-    pub traced: bool,
 }
 
 /// Bounded, thread-safe tail-sample reservoir (see module docs); reads
@@ -76,8 +68,6 @@ pub struct TailToken {
 pub struct TailSampler {
     sample_every: u64,
     counter: AtomicU64,
-    /// One qip-trace session at a time; claimed by CAS, never waited on.
-    session_busy: AtomicBool,
     durations: Mutex<Histogram>,
     ring: Ring<TailRecord>,
 }
@@ -95,31 +85,19 @@ impl TailSampler {
         TailSampler {
             sample_every: sample_every.max(1),
             counter: AtomicU64::new(0),
-            session_busy: AtomicBool::new(false),
             durations: Mutex::new(Histogram::new()),
             ring: Ring::with_capacity(capacity),
         }
     }
 
-    /// Request start: decide the deterministic sample membership and try to
-    /// claim the (single) live trace session. Wait-free.
+    /// Request start: decide the deterministic sample membership. Wait-free.
     pub fn begin(&self) -> TailToken {
         let n = self.counter.fetch_add(1, Ordering::Relaxed);
-        let sampled = n.is_multiple_of(self.sample_every);
-        let traced = qip_trace::compiled()
-            && self
-                .session_busy
-                .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
-                .is_ok();
-        if traced {
-            qip_trace::begin_session();
-        }
-        TailToken { sampled, traced }
+        TailToken { sampled: n.is_multiple_of(self.sample_every) }
     }
 
-    /// Request end: close the trace session (if this request held it), update
-    /// the rolling p99 estimate, and retain a record when the request was
-    /// sampled or crossed the estimate.
+    /// Request end: update the rolling p99 estimate, and retain a record when
+    /// the request was sampled or crossed the estimate.
     pub fn finish(
         &self,
         token: TailToken,
@@ -129,15 +107,6 @@ impl TailSampler {
         duration_ns: u64,
         queue_wait_ns: u64,
     ) {
-        // Close the session first so the claim is released on every path.
-        let report_json = if token.traced {
-            let report = qip_trace::take_report();
-            self.session_busy.store(false, Ordering::Release);
-            report.to_json()
-        } else {
-            String::new()
-        };
-
         let p99 = {
             let mut h = self.durations.lock().unwrap();
             let estimate = h.quantile(0.99);
@@ -161,8 +130,8 @@ impl TailSampler {
             sampled: token.sampled,
             over_p99,
             p99_estimate_ns: p99.unwrap_or(0),
-            traced: token.traced,
-            report_json,
+            traced: false,
+            report_json: String::new(),
         });
     }
 
@@ -193,11 +162,13 @@ mod tests {
     }
 
     #[test]
-    fn deterministic_sample_is_every_nth() {
+    fn deterministic_sample_is_every_nth_and_opens_no_session() {
+        let _t = crate::tests::serial();
         let s = TailSampler::with_config(64, 4);
         for i in 0..12u64 {
             let tok = s.begin();
             assert_eq!(tok.sampled, i % 4 == 0, "request {i}");
+            assert!(!crate::capturing(), "request {i}: capture stays off");
             finish_plain(&s, tok, &format!("{i:032x}"), 100);
         }
         assert_eq!(s.total_seen(), 12);
@@ -206,7 +177,8 @@ mod tests {
             ids,
             vec![format!("{:032x}", 0u64), format!("{:032x}", 4u64), format!("{:032x}", 8u64)]
         );
-        assert!(s.records().iter().all(|r| r.sampled && !r.over_p99));
+        let untraced = |r: &TailRecord| !r.traced && r.report_json.is_empty();
+        assert!(s.records().iter().all(|r| r.sampled && !r.over_p99 && untraced(r)));
     }
 
     #[test]
@@ -232,8 +204,8 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_begin_finish_never_lose_the_session_slot() {
-        let s = TailSampler::with_config(1024, 1);
+    fn concurrent_begin_finish_count_every_request() {
+        let s = TailSampler::with_config(2048, 1);
         std::thread::scope(|sc| {
             for t in 0..8u64 {
                 let s = &s;
@@ -246,8 +218,6 @@ mod tests {
             }
         });
         assert_eq!(s.total_seen(), 1600);
-        // The session slot is free again afterwards (claimable when the trace
-        // feature is compiled; vacuously true otherwise).
-        assert!(!s.session_busy.load(Ordering::Relaxed));
+        assert_eq!(s.len(), 1600, "sample_every 1 retains every request");
     }
 }

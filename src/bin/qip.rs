@@ -71,10 +71,10 @@ fn parse_region(s: &str) -> Result<qip::tensor::Region, String> {
 
 /// Observability outputs requested on the command line.
 struct CliObs<'a> {
-    /// `--trace FILE`: span/counter report as JSON (needs the trace feature).
+    /// `--trace FILE`: span/counter report as JSON.
     trace_path: Option<&'a String>,
     /// `--flame FILE`: the same report as collapsed stacks for flamegraph
-    /// tooling (needs the trace feature).
+    /// tooling.
     flame_path: Option<&'a String>,
     /// `--stats`: render the report to stderr.
     stats: bool,
@@ -107,9 +107,9 @@ impl<'a> CliObs<'a> {
     }
 }
 
-/// Run `f` with whatever observability the flags ask for: a qip-trace session
-/// (`--trace`/`--flame`/`--stats`, compile-gated) and/or an attached
-/// qip-telemetry hub (`--metrics-out`/`--prom`/`--flight`, always available).
+/// Run `f` with whatever observability the flags ask for: a trace session
+/// (`--trace`/`--flame`/`--stats`) and/or an attached metrics hub
+/// (`--metrics-out`/`--prom`/`--flight`).
 /// Without any of those options `f` runs bare and pays only the dormant
 /// relaxed-load checks.
 fn with_cli_obs<R>(obs: CliObs, f: impl FnOnce() -> Result<R, String>) -> Result<R, String> {
@@ -122,13 +122,7 @@ fn with_cli_obs<R>(obs: CliObs, f: impl FnOnce() -> Result<R, String>) -> Result
     };
 
     let result = if obs.wants_trace() {
-        if !qip_trace::compiled() {
-            eprintln!(
-                "warning: --trace/--flame/--stats need the `trace` cargo feature; \
-                 rebuild with `cargo build --release --features trace` (report will be empty)"
-            );
-        }
-        let (result, report) = qip_trace::with_session(f);
+        let (result, report) = qip::telemetry::with_session(f);
         if let Some(path) = obs.trace_path {
             std::fs::write(path, report.to_json()).map_err(|e| format!("write {path}: {e}"))?;
         }
@@ -577,9 +571,9 @@ fn usage() -> String {
      --metrics-out M.json   telemetry snapshot (counters, gauges, latency histograms) as JSON\n  \
      --prom M.prom          the same snapshot in Prometheus text exposition format\n  \
      --flight F.jsonl       flight-recorder dump, one JSON record per compress/decompress call\n  \
-     --trace T.json         span/counter report as JSON (needs the `trace` cargo feature)\n  \
-     --flame F.folded       span tree as collapsed stacks for flamegraph tools (needs `trace`)\n  \
-     --stats                render the span report to stderr (needs `trace`)"
+     --trace T.json         span/counter report as JSON\n  \
+     --flame F.folded       span tree as collapsed stacks for flamegraph tools\n  \
+     --stats                render the span report to stderr"
         .into()
 }
 

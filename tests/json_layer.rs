@@ -26,7 +26,7 @@ fn assert_planted(read: [&Value; 4]) {
 fn every_writer_reads_back_through_the_one_parser() {
     let names = ["a", "b", "c", "d"];
     let values = names.map(String::from).into_iter().zip(PLANT).collect();
-    let trace = qip_trace::TraceReport::from_maps(Default::default(), Default::default(), values);
+    let trace = qip::telemetry::TraceReport::from_maps(Default::default(), Default::default(), values);
     let json = parse(&trace.to_json());
     assert_planted([0, 1, 2, 3].map(|i| &json["values"][i]["value"]));
 

@@ -7,9 +7,9 @@
 //!   `anchors`, `unpred` and Σ`index.*` components — for SZ3, QoZ, HPEZ and
 //!   MGARD with and without QP over the conformance fields (f32 and f64,
 //!   1-D to 3-D) plus fields that run the trial compressions.
-//! * **Trace vs. hub.** Under `--features trace` the same call runs inside a
-//!   trace session, and every pipeline statistic the session holds is the
-//!   hub's under the naming rule: `qip.name{key="v"}` is `name.v`.
+//! * **Trace vs. hub.** The same call runs inside a trace session, and every
+//!   pipeline statistic the session holds is the hub's under the naming rule:
+//!   `qip.name{key="v"}` is `name.v`.
 //! * **Docs vs. scrape.** The `qip_*` families of a scrape after every kind
 //!   of call are exactly the pipeline families docs/telemetry.md lists; the
 //!   rejected decode among those calls records no ratio and no bitrate.
@@ -21,7 +21,7 @@ use qip::container::{read_region, TiledCompressor};
 use qip::core::CompressError;
 use qip::prelude::*;
 use qip::registry::AnyCompressor;
-use qip::telemetry::{MetricKey, MetricsHub, Snapshot};
+use qip::telemetry::{MetricKey, MetricsHub, Snapshot, TraceReport};
 use qip_conformance::fields::{synth, FieldFamily};
 use qip_conformance::golden::vector_specs;
 use std::collections::{BTreeMap, BTreeSet};
@@ -42,15 +42,15 @@ const PRODUCERS: [&str; 8] = [
 struct Observed {
     stream: Vec<u8>,
     hub: Snapshot,
-    trace: qip_trace::TraceReport,
+    trace: TraceReport,
 }
 
 /// Compress and decompress `field` with a fresh hub attached, inside one
-/// trace session (empty without the `trace` feature).
+/// trace session.
 fn observe<T: Scalar>(comp: &AnyCompressor, field: &Field<T>) -> Observed {
     let hub = Arc::new(MetricsHub::new());
     qip::telemetry::attach(Arc::clone(&hub));
-    let (stream, trace) = qip_trace::with_session(|| {
+    let (stream, trace) = qip::telemetry::with_session(|| {
         let stream = comp.compress(field, ErrorBound::Abs(1e-3)).unwrap();
         let _: Field<T> = comp.decompress(&stream).unwrap();
         stream
@@ -78,8 +78,8 @@ fn by_level<V: Copy>(series: &[(MetricKey, V)], name: &str) -> BTreeMap<String, 
     series.iter().filter(|(k, _)| k.name == name).map(|(k, v)| (level(k), *v)).collect()
 }
 
-/// Hub vs. the stream's inspect report, and (with `trace` compiled) trace
-/// vs. hub, for one compressor on one field.
+/// Hub vs. the stream's inspect report, and trace vs. hub, for one
+/// compressor on one field.
 fn reconcile<T: Scalar>(comp: &AnyCompressor, field: &Field<T>, case: &str) {
     let name = Compressor::<T>::name(comp);
     let at = format!("{name} {case}");
@@ -139,9 +139,7 @@ fn reconcile<T: Scalar>(comp: &AnyCompressor, field: &Field<T>, case: &str) {
     let want = want.map_or(vec![None; 6], |w| w.map(Some).to_vec());
     assert_eq!(channels, want, "{at}: hub channel counters vs inspect ledger");
 
-    if qip_trace::compiled() {
-        trace_matches_hub(&seen, &at);
-    }
+    trace_matches_hub(&seen, &at);
 }
 
 /// Every trace counter and value is the hub's series of the same quantity

@@ -1,11 +1,8 @@
 //! Byte-identity invariant for instrumentation: running any registry
 //! compressor inside a live trace session must produce the exact bytes (and
 //! the exact reconstruction) of an untraced run. Spans and counters observe
-//! the pipeline; they must never steer it.
-//!
-//! Without the workspace `trace` feature this degenerates to untraced ==
-//! untraced; CI runs it with `--features trace`, where capture is genuinely
-//! live (asserted via the report), making the equality a real regression gate.
+//! the pipeline; they must never steer it. That capture was live is asserted
+//! via the report, making the equality a real regression gate.
 
 use qip::prelude::*;
 use qip::registry::AnyCompressor;
@@ -39,12 +36,7 @@ fn tracing_never_changes_compressed_bytes() {
                 untraced, traced,
                 "{name}: field {fi} bytes diverge between traced and untraced runs"
             );
-            if qip_trace::compiled() {
-                assert!(
-                    !report.is_empty(),
-                    "{name}: capture was live but the report is empty"
-                );
-            }
+            assert!(!report.is_empty(), "{name}: capture was live but the report is empty");
 
             let plain: Field<f32> = comp.decompress(&untraced).unwrap();
             let (replay, _) = comp.decompress_traced::<f32>(&traced);
