@@ -9,6 +9,7 @@
 //!    question: does the method generalize beyond interpolation? — spoiler,
 //!    Sec. VI-B: Lorenzo residuals lack the clustering QP needs).
 
+use super::config_explore::forced_prefix_len;
 use super::Opts;
 use crate::report::{print_table, write_jsonl};
 use qip_codec::{huffman, lossless};
@@ -35,24 +36,25 @@ pub fn run(opts: &Opts) {
     let mut records = Vec::new();
 
     // --- 1. QP level gate ---------------------------------------------------
+    // The forced prefixes are priced from one all-levels capture (the encoder
+    // itself keeps the prefix its index entropy favours: the adaptive row).
     {
         let mut rows = Vec::new();
         for &eb in &[1e-3f64, 1e-4] {
             let base = Sz3::new().with_pipeline(Pipeline::Interpolation);
             let base_len =
                 base.compress(&field, ErrorBound::Rel(eb)).unwrap().len() as f64;
-            for (label, max_level) in [("levels ≤2 (paper)", 2usize), ("all levels", 200)] {
-                let qp = QpConfig {
-                    mode: PredMode::Lorenzo2d,
-                    condition: Condition::CaseIII,
-                    max_level,
-                };
-                let len = Sz3::new()
-                    .with_pipeline(Pipeline::Interpolation)
-                    .with_qp(qp)
-                    .compress(&field, ErrorBound::Rel(eb))
-                    .unwrap()
-                    .len();
+            let qp =
+                QpConfig { mode: PredMode::Lorenzo2d, condition: Condition::CaseIII, max_level: 200 };
+            let with = Sz3::new().with_pipeline(Pipeline::Interpolation).with_qp(qp);
+            let adaptive = with.compress(&field, ErrorBound::Rel(eb)).unwrap().len();
+            let cap = with.quant_capture(&field, ErrorBound::Rel(eb)).unwrap();
+            let kept = format!("adaptive (kept ≤{})", cap.max_level);
+            for (label, len) in [
+                ("levels ≤2 (paper)", forced_prefix_len(adaptive, &cap, 2)),
+                ("all levels", forced_prefix_len(adaptive, &cap, 200)),
+                (kept.as_str(), adaptive),
+            ] {
                 rows.push(vec![
                     label.to_string(),
                     format!("{eb:.0e}"),
@@ -118,8 +120,8 @@ pub fn run(opts: &Opts) {
         let sz3 = Sz3::new().with_qp(QpConfig::best_fit());
         for &eb in &[1e-3f64, 1e-5] {
             let cap = sz3.quant_capture(&field, ErrorBound::Rel(eb)).unwrap();
-            let huff_only = huffman::encode(&cap.q_prime).len();
-            let full = lossless::encode_indices(&cap.q_prime).len();
+            let huff_only = huffman::encode(&cap.encoded()).len();
+            let full = lossless::encode_indices(&cap.encoded()).len();
             rows.push(vec![
                 format!("{eb:.0e}"),
                 huff_only.to_string(),

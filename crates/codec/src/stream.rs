@@ -84,6 +84,11 @@ impl ByteWriter {
         self.put_bytes(bytes);
     }
 
+    /// Overwrite the byte written at `at`.
+    pub fn set_u8(&mut self, at: usize, v: u8) {
+        self.buf[at] = v;
+    }
+
     /// Finish, returning the accumulated bytes.
     pub fn finish(self) -> Vec<u8> {
         self.buf

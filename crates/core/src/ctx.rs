@@ -16,6 +16,7 @@
 //! never leak state between calls (pinned by the workspace equivalence
 //! tests).
 
+use crate::QpChoice;
 use qip_quant::QuantizerBank;
 use qip_tensor::ScalarPools;
 
@@ -46,6 +47,8 @@ pub struct CompressCtx {
     pub tile_f64: Vec<f64>,
     /// Row-tile quantization-index scratch of the chunked kernels.
     pub tile_idx: Vec<i32>,
+    /// The QP level-prefix choice's histograms and pass records.
+    pub qp_choice: QpChoice,
 }
 
 impl CompressCtx {

@@ -33,13 +33,15 @@ pub mod ctx;
 pub mod header;
 pub mod integrity;
 pub mod qp;
+pub mod qp_choice;
 
 pub use bound::{ErrorBound, ResolvedBound};
 pub use capability::{ProgressiveDecompress, RegionDecompress};
 pub use compressor::{try_with_capacity, try_zeroed_vec, CompressError, Compressor};
 pub use ctx::CompressCtx;
 pub use header::StreamHeader;
-pub use qp::{Condition, Neighbors, PredMode, QpConfig, QpEngine, QpTaps};
+pub use qp::{Condition, Neighbors, PredMode, QpConfig, QpEngine, QpTaps, QpVisit};
+pub use qp_choice::QpChoice;
 
 /// Re-export of the reserved unpredictable-data label.
 pub use qip_quant::UNPRED;

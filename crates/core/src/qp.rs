@@ -14,7 +14,8 @@
 //!   interpolation direction (`Back1`) or either orthogonal axis
 //!   (`Top1`/`Left1`), 2-D Lorenzo on the orthogonal plane, 3-D Lorenzo.
 //! * [`Condition`] — gating cases I–IV (Fig. 8).
-//! * `max_level` — highest interpolation level that still predicts (Fig. 9).
+//! * `max_level` — highest interpolation level that still predicts (Fig. 9);
+//!   a ceiling the encoder chooses under ([`crate::qp_choice`]).
 //!
 //! [`QpConfig::best_fit`] is the paper's Algorithm 2: 2-D Lorenzo, Case III,
 //! levels 1–2.
@@ -147,7 +148,10 @@ pub struct QpConfig {
     /// Gating condition.
     pub condition: Condition,
     /// Highest interpolation level on which prediction fires (level 1 is the
-    /// finest). Levels above carry <2 % of the data (paper Sec. V-C3).
+    /// finest). Levels above carry <2 % of the data (paper Sec. V-C3). To
+    /// the encoders it is a ceiling: they keep the prefix `0..=max_level`
+    /// their index entropy favours and write that into the stream
+    /// ([`crate::QpChoice`]); in a stream it is the prefix QP ran on.
     pub max_level: usize,
 }
 
@@ -167,6 +171,18 @@ impl QpConfig {
     pub fn is_enabled(&self) -> bool {
         self.mode != PredMode::Off && self.max_level >= 1
     }
+
+    /// The level prefix QP covers: `max_level`, or 0 when disabled.
+    pub fn prefix(&self) -> usize {
+        if self.is_enabled() {
+            self.max_level
+        } else {
+            0
+        }
+    }
+
+    /// Where [`QpConfig::write`] puts the `max_level` byte, from its start.
+    pub const MAX_LEVEL_AT: usize = 2;
 
     /// Serialize (3 bytes).
     pub fn write(&self, w: &mut ByteWriter) {
@@ -574,6 +590,75 @@ impl QpEngine {
         let skip = taps.skip(first, run.len());
         if skip < run.len() {
             with_row_gate!(taps, self.config.condition, |g| inverse_run(taps, skip, q, run, g))
+        }
+    }
+}
+
+/// Where a pass's QP neighbors sit in its visit order — row-major over the
+/// pass lattice, the order the entropy coder sees the indices in. The −step
+/// lattice neighbor along axis `a` is `Π_{b>a} counts[b]` points back (1
+/// along the row) for every point of the pass; a row only decides which of
+/// the neighbors exist.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct QpVisit {
+    /// Per (left, top, back) axis: the neighbor's visit distance and the
+    /// pass's lattice count along the axis; `None` when the field lacks it.
+    axes: [Option<(usize, usize)>; 3],
+    /// Which of the three runs along the row.
+    along_row: [bool; 3],
+    row_len: usize,
+    len: usize,
+}
+
+impl QpVisit {
+    /// The geometry of a pass of `len` points in rows of `row_len`: per
+    /// (left, top, back) axis the neighbor's visit distance and the pass's
+    /// lattice count along it, and which axis runs along the row.
+    pub fn new(
+        axes: [Option<(usize, usize)>; 3],
+        along_row: [bool; 3],
+        row_len: usize,
+        len: usize,
+    ) -> Self {
+        QpVisit { axes, along_row, row_len, len }
+    }
+
+    /// Points the pass visits.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// The QP taps on `level` of the row that starts at visit index `v`: an
+    /// axis's neighbor exists unless the row lies on the lattice's first
+    /// line along it, and along the row from the row's second point on.
+    pub fn taps(&self, qp: &QpEngine, level: usize, v: usize) -> QpTaps {
+        let offs = std::array::from_fn(|i| {
+            let (off, count) = self.axes[i]?;
+            (self.along_row[i] || !(v / off).is_multiple_of(count)).then_some(off)
+        });
+        qp.row_taps(level, offs, self.along_row)
+    }
+
+    /// The pass's rows as visit ranges, first to last.
+    fn rows(&self) -> impl DoubleEndedIterator<Item = Range<usize>> {
+        let m = self.row_len;
+        (0..self.len / m.max(1)).map(move |r| r * m..(r + 1) * m)
+    }
+
+    /// `Q → Q′` on `level` over the whole pass, in place on `q` (its
+    /// indices in visit order): rows last first, so every neighbor still
+    /// holds `Q`. Returns how many gates were open.
+    pub fn forward(&self, qp: &QpEngine, level: usize, q: &mut [i32]) -> usize {
+        self.rows().rev().map(|run| qp.forward(&self.taps(qp, level, run.start), true, q, run)).sum()
+    }
+
+    /// `Q′ → Q` on `level` over the whole pass, in place on `q`: the
+    /// decoder's row kernel, rows first to last, so every neighbor holds
+    /// `Q` again by the time a row reads it. The exact inverse of
+    /// [`QpVisit::forward`].
+    pub fn inverse(&self, qp: &QpEngine, level: usize, q: &mut [i32]) {
+        for run in self.rows() {
+            qp.inverse(&self.taps(qp, level, run.start), true, q, run);
         }
     }
 }

@@ -93,6 +93,10 @@ pub struct LevelReport {
 pub struct QpReport {
     /// Whether the stream's config enables the QP transform at all.
     pub enabled: bool,
+    /// The level prefix QP covers in the stream — the `max_level` its
+    /// encoder chose, up to the configured ceiling (0 when QP is off; a
+    /// tiled rollup reports the highest of its tiles).
+    pub max_level: usize,
     /// Per-level counters, coarsest first.
     pub levels: Vec<LevelReport>,
     /// Anchor-grid / coarse-node point count (not gated).
@@ -394,7 +398,8 @@ fn inspect_flat<T: Scalar>(
         ledger: ledger_of(&spans),
         spans,
         qp: fx.map(|fx| QpReport {
-            enabled: fx.qp_enabled,
+            enabled: fx.qp.is_enabled(),
+            max_level: fx.qp.prefix(),
             levels: level_reports(&fx.probe.levels, &fx.qprime, index_fx.as_ref()),
             anchors: fx.probe.anchors,
             unpredictable: fx.probe.unpredictable,
@@ -639,6 +644,7 @@ fn merge_qp(acc: Option<QpReport>, next: QpReport) -> QpReport {
         Some(a) => a,
     };
     acc.enabled |= next.enabled;
+    acc.max_level = acc.max_level.max(next.max_level);
     acc.anchors += next.anchors;
     acc.unpredictable += next.unpredictable;
     for lr in next.levels {
@@ -666,6 +672,7 @@ mod tests {
     use super::*;
     use qip_core::ErrorBound;
     use qip_registry::AnyCompressor;
+    use qip_conformance::fields::{synth, FieldFamily};
     use qip_tensor::Shape;
 
     fn banded(dims: &[usize]) -> Field<f32> {
@@ -747,12 +754,14 @@ mod tests {
 
     #[test]
     fn qp_counters_nonzero_when_enabled() {
-        let field = banded(&[17, 13]);
+        // Layered data, where the encoder keeps QP on level 1 at least.
+        let field: Field<f32> = synth(FieldFamily::Banded, 5, &[24, 20, 16]);
         let comp = AnyCompressor::by_name("QoZ+QP").unwrap();
         let bytes = comp.as_dyn::<f32>().compress(&field, ErrorBound::Abs(1e-3)).unwrap();
         let report = inspect_bytes(&bytes).unwrap();
         let qp = report.qp.unwrap();
-        assert!(qp.enabled);
+        assert!(qp.enabled && (1..=2).contains(&qp.max_level), "max_level {}", qp.max_level);
+        assert!(qp.levels.iter().any(|l| l.fired > 0));
         let total: u64 = qp.levels.iter().map(|l| l.points).sum();
         assert_eq!(total + qp.anchors, field.len() as u64);
         assert!(report.heatmap.is_some());

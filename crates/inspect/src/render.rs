@@ -34,7 +34,7 @@ pub fn render_table(r: &InspectReport) -> String {
         let _ = writeln!(
             out,
             "QP {} — anchors {}, unpredictable {}",
-            if qp.enabled { "enabled" } else { "disabled" },
+            if qp.enabled { format!("enabled on levels ≤ {}", qp.max_level) } else { "disabled".into() },
             qp.anchors,
             qp.unpredictable,
         );

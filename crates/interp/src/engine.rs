@@ -13,7 +13,9 @@ use crate::kernels::Scratch;
 use crate::lattice::{for_each_point, num_levels, Pass};
 use crate::select::choose_level_params;
 use qip_codec::{encode_indices_into, ByteReader, ByteWriter, Span, Spans};
-use qip_core::{CompressCtx, CompressError, Compressor, ErrorBound, QpEngine, StreamHeader};
+use qip_core::{
+    CompressCtx, CompressError, Compressor, ErrorBound, QpChoice, QpConfig, QpEngine, StreamHeader,
+};
 use qip_metrics::entropy;
 use qip_predict::{
     cubic_interior, linear_edge2, linear_mid, quad_begin, quad_end, InterpKind,
@@ -58,28 +60,49 @@ impl InterpEngine {
 pub struct QuantCapture {
     /// Original quantization indices (`UNPRED` marks unpredictable points).
     pub q: Vec<i32>,
-    /// QP-transformed indices actually handed to the encoder.
+    /// QP-transformed indices on every level QP ran on — up to the
+    /// configured ceiling, before the encoder chose its prefix.
     pub q_prime: Vec<i32>,
     /// Interpolation level per point (1 = finest; 0 = anchor/seed).
     pub level: Vec<u8>,
+    /// The level prefix the stream keeps: `q_prime` on levels
+    /// `1..=max_level`, `q` above (0 when QP is off).
+    pub max_level: usize,
 }
 
 impl QuantCapture {
     /// A capture of `n` points, all zero.
     pub fn zeros(n: usize) -> Self {
-        QuantCapture { q: vec![0; n], q_prime: vec![0; n], level: vec![0; n] }
+        QuantCapture { q: vec![0; n], q_prime: vec![0; n], level: vec![0; n], max_level: 0 }
+    }
+
+    /// The indices with QP on levels `1..=max_level` only: `Q′` there, `Q`
+    /// above — what the encoder hands the entropy coder when it keeps that
+    /// prefix (in spatial layout, not the coder's order).
+    pub fn with_prefix(&self, max_level: usize) -> Vec<i32> {
+        let kept = |(i, &lvl): (usize, &u8)| {
+            if (lvl as usize) <= max_level { self.q_prime[i] } else { self.q[i] }
+        };
+        self.level.iter().enumerate().map(kept).collect()
+    }
+
+    /// The indices the stream holds: [`QuantCapture::with_prefix`] of the
+    /// kept prefix.
+    pub fn encoded(&self) -> Vec<i32> {
+        self.with_prefix(self.max_level)
     }
 
     /// Fraction of points per interpolation level where QP actually fired
-    /// (`Q' ≠ Q`): the adaptivity profile behind the paper's Figs. 8–9.
-    /// Returns `(level, points, fire_rate)` sorted by level.
+    /// (`Q' ≠ Q`) on the levels the stream keeps: the adaptivity profile
+    /// behind the paper's Figs. 8–9. Returns `(level, points, fire_rate)`
+    /// sorted by level.
     pub fn fire_rate_by_level(&self) -> Vec<(u8, usize, f64)> {
         use std::collections::BTreeMap;
         let mut counts: BTreeMap<u8, (usize, usize)> = BTreeMap::new();
         for ((&q, &qp), &lvl) in self.q.iter().zip(&self.q_prime).zip(&self.level) {
             let e = counts.entry(lvl).or_insert((0, 0));
             e.0 += 1;
-            if q != qp {
+            if q != qp && lvl as usize <= self.max_level {
                 e.1 += 1;
             }
         }
@@ -230,6 +253,13 @@ impl SinkStats {
         }
     }
 
+    /// Keep QP's counts on levels `1..=m` only: the encoder undid the rest.
+    fn keep_prefix(&mut self, m: usize) {
+        for ls in self.levels.iter_mut().skip(m + 1) {
+            (ls.accepted, ls.fired) = (0, 0);
+        }
+    }
+
     /// Report the run: the counters, the per-level values, and the stream's
     /// `raw` input size beside its three channels. `qprime` is the full
     /// transformed index stream, contiguous per level (coarsest first), so
@@ -260,21 +290,35 @@ impl SinkStats {
     }
 }
 
-/// The encoder's QP step for one quantized pass: `q` holds the pass's
-/// indices in visit order, `Q` on entry and `Q′` on return. The statistics
-/// and the capture (cold paths) see both for every point.
+/// The encoder's QP step for the pass just quantized: its indices are the
+/// tail of the stream `qprime`, `Q` on entry and `Q′` on return. `choice`
+/// counts both and records the pass for a possible undo; the statistics and
+/// the capture (cold paths) see both for every point.
+#[allow(clippy::too_many_arguments)]
 pub fn transform_pass(
     qp: &QpEngine,
     pass: &Pass,
     dims: &[usize],
     strides: &[usize],
-    q: &mut [i32],
+    qprime: &mut [i32],
+    choice: &mut QpChoice,
     stats: Option<&mut SinkStats>,
     capture: Option<&mut QuantCapture>,
 ) {
     let (level, active) = (pass.level, qp.active(pass.level));
+    let base = qprime.len() - pass.len(dims);
+    let q = &mut qprime[base..];
+    choice.tally(level, false, base, q);
     let kept = (active && (stats.is_some() || capture.is_some())).then(|| q.to_vec());
-    let accepted = if active { pass.qp_visit(dims).forward(qp, level, q) } else { 0 };
+    let accepted = if active {
+        let visit = pass.qp_visit(dims);
+        let accepted = visit.forward(qp, level, q);
+        choice.tally(level, true, base, q);
+        choice.record(level, base, visit);
+        accepted
+    } else {
+        0
+    };
     let before = kept.as_deref().unwrap_or(q);
     if let Some(st) = stats {
         st.row(level, accepted, before, q);
@@ -288,6 +332,46 @@ pub fn transform_pass(
             v += 1;
         });
     }
+}
+
+/// The encoder's level-prefix choice, once every pass is transformed: keep
+/// the prefix `choice` scores best, invert the QP levels above it in
+/// `qprime`, and — only when a level was undone, so a stream that keeps
+/// every level is the one a fixed prefix gives — write the kept prefix into
+/// the stream's QP config, which `w` holds from byte `qp_at` on. The
+/// statistics and the capture then count QP on the kept levels only.
+/// Publishes `qp.max_level` (the stream's prefix, 0 with QP off) and, per
+/// candidate, `qp.index_bytes_est`.
+pub fn keep_best_prefix(
+    qp: &QpEngine,
+    choice: &QpChoice,
+    qprime: &mut [i32],
+    (w, qp_at): (&mut ByteWriter, usize),
+    stats: Option<&mut SinkStats>,
+    capture: Option<&mut QuantCapture>,
+) {
+    use qip_telemetry::{capturing, note, Label};
+    let ceiling = choice.ceiling();
+    let mut written = qp.config().prefix();
+    let _t = (ceiling > 0).then(|| span("qp_choose"));
+    let m = choice.choose();
+    if ceiling > 0 && capturing() {
+        for c in 0..=ceiling {
+            note("qp.index_bytes_est", Label::Level(c), choice.index_bits(c) / 8.0);
+        }
+    }
+    if m < ceiling {
+        choice.undo(qp, m, qprime);
+        w.set_u8(qp_at + QpConfig::MAX_LEVEL_AT, m as u8);
+        written = m;
+        if let Some(st) = stats {
+            st.keep_prefix(m);
+        }
+    }
+    if let Some(cap) = capture {
+        cap.max_level = m;
+    }
+    note("qp.max_level", Label::None, written as f64);
 }
 
 /// Blank per-level records for levels `0..=start_level`, indexed by level.
@@ -305,6 +389,7 @@ pub(crate) struct CompressSink<'a> {
     pub(crate) unpred: &'a mut Vec<u8>,
     pub(crate) qprime: &'a mut Vec<i32>,
     pub(crate) quantizers: &'a [LinearQuantizer],
+    pub(crate) choice: &'a mut QpChoice,
     pub(crate) stats: Option<SinkStats>,
 }
 
@@ -445,8 +530,9 @@ pub struct EngineForensics<T: Scalar> {
     pub spans: Vec<Span>,
     /// Absolute error bound recorded in the header.
     pub abs_eb: f64,
-    /// Whether the stream's QP config enables the transform at all.
-    pub qp_enabled: bool,
+    /// The stream's QP config: its `max_level` is the prefix the encoder
+    /// kept.
+    pub qp: QpConfig,
     /// The decoded transformed index stream (encoder emission order).
     pub qprime: Vec<i32>,
     /// The per-point record, [finished](Probe::finish).
@@ -476,12 +562,12 @@ pub struct Probe {
 
 impl Probe {
     /// A blank record for `n` points over levels `1..=start_level` of a
-    /// stream whose decoded index stream is `qprime`.
-    pub fn new(n: usize, start_level: usize, qprime: &[i32]) -> Self {
+    /// stream under `qp` whose decoded index stream is `qprime`.
+    pub fn new(n: usize, start_level: usize, qp: &QpConfig, qprime: &[i32]) -> Self {
         Probe {
             levels: blank_levels(start_level),
             accepted: vec![0; n],
-            capture: QuantCapture::zeros(n),
+            capture: QuantCapture { max_level: qp.prefix(), ..QuantCapture::zeros(n) },
             qprime: qprime.to_vec(),
             ..Probe::default()
         }
@@ -556,13 +642,13 @@ impl InterpEngine {
     }
 
     /// Write the stream prefix (header through start level) and return the
-    /// start level.
+    /// start level and where the QP config starts in `w`.
     pub(crate) fn write_prefix<T: Scalar>(
         &self,
         field: &Field<T>,
         abs_eb: f64,
         w: &mut ByteWriter,
-    ) -> usize {
+    ) -> (usize, usize) {
         let cfg = &self.cfg;
         StreamHeader {
             magic: cfg.magic,
@@ -575,6 +661,7 @@ impl InterpEngine {
         w.put_f64(cfg.alpha);
         w.put_f64(cfg.beta);
         w.put_u8(cfg.passes.tag());
+        let qp_at = w.len();
         cfg.qp.write(w);
         w.put_u32(cfg.radius as u32);
 
@@ -585,7 +672,7 @@ impl InterpEngine {
             None => levels,
         };
         w.put_u8(start_level as u8);
-        start_level
+        (start_level, qp_at)
     }
 
     /// Buffer-reusing compression: append the full stream to `out`, taking
@@ -609,7 +696,7 @@ impl InterpEngine {
         &self,
         field: &Field<T>,
         bound: ErrorBound,
-        capture: Option<&mut QuantCapture>,
+        mut capture: Option<&mut QuantCapture>,
         ctx: &mut CompressCtx,
         out: &mut Vec<u8>,
     ) -> Result<(), CompressError> {
@@ -622,7 +709,7 @@ impl InterpEngine {
         let abs_eb = bound.resolve(field).abs;
 
         let mut w = ByteWriter::from_vec(std::mem::take(out));
-        let start_level = self.write_prefix(field, abs_eb, &mut w);
+        let (start_level, qp_at) = self.write_prefix(field, abs_eb, &mut w);
 
         if field.is_empty() {
             *out = w.finish();
@@ -636,6 +723,7 @@ impl InterpEngine {
         ctx.anchors.clear();
         ctx.unpred.clear();
         ctx.qprime.clear();
+        ctx.qp_choice.begin(&cfg.qp, start_level);
         let mut sink = CompressSink {
             cfg: *cfg,
             qp: QpEngine::new(cfg.qp),
@@ -644,6 +732,7 @@ impl InterpEngine {
             unpred: &mut ctx.unpred,
             qprime: &mut ctx.qprime,
             quantizers: ctx.quantizers.as_slice(),
+            choice: &mut ctx.qp_choice,
             stats: SinkStats::new_if_capturing(start_level),
         };
         {
@@ -655,10 +744,12 @@ impl InterpEngine {
                 &mut buf,
                 &mut sink,
                 Scratch { f64s: &mut ctx.tile_f64, idx: &mut ctx.tile_idx },
-                capture,
+                capture.as_deref_mut(),
             )?;
         }
-        let (level_tags, stats) = (sink.level_tags, sink.stats);
+        let (qp, level_tags, mut stats) = (sink.qp, sink.level_tags, sink.stats);
+        let header = (&mut w, qp_at);
+        keep_best_prefix(&qp, &ctx.qp_choice, &mut ctx.qprime, header, stats.as_mut(), capture);
 
         {
             let _t = span("entropy_encode");
@@ -799,7 +890,7 @@ impl InterpEngine {
         // sizes its per-point maps to it.
         let mut buf = qip_core::try_zeroed_vec::<T>(p.n)?;
         if let Some(pr) = probe.as_deref_mut() {
-            *pr = Probe::new(p.n, p.start_level, &ctx.qprime);
+            *pr = Probe::new(p.n, p.start_level, &p.eff.qp, &ctx.qprime);
         }
         let mut sink = DecompressSink::new(
             p.eff.qp,
@@ -838,12 +929,11 @@ impl InterpEngine {
         bytes: &[u8],
     ) -> Result<EngineForensics<T>, CompressError> {
         let mut p = self.parse_stream::<T>(bytes)?;
-        let (spans, abs_eb, qp_enabled) =
-            (std::mem::take(&mut p.spans), p.abs_eb, p.eff.qp.is_enabled());
+        let (spans, abs_eb, qp) = (std::mem::take(&mut p.spans), p.abs_eb, p.eff.qp);
         let mut probe = Probe::default();
         let field = Self::decompress_impl(p, &mut CompressCtx::new(), Some(&mut probe))?;
         let qprime = std::mem::take(&mut probe.qprime);
-        Ok(EngineForensics { field, spans, abs_eb, qp_enabled, qprime, probe: probe.finish() })
+        Ok(EngineForensics { field, spans, abs_eb, qp, qprime, probe: probe.finish() })
     }
 }
 

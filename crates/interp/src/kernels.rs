@@ -15,7 +15,7 @@
 //!   side-channel patch-up consumes afterwards;
 //! * QP run on the index stream itself, in the order the entropy coder sees
 //!   it: a pass's neighbors sit at constant distances in its visit order
-//!   ([`crate::lattice::QpVisit`], resolved once per pass; the row only
+//!   ([`qip_core::QpVisit`], resolved once per pass; the row only
 //!   decides which exist, [`qip_core::QpTaps`]). The encoder transforms
 //!   each quantized pass in place, rows last first; the decoder inverts
 //!   each tile's slice of the decoded stream in place just before it
@@ -460,9 +460,8 @@ pub(crate) fn run_compress_vec<T: Scalar>(
     };
     // The pass's `Q` is the tail of the stream: `Q → Q′` in place.
     let pass_done = |sink: &mut CompressSink<'_>, pass: &Pass| {
-        let base = sink.qprime.len() - pass.len(dims);
-        let q = &mut sink.qprime[base..];
-        transform_pass(&sink.qp, pass, dims, strides, q, sink.stats.as_mut(), capture.as_deref_mut());
+        let (stats, capture) = (sink.stats.as_mut(), capture.as_deref_mut());
+        transform_pass(&sink.qp, pass, dims, strides, sink.qprime, sink.choice, stats, capture);
     };
     walk_tiles(cfg, dims, strides, buf, sink, f64s, body, pass_done)
 }

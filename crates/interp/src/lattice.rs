@@ -8,7 +8,7 @@
 //! same-pass neighbors (paper Algorithm 2's strides `s₁`, `s₂`).
 
 use crate::config::PassStructure;
-use qip_core::{CompressError, QpEngine, QpTaps};
+use qip_core::{CompressError, QpVisit};
 
 /// Up to four per-axis values or axis indices, stored inline. Pass geometry
 /// is rebuilt for every level and every tuning candidate, so it must not
@@ -129,12 +129,12 @@ impl Pass {
         let inner = dims.len() - 1;
         let (la, ta, ba) = self.qp_axes;
         let axes = [la, ta, ba];
-        QpVisit {
-            axes: axes.map(|a| a.map(|a| (counts[a + 1..].iter().product(), counts[a]))),
-            along_row: axes.map(|a| a == Some(inner)),
-            row_len: counts[inner],
-            len: counts.iter().product(),
-        }
+        QpVisit::new(
+            axes.map(|a| a.map(|a| (counts[a + 1..].iter().product(), counts[a]))),
+            axes.map(|a| a == Some(inner)),
+            counts[inner],
+            counts.iter().product(),
+        )
     }
 
     /// A coarser copy of this pass that keeps every `m`-th lattice point per
@@ -145,46 +145,6 @@ impl Pass {
             *sp *= m.max(1);
         }
         p
-    }
-}
-
-/// Where a pass's QP neighbors sit in its visit order — row-major over the
-/// pass lattice, the order the entropy coder sees the indices in. The −step
-/// lattice neighbor along axis `a` is `Π_{b>a} counts[b]` points back (1
-/// along the row) for every point of the pass; a row only decides which of
-/// the neighbors exist.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct QpVisit {
-    /// Per (left, top, back) axis: the neighbor's visit distance and the
-    /// pass's lattice count along the axis; `None` when the field lacks it.
-    axes: [Option<(usize, usize)>; 3],
-    /// Which of the three runs along the row.
-    along_row: [bool; 3],
-    row_len: usize,
-    len: usize,
-}
-
-impl QpVisit {
-    /// The QP taps on `level` of the row that starts at visit index `v`: an
-    /// axis's neighbor exists unless the row lies on the lattice's first
-    /// line along it, and along the row from the row's second point on.
-    pub fn taps(&self, qp: &QpEngine, level: usize, v: usize) -> QpTaps {
-        let offs = std::array::from_fn(|i| {
-            let (off, count) = self.axes[i]?;
-            (self.along_row[i] || !(v / off).is_multiple_of(count)).then_some(off)
-        });
-        qp.row_taps(level, offs, self.along_row)
-    }
-
-    /// `Q → Q′` on `level` over the whole pass, in place on `q` (its
-    /// indices in visit order): rows last first, so every neighbor still
-    /// holds `Q`. Returns how many gates were open.
-    pub fn forward(&self, qp: &QpEngine, level: usize, q: &mut [i32]) -> usize {
-        let m = self.row_len;
-        (0..self.len / m.max(1))
-            .rev()
-            .map(|r| qp.forward(&self.taps(qp, level, r * m), true, q, r * m..(r + 1) * m))
-            .sum()
     }
 }
 

@@ -39,6 +39,7 @@ pub mod tuned;
 
 pub use config::{EngineConfig, LevelParams, PassStructure};
 pub use engine::{
-    transform_pass, EngineForensics, InterpEngine, LevelForensics, Probe, QuantCapture, SinkStats,
+    keep_best_prefix, transform_pass, EngineForensics, InterpEngine, LevelForensics, Probe,
+    QuantCapture, SinkStats,
 };
 pub use tuned::{sample_block, trial_scope, Preset, Tuned};

@@ -22,7 +22,7 @@ use crate::engine::{
 };
 use crate::lattice::{build_passes, for_each_point, num_levels, Pass};
 use qip_codec::{encode_indices, ByteWriter};
-use qip_core::{CompressError, ErrorBound, Neighbors, QpEngine};
+use qip_core::{CompressError, ErrorBound, Neighbors, QpChoice, QpConfig, QpEngine};
 use qip_quant::{Quantized, QuantizerBank, UNPRED};
 use qip_tensor::{Field, Scalar};
 
@@ -215,6 +215,8 @@ fn walk_compress<T: Scalar>(
     let mut bank = QuantizerBank::new();
     build_quantizers(cfg, abs_eb, start_level, &mut bank);
     let (mut anchors, mut unpred, mut qprime) = (Vec::new(), Vec::new(), Vec::new());
+    // Never begun: the walks here choose no prefix themselves.
+    let mut choice = QpChoice::default();
     let mut sink = CompressSink {
         cfg: *cfg,
         qp: QpEngine::new(cfg.qp),
@@ -223,6 +225,7 @@ fn walk_compress<T: Scalar>(
         unpred: &mut unpred,
         qprime: &mut qprime,
         quantizers: bank.as_slice(),
+        choice: &mut choice,
         stats: None,
     };
     let mut recon = field.as_slice().to_vec();
@@ -240,19 +243,43 @@ pub(crate) fn compress<T: Scalar>(
     let cfg = eng.config();
     let abs_eb = bound.resolve(field).abs;
     let mut w = ByteWriter::new();
-    let start_level = eng.write_prefix(field, abs_eb, &mut w);
+    let (start_level, qp_at) = eng.write_prefix(field, abs_eb, &mut w);
     let mut cap = QuantCapture::zeros(field.len());
     if field.is_empty() {
         return Ok((w.finish(), cap));
     }
     let (dims, strides) = (field.shape().dims(), field.shape().strides());
-    let walked = walk_compress(cfg, field, abs_eb, start_level, |buf, sink| {
+    // Every emitted index's level and `Q`, in emission order.
+    let mut emitted = Vec::new();
+    let mut walked = walk_compress(cfg, field, abs_eb, start_level, |buf, sink| {
         run_pipeline(cfg, dims, strides, buf, sink, |flat, level, q, q_prime, _| {
             cap.q[flat] = q;
             cap.q_prime[flat] = q_prime;
             cap.level[flat] = level as u8;
+            emitted.push((level, q));
         })
     })?;
+    // The level-prefix choice point by point: the same histograms, then `Q`
+    // put back on every point above the kept prefix.
+    assert_eq!(emitted.len(), walked.qprime.len());
+    let mut choice = QpChoice::default();
+    choice.begin(&cfg.qp, start_level);
+    for (at, (&(level, q), &q_prime)) in emitted.iter().zip(&walked.qprime).enumerate() {
+        choice.tally(level, false, at, &[q]);
+        if level <= choice.ceiling() {
+            choice.tally(level, true, at, &[q_prime]);
+        }
+    }
+    let m = choice.choose();
+    cap.max_level = m;
+    if m < choice.ceiling() {
+        for (out, &(level, q)) in walked.qprime.iter_mut().zip(&emitted) {
+            if level > m {
+                *out = q;
+            }
+        }
+        w.set_u8(qp_at + QpConfig::MAX_LEVEL_AT, m as u8);
+    }
     let index = encode_indices(&walked.qprime);
     write_body(&mut w, &walked.level_tags, &walked.anchors, &walked.unpred, &index);
     Ok((w.finish(), cap))
@@ -284,7 +311,7 @@ pub(crate) fn decompress<T: Scalar>(
     build_decode_quantizers(&p.eff, p.abs_eb, p.start_level, &mut bank)?;
 
     let mut buf = qip_core::try_zeroed_vec::<T>(p.n)?;
-    let mut probe = Probe::new(p.n, p.start_level, &qprime);
+    let mut probe = Probe::new(p.n, p.start_level, &p.eff.qp, &qprime);
     let mut sink = DecompressSink::new(
         p.eff.qp,
         &p.level_tags,
@@ -387,7 +414,7 @@ mod tests {
     /// reconstruction.
     fn encoder_recon<T: Scalar>(eng: &InterpEngine, field: &Field<T>, abs_eb: f64) -> Vec<T> {
         let cfg = eng.config();
-        let start_level = eng.write_prefix(field, abs_eb, &mut ByteWriter::new());
+        let (start_level, _) = eng.write_prefix(field, abs_eb, &mut ByteWriter::new());
         let (dims, strides) = (field.shape().dims(), field.shape().strides());
         let (mut f64s, mut idx) = (Vec::new(), Vec::new());
         let scratch = Scratch { f64s: &mut f64s, idx: &mut idx };
@@ -416,6 +443,7 @@ mod tests {
         assert_eq!(bytes, ctx_bytes, "{tag}: ctx vs plain diverged");
         assert_eq!(cap.q, ref_cap.q, "{tag}: Q diverged");
         assert_eq!(cap.q_prime, ref_cap.q_prime, "{tag}: Q' diverged");
+        assert_eq!(cap.max_level, ref_cap.max_level, "{tag}: kept prefix diverged");
         assert_eq!(cap.level, ref_cap.level, "{tag}: level map diverged");
 
         // Decompression: every entry point decodes the reference's bits.
@@ -441,6 +469,7 @@ mod tests {
         assert_eq!(fx.probe.capture.q_prime, want.probe.capture.q_prime, "{tag}: forensic Q'");
         assert_eq!(fx.probe.capture.level, want.probe.capture.level, "{tag}: forensic levels");
         assert_eq!(fx.probe.capture.q, cap.q, "{tag}: decoder Q vs encoder Q");
+        assert_eq!(fx.probe.capture.q_prime, cap.encoded(), "{tag}: decoder Q' vs encoder Q'");
         assert_eq!(fx.probe.anchors, want.probe.anchors, "{tag}: anchors");
         assert_eq!(fx.probe.unpredictable, want.probe.unpredictable, "{tag}: unpredictable");
         assert_eq!(fx.qprime, want.qprime, "{tag}: Q' stream");

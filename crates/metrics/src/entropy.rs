@@ -20,13 +20,24 @@ pub fn symbol_histogram(symbols: impl IntoIterator<Item = i32>) -> HashMap<i32, 
 ///
 /// Returns 0.0 for empty input.
 pub fn entropy(symbols: &[i32]) -> f64 {
-    if symbols.is_empty() {
+    let hist = symbol_histogram(symbols.iter().copied());
+    entropy_of_counts(symbols.len() as u64, hist.values().copied())
+}
+
+/// Shannon entropy in bits/symbol of `n` symbols whose per-symbol
+/// occurrence counts are `counts` (zero counts contribute nothing): the one
+/// estimator behind [`entropy`] and the QP encoder's level-prefix choice,
+/// which scores candidate streams from histograms without materializing
+/// them.
+///
+/// Returns 0.0 when `n` is 0.
+pub fn entropy_of_counts(n: u64, counts: impl IntoIterator<Item = u64>) -> f64 {
+    if n == 0 {
         return 0.0;
     }
-    let hist = symbol_histogram(symbols.iter().copied());
-    let n = symbols.len() as f64;
+    let n = n as f64;
     let mut h = 0.0;
-    for &count in hist.values() {
+    for count in counts.into_iter().filter(|&c| c > 0) {
         let p = count as f64 / n;
         h -= p * p.log2();
     }
@@ -138,6 +149,15 @@ mod tests {
         // n distinct symbols: entropy = log2(n), the maximum possible.
         let q: Vec<i32> = (0..37).collect();
         assert!((entropy(&q) - (37f64).log2()).abs() < 1e-12);
+    }
+
+    #[test]
+    fn counts_and_symbols_agree() {
+        let q: Vec<i32> = (0..500).map(|i| (i * i) % 23 - 11).collect();
+        let h = symbol_histogram(q.iter().copied());
+        assert_eq!(entropy_of_counts(q.len() as u64, h.values().copied()), entropy(&q));
+        assert_eq!(entropy_of_counts(4, [4, 0, 0]), 0.0);
+        assert_eq!(entropy_of_counts(0, []), 0.0);
     }
 
     #[test]

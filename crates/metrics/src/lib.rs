@@ -12,7 +12,7 @@ mod entropy;
 mod error;
 mod ssim;
 
-pub use entropy::{entropy, entropy_by_slice, entropy_region, symbol_histogram};
+pub use entropy::{entropy, entropy_by_slice, entropy_of_counts, entropy_region, symbol_histogram};
 pub use error::{max_abs_error, max_rel_error, mse, psnr, ErrorStats};
 pub use ssim::ssim;
 

@@ -32,7 +32,9 @@ use qip_core::{
     CompressCtx, CompressError, Compressor, ErrorBound, QpConfig, QpEngine, QpTaps, StreamHeader,
 };
 use qip_interp::lattice::{build_passes, for_each_point, for_each_row, num_levels, Pass};
-use qip_interp::{transform_pass, EngineForensics, PassStructure, Probe, QuantCapture, SinkStats};
+use qip_interp::{
+    keep_best_prefix, transform_pass, EngineForensics, PassStructure, Probe, QuantCapture, SinkStats,
+};
 use qip_quant::UNPRED;
 use qip_telemetry::{span, span_with};
 use qip_tensor::{Field, Scalar, Shape};
@@ -141,12 +143,11 @@ impl Mgard {
         bytes: &[u8],
     ) -> Result<EngineForensics<T>, CompressError> {
         let mut p = parse::<T>(bytes)?;
-        let (spans, abs_eb, qp_enabled) =
-            (std::mem::take(&mut p.spans), p.header.abs_eb, p.qp.is_enabled());
+        let (spans, abs_eb, qp) = (std::mem::take(&mut p.spans), p.header.abs_eb, p.qp);
         let mut probe = Probe::default();
         let field = decode(p, 0, &mut CompressCtx::new(), Some(&mut probe))?;
         let qprime = std::mem::take(&mut probe.qprime);
-        Ok(EngineForensics { field, spans, abs_eb, qp_enabled, qprime, probe: probe.finish() })
+        Ok(EngineForensics { field, spans, abs_eb, qp, qprime, probe: probe.finish() })
     }
 }
 
@@ -424,6 +425,7 @@ impl Mgard {
         .write(&mut w);
         w.put_u8(FMT_VERSION);
         w.put_u8(self.l2_projection as u8);
+        let qp_at = w.len();
         self.qp.write(&mut w);
         if field.is_empty() {
             *out = w.finish();
@@ -466,6 +468,7 @@ impl Mgard {
         let quantize_span = span("quantize");
         let mut stats = SinkStats::new_if_capturing(levels);
         let qp = QpEngine::new(self.qp);
+        ctx.qp_choice.begin(&self.qp, levels);
         ctx.qprime.clear();
         ctx.qprime.reserve(buf.len());
         let qprime = &mut ctx.qprime;
@@ -499,12 +502,13 @@ impl Mgard {
                     Ok(())
                 })?;
                 // Q → Q′ over the pass just quantized, in place.
-                let base = qprime.len() - pass.len(&dims);
-                let q = &mut qprime[base..];
-                transform_pass(&qp, &pass, &dims, &strides, q, stats.as_mut(), capture.as_deref_mut());
+                let (choice, st, cap) = (&mut ctx.qp_choice, stats.as_mut(), capture.as_deref_mut());
+                transform_pass(&qp, &pass, &dims, &strides, qprime, choice, st, cap);
             }
         }
         drop(quantize_span);
+        let header = (&mut w, qp_at);
+        keep_best_prefix(&qp, &ctx.qp_choice, &mut ctx.qprime, header, stats.as_mut(), capture);
 
         ctx.pools.release(buf);
         {
@@ -560,7 +564,7 @@ fn decode<T: Scalar>(
     // reusable buffers below are resized to it.
     let mut buf = qip_core::try_zeroed_vec::<f64>(n)?;
     if let Some(pr) = probe.as_deref_mut() {
-        *pr = Probe::new(n, levels, &ctx.qprime);
+        *pr = Probe::new(n, levels, &qp_cfg, &ctx.qprime);
         pr.anchors = (coarse_bytes.len() / 8) as u64;
     }
     let mut unpred: Vec<f64> = ctx.pools.acquire();
@@ -792,7 +796,7 @@ mod tests {
                     assert_eq!(bits(&out), bits(&plain), "{qp:?}: QP changed the decoded data");
                     let fx = m.decompress_forensic::<f32>(&bytes).unwrap();
                     assert_eq!(fx.probe.capture.q, cap.q, "{qp:?}: forensic Q");
-                    assert_eq!(fx.probe.capture.q_prime, cap.q_prime, "{qp:?}: forensic Q'");
+                    assert_eq!(fx.probe.capture.q_prime, cap.encoded(), "{qp:?}: forensic Q'");
                 }
             }
         }

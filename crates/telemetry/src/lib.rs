@@ -49,7 +49,7 @@ mod trace;
 
 pub use hist::{HistSummary, Histogram};
 pub use hub::{MetricKey, MetricsHub, Snapshot};
-pub use recorder::{FlightRecord, FlightRecorder, LevelRate};
+pub use recorder::{FlightRecord, FlightRecorder, LevelRate, PrefixEstimate};
 pub use report::{CounterEntry, SpanNode, TraceReport, ValueEntry};
 pub use ring::Ring;
 pub use slo::{Objective, ObjectiveKind, SloSnapshot, SloTracker};
@@ -411,7 +411,7 @@ pub fn record_call(scope: Option<CallScope>, report: CallReport<'_>) {
     let bitrate =
         if cr > 0.0 { report.stream_bytes as f64 * 8.0 / n_values as f64 } else { 0.0 };
 
-    let mut qp_accept_rates = Vec::new();
+    let (mut qp_accept_rates, mut qp_index_bytes_est, mut qp_max_level) = (Vec::new(), Vec::new(), None);
     with_hub(|hub| {
         hub.observe(&format!("qip.{}.duration_ns", report.op), &labels, report.duration_ns);
         hub.counter_add(
@@ -428,11 +428,18 @@ pub fn record_call(scope: Option<CallScope>, report: CallReport<'_>) {
         for v in &values {
             let name = format!("qip.{}", v.name);
             v.label.with_hub_labels(Some(labels[0]), |l| hub.gauge_set(&name, l, v.value));
-            if let ("qp.accept_rate", Label::Level(level)) = (v.name.as_str(), v.label) {
-                qp_accept_rates.push(LevelRate { level: level as u32, rate: v.value });
+            match (v.name.as_str(), v.label) {
+                ("qp.accept_rate", Label::Level(level)) => {
+                    qp_accept_rates.push(LevelRate { level: level as u32, rate: v.value })
+                }
+                ("qp.index_bytes_est", Label::Level(m)) => qp_index_bytes_est
+                    .push(PrefixEstimate { max_level: m as u32, index_bytes: v.value }),
+                ("qp.max_level", Label::None) => qp_max_level = Some(v.value as u32),
+                _ => {}
             }
         }
         qp_accept_rates.sort_by_key(|r| r.level);
+        qp_index_bytes_est.sort_by_key(|e| e.max_level);
         hub.recorder.push(FlightRecord {
             seq: 0,
             trace_id: current_trace(),
@@ -448,6 +455,8 @@ pub fn record_call(scope: Option<CallScope>, report: CallReport<'_>) {
             duration_ns: report.duration_ns,
             outcome: report.outcome.clone(),
             qp_accept_rates: std::mem::take(&mut qp_accept_rates),
+            qp_max_level,
+            qp_index_bytes_est: std::mem::take(&mut qp_index_bytes_est),
         });
     });
 }
@@ -476,6 +485,8 @@ pub fn record_fault(compressor: &str, op: &str, outcome: &str) {
             duration_ns: 0,
             outcome: outcome.to_string(),
             qp_accept_rates: Vec::new(),
+            qp_max_level: None,
+            qp_index_bytes_est: Vec::new(),
         });
     });
 }
@@ -570,6 +581,9 @@ mod tests {
         note("qp.accept_rate", Label::Level(2), 0.5); // trial run…
         note("qp.accept_rate", Label::Level(2), 0.9); // …overwritten by the real one
         note("qp.accept_rate", Label::Level(1), 0.8);
+        note("qp.index_bytes_est", Label::Level(1), 310.5);
+        note("qp.index_bytes_est", Label::Level(0), 320.0);
+        note("qp.max_level", Label::None, 1.0);
         note("qoz.alpha", Label::None, 1.5);
         {
             let _p = pause();
@@ -600,6 +614,14 @@ mod tests {
             r.qp_accept_rates,
             vec![LevelRate { level: 1, rate: 0.8 }, LevelRate { level: 2, rate: 0.9 }]
         );
+        assert_eq!(r.qp_max_level, Some(1));
+        assert_eq!(
+            r.qp_index_bytes_est,
+            vec![
+                PrefixEstimate { max_level: 0, index_bytes: 320.0 },
+                PrefixEstimate { max_level: 1, index_bytes: 310.5 },
+            ]
+        );
         let snap = hub.snapshot();
         let names: Vec<&str> = snap.hists.iter().map(|(k, _)| k.name.as_str()).collect();
         assert!(names.contains(&"qip.compress.duration_ns"));
@@ -614,7 +636,9 @@ mod tests {
         assert_eq!(gauge("qip.qp.accept_rate", Some("l2")), Some(0.9));
         assert_eq!(gauge("qip.qp.accept_rate", Some("l1")), Some(0.8));
         assert_eq!(gauge("qip.qoz.alpha", None), Some(1.5));
-        assert_eq!(snap.gauges.len(), 3);
+        assert_eq!(gauge("qip.qp.max_level", None), Some(1.0));
+        assert_eq!(gauge("qip.qp.index_bytes_est", Some("l0")), Some(320.0));
+        assert_eq!(snap.gauges.len(), 6);
         // A fresh scope starts clean.
         let scope = CallScope::begin();
         assert!(scope.is_none()); // dormant after detach

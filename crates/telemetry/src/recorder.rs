@@ -23,6 +23,16 @@ pub struct LevelRate {
     pub rate: f64,
 }
 
+/// One candidate of the encoder's QP level-prefix choice: the call's
+/// `qp.index_bytes_est` notes.
+#[derive(Debug, Clone, PartialEq, serde::Serialize)]
+pub struct PrefixEstimate {
+    /// Candidate prefix: QP kept on levels `1..=max_level`.
+    pub max_level: u32,
+    /// Estimated index-stream bytes under that prefix (order-0 entropy).
+    pub index_bytes: f64,
+}
+
 /// One structured record per compress/decompress call.
 #[derive(Debug, Clone, serde::Serialize)]
 pub struct FlightRecord {
@@ -57,6 +67,12 @@ pub struct FlightRecord {
     /// Per-level QP accept rates observed during the call (compress only;
     /// empty for compressors without QP gating).
     pub qp_accept_rates: Vec<LevelRate>,
+    /// The QP level prefix the stream keeps (its `qp.max_level` note; 0 with
+    /// QP off), or `None` for calls that choose none.
+    pub qp_max_level: Option<u32>,
+    /// The estimated index bytes of every candidate prefix the encoder
+    /// weighed, lowest prefix first (empty when it weighed none).
+    pub qp_index_bytes_est: Vec<PrefixEstimate>,
 }
 
 /// Bounded, thread-safe ring of [`FlightRecord`]s that stamps each with its
@@ -118,6 +134,8 @@ mod tests {
             duration_ns: 12_345,
             outcome: "ok".into(),
             qp_accept_rates: vec![LevelRate { level: 1, rate: 0.75 }],
+            qp_max_level: Some(1),
+            qp_index_bytes_est: vec![PrefixEstimate { max_level: 0, index_bytes: 96.5 }],
         }
     }
 

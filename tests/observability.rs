@@ -3,6 +3,7 @@
 //! * **Hub vs. stream.** After one compress with a hub attached, the hub's
 //!   `qip.qp.{points,accept,fired}{level}` and `qip.qp.accept_rate` equal the
 //!   `qp.levels[]` `qip-inspect` recovers from the stream on the decode side,
+//!   `qip.qp.max_level` the stream's `qp.max_level`,
 //!   `qip.quant.*` its point counts, and `qip.interp.bytes.*` the ledger's
 //!   `anchors`, `unpred` and Σ`index.*` components — for SZ3, QoZ, HPEZ and
 //!   MGARD with and without QP over the conformance fields (f32 and f64,
@@ -117,6 +118,13 @@ fn reconcile<T: Scalar>(comp: &AnyCompressor, field: &Field<T>, case: &str) {
         .map(|l| (format!("l{}", l.level), (l.points, l.accepted, l.fired, l.accept_rate)))
         .collect();
     assert_eq!(got, want, "{at}: hub qip.qp.* vs inspect qp.levels[]");
+
+    // The level prefix the encoder chose is the one the stream holds.
+    if let Some(qp) = qp {
+        let note = seen.hub.gauges.iter().find(|(k, _)| k.name == "qip.qp.max_level");
+        let want = Some(qp.max_level as f64);
+        assert_eq!(note.map(|g| g.1), want, "{at}: qp.max_level note vs inspect");
+    }
 
     let channels = ["in", "anchors", "unpred", "index"]
         .map(|c| format!("qip.interp.bytes.{c}"))
