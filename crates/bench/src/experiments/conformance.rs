@@ -52,53 +52,31 @@ pub struct ConformanceRecord {
 /// instead of verifying them. Returns `true` when every pillar passed.
 pub fn run(opts: &Opts, bless: bool) -> bool {
     let dir = golden::default_dir();
-    let specs = golden::vector_specs();
+    let grids = [golden::Grid::flat(), golden::Grid::tiled()];
+    let specs = &grids[0].specs;
 
-    // Pillar 1: golden vectors.
-    let golden_findings = if bless {
-        match golden::bless(&dir) {
+    // Pillars 1 and 4 (golden half): the flat and the tiled grid share the
+    // fixture directory and the bless flag, so one `--bless` refreshes both
+    // manifests.
+    let mut golden_findings = Vec::new();
+    for grid in &grids {
+        if !bless {
+            golden_findings.extend(grid.verify(&dir));
+            continue;
+        }
+        match grid.bless(&dir) {
             Ok(entries) => {
-                eprintln!(
-                    "[blessed {} golden fixtures into {}]",
-                    entries.len(),
-                    dir.display()
-                );
-                Vec::new()
+                let (n, manifest) = (entries.len(), grid.manifest);
+                eprintln!("[blessed {n} fixtures of {manifest} into {}]", dir.display())
             }
             Err(e) => {
                 eprintln!("[bless failed: {e}]");
                 return false;
             }
         }
-    } else {
-        golden::verify(&dir)
-    };
+    }
     for f in &golden_findings {
         eprintln!("[golden] {f}");
-    }
-
-    // Pillar 4 (golden half): tiled containers share the fixture directory
-    // and the bless flag, so one `--bless` refreshes both manifests.
-    let tiled_findings = if bless {
-        match tiles::bless(&dir) {
-            Ok(entries) => {
-                eprintln!(
-                    "[blessed {} tiled container fixtures into {}]",
-                    entries.len(),
-                    dir.display()
-                );
-                Vec::new()
-            }
-            Err(e) => {
-                eprintln!("[tiled bless failed: {e}]");
-                return false;
-            }
-        }
-    } else {
-        tiles::verify(&dir)
-    };
-    for f in &tiled_findings {
-        eprintln!("[tiled] {f}");
     }
 
     // Pillar 4 (differential half): the region oracle.
@@ -108,10 +86,10 @@ pub fn run(opts: &Opts, bless: bool) -> bool {
     }
     eprintln!(
         "[tiled: {} fixtures {}, region oracle {} cases/cell over {} compressors: {} divergence(s)]",
-        tiles::tiled_specs().len(),
+        grids[1].specs.len(),
         if bless { "blessed" } else { "verified" },
         tiles::REGION_CASES,
-        tiles::TILED_COMPRESSORS.len(),
+        golden::TILED_COMPRESSORS.len(),
         region_divs.len()
     );
 
@@ -194,18 +172,17 @@ pub fn run(opts: &Opts, bless: bool) -> bool {
     }
 
     let pass = golden_findings.is_empty() && path_divs.is_empty() && sweep_divs.is_empty()
-        && tiled_findings.is_empty() && region_divs.is_empty()
+        && region_divs.is_empty()
         && records.iter().all(|r| r.contract_violations == 0);
     if pass {
         eprintln!("[conformance: all pillars green]");
     } else {
         eprintln!(
-            "[conformance FAILED: {} golden, {} path, {} sweep, {} contract, {} tiled, {} region]",
+            "[conformance FAILED: {} golden, {} path, {} sweep, {} contract, {} region]",
             golden_findings.len(),
             path_divs.len(),
             sweep_divs.len(),
             records.iter().map(|r| r.contract_violations).sum::<usize>(),
-            tiled_findings.len(),
             region_divs.len()
         );
     }

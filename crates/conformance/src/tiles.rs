@@ -1,264 +1,27 @@
-//! Tiled-container conformance: pinned golden containers and the
-//! region-vs-full differential oracle.
-//!
-//! Two pillars, mirroring [`crate::golden`] and [`crate::differential`] for
-//! the `qip-container` format:
-//!
-//! - **Tiled golden vectors** — committed containers
-//!   (`golden/tiled_<stem>.bin`, pinned by `tiled_manifest.tsv`) for a
-//!   representative compressor slice × {f32, f64}. [`verify`] detects
-//!   encoder drift, decoder drift, and fixture rot in the container layout
-//!   (sealed index, per-tile CRC table, payload framing) exactly like the
-//!   flat-stream fixtures do for the compressors themselves. The manifest is
-//!   deliberately separate from `manifest.tsv` so the flat-stream grid stays
-//!   frozen at its pinned size.
-//! - **Region oracle** — seeded random valid regions: for every grid cell,
-//!   [`qip_container::read_region`] must be byte-identical to slicing the
-//!   full [`qip_container::decompress_full`] output, across ≥4 registry
-//!   compressors × both precisions × 1-D/2-D/3-D shapes. This is the
-//!   property behind the container's whole random-access contract: partial
-//!   reads are a pure optimization, never a different decode.
+//! The region-vs-full differential oracle of the tiled container: seeded
+//! random valid regions, where for every grid cell
+//! [`qip_container::read_region`] must be byte-identical to slicing the full
+//! [`qip_container::decompress_full`] output, across the
+//! [`TILED_COMPRESSORS`] × both precisions × 1-D/2-D/3-D shapes. This is the
+//! property behind the container's whole random-access contract: partial
+//! reads are a pure optimization, never a different decode. The tiled golden
+//! containers are the second grid of [`crate::golden`].
 
 use crate::fields::{synth, FieldFamily};
-use crate::golden::{GoldenEntry, GoldenFinding, GOLDEN_BOUND};
+use crate::golden::{GOLDEN_BOUND, TILED_COMPRESSORS, TILE_EDGE};
 use qip_container::{decompress_full, read_region, TiledCompressor};
-use qip_core::integrity::crc32;
 use qip_core::{CompressError, Compressor};
 use qip_fault::XorShift64;
 use qip_registry::AnyCompressor;
 use qip_tensor::{Field, Region, Scalar};
-use std::path::Path;
-
-/// Tile edge every conformance container uses (clipped edge tiles on every
-/// spec below, so remainder geometry is always exercised).
-pub const TILE_EDGE: usize = 8;
 
 /// Seeded random regions per (compressor, dtype, shape) cell in the oracle.
 pub const REGION_CASES: usize = 24;
-
-/// The compressor slice the tiled pillars run over: the four QP-enabled
-/// interpolation compressors plus a transform-based comparator, so the
-/// container is pinned over both stream families it can embed.
-pub const TILED_COMPRESSORS: [&str; 5] = ["SZ3+QP", "QoZ+QP", "HPEZ+QP", "MGARD", "ZFP"];
-
-/// One tiled golden-vector specification.
-#[derive(Debug, Clone)]
-pub struct TiledSpec {
-    /// Canonical registry name of the per-tile compressor.
-    pub compressor: String,
-    /// `"f32"` or `"f64"`.
-    pub dtype: &'static str,
-    /// Field dimensions.
-    pub dims: Vec<usize>,
-    /// Input field family.
-    pub family: FieldFamily,
-    /// Input field seed.
-    pub seed: u64,
-}
-
-impl TiledSpec {
-    /// Fixture stem, e.g. `tiled_sz3_qp_f32`.
-    pub fn stem(&self) -> String {
-        format!(
-            "tiled_{}_{}",
-            self.compressor.to_ascii_lowercase().replace('+', "_"),
-            self.dtype
-        )
-    }
-}
-
-/// The tiled golden grid: each compressor in [`TILED_COMPRESSORS`] × both
-/// precisions, over one banded 2-D field whose 21×17 extent clips the 8-tile
-/// grid on both axes (3×3 tiles, four of them partial).
-pub fn tiled_specs() -> Vec<TiledSpec> {
-    let mut specs = Vec::new();
-    for name in TILED_COMPRESSORS {
-        // Stable per-compressor seed, salted differently from the flat-stream
-        // grid so the container fixtures never alias those inputs.
-        let seed = name.bytes().fold(0x0007_11ED_u64, |h, b| {
-            h.wrapping_mul(0x100_0000_01B3).wrapping_add(b as u64)
-        });
-        for dtype in ["f32", "f64"] {
-            specs.push(TiledSpec {
-                compressor: name.to_string(),
-                dtype,
-                dims: vec![21, 17],
-                family: FieldFamily::Banded,
-                seed,
-            });
-        }
-    }
-    specs
-}
 
 fn tiled_for(name: &str) -> Result<TiledCompressor, CompressError> {
     let inner = AnyCompressor::by_name(name)
         .map_err(|_| CompressError::Unsupported("spec names an unknown compressor"))?;
     TiledCompressor::new(inner, TILE_EDGE)
-}
-
-/// Compress + full-decode one spec, returning the container bytes and the
-/// decompressed checksum.
-fn produce<T: Scalar>(spec: &TiledSpec) -> Result<(Vec<u8>, u32), CompressError> {
-    let tiled = tiled_for(&spec.compressor)?;
-    let field: Field<T> = synth(spec.family, spec.seed, &spec.dims);
-    let bytes = tiled.compress(&field, GOLDEN_BOUND)?;
-    let out: Field<T> = decompress_full(&bytes)?;
-    Ok((bytes, crc32(&out.to_le_bytes())))
-}
-
-fn produce_spec(spec: &TiledSpec) -> Result<(Vec<u8>, u32), CompressError> {
-    match spec.dtype {
-        "f64" => produce::<f64>(spec),
-        _ => produce::<f32>(spec),
-    }
-}
-
-fn decode_checksum(dtype: &str, bytes: &[u8]) -> Result<u32, CompressError> {
-    match dtype {
-        "f64" => Ok(crc32(&decompress_full::<f64>(bytes)?.to_le_bytes())),
-        _ => Ok(crc32(&decompress_full::<f32>(bytes)?.to_le_bytes())),
-    }
-}
-
-const MANIFEST: &str = "tiled_manifest.tsv";
-
-/// Regenerate every tiled fixture under `dir` and rewrite
-/// `tiled_manifest.tsv`. Returns the blessed entries in spec order.
-pub fn bless(dir: &Path) -> std::io::Result<Vec<GoldenEntry>> {
-    std::fs::create_dir_all(dir)?;
-    let mut entries = Vec::new();
-    let mut manifest = String::from(
-        "# Tiled golden containers — regenerate with `repro conformance --bless`.\n\
-         # stem\tstream_len\tstream_crc32\tdecomp_crc32\n",
-    );
-    for spec in tiled_specs() {
-        let (bytes, decomp) = produce_spec(&spec)
-            .map_err(|e| std::io::Error::other(format!("{}: {e}", spec.stem())))?;
-        let entry = GoldenEntry {
-            name: spec.stem(),
-            stream_len: bytes.len(),
-            stream_crc32: crc32(&bytes),
-            decomp_crc32: decomp,
-        };
-        std::fs::write(dir.join(format!("{}.bin", entry.name)), &bytes)?;
-        manifest.push_str(&crate::golden::manifest_line(&entry));
-        manifest.push('\n');
-        entries.push(entry);
-    }
-    std::fs::write(dir.join(MANIFEST), manifest)?;
-    Ok(entries)
-}
-
-/// Verify every committed tiled fixture under `dir` against the current
-/// code: manifest/fixture agreement, decoder drift (committed container must
-/// still decode to the pinned bits), and encoder drift (recompressing the
-/// pinned input must reproduce the committed container exactly).
-pub fn verify(dir: &Path) -> Vec<GoldenFinding> {
-    let mut findings = Vec::new();
-    let manifest = match std::fs::read_to_string(dir.join(MANIFEST)) {
-        Ok(text) => match crate::golden::parse_manifest(&text) {
-            Ok(entries) => entries,
-            Err(problem) => {
-                return vec![GoldenFinding { name: "tiled_manifest".into(), problem }];
-            }
-        },
-        Err(e) => {
-            return vec![GoldenFinding {
-                name: "tiled_manifest".into(),
-                problem: format!(
-                    "cannot read {}: {e}; run `repro conformance --bless`",
-                    dir.join(MANIFEST).display()
-                ),
-            }];
-        }
-    };
-
-    let specs = tiled_specs();
-    if manifest.len() != specs.len() {
-        findings.push(GoldenFinding {
-            name: "tiled_manifest".into(),
-            problem: format!(
-                "manifest has {} entries but the tiled grid has {}; re-bless",
-                manifest.len(),
-                specs.len()
-            ),
-        });
-    }
-
-    for spec in &specs {
-        let stem = spec.stem();
-        let Some(entry) = manifest.iter().find(|e| e.name == stem) else {
-            findings.push(GoldenFinding {
-                name: stem,
-                problem: "missing from manifest (new spec?); re-bless".into(),
-            });
-            continue;
-        };
-        let committed = match std::fs::read(dir.join(format!("{stem}.bin"))) {
-            Ok(b) => b,
-            Err(e) => {
-                findings.push(GoldenFinding {
-                    name: stem,
-                    problem: format!("cannot read fixture: {e}"),
-                });
-                continue;
-            }
-        };
-        if committed.len() != entry.stream_len || crc32(&committed) != entry.stream_crc32 {
-            findings.push(GoldenFinding {
-                name: stem,
-                problem: format!(
-                    "fixture file disagrees with manifest ({} bytes, crc {:08x}; manifest says {} bytes, crc {:08x})",
-                    committed.len(),
-                    crc32(&committed),
-                    entry.stream_len,
-                    entry.stream_crc32
-                ),
-            });
-            continue;
-        }
-
-        match decode_checksum(spec.dtype, &committed) {
-            Ok(crc) if crc == entry.decomp_crc32 => {}
-            Ok(crc) => findings.push(GoldenFinding {
-                name: stem.clone(),
-                problem: format!(
-                    "decoder drift: committed container decodes to crc {crc:08x}, pinned {:08x}",
-                    entry.decomp_crc32
-                ),
-            }),
-            Err(e) => findings.push(GoldenFinding {
-                name: stem.clone(),
-                problem: format!("committed container no longer decodes: {e}"),
-            }),
-        }
-
-        match produce_spec(spec) {
-            Ok((bytes, _)) if bytes == committed => {}
-            Ok((bytes, _)) => {
-                let diverge = bytes
-                    .iter()
-                    .zip(&committed)
-                    .position(|(a, b)| a != b)
-                    .unwrap_or(bytes.len().min(committed.len()));
-                findings.push(GoldenFinding {
-                    name: stem,
-                    problem: format!(
-                        "encoder drift: {} bytes vs committed {}, first divergence at offset {diverge}; \
-                         if intentional, run `repro conformance --bless`",
-                        bytes.len(),
-                        committed.len()
-                    ),
-                });
-            }
-            Err(e) => findings.push(GoldenFinding {
-                name: stem,
-                problem: format!("compress failed: {e}"),
-            }),
-        }
-    }
-    findings
 }
 
 /// One observed region-oracle divergence.
@@ -389,35 +152,6 @@ pub fn region_oracle_suite(cases: usize, seed: u64) -> Vec<RegionDivergence> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn blessing_then_verifying_is_green() {
-        let dir = std::env::temp_dir()
-            .join(format!("qip-tiled-golden-{}", std::process::id()));
-        let entries = bless(&dir).expect("bless");
-        assert_eq!(entries.len(), tiled_specs().len());
-        let findings = verify(&dir);
-        assert!(findings.is_empty(), "{findings:?}");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn verify_flags_fixture_tampering() {
-        let dir = std::env::temp_dir()
-            .join(format!("qip-tiled-tamper-{}", std::process::id()));
-        let entries = bless(&dir).expect("bless");
-        let victim = dir.join(format!("{}.bin", entries[0].name));
-        let mut bytes = std::fs::read(&victim).unwrap();
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0x01;
-        std::fs::write(&victim, bytes).unwrap();
-        let findings = verify(&dir);
-        assert!(
-            findings.iter().any(|f| f.name == entries[0].name),
-            "{findings:?}"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
 
     #[test]
     fn one_cell_region_oracle_agrees() {

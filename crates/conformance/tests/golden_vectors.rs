@@ -4,12 +4,11 @@
 //! `cargo run --release -p qip-bench --bin repro -- conformance --bless`
 //! and commit the refreshed fixtures with the change that caused them.
 
-use qip_conformance::golden;
+use qip_conformance::golden::{self, Grid};
 
 #[test]
 fn committed_fixtures_match_current_encoders_and_decoders() {
-    let dir = golden::default_dir();
-    let findings = golden::verify(&dir);
+    let findings = Grid::flat().verify(&golden::default_dir());
     assert!(
         findings.is_empty(),
         "{} golden finding(s):\n{}",
@@ -28,8 +27,8 @@ fn blessing_is_deterministic() {
     // byte — otherwise fixtures would churn on every regeneration.
     let base = std::env::temp_dir().join(format!("qip-golden-det-{}", std::process::id()));
     let (a, b) = (base.join("a"), base.join("b"));
-    let ea = golden::bless(&a).expect("bless a");
-    let eb = golden::bless(&b).expect("bless b");
+    let grid = Grid::flat();
+    let (ea, eb) = (grid.bless(&a).expect("bless a"), grid.bless(&b).expect("bless b"));
     assert_eq!(ea.len(), eb.len());
     for (x, y) in ea.iter().zip(&eb) {
         assert_eq!(x.name, y.name);

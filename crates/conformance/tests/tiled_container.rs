@@ -6,12 +6,12 @@
 //! `cargo run --release -p qip-bench --bin repro -- conformance --bless`
 //! and commit the refreshed fixtures with the change that caused them.
 
+use qip_conformance::golden::{self, Grid};
 use qip_conformance::tiles;
 
 #[test]
 fn committed_tiled_fixtures_match_current_container_codec() {
-    let dir = qip_conformance::golden::default_dir();
-    let findings = tiles::verify(&dir);
+    let findings = Grid::tiled().verify(&golden::default_dir());
     assert!(
         findings.is_empty(),
         "{} tiled golden finding(s):\n{}",
@@ -29,8 +29,8 @@ fn tiled_blessing_is_deterministic() {
     let base =
         std::env::temp_dir().join(format!("qip-tiled-det-{}", std::process::id()));
     let (a, b) = (base.join("a"), base.join("b"));
-    let ea = tiles::bless(&a).expect("bless a");
-    let eb = tiles::bless(&b).expect("bless b");
+    let grid = Grid::tiled();
+    let (ea, eb) = (grid.bless(&a).expect("bless a"), grid.bless(&b).expect("bless b"));
     assert_eq!(ea.len(), eb.len());
     for (x, y) in ea.iter().zip(&eb) {
         assert_eq!(x.name, y.name);

@@ -7,8 +7,7 @@
 //! CI runs this suite at `RAYON_NUM_THREADS=1` and `=8`; one digest file for
 //! both runs is the thread-determinism pin.
 
-use qip_conformance::golden::{default_dir, vector_specs};
-use qip_conformance::tiles::{tiled_specs, TILE_EDGE};
+use qip_conformance::golden::{default_dir, tiled_specs, vector_specs, TILE_EDGE};
 use qip_conformance::{synth, FieldFamily};
 use qip_core::integrity::crc32;
 use qip_inspect::{inspect_bytes, inspect_bytes_with_original, InspectReport};
@@ -115,7 +114,7 @@ fn golden_vectors_cover_all_eleven_compressors() {
 fn tiled_fixtures_ledger_exact() {
     let specs = tiled_specs();
     assert_eq!(specs.len(), 10, "tiled grid drifted; update this suite");
-    for spec in &specs {
+    for (_, spec) in &specs {
         let stem = spec.stem();
         let (bytes, report) = check(&stem, spec.dtype, spec.family, spec.seed, &spec.dims);
         assert_eq!(report.kind, "tiled", "{stem}");

@@ -126,8 +126,9 @@ impl Client {
         self.call(0, Op::Flight { tails: false })
     }
 
-    /// Fetch the server's tail-sampler reservoir (per-request tail records
-    /// with stage traces, JSONL).
+    /// Fetch the server's tail-sampler reservoir (JSONL, one
+    /// `{sampled, over_p99, p99_estimate_ns, request}` line per sample, where
+    /// `request` is the request's event-log record).
     pub fn tails(&mut self) -> Result<Response, ClientError> {
         self.call(0, Op::Flight { tails: true })
     }

@@ -19,12 +19,15 @@
 //! - **Graceful drain**: shutdown stops accepting, finishes every queued and
 //!   in-flight request, then exits.
 //!
-//! Telemetry: when a [`qip_telemetry`] hub is attached, the server mirrors
-//! its counters (`qip.serve.requests`, `qip.serve.shed`,
-//! `qip.serve.deadline_miss`, `qip.serve.panics`), queue-depth gauges, and
-//! per-op latency histograms into it, and every compress/decompress lands in
-//! the flight recorder via the instrumented registry dispatch. The `Metrics`
-//! op returns the hub's Prometheus text exposition.
+//! Telemetry: every answered frame is one [`qip_telemetry::RequestEvent`]
+//! in the server's event log. When a [`qip_telemetry`] hub is attached, the
+//! same frame also feeds `qip.serve.requests{op,status}` (shed load, missed
+//! deadlines and isolated panics are its `SERVER_BUSY`, `DEADLINE_EXCEEDED`
+//! and `INTERNAL` series), the per-op latency histogram, the SLO tracker
+//! and — for worker requests — the tail sampler, which keeps the event
+//! itself. Queue-depth gauges ride along, and every compress/decompress
+//! lands in the flight recorder via the instrumented registry dispatch. The
+//! `Metrics` op returns the hub's Prometheus text exposition.
 //!
 //! See `docs/serving.md` for the wire format, error codes, and tuning guide.
 //!
@@ -45,7 +48,6 @@
 #![warn(missing_docs)]
 
 mod client;
-mod events;
 mod server;
 pub mod wire;
 

@@ -15,11 +15,10 @@
 //! I/O wait) and a panic inside a compressor call is caught per-request, so a
 //! poisoned input can never take a worker down.
 
-use crate::events::{RequestEvent, Stages, StageTimer, DEFAULT_EVENT_CAPACITY};
 use crate::wire::{self, Op, OpKind, ReadFrameError, Request, Response, Status, TraceId};
 use qip_core::{CompressCtx, CompressError, Compressor};
 use qip_registry::AnyCompressor;
-use qip_telemetry::{Ring, TailToken};
+use qip_telemetry::{MetricsHub, RequestEvent, Ring, StageTimer, Stages, DEFAULT_EVENT_CAPACITY};
 use qip_tensor::{Field, Scalar, Shape};
 use std::collections::VecDeque;
 use std::io::Write;
@@ -217,68 +216,63 @@ impl Shared {
         id
     }
 
-    /// Account a frame answered without worker dispatch (inline control
-    /// ops, shed/refused/bad frames): one event with a single `inline` stage.
-    fn account_inline(&self, trace_id: &TraceId, op: OpKind, status: Status, received: Instant) {
+    /// Answer a frame without worker dispatch (ping, metrics and flight
+    /// replies; shed, refused and bad frames): account it as one event with
+    /// a single `inline` stage, then hand `resp` to the writer. False when
+    /// the writer is gone.
+    fn reply_inline(
+        &self,
+        resp_tx: &mpsc::Sender<Vec<u8>>,
+        op: OpKind,
+        received: Instant,
+        resp: Response,
+    ) -> bool {
         let total_ns = received.elapsed().as_nanos() as u64;
         let event = RequestEvent {
-            trace_id: wire::trace_hex(trace_id),
+            trace_id: wire::trace_hex(&resp.trace_id),
             op: op.name(),
-            status: status.name(),
+            status: resp.status.name(),
             queue_wait_ns: 0,
             stages: Stages(vec![("inline", total_ns)]),
             total_ns,
         };
-        self.account(op, status, None, event);
+        self.account(op, resp.status, false, event);
+        resp_tx.send(wire::encode_response(&resp)).is_ok()
     }
 
     /// Account one answered frame, once and with one duration: the always-on
-    /// stats, the hub's request counter and latency histogram (no-op when
-    /// dormant), the SLO, the tail sampler and the event log all see
-    /// `event.total_ns`. `event` carries `op` and `status` by name.
-    fn account(&self, op: OpKind, status: Status, tail: Option<TailToken>, event: RequestEvent) {
-        let total_ns = event.total_ns;
-        let op_label = [("op", op.name())];
-        match status {
-            Status::Ok => {
-                self.stats.ok.fetch_add(1, Ordering::Relaxed);
-            }
-            Status::ServerBusy => {
-                self.stats.shed.fetch_add(1, Ordering::Relaxed);
-                qip_telemetry::with_hub(|h| h.counter_add("qip.serve.shed", &op_label, 1));
-            }
-            Status::DeadlineExceeded => {
-                self.stats.deadline_miss.fetch_add(1, Ordering::Relaxed);
-                qip_telemetry::with_hub(|h| h.counter_add("qip.serve.deadline_miss", &op_label, 1));
-            }
-            Status::Internal => {
-                self.stats.panics.fetch_add(1, Ordering::Relaxed);
-                qip_telemetry::with_hub(|h| h.counter_add("qip.serve.panics", &op_label, 1));
-            }
-            Status::Failed => {
-                self.stats.failed.fetch_add(1, Ordering::Relaxed);
-            }
+    /// stats, then in one pass over the hub (no-op when dormant) the request
+    /// counter, the latency histogram, the SLO and — for worker requests
+    /// (`tail`) — the tail sampler, then the event log. Every sink sees
+    /// `event.total_ns`; `event` carries `op` and `status` by name.
+    fn account(&self, op: OpKind, status: Status, tail: bool, event: RequestEvent) {
+        let stat = match status {
+            Status::Ok => Some(&self.stats.ok),
+            Status::ServerBusy => Some(&self.stats.shed),
+            Status::DeadlineExceeded => Some(&self.stats.deadline_miss),
+            Status::Internal => Some(&self.stats.panics),
+            Status::Failed => Some(&self.stats.failed),
             Status::BadFrame | Status::TooLarge | Status::BadRequest
-            | Status::UnknownCompressor | Status::BadRegion => {
-                self.stats.bad_frames.fetch_add(1, Ordering::Relaxed);
-            }
-            Status::ShuttingDown => {}
+            | Status::UnknownCompressor | Status::BadRegion => Some(&self.stats.bad_frames),
+            Status::ShuttingDown => None,
+        };
+        if let Some(stat) = stat {
+            stat.fetch_add(1, Ordering::Relaxed);
         }
+        // Server-caused failures (panics, shed load, missed deadlines) burn
+        // the SLO error budget; client mistakes (bad frames, corrupt
+        // payloads, unknown names) and drain refusals don't, mirroring
+        // availability-SLO practice.
+        let is_error =
+            matches!(status, Status::Internal | Status::ServerBusy | Status::DeadlineExceeded);
         qip_telemetry::with_hub(|h| {
             h.counter_add("qip.serve.requests", &[("op", op.name()), ("status", status.name())], 1);
-            h.observe("qip.serve.request_ns", &op_label, total_ns);
+            h.observe("qip.serve.request_ns", &[("op", op.name())], event.total_ns);
+            h.slo.record(op.name(), is_error, event.total_ns);
+            if tail {
+                h.tail.finish(&event);
+            }
         });
-        // SLO bookkeeping: server-caused failures (panics, shed load, missed
-        // deadlines) burn the error budget; client mistakes (bad frames,
-        // corrupt payloads, unknown names) and drain refusals don't,
-        // mirroring availability-SLO practice.
-        let is_error = matches!(
-            status,
-            Status::Internal | Status::ServerBusy | Status::DeadlineExceeded
-        );
-        qip_telemetry::slo_observe(op.name(), is_error, total_ns);
-        let (trace_id, queue_wait_ns) = (&event.trace_id, event.queue_wait_ns);
-        qip_telemetry::tail_finish(tail, trace_id, op.name(), status.name(), total_ns, queue_wait_ns);
         self.events.push(event);
     }
 
@@ -490,19 +484,15 @@ fn connection_loop(stream: TcpStream, shared: &Arc<Shared>) {
             Err(ReadFrameError::TooLarge(n)) => {
                 // The declared length is hostile; answer and cut the
                 // connection (we cannot resync the stream past it).
-                let trace_id = shared.mint_trace();
-                shared.account_inline(&trace_id, OpKind::Ping, Status::TooLarge, Instant::now());
+                let payload =
+                    format!("declared frame length {n} exceeds cap {}", cfg.max_frame_bytes);
                 let resp = Response {
                     id: 0,
                     status: Status::TooLarge,
-                    payload: format!(
-                        "declared frame length {n} exceeds cap {}",
-                        cfg.max_frame_bytes
-                    )
-                    .into_bytes(),
-                    trace_id,
+                    payload: payload.into_bytes(),
+                    trace_id: shared.mint_trace(),
                 };
-                let _ = resp_tx.send(wire::encode_response(&resp));
+                shared.reply_inline(&resp_tx, OpKind::Ping, Instant::now(), resp);
                 break;
             }
             Err(ReadFrameError::Io(_)) => break, // mid-frame disconnect
@@ -517,11 +507,9 @@ fn connection_loop(stream: TcpStream, shared: &Arc<Shared>) {
                 };
                 // The frame didn't parse, so any client trace ID in it is
                 // untrusted; mint a fresh one so even rejections are traced.
-                let trace_id = shared.mint_trace();
-                shared.account_inline(&trace_id, OpKind::Ping, status, received);
-                let resp =
-                    Response { id: 0, status, payload: e.to_string().into_bytes(), trace_id };
-                let _ = resp_tx.send(wire::encode_response(&resp));
+                let payload = e.to_string().into_bytes();
+                let resp = Response { id: 0, status, payload, trace_id: shared.mint_trace() };
+                shared.reply_inline(&resp_tx, OpKind::Ping, received, resp);
                 break; // framing may be out of sync; close after the reply
             }
         };
@@ -534,60 +522,21 @@ fn connection_loop(stream: TcpStream, shared: &Arc<Shared>) {
             req.trace_id = shared.mint_trace();
         }
 
-        let op = req.op.kind();
-        match op {
+        let (op, id, trace_id) = (req.op.kind(), req.id, req.trace_id);
+        let (status, payload) = match op {
             // Cheap control ops are answered inline — they must keep working
             // even when every worker queue is saturated.
-            OpKind::Ping => {
-                shared.account_inline(&req.trace_id, op, Status::Ok, received);
-                let resp = Response {
-                    id: req.id,
-                    status: Status::Ok,
-                    payload: Vec::new(),
-                    trace_id: req.trace_id,
-                };
-                if resp_tx.send(wire::encode_response(&resp)).is_err() {
-                    break;
-                }
-            }
+            OpKind::Ping => (Status::Ok, Vec::new()),
             OpKind::Metrics => {
                 shared.publish_queue_depths();
-                let mut text = None;
-                qip_telemetry::with_hub(|hub| {
-                    text = Some(qip_telemetry::export::prometheus_text(hub));
-                });
-                let payload = text
-                    .unwrap_or_else(|| "# no telemetry hub attached\n".to_string())
-                    .into_bytes();
-                shared.account_inline(&req.trace_id, op, Status::Ok, received);
-                let resp =
-                    Response { id: req.id, status: Status::Ok, payload, trace_id: req.trace_id };
-                if resp_tx.send(wire::encode_response(&resp)).is_err() {
-                    break;
-                }
+                (Status::Ok, hub_dump(qip_telemetry::export::prometheus_text))
             }
-            OpKind::Flight => {
-                // Remote observability dump: the flight recorder's per-call
-                // JSONL, or the tail sampler's reservoir with `tails`.
-                let tails = matches!(req.op, Op::Flight { tails: true });
-                let mut text = None;
-                qip_telemetry::with_hub(|hub| {
-                    text = Some(if tails {
-                        hub.tail.dump_jsonl()
-                    } else {
-                        hub.recorder.dump_jsonl()
-                    });
-                });
-                let payload = text
-                    .unwrap_or_else(|| "# no telemetry hub attached\n".to_string())
-                    .into_bytes();
-                shared.account_inline(&req.trace_id, op, Status::Ok, received);
-                let resp =
-                    Response { id: req.id, status: Status::Ok, payload, trace_id: req.trace_id };
-                if resp_tx.send(wire::encode_response(&resp)).is_err() {
-                    break;
-                }
-            }
+            // Remote observability dump: the flight recorder's per-call
+            // JSONL, or the tail sampler's reservoir with `tails`.
+            OpKind::Flight => match req.op {
+                Op::Flight { tails: true } => (Status::Ok, hub_dump(|hub| hub.tail.dump_jsonl())),
+                _ => (Status::Ok, hub_dump(|hub| hub.recorder.dump_jsonl())),
+            },
             OpKind::Compress | OpKind::Decompress | OpKind::CompressTiled
             | OpKind::ReadRegion => {
                 let deadline_req = if req.deadline_ms == 0 {
@@ -596,26 +545,22 @@ fn connection_loop(stream: TcpStream, shared: &Arc<Shared>) {
                     Duration::from_millis(req.deadline_ms as u64)
                 };
                 let deadline = received + deadline_req.min(shared.config.max_deadline);
-                let id = req.id;
-                let trace_id = req.trace_id;
                 let job = Job { req, resp_tx: resp_tx.clone(), received, deadline };
-                if let Err(refused) = dispatch(shared, job) {
-                    // Shed: the request is not executed (the job drops here).
-                    let (status, reason): (Status, &[u8]) = match refused {
-                        PushRefused::Full(_) => {
-                            (Status::ServerBusy, b"all worker queues full")
-                        }
-                        PushRefused::Draining(_) => {
-                            (Status::ShuttingDown, b"server is draining")
-                        }
-                    };
-                    shared.account_inline(&trace_id, op, status, received);
-                    let resp = Response { id, status, payload: reason.to_vec(), trace_id };
-                    if resp_tx.send(wire::encode_response(&resp)).is_err() {
-                        break;
+                // Shed: a refused request is not executed (the job drops here).
+                match dispatch(shared, job) {
+                    Ok(()) => continue,
+                    Err(PushRefused::Full(_)) => {
+                        (Status::ServerBusy, b"all worker queues full".to_vec())
+                    }
+                    Err(PushRefused::Draining(_)) => {
+                        (Status::ShuttingDown, b"server is draining".to_vec())
                     }
                 }
             }
+        };
+        let resp = Response { id, status, payload, trace_id };
+        if !shared.reply_inline(&resp_tx, op, received, resp) {
+            break;
         }
     }
 
@@ -623,6 +568,14 @@ fn connection_loop(stream: TcpStream, shared: &Arc<Shared>) {
     // exits once every outstanding job has answered (all senders dropped).
     drop(resp_tx);
     let _ = writer.join();
+}
+
+/// `dump` of the attached hub as a reply payload, or a comment line when no
+/// hub is attached.
+fn hub_dump(dump: impl FnOnce(&MetricsHub) -> String) -> Vec<u8> {
+    let mut text = None;
+    qip_telemetry::with_hub(|hub| text = Some(dump(hub)));
+    text.unwrap_or_else(|| "# no telemetry hub attached\n".to_string()).into_bytes()
 }
 
 /// Place a job on the least-loaded worker queue (round-robin tiebreak).
@@ -667,11 +620,11 @@ fn writer_loop(mut stream: TcpStream, rx: mpsc::Receiver<Vec<u8>>) {
 }
 
 /// One worker: owns a reusable [`CompressCtx`]; pops jobs until drain.
-/// Per job it (1) starts a tail-sampler token, (2) tags the thread with the
-/// request's trace ID so flight records stamped during execution carry it,
-/// (3) runs the pipeline under a [`StageTimer`], and (4) encodes the
-/// response and accounts the request before handing the response to the
-/// writer, so a client that has its answer also finds it counted and logged.
+/// Per job it (1) tags the thread with the request's trace ID so flight
+/// records stamped during execution carry it, (2) runs the pipeline under a
+/// [`StageTimer`], and (3) encodes the response and accounts the request
+/// (tail sampler included) before handing the response to the writer, so a
+/// client that has its answer also finds it counted and logged.
 fn worker_loop(shared: &Arc<Shared>, queue: &Arc<WorkQueue>) {
     let mut ctx = CompressCtx::new();
     while let Some(job) = queue.pop(&shared.draining) {
@@ -681,7 +634,6 @@ fn worker_loop(shared: &Arc<Shared>, queue: &Arc<WorkQueue>) {
         let hex = wire::trace_hex(&trace_id);
         let queue_wait_ns = received.elapsed().as_nanos() as u64;
         let mut stages = StageTimer::start();
-        let tail = qip_telemetry::tail_begin();
         let (resp_tx, status, id, payload) = {
             let _tag = qip_telemetry::trace_tag(&hex);
             execute(shared, job, &mut ctx, &mut stages)
@@ -697,7 +649,7 @@ fn worker_loop(shared: &Arc<Shared>, queue: &Arc<WorkQueue>) {
             stages: stages.take(),
             total_ns,
         };
-        shared.account(op, status, tail, event);
+        shared.account(op, status, true, event);
         let _ = resp_tx.send(frame);
     }
 }
@@ -745,9 +697,9 @@ fn execute(
     let (status, payload) = match req.op {
         Op::Compress { compressor, dtype_bits, dims, bound, payload } => {
             match AnyCompressor::by_name(&compressor) {
-                Ok(comp) => run_compress(
-                    shared, &token, ctx, stages, &comp, dtype_bits, &dims, bound, &payload,
-                ),
+                Ok(comp) => {
+                    run_compress(&token, ctx, stages, &comp, dtype_bits, &dims, bound, &payload)
+                }
                 Err(e) => (Status::UnknownCompressor, e.to_string().into_bytes()),
             }
         }
@@ -759,9 +711,9 @@ fn execute(
             match AnyCompressor::by_name(&compressor)
                 .map(|comp| qip_container::TiledCompressor::new(comp, tile as usize))
             {
-                Ok(Ok(tiled)) => run_compress(
-                    shared, &token, ctx, stages, &tiled, dtype_bits, &dims, bound, &payload,
-                ),
+                Ok(Ok(tiled)) => {
+                    run_compress(&token, ctx, stages, &tiled, dtype_bits, &dims, bound, &payload)
+                }
                 Ok(Err(e)) => (Status::BadRequest, e.to_string().into_bytes()),
                 Err(e) => (Status::UnknownCompressor, e.to_string().into_bytes()),
             }
@@ -782,7 +734,6 @@ fn compress_error_response(e: &CompressError) -> (Status, Vec<u8>) {
 /// `catch_unwind` with the panic payload rendered; resets `ctx` after a
 /// caught panic since its pooled buffers may be mid-mutation.
 fn isolate<R>(
-    shared: &Arc<Shared>,
     ctx: &mut CompressCtx,
     f: impl FnOnce(&mut CompressCtx) -> R,
 ) -> Result<R, (Status, Vec<u8>)> {
@@ -790,7 +741,6 @@ fn isolate<R>(
         Ok(r) => Ok(r),
         Err(payload) => {
             *ctx = CompressCtx::new();
-            let _ = shared; // stats recorded by the caller via account
             let msg = payload
                 .downcast_ref::<String>()
                 .map(String::as_str)
@@ -806,7 +756,6 @@ fn isolate<R>(
 /// that the response payload is a random-access tiled container.
 #[allow(clippy::too_many_arguments)] // wire fields map 1:1 onto parameters
 fn run_compress<C: Compressor<f32> + Compressor<f64>>(
-    shared: &Arc<Shared>,
     token: &DeadlineToken,
     ctx: &mut CompressCtx,
     stages: &mut StageTimer,
@@ -851,9 +800,9 @@ fn run_compress<C: Compressor<f32> + Compressor<f64>>(
 
     let shape = Shape::new(&dims_us);
     let result = if dtype_bits == 32 {
-        compress_field::<f32>(shared, token, ctx, comp, shape, b, payload)
+        compress_field::<f32>(token, ctx, comp, shape, b, payload)
     } else {
-        compress_field::<f64>(shared, token, ctx, comp, shape, b, payload)
+        compress_field::<f64>(token, ctx, comp, shape, b, payload)
     };
     let stream = match result {
         Ok(s) => s,
@@ -869,7 +818,6 @@ fn run_compress<C: Compressor<f32> + Compressor<f64>>(
 /// Stage: payload bytes -> `Field<T>` (`from_le_bytes` validates the length
 /// again) -> stream, the compressor call isolated.
 fn compress_field<T: Scalar>(
-    shared: &Arc<Shared>,
     token: &DeadlineToken,
     ctx: &mut CompressCtx,
     comp: &impl Compressor<T>,
@@ -880,7 +828,7 @@ fn compress_field<T: Scalar>(
     let field = Field::<T>::from_le_bytes(shape, payload)
         .map_err(|e| (Status::BadRequest, e.to_string().into_bytes()))?;
     token.check("compress")?;
-    isolate(shared, ctx, |ctx| {
+    isolate(ctx, |ctx| {
         let mut out = Vec::new();
         comp.compress_into(&field, bound, ctx, &mut out).map(|()| out)
     })
@@ -913,11 +861,11 @@ fn run_read_region(
     stages.mark("parse");
     let result: Result<Vec<u8>, CompressError> = {
         let r = if dtype_bits == 32 {
-            isolate(shared, ctx, |_| {
+            isolate(ctx, |_| {
                 qip_container::read_region::<f32>(payload, &region).map(|f| f.to_le_bytes())
             })
         } else {
-            isolate(shared, ctx, |_| {
+            isolate(ctx, |_| {
                 qip_container::read_region::<f64>(payload, &region).map(|f| f.to_le_bytes())
             })
         };
@@ -966,7 +914,7 @@ fn run_decompress(
         return e;
     }
     stages.mark("parse");
-    let result = isolate(shared, ctx, |ctx| {
+    let result = isolate(ctx, |ctx| {
         if dtype_bits == 32 {
             qip_container::decompress_any::<f32>(payload, ctx).map(|f| f.to_le_bytes())
         } else {
@@ -1041,7 +989,9 @@ mod tests {
     fn inline_events_land_in_the_log_with_the_trace_id() {
         let shared = test_shared();
         let trace = shared.mint_trace();
-        shared.account_inline(&trace, OpKind::Ping, Status::Ok, Instant::now());
+        let (tx, _rx) = mpsc::channel();
+        let resp = Response { id: 1, status: Status::Ok, payload: Vec::new(), trace_id: trace };
+        assert!(shared.reply_inline(&tx, OpKind::Ping, Instant::now(), resp));
         let dump = shared.events.dump_jsonl();
         let event: serde_json::Value = serde_json::from_str(dump.trim_end()).unwrap();
         assert_eq!(event["trace_id"].as_str(), Some(&*wire::trace_hex(&trace)), "{dump}");
@@ -1051,9 +1001,8 @@ mod tests {
 
     #[test]
     fn isolate_converts_panics_to_internal_and_resets_ctx() {
-        let shared = test_shared();
         let mut ctx = CompressCtx::new();
-        let r = isolate(&shared, &mut ctx, |_| panic!("boom {}", 42));
+        let r = isolate(&mut ctx, |_| panic!("boom {}", 42));
         match r {
             Err((Status::Internal, payload)) => {
                 let text = String::from_utf8_lossy(&payload);
@@ -1062,7 +1011,7 @@ mod tests {
             other => panic!("expected Internal, got {other:?}"),
         }
         // The worker (and its ctx) keep working after the unwind.
-        let r = isolate(&shared, &mut ctx, |_| 7u32);
+        let r = isolate(&mut ctx, |_| 7u32);
         assert_eq!(r.unwrap(), 7);
     }
 

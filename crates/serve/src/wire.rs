@@ -309,7 +309,7 @@ pub enum Op {
     /// Observability dump; JSONL text back. `tails` selects the tail-sample
     /// reservoir instead of the flight recorder.
     Flight {
-        /// `false` → flight-recorder records; `true` → tail-sampler records.
+        /// `false` → flight-recorder records; `true` → tail-sampler samples.
         tails: bool,
     },
 }

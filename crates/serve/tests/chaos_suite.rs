@@ -28,12 +28,7 @@ fn five_hundred_corrupt_frames_never_hang_or_panic() {
     let _guard = hub_guard();
     // Only server faults (panics, shed load, missed deadlines) may burn the
     // availability budget; the SLO objectives record every answered frame.
-    let hub = Arc::new(qip_telemetry::MetricsHub::with_slo_and_tail(
-        qip_telemetry::slo::default_objectives(),
-        1.0,
-        16,
-        8,
-    ));
+    let hub = Arc::new(qip_telemetry::MetricsHub::with_tail(16, 8));
     qip_telemetry::attach(Arc::clone(&hub));
     let cfg = ServeConfig {
         addr: "127.0.0.1:0".into(),

@@ -41,7 +41,7 @@ fn hubless() -> RwLockReadGuard<'static, ()> {
     HUB_LOCK.read().unwrap_or_else(|e| e.into_inner())
 }
 
-/// The records of a JSONL dump (events, flight, tails) stamped with `trace`.
+/// The records of a JSONL dump (events, flight) stamped with `trace`.
 fn records_with(jsonl: &str, trace: &str) -> Vec<serde_json::Value> {
     jsonl
         .lines()
@@ -567,20 +567,14 @@ fn server_assigned_trace_ids_are_unique_and_nonzero() {
 
 /// FLIGHT op round-trip: with a hub attached, `flight` returns the flight
 /// recorder's JSONL and `tails` the tail-sampler reservoir, both stamped
-/// with the request trace IDs that produced them.
+/// with the request trace IDs that produced them. Inline answers (the
+/// flight op itself) leave no tail sample.
 #[test]
 fn flight_op_serves_recorder_and_tail_dumps_remotely() {
     let _guard = hub_guard();
-    let hub = std::sync::Arc::new(qip_telemetry::MetricsHub::with_slo_and_tail(
-        qip_telemetry::slo::default_objectives(),
-        1.0,
-        // Roomy reservoir: the attached hub is process-global, so servers
-        // spun up by concurrently-running tests also feed the sampler —
-        // a tight capacity could evict this test's record between the
-        // compress call and the tails read.
-        4096,
-        1, // sample every request so the reservoir fills deterministically
-    ));
+    // Sample every request; the write guard keeps every other server of this
+    // file from feeding the process-global hub meanwhile.
+    let hub = std::sync::Arc::new(qip_telemetry::MetricsHub::with_tail(64, 1));
     qip_telemetry::attach(std::sync::Arc::clone(&hub));
     let handle = Server::start(quick_config()).unwrap();
     let mut c = client_for(&handle);
@@ -601,28 +595,21 @@ fn flight_op_serves_recorder_and_tail_dumps_remotely() {
         "no trace-stamped compress record in flight dump:\n{text}"
     );
 
-    // Tail sampler: sample_every=1 retains every request with its stage
-    // trace metadata; the compress request's record is retrievable remotely.
-    // The worker closes the tail sample after handing off the response, so
-    // poll: the compress response arriving does not yet guarantee the
-    // reservoir entry is visible.
-    let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    let sampled = |text: &str| {
-        records_with(text, &hex).iter().any(|r| r["sampled"].as_bool() == Some(true))
-    };
-    let text = loop {
-        let tails = c.tails().unwrap();
-        assert_eq!(tails.status, Status::Ok);
-        let text = tails.reason();
-        if sampled(&text) || std::time::Instant::now() > deadline {
-            break text;
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    };
-    assert!(sampled(&text), "no sampled tail record for {hex} in:\n{text}");
+    // Tail sampler: a worker accounts its request before answering it, so
+    // the reservoir already holds the compress request, and only it: the
+    // inline flight op left no sample. Its `request` is the event itself.
+    let tails = c.tails().unwrap();
+    assert_eq!(tails.status, Status::Ok);
+    let text = tails.reason();
+    let samples: Vec<serde_json::Value> =
+        text.lines().map(|l| serde_json::from_str(l).unwrap()).collect();
+    assert_eq!(samples.len(), 1, "{text}");
+    let (request, sampled) = (&samples[0]["request"], samples[0]["sampled"].as_bool());
+    let who = (request["trace_id"].as_str(), request["op"].as_str());
+    assert_eq!((who, sampled), ((Some(&*hex), Some("compress")), Some(true)), "{text}");
 
     // The same request also shows up in the event log: one trace ID ties
-    // wire response, flight record, tail record, and event line together.
+    // wire response, flight record, tail sample, and event line together.
     assert!(!records_with(&handle.events_jsonl(), &hex).is_empty());
 
     qip_telemetry::detach();
@@ -677,17 +664,14 @@ fn one_over_cap_length_is_one_too_large_request_and_one_event() {
 }
 
 /// Every worker request is timed once: the hub's `qip.serve.request_ns` sum
-/// is exactly the event log's `total_ns` sum, and each tail record carries
-/// its event's `total_ns`.
+/// is exactly the event log's `total_ns` sum, and each tail sample's
+/// `request` is its event: it serializes to the event-log line with the
+/// same trace ID, stages included.
 #[test]
 fn worker_requests_feed_every_sink_one_duration() {
     let _guard = hub_guard();
-    let hub = std::sync::Arc::new(qip_telemetry::MetricsHub::with_slo_and_tail(
-        qip_telemetry::slo::default_objectives(),
-        1.0,
-        64,
-        1, // every request is sampled, so every one leaves a tail record
-    ));
+    // Every request is sampled, so every one leaves a tail sample.
+    let hub = std::sync::Arc::new(qip_telemetry::MetricsHub::with_tail(64, 1));
     qip_telemetry::attach(std::sync::Arc::clone(&hub));
     let handle = Server::start(quick_config()).unwrap();
     let mut c = client_for(&handle);
@@ -697,14 +681,15 @@ fn worker_requests_feed_every_sink_one_duration() {
         let resp = c.compress("SZ3", 32, &[256], WireBound::Abs(1e-3), payload.clone(), 0).unwrap();
         assert_eq!(resp.status, Status::Ok, "{}", resp.reason());
     }
-    let events: Vec<serde_json::Value> =
-        handle.events_jsonl().lines().map(|l| serde_json::from_str(l).unwrap()).collect();
+    let log = handle.events_jsonl();
     drop(c);
     handle.join();
     qip_telemetry::detach();
 
+    let events: Vec<(serde_json::Value, &str)> =
+        log.lines().map(|l| (serde_json::from_str(l).unwrap(), l)).collect();
     assert_eq!(events.len(), 6);
-    let total = |r: &serde_json::Value| r["total_ns"].as_u64().unwrap();
+    let total = |(r, _): &(serde_json::Value, &str)| r["total_ns"].as_u64().unwrap();
     let hists = hub.snapshot().hists;
     let request_ns = hists.iter().filter(|(k, _)| k.name == "qip.serve.request_ns");
     let summed: Vec<(u64, u64)> = request_ns.map(|(_, h)| (h.count, h.sum)).collect();
@@ -712,7 +697,10 @@ fn worker_requests_feed_every_sink_one_duration() {
     let tails = hub.tail.records();
     assert_eq!(tails.len(), 6);
     for tail in &tails {
-        let event = events.iter().find(|e| e["trace_id"].as_str() == Some(&tail.trace_id));
-        assert_eq!(Some(tail.duration_ns), event.map(total), "{}", tail.trace_id);
+        let id = tail.request.trace_id.as_str();
+        let line = events.iter().find(|(e, _)| e["trace_id"].as_str() == Some(id)).map(|e| e.1);
+        assert_eq!(Some(&*serde_json::to_string(&tail.request).unwrap()), line, "{id}");
+        let stages: Vec<&str> = tail.request.stages.0.iter().map(|(stage, _)| *stage).collect();
+        assert_eq!(stages, ["dequeue", "parse", "compress", "respond"], "{id}");
     }
 }

@@ -245,23 +245,19 @@ pub fn check_prometheus_text(text: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// The metric families `qip-serve` records, as exported Prometheus names.
-/// `qip.serve.requests` and `qip.serve.shed` et al. are counters;
-/// `qip.serve.queue_depth` is a gauge; `qip.serve.request_ns` is a latency
-/// histogram (exported as a summary). A scrape of a serving process is
-/// expected to carry at least the `requests` family.
-pub const SERVE_COUNTER_FAMILIES: [&str; 4] = [
-    "qip_serve_requests",
-    "qip_serve_shed",
-    "qip_serve_deadline_miss",
-    "qip_serve_panics",
-];
+/// The counter families `qip-serve` records, as exported Prometheus names:
+/// `qip.serve.requests{op,status}` counts every answered frame, so shed
+/// load, missed deadlines and isolated panics are its `SERVER_BUSY`,
+/// `DEADLINE_EXCEEDED` and `INTERNAL` series. Beside it,
+/// `qip.serve.queue_depth` is a gauge and `qip.serve.request_ns` a latency
+/// histogram (exported as a summary).
+pub const SERVE_COUNTER_FAMILIES: [&str; 1] = ["qip_serve_requests"];
 
 /// Validate a scrape from a serving process: the text must be well-formed
 /// ([`check_prometheus_text`]), must carry the `qip_serve_requests` counter,
 /// and every serve family that does appear must be announced with the
-/// expected type (`counter` for the shed/deadline/panic counters, `gauge`
-/// for queue depth, `summary` for the latency histogram).
+/// expected type (`counter` for requests, `gauge` for queue depth,
+/// `summary` for the latency histogram).
 pub fn check_serve_families(text: &str) -> Result<(), String> {
     check_prometheus_text(text)?;
     let type_of = |family: &str| -> Option<String> {
@@ -271,21 +267,13 @@ pub fn check_serve_families(text: &str) -> Result<(), String> {
     if type_of("qip_serve_requests").is_none() {
         return Err("scrape has no qip_serve_requests family".to_string());
     }
-    for family in SERVE_COUNTER_FAMILIES {
-        if let Some(kind) = type_of(family) {
-            if kind != "counter" {
-                return Err(format!("{family} announced as {kind}, expected counter"));
+    let others = [("qip_serve_queue_depth", "gauge"), ("qip_serve_request_ns", "summary")];
+    for (family, want) in SERVE_COUNTER_FAMILIES.map(|f| (f, "counter")).into_iter().chain(others) {
+        match type_of(family) {
+            Some(kind) if kind != want => {
+                return Err(format!("{family} announced as {kind}, expected {want}"))
             }
-        }
-    }
-    if let Some(kind) = type_of("qip_serve_queue_depth") {
-        if kind != "gauge" {
-            return Err(format!("qip_serve_queue_depth announced as {kind}, expected gauge"));
-        }
-    }
-    if let Some(kind) = type_of("qip_serve_request_ns") {
-        if kind != "summary" {
-            return Err(format!("qip_serve_request_ns announced as {kind}, expected summary"));
+            _ => {}
         }
     }
     Ok(())
@@ -439,9 +427,6 @@ mod tests {
         let hub = MetricsHub::new();
         hub.counter_add("qip.serve.requests", &[("op", "compress"), ("status", "OK")], 5);
         hub.counter_add("qip.serve.requests", &[("op", "compress"), ("status", "SERVER_BUSY")], 2);
-        hub.counter_add("qip.serve.shed", &[("op", "compress")], 2);
-        hub.counter_add("qip.serve.deadline_miss", &[("op", "decompress")], 1);
-        hub.counter_add("qip.serve.panics", &[("op", "compress")], 1);
         hub.gauge_set("qip.serve.queue_depth", &[("worker", "w0")], 3.0);
         for v in [10_000u64, 20_000, 1_000_000] {
             hub.observe("qip.serve.request_ns", &[("op", "compress")], v);
@@ -460,8 +445,7 @@ mod tests {
         hub.counter_add("qip.other", &[], 1);
         assert!(check_serve_families(&prometheus_text(&hub)).is_err());
         // Family present under the wrong type.
-        let wrong = "# TYPE qip_serve_requests gauge\nqip_serve_requests 1\n\
-                     # TYPE qip_serve_shed gauge\nqip_serve_shed 0\n";
+        let wrong = "# TYPE qip_serve_requests gauge\nqip_serve_requests 1\n";
         assert!(check_serve_families(wrong).is_err());
         // Requests present as a proper counter passes even with others absent.
         let ok = "# TYPE qip_serve_requests counter\nqip_serve_requests{op=\"ping\"} 1\n";
@@ -470,7 +454,7 @@ mod tests {
 
     #[test]
     fn slo_families_render_and_validate() {
-        let hub = MetricsHub::with_slo(crate::slo::default_objectives(), 1.0);
+        let hub = MetricsHub::new();
         hub.slo.record("compress", false, 1_000);
         hub.slo.record("compress", true, 2_000_000_000);
         hub.slo.publish(&hub);

@@ -10,7 +10,7 @@
 
 use crate::hist::{HistSummary, Histogram};
 use crate::recorder::FlightRecorder;
-use crate::slo::{Objective, SloTracker};
+use crate::slo::SloTracker;
 use crate::tail::TailSampler;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -58,8 +58,8 @@ pub struct MetricsHub {
     hists: Mutex<BTreeMap<MetricKey, Arc<Histogram>>>,
     /// Per-call flight recorder (bounded; see [`FlightRecorder`]).
     pub recorder: FlightRecorder,
-    /// Tail-latency sampler: bounded reservoir of per-request trace records
-    /// (see [`TailSampler`]).
+    /// Tail-latency sampler: bounded reservoir of per-request events (see
+    /// [`TailSampler`]).
     pub tail: TailSampler,
     /// SLO burn-rate tracker (defaults to [`crate::slo::default_objectives`]).
     pub slo: SloTracker,
@@ -71,26 +71,13 @@ impl MetricsHub {
         MetricsHub::default()
     }
 
-    /// A hub tracking custom SLO `objectives`, with every burn-rate window
-    /// multiplied by `window_scale` (private fields make the struct-update
-    /// syntax unavailable outside this crate, hence the constructor).
-    pub fn with_slo(objectives: Vec<Objective>, window_scale: f64) -> MetricsHub {
-        MetricsHub { slo: SloTracker::new(objectives, window_scale), ..MetricsHub::default() }
-    }
-
-    /// A hub combining [`MetricsHub::with_slo`] with a tail sampler of the
-    /// given reservoir `capacity` and deterministic `sample_every` period.
-    pub fn with_slo_and_tail(
-        objectives: Vec<Objective>,
-        window_scale: f64,
-        capacity: usize,
-        sample_every: u64,
-    ) -> MetricsHub {
-        MetricsHub {
-            slo: SloTracker::new(objectives, window_scale),
-            tail: TailSampler::with_config(capacity, sample_every),
-            ..MetricsHub::default()
-        }
+    /// A hub whose tail sampler keeps `capacity` samples and samples every
+    /// `sample_every`-th finished request (see [`TailSampler::with_config`]).
+    /// Private fields rule out struct-update syntax outside this crate, hence
+    /// the constructor: tests use it for a reservoir they can predict.
+    pub fn with_tail(capacity: usize, sample_every: u64) -> MetricsHub {
+        let tail = TailSampler::with_config(capacity, sample_every);
+        MetricsHub { tail, ..MetricsHub::default() }
     }
 
     /// Handle to a counter series, created on first use.

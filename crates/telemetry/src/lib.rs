@@ -9,6 +9,8 @@
 //! * [`recorder::FlightRecorder`] — a bounded ring of per-call structured
 //!   records (compressor, dims, error bound, achieved ratio, per-level QP
 //!   accept rates, duration, outcome) dumpable as JSONL for incident triage.
+//! * [`RequestEvent`] — the one per-request record a server keeps: its
+//!   event log and the [`TailSampler`]'s reservoir hold the same events.
 //! * [`Ring`] — the bounded JSONL ring under the flight recorder, the tail
 //!   sampler's reservoir and qip-serve's per-request event log.
 //! * [`with_session`] — one diagnostic trace session: [`span`] trees,
@@ -36,6 +38,7 @@
 //! *observes* the pipeline — compressed streams are byte-identical with
 //! capture on or off (pinned by the `trace_equivalence` integration test).
 
+mod event;
 pub mod export;
 pub mod flame;
 pub mod hist;
@@ -47,13 +50,14 @@ pub mod slo;
 pub mod tail;
 mod trace;
 
+pub use event::{RequestEvent, StageTimer, Stages, DEFAULT_EVENT_CAPACITY};
 pub use hist::{HistSummary, Histogram};
 pub use hub::{MetricKey, MetricsHub, Snapshot};
 pub use recorder::{FlightRecord, FlightRecorder, LevelRate, PrefixEstimate};
 pub use report::{CounterEntry, SpanNode, TraceReport, ValueEntry};
 pub use ring::Ring;
 pub use slo::{Objective, ObjectiveKind, SloSnapshot, SloTracker};
-pub use tail::{TailRecord, TailSampler, TailToken};
+pub use tail::{TailSample, TailSampler};
 pub use trace::{span, span_with, with_session, Span};
 
 use std::borrow::Cow;
@@ -183,41 +187,6 @@ impl Drop for TraceTag {
         let previous = std::mem::take(&mut self.previous);
         CURRENT_TRACE.with(|t| *t.borrow_mut() = previous);
     }
-}
-
-/// Begin tail-sampling a request on the attached hub. Returns `None` when
-/// dormant; hand the token to [`tail_finish`] when the request completes.
-pub fn tail_begin() -> Option<TailToken> {
-    let mut token = None;
-    with_hub(|hub| token = Some(hub.tail.begin()));
-    token
-}
-
-/// Finish a tail-sampled request (no-op for a `None` token or a hub
-/// detached mid-request).
-pub fn tail_finish(
-    token: Option<TailToken>,
-    trace_id: &str,
-    op: &str,
-    status: &str,
-    duration_ns: u64,
-    queue_wait_ns: u64,
-) {
-    let Some(token) = token else { return };
-    with_hub(|hub| hub.tail.finish(token, trace_id, op, status, duration_ns, queue_wait_ns));
-}
-
-/// Record a finished request against the attached hub's SLO objectives;
-/// no-op when dormant.
-pub fn slo_observe(op: &str, error: bool, latency_ns: u64) {
-    with_hub(|hub| hub.slo.record(op, error, latency_ns));
-}
-
-/// Re-export the attached hub's current SLO evaluation as gauges (see
-/// [`SloTracker::publish`]); no-op when dormant. Call periodically (the
-/// serve stats loop does) so scrapes see fresh burn rates.
-pub fn slo_publish() {
-    with_hub(|hub| hub.slo.publish(hub));
 }
 
 /// The one optional label of a pipeline statistic (see [`count`]).
@@ -471,22 +440,11 @@ pub fn record_fault(compressor: &str, op: &str, outcome: &str) {
     with_hub(|hub| {
         hub.counter_add("qip.fault.records", &[("compressor", compressor), ("op", op)], 1);
         hub.recorder.push(FlightRecord {
-            seq: 0,
             trace_id: current_trace(),
             op: op.to_string(),
             compressor: compressor.to_string(),
-            dims: Vec::new(),
-            dtype: String::new(),
-            error_bound: 0.0,
-            raw_bytes: 0,
-            stream_bytes: 0,
-            cr: 0.0,
-            bitrate_bits_per_value: 0.0,
-            duration_ns: 0,
             outcome: outcome.to_string(),
-            qp_accept_rates: Vec::new(),
-            qp_max_level: None,
-            qp_index_bytes_est: Vec::new(),
+            ..Default::default()
         });
     });
 }
@@ -667,35 +625,6 @@ mod tests {
         assert_eq!(recs.len(), 2);
         assert_eq!(recs[0].trace_id, id);
         assert_eq!(recs[1].trace_id, "");
-    }
-
-    #[test]
-    fn tail_and_slo_helpers_are_dormant_noops_and_live_passthroughs() {
-        let _t = serial();
-        detach();
-        assert!(tail_begin().is_none());
-        tail_finish(None, "", "compress", "OK", 1, 0);
-        slo_observe("compress", true, 1);
-        slo_publish();
-
-        let hub = Arc::new(MetricsHub::with_slo_and_tail(
-            vec![crate::slo::Objective::availability("avail", "*", 0.9)],
-            1.0,
-            8,
-            1,
-        ));
-        attach(Arc::clone(&hub));
-        let token = tail_begin();
-        assert!(token.is_some());
-        tail_finish(token, &"ef".repeat(16), "compress", "OK", 5_000, 100);
-        slo_observe("compress", false, 5_000);
-        slo_publish();
-        detach();
-        assert_eq!(hub.tail.records()[0].trace_id, "ef".repeat(16));
-        assert_eq!(hub.slo.snapshot().objectives[0].total, 1);
-        let names: Vec<String> =
-            hub.snapshot().gauges.iter().map(|(k, _)| k.name.clone()).collect();
-        assert!(names.iter().any(|n| n == "qip.slo.burn_rate"));
     }
 
     #[test]

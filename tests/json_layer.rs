@@ -5,7 +5,7 @@
 
 use qip::core::{Compressor, ErrorBound};
 use qip::serve::{Client, ServeConfig, Server};
-use qip::telemetry::MetricsHub;
+use qip::telemetry::{MetricsHub, RequestEvent, Stages};
 use serde_json::Value;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -31,7 +31,7 @@ fn every_writer_reads_back_through_the_one_parser() {
     assert_planted([0, 1, 2, 3].map(|i| &json["values"][i]["value"]));
 
     // One attached hub: metrics snapshot, SLO report, flight and tail rings.
-    let hub = Arc::new(MetricsHub::with_slo(qip::telemetry::slo::default_objectives(), 2.0));
+    let hub = Arc::new(MetricsHub::new());
     names.iter().zip(PLANT).for_each(|(name, v)| hub.gauge_set(name, &[], v));
     let field = qip::data::miranda_like(0, &[16, 12, 8]);
     let qoz = qip::registry::AnyCompressor::by_name("QoZ+QP").unwrap();
@@ -43,20 +43,34 @@ fn every_writer_reads_back_through_the_one_parser() {
 
     hub.slo.record("compress", false, 1_000);
     let json = parse(&hub.slo.snapshot().to_json());
-    assert_eq!((json["window_scale"].as_f64(), json["window_scale"].as_u64()), (Some(2.0), None));
+    let compliance = &json["objectives"][0]["compliance"];
+    assert_eq!((compliance.as_f64(), compliance.as_u64()), (Some(1.0), None), "1.0 stays a float");
 
     let (flight, record) = (parse(&hub.recorder.dump_jsonl()), &hub.recorder.records()[0]);
     let floats = (flight["cr"].as_f64(), flight["qp_accept_rates"][0]["rate"].as_f64());
     assert_eq!(floats, (Some(record.cr), Some(record.qp_accept_rates[0].rate)), "exact floats");
     assert_eq!(flight["compressor"].as_str(), Some("QoZ+QP"));
 
-    let token = hub.tail.begin(); // the first request is always in the sample
-    hub.tail.finish(token, "ab", "read_region", "BAD_REGION", 777, 55);
-    let tail = parse(&hub.tail.dump_jsonl());
-    let ids = (tail["trace_id"].as_str(), tail["op"].as_str(), tail["status"].as_str());
+    // A tail sample is `{sampled, over_p99, p99_estimate_ns, request}`, and
+    // its `request` is the event-log line. The first request is always in
+    // the sample.
+    let event = RequestEvent {
+        trace_id: "ab".into(),
+        op: "read_region",
+        status: "BAD_REGION",
+        queue_wait_ns: 55,
+        stages: Stages(vec![("dequeue", 1), ("parse", 2)]),
+        total_ns: 777,
+    };
+    hub.tail.finish(&event);
+    let line = serde_json::to_string(&event).unwrap();
+    let head = r#"{"sampled":true,"over_p99":false,"p99_estimate_ns":0,"request":"#;
+    assert_eq!(hub.tail.dump_jsonl(), format!("{head}{line}}}\n"));
+    let request = &parse(&hub.tail.dump_jsonl())["request"];
+    let ids = (request["trace_id"].as_str(), request["op"].as_str(), request["status"].as_str());
     assert_eq!(ids, (Some("ab"), Some("read_region"), Some("BAD_REGION")));
-    let times = (tail["duration_ns"].as_u64(), tail["queue_wait_ns"].as_u64());
-    assert_eq!((times, tail["sampled"].as_bool()), ((Some(777), Some(55)), Some(true)));
+    let times = (request["total_ns"].as_u64(), request["queue_wait_ns"].as_u64());
+    assert_eq!((times, request["stages"]["parse"].as_u64()), ((Some(777), Some(55)), Some(2)));
 
     let config = ServeConfig { addr: "127.0.0.1:0".into(), ..ServeConfig::default() };
     let server = Server::start(config).unwrap();
