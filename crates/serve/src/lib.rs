@@ -19,6 +19,10 @@
 //! - **Graceful drain**: shutdown stops accepting, finishes every queued and
 //!   in-flight request, then exits.
 //!
+//! The data operations themselves are one function, [`execute`]: workers run
+//! it on each decoded [`wire::Op`], and the `qip` CLI runs it on the op its
+//! arguments describe, so both refuse, time and answer the same way.
+//!
 //! Telemetry: every answered frame is one [`qip_telemetry::RequestEvent`]
 //! in the server's event log. When a [`qip_telemetry`] hub is attached, the
 //! same frame also feeds `qip.serve.requests{op,status}` (shed load, missed
@@ -48,8 +52,10 @@
 #![warn(missing_docs)]
 
 mod client;
+mod exec;
 mod server;
 pub mod wire;
 
 pub use client::{Client, ClientError};
+pub use exec::execute;
 pub use server::{ServeConfig, ServeStats, Server, ServerHandle};

@@ -15,6 +15,7 @@
 //! length limit the transport enforces *before* the body is read; a malformed
 //! frame yields a typed [`WireError`], never a panic.
 
+use qip_codec::{ByteReader, ByteWriter, CodecError};
 use qip_core::integrity;
 
 /// First body byte of a request frame.
@@ -371,170 +372,180 @@ impl std::fmt::Display for WireError {
     }
 }
 
+impl From<CodecError> for WireError {
+    /// A read past the end of the body: some field is cut short.
+    fn from(_: CodecError) -> Self {
+        WireError::Malformed("truncated field")
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Encoding
 // ---------------------------------------------------------------------------
 
-fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
-    out.push_u64(bytes.len() as u64);
-    out.extend_from_slice(bytes);
+/// A u64 length, then the bytes.
+fn put_payload(w: &mut ByteWriter, bytes: &[u8]) {
+    w.put_u64(bytes.len() as u64);
+    w.put_bytes(bytes);
 }
 
-trait Put {
-    fn push_u32(&mut self, v: u32);
-    fn push_u64(&mut self, v: u64);
+/// A rank byte, then one u32 per axis.
+fn put_dims(w: &mut ByteWriter, dims: &[u32]) {
+    w.put_u8(dims.len() as u8);
+    dims.iter().for_each(|&d| w.put_u32(d));
 }
 
-impl Put for Vec<u8> {
-    fn push_u32(&mut self, v: u32) {
-        self.extend_from_slice(&v.to_le_bytes());
+/// The operands `COMPRESS` and `COMPRESS_TILED` share — compressor name,
+/// dtype, dims, the bound and the payload — with the tiled op's edge between
+/// the dims and the bound.
+fn put_compress(
+    w: &mut ByteWriter,
+    compressor: &str,
+    dtype_bits: u8,
+    dims: &[u32],
+    tile: Option<u32>,
+    bound: WireBound,
+    payload: &[u8],
+) {
+    w.put_u8(compressor.len().min(255) as u8);
+    w.put_bytes(compressor.as_bytes());
+    w.put_u8(dtype_bits);
+    put_dims(w, dims);
+    if let Some(tile) = tile {
+        w.put_u32(tile);
     }
-    fn push_u64(&mut self, v: u64) {
-        self.extend_from_slice(&v.to_le_bytes());
-    }
+    w.put_u8(bound.tag());
+    w.put_f64(bound.value());
+    put_payload(w, payload);
 }
 
 /// Encode a request as a sealed frame body (no transport length prefix).
 pub fn encode_request(req: &Request) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.push(REQUEST_MAGIC);
-    out.push(WIRE_VERSION);
-    out.push_u64(req.id);
-    out.push(req.op.kind().tag());
-    out.push_u32(req.deadline_ms);
+    let mut w = ByteWriter::new();
+    w.put_bytes(&[REQUEST_MAGIC, WIRE_VERSION]);
+    w.put_u64(req.id);
+    w.put_u8(req.op.kind().tag());
+    w.put_u32(req.deadline_ms);
     match &req.op {
         Op::Compress { compressor, dtype_bits, dims, bound, payload } => {
-            out.push(compressor.len().min(255) as u8);
-            out.extend_from_slice(compressor.as_bytes());
-            out.push(*dtype_bits);
-            out.push(dims.len() as u8);
-            for &d in dims {
-                out.push_u32(d);
-            }
-            out.push(bound.tag());
-            out.extend_from_slice(&bound.value().to_le_bytes());
-            put_bytes(&mut out, payload);
-        }
-        Op::Decompress { dtype_bits, payload } => {
-            out.push(*dtype_bits);
-            put_bytes(&mut out, payload);
-        }
-        Op::Ping | Op::Metrics => {}
-        Op::Flight { tails } => {
-            out.push(*tails as u8);
+            put_compress(&mut w, compressor, *dtype_bits, dims, None, *bound, payload)
         }
         Op::CompressTiled { compressor, dtype_bits, dims, tile, bound, payload } => {
-            out.push(compressor.len().min(255) as u8);
-            out.extend_from_slice(compressor.as_bytes());
-            out.push(*dtype_bits);
-            out.push(dims.len() as u8);
-            for &d in dims {
-                out.push_u32(d);
-            }
-            out.push_u32(*tile);
-            out.push(bound.tag());
-            out.extend_from_slice(&bound.value().to_le_bytes());
-            put_bytes(&mut out, payload);
+            put_compress(&mut w, compressor, *dtype_bits, dims, Some(*tile), *bound, payload)
+        }
+        Op::Decompress { dtype_bits, payload } => {
+            w.put_u8(*dtype_bits);
+            put_payload(&mut w, payload);
         }
         Op::ReadRegion { dtype_bits, origin, extent, payload } => {
-            out.push(*dtype_bits);
-            out.push(origin.len() as u8);
-            for &o in origin {
-                out.push_u32(o);
-            }
-            for &e in extent {
-                out.push_u32(e);
-            }
-            put_bytes(&mut out, payload);
+            w.put_u8(*dtype_bits);
+            put_dims(&mut w, origin);
+            extent.iter().for_each(|&e| w.put_u32(e));
+            put_payload(&mut w, payload);
         }
+        Op::Ping | Op::Metrics => {}
+        Op::Flight { tails } => w.put_u8(*tails as u8),
     }
     // Additive trailing field: always emitted by this build's encoder,
     // optional on decode so legacy version-1 frames still parse.
-    out.extend_from_slice(&req.trace_id);
-    integrity::seal(out)
+    w.put_bytes(&req.trace_id);
+    integrity::seal(w.finish())
 }
 
 /// Encode a response as a sealed frame body (no transport length prefix).
 pub fn encode_response(resp: &Response) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.push(RESPONSE_MAGIC);
-    out.push(WIRE_VERSION);
-    out.push_u64(resp.id);
-    out.push(resp.status.tag());
-    put_bytes(&mut out, &resp.payload);
-    out.extend_from_slice(&resp.trace_id);
-    integrity::seal(out)
+    let mut w = ByteWriter::new();
+    w.put_bytes(&[RESPONSE_MAGIC, WIRE_VERSION]);
+    w.put_u64(resp.id);
+    w.put_u8(resp.status.tag());
+    put_payload(&mut w, &resp.payload);
+    w.put_bytes(&resp.trace_id);
+    integrity::seal(w.finish())
 }
 
 // ---------------------------------------------------------------------------
 // Decoding
 // ---------------------------------------------------------------------------
 
-/// Bounds-checked little-endian cursor over a frame body.
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Cursor { buf, pos: 0 }
+/// Integrity check, magic and version: the reader positioned after them.
+fn open_body<'a>(
+    body: &'a [u8],
+    magic: u8,
+    what: &'static str,
+) -> Result<ByteReader<'a>, WireError> {
+    let payload =
+        integrity::check(body).map_err(|_| WireError::Integrity("bad CRC or missing trailer"))?;
+    let mut c = ByteReader::new(payload);
+    if c.get_u8()? != magic {
+        return Err(WireError::Malformed(what));
     }
-
-    fn take(&mut self, n: usize, what: &'static str) -> Result<&'a [u8], WireError> {
-        let end = self.pos.checked_add(n).ok_or(WireError::Malformed(what))?;
-        if end > self.buf.len() {
-            return Err(WireError::Malformed(what));
-        }
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
+    if c.get_u8()? != WIRE_VERSION {
+        return Err(WireError::Malformed("unsupported wire version"));
     }
-
-    fn u8(&mut self, what: &'static str) -> Result<u8, WireError> {
-        Ok(self.take(1, what)?[0])
-    }
-
-    fn u32(&mut self, what: &'static str) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(self.take(4, what)?.try_into().expect("4-byte slice")))
-    }
-
-    fn u64(&mut self, what: &'static str) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(self.take(8, what)?.try_into().expect("8-byte slice")))
-    }
-
-    fn f64(&mut self, what: &'static str) -> Result<f64, WireError> {
-        Ok(f64::from_le_bytes(self.take(8, what)?.try_into().expect("8-byte slice")))
-    }
-
-    fn finished(&self) -> bool {
-        self.pos == self.buf.len()
-    }
-
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
+    Ok(c)
 }
 
 /// Parse the additive trailing trace-ID field: exactly 0 (legacy frame,
 /// yields [`ZERO_TRACE`]) or 16 remaining bytes are accepted; anything else
 /// is a malformed frame.
-fn take_trace_id(c: &mut Cursor, what: &'static str) -> Result<TraceId, WireError> {
+fn take_trace_id(c: &mut ByteReader, what: &'static str) -> Result<TraceId, WireError> {
     match c.remaining() {
         0 => Ok(ZERO_TRACE),
-        16 => Ok(c.take(16, "trace id")?.try_into().expect("16-byte slice")),
+        16 => Ok(c.rest().try_into().expect("16-byte slice")),
         _ => Err(WireError::Malformed(what)),
     }
 }
 
 /// Read a declared-length byte block; the declaration must fit the remaining
-/// body exactly where noted and never exceed `cap`.
-fn get_bytes(c: &mut Cursor, cap: usize, what: &'static str) -> Result<Vec<u8>, WireError> {
-    let n = c.u64(what)?;
+/// body and never exceed `cap`.
+fn get_payload(c: &mut ByteReader, cap: usize, what: &'static str) -> Result<Vec<u8>, WireError> {
+    let n = c.get_u64()?;
     if n > cap as u64 {
         return Err(WireError::TooLarge(what));
     }
-    Ok(c.take(n as usize, what)?.to_vec())
+    Ok(c.get_bytes(n as usize)?.to_vec())
+}
+
+/// The scalar width every data op names: 32 or 64.
+fn get_dtype(c: &mut ByteReader) -> Result<u8, WireError> {
+    match c.get_u8()? {
+        bits @ (32 | 64) => Ok(bits),
+        _ => Err(WireError::Malformed("dtype bits must be 32 or 64")),
+    }
+}
+
+/// Inverse of [`put_dims`]: a rank in `1..=MAX_NDIM`, then the axes.
+fn get_dims(c: &mut ByteReader, what: &'static str) -> Result<Vec<u32>, WireError> {
+    let ndim = c.get_u8()? as usize;
+    if ndim == 0 || ndim > MAX_NDIM {
+        return Err(WireError::Malformed(what));
+    }
+    Ok((0..ndim).map(|_| c.get_u32()).collect::<Result<_, _>>()?)
+}
+
+/// Inverse of [`put_compress`]: `COMPRESS_TILED`'s operands when `tiled`,
+/// else `COMPRESS`'s.
+fn get_compress(c: &mut ByteReader, tiled: bool, cap: usize) -> Result<Op, WireError> {
+    let name_len = c.get_u8()? as usize;
+    if name_len == 0 || name_len > MAX_NAME_LEN {
+        return Err(WireError::Malformed("compressor name length"));
+    }
+    let compressor = std::str::from_utf8(c.get_bytes(name_len)?)
+        .map_err(|_| WireError::Malformed("compressor name not UTF-8"))?
+        .to_string();
+    let dtype_bits = get_dtype(c)?;
+    let dims = get_dims(c, "ndim out of range")?;
+    let tile = if tiled { Some(c.get_u32()?) } else { None };
+    let bound = match (c.get_u8()?, c.get_f64()?) {
+        (0, v) => WireBound::Abs(v),
+        (1, v) => WireBound::Rel(v),
+        _ => return Err(WireError::Malformed("unknown bound kind")),
+    };
+    let payload = get_payload(c, cap, "compress payload")?;
+    Ok(match tile {
+        Some(tile) => Op::CompressTiled { compressor, dtype_bits, dims, tile, bound, payload },
+        None => Op::Compress { compressor, dtype_bits, dims, bound, payload },
+    })
 }
 
 /// Decode a sealed request frame body. `max_payload` caps the declared
@@ -542,144 +553,45 @@ fn get_bytes(c: &mut Cursor, cap: usize, what: &'static str) -> Result<Vec<u8>, 
 /// fits inside — the check here catches bodies whose *declared* length
 /// disagrees with what actually arrived).
 pub fn decode_request(body: &[u8], max_payload: usize) -> Result<Request, WireError> {
-    let payload =
-        integrity::check(body).map_err(|_| WireError::Integrity("bad CRC or missing trailer"))?;
-    let mut c = Cursor::new(payload);
-    if c.u8("magic")? != REQUEST_MAGIC {
-        return Err(WireError::Malformed("not a request frame"));
-    }
-    if c.u8("version")? != WIRE_VERSION {
-        return Err(WireError::Malformed("unsupported wire version"));
-    }
-    let id = c.u64("request id")?;
-    let op_tag = c.u8("op")?;
-    let deadline_ms = c.u32("deadline")?;
+    let mut c = open_body(body, REQUEST_MAGIC, "not a request frame")?;
+    let id = c.get_u64()?;
+    let op_tag = c.get_u8()?;
+    let deadline_ms = c.get_u32()?;
     let op = match OpKind::from_tag(op_tag).ok_or(WireError::Malformed("unknown op tag"))? {
-        OpKind::Compress => {
-            let name_len = c.u8("name length")? as usize;
-            if name_len == 0 || name_len > MAX_NAME_LEN {
-                return Err(WireError::Malformed("compressor name length"));
-            }
-            let name_bytes = c.take(name_len, "compressor name")?;
-            let compressor = std::str::from_utf8(name_bytes)
-                .map_err(|_| WireError::Malformed("compressor name not UTF-8"))?
-                .to_string();
-            let dtype_bits = c.u8("dtype bits")?;
-            if dtype_bits != 32 && dtype_bits != 64 {
-                return Err(WireError::Malformed("dtype bits must be 32 or 64"));
-            }
-            let ndim = c.u8("ndim")? as usize;
-            if ndim == 0 || ndim > MAX_NDIM {
-                return Err(WireError::Malformed("ndim out of range"));
-            }
-            let mut dims = Vec::with_capacity(ndim);
-            for _ in 0..ndim {
-                dims.push(c.u32("dim")?);
-            }
-            let bound_tag = c.u8("bound kind")?;
-            let value = c.f64("bound value")?;
-            let bound = match bound_tag {
-                0 => WireBound::Abs(value),
-                1 => WireBound::Rel(value),
-                _ => return Err(WireError::Malformed("unknown bound kind")),
-            };
-            let payload = get_bytes(&mut c, max_payload, "compress payload")?;
-            Op::Compress { compressor, dtype_bits, dims, bound, payload }
-        }
+        OpKind::Compress => get_compress(&mut c, false, max_payload)?,
+        OpKind::CompressTiled => get_compress(&mut c, true, max_payload)?,
         OpKind::Decompress => {
-            let dtype_bits = c.u8("dtype bits")?;
-            if dtype_bits != 32 && dtype_bits != 64 {
-                return Err(WireError::Malformed("dtype bits must be 32 or 64"));
-            }
-            let payload = get_bytes(&mut c, max_payload, "decompress payload")?;
+            let dtype_bits = get_dtype(&mut c)?;
+            let payload = get_payload(&mut c, max_payload, "decompress payload")?;
             Op::Decompress { dtype_bits, payload }
+        }
+        OpKind::ReadRegion => {
+            let dtype_bits = get_dtype(&mut c)?;
+            let origin = get_dims(&mut c, "region ndim out of range")?;
+            let extent = (0..origin.len()).map(|_| c.get_u32()).collect::<Result<_, _>>()?;
+            let payload = get_payload(&mut c, max_payload, "container payload")?;
+            Op::ReadRegion { dtype_bits, origin, extent, payload }
         }
         OpKind::Ping => Op::Ping,
         OpKind::Metrics => Op::Metrics,
-        OpKind::Flight => match c.u8("flight section")? {
+        OpKind::Flight => match c.get_u8()? {
             0 => Op::Flight { tails: false },
             1 => Op::Flight { tails: true },
             _ => return Err(WireError::Malformed("unknown flight section")),
         },
-        OpKind::CompressTiled => {
-            let name_len = c.u8("name length")? as usize;
-            if name_len == 0 || name_len > MAX_NAME_LEN {
-                return Err(WireError::Malformed("compressor name length"));
-            }
-            let name_bytes = c.take(name_len, "compressor name")?;
-            let compressor = std::str::from_utf8(name_bytes)
-                .map_err(|_| WireError::Malformed("compressor name not UTF-8"))?
-                .to_string();
-            let dtype_bits = c.u8("dtype bits")?;
-            if dtype_bits != 32 && dtype_bits != 64 {
-                return Err(WireError::Malformed("dtype bits must be 32 or 64"));
-            }
-            let ndim = c.u8("ndim")? as usize;
-            if ndim == 0 || ndim > MAX_NDIM {
-                return Err(WireError::Malformed("ndim out of range"));
-            }
-            let mut dims = Vec::with_capacity(ndim);
-            for _ in 0..ndim {
-                dims.push(c.u32("dim")?);
-            }
-            let tile = c.u32("tile edge")?;
-            let bound_tag = c.u8("bound kind")?;
-            let value = c.f64("bound value")?;
-            let bound = match bound_tag {
-                0 => WireBound::Abs(value),
-                1 => WireBound::Rel(value),
-                _ => return Err(WireError::Malformed("unknown bound kind")),
-            };
-            let payload = get_bytes(&mut c, max_payload, "compress payload")?;
-            Op::CompressTiled { compressor, dtype_bits, dims, tile, bound, payload }
-        }
-        OpKind::ReadRegion => {
-            let dtype_bits = c.u8("dtype bits")?;
-            if dtype_bits != 32 && dtype_bits != 64 {
-                return Err(WireError::Malformed("dtype bits must be 32 or 64"));
-            }
-            let ndim = c.u8("region ndim")? as usize;
-            if ndim == 0 || ndim > MAX_NDIM {
-                return Err(WireError::Malformed("region ndim out of range"));
-            }
-            let mut origin = Vec::with_capacity(ndim);
-            for _ in 0..ndim {
-                origin.push(c.u32("region origin")?);
-            }
-            let mut extent = Vec::with_capacity(ndim);
-            for _ in 0..ndim {
-                extent.push(c.u32("region extent")?);
-            }
-            let payload = get_bytes(&mut c, max_payload, "container payload")?;
-            Op::ReadRegion { dtype_bits, origin, extent, payload }
-        }
     };
     let trace_id = take_trace_id(&mut c, "trailing bytes after request")?;
-    if !c.finished() {
-        return Err(WireError::Malformed("trailing bytes after request"));
-    }
     Ok(Request { id, deadline_ms, op, trace_id })
 }
 
 /// Decode a sealed response frame body.
 pub fn decode_response(body: &[u8], max_payload: usize) -> Result<Response, WireError> {
-    let payload =
-        integrity::check(body).map_err(|_| WireError::Integrity("bad CRC or missing trailer"))?;
-    let mut c = Cursor::new(payload);
-    if c.u8("magic")? != RESPONSE_MAGIC {
-        return Err(WireError::Malformed("not a response frame"));
-    }
-    if c.u8("version")? != WIRE_VERSION {
-        return Err(WireError::Malformed("unsupported wire version"));
-    }
-    let id = c.u64("request id")?;
+    let mut c = open_body(body, RESPONSE_MAGIC, "not a response frame")?;
+    let id = c.get_u64()?;
     let status =
-        Status::from_tag(c.u8("status")?).ok_or(WireError::Malformed("unknown status tag"))?;
-    let payload = get_bytes(&mut c, max_payload, "response payload")?;
+        Status::from_tag(c.get_u8()?).ok_or(WireError::Malformed("unknown status tag"))?;
+    let payload = get_payload(&mut c, max_payload, "response payload")?;
     let trace_id = take_trace_id(&mut c, "trailing bytes after response")?;
-    if !c.finished() {
-        return Err(WireError::Malformed("trailing bytes after response"));
-    }
     Ok(Response { id, status, payload, trace_id })
 }
 
@@ -812,6 +724,67 @@ mod tests {
         }
     }
 
+    /// One request per op kind and one response, byte for byte: a change to
+    /// the encoder or the decoder moves no frame byte.
+    #[test]
+    fn frame_bytes_are_pinned() {
+        let t = sample_trace();
+        let req = |id, op| encode_request(&Request { id, deadline_ms: 9, op, trace_id: t });
+        let frames = [
+            req(1, Op::Compress {
+                compressor: "SZ3+QP".into(),
+                dtype_bits: 32,
+                dims: vec![2, 1],
+                bound: WireBound::Rel(1e-3),
+                payload: vec![1, 2, 3, 4, 5, 6, 7, 8],
+            }),
+            req(2, Op::Decompress { dtype_bits: 64, payload: vec![0x20, 1] }),
+            req(3, Op::Ping),
+            req(4, Op::Metrics),
+            req(5, Op::CompressTiled {
+                compressor: "MGARD".into(),
+                dtype_bits: 64,
+                dims: vec![1],
+                tile: 16,
+                bound: WireBound::Abs(0.5),
+                payload: vec![0; 8],
+            }),
+            req(6, Op::ReadRegion {
+                dtype_bits: 32,
+                origin: vec![1, 2],
+                extent: vec![3, 4],
+                payload: vec![0xB0],
+            }),
+            req(7, Op::Flight { tails: true }),
+            encode_response(&Response {
+                id: 8,
+                status: Status::BadRegion,
+                payload: b"no".to_vec(),
+                trace_id: t,
+            }),
+        ];
+        let hex: Vec<String> =
+            frames.iter().map(|f| f.iter().map(|b| format!("{b:02x}")).collect()).collect();
+        assert_eq!(
+            hex,
+            [
+                "a5010100000000000000010900000006535a332b51502002020000000100000001fca9f1d24d62503f08000000000000000102030405060708d0d1d2d3d4d5d6d7d8d9dadbdcdddedfdd3bd940c451",
+                "a501020000000000000002090000004002000000000000002001d0d1d2d3d4d5d6d7d8d9dadbdcdddedf5e9e86abc451",
+                "a50103000000000000000309000000d0d1d2d3d4d5d6d7d8d9dadbdcdddedf045d86a6c451",
+                "a50104000000000000000409000000d0d1d2d3d4d5d6d7d8d9dadbdcdddedfe1d2073dc451",
+                "a50105000000000000000509000000054d474152444001010000001000000000000000000000e03f08000000000000000000000000000000d0d1d2d3d4d5d6d7d8d9dadbdcdddedf2f49bd4ac451",
+                "a501060000000000000006090000002002010000000200000003000000040000000100000000000000b0d0d1d2d3d4d5d6d7d8d9dadbdcdddedf313f6525c451",
+                "a5010700000000000000070900000001d0d1d2d3d4d5d6d7d8d9dadbdcdddedf02ee3053c451",
+                "a60108000000000000000a02000000000000006e6fd0d1d2d3d4d5d6d7d8d9dadbdcdddedff6018e14c451",
+            ]
+        );
+        // The decoder reads each pinned frame back to what encodes it.
+        for f in &frames[..7] {
+            assert_eq!(&encode_request(&decode_request(f, 1 << 20).unwrap()), f);
+        }
+        assert_eq!(encode_response(&decode_response(&frames[7], 1 << 20).unwrap()), frames[7]);
+    }
+
     #[test]
     fn response_roundtrip() {
         for resp in [
@@ -926,32 +899,35 @@ mod tests {
     #[test]
     fn legacy_frames_without_trace_id_still_parse() {
         // Hand-build a Ping request body exactly as the pre-trace encoder did.
-        let mut body = vec![REQUEST_MAGIC, WIRE_VERSION];
-        body.push_u64(9001);
-        body.push(OpKind::Ping.tag());
-        body.push_u32(125);
-        let legacy = integrity::seal(body);
+        let mut body = ByteWriter::new();
+        body.put_bytes(&[REQUEST_MAGIC, WIRE_VERSION]);
+        body.put_u64(9001);
+        body.put_u8(OpKind::Ping.tag());
+        body.put_u32(125);
+        let legacy = integrity::seal(body.finish());
         let req = decode_request(&legacy, 1 << 20).unwrap();
         assert_eq!(req.id, 9001);
         assert_eq!(req.trace_id, ZERO_TRACE);
 
         // Same for a response body.
-        let mut body = vec![RESPONSE_MAGIC, WIRE_VERSION];
-        body.push_u64(9001);
-        body.push(Status::Ok.tag());
-        put_bytes(&mut body, b"pong");
-        let legacy = integrity::seal(body);
+        let mut body = ByteWriter::new();
+        body.put_bytes(&[RESPONSE_MAGIC, WIRE_VERSION]);
+        body.put_u64(9001);
+        body.put_u8(Status::Ok.tag());
+        put_payload(&mut body, b"pong");
+        let legacy = integrity::seal(body.finish());
         let resp = decode_response(&legacy, 1 << 20).unwrap();
         assert_eq!(resp.trace_id, ZERO_TRACE);
 
         // Any other trailing length is rejected.
         for extra in [1usize, 8, 15, 17, 24] {
-            let mut body = vec![REQUEST_MAGIC, WIRE_VERSION];
-            body.push_u64(1);
-            body.push(OpKind::Ping.tag());
-            body.push_u32(0);
-            body.extend(std::iter::repeat_n(0xEE, extra));
-            let framed = integrity::seal(body);
+            let mut body = ByteWriter::new();
+            body.put_bytes(&[REQUEST_MAGIC, WIRE_VERSION]);
+            body.put_u64(1);
+            body.put_u8(OpKind::Ping.tag());
+            body.put_u32(0);
+            body.put_bytes(&[0xEE; 24][..extra]);
+            let framed = integrity::seal(body.finish());
             assert!(
                 decode_request(&framed, 1 << 20).is_err(),
                 "{extra} trailing bytes accepted"

@@ -329,6 +329,12 @@ fn connection_cap_refuses_with_typed_busy() {
     assert_eq!(resp.status, Status::ServerBusy, "{}", resp.reason());
     drop(second);
 
+    // The refusal is accounted like any answered frame: one event-log line.
+    let log = handle.events_jsonl();
+    let refused = records_with(&log, &qip_serve::wire::trace_hex(&resp.trace_id));
+    assert_eq!(refused.len(), 1, "{log}");
+    assert_eq!(refused[0]["status"].as_str(), Some("SERVER_BUSY"), "{log}");
+
     // The first connection still works.
     assert_eq!(keeper.ping().unwrap().status, Status::Ok);
     drop(keeper);
@@ -524,16 +530,8 @@ fn trace_ids_echo_across_statuses_and_land_in_the_event_log() {
         assert_eq!(resp.trace_id, t, "inline-op echo");
     }
 
-    // Workers hand the response to the writer *before* appending the event
-    // record (telemetry stays off the latency path), so poll briefly: all 7
-    // responses are in, but the last event push may still be in flight.
     let hex = qip_serve::wire::trace_hex(&t);
-    let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    let mut mine = records_with(&handle.events_jsonl(), &hex);
-    while mine.len() < 7 && std::time::Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(10));
-        mine = records_with(&handle.events_jsonl(), &hex);
-    }
+    let mine = records_with(&handle.events_jsonl(), &hex);
     assert!(mine.len() >= 7, "expected >=7 events for {hex}, got {mine:?}");
     // Worker-path events carry the full stage breakdown.
     assert!(

@@ -3,6 +3,8 @@
 //! ```text
 //! qip compress   -i data.f32 -d 256x384x384 -m sz3 --eb rel:1e-3 [--qp] [--f64] -o data.qip
 //! qip decompress -i data.qip -o restored.f32 [--f64]
+//! qip tile       -i data.f32 -d 256x384x384 -m sz3 [--tile 64] [--qp] [--f64] -o data.qtc
+//! qip read       -i data.qtc -o out.f32 [--region 0:16,32:64,32:64 | --coarse 2] [--f64]
 //! qip info       -i data.qip
 //! qip inspect    -i data.qip [--original data.f32 -d 256x384x384] [--json report.json]
 //! qip gen        --dataset miranda -d 64x96x96 [--field 0] -o data.f32
@@ -11,15 +13,24 @@
 //!
 //! Raw files are little-endian f32 (or f64 with `--f64`), row-major, matching
 //! the SZ3 command-line conventions. Decompression auto-detects the
-//! compressor from the stream magic.
+//! compressor from the stream magic. `compress`, `tile`, `decompress` and
+//! `read` (except `--coarse`) build a wire op and run it through
+//! `qip::serve::execute`, the function serve's workers run, so a refusal
+//! reads the same and an output equals the served response byte for byte.
 
+use qip::core::CompressCtx;
 use qip::prelude::*;
 use qip::registry::AnyCompressor;
+use qip::serve::execute;
+use qip::serve::wire::{Op, WireBound};
+use qip::telemetry::StageTimer;
 use std::collections::HashMap;
 use std::process::ExitCode;
 
+/// Parse `NxNxN`. Axes are `u32`, the width a wire op carries them in.
 fn parse_dims(s: &str) -> Result<Vec<usize>, String> {
-    let dims: Result<Vec<usize>, _> = s.split(['x', 'X', ',']).map(|p| p.parse()).collect();
+    let dims: Result<Vec<usize>, _> =
+        s.split(['x', 'X', ',']).map(|p| p.parse::<u32>().map(|d| d as usize)).collect();
     let dims = dims.map_err(|e| format!("bad dims '{s}': {e}"))?;
     if dims.is_empty() || dims.len() > 4 {
         return Err(
@@ -32,21 +43,26 @@ fn parse_dims(s: &str) -> Result<Vec<usize>, String> {
     Ok(dims)
 }
 
-fn parse_eb(s: &str) -> Result<ErrorBound, String> {
+/// Parse `rel:V` / `abs:V`. Whether V is usable (positive and finite) is
+/// `execute`'s check, the same one serve makes.
+fn parse_eb(s: &str) -> Result<WireBound, String> {
     if let Some(v) = s.strip_prefix("rel:") {
-        return v.parse().map(ErrorBound::Rel).map_err(|e| format!("bad bound: {e}"));
+        return v.parse().map(WireBound::Rel).map_err(|e| format!("bad bound: {e}"));
     }
     if let Some(v) = s.strip_prefix("abs:") {
-        return v.parse().map(ErrorBound::Abs).map_err(|e| format!("bad bound: {e}"));
+        return v.parse().map(WireBound::Abs).map_err(|e| format!("bad bound: {e}"));
     }
     Err("error bound must be rel:<v> or abs:<v>".into())
 }
 
-/// One constructor for both scalar types: `AnyCompressor` implements
-/// `Compressor<f32>` and `Compressor<f64>`, so the registry lookup replaces
-/// the two per-type tables this binary used to carry. Lookup failures render
-/// the registry's typed [`qip::registry::LookupError`], which lists the
-/// canonical names.
+fn u32s(v: &[usize]) -> Vec<u32> {
+    v.iter().map(|&x| x as u32).collect()
+}
+
+/// The registry compressor `-m NAME [--qp]` asks for, whose `name()` is the
+/// canonical spelling the op carries and the stderr line prints. Lookup
+/// failures render the registry's typed [`qip::registry::LookupError`], which
+/// lists the canonical names.
 fn compressor_by_name(name: &str, qp: bool) -> Result<AnyCompressor, String> {
     let canonical = if qp { format!("{name}+qp") } else { name.to_string() };
     AnyCompressor::by_name(&canonical).map_err(|e| e.to_string())
@@ -60,8 +76,12 @@ fn parse_region(s: &str) -> Result<qip::tensor::Region, String> {
         let (o, e) = part
             .split_once(':')
             .ok_or_else(|| format!("bad region '{s}': each axis must be origin:extent"))?;
-        origin.push(o.parse::<usize>().map_err(|e| format!("bad region origin '{o}': {e}"))?);
-        extent.push(e.parse::<usize>().map_err(|er| format!("bad region extent '{e}': {er}"))?);
+        let axis = |v: &str, what| {
+            let n = v.parse::<u32>().map_err(|e| format!("bad region {what} '{v}': {e}"))?;
+            Ok::<_, String>(n as usize)
+        };
+        origin.push(axis(o, "origin")?);
+        extent.push(axis(e, "extent")?);
     }
     if origin.is_empty() || origin.len() > 4 {
         return Err(format!("bad region '{s}': 1-4 axes"));
@@ -156,6 +176,16 @@ fn with_cli_obs<R>(obs: CliObs, f: impl FnOnce() -> Result<R, String>) -> Result
     result
 }
 
+/// Run one data operation through `qip::serve::execute`, the path serve's
+/// workers take, under whatever observability the flags ask for. A refusal
+/// renders as its reason alone.
+fn run_op(opts: &HashMap<String, String>, flags: &[String], op: &Op) -> Result<Vec<u8>, String> {
+    with_cli_obs(CliObs::from_cli(opts, flags), || {
+        let (ctx, stages) = (&mut CompressCtx::new(), &mut StageTimer::start());
+        execute(op, ctx, stages, None).map_err(|(_, reason)| reason)
+    })
+}
+
 /// Every valued option (`-k V` / `--key V`) some subcommand reads. Anything
 /// else is a usage error: a misspelt `--trace` must not run and write nothing.
 const KNOWN_OPTS: [&str; 25] = [
@@ -199,33 +229,34 @@ fn run() -> Result<(), String> {
         opts.get(k).ok_or(format!("missing required option -{k}"))
     };
     let is_f64 = flags.iter().any(|f| f == "f64");
+    let dtype_bits = if is_f64 { 64 } else { 32 };
 
     match cmd.as_str() {
-        "compress" => {
+        "compress" | "tile" => {
+            // `tile` writes a tiled container: random-access region reads and
+            // (for MGARD tiles) progressive decode via `qip read`.
             let input = need("i")?;
             let output = need("o")?;
-            let dims = parse_dims(need("d")?)?;
+            let dims = u32s(&parse_dims(need("d")?)?);
             let method = opts.get("m").map(String::as_str).unwrap_or("sz3");
             let bound = parse_eb(opts.get("eb").map(String::as_str).unwrap_or("rel:1e-3"))?;
             let qp = flags.iter().any(|f| f == "qp");
-            let raw = std::fs::read(input).map_err(|e| format!("read {input}: {e}"))?;
-            let shape = Shape::new(&dims);
-
-            let comp = compressor_by_name(method, qp)?;
-            let (bytes, name, n) =
-                with_cli_obs(CliObs::from_cli(&opts, &flags), || {
-                    if is_f64 {
-                        let field = Field::<f64>::from_le_bytes(shape, &raw)
-                            .map_err(|e| format!("{input}: {e}"))?;
-                        let bytes = comp.compress(&field, bound).map_err(|e| e.to_string())?;
-                        Ok((bytes, Compressor::<f64>::name(&comp), field.len() * 8))
-                    } else {
-                        let field = Field::<f32>::from_le_bytes(shape, &raw)
-                            .map_err(|e| format!("{input}: {e}"))?;
-                        let bytes = comp.compress(&field, bound).map_err(|e| e.to_string())?;
-                        Ok((bytes, Compressor::<f32>::name(&comp), field.len() * 4))
-                    }
-                })?;
+            let payload = std::fs::read(input).map_err(|e| format!("read {input}: {e}"))?;
+            let n = payload.len();
+            // Names do not depend on the scalar type.
+            let compressor = Compressor::<f32>::name(&compressor_by_name(method, qp)?);
+            let (name, op) = if cmd == "tile" {
+                let tile: u32 = match opts.get("tile") {
+                    Some(v) => v.parse().map_err(|e| format!("bad --tile '{v}': {e}"))?,
+                    None => 64,
+                };
+                // Named the way `TiledCompressor` names itself.
+                let name = format!("{compressor}⊞{tile}");
+                (name, Op::CompressTiled { compressor, dtype_bits, dims, tile, bound, payload })
+            } else {
+                (compressor.clone(), Op::Compress { compressor, dtype_bits, dims, bound, payload })
+            };
+            let bytes = run_op(&opts, &flags, &op)?;
             std::fs::write(output, &bytes).map_err(|e| format!("write {output}: {e}"))?;
             eprintln!(
                 "{name}: {} -> {} bytes (CR {:.2})",
@@ -238,21 +269,11 @@ fn run() -> Result<(), String> {
         "decompress" => {
             let input = need("i")?;
             let output = need("o")?;
-            let bytes = std::fs::read(input).map_err(|e| format!("read {input}: {e}"))?;
-            let method =
-                qip::registry::detect_stream(&bytes).ok_or("unrecognized stream magic")?;
-            let out = with_cli_obs(CliObs::from_cli(&opts, &flags), || {
-                use qip::container::decompress_any;
-                let ctx = &mut qip::core::CompressCtx::new();
-                if is_f64 {
-                    decompress_any::<f64>(&bytes, ctx).map(|f| f.to_le_bytes())
-                } else {
-                    decompress_any::<f32>(&bytes, ctx).map(|f| f.to_le_bytes())
-                }
-                .map_err(|e| e.to_string())
-            })?;
+            let payload = std::fs::read(input).map_err(|e| format!("read {input}: {e}"))?;
+            let (method, n) = (qip::registry::detect_stream(&payload), payload.len());
+            let out = run_op(&opts, &flags, &Op::Decompress { dtype_bits, payload })?;
             std::fs::write(output, &out).map_err(|e| format!("write {output}: {e}"))?;
-            eprintln!("{method}: {} -> {} bytes", bytes.len(), out.len());
+            eprintln!("{}: {n} -> {} bytes", method.unwrap_or_default(), out.len());
             Ok(())
         }
         "info" => {
@@ -330,109 +351,49 @@ fn run() -> Result<(), String> {
             }
             Ok(())
         }
-        "tile" => {
-            // Compress into a tiled container: random-access region reads and
-            // (for MGARD tiles) progressive decode via `qip read`.
-            let input = need("i")?;
-            let output = need("o")?;
-            let dims = parse_dims(need("d")?)?;
-            let method = opts.get("m").map(String::as_str).unwrap_or("sz3");
-            let tile: usize = match opts.get("tile") {
-                Some(v) => v.parse().map_err(|e| format!("bad --tile '{v}': {e}"))?,
-                None => 64,
-            };
-            let bound = parse_eb(opts.get("eb").map(String::as_str).unwrap_or("rel:1e-3"))?;
-            let qp = flags.iter().any(|f| f == "qp");
-            let raw = std::fs::read(input).map_err(|e| format!("read {input}: {e}"))?;
-            let shape = Shape::new(&dims);
-
-            let inner = compressor_by_name(method, qp)?;
-            let tc = qip::container::TiledCompressor::new(inner, tile)
-                .map_err(|e| e.to_string())?;
-            let (bytes, name, n) =
-                with_cli_obs(CliObs::from_cli(&opts, &flags), || {
-                    if is_f64 {
-                        let field = Field::<f64>::from_le_bytes(shape, &raw)
-                            .map_err(|e| format!("{input}: {e}"))?;
-                        let bytes = tc.compress(&field, bound).map_err(|e| e.to_string())?;
-                        Ok((bytes, Compressor::<f64>::name(&tc), field.len() * 8))
-                    } else {
-                        let field = Field::<f32>::from_le_bytes(shape, &raw)
-                            .map_err(|e| format!("{input}: {e}"))?;
-                        let bytes = tc.compress(&field, bound).map_err(|e| e.to_string())?;
-                        Ok((bytes, Compressor::<f32>::name(&tc), field.len() * 4))
-                    }
-                })?;
-            std::fs::write(output, &bytes).map_err(|e| format!("write {output}: {e}"))?;
-            eprintln!(
-                "{name}: {} -> {} bytes (CR {:.2})",
-                n,
-                bytes.len(),
-                n as f64 / bytes.len() as f64
-            );
-            Ok(())
-        }
         "read" => {
             // Random-access read from a tiled container: a region decodes only
             // the tiles it intersects; --coarse L decodes the whole field on
             // the stride-2^L lattice (MGARD tiles).
             let input = need("i")?;
             let output = need("o")?;
-            let bytes = std::fs::read(input).map_err(|e| format!("read {input}: {e}"))?;
+            let payload = std::fs::read(input).map_err(|e| format!("read {input}: {e}"))?;
             let region = opts.get("region").map(|s| parse_region(s)).transpose()?;
             let coarse: Option<usize> = opts
                 .get("coarse")
                 .map(|v| v.parse().map_err(|e| format!("bad --coarse '{v}': {e}")))
                 .transpose()?;
-            if region.is_some() && coarse.is_some() {
-                return Err("--region and --coarse are mutually exclusive".into());
-            }
-            let out = with_cli_obs(CliObs::from_cli(&opts, &flags), || {
-                match (&region, coarse) {
-                    (Some(r), None) => {
-                        if is_f64 {
-                            let field: Field<f64> = qip::container::read_region(&bytes, r)
-                                .map_err(|e| e.to_string())?;
-                            Ok(field.to_le_bytes())
-                        } else {
-                            let field: Field<f32> = qip::container::read_region(&bytes, r)
-                                .map_err(|e| e.to_string())?;
-                            Ok(field.to_le_bytes())
-                        }
-                    }
-                    (None, Some(level)) => {
-                        if is_f64 {
-                            let field: Field<f64> =
-                                qip::container::decompress_reduced(&bytes, level)
-                                    .map_err(|e| e.to_string())?;
-                            Ok(field.to_le_bytes())
-                        } else {
-                            let field: Field<f32> =
-                                qip::container::decompress_reduced(&bytes, level)
-                                    .map_err(|e| e.to_string())?;
-                            Ok(field.to_le_bytes())
-                        }
-                    }
-                    (None, None) => {
-                        if is_f64 {
-                            let field: Field<f64> = qip::container::decompress_full(&bytes)
-                                .map_err(|e| e.to_string())?;
-                            Ok(field.to_le_bytes())
-                        } else {
-                            let field: Field<f32> = qip::container::decompress_full(&bytes)
-                                .map_err(|e| e.to_string())?;
-                            Ok(field.to_le_bytes())
-                        }
-                    }
-                    (Some(_), Some(_)) => unreachable!("rejected above"),
+            let (out, what) = match (region, coarse) {
+                (Some(_), Some(_)) => {
+                    return Err("--region and --coarse are mutually exclusive".into())
                 }
-            })?;
+                (Some(r), None) => {
+                    let (origin, extent) = (u32s(r.origin()), u32s(r.extent()));
+                    let op = Op::ReadRegion { dtype_bits, origin, extent, payload };
+                    (run_op(&opts, &flags, &op)?, format!("region {r}"))
+                }
+                (None, Some(level)) => {
+                    let out = with_cli_obs(CliObs::from_cli(&opts, &flags), || {
+                        use qip::container::decompress_reduced;
+                        if is_f64 {
+                            decompress_reduced::<f64>(&payload, level).map(|f| f.to_le_bytes())
+                        } else {
+                            decompress_reduced::<f32>(&payload, level).map(|f| f.to_le_bytes())
+                        }
+                        .map_err(|e| e.to_string())
+                    })?;
+                    (out, format!("coarse level {level}"))
+                }
+                (None, None) => {
+                    if payload.first() != Some(&qip::container::MAGIC_TILED) {
+                        return Err("wrong format: not a tiled container".into());
+                    }
+                    let op = Op::Decompress { dtype_bits, payload };
+                    (run_op(&opts, &flags, &op)?, "full field".to_string())
+                }
+            };
             std::fs::write(output, &out).map_err(|e| format!("write {output}: {e}"))?;
-            match (&region, coarse) {
-                (Some(r), _) => eprintln!("region {r}: {} bytes", out.len()),
-                (_, Some(l)) => eprintln!("coarse level {l}: {} bytes", out.len()),
-                _ => eprintln!("full field: {} bytes", out.len()),
-            }
+            eprintln!("{what}: {} bytes", out.len());
             Ok(())
         }
         "gen" => {

@@ -319,3 +319,59 @@ fn inspect_exits_1_when_the_original_shows_a_bound_violation() {
     assert!(!table.contains("inf") && !table.contains("NaN"), "{table}");
     assert!(String::from_utf8_lossy(&out.stderr).contains("error bound violated at 2 samples"));
 }
+
+/// The bound check is `execute`'s, so the CLI refuses what serve refuses,
+/// with the same reason.
+#[test]
+fn unusable_bounds_are_refused_as_serve_refuses_them() {
+    let raw = tmp("bounds.f32");
+    let raw_s = raw.to_str().unwrap();
+    assert!(qip().args(["gen", "-o", raw_s, "-d", "16x16x16"]).status().unwrap().success());
+    for eb in ["abs:-1", "abs:nan", "abs:0", "rel:inf"] {
+        let out = qip()
+            .args(["compress", "-i", raw_s, "-o", "/dev/null", "-d", "16x16x16", "--eb", eb])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "--eb {eb} must be refused");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("error bound must be positive and finite"), "--eb {eb}: {err}");
+    }
+}
+
+/// `qip compress` / `qip tile` write exactly the bytes an in-process server
+/// answers for the same op, for both scalar types.
+#[test]
+fn cli_output_equals_the_served_response() {
+    use qip::serve::wire::{Status, WireBound};
+    use qip::serve::{Client, ServeConfig, Server};
+    let handle = Server::start(ServeConfig { workers: 1, ..ServeConfig::default() }).unwrap();
+    let mut client =
+        Client::connect(handle.addr(), std::time::Duration::from_secs(30), 64 << 20).unwrap();
+    for (dtype_bits, f64_flag) in [(32u8, None), (64, Some("--f64"))] {
+        let raw = tmp(&format!("served{dtype_bits}.raw"));
+        let packed = tmp(&format!("served{dtype_bits}.qip"));
+        let (raw_s, packed_s) = (raw.to_str().unwrap(), packed.to_str().unwrap());
+        let gen = ["gen", "-o", raw_s, "-d", "20x18x16", "--dataset", "hurricane"];
+        assert!(qip().args(gen).args(f64_flag).status().unwrap().success());
+        let field = std::fs::read(&raw).unwrap();
+        let (dims, bound) = ([20, 18, 16], WireBound::Rel(1e-3));
+        for cmd in ["compress", "tile"] {
+            let mut args = vec![cmd, "-i", raw_s, "-o", packed_s, "-d", "20x18x16", "-m", "sz3"];
+            args.extend(["--eb", "rel:1e-3", "--qp"]);
+            if cmd == "tile" {
+                args.extend(["--tile", "8"]);
+            }
+            let out = qip().args(&args).args(f64_flag).output().unwrap();
+            assert!(out.status.success(), "{cmd}: {}", String::from_utf8_lossy(&out.stderr));
+            let resp = match cmd {
+                "compress" => client.compress("SZ3+QP", dtype_bits, &dims, bound, field.clone(), 0),
+                _ => client.compress_tiled("SZ3+QP", dtype_bits, &dims, 8, bound, field.clone(), 0),
+            }
+            .unwrap();
+            assert_eq!(resp.status, Status::Ok, "{}", resp.reason());
+            assert!(std::fs::read(&packed).unwrap() == resp.payload, "{cmd} f{dtype_bits}");
+        }
+    }
+    drop(client);
+    handle.join();
+}
