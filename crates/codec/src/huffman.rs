@@ -10,7 +10,7 @@ use std::collections::HashMap;
 
 use crate::bits::{BitReader, BitWriter};
 use crate::stream::ByteReader;
-use crate::varint::{write_ivarint, write_uvarint};
+use crate::varint::{uvarint_len, write_ivarint, write_uvarint};
 use crate::{CodecError, Dest};
 
 /// Maximum admissible code length; frequencies are scaled down and the tree
@@ -29,7 +29,7 @@ pub(crate) struct Scratch {
     /// then its alphabet rank.
     rank: Vec<u32>,
     alphabet: Vec<i32>,
-    freqs: Vec<u64>,
+    pub(crate) freqs: Vec<u64>,
     /// Tree nodes as `(weight, id)`: sorted leaves, then internal nodes.
     queue: Vec<(u64, u32)>,
     /// Per node its parent's id, then its depth; cut down to the leaves.
@@ -128,14 +128,35 @@ pub fn encode(symbols: &[i32]) -> Vec<u8> {
     out
 }
 
-/// [`encode`] into `out` (cleared first) with the caller's working memory.
-pub(crate) fn encode_into(symbols: &[i32], t: &mut Scratch, out: &mut Vec<u8>) {
-    out.clear();
-    out.reserve(symbols.len() / 2 + 64);
-    write_uvarint(out, symbols.len() as u64);
-    if symbols.is_empty() {
-        return;
+/// The code [`plan`] built for one block: where its header's alphabet ends,
+/// how a symbol finds its alphabet rank, and how long the code stream is.
+struct Plan {
+    /// Ranks sit in `Scratch::rank` over the value span `lo..lo + span`
+    /// (the sentinel in the slot past it), else in `wide`.
+    dense: bool,
+    lo: i32,
+    span: usize,
+    wide: HashMap<i32, u64>,
+    /// Header bytes through the alphabet.
+    alphabet_end: usize,
+    /// Bits of the code stream; `None` when the header carries everything.
+    bits: Option<u64>,
+}
+
+impl Plan {
+    /// Slot of `s` in the dense rank table; `s - lo` wraps to at least
+    /// `span` for the sentinel alone (`hi < 2³¹`).
+    #[inline]
+    fn slot(&self, s: i32) -> usize {
+        (s.wrapping_sub(self.lo) as u32 as usize).min(self.span)
     }
+}
+
+/// Build the code of `symbols` — histogram, alphabet, code lengths — in `t`
+/// and append the stream's header up to the code stream's length prefix to
+/// `out`.
+fn plan(symbols: &[i32], t: &mut Scratch, out: &mut Vec<u8>) -> Plan {
+    write_uvarint(out, symbols.len() as u64);
 
     // Histogram and symbol → rank lookup share one structure. Quantization
     // indices cluster around zero with a sparse tail out to the quantizer
@@ -153,10 +174,12 @@ pub(crate) fn encode_into(symbols: &[i32], t: &mut Scratch, out: &mut Vec<u8>) {
     }
     // Zero when every symbol is the sentinel.
     let span = (hi as i64 - lo as i64 + 1).max(0) as usize;
-    // `s - lo` wraps to at least `span` for the sentinel alone (`hi < 2³¹`).
-    let slot = |s: i32| (s.wrapping_sub(lo) as u32 as usize).min(span);
     let dense = span <= 1 << 22 && (symbols.len() as u64) < 1 << 32;
-    let mut wide: HashMap<i32, u64> = HashMap::new();
+    let mut plan =
+        Plan { dense, lo, span, wide: HashMap::new(), alphabet_end: out.len(), bits: None };
+    if symbols.is_empty() {
+        return plan;
+    }
     t.alphabet.clear();
     t.freqs.clear();
     if dense {
@@ -164,7 +187,7 @@ pub(crate) fn encode_into(symbols: &[i32], t: &mut Scratch, out: &mut Vec<u8>) {
         t.rank.resize(span + 1, 0);
         let mut distinct = 0;
         for &s in symbols {
-            let count = &mut t.rank[slot(s)];
+            let count = &mut t.rank[plan.slot(s)];
             distinct += (*count == 0) as usize;
             *count += 1;
         }
@@ -181,12 +204,12 @@ pub(crate) fn encode_into(symbols: &[i32], t: &mut Scratch, out: &mut Vec<u8>) {
     } else {
         t.wide_blocks += 1;
         for &s in symbols {
-            *wide.entry(s).or_insert(0) += 1;
+            *plan.wide.entry(s).or_insert(0) += 1;
         }
-        t.alphabet.extend(wide.keys());
+        t.alphabet.extend(plan.wide.keys());
         t.alphabet.sort_unstable();
         for (i, s) in t.alphabet.iter().enumerate() {
-            let count = wide.get_mut(s).expect("alphabet symbol was counted");
+            let count = plan.wide.get_mut(s).expect("alphabet symbol was counted");
             t.freqs.push(std::mem::replace(count, i as u64));
         }
     }
@@ -198,19 +221,28 @@ pub(crate) fn encode_into(symbols: &[i32], t: &mut Scratch, out: &mut Vec<u8>) {
         write_ivarint(out, sym as i64 - prev);
         prev = sym as i64;
     }
+    plan.alphabet_end = out.len();
 
     if t.alphabet.len() == 1 {
         // Degenerate single-symbol stream: header carries everything.
-        return;
+        return plan;
     }
 
     limited_code_lengths(&t.freqs, &mut t.queue, &mut t.lengths);
     out.extend(t.lengths.iter().map(|&l| l as u8));
+    plan.bits = Some(t.lengths.iter().zip(&t.freqs).map(|(&len, &freq)| freq * len as u64).sum());
+    plan
+}
+
+/// [`encode`] into `out` (cleared first) with the caller's working memory.
+pub(crate) fn encode_into(symbols: &[i32], t: &mut Scratch, out: &mut Vec<u8>) {
+    out.clear();
+    out.reserve(symbols.len() / 2 + 64);
+    let plan = plan(symbols, t, out);
+    let Some(bits) = plan.bits else { return };
     canonical_codes(&t.lengths, &mut t.packed);
-    let mut bits = 0u64;
-    for ((p, &len), &freq) in t.packed.iter_mut().zip(&t.lengths).zip(&t.freqs) {
+    for (p, &len) in t.packed.iter_mut().zip(&t.lengths) {
         *p = *p << 6 | len as u64;
-        bits += freq * len as u64;
     }
 
     // The code stream's size is known, so its length prefix goes out first
@@ -222,12 +254,33 @@ pub(crate) fn encode_into(symbols: &[i32], t: &mut Scratch, out: &mut Vec<u8>) {
     let end = out.len() + bytes as usize;
     let mut bw = BitWriter::from_vec(std::mem::take(out));
     for &s in symbols {
-        let rank = if dense { t.rank[slot(s)] } else { wide[&s] as u32 };
+        let rank = if plan.dense { t.rank[plan.slot(s)] } else { plan.wide[&s] as u32 };
         let p = t.packed[rank as usize];
         bw.write_bits(p >> 6, (p & 63) as u32);
     }
     *out = bw.finish();
     debug_assert_eq!(out.len(), end, "code stream size differs from its prefix");
+}
+
+/// Sizes of the stream [`encode_into`] writes for one block.
+pub(crate) struct Size {
+    /// The whole stream.
+    pub(crate) total: usize,
+    /// Its head through the alphabet, which the range coder writes too.
+    pub(crate) alphabet: usize,
+}
+
+/// [`encode_into`]'s stream sizes, from the same code build but without
+/// the code stream: only the header is written, into `head` (cleared
+/// first). `t.freqs` is left holding the alphabet's counts.
+pub(crate) fn size(symbols: &[i32], t: &mut Scratch, head: &mut Vec<u8>) -> Size {
+    head.clear();
+    let plan = plan(symbols, t, head);
+    let body = plan.bits.map_or(0, |bits| {
+        let bytes = bits.div_ceil(8);
+        uvarint_len(bytes) + bytes as usize
+    });
+    Size { total: head.len() + body, alphabet: plan.alphabet_end }
 }
 
 /// Decode a stream produced by [`encode`].

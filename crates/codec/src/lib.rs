@@ -30,7 +30,8 @@ pub use bits::{BitReader, BitWriter};
 pub use inspect::{inspect_index_block, IndexForensics};
 pub use lossless::{
     decode_indices, decode_indices_capped, decode_indices_capped_into, encode_indices,
-    encode_indices_into, CHUNK_SYMBOLS,
+    encode_indices_into, price_indices, EntropyStage, CHUNK_SYMBOLS,
+    RANGE_TRY_LIMIT,
 };
 pub use stream::{ByteReader, ByteWriter, Span, Spans};
 

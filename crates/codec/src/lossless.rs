@@ -14,7 +14,9 @@
 //! except for the per-chunk table headers. Chunk boundaries are fixed by the
 //! format, never by the thread count, so the encoded bytes are deterministic.
 
+use crate::varint::uvarint_len;
 use crate::{huffman, lz, range, ByteReader, ByteWriter, CodecError, Dest};
+use qip_metrics::entropy_of_counts;
 use qip_telemetry::{count, span, Label};
 use rayon::prelude::*;
 
@@ -32,7 +34,7 @@ const MODE_CHUNKED: u8 = 4;
 /// Streams below this symbol count also try the (slower) adaptive range
 /// coder, which shines exactly there: no code-length header, instant
 /// adaptation. Large streams stick to Huffman+LZ for throughput.
-const RANGE_TRY_LIMIT: usize = 1 << 16;
+pub const RANGE_TRY_LIMIT: usize = 1 << 16;
 
 /// Symbols per chunk in the chunked (mode 4) framing. Streams with at most
 /// this many symbols keep the flat single-block layout.
@@ -89,6 +91,23 @@ fn encode_block(indices: &[i32], s: &mut Scratch, out: &mut Vec<u8>) {
     out.reserve_exact(best.len() + 1);
     out.push(mode);
     out.extend_from_slice(best);
+}
+
+/// [`encode_block`]'s output size, priced rather than coded: the exact
+/// plain-Huffman size, or — for a block the range coder is tried on — the
+/// smaller of that and an order-0 arithmetic estimate (the alphabet header,
+/// `N·H₀` bits, the coder's 8 flush bytes). No bits are written and no LZ
+/// pass runs, so a block LZ shrinks codes below its price.
+fn price_block(indices: &[i32], s: &mut Scratch) -> usize {
+    let size = huffman::size(indices, &mut s.huffman, &mut s.coded);
+    let mut best = size.total;
+    if indices.len() <= RANGE_TRY_LIMIT {
+        let n = indices.len() as u64;
+        let bits = entropy_of_counts(n, s.huffman.freqs.iter().copied()) * n as f64;
+        let payload = (bits / 8.0).ceil() as usize + range::FLUSH_BYTES;
+        best = best.min(size.alphabet + uvarint_len(payload as u64) + payload);
+    }
+    1 + best
 }
 
 /// One independently coded chunk of an index block, as [`parse`] reads it
@@ -282,6 +301,48 @@ pub fn encode_indices_into(indices: &[i32], out: &mut Vec<u8>) {
     count("codec.symbols_in", Label::None, indices.len() as u64);
     count("codec.chunks", Label::None, nchunks as u64);
     count("codec.bytes_out", Label::None, out.len() as u64);
+}
+
+/// What [`encode_indices`] would cost `indices`, without coding them: the
+/// same chunking and the same Huffman table build, per chunk
+/// [`price_block`]'s price, and the chunked framing's exact bytes. Equal to
+/// `encode_indices(indices).len()` wherever the encoder keeps plain Huffman.
+pub fn price_indices(indices: &[i32]) -> usize {
+    let mut s = Scratch::default();
+    if indices.len() <= CHUNK_SYMBOLS {
+        return price_block(indices, &mut s);
+    }
+    let nchunks = indices.len().div_ceil(CHUNK_SYMBOLS);
+    let framing = 1 + uvarint_len(indices.len() as u64)
+        + uvarint_len(CHUNK_SYMBOLS as u64)
+        + uvarint_len(nchunks as u64);
+    indices.chunks(CHUNK_SYMBOLS).fold(framing, |total, chunk| {
+        let len = price_block(chunk, &mut s);
+        total + uvarint_len(len as u64) + len
+    })
+}
+
+/// What an encoder's entropy stage makes of its index block.
+#[derive(Debug, Clone, Copy)]
+pub enum EntropyStage {
+    /// Code it: [`encode_indices_into`].
+    Code,
+    /// Price it: [`price_indices`] zero bytes stand in for the block, so a
+    /// trial stream keeps its coded layout and its priced length.
+    Price,
+}
+
+impl EntropyStage {
+    /// Fill `out` (cleared first) with the index block this stage makes.
+    pub fn run(self, indices: &[i32], out: &mut Vec<u8>) {
+        match self {
+            EntropyStage::Code => encode_indices_into(indices, out),
+            EntropyStage::Price => {
+                out.clear();
+                out.resize(price_indices(indices), 0);
+            }
+        }
+    }
 }
 
 /// Decode a stream produced by [`encode_indices`].

@@ -17,6 +17,8 @@ const BOTTOM: u32 = 1 << 16;
 /// Rescale frequencies when the total reaches this bound (keeps ranges
 /// non-degenerate and adapts to drift).
 const MAX_TOTAL: u32 = 1 << 15;
+/// Bytes the encoder flushes its state with at the end of a stream.
+pub(crate) const FLUSH_BYTES: usize = 8;
 
 /// The encoder's adaptive frequency model: the plain frequency array and its
 /// running total beside a Fenwick (binary indexed) tree of the same
@@ -191,7 +193,7 @@ impl RangeEncoder {
     }
 
     fn finish(mut self) -> Vec<u8> {
-        for _ in 0..8 {
+        for _ in 0..FLUSH_BYTES {
             self.out.push((self.low >> 56) as u8);
             self.low <<= 8;
         }

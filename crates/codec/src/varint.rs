@@ -17,6 +17,11 @@ pub fn write_uvarint(out: &mut Vec<u8>, mut v: u64) {
     }
 }
 
+/// Bytes [`write_uvarint`] takes for `v`.
+pub fn uvarint_len(v: u64) -> usize {
+    (u64::BITS - v.max(1).leading_zeros()).div_ceil(7) as usize
+}
+
 /// Decode unsigned LEB128 starting at `pos`; advances `pos`.
 pub fn read_uvarint(data: &[u8], pos: &mut usize) -> Result<u64, CodecError> {
     let mut v = 0u64;

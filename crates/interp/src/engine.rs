@@ -12,7 +12,7 @@ use crate::config::{order_from_tag, order_tag, EngineConfig, LevelParams, PassSt
 use crate::kernels::Scratch;
 use crate::lattice::{for_each_point, num_levels, Pass};
 use crate::select::choose_level_params;
-use qip_codec::{encode_indices_into, ByteReader, ByteWriter, Span, Spans};
+use qip_codec::{ByteReader, ByteWriter, EntropyStage, Span, Spans};
 use qip_core::{
     CompressCtx, CompressError, Compressor, ErrorBound, QpChoice, QpConfig, QpEngine, StreamHeader,
 };
@@ -615,7 +615,7 @@ impl<T: Scalar> Compressor<T> for InterpEngine {
         out: &mut Vec<u8>,
     ) -> Result<(), CompressError> {
         out.clear();
-        self.compress_impl(field, bound, None, ctx, out)
+        self.compress_impl(field, bound, None, EntropyStage::Code, ctx, out)
     }
 
     fn decompress_into(
@@ -637,7 +637,14 @@ impl InterpEngine {
     ) -> Result<(Vec<u8>, QuantCapture), CompressError> {
         let mut cap = QuantCapture::zeros(field.len());
         let mut bytes = Vec::new();
-        self.compress_impl(field, bound, Some(&mut cap), &mut CompressCtx::new(), &mut bytes)?;
+        self.compress_impl(
+            field,
+            bound,
+            Some(&mut cap),
+            EntropyStage::Code,
+            &mut CompressCtx::new(),
+            &mut bytes,
+        )?;
         Ok((bytes, cap))
     }
 
@@ -686,17 +693,32 @@ impl InterpEngine {
         ctx: &mut CompressCtx,
         out: &mut Vec<u8>,
     ) -> Result<(), CompressError> {
-        self.compress_impl(field, bound, None, ctx, out)
+        self.compress_impl(field, bound, None, EntropyStage::Code, ctx, out)
+    }
+
+    /// [`InterpEngine::compress_append`] with the index block priced instead
+    /// of coded ([`EntropyStage::Price`]): quantization and layout are the
+    /// same, so the appended length is the stream's priced length, for
+    /// trials that only compare lengths.
+    pub fn price_append<T: Scalar>(
+        &self,
+        field: &Field<T>,
+        bound: ErrorBound,
+        ctx: &mut CompressCtx,
+        out: &mut Vec<u8>,
+    ) -> Result<(), CompressError> {
+        self.compress_impl(field, bound, None, EntropyStage::Price, ctx, out)
     }
 
     /// The one compression body: appends the stream to `out` with all
     /// scratch from `ctx`; `capture` additionally records `Q`/`Q'`/level per
-    /// point.
+    /// point, and `stage` says whether the index block is coded or priced.
     fn compress_impl<T: Scalar>(
         &self,
         field: &Field<T>,
         bound: ErrorBound,
         mut capture: Option<&mut QuantCapture>,
+        stage: EntropyStage,
         ctx: &mut CompressCtx,
         out: &mut Vec<u8>,
     ) -> Result<(), CompressError> {
@@ -753,7 +775,7 @@ impl InterpEngine {
 
         {
             let _t = span("entropy_encode");
-            encode_indices_into(&ctx.qprime, &mut ctx.stream);
+            stage.run(&ctx.qprime, &mut ctx.stream);
         }
         {
             let _t = span("serialize");

@@ -222,7 +222,7 @@ impl Shared {
     fn reply_inline(
         &self,
         resp_tx: &mpsc::Sender<Vec<u8>>,
-        op: OpKind,
+        op: &'static str,
         received: Instant,
         resp: Response,
     ) -> bool {
@@ -231,17 +231,17 @@ impl Shared {
 
     /// Account an answer given without worker dispatch as one event with a
     /// single `inline` stage, and encode it.
-    fn inline_frame(&self, op: OpKind, received: Instant, resp: &Response) -> Vec<u8> {
+    fn inline_frame(&self, op: &'static str, received: Instant, resp: &Response) -> Vec<u8> {
         let total_ns = received.elapsed().as_nanos() as u64;
         let event = RequestEvent {
             trace_id: wire::trace_hex(&resp.trace_id),
-            op: op.name(),
+            op,
             status: resp.status.name(),
             queue_wait_ns: 0,
             stages: Stages(vec![("inline", total_ns)]),
             total_ns,
         };
-        self.account(op, resp.status, false, event);
+        self.account(resp.status, false, event);
         wire::encode_response(resp)
     }
 
@@ -249,8 +249,10 @@ impl Shared {
     /// stats, then in one pass over the hub (no-op when dormant) the request
     /// counter, the latency histogram, the SLO and — for worker requests
     /// (`tail`) — the tail sampler, then the event log. Every sink sees
-    /// `event.total_ns`; `event` carries `op` and `status` by name.
-    fn account(&self, op: OpKind, status: Status, tail: bool, event: RequestEvent) {
+    /// `event.total_ns`; `event` carries `op` and `status` by name, and
+    /// `op` labels every sink.
+    fn account(&self, status: Status, tail: bool, event: RequestEvent) {
+        let op = event.op;
         let stat = match status {
             Status::Ok => Some(&self.stats.ok),
             Status::ServerBusy => Some(&self.stats.shed),
@@ -271,9 +273,9 @@ impl Shared {
         let is_error =
             matches!(status, Status::Internal | Status::ServerBusy | Status::DeadlineExceeded);
         qip_telemetry::with_hub(|h| {
-            h.counter_add("qip.serve.requests", &[("op", op.name()), ("status", status.name())], 1);
-            h.observe("qip.serve.request_ns", &[("op", op.name())], event.total_ns);
-            h.slo.record(op.name(), is_error, event.total_ns);
+            h.counter_add("qip.serve.requests", &[("op", op), ("status", status.name())], 1);
+            h.observe("qip.serve.request_ns", &[("op", op)], event.total_ns);
+            h.slo.record(op, is_error, event.total_ns);
             if tail {
                 h.tail.finish(&event);
             }
@@ -437,6 +439,11 @@ fn accept_loop(listener: TcpListener, shared: &Arc<Shared>) {
     }
 }
 
+/// The op label of an answer the connection gives before any op is known —
+/// a refused connection, an over-cap length prefix, a frame that does not
+/// parse — so those never count as a real op. It has no wire code.
+const CONNECTION: &str = "connection";
+
 /// Over the connection cap: answer with a typed `SERVER_BUSY`, accounted as
 /// a shed frame is, and close.
 fn refuse_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
@@ -450,7 +457,7 @@ fn refuse_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
         // even this response carries a (minted) one.
         trace_id: shared.mint_trace(),
     };
-    let _ = wire::write_frame(&mut stream, &shared.inline_frame(OpKind::Ping, received, &resp));
+    let _ = wire::write_frame(&mut stream, &shared.inline_frame(CONNECTION, received, &resp));
     let _ = stream.shutdown(Shutdown::Both);
 }
 
@@ -499,7 +506,7 @@ fn connection_loop(stream: TcpStream, shared: &Arc<Shared>) {
                     payload: payload.into_bytes(),
                     trace_id: shared.mint_trace(),
                 };
-                shared.reply_inline(&resp_tx, OpKind::Ping, Instant::now(), resp);
+                shared.reply_inline(&resp_tx, CONNECTION, Instant::now(), resp);
                 break;
             }
             Err(ReadFrameError::Io(_)) => break, // mid-frame disconnect
@@ -516,7 +523,7 @@ fn connection_loop(stream: TcpStream, shared: &Arc<Shared>) {
                 // untrusted; mint a fresh one so even rejections are traced.
                 let payload = e.to_string().into_bytes();
                 let resp = Response { id: 0, status, payload, trace_id: shared.mint_trace() };
-                shared.reply_inline(&resp_tx, OpKind::Ping, received, resp);
+                shared.reply_inline(&resp_tx, CONNECTION, received, resp);
                 break; // framing may be out of sync; close after the reply
             }
         };
@@ -566,7 +573,7 @@ fn connection_loop(stream: TcpStream, shared: &Arc<Shared>) {
             }
         };
         let resp = Response { id, status, payload, trace_id };
-        if !shared.reply_inline(&resp_tx, op, received, resp) {
+        if !shared.reply_inline(&resp_tx, op.name(), received, resp) {
             break;
         }
     }
@@ -659,7 +666,7 @@ fn worker_loop(shared: &Arc<Shared>, queue: &Arc<WorkQueue>) {
             stages: stages.take(),
             total_ns,
         };
-        shared.account(op, status, true, event);
+        shared.account(status, true, event);
         let _ = resp_tx.send(frame);
     }
 }
@@ -750,7 +757,7 @@ mod tests {
         let trace = shared.mint_trace();
         let (tx, _rx) = mpsc::channel();
         let resp = Response { id: 1, status: Status::Ok, payload: Vec::new(), trace_id: trace };
-        assert!(shared.reply_inline(&tx, OpKind::Ping, Instant::now(), resp));
+        assert!(shared.reply_inline(&tx, OpKind::Ping.name(), Instant::now(), resp));
         let dump = shared.events.dump_jsonl();
         let event: serde_json::Value = serde_json::from_str(dump.trim_end()).unwrap();
         assert_eq!(event["trace_id"].as_str(), Some(&*wire::trace_hex(&trace)), "{dump}");

@@ -334,6 +334,7 @@ fn connection_cap_refuses_with_typed_busy() {
     let refused = records_with(&log, &qip_serve::wire::trace_hex(&resp.trace_id));
     assert_eq!(refused.len(), 1, "{log}");
     assert_eq!(refused[0]["status"].as_str(), Some("SERVER_BUSY"), "{log}");
+    assert_eq!(refused[0]["op"].as_str(), Some("connection"), "{log}");
 
     // The first connection still works.
     assert_eq!(keeper.ping().unwrap().status, Status::Ok);
@@ -627,6 +628,7 @@ fn one_malformed_frame_counts_one_bad_frame() {
     assert_eq!(resp.status, Status::BadFrame, "{}", resp.reason());
     let events = records_with(&handle.events_jsonl(), &qip_serve::wire::trace_hex(&resp.trace_id));
     assert_eq!(events.len(), 1, "{events:?}");
+    assert_eq!(events[0]["op"].as_str(), Some("connection"), "{events:?}");
     drop(raw);
     let stats = handle.join();
     assert_eq!(stats.bad_frames.load(std::sync::atomic::Ordering::SeqCst), 1);
@@ -655,7 +657,9 @@ fn one_over_cap_length_is_one_too_large_request_and_one_event() {
     let logged = events.lines().map(|l| serde_json::from_str(l).unwrap()).filter(too_large);
     assert_eq!(logged.count(), 1, "{events}");
     let requests = hub.snapshot().counters.into_iter().filter(|(k, _)| {
-        k.name == "qip.serve.requests" && k.labels.contains(&("status".into(), "TOO_LARGE".into()))
+        k.name == "qip.serve.requests"
+            && k.labels.contains(&("status".into(), "TOO_LARGE".into()))
+            && k.labels.contains(&("op".into(), "connection".into()))
     });
     assert_eq!(requests.map(|(_, n)| n).collect::<Vec<_>>(), [1]);
     assert_eq!(stats.bad_frames.load(std::sync::atomic::Ordering::SeqCst), 1);

@@ -5,8 +5,8 @@
 //! linear-scaling quantizer, and Huffman→LZ encoding — with the multilevel
 //! machinery provided by [`qip_interp`]. Like the original, SZ3 does not run
 //! interpolation unconditionally: it also implements the multidimensional
-//! **Lorenzo** predictor pipeline and switches to it when a trial compression
-//! of a sample block says interpolation loses (the behaviour the paper calls
+//! **Lorenzo** predictor pipeline and switches to it when a priced trial on
+//! a sample block says interpolation loses (the behaviour the paper calls
 //! out on SegSalt at 1E-5, where QP is consequently never invoked).
 //!
 //! QP integration (paper Algorithm 1) is a configuration switch:
@@ -111,28 +111,24 @@ impl Sz3 {
         InterpEngine::new(cfg)
     }
 
-    /// Decide the pipeline by trial-compressing a central sample block with
-    /// both predictors and keeping the smaller stream (mirrors SZ3's
-    /// sampling-based predictor selection). The trial reuses the caller's
-    /// context and writes its streams behind the two wrapper bytes `out`
-    /// holds on entry.
-    ///
-    /// A field of at most 32 per axis *is* its own sample block: it is
-    /// borrowed, not copied, and the trial stream of the chosen pipeline is
-    /// the stream the real run would produce unless that run applies QP (the
-    /// trial is QP-blind). Returns the choice and whether `out` now holds
-    /// the finished, unsealed stream; otherwise `out` is back to the wrapper
-    /// bytes.
+    /// Decide the pipeline from a trial on a central sample block with both
+    /// predictors, keeping the one with the smaller stream (mirrors SZ3's
+    /// sampling-based predictor selection). Both candidates quantize as the
+    /// real run would, but their index blocks are priced
+    /// ([`qip_codec::price_indices`]), not coded: only the two lengths are
+    /// compared, and a field of at most 32 per axis — its own sample block —
+    /// is then compressed once more by the winner. The trial reuses the
+    /// caller's context and writes behind the two wrapper bytes `out` holds
+    /// on entry, which it leaves holding them again.
     fn choose_pipeline_with<T: Scalar>(
         &self,
         field: &Field<T>,
         bound: ErrorBound,
         ctx: &mut CompressCtx,
         out: &mut Vec<u8>,
-    ) -> (Pipeline, bool) {
+    ) -> Pipeline {
         let _trial = trial_scope("select_pipeline");
         let block = &sample_block(field, 32);
-        let whole = block.len() == field.len();
         // Resolve the bound against the *full* field so both trials and the
         // real run quantize identically. The trial runs QP-blind (paper
         // Algorithm 1 intercepts the pipeline after predictor selection), so
@@ -140,29 +136,22 @@ impl Sz3 {
         // decompressed bytes — a stream produces.
         let abs = bound.resolve(field).as_abs();
         let wrapper = out.len();
-        let interp = Sz3::new().engine().compress_append(block, abs, ctx, out);
-        if interp.is_err() {
-            // A failed engine run leaves `out` unspecified.
+        let priced = |run: Result<(), CompressError>, out: &mut Vec<u8>| {
+            let len = run.map_or(usize::MAX, |()| out.len() - wrapper);
+            // A failed run leaves `out` unspecified.
             begin_stream(out);
-        }
-        let interp_end = out.len();
-        let interp_len = interp.map_or(usize::MAX, |()| interp_end - wrapper);
-        let lorenzo_len = lorenzo::compress_append(block, abs, ctx, out)
-            .map_or(usize::MAX, |()| out.len() - interp_end);
+            len
+        };
+        let interp_len = priced(Sz3::new().engine().price_append(block, abs, ctx, out), out);
+        let lorenzo_len = priced(lorenzo::price_append(block, abs, ctx, out), out);
         // Mild preference for interpolation (SZ3's default algorithm): the
         // small-block trial systematically understates interpolation, which
         // has fewer levels and proportionally larger header overhead there.
-        let (pipeline, finished) = if (lorenzo_len as f64) < interp_len as f64 * 0.92 {
-            (Pipeline::Lorenzo, whole)
+        if (lorenzo_len as f64) < interp_len as f64 * 0.92 {
+            Pipeline::Lorenzo
         } else {
-            (Pipeline::Interpolation, whole && interp_len != usize::MAX && self.qp == QpConfig::off())
-        };
-        match (finished, pipeline) {
-            (false, _) => out.truncate(wrapper),
-            (true, Pipeline::Interpolation) => out.truncate(interp_end),
-            (true, Pipeline::Lorenzo) => drop(out.drain(wrapper..interp_end)),
+            Pipeline::Interpolation
         }
-        (pipeline, finished)
     }
 
     /// Verify the seal and parse the wrapper — the one description of it,
@@ -228,19 +217,17 @@ impl<T: Scalar> Compressor<T> for Sz3 {
         out: &mut Vec<u8>,
     ) -> Result<(), CompressError> {
         begin_stream(out);
-        let (pipeline, finished) = match self.force {
-            Some(p) => (p, false),
+        let pipeline = match self.force {
+            Some(p) => p,
             // Small fields: interpolation, no trial needed.
-            None if field.len() < 4096 => (Pipeline::Interpolation, false),
+            None if field.len() < 4096 => Pipeline::Interpolation,
             None => self.choose_pipeline_with(field, bound, ctx, out),
         };
         count_pipeline_choice(pipeline);
         out[1] = pipeline as u8;
-        if !finished {
-            match pipeline {
-                Pipeline::Interpolation => self.engine().compress_append(field, bound, ctx, out)?,
-                Pipeline::Lorenzo => lorenzo::compress_append(field, bound, ctx, out)?,
-            }
+        match pipeline {
+            Pipeline::Interpolation => self.engine().compress_append(field, bound, ctx, out)?,
+            Pipeline::Lorenzo => lorenzo::compress_append(field, bound, ctx, out)?,
         }
         let _t = span("seal");
         qip_core::integrity::seal_in_place(out);

@@ -24,7 +24,7 @@
 //! zero prediction — which neither `quantize` nor `recover` can see.
 
 use crate::regression::{centered, FitSums, PlaneFit};
-use qip_codec::{encode_indices_into, ByteReader, ByteWriter, Span, Spans};
+use qip_codec::{ByteReader, ByteWriter, EntropyStage, Span, Spans};
 use qip_core::{CompressCtx, CompressError, ErrorBound, StreamHeader};
 use qip_predict::lorenzo3;
 use qip_quant::{LinearQuantizer, Quantized, UNPRED};
@@ -85,6 +85,29 @@ pub fn compress_append<T: Scalar>(
     ctx: &mut CompressCtx,
     out: &mut Vec<u8>,
 ) -> Result<(), CompressError> {
+    append_with(field, bound, EntropyStage::Code, ctx, out)
+}
+
+/// [`compress_append`] with the index block priced instead of coded
+/// ([`EntropyStage::Price`]): the appended length is the stream's priced
+/// length, for trials that only compare lengths.
+pub fn price_append<T: Scalar>(
+    field: &Field<T>,
+    bound: ErrorBound,
+    ctx: &mut CompressCtx,
+    out: &mut Vec<u8>,
+) -> Result<(), CompressError> {
+    append_with(field, bound, EntropyStage::Price, ctx, out)
+}
+
+/// The one compression body behind [`compress_append`] and [`price_append`].
+fn append_with<T: Scalar>(
+    field: &Field<T>,
+    bound: ErrorBound,
+    stage: EntropyStage,
+    ctx: &mut CompressCtx,
+    out: &mut Vec<u8>,
+) -> Result<(), CompressError> {
     let dims = field.shape().dims();
     if dims.len() > 3 {
         return Err(CompressError::Unsupported("Lorenzo pipeline supports 1-3 dimensions"));
@@ -116,7 +139,7 @@ pub fn compress_append<T: Scalar>(
     }
     {
         let _t = span("entropy_encode");
-        encode_indices_into(&ctx.qprime, &mut ctx.stream);
+        stage.run(&ctx.qprime, &mut ctx.stream);
     }
     let _t = span("serialize");
     w.put_block(&ctx.unpred);

@@ -400,8 +400,10 @@ fn run() -> Result<(), String> {
             let output = need("o")?;
             let dims = parse_dims(need("d")?)?;
             let dataset = opts.get("dataset").map(String::as_str).unwrap_or("miranda");
-            let field_idx: usize =
-                opts.get("field").map(|v| v.parse().unwrap_or(0)).unwrap_or(0);
+            let field_idx: usize = match opts.get("field") {
+                None => 0,
+                Some(v) => v.parse().map_err(|e| format!("bad --field '{v}': {e}"))?,
+            };
             use qip::data::Dataset;
             let ds = match dataset.to_ascii_lowercase().as_str() {
                 "miranda" => Dataset::Miranda,

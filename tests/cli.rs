@@ -191,6 +191,18 @@ fn unknown_options_are_rejected_not_ignored() {
 }
 
 #[test]
+fn bad_field_index_is_a_usage_error() {
+    // `gen --field` is parsed like `--tile`, `--coarse` and `--workers`: a
+    // value that is not an index must not quietly generate field 0.
+    for value in ["abc", "-1", ""] {
+        let out = qip().args(["gen", "-o", "/dev/null", "-d", "8x8", "--field", value]).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "--field '{value}' must be a usage error");
+        let msg = String::from_utf8_lossy(&out.stderr);
+        assert!(msg.contains(&format!("bad --field '{value}': ")), "--field '{value}': {msg}");
+    }
+}
+
+#[test]
 fn zero_sized_axes_rejected_with_clear_error() {
     let raw = tmp("zero.f32");
     std::fs::write(&raw, [0u8; 64]).unwrap();
