@@ -1,26 +1,23 @@
-//! `repro conformance`: run the three qip-conformance pillars and report.
+//! `repro conformance`: run the qip-conformance pillars and report.
 //!
-//! 1. **Golden vectors** — verify the committed fixtures under
-//!    `crates/conformance/golden` (or regenerate them with `--bless`);
-//! 2. **Differential oracles** — path identity for every registry compressor
-//!    plus the tiled-container thread sweep at 1/2/8 workers;
-//! 3. **Error-bound contract** — ≥256 seeded cases per compressor, with
-//!    minimized counterexamples written to `conformance_counterexamples.txt`
-//!    for CI artifact upload;
-//! 4. **Tiled container** — the committed tiled golden containers
-//!    (`tiled_manifest.tsv`, blessed alongside the flat fixtures) plus the
-//!    region oracle: seeded random regions where `read_region` must be
-//!    byte-identical to slicing the full decode.
+//! 1. **Golden vectors** — verify the committed flat and tiled fixtures
+//!    under `crates/conformance/golden` (or regenerate them with `--bless`);
+//! 2. **Identities** — path identity for every registry compressor over the
+//!    case matrix, and tiled identity (tile streams, writer, read paths) at
+//!    1/2/8 workers over its shape rows and 16 draws;
+//! 3. **Error-bound contract** — the matrix's hostile rows plus 256 seeded
+//!    draws per compressor, through all three entry points, with minimized
+//!    counterexamples written to `conformance_counterexamples.txt` for CI
+//!    artifact upload.
 //!
 //! Results land in `BENCH_conformance.json`; [`run`] returns `false` when any
 //! pillar found a failure so `repro` can exit nonzero.
 
 use super::Opts;
-use qip_conformance::{contract, differential, golden, tiles};
+use qip_conformance::{contract, differential, golden, matrix, tiles};
 use serde::Serialize;
-use std::time::Instant;
 
-/// Contract cases per compressor (the acceptance floor).
+/// Seeded contract draws per compressor (the acceptance floor).
 pub const CONTRACT_CASES: usize = 256;
 
 /// One compressor's row in `BENCH_conformance.json`.
@@ -34,18 +31,15 @@ pub struct ConformanceRecord {
     pub golden_findings: usize,
     /// Path-identity divergences (serial vs ctx vs traced).
     pub path_divergences: usize,
-    /// Thread-sweep divergences (tiled container at 1/2/8 workers).
-    pub sweep_divergences: usize,
-    /// Contract cases run.
-    pub contract_cases: usize,
-    /// Contract cases drawn with a Rel bound.
-    pub contract_rel_cases: usize,
-    /// Worst in-bound error/tolerance ratio across passing cases.
+    /// Tiled-identity divergences (tile streams, writer, read paths at
+    /// 1/2/8 workers).
+    pub tile_divergences: usize,
+    /// Entry-point runs refused with an allowed typed error.
+    pub contract_refused: usize,
+    /// Worst error/bound ratio across the samples that held.
     pub contract_worst_ratio: f64,
-    /// Minimized bound violations (0 = contract holds).
+    /// Contract violations (0 = contract holds).
     pub contract_violations: usize,
-    /// Wall seconds spent in this compressor's contract run.
-    pub contract_secs: f64,
 }
 
 /// Run the conformance suite. With `bless`, regenerate the golden fixtures
@@ -55,9 +49,8 @@ pub fn run(opts: &Opts, bless: bool) -> bool {
     let grids = [golden::Grid::flat(), golden::Grid::tiled()];
     let specs = &grids[0].specs;
 
-    // Pillars 1 and 4 (golden half): the flat and the tiled grid share the
-    // fixture directory and the bless flag, so one `--bless` refreshes both
-    // manifests.
+    // Pillar 1: the flat and the tiled grid share the fixture directory and
+    // the bless flag, so one `--bless` refreshes both manifests.
     let mut golden_findings = Vec::new();
     for grid in &grids {
         if !bless {
@@ -79,37 +72,22 @@ pub fn run(opts: &Opts, bless: bool) -> bool {
         eprintln!("[golden] {f}");
     }
 
-    // Pillar 4 (differential half): the region oracle.
-    let region_divs = tiles::region_oracle_suite(tiles::REGION_CASES, 0x7153_0000);
-    for d in &region_divs {
-        eprintln!("[region] {d}");
-    }
-    eprintln!(
-        "[tiled: {} fixtures {}, region oracle {} cases/cell over {} compressors: {} divergence(s)]",
-        grids[1].specs.len(),
-        if bless { "blessed" } else { "verified" },
-        tiles::REGION_CASES,
-        golden::TILED_COMPRESSORS.len(),
-        region_divs.len()
-    );
-
-    // Pillar 2: differential oracles.
-    let path_divs = differential::path_identity_suite();
+    // Pillar 2: path and tiled identity.
+    let cases = matrix::matrix(CONTRACT_CASES, 0xC0DE_0000);
+    let comps = qip_registry::AnyCompressor::registry();
+    let path_divs = differential::path_identity_suite(&comps, &cases);
     for d in &path_divs {
-        eprintln!("[paths] {} [{}]: {}", d.compressor, d.case, d.problem);
+        eprintln!("[paths] {d}");
     }
-    let sweep_divs = differential::thread_sweep_suite();
-    for d in &sweep_divs {
-        eprintln!("[sweep] {} [{}]: {}", d.compressor, d.case, d.problem);
+    let tile_divs = tiles::tile_identity_suite(&matrix::matrix(16, 0x711E_0000));
+    for d in &tile_divs {
+        eprintln!("[tiles] {d}");
     }
 
-    // Pillar 3: error-bound contract, one compressor at a time.
+    // Pillar 3: error-bound contract.
     let mut counterexamples = String::new();
     let mut records = Vec::new();
-    for comp in qip_registry::AnyCompressor::registry() {
-        let t = Instant::now();
-        let stats = contract::contract_suite(&comp, CONTRACT_CASES, 0xC0DE_0000);
-        let contract_secs = t.elapsed().as_secs_f64();
+    for stats in contract::contract_suite(&comps, &cases) {
         for v in &stats.violations {
             eprintln!("[contract] {v}");
             counterexamples.push_str(&v.to_string());
@@ -131,12 +109,10 @@ pub fn run(opts: &Opts, bless: bool) -> bool {
                 })
                 .count(),
             path_divergences: path_divs.iter().filter(|d| d.compressor == name).count(),
-            sweep_divergences: sweep_divs.iter().filter(|d| d.compressor == name).count(),
-            contract_cases: stats.cases,
-            contract_rel_cases: stats.rel_cases,
+            tile_divergences: tile_divs.iter().filter(|d| d.compressor == name).count(),
+            contract_refused: stats.refused,
             contract_worst_ratio: stats.worst_ratio,
             contract_violations: stats.violations.len(),
-            contract_secs,
             compressor: name,
         });
     }
@@ -148,22 +124,21 @@ pub fn run(opts: &Opts, bless: bool) -> bool {
                 r.compressor.clone(),
                 if bless { "blessed".into() } else { format!("{}/{}", r.golden_vectors - r.golden_findings.min(r.golden_vectors), r.golden_vectors) },
                 r.path_divergences.to_string(),
-                r.sweep_divergences.to_string(),
-                format!("{}/{}", r.contract_cases - r.contract_violations, r.contract_cases),
-                r.contract_rel_cases.to_string(),
+                r.tile_divergences.to_string(),
+                r.contract_violations.to_string(),
+                r.contract_refused.to_string(),
                 format!("{:.3}", r.contract_worst_ratio),
-                format!("{:.1}", r.contract_secs),
             ]
         })
         .collect();
     crate::report::print_table(
         &format!(
-            "Conformance: golden {}, path identity, thread sweep {:?}, {} contract cases each",
+            "Conformance: golden {}, path identity, tiled identity at {:?} workers, {} contract cases each",
             if bless { "blessed" } else { "verified" },
-            differential::SWEEP_THREADS,
-            CONTRACT_CASES
+            tiles::SWEEP_THREADS,
+            cases.len()
         ),
-        &["compressor", "golden ok", "path div", "sweep div", "contract ok", "rel", "worst ratio", "secs"],
+        &["compressor", "golden ok", "path div", "tile div", "violations", "refused", "worst ratio"],
         &rows,
     );
 
@@ -171,19 +146,17 @@ pub fn run(opts: &Opts, bless: bool) -> bool {
         eprintln!("[failed to write conformance outputs: {e}]");
     }
 
-    let pass = golden_findings.is_empty() && path_divs.is_empty() && sweep_divs.is_empty()
-        && region_divs.is_empty()
+    let pass = golden_findings.is_empty() && path_divs.is_empty() && tile_divs.is_empty()
         && records.iter().all(|r| r.contract_violations == 0);
     if pass {
         eprintln!("[conformance: all pillars green]");
     } else {
         eprintln!(
-            "[conformance FAILED: {} golden, {} path, {} sweep, {} contract, {} region]",
+            "[conformance FAILED: {} golden, {} path, {} tile, {} contract]",
             golden_findings.len(),
             path_divs.len(),
-            sweep_divs.len(),
-            records.iter().map(|r| r.contract_violations).sum::<usize>(),
-            region_divs.len()
+            tile_divs.len(),
+            records.iter().map(|r| r.contract_violations).sum::<usize>()
         );
     }
     pass
@@ -228,25 +201,23 @@ mod tests {
         assert_eq!(doc[0]["contract_violations"].as_u64(), Some(0));
     }
 
-    /// Tiny-footprint version of [`run`] for the unit test: golden + paths
-    /// skipped (covered by qip-conformance's own tests), contract at 8 cases.
+    /// Tiny-footprint version of [`run`] for the unit test: golden and
+    /// identities skipped (covered by qip-conformance's own tests), contract
+    /// at 8 draws.
     fn collect_smoke(opts: &Opts) -> Vec<ConformanceRecord> {
+        let cases: Vec<matrix::Case> = (0..8).map(matrix::Case::drawn).collect();
         let mut records = Vec::new();
-        for comp in qip_registry::AnyCompressor::registry() {
-            let t = Instant::now();
-            let stats = contract::contract_suite(&comp, 8, 0xC0DE_0000);
+        for stats in contract::contract_suite(&qip_registry::AnyCompressor::registry(), &cases) {
             assert!(stats.violations.is_empty(), "{:?}", stats.violations);
             records.push(ConformanceRecord {
                 compressor: stats.compressor,
                 golden_vectors: 0,
                 golden_findings: 0,
                 path_divergences: 0,
-                sweep_divergences: 0,
-                contract_cases: stats.cases,
-                contract_rel_cases: stats.rel_cases,
+                tile_divergences: 0,
+                contract_refused: stats.refused,
                 contract_worst_ratio: stats.worst_ratio,
                 contract_violations: stats.violations.len(),
-                contract_secs: t.elapsed().as_secs_f64(),
             });
         }
         super::write_outputs(opts, &records, "").unwrap();

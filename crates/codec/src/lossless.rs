@@ -305,7 +305,7 @@ pub fn encode_indices_into(indices: &[i32], out: &mut Vec<u8>) {
 
 /// What [`encode_indices`] would cost `indices`, without coding them: the
 /// same chunking and the same Huffman table build, per chunk
-/// [`price_block`]'s price, and the chunked framing's exact bytes. Equal to
+/// `price_block`'s price, and the chunked framing's exact bytes. Equal to
 /// `encode_indices(indices).len()` wherever the encoder keeps plain Huffman.
 pub fn price_indices(indices: &[i32]) -> usize {
     let mut s = Scratch::default();

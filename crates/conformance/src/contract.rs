@@ -1,227 +1,230 @@
-//! Error-bound contract suite: every decompressed point honours the bound.
+//! The bound property: every decompressed point honours the bound.
 //!
 //! The workspace's core invariant (paper Sec. III: `|d_i − d'_i| ≤ ε` for the
-//! resolved absolute ε) is checked here over hundreds of seeded cases per
-//! compressor — random family × dimensionality × precision × Abs/Rel bound.
-//! A violation is **minimized** (greedy axis shrinking while the violation
-//! reproduces) and reported with its replay seed and a stage trace of the
-//! failing run, so the counterexample a CI artifact carries is
+//! resolved absolute ε) is checked over the [case matrix](mod@crate::matrix)
+//! through all three compress entry points — `compress`, `compress_into` on
+//! one context left dirty by every earlier case, and the tiled container.
+//! The check is NaN-aware: a non-finite sample must come back with its class
+//! and sign. MGARD and ZFP, whose transforms have no lossless channel, may
+//! refuse a planted field with `Unsupported("non-finite sample")` instead,
+//! and ZFP, SPERR and TTHRESH a rank-4 field with their typed "supports 1-3
+//! dimensions". And QP never changes the decoded bits: every QP-on stream
+//! decodes exactly like its QP-off twin's through the same entry point.
+//!
+//! A broken bound or a failed round trip is **minimized** (greedy axis
+//! shrinking while it reproduces) and reported with its case and a stage
+//! trace of the failing run, so the counterexample a CI artifact carries is
 //! the smallest one the minimizer could find, not the random one it hit.
 
-use crate::fields::{synth, FieldFamily};
-use qip_core::{Compressor, ErrorBound};
-use qip_fault::XorShift64;
+use crate::matrix::{minimize, Case};
+use crate::tiles::tile_edge;
+use qip_container::TiledCompressor;
+use qip_core::{CompressCtx, CompressError, Compressor};
 use qip_registry::AnyCompressor;
 use qip_tensor::{Field, Scalar};
+use std::collections::HashMap;
 
-/// One minimized bound violation.
+/// The three compress entry points the property runs through.
+pub const ENTRIES: [&str; 3] = ["compress", "compress_into", "tiled"];
+
+/// One minimized contract violation.
 #[derive(Debug, Clone)]
 pub struct Violation {
     /// Compressor name.
     pub compressor: String,
-    /// Case seed (replays the exact field + bound draw).
-    pub seed: u64,
-    /// Field family.
-    pub family: &'static str,
-    /// `"f32"` or `"f64"`.
-    pub dtype: &'static str,
-    /// Dimensions the case was drawn at.
-    pub dims: Vec<usize>,
-    /// Dimensions after minimization (violation still reproduces here).
+    /// The entry point, one of [`ENTRIES`].
+    pub entry: &'static str,
+    /// The case as drawn.
+    pub case: Case,
+    /// Dimensions after minimization (the failure still reproduces there).
     pub minimized_dims: Vec<usize>,
-    /// The requested bound, rendered.
-    pub bound: String,
-    /// The resolved absolute tolerance at the original dims.
-    pub abs: f64,
-    /// Worst observed |d − d'| at the original dims (0 when the failure was
-    /// an error rather than a bound violation).
-    pub max_err: f64,
-    /// Error message when compress/decompress failed outright.
-    pub failure: Option<String>,
+    /// What went wrong at the drawn dims.
+    pub problem: String,
     /// Stage trace of the minimized failing run.
     pub trace: String,
 }
 
 impl std::fmt::Display for Violation {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{}: {} {} {:?} under {} (abs {:.3e}): ",
-            self.compressor, self.family, self.dtype, self.dims, self.bound, self.abs
-        )?;
-        match &self.failure {
-            Some(e) => write!(f, "round-trip failed: {e}")?,
-            None => write!(f, "max error {:.3e} exceeds the bound", self.max_err)?,
-        }
-        write!(
-            f,
-            "; minimized to {:?}; replay seed {:#018x}\n{}",
-            self.minimized_dims, self.seed, self.trace
-        )
+        let Violation { compressor, entry, case, minimized_dims, problem, trace } = self;
+        write!(f, "{compressor} through {entry} on {case}: {problem}; minimized to {minimized_dims:?}\n{trace}")
     }
 }
 
-/// Per-compressor contract run summary.
-#[derive(Debug, Clone)]
+/// One compressor's run over the matrix.
+#[derive(Debug, Clone, Default)]
 pub struct ContractStats {
     /// Compressor name.
     pub compressor: String,
-    /// Cases executed.
-    pub cases: usize,
-    /// Cases drawn with a Rel bound (the rest were Abs).
-    pub rel_cases: usize,
-    /// Worst in-bound error-to-tolerance ratio seen across passing cases
-    /// (1.0 would sit exactly on the bound).
+    /// Entry-point runs that refused the field with an allowed typed error.
+    pub refused: usize,
+    /// Entry-point runs whose decode was compared with the QP-off twin's.
+    pub twins: usize,
+    /// Worst error-to-bound ratio over every finite sample that held (1.0
+    /// would sit exactly on the bound).
     pub worst_ratio: f64,
-    /// Every minimized violation (empty = contract holds).
+    /// Every violation (empty = the contract held).
     pub violations: Vec<Violation>,
 }
 
-/// One drawn case (pure function of the seed).
-#[derive(Debug, Clone)]
-struct Case {
-    family: FieldFamily,
-    dtype: &'static str,
-    dims: Vec<usize>,
-    bound: ErrorBound,
-}
-
-fn draw_case(seed: u64) -> Case {
-    let mut rng = XorShift64::new(seed);
-    let family = FieldFamily::ALL[rng.below(FieldFamily::ALL.len())];
-    let dtype = if rng.below(2) == 0 { "f32" } else { "f64" };
-    let ndim = 1 + rng.below(3);
-    let dims: Vec<usize> = (0..ndim).map(|_| 2 + rng.below(12)).collect();
-    // Abs bounds sweep 1e-5..=1e-1 decades; Rel bounds 1e-4..=1e-2.
-    let bound = if rng.below(2) == 0 {
-        ErrorBound::Abs(10f64.powi(-1 - rng.below(5) as i32))
-    } else {
-        ErrorBound::Rel(10f64.powi(-2 - rng.below(3) as i32))
-    };
-    Case { family, dtype, dims, bound }
-}
-
-/// Tolerance slack matching the workspace's property tests: one part in 1e9
-/// for accumulated float error, plus MIN_POSITIVE for the degenerate clamp.
-fn tolerance(abs: f64) -> f64 {
-    abs * (1.0 + 1e-9) + f64::MIN_POSITIVE
-}
-
-/// Round-trip `case` (at possibly overridden dims) and return
-/// `(resolved_abs, max_err)` or the error.
-fn run_case<T: Scalar>(
+/// Round-trip `field` through one entry point.
+fn roundtrip<T: Scalar>(
     comp: &AnyCompressor,
+    entry: &str,
     case: &Case,
-    seed: u64,
-    dims: &[usize],
-) -> Result<(f64, f64), String> {
-    let field: Field<T> = synth(case.family, seed, dims);
-    let abs = case.bound.resolve(&field).abs;
-    let bytes = comp.compress(&field, case.bound).map_err(|e| format!("compress: {e}"))?;
-    let out: Field<T> = comp.decompress(&bytes).map_err(|e| format!("decompress: {e}"))?;
+    field: &Field<T>,
+    ctx: &mut CompressCtx,
+    into: &mut Vec<u8>,
+) -> Result<Field<T>, CompressError> {
+    match entry {
+        "compress" => comp.decompress(&comp.compress(field, case.bound)?),
+        "compress_into" => {
+            comp.compress_into(field, case.bound, ctx, into)?;
+            comp.decompress(into)
+        }
+        _ => {
+            let tiled = TiledCompressor::new(comp.clone(), tile_edge(&case.dims))?;
+            tiled.decompress(&tiled.compress(field, case.bound)?)
+        }
+    }
+}
+
+/// The worst finite error over `abs`, or what breaks the contract: a shape
+/// drift, or a sample outside the bound (with one part in 1e9 of float
+/// slack, plus `MIN_POSITIVE` for the degenerate clamp). A non-finite
+/// original must come back as the same class and sign.
+fn check<T: Scalar>(field: &Field<T>, out: &Field<T>, abs: f64) -> Result<f64, String> {
     if out.shape() != field.shape() {
         return Err(format!("shape drift: {:?} -> {:?}", field.shape(), out.shape()));
     }
-    let max_err = field
-        .as_slice()
-        .iter()
-        .zip(out.as_slice())
-        .map(|(&a, &b)| (a.to_f64() - b.to_f64()).abs())
-        .fold(0.0f64, f64::max);
-    Ok((abs, max_err))
+    let mut worst = 0.0f64;
+    for (i, (a, b)) in field.as_slice().iter().zip(out.as_slice()).enumerate() {
+        let (a, b) = (a.to_f64(), b.to_f64());
+        let err = (a - b).abs();
+        let kept = match a.is_finite() {
+            true => err <= abs * (1.0 + 1e-9) + f64::MIN_POSITIVE,
+            false => a == b || (a.is_nan() && b.is_nan()),
+        };
+        if !kept {
+            return Err(format!("sample {i}: {a:e} came back as {b:e} (abs {abs:.3e})"));
+        }
+        if a.is_finite() {
+            worst = worst.max(err / abs);
+        }
+    }
+    Ok(worst)
 }
 
-fn run_case_dyn(
+/// The typed refusals the contract allows: MGARD and ZFP have no lossless
+/// channel for non-finite samples, and the transform-based comparators take
+/// 1–3 dimensions.
+fn may_refuse(comp: &AnyCompressor, case: &Case, e: &CompressError) -> bool {
+    use AnyCompressor::{Mgard, Sperr, Tthresh, Zfp};
+    match e {
+        CompressError::Unsupported("non-finite sample") => {
+            case.plant.is_some() && matches!(comp, Mgard(_) | Zfp(_))
+        }
+        CompressError::Unsupported(m) if m.ends_with("supports 1-3 dimensions") => {
+            case.dims.len() == 4 && matches!(comp, Zfp(_) | Sperr(_) | Tthresh(_))
+        }
+        _ => false,
+    }
+}
+
+/// One entry point on one case: the decode and its worst error ratio, `None`
+/// for an allowed refusal, or what broke.
+fn run<T: Scalar>(
     comp: &AnyCompressor,
+    entry: &str,
     case: &Case,
-    seed: u64,
-    dims: &[usize],
-) -> Result<(f64, f64), String> {
-    match case.dtype {
-        "f64" => run_case::<f64>(comp, case, seed, dims),
-        _ => run_case::<f32>(comp, case, seed, dims),
+    field: &Field<T>,
+    ctx: &mut CompressCtx,
+    into: &mut Vec<u8>,
+) -> Result<Option<(Field<T>, f64)>, String> {
+    match roundtrip(comp, entry, case, field, ctx, into) {
+        Ok(out) => check(field, &out, case.bound.resolve(field).abs).map(|w| Some((out, w))),
+        Err(e) if may_refuse(comp, case, &e) => Ok(None),
+        Err(e) => Err(format!("round-trip failed: {e}")),
     }
 }
 
-/// Does the case still fail (bound violation or error) at `dims`?
-fn still_fails(comp: &AnyCompressor, case: &Case, seed: u64, dims: &[usize]) -> bool {
-    match run_case_dyn(comp, case, seed, dims) {
-        Ok((abs, max_err)) => max_err > tolerance(abs),
-        Err(_) => true,
-    }
-}
-
-/// Greedy minimizer: repeatedly halve one axis at a time while the failure
-/// reproduces. The field generators are coordinate-based, so a shrunk field
-/// is a genuinely smaller counterexample, not a crop of the original.
-fn minimize(comp: &AnyCompressor, case: &Case, seed: u64) -> Vec<usize> {
-    let mut dims = case.dims.clone();
-    loop {
-        let mut shrunk = false;
-        for axis in 0..dims.len() {
-            while dims[axis] > 2 {
-                let mut candidate = dims.clone();
-                candidate[axis] = (candidate[axis] / 2).max(2);
-                if still_fails(comp, case, seed, &candidate) {
-                    dims = candidate;
-                    shrunk = true;
-                } else {
-                    break;
-                }
-            }
-        }
-        if !shrunk {
-            return dims;
-        }
-    }
-}
-
-/// Run `cases` seeded contract cases against `comp`. Violations are
-/// minimized and carry a stage trace; an empty `violations` list means the
-/// bound held at every point of every case.
-pub fn contract_suite(comp: &AnyCompressor, cases: usize, seed0: u64) -> ContractStats {
-    let name = Compressor::<f32>::name(comp);
-    let mut stats = ContractStats {
-        compressor: name.clone(),
-        cases,
-        rel_cases: 0,
-        worst_ratio: 0.0,
-        violations: Vec::new(),
+/// Shrink the case while `entry` still breaks it (on a fresh context; a twin
+/// mismatch is reported at its drawn dims) and replay the smallest under a
+/// stage trace.
+fn violation<T: Scalar>(
+    comp: &AnyCompressor,
+    entry: &'static str,
+    case: &Case,
+    problem: String,
+) -> Violation {
+    let fails = |case: &Case| {
+        let (mut ctx, mut into) = (CompressCtx::new(), Vec::new());
+        run(comp, entry, case, &case.field::<T>(), &mut ctx, &mut into).is_err()
     };
-    for i in 0..cases as u64 {
-        let seed = seed0 ^ i.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        let case = draw_case(seed);
-        if matches!(case.bound, ErrorBound::Rel(_)) {
-            stats.rel_cases += 1;
-        }
-        let outcome = run_case_dyn(comp, &case, seed, &case.dims);
-        let (abs, max_err, failure) = match outcome {
-            Ok((abs, max_err)) => {
-                if max_err <= tolerance(abs) {
-                    stats.worst_ratio = stats.worst_ratio.max(max_err / abs);
+    let minimized_dims = minimize(&case.dims, |dims| fails(&case.at(dims)));
+    let trace = qip_fault::trace_replay(|| {
+        fails(&case.at(&minimized_dims));
+    });
+    let compressor = Compressor::<T>::name(comp);
+    Violation { compressor, entry, case: case.clone(), minimized_dims, problem, trace }
+}
+
+fn run_case<T: Scalar>(
+    comps: &[AnyCompressor],
+    case: &Case,
+    stats: &mut [ContractStats],
+    ctx: &mut CompressCtx,
+    into: &mut Vec<u8>,
+) {
+    let field: Field<T> = case.field();
+    // Decoded bits per (QP-off compressor, entry point); the first
+    // compressor of a name is the twin.
+    let mut qp_off: HashMap<(String, &str), Vec<u8>> = HashMap::new();
+    for (comp, st) in comps.iter().zip(stats) {
+        let name = Compressor::<T>::name(comp);
+        for entry in ENTRIES {
+            let problem = match run(comp, entry, case, &field, ctx, into) {
+                Ok(Some((out, worst))) => {
+                    st.worst_ratio = st.worst_ratio.max(worst);
+                    let bits = out.to_le_bytes();
+                    let Some(base) = name.strip_suffix("+QP") else {
+                        qp_off.entry((name.clone(), entry)).or_insert(bits);
+                        continue;
+                    };
+                    match qp_off.get(&(base.to_string(), entry)) {
+                        Some(want) if *want == bits => {
+                            st.twins += 1;
+                            continue;
+                        }
+                        Some(_) => format!("decodes unlike {base}'s stream"),
+                        None => format!("{base} left no decode to compare"),
+                    }
+                }
+                Ok(None) => {
+                    st.refused += 1;
                     continue;
                 }
-                (abs, max_err, None)
-            }
-            Err(e) => (case.bound.absolute(1.0), 0.0, Some(e)),
-        };
-        let minimized_dims = minimize(comp, &case, seed);
-        let trace = qip_fault::trace_replay(|| {
-            let _ = run_case_dyn(comp, &case, seed, &minimized_dims);
-        });
-        stats.violations.push(Violation {
-            compressor: name.clone(),
-            seed,
-            family: case.family.name(),
-            dtype: case.dtype,
-            dims: case.dims.clone(),
-            minimized_dims,
-            bound: format!("{:?}", case.bound),
-            abs,
-            max_err,
-            failure,
-            trace,
-        });
+                Err(problem) => problem,
+            };
+            st.violations.push(violation::<T>(comp, entry, case, problem));
+        }
+    }
+}
+
+/// Run the bound property for `comps` over `cases`, one context shared by
+/// every case, dtype and compressor. A QP-on compressor's twin (its name
+/// without `+QP`) must come before it in `comps`.
+pub fn contract_suite(comps: &[AnyCompressor], cases: &[Case]) -> Vec<ContractStats> {
+    let mut stats: Vec<ContractStats> = comps
+        .iter()
+        .map(|c| ContractStats { compressor: Compressor::<f32>::name(c), ..Default::default() })
+        .collect();
+    let (mut ctx, mut into) = (CompressCtx::new(), Vec::new());
+    for case in cases {
+        match case.dtype {
+            "f64" => run_case::<f64>(comps, case, &mut stats, &mut ctx, &mut into),
+            _ => run_case::<f32>(comps, case, &mut stats, &mut ctx, &mut into),
+        }
     }
     stats
 }
@@ -229,48 +232,30 @@ pub fn contract_suite(comp: &AnyCompressor, cases: usize, seed0: u64) -> Contrac
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fields::{synth, FieldFamily};
 
     #[test]
-    fn cases_are_deterministic_and_diverse() {
-        let a = draw_case(7);
-        let b = draw_case(7);
-        assert_eq!(a.dims, b.dims);
-        assert_eq!(a.dtype, b.dtype);
-        let families: std::collections::BTreeSet<&str> =
-            (0..200).map(|s| draw_case(s).family.name()).collect();
-        assert_eq!(families.len(), FieldFamily::ALL.len());
-        let rels = (0..200).filter(|&s| matches!(draw_case(s).bound, ErrorBound::Rel(_))).count();
-        assert!(rels > 40 && rels < 160, "Rel draw share skewed: {rels}/200");
+    fn quick_contract_run_holds_for_a_twin_pair_and_zfp() {
+        // The full matrix runs in the root `error_bound_property` tests and
+        // `repro conformance`; a twin pair and ZFP over 24 draws keep the
+        // unit cycle fast while exercising draw, check and twin comparison.
+        let comps = ["sz3", "sz3+qp", "zfp"].map(|n| AnyCompressor::by_name(n).unwrap());
+        let cases: Vec<Case> = (0..24).map(Case::drawn).collect();
+        let stats = contract_suite(&comps, &cases);
+        for st in &stats {
+            assert!(st.violations.is_empty(), "{}: {:?}", st.compressor, st.violations);
+        }
+        assert_eq!(stats[1].twins, cases.len() * ENTRIES.len());
     }
 
     #[test]
-    fn quick_contract_run_holds_for_two_compressors() {
-        // The full 11×256 grid runs in `repro conformance`; two compressors
-        // at 24 cases keep the unit cycle fast while exercising the whole
-        // draw/check/minimize machinery.
-        for key in ["sz3+qp", "zfp"] {
-            let comp = AnyCompressor::by_name(key).unwrap();
-            let stats = contract_suite(&comp, 24, 0xC0DE_5EED);
-            assert!(stats.violations.is_empty(), "{key}: {:?}", stats.violations);
-            assert!(stats.worst_ratio <= 1.0 + 1e-9, "{key}: ratio {}", stats.worst_ratio);
-        }
-    }
-
-    #[test]
-    fn minimizer_shrinks_a_synthetic_failure() {
-        // Force failures by treating every run as failing via an impossible
-        // tolerance: emulate by checking the minimizer on a case whose
-        // "failure" is an Unsupported error (empty dims cannot happen, so use
-        // a compressor-rejecting dtype is not available either) — instead
-        // verify the minimizer's fixed point on a passing case is the
-        // original dims (no shrink happens when nothing fails).
-        let comp = AnyCompressor::by_name("sz3").unwrap();
-        let case = draw_case(3);
-        if !still_fails(&comp, &case, 3, &case.dims) {
-            let dims = case.dims.clone();
-            // minimize() is only called on failing cases in contract_suite;
-            // calling it here on a passing case must terminate immediately.
-            assert_eq!(minimize(&comp, &case, 3), dims);
-        }
+    fn check_catches_a_broken_or_a_lost_non_finite_sample() {
+        let (field, abs): (Field<f64>, _) = (synth(FieldFamily::Smooth, 3, &[6, 5]), 1e-3);
+        let (mut off, mut nan) = (field.clone(), field.clone());
+        off.as_mut_slice()[0] += 3.0 * abs;
+        nan.as_mut_slice()[1] = f64::NAN;
+        assert!(check(&field, &field, abs).is_ok() && check(&nan, &nan, abs).is_ok());
+        assert!(check(&field, &off, abs).unwrap_err().starts_with("sample 0"));
+        assert!(check(&nan, &field, abs).is_err());
     }
 }

@@ -1,7 +1,7 @@
 //! Seeded synthetic field families for conformance testing.
 //!
 //! Modeled on the regimes of the paper's seven evaluation datasets (smooth
-//! climate slabs, spectral turbulence, layered geology, plus two degenerate
+//! climate slabs, spectral turbulence, layered geology, plus three degenerate
 //! stress cases), but generated with **arithmetic only** — no `sin`/`log` or
 //! other libm calls whose last-ulp behaviour varies across platforms. Every
 //! value is a finite IEEE result of +, −, ×, ÷, `floor` and comparisons on a
@@ -30,16 +30,21 @@ pub enum FieldFamily {
     /// unpredictable as finite data gets; most points take the unpredictable
     /// channel.
     Adversarial,
+    /// Uniform white noise on `[-500, 500)`: nothing predicts, so under a
+    /// bound near `range / 2¹⁷` the quantization indices straddle the
+    /// quantizer radius (±32 768).
+    Noise,
 }
 
 impl FieldFamily {
     /// Every family, in reporting order.
-    pub const ALL: [FieldFamily; 5] = [
+    pub const ALL: [FieldFamily; 6] = [
         FieldFamily::Smooth,
         FieldFamily::Turbulent,
         FieldFamily::Banded,
         FieldFamily::Constant,
         FieldFamily::Adversarial,
+        FieldFamily::Noise,
     ];
 
     /// Stable lowercase name used in manifests and failure messages.
@@ -50,6 +55,7 @@ impl FieldFamily {
             FieldFamily::Banded => "banded",
             FieldFamily::Constant => "constant",
             FieldFamily::Adversarial => "adversarial",
+            FieldFamily::Noise => "noise",
         }
     }
 
@@ -163,6 +169,12 @@ pub fn synth<T: Scalar>(family: FieldFamily, seed: u64, dims: &[usize]) -> Field
                 let spike = if rng.below(50) == 0 { 50.0 * (2.0 * unit(&mut rng) - 1.0) } else { 0.0 };
                 data.push(T::from_f64(v + spike));
             }
+            Field::from_vec(shape, data).expect("length matches shape by construction")
+        }
+        FieldFamily::Noise => {
+            let mut rng = XorShift64::new(seed ^ 0x0015_E000);
+            let data =
+                (0..shape.len()).map(|_| T::from_f64(1e3 * unit(&mut rng) - 500.0)).collect();
             Field::from_vec(shape, data).expect("length matches shape by construction")
         }
     }

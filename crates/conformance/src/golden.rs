@@ -34,11 +34,11 @@ use std::path::{Path, PathBuf};
 /// The error bound every golden vector is compressed under.
 pub const GOLDEN_BOUND: ErrorBound = ErrorBound::Abs(1e-3);
 
-/// Tile edge every conformance container uses (clipped edge tiles on every
-/// tiled spec and oracle shape, so remainder geometry is always exercised).
+/// Tile edge of the tiled golden containers (clipped edge tiles on every
+/// tiled spec, so remainder geometry is always exercised).
 pub const TILE_EDGE: usize = 8;
 
-/// The compressor slice the tiled grid and the region oracle run over: the
+/// The compressor slice the tiled grid runs over: the
 /// four QP-enabled interpolation compressors plus a transform-based
 /// comparator, so the container is pinned over both stream families it can
 /// embed.

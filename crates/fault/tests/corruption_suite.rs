@@ -21,20 +21,24 @@ fn registry() -> Vec<AnyCompressor> {
     AnyCompressor::registry()
 }
 
-fn small_fields() -> Vec<Field<f32>> {
-    vec![
-        qip_data::Dataset::Miranda.generate_f32(7, &[12, 13, 11]),
-        qip_data::Dataset::SegSalt.generate_f32(3, &[16, 9, 8]),
-    ]
+/// The conformance case matrix's `1xNx1` and `radius` rows (white noise
+/// whose indices straddle the quantizer radius), as f32 fields with their
+/// bounds.
+fn matrix_rows() -> Vec<(Field<f32>, ErrorBound)> {
+    qip_conformance::hostile()
+        .into_iter()
+        .filter(|c| matches!(c.row, "1xNx1" | "radius"))
+        .map(|c| (c.field(), c.bound))
+        .collect()
 }
 
 #[test]
 fn raw_corruptions_always_error() {
     for comp in registry() {
         let name = Compressor::<f32>::name(&comp);
-        for (fi, field) in small_fields().iter().enumerate() {
+        for (fi, (field, bound)) in matrix_rows().iter().enumerate() {
             let stream = comp
-                .compress(field, ErrorBound::Abs(1e-3))
+                .compress(field, *bound)
                 .unwrap_or_else(|e| panic!("{name}: compress failed: {e}"));
             for seed in 0..RAW_SEEDS {
                 let (bad, fault) = qip_fault::corrupt(&stream, seed);
@@ -56,9 +60,9 @@ fn raw_corruptions_always_error() {
 fn resealed_corruptions_never_panic() {
     for comp in registry() {
         let name = Compressor::<f32>::name(&comp);
-        for field in &small_fields() {
+        for (field, bound) in &matrix_rows() {
             let stream = comp
-                .compress(field, ErrorBound::Abs(1e-3))
+                .compress(field, *bound)
                 .unwrap_or_else(|e| panic!("{name}: compress failed: {e}"));
             for seed in 0..RESEALED_SEEDS {
                 let (bad, fault) = qip_fault::corrupt_resealed(&stream, seed)

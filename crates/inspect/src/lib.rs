@@ -673,19 +673,10 @@ mod tests {
     use qip_core::ErrorBound;
     use qip_registry::AnyCompressor;
     use qip_conformance::fields::{synth, FieldFamily};
-    use qip_tensor::Shape;
-
-    fn banded(dims: &[usize]) -> Field<f32> {
-        let n: usize = dims.iter().product();
-        let data: Vec<f32> = (0..n)
-            .map(|i| ((i % 37) as f32 * 0.11).sin() + (i / 41) as f32 * 0.01)
-            .collect();
-        Field::from_vec(Shape::new(dims), data).unwrap()
-    }
 
     #[test]
     fn ledger_sums_for_every_registry_compressor() {
-        let field = banded(&[20, 15]);
+        let field = synth::<f32>(FieldFamily::Banded, 0, &[20, 15]);
         for comp in AnyCompressor::registry() {
             let bytes = comp.as_dyn::<f32>().compress(&field, ErrorBound::Abs(1e-3)).unwrap();
             let report = inspect_bytes(&bytes).unwrap();
@@ -702,7 +693,7 @@ mod tests {
 
     #[test]
     fn error_budget_respects_bound() {
-        let field = banded(&[18, 14]);
+        let field = synth::<f32>(FieldFamily::Banded, 0, &[18, 14]);
         let comp = AnyCompressor::by_name("SZ3+QP").unwrap();
         let bytes = comp.as_dyn::<f32>().compress(&field, ErrorBound::Abs(1e-3)).unwrap();
         let report = inspect_bytes_with_original(&bytes, &field).unwrap();
@@ -718,7 +709,7 @@ mod tests {
         // NaN, ±Inf and a subnormal planted in a field. Kept bit-exact, all
         // four meet the bound; any other pairing with a non-finite side is a
         // violation, and no statistic turns non-finite.
-        let mut original = banded(&[8, 6]);
+        let mut original = synth::<f32>(FieldFamily::Banded, 0, &[8, 6]);
         let planted = [(3, f32::NAN), (10, f32::INFINITY), (20, f32::NEG_INFINITY), (30, 1e-40)];
         for (i, v) in planted {
             original.as_mut_slice()[i] = v;
@@ -742,7 +733,8 @@ mod tests {
 
         // Neither rendering of such a budget prints a non-finite number.
         let zfp = AnyCompressor::by_name("ZFP").unwrap();
-        let bytes = zfp.as_dyn::<f32>().compress(&banded(&[8, 6]), ErrorBound::Abs(1e-3)).unwrap();
+        let field = synth::<f32>(FieldFamily::Banded, 0, &[8, 6]);
+        let bytes = zfp.as_dyn::<f32>().compress(&field, ErrorBound::Abs(1e-3)).unwrap();
         let mut report = inspect_bytes(&bytes).unwrap();
         report.error_budget = Some(e);
         for text in [report.to_json(), report.render_table()] {
@@ -769,7 +761,7 @@ mod tests {
 
     #[test]
     fn json_is_deterministic() {
-        let field = banded(&[16, 11]);
+        let field = synth::<f32>(FieldFamily::Banded, 0, &[16, 11]);
         let comp = AnyCompressor::by_name("HPEZ+QP").unwrap();
         let bytes = comp.as_dyn::<f32>().compress(&field, ErrorBound::Abs(1e-3)).unwrap();
         let a = inspect_bytes(&bytes).unwrap().to_json();

@@ -6,22 +6,15 @@
 //!   produces (pinned by inspecting a stream against its own plain
 //!   decompression: every pointwise error must be exactly zero).
 
+use qip_conformance::{synth, FieldFamily};
 use qip_core::{Compressor, ErrorBound};
 use qip_inspect::{inspect_bytes, inspect_bytes_with_original};
 use qip_registry::AnyCompressor;
-use qip_tensor::{Field, Scalar, Shape};
-
-fn banded<T: Scalar>(dims: &[usize]) -> Field<T> {
-    let n: usize = dims.iter().product();
-    let data: Vec<T> = (0..n)
-        .map(|i| T::from_f64(((i % 29) as f64 * 0.17).sin() + (i / 31) as f64 * 0.013))
-        .collect();
-    Field::from_vec(Shape::new(dims), data).unwrap()
-}
+use qip_tensor::Field;
 
 #[test]
 fn inspection_never_changes_compressed_bytes() {
-    let field: Field<f32> = banded(&[19, 14]);
+    let field: Field<f32> = synth(FieldFamily::Banded, 0, &[19, 14]);
     for comp in AnyCompressor::registry() {
         let name = comp.as_dyn::<f32>().name();
         let first = comp.as_dyn::<f32>().compress(&field, ErrorBound::Abs(1e-3)).unwrap();
@@ -35,7 +28,7 @@ fn inspection_never_changes_compressed_bytes() {
 #[test]
 fn forensic_decode_matches_plain_decompress_exactly() {
     for dims in [&[48][..], &[15, 11][..], &[9, 8, 7][..]] {
-        let field: Field<f64> = banded(dims);
+        let field: Field<f64> = synth(FieldFamily::Banded, 0, dims);
         for comp in AnyCompressor::registry() {
             let name = comp.as_dyn::<f64>().name();
             let bytes = comp.as_dyn::<f64>().compress(&field, ErrorBound::Abs(1e-3)).unwrap();
@@ -55,7 +48,7 @@ fn forensic_decode_matches_plain_decompress_exactly() {
 
 #[test]
 fn tiled_container_byte_identity() {
-    let field: Field<f32> = banded(&[21, 17]);
+    let field: Field<f32> = synth(FieldFamily::Banded, 0, &[21, 17]);
     let inner = AnyCompressor::by_name("QoZ+QP").unwrap();
     let tiled = qip_container::TiledCompressor::new(inner, 8).unwrap();
     let first = tiled.compress(&field, ErrorBound::Abs(1e-3)).unwrap();

@@ -5,11 +5,12 @@
 //! Fig. 5), and per slice along a plane with a stride (Fig. 4, where the
 //! stride-2 sub-lattice isolates the last interpolation level).
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
-/// Histogram of symbol occurrences.
-pub fn symbol_histogram(symbols: impl IntoIterator<Item = i32>) -> HashMap<i32, u64> {
-    let mut h = HashMap::new();
+/// Histogram of symbol occurrences, in symbol order, so every walk over it
+/// (and so every sum [`entropy`] takes) repeats exactly.
+pub fn symbol_histogram(symbols: impl IntoIterator<Item = i32>) -> BTreeMap<i32, u64> {
+    let mut h = BTreeMap::new();
     for s in symbols {
         *h.entry(s).or_insert(0u64) += 1;
     }
