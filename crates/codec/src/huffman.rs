@@ -163,8 +163,11 @@ fn plan(symbols: &[i32], t: &mut Scratch, out: &mut Vec<u8>) -> Plan {
     // radius, so one array over the value span `[lo, hi]` holds a count per
     // value, then the value's rank in the sorted alphabet. The sentinel would
     // stretch the span to 2³¹, so it owns the slot one past `hi`; a span wider
-    // than 2²² takes the hash map for both steps. Either way the sorted
-    // alphabet and its frequencies — hence the bytes — are the same.
+    // than 2²², or than 2¹⁶ plus 32 slots per symbol (a short block spread
+    // thin: zeroing and walking the table would cost more than hashing), takes
+    // the hash map for both steps. A full `CHUNK_SYMBOLS` (2¹⁷) block reaches
+    // the 2²² cap, so only shorter blocks can change path. Either way the
+    // sorted alphabet and its frequencies — hence the bytes — are the same.
     let (mut lo, mut hi) = (i32::MAX, i32::MIN);
     for &s in symbols {
         if s != SENTINEL {
@@ -174,7 +177,7 @@ fn plan(symbols: &[i32], t: &mut Scratch, out: &mut Vec<u8>) -> Plan {
     }
     // Zero when every symbol is the sentinel.
     let span = (hi as i64 - lo as i64 + 1).max(0) as usize;
-    let dense = span <= 1 << 22 && (symbols.len() as u64) < 1 << 32;
+    let dense = span <= (1 << 22).min(32 * symbols.len() + (1 << 16)) && (symbols.len() as u64) < 1 << 32;
     let mut plan =
         Plan { dense, lo, span, wide: HashMap::new(), alphabet_end: out.len(), bits: None };
     if symbols.is_empty() {

@@ -513,11 +513,21 @@ fn fixed_edge_streams() {
     assert_huffman_identical(&[i32::MAX, UNPRED, i32::MAX], "sentinel beside the maximum");
     assert_huffman_identical(&[i32::MIN + 1, UNPRED, i32::MIN + 1, 5], "sentinel's neighbour");
     assert_huffman_identical(&[i32::MIN + 1, i32::MAX, UNPRED, 0], "full width");
-    // The dense limit exactly: a span of 2²² values is dense, one more is not.
+    // The dense limits exactly: in a block of 2¹⁷ symbols a span of 2²² values
+    // is dense, one more is not; a block of 5 symbols is dense up to a span of
+    // 2¹⁶ + 32 · 5.
     for reach in [(1 << 22) - 2, (1 << 22) - 1, 1 << 22, (1 << 22) + 1] {
         for lo in [-9, i32::MIN + 1, i32::MAX - reach] {
-            assert_huffman_identical(&[lo, lo + reach, UNPRED, lo, lo + 1], "dense limit");
+            let mut long = vec![lo; 1 << 17];
+            (long[1], long[2], long[3]) = (lo + reach, UNPRED, lo + 1);
+            assert_huffman_identical(&long, "dense limit");
             assert_huffman_identical(&[lo + reach, lo, lo + reach], "dense limit, no sentinel");
+        }
+    }
+    let short = (1 << 16) + 32 * 5;
+    for reach in [short - 2, short - 1, short, short + 1] {
+        for lo in [-9, i32::MIN + 1, i32::MAX - reach] {
+            assert_huffman_identical(&[lo, lo + reach, UNPRED, lo, lo + 1], "short-block limit");
         }
     }
     for len in 0..8 {

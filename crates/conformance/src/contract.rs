@@ -4,12 +4,14 @@
 //! resolved absolute ε) is checked over the [case matrix](mod@crate::matrix)
 //! through all three compress entry points — `compress`, `compress_into` on
 //! one context left dirty by every earlier case, and the tiled container.
-//! The check is NaN-aware: a non-finite sample must come back with its class
-//! and sign. MGARD and ZFP, whose transforms have no lossless channel, may
-//! refuse a planted field with `Unsupported("non-finite sample")` instead,
-//! and ZFP, SPERR and TTHRESH a rank-4 field with their typed "supports 1-3
-//! dimensions". And QP never changes the decoded bits: every QP-on stream
-//! decodes exactly like its QP-off twin's through the same entry point.
+//! The check is qip-metrics' [`BoundCheck`], the one definition of the
+//! bound: a finite error meets `ε` with no slack, and a non-finite sample
+//! must come back with the same bits. MGARD and ZFP, whose transforms have
+//! no lossless channel, may refuse a planted field with
+//! `Unsupported("non-finite sample")` instead, and ZFP, SPERR and TTHRESH a
+//! rank-4 field with their typed "supports 1-3 dimensions". And QP never
+//! changes the decoded bits: every QP-on stream decodes exactly like its
+//! QP-off twin's through the same entry point.
 //!
 //! A broken bound or a failed round trip is **minimized** (greedy axis
 //! shrinking while it reproduces) and reported with its case and a stage
@@ -20,6 +22,7 @@ use crate::matrix::{minimize, Case};
 use crate::tiles::tile_edge;
 use qip_container::TiledCompressor;
 use qip_core::{CompressCtx, CompressError, Compressor};
+use qip_metrics::BoundCheck;
 use qip_registry::AnyCompressor;
 use qip_tensor::{Field, Scalar};
 use std::collections::HashMap;
@@ -60,8 +63,8 @@ pub struct ContractStats {
     pub refused: usize,
     /// Entry-point runs whose decode was compared with the QP-off twin's.
     pub twins: usize,
-    /// Worst error-to-bound ratio over every finite sample that held (1.0
-    /// would sit exactly on the bound).
+    /// Worst error-to-bound ratio ([`BoundCheck::max_ratio`]) over every
+    /// run that held (1.0 would sit exactly on the bound).
     pub worst_ratio: f64,
     /// Every violation (empty = the contract held).
     pub violations: Vec<Violation>,
@@ -90,29 +93,20 @@ fn roundtrip<T: Scalar>(
 }
 
 /// The worst finite error over `abs`, or what breaks the contract: a shape
-/// drift, or a sample outside the bound (with one part in 1e9 of float
-/// slack, plus `MIN_POSITIVE` for the degenerate clamp). A non-finite
-/// original must come back as the same class and sign.
+/// drift, or the first sample qip-metrics' [`BoundCheck`] finds outside the
+/// bound.
 fn check<T: Scalar>(field: &Field<T>, out: &Field<T>, abs: f64) -> Result<f64, String> {
     if out.shape() != field.shape() {
         return Err(format!("shape drift: {:?} -> {:?}", field.shape(), out.shape()));
     }
-    let mut worst = 0.0f64;
-    for (i, (a, b)) in field.as_slice().iter().zip(out.as_slice()).enumerate() {
-        let (a, b) = (a.to_f64(), b.to_f64());
-        let err = (a - b).abs();
-        let kept = match a.is_finite() {
-            true => err <= abs * (1.0 + 1e-9) + f64::MIN_POSITIVE,
-            false => a == b || (a.is_nan() && b.is_nan()),
-        };
-        if !kept {
-            return Err(format!("sample {i}: {a:e} came back as {b:e} (abs {abs:.3e})"));
-        }
-        if a.is_finite() {
-            worst = worst.max(err / abs);
+    let verdict = BoundCheck::of(field.as_slice(), out.as_slice(), abs);
+    match verdict.first_violation {
+        None => Ok(verdict.max_ratio),
+        Some(i) => {
+            let (a, b) = (field.as_slice()[i].to_f64(), out.as_slice()[i].to_f64());
+            Err(format!("sample {i}: {a:e} came back as {b:e} (abs {abs:.3e})"))
         }
     }
-    Ok(worst)
 }
 
 /// The typed refusals the contract allows: MGARD and ZFP have no lossless

@@ -9,8 +9,10 @@
 //!   family × dtype × rank 1–4 × bound, plus fixed hostile rows (a chunked
 //!   field, 1×N×1, below `MIN_TILE`, rank 4, constant under `Rel`,
 //!   non-finite plants, white noise at the quantizer radius).
-//! - [`contract`] — the bound property: `|d − d'| ≤ ε` pointwise
-//!   (NaN-aware) for every registry compressor through `compress`,
+//! - [`contract`] — the bound property: every point meets the bound by
+//!   `qip_metrics::BoundCheck`, the workspace's one definition (no slack; a
+//!   non-finite sample comes back with the same bits), for every registry
+//!   compressor through `compress`,
 //!   `compress_into` on a dirty context, and the tiled container, and every
 //!   QP-on stream decodes to its QP-off twin's bits; violations are
 //!   minimized and carry a stage trace.

@@ -31,7 +31,8 @@ use qip_container::ContainerInfo;
 use qip_core::{CompressCtx, CompressError};
 use qip_interp::{EngineForensics, LevelForensics, Preset, QuantCapture};
 use qip_mgard::Mgard;
-use qip_quant::{LinearQuantizer, UNPRED};
+use qip_metrics::BoundCheck;
+use qip_quant::UNPRED;
 use qip_sz3::{lorenzo, Pipeline, Sz3};
 use qip_tensor::{Field, Scalar};
 use serde::Serialize;
@@ -40,7 +41,7 @@ use serde::Serialize;
 pub const HEATMAP_MAX_EDGE: usize = 16;
 
 /// Number of buckets in the `|err| / bound` margin histogram (over `[0, 1]`).
-pub const MARGIN_BUCKETS: usize = 10;
+pub use qip_metrics::MARGIN_BUCKETS;
 
 /// Every ledger component, in the order a ledger lists them (a format uses
 /// the subset its parser names).
@@ -154,7 +155,9 @@ pub struct LevelPsnr {
     pub psnr: f64,
 }
 
-/// Error-budget analytics against the original field.
+/// Error-budget analytics against the original field. The budget (maximum,
+/// margins, violations, histogram) is one [`qip_metrics::BoundCheck`], the
+/// workspace's one definition of the bound.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ErrorBudget {
     /// Absolute error bound the stream was quantized at.
@@ -165,9 +168,7 @@ pub struct ErrorBudget {
     pub max_margin: f64,
     /// Mean `|err| / bound` margin over the finite errors.
     pub mean_margin: f64,
-    /// Points whose error exceeds the bound (must be 0 for a correct stream).
-    /// A non-finite sample meets the bound only when it comes back as the
-    /// same bit pattern.
+    /// Points that break the bound (must be 0 for a correct stream).
     pub violations: u64,
     /// Points whose error is not finite: either side is NaN or ±Inf. Left
     /// out of the JSON when 0, so reports of finite fields keep their bytes.
@@ -479,8 +480,10 @@ fn heatmap(dims: &[usize], capture: &QuantCapture, accepted: &[u8]) -> Option<He
     Some(map)
 }
 
-/// Error-budget analytics. `level_of` (spatial per-point levels) and `range`
-/// of the original drive the per-level PSNR; pass an empty slice to skip it.
+/// Error-budget analytics: the budget is qip-metrics' [`BoundCheck`];
+/// `level_of` (spatial per-point levels) and `levels_present` drive the
+/// per-level PSNR (pass empty slices to skip it), whose range is the
+/// original's over the points with a finite error.
 fn error_budget<T: Scalar>(
     original: &Field<T>,
     recon: &Field<T>,
@@ -488,73 +491,38 @@ fn error_budget<T: Scalar>(
     level_of: &[u8],
     levels_present: &[usize],
 ) -> ErrorBudget {
-    let quant = LinearQuantizer::new(bound);
-    let orig = original.as_slice();
-    let rec = recon.as_slice();
-    let n = orig.len().min(rec.len());
-    let mut hist = vec![0u64; MARGIN_BUCKETS];
-    let (mut max_err, mut max_margin, mut sum_margin) = (0.0f64, 0.0f64, 0.0f64);
-    let (mut violations, mut nonfinite) = (0u64, 0u64);
-    let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
-    for i in 0..n {
-        let (o, r) = (orig[i].to_f64(), rec[i].to_f64());
-        let err = (o - r).abs();
-        if !err.is_finite() {
-            // A NaN or ±Inf has no distance to anything: it meets the bound
-            // (margin 0) exactly when it comes back as the same bit pattern.
-            nonfinite += 1;
-            if o.to_bits() == r.to_bits() {
-                hist[0] += 1;
-            } else {
-                violations += 1;
-            }
-            continue;
-        }
-        lo = lo.min(o);
-        hi = hi.max(o);
-        let m = quant.margin_fraction(err);
-        max_err = max_err.max(err);
-        max_margin = max_margin.max(m);
-        sum_margin += m;
-        if m > 1.0 {
-            violations += 1;
-        } else {
-            hist[((m * MARGIN_BUCKETS as f64) as usize).min(MARGIN_BUCKETS - 1)] += 1;
-        }
-    }
-    let finite = n as u64 - nonfinite;
-    let range = hi - lo;
-    let psnr_of = |mse: f64| {
-        if mse > 0.0 && range > 0.0 {
-            20.0 * range.log10() - 10.0 * mse.log10()
-        } else {
-            f64::NAN
-        }
-    };
+    let (orig, rec) = (original.as_slice(), recon.as_slice());
+    let check = BoundCheck::of(orig, rec, bound);
     let mut level_psnr = Vec::new();
-    if level_of.len() == n {
-        for &lvl in levels_present {
-            let (mut se, mut count) = (0.0f64, 0u64);
-            for i in 0..n {
-                let d = orig[i].to_f64() - rec[i].to_f64();
-                if level_of[i] as usize == lvl && d.is_finite() {
-                    se += d * d;
-                    count += 1;
-                }
+    if level_of.len() == check.len as usize {
+        let (mut se, mut count) = ([0.0f64; 256], [0u64; 256]);
+        let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
+        for ((o, r), &lvl) in orig.iter().zip(rec).zip(level_of) {
+            let (o, d) = (o.to_f64(), o.to_f64() - r.to_f64());
+            if d.is_finite() {
+                (lo, hi) = (lo.min(o), hi.max(o));
+                se[lvl as usize] += d * d;
+                count[lvl as usize] += 1;
             }
-            if count > 0 {
-                level_psnr.push(LevelPsnr { level: lvl, psnr: psnr_of(se / count as f64) });
-            }
+        }
+        let range = hi - lo;
+        for &lvl in levels_present.iter().filter(|&&l| count[l] > 0) {
+            let mse = se[lvl] / count[lvl] as f64;
+            let psnr = match mse > 0.0 && range > 0.0 {
+                true => 20.0 * range.log10() - 10.0 * mse.log10(),
+                false => f64::NAN,
+            };
+            level_psnr.push(LevelPsnr { level: lvl, psnr });
         }
     }
     ErrorBudget {
         bound,
-        max_abs_error: max_err,
-        max_margin,
-        mean_margin: if finite > 0 { sum_margin / finite as f64 } else { 0.0 },
-        violations,
-        nonfinite,
-        margin_histogram: hist,
+        max_abs_error: check.max_abs,
+        max_margin: check.max_ratio,
+        mean_margin: check.mean_ratio(),
+        violations: check.violations,
+        nonfinite: check.nonfinite,
+        margin_histogram: check.histogram.to_vec(),
         psnr: qip_metrics::psnr(original, recon),
         level_psnr,
     }

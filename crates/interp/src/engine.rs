@@ -1084,23 +1084,6 @@ mod tests {
     }
 
     #[test]
-    fn roundtrip_bound_3d_all_presets() {
-        let field = smooth_field(&[17, 12, 9]);
-        for (name, cfg) in engines() {
-            for qp in [QpConfig::off(), QpConfig::best_fit()] {
-                let mut cfg = cfg;
-                cfg.qp = qp;
-                let eng = InterpEngine::new(cfg);
-                let bytes = eng.compress(&field, ErrorBound::Abs(1e-3)).unwrap();
-                let out: Field<f32> = eng.decompress(&bytes).unwrap();
-                assert_eq!(out.shape(), field.shape());
-                let err = max_abs_error(&field, &out);
-                assert!(err <= 1e-3 + 1e-9, "{name} qp={:?}: err {err}", qp.mode);
-            }
-        }
-    }
-
-    #[test]
     fn qp_does_not_change_decompressed_data() {
         // The paper's core guarantee: QP alters only the encoded stream.
         let field = smooth_field(&[33, 21, 14]);
@@ -1152,45 +1135,6 @@ mod tests {
     }
 
     #[test]
-    fn roundtrip_1d_and_2d() {
-        for dims in [vec![97usize], vec![31, 22]] {
-            let field = smooth_field(&dims);
-            for (name, mut cfg) in engines() {
-                cfg.qp = QpConfig::best_fit();
-                let eng = InterpEngine::new(cfg);
-                let bytes = eng.compress(&field, ErrorBound::Abs(1e-3)).unwrap();
-                let out: Field<f32> = eng.decompress(&bytes).unwrap();
-                let err = max_abs_error(&field, &out);
-                assert!(err <= 1e-3 + 1e-9, "{name} dims={dims:?}: err {err}");
-            }
-        }
-    }
-
-    #[test]
-    fn relative_bound_resolved_against_range() {
-        let field = smooth_field(&[20, 20, 10]);
-        let range = field.value_range();
-        let eng = InterpEngine::new(EngineConfig::sz3_like(0x10));
-        let bytes = eng.compress(&field, ErrorBound::Rel(1e-3)).unwrap();
-        let out: Field<f32> = eng.decompress(&bytes).unwrap();
-        assert!(max_abs_error(&field, &out) <= 1e-3 * range + 1e-9);
-    }
-
-    #[test]
-    fn f64_fields() {
-        let field = Field::<f64>::from_fn(Shape::d3(12, 10, 8), |c| {
-            (c[0] as f64 * 0.2).sin() + (c[1] as f64 * 0.1).cos() + c[2] as f64 * 1e-3
-        });
-        for (_, mut cfg) in engines() {
-            cfg.qp = QpConfig::best_fit();
-            let eng = InterpEngine::new(cfg);
-            let bytes = eng.compress(&field, ErrorBound::Abs(1e-6)).unwrap();
-            let out: Field<f64> = eng.decompress(&bytes).unwrap();
-            assert!(max_abs_error(&field, &out) <= 1e-6 + 1e-15);
-        }
-    }
-
-    #[test]
     fn constant_field_tiny_stream() {
         let field = Field::from_vec(Shape::d3(16, 16, 16), vec![3.25f32; 4096]).unwrap();
         let eng = InterpEngine::new(EngineConfig::sz3_like(0x10));
@@ -1225,10 +1169,8 @@ mod tests {
             let out: Field<f32> = eng.decompress(&bytes).unwrap();
             // The planted samples come back bit for bit, and no finite
             // neighbour predicted from them leaves the bound.
-            for (i, (a, b)) in field.as_slice().iter().zip(out.as_slice()).enumerate() {
-                let held = if a.is_finite() { (a - b).abs() <= 1e-3 } else { a.to_bits() == b.to_bits() };
-                assert!(held, "sample {i}: {a} decoded as {b}");
-            }
+            let check = qip_metrics::BoundCheck::of(field.as_slice(), out.as_slice(), 1e-3);
+            assert!(check.holds(), "{check:?}");
         }
     }
 
@@ -1341,16 +1283,5 @@ mod tests {
         eng.compress_append(&field, ErrorBound::Abs(1e-3), &mut ctx, &mut out).unwrap();
         assert_eq!(&out[..2], &[0xAB, 0xCD]);
         assert_eq!(&out[2..], &eng.compress(&field, ErrorBound::Abs(1e-3)).unwrap()[..]);
-    }
-
-    #[test]
-    fn four_d_supported_small() {
-        let field = Field::<f32>::from_fn(Shape::new(&[3, 3, 3, 3]), |c| {
-            (c[0] + 2 * c[1] + 3 * c[2] + 4 * c[3]) as f32 * 0.1
-        });
-        let eng = InterpEngine::new(EngineConfig::sz3_like(0x10));
-        let bytes = eng.compress(&field, ErrorBound::Abs(1e-3)).unwrap();
-        let out: Field<f32> = eng.decompress(&bytes).unwrap();
-        assert!(qip_metrics::max_abs_error(&field, &out) <= 1e-3 + 1e-9);
     }
 }

@@ -249,28 +249,6 @@ mod tests {
         })
     }
 
-    fn roundtrip_holds<T: Scalar>(dims: &[usize], bound: ErrorBound) {
-        let f = smooth::<T>(dims);
-        let abs = bound.resolve(&f).abs;
-        for base in presets() {
-            for qp in [QpConfig::off(), QpConfig::best_fit()] {
-                let c = base.clone().with_qp(qp);
-                let out = c.decompress(&c.compress(&f, bound).unwrap()).unwrap();
-                let err = max_abs_error(&f, &out);
-                assert!(err <= abs * (1.0 + 1e-9), "{} {dims:?}: {err}", Compressor::<T>::name(&c));
-            }
-        }
-    }
-
-    #[test]
-    fn roundtrip_bound_f32_f64_2d_3d() {
-        roundtrip_holds::<f32>(&[26, 20, 14], ErrorBound::Abs(1e-3));
-        roundtrip_holds::<f32>(&[48, 37], ErrorBound::Abs(5e-4));
-        roundtrip_holds::<f64>(&[20, 16, 12], ErrorBound::Rel(1e-4));
-        // Large enough for the tuner to run its trials.
-        roundtrip_holds::<f32>(&[40, 36, 20], ErrorBound::Rel(1e-3));
-    }
-
     #[test]
     fn qp_preserves_decompressed_data() {
         let f = smooth::<f32>(&[36, 28, 18]);

@@ -2,6 +2,10 @@
 //!
 //! Implements the assessment toolkit used throughout the evaluation:
 //! PSNR / MSE / max errors between original and decompressed fields,
+//! the one pointwise error-bound verdict ([`BoundCheck`]: a finite error
+//! meets `ε` iff `|x − x̂| ≤ ε`, a non-finite sample iff it comes back with
+//! the same bits — read by `max_abs_error`, qip-inspect's error budget and
+//! the conformance bound property),
 //! compression ratio and bit-rate, and Shannon entropy of quantization index
 //! arrays — globally, over rectangular regions (paper Fig. 5), and per slice
 //! along a plane (paper Fig. 4).
@@ -13,7 +17,7 @@ mod error;
 mod ssim;
 
 pub use entropy::{entropy, entropy_by_slice, entropy_of_counts, entropy_region, symbol_histogram};
-pub use error::{max_abs_error, max_rel_error, mse, psnr, ErrorStats};
+pub use error::{max_abs_error, max_rel_error, mse, psnr, BoundCheck, ErrorStats, MARGIN_BUCKETS};
 pub use ssim::ssim;
 
 use qip_tensor::Scalar;

@@ -693,20 +693,6 @@ mod tests {
     }
 
     #[test]
-    fn roundtrip_bound_3d() {
-        let f = smooth(&[21, 17, 13]);
-        for qp in [QpConfig::off(), QpConfig::best_fit()] {
-            for l2 in [false, true] {
-                let m = Mgard::new().with_qp(qp).with_l2_projection(l2);
-                let bytes = m.compress(&f, ErrorBound::Abs(1e-3)).unwrap();
-                let out = m.decompress(&bytes).unwrap();
-                let err = max_abs_error(&f, &out);
-                assert!(err <= 1e-3 + 1e-9, "qp={qp:?} l2={l2}: err {err}");
-            }
-        }
-    }
-
-    #[test]
     fn qp_preserves_decompressed_data() {
         let f = smooth(&[30, 24, 12]);
         let plain = Mgard::new();
@@ -803,35 +789,16 @@ mod tests {
     }
 
     #[test]
-    fn roundtrip_1d_2d() {
-        for dims in [vec![63usize], vec![29, 22]] {
-            let f = smooth(&dims);
-            let m = Mgard::new().with_qp(QpConfig::best_fit());
-            let bytes = m.compress(&f, ErrorBound::Abs(1e-3)).unwrap();
-            let out = m.decompress(&bytes).unwrap();
-            assert!(max_abs_error(&f, &out) <= 1e-3 + 1e-9, "dims {dims:?}");
-        }
-    }
-
-    #[test]
-    fn double_precision_tight_bound() {
-        let f = Field::<f64>::from_fn(Shape::d3(16, 14, 10), |c| {
-            (c[0] as f64 * 0.2).sin() * (c[1] as f64 * 0.15).cos() + c[2] as f64 * 1e-4
-        });
-        let m = Mgard::new();
-        let bytes = m.compress(&f, ErrorBound::Abs(1e-8)).unwrap();
-        let out = m.decompress(&bytes).unwrap();
-        assert!(max_abs_error(&f, &out) <= 1e-8);
-    }
-
-    #[test]
     fn l2_projection_roundtrips_exactly_without_quantization_error_blowup() {
-        // Strict bound must hold with the update step enabled, too.
+        // Strict bound must hold with the update step enabled, with and
+        // without QP (the registry's MGARD never enables it).
         let f = smooth(&[33, 18, 9]);
-        let m = Mgard::new().with_l2_projection(true);
-        let bytes = m.compress(&f, ErrorBound::Abs(5e-4)).unwrap();
-        let out = m.decompress(&bytes).unwrap();
-        assert!(max_abs_error(&f, &out) <= 5e-4 + 1e-9);
+        for qp in [QpConfig::off(), QpConfig::best_fit()] {
+            let m = Mgard::new().with_qp(qp).with_l2_projection(true);
+            let bytes = m.compress(&f, ErrorBound::Abs(5e-4)).unwrap();
+            let out = m.decompress(&bytes).unwrap();
+            assert!(max_abs_error(&f, &out) <= 5e-4, "qp={qp:?}");
+        }
     }
 
     #[test]

@@ -115,18 +115,6 @@ impl LinearQuantizer {
         T::from_f64(pred + 2.0 * index as f64 * self.eb)
     }
 
-    /// Fraction of the error bound a pointwise error consumes (`|err| / ε`),
-    /// the error-budget utilization statistic behind qip-inspect's margin
-    /// histograms. A value of 1.0 means the bound was met exactly; values
-    /// above 1.0 mark a bound violation. Non-finite errors map to infinity.
-    #[inline]
-    pub fn margin_fraction(&self, err: f64) -> f64 {
-        if !err.is_finite() || self.eb <= 0.0 {
-            return f64::INFINITY;
-        }
-        err.abs() / self.eb
-    }
-
     /// Branchless chunked quantization over up to 64 lanes.
     ///
     /// Computes every lane's index and reconstruction *unconditionally* — no

@@ -138,7 +138,6 @@ pub fn decode<T: Scalar>(p: &Parsed<'_>) -> Result<Field<T>, CompressError> {
 mod tests {
     use super::*;
     use qip_tensor::Shape;
-    use qip_metrics::max_abs_error;
 
     fn smooth(dims: &[usize]) -> Field<f32> {
         Field::from_fn(Shape::new(dims), |c| {
@@ -147,53 +146,6 @@ mod tests {
             let z = c.get(2).copied().unwrap_or(0) as f32;
             (0.06 * x).sin() + 0.6 * (0.09 * y).cos() + 0.03 * z
         })
-    }
-
-    #[test]
-    fn roundtrip_bound_3d() {
-        let f = smooth(&[22, 18, 13]);
-        let sperr = Sperr::new();
-        for eb in [1e-2, 1e-3, 1e-4] {
-            let bytes = sperr.compress(&f, ErrorBound::Abs(eb)).unwrap();
-            let out = sperr.decompress(&bytes).unwrap();
-            let err = max_abs_error(&f, &out);
-            assert!(err <= eb + 1e-12, "eb={eb}: err {err}");
-        }
-    }
-
-    #[test]
-    fn roundtrip_1d_2d() {
-        for dims in [vec![41usize], vec![26, 33]] {
-            let f = smooth(&dims);
-            let sperr = Sperr::new();
-            let bytes = sperr.compress(&f, ErrorBound::Abs(1e-3)).unwrap();
-            let out = sperr.decompress(&bytes).unwrap();
-            assert!(max_abs_error(&f, &out) <= 1e-3 + 1e-12, "dims {dims:?}");
-        }
-    }
-
-    #[test]
-    fn rough_data_still_bounded_via_corrections() {
-        let mut state = 77u64;
-        let f = Field::<f32>::from_fn(Shape::d3(11, 11, 11), |_| {
-            state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
-            ((state >> 40) as f32 / 16777216.0) * 100.0
-        });
-        let sperr = Sperr::new();
-        let bytes = sperr.compress(&f, ErrorBound::Abs(1e-4)).unwrap();
-        let out = sperr.decompress(&bytes).unwrap();
-        assert!(max_abs_error(&f, &out) <= 1e-4 + 1e-12);
-    }
-
-    #[test]
-    fn double_precision() {
-        let f = Field::<f64>::from_fn(Shape::d3(14, 12, 10), |c| {
-            (c[0] as f64 * 0.2).sin() * 50.0 + c[1] as f64 * 0.3 + c[2] as f64
-        });
-        let sperr = Sperr::new();
-        let bytes = sperr.compress(&f, ErrorBound::Rel(1e-5)).unwrap();
-        let out = sperr.decompress(&bytes).unwrap();
-        assert!(max_abs_error(&f, &out) <= 1e-5 * f.value_range() + 1e-12);
     }
 
     #[test]
@@ -215,14 +167,5 @@ mod tests {
         wrong[0] ^= 0x11;
         let res: Result<Field<f32>, _> = sperr.decompress(&wrong);
         assert!(res.is_err());
-    }
-
-    #[test]
-    fn constant_field() {
-        let f = Field::from_vec(Shape::d2(32, 32), vec![2.5f32; 1024]).unwrap();
-        let sperr = Sperr::new();
-        let bytes = sperr.compress(&f, ErrorBound::Abs(1e-4)).unwrap();
-        let out = sperr.decompress(&bytes).unwrap();
-        assert!(max_abs_error(&f, &out) <= 1e-4);
     }
 }

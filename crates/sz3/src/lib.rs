@@ -263,17 +263,6 @@ mod tests {
     }
 
     #[test]
-    fn roundtrip_bound() {
-        let f = smooth(&[25, 19, 13]);
-        for qp in [QpConfig::off(), QpConfig::best_fit()] {
-            let sz3 = Sz3::new().with_qp(qp);
-            let bytes = sz3.compress(&f, ErrorBound::Abs(1e-3)).unwrap();
-            let out = sz3.decompress(&bytes).unwrap();
-            assert!(max_abs_error(&f, &out) <= 1e-3 + 1e-9);
-        }
-    }
-
-    #[test]
     fn qp_preserves_decompressed_data() {
         let f = smooth(&[40, 30, 20]);
         let plain = Sz3::new();

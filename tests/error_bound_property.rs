@@ -1,7 +1,8 @@
 //! The error-bound property over the conformance case matrix: for all 11
 //! registry compressors, through `compress`, `compress_into` on one dirty
 //! context, and the tiled container, every decoded point honours the bound
-//! (NaN-aware), and every QP-on stream decodes to its QP-off twin's bits.
+//! (`qip_metrics::BoundCheck`: no slack, a non-finite sample back with the
+//! same bits), and every QP-on stream decodes to its QP-off twin's bits.
 //!
 //! Each test runs one slice of one matrix (`qip_conformance::matrix`), so
 //! the slices run side by side. A failure prints the case, which replays it.
@@ -60,7 +61,7 @@ fn streams_decode_to_original_shape() {
     assert_eq!(stats.iter().map(|s| s.refused).sum::<usize>(), 3 * 3);
 }
 
-/// Non-finite and subnormal samples come back as the same class and never
+/// Non-finite and subnormal samples come back with the same bits and never
 /// poison a finite neighbour — or, for MGARD and ZFP (whose transforms have
 /// no lossless channel), the field is refused with a typed error. SZ3 forced
 /// onto its Lorenzo pipeline runs too.

@@ -1,8 +1,10 @@
 //! QP's defining guarantees, end-to-end across all base compressors:
-//! (1) the decompressed data is bit-identical with QP on or off,
-//! (2) the transform is exactly reversible for every configuration,
-//! (3) with the best-fit configuration the stream never grows meaningfully,
-//! and on the benchmark workloads never grows at all, for any base.
+//! (1) the transform is exactly reversible for every configuration,
+//! (2) with the best-fit configuration the stream never grows meaningfully,
+//! and on the benchmark workloads never grows at all, for any base. That
+//! the decompressed data is bit-identical with QP on or off is the bound
+//! property's twin comparison (`tests/error_bound_property.rs`), run for
+//! every case of the conformance matrix through every entry point.
 
 use qip::core::{Condition, PredMode};
 use qip::data::Dataset;
@@ -18,46 +20,6 @@ fn datasets() -> Vec<(Dataset, Field<f32>)> {
             (ds, f)
         })
         .collect()
-}
-
-#[test]
-fn qp_bit_identical_output_all_compressors() {
-    for (ds, field) in datasets() {
-        type Pair = (Box<dyn Compressor<f32>>, Box<dyn Compressor<f32>>);
-        let pairs: Vec<Pair> = vec![
-            (
-                Box::new(qip::mgard::Mgard::new()),
-                Box::new(qip::mgard::Mgard::new().with_qp(QpConfig::best_fit())),
-            ),
-            (
-                Box::new(qip::sz3::Sz3::new()),
-                Box::new(qip::sz3::Sz3::new().with_qp(QpConfig::best_fit())),
-            ),
-            (
-                Box::new(qip::interp::Tuned::qoz()),
-                Box::new(qip::interp::Tuned::qoz().with_qp(QpConfig::best_fit())),
-            ),
-            (
-                Box::new(qip::interp::Tuned::hpez()),
-                Box::new(qip::interp::Tuned::hpez().with_qp(QpConfig::best_fit())),
-            ),
-        ];
-        for (plain, with_qp) in pairs {
-            let a = plain
-                .decompress(&plain.compress(&field, ErrorBound::Rel(1e-3)).unwrap())
-                .unwrap();
-            let b = with_qp
-                .decompress(&with_qp.compress(&field, ErrorBound::Rel(1e-3)).unwrap())
-                .unwrap();
-            assert_eq!(
-                a.as_slice(),
-                b.as_slice(),
-                "{} on {}: QP changed the decompressed data",
-                plain.name(),
-                ds.name()
-            );
-        }
-    }
 }
 
 #[test]
