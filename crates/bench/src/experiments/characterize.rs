@@ -304,12 +304,3 @@ pub fn fig5(opts: &Opts) {
     );
     let _ = write_jsonl(&opts.out, "fig5_region_entropy", &records);
 }
-
-/// Smoke-test-sized variants used by integration tests.
-pub fn smoke(opts: &Opts) {
-    let dims = Dataset::SegSalt.scaled_dims(opts.scale.max(16));
-    let field: Field<f32> = Dataset::SegSalt.generate_f32(0, &dims);
-    let sz3 = qip_sz3::Sz3::new();
-    let cap = sz3.quant_capture(&field, ErrorBound::Rel(1e-3)).expect("capture");
-    assert_eq!(cap.q.len(), field.len());
-}

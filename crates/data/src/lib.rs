@@ -27,7 +27,7 @@ pub use generators::{
 };
 pub use noise::SpectralNoise;
 
-use qip_tensor::{Field, Shape};
+use qip_tensor::Field;
 
 /// The benchmark datasets of the paper's Table III.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -189,16 +189,6 @@ impl Dataset {
             }
         }
     }
-}
-
-/// Convenience: an arbitrary smooth test field (used by examples and tests).
-pub fn smooth_test_field(dims: &[usize]) -> Field<f32> {
-    Field::from_fn(Shape::new(dims), |c| {
-        let x = c[0] as f32;
-        let y = c.get(1).copied().unwrap_or(0) as f32;
-        let z = c.get(2).copied().unwrap_or(0) as f32;
-        (0.07 * x).sin() + 0.5 * (0.11 * y).cos() + 0.25 * (0.05 * (x + z)).sin()
-    })
 }
 
 #[cfg(test)]

@@ -3,8 +3,9 @@
 use qip_core::QpConfig;
 use qip_predict::InterpKind;
 
-/// Axis permutations considered when dimension-order tuning is enabled.
-/// Index into this table is the on-stream order tag (per dimensionality).
+/// Axis permutations a stream's order tag can name. Index into this table is
+/// the on-stream order tag (per dimensionality); the encoder always writes
+/// the [`default_order`].
 pub const ORDERS_3D: [[usize; 3]; 6] =
     [[0, 1, 2], [0, 2, 1], [1, 0, 2], [1, 2, 0], [2, 0, 1], [2, 1, 0]];
 /// 2-D axis permutations.
@@ -23,8 +24,7 @@ pub fn order_from_tag(ndim: usize, tag: u8) -> Option<Vec<usize>> {
         1 => (tag == 0).then(|| vec![0]),
         2 => ORDERS_2D.get(tag as usize).map(|o| o.to_vec()),
         3 => ORDERS_3D.get(tag as usize).map(|o| o.to_vec()),
-        // 4-D fields (RTM) use the default order only; the order search is
-        // not worth 24 permutations there.
+        // 4-D fields (RTM) have no table: tag 0 is the default order.
         4 => (tag == 0).then(|| default_order(4)),
         _ => None,
     }
@@ -87,35 +87,24 @@ pub struct EngineConfig {
     pub alpha: f64,
     /// … clamped from below by `eb / β`.
     pub beta: f64,
-    /// Auto-select linear vs cubic per level (recorded in the stream).
-    pub select_kind: bool,
-    /// Interpolation family used when `select_kind` is off.
-    pub fixed_kind: InterpKind,
-    /// Auto-select the dimension order per level (HPEZ-style tuning).
-    pub select_order: bool,
-    /// Pass structure (directional vs multi-dimensional).
+    /// Pass structure (directional vs multi-dimensional; the latter also
+    /// searches each level's axis mask).
     pub passes: PassStructure,
     /// Quantization index prediction configuration (the paper's contribution).
     pub qp: QpConfig,
-    /// Quantizer radius (indices satisfy `|q| < radius`).
-    pub radius: i32,
 }
 
 impl EngineConfig {
-    /// SZ3-like baseline: no anchors, uniform per-level bounds, per-level
-    /// kind selection, fixed dimension order, directional passes.
+    /// SZ3-like baseline: no anchors, uniform per-level bounds, directional
+    /// passes.
     pub fn sz3_like(magic: u8) -> Self {
         EngineConfig {
             magic,
             anchor_log2: None,
             alpha: 1.0,
             beta: 1.0,
-            select_kind: true,
-            fixed_kind: InterpKind::Cubic,
-            select_order: false,
             passes: PassStructure::Directional,
             qp: QpConfig::off(),
-            radius: 32768,
         }
     }
 
@@ -129,11 +118,10 @@ impl EngineConfig {
         }
     }
 
-    /// HPEZ-like: QoZ plus dimension-order tuning and multi-dimensional
-    /// interpolation.
+    /// HPEZ-like: QoZ plus multi-dimensional interpolation with a per-level
+    /// axis-mask search.
     pub fn hpez_like(magic: u8) -> Self {
         EngineConfig {
-            select_order: true,
             passes: PassStructure::MultiDim,
             ..Self::qoz_like(magic)
         }
@@ -167,13 +155,6 @@ pub struct LevelParams {
     /// Ignored by directional passes. A pass whose odd axes are all frozen
     /// falls back to using them all.
     pub axis_mask: u8,
-}
-
-impl LevelParams {
-    /// Parameters with every axis active.
-    pub fn new(kind: InterpKind, order: Vec<usize>) -> Self {
-        LevelParams { kind, order, axis_mask: 0xFF }
-    }
 }
 
 #[cfg(test)]
@@ -220,7 +201,6 @@ mod tests {
         let qoz = EngineConfig::qoz_like(2);
         let hpez = EngineConfig::hpez_like(3);
         assert!(sz3.anchor_log2.is_none() && qoz.anchor_log2.is_some());
-        assert!(!sz3.select_order && hpez.select_order);
         assert_eq!(sz3.passes, PassStructure::Directional);
         assert_eq!(hpez.passes, PassStructure::MultiDim);
         assert!(qoz.alpha > sz3.alpha);

@@ -45,11 +45,6 @@ impl InterpEngine {
     pub fn config(&self) -> &EngineConfig {
         &self.cfg
     }
-
-    /// Mutable access (used by the compressor crates' tuners).
-    pub fn config_mut(&mut self) -> &mut EngineConfig {
-        &mut self.cfg
-    }
 }
 
 /// Captured quantization state for the characterization experiments (paper
@@ -402,7 +397,7 @@ pub(crate) fn build_quantizers(
 ) {
     bank.clear();
     for l in 0..=max_level {
-        bank.push(LinearQuantizer::with_radius(cfg.level_eb(eb, l.max(1)), cfg.radius));
+        bank.push(LinearQuantizer::new(cfg.level_eb(eb, l.max(1))));
     }
 }
 
@@ -670,7 +665,8 @@ impl InterpEngine {
         w.put_u8(cfg.passes.tag());
         let qp_at = w.len();
         cfg.qp.write(w);
-        w.put_u32(cfg.radius as u32);
+        // The radius every encoder uses; the decoder honours a stream's own.
+        w.put_u32(LinearQuantizer::DEFAULT_RADIUS as u32);
 
         let max_dim = field.shape().dims().iter().copied().max().unwrap_or(0);
         let levels = num_levels(max_dim);
@@ -833,13 +829,13 @@ impl InterpEngine {
         eff.beta = beta;
         eff.passes = passes;
         eff.qp = qp_cfg;
-        eff.radius = radius;
         eff.anchor_log2 = Some(start_level as u32);
 
         let mut parsed = ParsedStream {
             shape: header.shape,
             abs_eb: header.abs_eb,
             eff,
+            radius,
             start_level,
             level_tags: Vec::new(),
             anchor_bytes: &[],
@@ -906,7 +902,7 @@ impl InterpEngine {
         decode_scalars_into(p.unpred_bytes, &mut unpred, "unpredictable block misaligned")?;
         qip_codec::decode_indices_capped_into(p.index_block, p.n, &mut ctx.qprime)?;
         drop(_t);
-        build_decode_quantizers(&p.eff, p.abs_eb, p.start_level, &mut ctx.quantizers)?;
+        build_decode_quantizers(&p, &mut ctx.quantizers)?;
 
         // `try_zeroed_vec` validates that `n` is allocatable before the probe
         // sizes its per-point maps to it.
@@ -984,6 +980,8 @@ pub(crate) struct ParsedStream<'a> {
     pub(crate) shape: qip_tensor::Shape,
     pub(crate) abs_eb: f64,
     pub(crate) eff: EngineConfig,
+    /// The quantizer radius the stream records.
+    pub(crate) radius: i32,
     pub(crate) start_level: usize,
     pub(crate) level_tags: Vec<(u8, u8, u8)>,
     pub(crate) anchor_bytes: &'a [u8],
@@ -1014,15 +1012,13 @@ pub(crate) fn decode_scalars_into<T: Scalar>(
 /// Build the per-level quantizer bank used while decompressing (fallible:
 /// a forged header can declare degenerate per-level bounds).
 pub(crate) fn build_decode_quantizers(
-    eff: &EngineConfig,
-    abs_eb: f64,
-    start_level: usize,
+    p: &ParsedStream<'_>,
     bank: &mut QuantizerBank,
 ) -> Result<(), CompressError> {
     bank.clear();
-    for l in 0..=start_level {
+    for l in 0..=p.start_level {
         bank.push(
-            LinearQuantizer::try_with_radius(eff.level_eb(abs_eb, l.max(1)), eff.radius)
+            LinearQuantizer::try_with_radius(p.eff.level_eb(p.abs_eb, l.max(1)), p.radius)
                 .ok_or(CompressError::Corrupt("degenerate per-level error bound"))?,
         );
     }

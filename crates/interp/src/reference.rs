@@ -308,7 +308,7 @@ pub(crate) fn decompress<T: Scalar>(
     decode_scalars_into(p.unpred_bytes, &mut unpred, "unpredictable block misaligned")?;
     let mut qprime = qip_codec::decode_indices_capped(p.index_block, p.n)?;
     let mut bank = QuantizerBank::new();
-    build_decode_quantizers(&p.eff, p.abs_eb, p.start_level, &mut bank)?;
+    build_decode_quantizers(&p, &mut bank)?;
 
     let mut buf = qip_core::try_zeroed_vec::<T>(p.n)?;
     let mut probe = Probe::new(p.n, p.start_level, &p.eff.qp, &qprime);

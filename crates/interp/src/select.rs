@@ -1,13 +1,14 @@
 //! Per-level parameter auto-selection (compression side only).
 //!
-//! SZ3/QoZ choose the interpolation family per level, HPEZ additionally the
-//! dimension order, by measuring prediction error on a sample of the level's
-//! points (the choice is recorded in the stream, so the decompressor never
-//! repeats the search). Sampling reads the working buffer as-is: processed
-//! points hold reconstructed values, unprocessed points still hold originals
-//! — the same approximation the original auto-tuners make.
+//! Every preset chooses the interpolation family per level, HPEZ additionally
+//! the axes its multi-dimensional passes average over, by measuring
+//! prediction error on a sample of the level's points (the choice is
+//! recorded in the stream, so the decompressor never repeats the search).
+//! Sampling reads the working buffer as-is: processed points hold
+//! reconstructed values, unprocessed points still hold originals — the same
+//! approximation the original auto-tuners make.
 
-use crate::config::{default_order, EngineConfig, LevelParams, PassStructure, ORDERS_2D, ORDERS_3D};
+use crate::config::{default_order, EngineConfig, LevelParams, PassStructure};
 use crate::engine::predict_point;
 use crate::lattice::{build_passes, for_each_point, Pass};
 use qip_predict::InterpKind;
@@ -50,7 +51,9 @@ fn sampled_error<T: Scalar>(
     }
 }
 
-/// Choose this level's interpolation kind and dimension order.
+/// Choose this level's interpolation kind (linear or cubic) and, for
+/// multi-dimensional passes, its axis mask; the order is always the
+/// [`default_order`].
 pub fn choose_level_params<T: Scalar>(
     cfg: &EngineConfig,
     dims: &[usize],
@@ -58,51 +61,29 @@ pub fn choose_level_params<T: Scalar>(
     buf: &[T],
     level: usize,
 ) -> LevelParams {
-    let kinds: &[InterpKind] = if cfg.select_kind {
-        &[InterpKind::Linear, InterpKind::Cubic]
-    } else {
-        std::slice::from_ref(&cfg.fixed_kind)
-    };
-    // Dimension order only matters for directional passes (parity classes
-    // are order-insensitive up to sequencing), so the order search is skipped
-    // for multi-dimensional structures in favor of the axis-mask search.
-    let orders: Vec<Vec<usize>> =
-        if cfg.select_order && cfg.passes == PassStructure::Directional {
-            match dims.len() {
-                2 => ORDERS_2D.iter().map(|o| o.to_vec()).collect(),
-                3 => ORDERS_3D.iter().map(|o| o.to_vec()).collect(),
-                _ => vec![default_order(dims.len())],
-            }
-        } else {
-            vec![default_order(dims.len())]
-        };
-    // The level's passes depend on the order alone: build them once, not
-    // once per (kind, mask) candidate.
-    let passes_by_order: Vec<Vec<Pass>> =
-        orders.iter().map(|o| build_passes(dims.len(), level, o, cfg.passes)).collect();
+    let order = default_order(dims.len());
+    let passes = build_passes(dims.len(), level, &order, cfg.passes);
 
     // HPEZ-style dynamic dimension freezing: for multi-dimensional passes,
     // also search which axes may contribute to the prediction.
-    let masks: Vec<u8> = if cfg.passes == PassStructure::MultiDim && cfg.select_order {
+    let masks: Vec<u8> = if cfg.passes == PassStructure::MultiDim {
         (1u8..(1 << dims.len())).collect()
     } else {
         vec![0xFF]
     };
 
-    // First strict minimum in (kind, order, mask) iteration order.
-    let mut best: Option<(f64, InterpKind, usize, u8)> = None;
-    for &kind in kinds {
-        for (o, passes) in passes_by_order.iter().enumerate() {
-            for &axis_mask in &masks {
-                let e = sampled_error(passes, dims, strides, buf, kind, axis_mask);
-                if best.is_none_or(|(be, ..)| e < be) {
-                    best = Some((e, kind, o, axis_mask));
-                }
+    // First strict minimum in (kind, mask) iteration order.
+    let mut best: Option<(f64, InterpKind, u8)> = None;
+    for kind in [InterpKind::Linear, InterpKind::Cubic] {
+        for &axis_mask in &masks {
+            let e = sampled_error(&passes, dims, strides, buf, kind, axis_mask);
+            if best.is_none_or(|(be, ..)| e < be) {
+                best = Some((e, kind, axis_mask));
             }
         }
     }
-    let (_, kind, o, axis_mask) = best.expect("at least one candidate");
-    LevelParams { kind, order: orders[o].clone(), axis_mask }
+    let (_, kind, axis_mask) = best.expect("at least one candidate");
+    LevelParams { kind, order, axis_mask }
 }
 
 #[cfg(test)]
@@ -124,33 +105,6 @@ mod tests {
         let cfg = EngineConfig::sz3_like(0);
         let p = choose_level_params(&cfg, &dims, &strides_of(&dims), field.as_slice(), 1);
         assert_eq!(p.kind, InterpKind::Cubic);
-    }
-
-    #[test]
-    fn fixed_kind_respected_when_selection_off() {
-        let dims = [33usize, 17];
-        let field = Field::<f32>::from_fn(Shape::new(&dims), |c| (c[0] + c[1]) as f32);
-        let mut cfg = EngineConfig::sz3_like(0);
-        cfg.select_kind = false;
-        cfg.fixed_kind = InterpKind::Linear;
-        let p = choose_level_params(&cfg, &dims, &strides_of(&dims), field.as_slice(), 1);
-        assert_eq!(p.kind, InterpKind::Linear);
-        assert_eq!(p.order, default_order(2));
-    }
-
-    #[test]
-    fn order_selection_prefers_smooth_axis() {
-        // Data varying wildly along axis 1 but smoothly along axis 0:
-        // interpolating along axis 0 first (where prediction is cheap) should
-        // be preferred by at least not being worse.
-        let dims = [33usize, 33];
-        let field = Field::<f32>::from_fn(Shape::new(&dims), |c| {
-            (c[0] as f32) * 0.01 + ((c[1] * 7919) % 97) as f32
-        });
-        let mut cfg = EngineConfig::hpez_like(0);
-        cfg.select_order = true;
-        let p = choose_level_params(&cfg, &dims, &strides_of(&dims), field.as_slice(), 1);
-        assert_eq!(p.order.len(), 2);
     }
 
     #[test]

@@ -16,9 +16,9 @@
 //! midpoints → face centers → cube centers), each point predicted from
 //! *every* odd-parity axis, which is why the paper sees the weakest index
 //! clustering and the smallest QP gains there — and **per-level re-tuning**
-//! of spline family and dimension order from sampled prediction error (the
-//! engine's `select_order`, standing in for HPEZ's block-wise tuning; see
-//! DESIGN.md §5).
+//! of spline family and of the axes each pass averages over ("dynamic
+//! dimension freezing") from sampled prediction error, standing in for
+//! HPEZ's block-wise tuning (see DESIGN.md §5).
 
 use crate::{EngineConfig, InterpEngine, QuantCapture};
 use qip_core::{CompressCtx, CompressError, Compressor, ErrorBound, QpConfig};
@@ -116,14 +116,12 @@ pub fn trial_scope(name: &'static str) -> impl Sized {
 pub struct Tuned {
     preset: &'static Preset,
     qp: QpConfig,
-    /// Pin (α, β) instead of auto-tuning (used by ablation benches).
-    fixed_alpha_beta: Option<(f64, f64)>,
 }
 
 impl Tuned {
     /// QoZ with QP disabled and auto-tuning on.
     pub fn qoz() -> Self {
-        Tuned { preset: &QOZ, qp: QpConfig::off(), fixed_alpha_beta: None }
+        Tuned { preset: &QOZ, qp: QpConfig::off() }
     }
 
     /// HPEZ with QP disabled and auto-tuning on.
@@ -134,12 +132,6 @@ impl Tuned {
     /// Enable/replace the QP configuration (builder style).
     pub fn with_qp(mut self, qp: QpConfig) -> Self {
         self.qp = qp;
-        self
-    }
-
-    /// Pin the per-level bound parameters, disabling the tuner.
-    pub fn with_alpha_beta(mut self, alpha: f64, beta: f64) -> Self {
-        self.fixed_alpha_beta = Some((alpha, beta));
         self
     }
 
@@ -170,9 +162,6 @@ impl Tuned {
         scratch: &mut Vec<u8>,
     ) -> (f64, f64) {
         let p = self.preset;
-        if let Some(ab) = self.fixed_alpha_beta {
-            return ab;
-        }
         if field.len() < 8192 {
             return p.candidates[p.fallback];
         }
@@ -250,37 +239,12 @@ mod tests {
     }
 
     #[test]
-    fn qp_preserves_decompressed_data() {
-        let f = smooth::<f32>(&[36, 28, 18]);
-        for base in presets() {
-            // Pin α/β so both runs use identical engine parameters.
-            let plain = base.with_alpha_beta(1.25, 2.0);
-            let qp = plain.clone().with_qp(QpConfig::best_fit());
-            let a: Field<f32> =
-                plain.decompress(&plain.compress(&f, ErrorBound::Abs(1e-4)).unwrap()).unwrap();
-            let b: Field<f32> =
-                qp.decompress(&qp.compress(&f, ErrorBound::Abs(1e-4)).unwrap()).unwrap();
-            assert_eq!(a.as_slice(), b.as_slice());
-        }
-    }
-
-    #[test]
-    fn pinned_parameters_bypass_the_tuner() {
-        let f = smooth::<f32>(&[64, 32, 16]);
-        for base in presets() {
-            let pinned = base.with_alpha_beta(3.0, 5.0);
-            let ab = pinned.tune(&f, ErrorBound::Abs(1e-3), &mut CompressCtx::new(), &mut Vec::new());
-            assert_eq!(ab, (3.0, 5.0));
-        }
-    }
-
-    #[test]
     fn default_instance_decodes_any_alpha_beta() {
         // α/β travel in the stream, so a default-configured instance decodes.
         let f = smooth::<f32>(&[40, 40, 12]);
         for base in presets() {
-            let enc = base.clone().with_alpha_beta(2.0, 4.0).with_qp(QpConfig::best_fit());
-            let bytes = enc.compress(&f, ErrorBound::Abs(1e-3)).unwrap();
+            let enc = base.engine((2.0, 4.0), QpConfig::best_fit());
+            let bytes = qip_core::integrity::seal(enc.compress(&f, ErrorBound::Abs(1e-3)).unwrap());
             let out: Field<f32> = base.decompress(&bytes).unwrap();
             assert!(max_abs_error(&f, &out) <= 1e-3 + 1e-9);
         }

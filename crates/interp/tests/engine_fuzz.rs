@@ -5,7 +5,6 @@
 use proptest::prelude::*;
 use qip_core::{Compressor, Condition, ErrorBound, PredMode, QpConfig};
 use qip_interp::{EngineConfig, InterpEngine, PassStructure};
-use qip_predict::InterpKind;
 use qip_tensor::{Field, Shape};
 
 fn arb_dims() -> impl Strategy<Value = Vec<usize>> {
@@ -19,20 +18,15 @@ fn arb_dims() -> impl Strategy<Value = Vec<usize>> {
 fn arb_config() -> impl Strategy<Value = EngineConfig> {
     (
         any::<bool>(),                    // anchors
-        any::<bool>(),                    // select_kind
-        any::<bool>(),                    // select_order
         any::<bool>(),                    // multidim
         0u8..6,                           // qp mode tag
         0u8..4,                           // qp condition tag
         0usize..4,                        // qp max level
         prop_oneof![Just(1.0f64), Just(1.25), Just(2.0)],
     )
-        .prop_map(|(anchor, sk, so, md, mode, cond, lvl, alpha)| {
+        .prop_map(|(anchor, md, mode, cond, lvl, alpha)| {
             let mut cfg = EngineConfig::sz3_like(0x55);
             cfg.anchor_log2 = anchor.then_some(4);
-            cfg.select_kind = sk;
-            cfg.fixed_kind = InterpKind::Linear;
-            cfg.select_order = so;
             cfg.passes = if md { PassStructure::MultiDim } else { PassStructure::Directional };
             cfg.alpha = alpha;
             cfg.beta = 4.0;

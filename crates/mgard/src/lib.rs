@@ -12,14 +12,9 @@
 //! budgets are also why MGARD's compression ratios trail SZ3/QoZ/HPEZ at the
 //! same bound, matching the paper's Table II ordering.
 //!
-//! An optional lifting-style **L² update step** (`with_l2_projection`)
-//! approximates MGARD's `L²` projection: after computing a level's details,
-//! coarse nodes are corrected by a local average of adjacent details, which
-//! turns plain interpolation coefficients into (approximate) multilevel
-//! projection coefficients. It improves the decomposition's energy compaction
-//! on smooth data at the cost of extra sweeps; error control then holds with
-//! the same budget argument because the update is applied symmetrically
-//! before quantization and inverted after dequantization.
+//! The coefficients are plain interpolation details: MGARD's `L²`
+//! projection step is not modelled, and the stream's config byte that once
+//! switched an approximation of it on is reserved and must be 0.
 //!
 //! QP (paper Algorithm 1) hooks into the quantization sweep with the same
 //! pass geometry as the interpolation engine, which is what lets the paper
@@ -54,24 +49,17 @@ const BUDGET_FRACTION: f64 = 0.9;
 #[derive(Debug, Clone)]
 pub struct Mgard {
     qp: QpConfig,
-    l2_projection: bool,
 }
 
 impl Mgard {
-    /// MGARD with QP disabled and the plain interpolation decomposition.
+    /// MGARD with QP disabled.
     pub fn new() -> Self {
-        Mgard { qp: QpConfig::off(), l2_projection: false }
+        Mgard { qp: QpConfig::off() }
     }
 
     /// Enable/replace the QP configuration (builder style).
     pub fn with_qp(mut self, qp: QpConfig) -> Self {
         self.qp = qp;
-        self
-    }
-
-    /// Enable the lifting-style L² update step.
-    pub fn with_l2_projection(mut self, on: bool) -> Self {
-        self.l2_projection = on;
         self
     }
 
@@ -155,7 +143,6 @@ impl Mgard {
 /// are absent (empty) for an empty field.
 struct Parsed<'a> {
     header: StreamHeader,
-    l2_projection: bool,
     qp: QpConfig,
     levels: usize,
     coarse: &'a [u8],
@@ -179,11 +166,12 @@ fn parse<T: Scalar>(sealed: &[u8]) -> Result<Parsed<'_>, CompressError> {
     if version != FMT_VERSION {
         return Err(CompressError::WrongFormat("unknown MGARD format version"));
     }
-    let l2_projection = r.get_u8()? != 0;
+    if r.get_u8()? != 0 {
+        return Err(CompressError::WrongFormat("reserved MGARD config byte is not 0"));
+    }
     let qp = QpConfig::read(&mut r)?;
     let mut p = Parsed {
         header,
-        l2_projection,
         qp,
         levels: 0,
         coarse: &[],
@@ -237,18 +225,14 @@ fn passes(ndim: usize, level: usize) -> Vec<Pass> {
 
 /// **Decomposition**, in place: from fine to coarse, every pass of a level
 /// replaces its points by their detail against the multilinear prediction
-/// ([`sweep`]), then the optional L² update corrects the level's even nodes.
-/// `buf` is a row-major plane of `shape`'s dims. Public for the identity
-/// suite, which diffs it against the point-by-point walk.
+/// ([`sweep`]). `buf` is a row-major plane of `shape`'s dims. Public for the
+/// identity suite, which diffs it against the point-by-point walk.
 #[doc(hidden)]
-pub fn decompose(buf: &mut [f64], shape: &Shape, l2_projection: bool) {
+pub fn decompose(buf: &mut [f64], shape: &Shape) {
     let (dims, strides) = (shape.dims(), shape.strides());
     for level in 1..=num_levels(dims.iter().copied().max().unwrap_or(0)) {
         for pass in passes(dims.len(), level) {
             sweep::<true>(buf, dims, strides, &pass);
-        }
-        if l2_projection {
-            l2_update(buf, dims, strides, level, 1.0);
         }
     }
 }
@@ -258,13 +242,10 @@ pub fn decompose(buf: &mut [f64], shape: &Shape, l2_projection: bool) {
 /// unexpanded; the stride-`2^stop_level` lattice then holds the coarse
 /// approximation).
 #[doc(hidden)]
-pub fn recompose(buf: &mut [f64], shape: &Shape, stop_level: usize, l2_projection: bool) {
+pub fn recompose(buf: &mut [f64], shape: &Shape, stop_level: usize) {
     let (dims, strides) = (shape.dims(), shape.strides());
     let levels = num_levels(dims.iter().copied().max().unwrap_or(0));
     for level in (stop_level.saturating_add(1)..=levels).rev() {
-        if l2_projection {
-            l2_update(buf, dims, strides, level, -1.0);
-        }
         for pass in passes(dims.len(), level) {
             sweep::<false>(buf, dims, strides, &pass);
         }
@@ -342,34 +323,6 @@ fn update<const FORWARD: bool>(v: &mut f64, pred: f64) {
     *v = if FORWARD { *v - pred } else { pred + *v };
 }
 
-/// Lifting-style L² update of the even (coarse) nodes from the level's
-/// details, in place: along each odd axis, every coarse node absorbs a
-/// quarter of its two adjacent details (the 5/3-wavelet update, a local
-/// approximation of MGARD's tridiagonal projection). Even nodes read only
-/// edge-class details, which the update never writes. `sign = +1` during
-/// decomposition, `−1` during recomposition.
-fn l2_update(buf: &mut [f64], dims: &[usize], strides: &[usize], level: usize, sign: f64) {
-    let s = 1usize << (level - 1);
-    let ndim = dims.len();
-    // Even lattice of this level: all coordinates multiples of 2s.
-    let even = Pass::uniform(ndim, level, s, s << 1);
-    // For each axis: even node absorbs (detail_left + detail_right) / 4,
-    // where the details live at ±s along that axis (odd parity on the axis,
-    // even on all others — i.e. the axis' edge-midpoint class).
-    for_each_point(&even, dims, strides, |coords, flat| {
-        let mut acc = 0.0f64;
-        for a in 0..ndim {
-            if coords[a] >= s {
-                acc += buf[flat - s * strides[a]] * 0.25;
-            }
-            if coords[a] + s < dims[a] {
-                acc += buf[flat + s * strides[a]] * 0.25;
-            }
-        }
-        buf[flat] += sign * acc;
-    });
-}
-
 impl<T: Scalar> Compressor<T> for Mgard {
     fn name(&self) -> String {
         if self.qp.is_enabled() {
@@ -424,7 +377,7 @@ impl Mgard {
         }
         .write(&mut w);
         w.put_u8(FMT_VERSION);
-        w.put_u8(self.l2_projection as u8);
+        w.put_u8(0); // reserved
         let qp_at = w.len();
         self.qp.write(&mut w);
         if field.is_empty() {
@@ -440,7 +393,7 @@ impl Mgard {
         // ---- Transform sweep: values → hierarchical detail coefficients ----
         let transform_span = span("transform");
         let mut buf: Vec<f64> = ctx.pools.acquire();
-        // The multilinear and L² sweeps would smear one NaN/±Inf over every
+        // The multilinear sweeps would smear one NaN/±Inf over every
         // coarser node, so a non-finite field is refused, not mis-bounded.
         let mut finite = true;
         buf.extend(field.as_slice().iter().map(|v| {
@@ -452,7 +405,7 @@ impl Mgard {
             ctx.pools.release(buf);
             return Err(CompressError::Unsupported("non-finite sample"));
         }
-        decompose(&mut buf, field.shape(), self.l2_projection);
+        decompose(&mut buf, field.shape());
         drop(transform_span);
 
         // ---- Coarse approximation nodes: stored raw ----
@@ -542,7 +495,6 @@ fn decode<T: Scalar>(
 ) -> Result<Field<T>, CompressError> {
     let Parsed {
         header,
-        l2_projection,
         qp: qp_cfg,
         levels,
         coarse: coarse_bytes,
@@ -644,7 +596,7 @@ fn decode<T: Scalar>(
     // unexpanded; the coarse lattice then holds the approximation) ----
     {
         let _t = span("inverse_transform");
-        recompose(&mut buf, &header.shape, stop_level, l2_projection);
+        recompose(&mut buf, &header.shape, stop_level);
     }
 
     ctx.pools.release(unpred);
@@ -789,19 +741,6 @@ mod tests {
     }
 
     #[test]
-    fn l2_projection_roundtrips_exactly_without_quantization_error_blowup() {
-        // Strict bound must hold with the update step enabled, with and
-        // without QP (the registry's MGARD never enables it).
-        let f = smooth(&[33, 18, 9]);
-        for qp in [QpConfig::off(), QpConfig::best_fit()] {
-            let m = Mgard::new().with_qp(qp).with_l2_projection(true);
-            let bytes = m.compress(&f, ErrorBound::Abs(5e-4)).unwrap();
-            let out = m.decompress(&bytes).unwrap();
-            assert!(max_abs_error(&f, &out) <= 5e-4, "qp={qp:?}");
-        }
-    }
-
-    #[test]
     fn constant_field_compresses_tiny() {
         let f = Field::from_vec(Shape::d3(16, 16, 16), vec![7.5f32; 4096]).unwrap();
         let m = Mgard::new();
@@ -836,21 +775,20 @@ mod tests {
     }
 
     #[test]
-    fn l2_update_is_its_own_inverse() {
-        // The lifting update must invert exactly (float-identical), since
-        // compression applies +1 and decompression −1 around quantization.
-        let dims = [9usize, 7, 5];
-        let strides = [35usize, 5, 1];
-        let n = 9 * 7 * 5;
-        let orig: Vec<f64> = (0..n).map(|i| ((i * 37) % 101) as f64 * 0.25 - 12.0).collect();
-        for level in 1..=3 {
-            let mut buf = orig.clone();
-            l2_update(&mut buf, &dims, &strides, level, 1.0);
-            assert_ne!(buf, orig, "level {level}: update must change coarse nodes");
-            l2_update(&mut buf, &dims, &strides, level, -1.0);
-            for (a, b) in buf.iter().zip(&orig) {
-                assert_eq!(a, b, "level {level}: inverse not exact");
-            }
+    fn a_set_reserved_config_byte_is_refused() {
+        // The byte behind the version once switched an L² update step on;
+        // every encoder writes 0, so a resealed stream with any other value
+        // is refused rather than decoded.
+        let f = smooth(&[12, 10, 8]);
+        let m = Mgard::new();
+        let sealed = m.compress(&f, ErrorBound::Abs(1e-3)).unwrap();
+        let header_end = m.decompress_forensic::<f32>(&sealed).unwrap().spans[0].end;
+        let mut body = qip_core::integrity::check(&sealed).unwrap().to_vec();
+        assert_eq!((body[header_end], body[header_end + 1]), (FMT_VERSION, 0));
+        for v in [1u8, 0xFF] {
+            body[header_end + 1] = v;
+            let res: Result<Field<f32>, _> = m.decompress(&qip_core::integrity::seal(body.clone()));
+            assert!(matches!(res, Err(CompressError::WrongFormat(_))), "byte {v}: {res:?}");
         }
     }
 

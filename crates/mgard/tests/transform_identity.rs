@@ -5,9 +5,9 @@
 //! in place. The reference below is the walk as first written — every point
 //! handed its coordinates by `for_each_point`, its `2^|O|` corners rebuilt by
 //! a mask loop with bounds tests (`corner_avg`), every result staged as a
-//! `(flat, value)` pair and scattered back after the pass, and the L² update
-//! staged the same way — kept here, and only here, so every shape, rank and
-//! stop level can be checked bit for bit against it.
+//! `(flat, value)` pair and scattered back after the pass — kept here, and
+//! only here, so every shape, rank and stop level can be checked bit for bit
+//! against it.
 
 use qip_core::{CompressError, Compressor, ErrorBound, QpConfig};
 use qip_interp::lattice::{build_passes, for_each_point, num_levels, Pass};
@@ -57,35 +57,6 @@ mod reference {
         sum / count as f64
     }
 
-    fn l2_update(
-        buf: &mut [f64],
-        dims: &[usize],
-        strides: &[usize],
-        level: usize,
-        sign: f64,
-        scratch: &mut Vec<(usize, f64)>,
-    ) {
-        let s = 1usize << (level - 1);
-        let ndim = dims.len();
-        let even = Pass::uniform(ndim, level, s, s << 1);
-        scratch.clear();
-        for_each_point(&even, dims, strides, |coords, flat| {
-            let mut acc = 0.0f64;
-            for a in 0..ndim {
-                if coords[a] >= s {
-                    acc += buf[flat - s * strides[a]] * 0.25;
-                }
-                if coords[a] + s < dims[a] {
-                    acc += buf[flat + s * strides[a]] * 0.25;
-                }
-            }
-            scratch.push((flat, acc));
-        });
-        for &(flat, acc) in scratch.iter() {
-            buf[flat] += sign * acc;
-        }
-    }
-
     /// One pass, staged: `forward` stores `value − prediction`, the inverse
     /// `prediction + detail`.
     fn pass_staged(
@@ -109,7 +80,7 @@ mod reference {
         }
     }
 
-    pub fn decompose(buf: &mut [f64], shape: &Shape, l2: bool) {
+    pub fn decompose(buf: &mut [f64], shape: &Shape) {
         let (dims, strides) = (shape.dims(), shape.strides());
         let order: Vec<usize> = (0..dims.len()).rev().collect();
         let mut pairs = Vec::new();
@@ -117,20 +88,14 @@ mod reference {
             for pass in build_passes(dims.len(), level, &order, PassStructure::MultiDim) {
                 pass_staged(buf, dims, strides, &pass, true, &mut pairs);
             }
-            if l2 {
-                l2_update(buf, dims, strides, level, 1.0, &mut pairs);
-            }
         }
     }
 
-    pub fn recompose(buf: &mut [f64], shape: &Shape, stop_level: usize, l2: bool) {
+    pub fn recompose(buf: &mut [f64], shape: &Shape, stop_level: usize) {
         let (dims, strides) = (shape.dims(), shape.strides());
         let order: Vec<usize> = (0..dims.len()).rev().collect();
         let mut pairs = Vec::new();
         for level in ((stop_level + 1).max(1)..=num_levels(*dims.iter().max().unwrap())).rev() {
-            if l2 {
-                l2_update(buf, dims, strides, level, -1.0, &mut pairs);
-            }
             for pass in build_passes(dims.len(), level, &order, PassStructure::MultiDim) {
                 pass_staged(buf, dims, strides, &pass, false, &mut pairs);
             }
@@ -211,13 +176,11 @@ fn all_shapes() -> impl Iterator<Item = &'static [usize]> {
 fn decompose_matches_the_point_walk() {
     for dims in all_shapes() {
         let shape = Shape::new(dims);
-        for l2 in [false, true] {
-            let mut new = plane(shape.len(), 1);
-            let mut old = new.clone();
-            decompose(&mut new, &shape, l2);
-            reference::decompose(&mut old, &shape, l2);
-            assert!(bits(&new) == bits(&old), "{dims:?} l2={l2}: decomposition diverged");
-        }
+        let mut new = plane(shape.len(), 1);
+        let mut old = new.clone();
+        decompose(&mut new, &shape);
+        reference::decompose(&mut old, &shape);
+        assert!(bits(&new) == bits(&old), "{dims:?}: decomposition diverged");
     }
 }
 
@@ -226,21 +189,16 @@ fn recompose_matches_the_point_walk_at_every_stop_level() {
     for dims in all_shapes() {
         let shape = Shape::new(dims);
         let levels = num_levels(*dims.iter().max().unwrap());
-        for l2 in [false, true] {
-            // An arbitrary coefficient plane, and the decomposition of one.
-            let mut decomposed = plane(shape.len(), 2);
-            reference::decompose(&mut decomposed, &shape, l2);
-            for coeffs in [plane(shape.len(), 3), decomposed] {
-                for stop in 0..=levels {
-                    let mut new = coeffs.clone();
-                    let mut old = coeffs.clone();
-                    recompose(&mut new, &shape, stop, l2);
-                    reference::recompose(&mut old, &shape, stop, l2);
-                    assert!(
-                        bits(&new) == bits(&old),
-                        "{dims:?} l2={l2} stop {stop}: recomposition diverged"
-                    );
-                }
+        // An arbitrary coefficient plane, and the decomposition of one.
+        let mut decomposed = plane(shape.len(), 2);
+        reference::decompose(&mut decomposed, &shape);
+        for coeffs in [plane(shape.len(), 3), decomposed] {
+            for stop in 0..=levels {
+                let mut new = coeffs.clone();
+                let mut old = coeffs.clone();
+                recompose(&mut new, &shape, stop);
+                reference::recompose(&mut old, &shape, stop);
+                assert!(bits(&new) == bits(&old), "{dims:?} stop {stop}: recomposition diverged");
             }
         }
     }
@@ -254,28 +212,26 @@ fn reduced_decompression_matches_the_point_walk() {
         let levels = num_levels(*dims.iter().max().unwrap());
         let field = Field::<f64>::from_vec(shape.clone(), plane(shape.len(), 4)).unwrap();
         let eb = 1e-2;
-        for l2 in [false, true] {
-            for qp in [QpConfig::off(), QpConfig::best_fit()] {
-                let m = Mgard::new().with_qp(qp).with_l2_projection(l2);
-                let bytes = m.compress(&field, ErrorBound::Abs(eb)).unwrap();
-                let mut coeffs = field.as_slice().to_vec();
-                reference::decompose(&mut coeffs, &shape, l2);
-                reference::quantize(&mut coeffs, &shape, eb);
-                for stop in 0..=levels {
-                    let mut old = coeffs.clone();
-                    reference::recompose(&mut old, &shape, stop, l2);
-                    let old = Field::from_vec(shape.clone(), old).unwrap().decimate(1 << stop);
-                    let new: Field<f64> = m.decompress_reduced(&bytes, stop).unwrap();
-                    assert_eq!(new.shape(), old.shape(), "{dims:?} stop {stop}");
-                    assert!(
-                        bits(new.as_slice()) == bits(old.as_slice()),
-                        "{dims:?} l2={l2} qp={qp:?} stop {stop}: reduced decode diverged"
-                    );
-                }
-                let full: Field<f64> = m.decompress(&bytes).unwrap();
-                let plain: Field<f64> = m.decompress_reduced(&bytes, 0).unwrap();
-                assert!(bits(full.as_slice()) == bits(plain.as_slice()), "{dims:?}: stop 0");
+        for qp in [QpConfig::off(), QpConfig::best_fit()] {
+            let m = Mgard::new().with_qp(qp);
+            let bytes = m.compress(&field, ErrorBound::Abs(eb)).unwrap();
+            let mut coeffs = field.as_slice().to_vec();
+            reference::decompose(&mut coeffs, &shape);
+            reference::quantize(&mut coeffs, &shape, eb);
+            for stop in 0..=levels {
+                let mut old = coeffs.clone();
+                reference::recompose(&mut old, &shape, stop);
+                let old = Field::from_vec(shape.clone(), old).unwrap().decimate(1 << stop);
+                let new: Field<f64> = m.decompress_reduced(&bytes, stop).unwrap();
+                assert_eq!(new.shape(), old.shape(), "{dims:?} stop {stop}");
+                assert!(
+                    bits(new.as_slice()) == bits(old.as_slice()),
+                    "{dims:?} qp={qp:?} stop {stop}: reduced decode diverged"
+                );
             }
+            let full: Field<f64> = m.decompress(&bytes).unwrap();
+            let plain: Field<f64> = m.decompress_reduced(&bytes, 0).unwrap();
+            assert!(bits(full.as_slice()) == bits(plain.as_slice()), "{dims:?}: stop 0");
         }
     }
 }
@@ -290,7 +246,7 @@ fn sweeps_are_exact_on_linear_fields() {
     let linear = |c: &[usize]| 2.0 * c[2] as f64 - c[1] as f64 + 0.5 * c[0] as f64 + 3.0;
     let mut buf: Vec<f64> = (0..729).map(|i| linear(&[i / 81, i / 9 % 9, i % 9])).collect();
     let orig = buf.clone();
-    decompose(&mut buf, &shape, false);
+    decompose(&mut buf, &shape);
     let mut checked = [0usize; 3];
     for (i, d) in buf.iter().enumerate() {
         let c = [i / 81, i / 9 % 9, i % 9];
@@ -306,7 +262,7 @@ fn sweeps_are_exact_on_linear_fields() {
     }
     // 8³ − 4³ finest nodes, 4³ − 2³ at stride 2, 2³ − 1 at stride 4.
     assert_eq!(checked, [448, 56, 7]);
-    recompose(&mut buf, &shape, 0, false);
+    recompose(&mut buf, &shape, 0);
     for (a, b) in buf.iter().zip(&orig) {
         assert!((a - b).abs() < 1e-12);
     }

@@ -46,13 +46,7 @@ impl LinearQuantizer {
 
     /// Quantizer with absolute bound `eb > 0` and the default radius.
     pub fn new(eb: f64) -> Self {
-        Self::with_radius(eb, Self::DEFAULT_RADIUS)
-    }
-
-    /// Quantizer with an explicit radius (indices satisfy `|q| < radius`).
-    pub fn with_radius(eb: f64, radius: i32) -> Self {
-        Self::try_with_radius(eb, radius)
-            .expect("error bound must be positive and finite, radius > 1")
+        Self::try_new(eb).expect("error bound must be positive and finite")
     }
 
     /// Fallible constructor for parameters read from an untrusted stream:
@@ -62,7 +56,9 @@ impl LinearQuantizer {
         Self::try_with_radius(eb, Self::DEFAULT_RADIUS)
     }
 
-    /// Fallible variant of [`LinearQuantizer::with_radius`].
+    /// Quantizer with the radius a stream records (indices satisfy
+    /// `|q| < radius`); `None` as [`LinearQuantizer::try_new`], or when
+    /// `radius ≤ 1`.
     pub fn try_with_radius(eb: f64, radius: i32) -> Option<Self> {
         if eb > 0.0 && eb.is_finite() && radius > 1 {
             Some(LinearQuantizer { eb, radius })
@@ -262,7 +258,7 @@ mod tests {
 
     #[test]
     fn out_of_radius_is_unpredictable() {
-        let q = LinearQuantizer::with_radius(1e-3, 16);
+        let q = LinearQuantizer::try_with_radius(1e-3, 16).unwrap();
         // |q| would be ~500 >> 16.
         assert_eq!(q.quantize(1.0f64, 0.0), Quantized::Unpred);
         // Just inside: q = 15.
@@ -326,8 +322,11 @@ mod tests {
         // Differential sweep: the branchless lane kernel must agree with the
         // scalar reference on bitmap, indices, and reconstructions — across
         // normal points, radius edges, non-finite values, and tight-f32 cases.
-        let quants =
-            [LinearQuantizer::new(1e-3), LinearQuantizer::with_radius(0.5, 4), LinearQuantizer::new(1e-7)];
+        let quants = [
+            LinearQuantizer::new(1e-3),
+            LinearQuantizer::try_with_radius(0.5, 4).unwrap(),
+            LinearQuantizer::new(1e-7),
+        ];
         let mut state = 0x9E37_79B9_7F4A_7C15u64;
         let mut next = move || {
             state ^= state << 13;

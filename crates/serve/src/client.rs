@@ -66,11 +66,6 @@ impl Client {
         Ok(Client { stream, next_id: 1, max_frame, trace_id: wire::ZERO_TRACE })
     }
 
-    /// The id the next request will carry.
-    pub fn peek_id(&self) -> u64 {
-        self.next_id
-    }
-
     /// Set the trace ID carried by subsequent requests. The default
     /// [`wire::ZERO_TRACE`] asks the server to assign one (the assigned ID
     /// comes back in [`Response::trace_id`]); a client-chosen nonzero ID is
@@ -210,11 +205,5 @@ impl Client {
         deadline_ms: u32,
     ) -> Result<Response, ClientError> {
         self.call(deadline_ms, Op::Decompress { dtype_bits, payload })
-    }
-
-    /// The raw stream, for harnesses that need to write arbitrary bytes
-    /// (the chaos client corrupts frames below the `Client` API).
-    pub fn into_stream(self) -> TcpStream {
-        self.stream
     }
 }

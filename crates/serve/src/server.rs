@@ -361,11 +361,6 @@ impl ServerHandle {
         Arc::clone(&self.shared.stats)
     }
 
-    /// Current depth of every worker queue.
-    pub fn queue_depths(&self) -> Vec<usize> {
-        self.shared.queues.iter().map(|q| q.len()).collect()
-    }
-
     /// The per-request structured event log as JSON Lines (one line per
     /// finished request: trace ID, op, status, queue wait, stage durations).
     pub fn events_jsonl(&self) -> String {

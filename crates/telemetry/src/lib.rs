@@ -340,7 +340,8 @@ pub struct CallReport<'a> {
     pub dims: &'a [usize],
     /// Scalar type name (`"f32"` / `"f64"`).
     pub dtype: &'a str,
-    /// Requested absolute error bound.
+    /// The requested bound's epsilon as passed: absolute for an `Abs`
+    /// call, relative to the value range for a `Rel` call (0 for decompress).
     pub error_bound: f64,
     /// Uncompressed payload size in bytes.
     pub raw_bytes: u64,

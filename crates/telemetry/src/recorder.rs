@@ -50,7 +50,8 @@ pub struct FlightRecord {
     pub dims: Vec<u64>,
     /// Scalar type (`"f32"` / `"f64"`).
     pub dtype: String,
-    /// Requested error bound (absolute, as passed to the call).
+    /// The requested bound's epsilon as passed: absolute for an `Abs`
+    /// call, relative to the value range for a `Rel` call (0 for decompress).
     pub error_bound: f64,
     /// Uncompressed payload size in bytes.
     pub raw_bytes: u64,

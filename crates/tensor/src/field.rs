@@ -128,11 +128,6 @@ impl<T: Scalar> Field<T> {
         &mut self.data
     }
 
-    /// Consume the field, returning the buffer.
-    pub fn into_vec(self) -> Vec<T> {
-        self.data
-    }
-
     /// Sample at a coordinate tuple.
     #[inline]
     pub fn get(&self, coords: &[usize]) -> T {
