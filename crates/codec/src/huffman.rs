@@ -21,6 +21,25 @@ const MAX_CODE_LEN: u32 = 48;
 /// beside the dense value span, never inside it.
 const SENTINEL: i32 = i32::MIN;
 
+/// Values `-WINDOW / 2..WINDOW / 2` are counted in lanes ([`Lanes`]).
+const WINDOW: usize = 256;
+/// Interleaved count tables of [`Lanes`].
+const LANES: usize = 4;
+
+/// Counts of the window's values in `LANES` tables, symbol `i` counted in
+/// table `i % LANES`: a run of one index (mostly 0 and ±1) then increments
+/// four counters in turn instead of one, so no increment waits on the store
+/// of the one before it. The window is fixed, not span-sized: 4 KB held in
+/// the scratch, whatever the span (docs/kernels.md).
+#[derive(Debug)]
+struct Lanes([[u32; WINDOW]; LANES]);
+
+impl Default for Lanes {
+    fn default() -> Self {
+        Lanes([[0; WINDOW]; LANES])
+    }
+}
+
 /// Working memory of [`encode_into`]. Every vector is rebuilt per block; only
 /// capacity carries over from one block to the next.
 #[derive(Debug, Default)]
@@ -28,6 +47,9 @@ pub(crate) struct Scratch {
     /// Per value of the span, and a last slot for the sentinel: its count,
     /// then its alphabet rank.
     rank: Vec<u32>,
+    /// The window's counts while the histogram is taken, added into `rank`
+    /// before the walk.
+    lanes: Lanes,
     alphabet: Vec<i32>,
     pub(crate) freqs: Vec<u64>,
     /// Tree nodes as `(weight, id)`: sorted leaves, then internal nodes.
@@ -168,8 +190,13 @@ fn plan(symbols: &[i32], t: &mut Scratch, out: &mut Vec<u8>) -> Plan {
     // the hash map for both steps. A full `CHUNK_SYMBOLS` (2¹⁷) block reaches
     // the 2²² cap, so only shorter blocks can change path. Either way the
     // sorted alphabet and its frequencies — hence the bytes — are the same.
-    let (mut lo, mut hi) = (i32::MAX, i32::MIN);
+    // On the dense path a block with nearly every symbol in a fixed window
+    // around 0 counts the window in `Scratch::lanes` and adds the lanes into
+    // the table before the walk.
+    let half = WINDOW as i32 / 2;
+    let (mut lo, mut hi, mut inside) = (i32::MAX, i32::MIN, 0);
     for &s in symbols {
+        inside += ((s.wrapping_add(half) as u32 as usize) < WINDOW) as usize;
         if s != SENTINEL {
             lo = lo.min(s);
             hi = hi.max(s);
@@ -188,11 +215,38 @@ fn plan(symbols: &[i32], t: &mut Scratch, out: &mut Vec<u8>) -> Plan {
     if dense {
         t.rank.clear();
         t.rank.resize(span + 1, 0);
-        let mut distinct = 0;
-        for &s in symbols {
-            let count = &mut t.rank[plan.slot(s)];
+        let (rank, mut distinct) = (&mut t.rank, 0);
+        let mut count = |s: i32| {
+            let count = &mut rank[plan.slot(s)];
             distinct += (*count == 0) as usize;
             *count += 1;
+        };
+        // Lanes only where nearly every symbol falls in the window: in a
+        // wide block (`segsalt-tight`: a fifth outside) the branch to the
+        // table mispredicts, and symbols that rarely repeat never stall.
+        if symbols.len() - inside <= symbols.len() / 16 {
+            // The window's values inside the span, as offsets into the window.
+            let start = (lo.clamp(-half, half) + half) as usize;
+            let window = start..((hi.clamp(-half - 1, half - 1) + half + 1) as usize).max(start);
+            let lanes = &mut t.lanes.0;
+            for lane in lanes.iter_mut() {
+                lane[window.clone()].fill(0);
+            }
+            for (i, &s) in symbols.iter().enumerate() {
+                let w = s.wrapping_add(half) as u32 as usize;
+                if w < WINDOW {
+                    lanes[i % LANES][w] += 1;
+                } else {
+                    count(s);
+                }
+            }
+            for w in window {
+                let count: u32 = lanes.iter().map(|lane| lane[w]).sum();
+                distinct += (count > 0) as usize;
+                rank[(w as i32 - half - lo) as usize] = count;
+            }
+        } else {
+            symbols.iter().for_each(|&s| count(s));
         }
         t.alphabet.reserve(distinct);
         t.freqs.reserve(distinct);

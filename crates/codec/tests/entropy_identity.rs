@@ -538,6 +538,59 @@ fn fixed_edge_streams() {
     }
 }
 
+/// A dense block with at most a sixteenth of its symbols outside `-128..128`
+/// counts the window in four interleaved lanes and the rest in the rank
+/// table; any other block counts everything in the table. Both paths: runs of
+/// one symbol, the window's edges, the lane rule's limit, a chunk with no
+/// window value, every length mod 4 and a span as wide as MGARD's.
+#[test]
+fn lane_histogram_edges() {
+    let chunk = CHUNK_SYMBOLS;
+    for s in [0, 1, -1, 127, -128, 128, -129, 40_000] {
+        assert_indices_identical(&vec![s; chunk], "one symbol, a full chunk");
+    }
+    assert_indices_identical(&vec![UNPRED; chunk], "sentinel-only chunk");
+    assert_huffman_identical(&[UNPRED; 5], "sentinel-only block");
+    let mut rng = Rng(0x1A7E);
+    let edges = [-130, -129, -128, -127, 126, 127, 128, 129, UNPRED];
+    for len in 1..=64 {
+        for every in [1, 8, 16, 32] {
+            let block: Vec<i32> = (0..len)
+                .map(|_| if rng.below(every) == 0 { edges[rng.below(edges.len())] } else { rng.peaked() })
+                .collect();
+            assert_huffman_identical(&block, "edge symbols among peaked ones, every length mod 4");
+        }
+    }
+    for outside in [10, 11] {
+        for edge in [128, -129, UNPRED] {
+            let mut block: Vec<i32> = (0..160).map(|i| [0, -128, 127, 1][i % 4]).collect();
+            for k in 0..outside {
+                block[k * 14 + 3] = edge;
+            }
+            assert_huffman_identical(&block, "a sixteenth of the block outside the window, and one more");
+        }
+    }
+    for (lo, hi) in [(-128, 127), (-129, 128), (-128, 128), (-129, 127), (5, 127), (-128, -3)] {
+        for every in [3, 40] {
+            let mut block: Vec<i32> =
+                (0..1000).map(|i| [lo, hi].get(i % every).copied().unwrap_or(0).clamp(lo, hi)).collect();
+            block.push(UNPRED);
+            assert_huffman_identical(&block, "span ending on a window edge");
+        }
+    }
+    // Chunks coded with one scratch, each of whose lanes must start at zero.
+    let edged: Vec<i32> =
+        (0..4 * chunk + 100).map(|i| if i % 50 == 0 { [127, -128][i / 50 % 2] } else { rng.peaked() }).collect();
+    assert_indices_identical(&edged, "chunks sharing a scratch");
+    // MGARD's indices: a peaked core and a tail out to a 1.4 M-value span.
+    let mut wide: Vec<i32> = (0..chunk).map(|_| rng.peaked()).collect();
+    for _ in 0..2000 {
+        wide[rng.below(chunk)] = rng.below(1_400_000) as i32 - 700_000;
+    }
+    (wide[7], wide[8], wide[9]) = (-700_000, 699_999, UNPRED);
+    assert_huffman_identical(&wide, "1.4 M-value span");
+}
+
 /// Chains deeper than `MAX_CHAIN` and matches past the 512-byte early exit
 /// and the sparse-insertion threshold, at sizes the property cases skip.
 #[test]

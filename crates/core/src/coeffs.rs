@@ -6,6 +6,7 @@
 
 use crate::{try_with_capacity, CompressError};
 use qip_codec::{encode_indices, ByteReader, ByteWriter, Spans};
+use qip_quant::round_shift;
 use qip_tensor::{Field, Scalar};
 
 /// Index marking a coefficient stored raw.
@@ -21,8 +22,8 @@ pub fn quantize(coeffs: &[f64], step: f64) -> (Vec<i32>, Vec<u8>) {
     let mut q = Vec::with_capacity(coeffs.len());
     let mut raw: Vec<u8> = Vec::new();
     for &c in coeffs {
-        let qi = (c / step).round();
-        if !qi.is_finite() || qi.abs() as i64 >= Q_CLAMP {
+        let qi = round_shift(c / step);
+        if !qi.is_finite() || qi.abs() >= Q_CLAMP as f64 {
             q.push(ESCAPE);
             raw.extend_from_slice(&c.to_le_bytes());
         } else {
@@ -73,15 +74,16 @@ pub fn write<T: Scalar>(
         if stored_err(rec) <= abs_eb && of.is_finite() {
             continue;
         }
-        let qr = ((of - rec) / abs_eb).round();
+        let shifted = round_shift((of - rec) / abs_eb);
+        let qr = shifted as i64;
         corrections.put_uvarint((i - last) as u64);
         last = i;
-        let quantized_ok = qr.is_finite()
-            && (qr.abs() as i64) < Q_CLAMP
+        let quantized_ok = shifted.is_finite()
+            && shifted.abs() < Q_CLAMP as f64
             && of.is_finite()
-            && stored_err(rec + qr * abs_eb) <= abs_eb;
+            && stored_err(rec + qr as f64 * abs_eb) <= abs_eb;
         if quantized_ok {
-            corrections.put_ivarint(qr as i64);
+            corrections.put_ivarint(qr);
         } else {
             corrections.put_ivarint(EXACT);
             corrections.put_f64(of);

@@ -7,8 +7,9 @@
 //! * boundary-case classification hoisted out of the inner loop — for outer
 //!   axes the spline case is constant along a row; for the inner axis the row
 //!   splits into at most four contiguous case segments computed once per
-//!   pass — so the per-point work is straight-line tap loads + FMA chains the
-//!   compiler can vectorize 4–8 wide;
+//!   pass — so the per-point work is straight-line tap loads and
+//!   multiply-add chains (the baseline x86-64 target has no FMA, and its
+//!   SSE2 vectors hold two f64);
 //! * the quantizer running branchless over 64-lane chunks
 //!   ([`qip_quant::LinearQuantizer::quantize_lanes`]), emitting indices
 //!   unconditionally plus an unpredictable-point bitmap that the (rare)

@@ -30,7 +30,7 @@ use qip_interp::lattice::{build_passes, for_each_point, for_each_row, num_levels
 use qip_interp::{
     keep_best_prefix, transform_pass, EngineForensics, PassStructure, Probe, QuantCapture, SinkStats,
 };
-use qip_quant::UNPRED;
+use qip_quant::{round_shift, UNPRED};
 use qip_telemetry::{span, span_with};
 use qip_tensor::{Field, Scalar, Shape};
 
@@ -442,7 +442,7 @@ impl Mgard {
                 for_each_row(&pass, &dims, &strides, |_, flat0| {
                     for flat in (0..m).map(|k| flat0 + k * stp) {
                         let detail = buf[flat];
-                        let qf = (detail / (2.0 * b)).round();
+                        let qf = round_shift(detail / (2.0 * b));
                         if !qf.is_finite() || qf.abs() >= RADIUS as f64 {
                             qprime.push(UNPRED);
                             unpred.extend_from_slice(&detail.to_le_bytes());

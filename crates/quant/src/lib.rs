@@ -18,6 +18,28 @@ use qip_tensor::Scalar;
 /// centered (as the paper's figures do) and reserve a sentinel instead.
 pub const UNPRED: i32 = i32::MIN;
 
+/// The largest double below ½.
+const HALF_DOWN: f64 = 0.5 - f64::EPSILON / 4.0;
+
+/// `x` shifted so that truncating it rounds `x` half away from zero.
+///
+/// `round_shift(x) as i32` and `as i64` equal `f64::round(x)` cast the same
+/// way — saturation, ±∞ and NaN → 0 included — and for an integer `r ≥ 1`,
+/// `round_shift(x).abs() >= r` exactly when `f64::round(x).abs() >= r`
+/// (`|trunc y| ≥ r ⇔ |y| ≥ r`). The identity is the one LLVM lowers `round`
+/// to when it has a truncating instruction:
+/// `round(x) == trunc(x + copysign(½ − 2⁻⁵⁴, x))`, exact for every double
+/// (docs/kernels.md); adding ½ itself would carry `½ − 2⁻⁵⁴` to 1.
+///
+/// On the baseline x86-64 target `f64::round` is a libm call per point;
+/// this is an add, a sign copy and the caller's cast. Every quantizer of the
+/// workspace rounds through it; a value needed as a rounded float converts
+/// back through the integer.
+#[inline(always)]
+pub fn round_shift(x: f64) -> f64 {
+    x + HALF_DOWN.copysign(x)
+}
+
 /// Outcome of quantizing one data point.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Quantized<T: Scalar> {
@@ -91,7 +113,7 @@ impl LinearQuantizer {
             return Quantized::Unpred;
         }
         let diff = df - pred;
-        let q = (diff / (2.0 * self.eb)).round();
+        let q = round_shift(diff / (2.0 * self.eb));
         if q.abs() >= self.radius as f64 {
             return Quantized::Unpred;
         }
@@ -141,9 +163,9 @@ impl LinearQuantizer {
         let mut unpred = 0u64;
         for j in 0..lanes {
             let df = data[j].to_f64();
-            let q = ((df - pred[j]) / two_eb).round();
-            // Saturating cast; NaN → 0. Only read when the lane is predictable,
-            // where it equals the scalar path's in-radius `q as i32`.
+            let q = round_shift((df - pred[j]) / two_eb);
+            // Truncating, saturating cast; NaN → 0. Only read when the lane is
+            // predictable, where it equals the scalar path's `q as i32`.
             let qi = q as i32;
             let r = T::from_f64(pred[j] + 2.0 * qi as f64 * self.eb);
             let out = !df.is_finite() | (q.abs() >= radius_f) | !((r.to_f64() - df).abs() <= self.eb);
@@ -388,6 +410,131 @@ mod tests {
                 Quantized::Unpred => assert_eq!(mask >> j & 1, 1),
             }
         }
+    }
+
+    /// `round_shift` and `f64::round` agree on both index casts and on the
+    /// radius verdict for every radius the workspace uses.
+    fn assert_rounds_like_libm(x: f64) {
+        let (y, r) = (round_shift(x), x.round());
+        assert_eq!(y as i32, r as i32, "as i32 at {x:e} ({:#x})", x.to_bits());
+        assert_eq!(y as i64, r as i64, "as i64 at {x:e} ({:#x})", x.to_bits());
+        for radius in [1.0, 2.0, 4.0, 16.0, 32768.0, (1u64 << 30) as f64, 2147483648.0] {
+            assert_eq!(y.abs() >= radius, r.abs() >= radius, "radius {radius} at {x:e}");
+        }
+    }
+
+    #[test]
+    fn round_shift_matches_libm_round_on_edges() {
+        let p52 = (1u64 << 52) as f64;
+        let p53 = (1u64 << 53) as f64;
+        let p31 = 2147483648.0;
+        let radius = LinearQuantizer::DEFAULT_RADIUS as f64;
+        let mut edges = vec![
+            0.0,
+            0.49999999999999994,
+            0.5,
+            1.5,
+            2.5,
+            p52 - 0.5,
+            p52 + 1.0,
+            // 2⁵³ + 1 is no double: the two either side of it.
+            p53,
+            p53 + 2.0,
+            radius - 0.5,
+            radius + 0.5,
+            p31 - 0.5,
+            p31 + 0.5,
+            f64::INFINITY,
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE / 3.0,
+            f64::from_bits(1),
+            f64::MAX,
+        ];
+        edges.extend(edges.clone().iter().flat_map(|&x| [-x, f64::from_bits(x.to_bits() + 1)]));
+        edges.extend([f64::NAN, -f64::NAN, f64::from_bits(0x7FF0_0000_0000_0001)]);
+        for x in edges {
+            for x in [x, f64::from_bits(x.to_bits().wrapping_sub(1))] {
+                assert_rounds_like_libm(x);
+            }
+        }
+    }
+
+    #[test]
+    fn round_shift_matches_libm_round_on_a_sweep() {
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for i in 0..1_200_000u32 {
+            let bits = next();
+            let x = match i % 4 {
+                // Any double: every exponent, subnormals, ±∞ and NaN.
+                0 => f64::from_bits(bits),
+                // Exponents where rounding has work to do, 2⁻⁶⁴..2⁶⁴.
+                1 => f64::from_bits(bits & 0x800F_FFFF_FFFF_FFFF | (959 + bits % 129) << 52),
+                // Half-integers below 2⁵³ and the doubles either side of them.
+                2 => {
+                    let k = (bits >> 12) >> (bits % 53) as u32;
+                    let half = k as f64 + 0.5;
+                    let half = f64::from_bits(half.to_bits() + (bits >> 62) - 1);
+                    if bits & 1 == 0 { half } else { -half }
+                }
+                // Steps around the radii: integers ± a half ± one ulp.
+                _ => {
+                    let r = [32768.0, 1073741824.0, 2147483648.0][(bits % 3) as usize];
+                    let x = r + ((bits >> 8) % 8) as f64 * 0.5 - 2.0;
+                    let x = f64::from_bits(x.to_bits() + (bits >> 62) - 1);
+                    if bits & 1 == 0 { x } else { -x }
+                }
+            };
+            assert_rounds_like_libm(x);
+        }
+    }
+
+    /// The lane kernel against the scalar path where the rounding matters:
+    /// residuals on half-integer steps and straddling ±radius.
+    fn lanes_match_scalar_on_half_steps<T: Scalar>() {
+        for quant in [LinearQuantizer::new(1e-3), LinearQuantizer::try_with_radius(0.25, 8).unwrap()] {
+            let (r, two_eb) = (quant.radius() as f64, 2.0 * quant.error_bound());
+            let steps: Vec<f64> = (-6..=6)
+                .flat_map(|k| {
+                    let k = k as f64 * 0.5;
+                    [k, r + k, -r + k]
+                })
+                .collect();
+            for chunk in steps.chunks(64) {
+                for pred in [0.0, 1.25, -3.5] {
+                    let data: Vec<T> = chunk.iter().map(|s| T::from_f64(pred + s * two_eb)).collect();
+                    let preds = vec![pred; data.len()];
+                    let mut idx = vec![0i32; data.len()];
+                    let mut recon = vec![T::from_f64(0.0); data.len()];
+                    let mask = quant.quantize_lanes(&data, &preds, &mut idx, &mut recon);
+                    for j in 0..data.len() {
+                        match quant.quantize(data[j], pred) {
+                            Quantized::Pred { index, recon: rj } => {
+                                assert_eq!(mask >> j & 1, 0, "lane {j} wrongly unpred");
+                                assert_eq!(idx[j], index, "lane {j} index");
+                                assert!(recon[j] == rj, "lane {j} recon");
+                            }
+                            Quantized::Unpred => assert_eq!(mask >> j & 1, 1, "lane {j} wrongly pred"),
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lanes_match_scalar_on_half_steps_f64() {
+        lanes_match_scalar_on_half_steps::<f64>();
+    }
+
+    #[test]
+    fn lanes_match_scalar_on_half_steps_f32() {
+        lanes_match_scalar_on_half_steps::<f32>();
     }
 
     #[test]

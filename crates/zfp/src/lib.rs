@@ -22,6 +22,7 @@
 
 use qip_codec::{BitReader, BitWriter, ByteReader, ByteWriter, CodecError, Span, Spans};
 use qip_core::{CompressCtx, CompressError, Compressor, ErrorBound, StreamHeader};
+use qip_quant::round_shift;
 use qip_tensor::{Field, Scalar};
 
 /// Stream magic for ZFP.
@@ -223,9 +224,8 @@ fn encode_block(vals: &[f64], ndim: usize, tol: f64, order: &[usize], bw: &mut B
     let emax = vmax.log2().floor() as i32 + 1;
     bw.write_bits((emax + 1024) as u64, 12);
 
-    let scale = (FRAC_BITS - emax) as f64;
-    let mut ints: Vec<i64> =
-        vals.iter().map(|&v| (v * scale.exp2()).round() as i64).collect();
+    let scale = ((FRAC_BITS - emax) as f64).exp2();
+    let mut ints: Vec<i64> = vals.iter().map(|&v| round_shift(v * scale) as i64).collect();
     transform_block(&mut ints, ndim, true);
 
     // Negabinary, sequency order.
